@@ -37,17 +37,11 @@ module Par = Modelcheck.Par_explorer.Make (P)
 
 type row = {
   case : string;
-  engine : string; (* "seq" | "seq-pruned" | "par" | "ws" | "fp" *)
+  engine : string; (* "seq" | "par" | "ws" | "fp" *)
   domains : int;
   reduction : bool;
   states : int;
   transitions : int;
-  pruned : int;
-      (** successors skipped by the proved-invariant oracle; 0 for
-          unpruned rows, and 0 by construction on pruned rows (a proved
-          invariant never fires on a reachable state) — the column pins
-          reachable-state parity, the candidate-universe fields carry
-          the reduction claim *)
   wall_s : float;
   live_words : int;  (** retained words of the explored space *)
   top_heap_words : int;  (** process heap high-water mark at row end *)
@@ -133,27 +127,23 @@ let layout_comparison : (int * int) option ref = ref None
 
 let mib_of_words w = float_of_int (w * (Sys.word_size / 8)) /. 1048576.
 
-let seq_case ?stop_expansion ?prune ~case ~reduction ~cfg ~wiring ~inputs () =
+let seq_case ?stop_expansion ~case ~reduction ~cfg ~wiring ~inputs () =
   let space, wall_s, live_words, top_heap_words =
     measure (fun () ->
-        match
-          E.explore ?stop_expansion ?prune ~reduction ~cfg ~wiring ~inputs ()
-        with
+        match E.explore ?stop_expansion ~reduction ~cfg ~wiring ~inputs () with
         | E.Explored sp -> sp
         | _ -> failwith (case ^ ": sequential exploration did not complete"))
   in
   let states = E.state_count space
   and transitions = E.transition_count space in
-  let engine = if prune = None then "seq" else "seq-pruned" in
   rows :=
     {
       case;
-      engine;
+      engine = "seq";
       domains = 1;
       reduction;
       states;
       transitions;
-      pruned = space.E.pruned;
       wall_s;
       live_words;
       top_heap_words;
@@ -163,7 +153,7 @@ let seq_case ?stop_expansion ?prune ~case ~reduction ~cfg ~wiring ~inputs () =
     }
     :: !rows;
   Printf.printf "%-24s %-10s %s %9d states %9d trans %8.2fs %8.1f MiB\n%!"
-    case engine
+    case "seq"
     (if reduction then "red  " else "full ")
     states transitions wall_s (mib_of_words live_words);
   (space, live_words)
@@ -184,7 +174,6 @@ let par_case ~case ~domains ~reduction ~cfg ~wiring ~inputs () =
       reduction;
       states;
       transitions;
-      pruned = 0;
       wall_s;
       live_words;
       top_heap_words;
@@ -216,7 +205,6 @@ let ws_case ~case ~domains ~reduction ~cfg ~wiring ~inputs () =
       reduction;
       states;
       transitions;
-      pruned = 0;
       wall_s;
       live_words;
       top_heap_words;
@@ -260,7 +248,6 @@ let fp_case ?stop_expansion ?expect ~case ~reduction ~ram_budget_bytes ~cfg
       reduction;
       states = st.E.fp_states;
       transitions = st.E.fp_transitions;
-      pruned = st.E.fp_pruned;
       wall_s;
       live_words;
       top_heap_words;
@@ -280,30 +267,6 @@ let fp_case ?stop_expansion ?expect ~case ~reduction ~ram_budget_bytes ~cfg
     (float_of_int st.E.fp_bytes_spilled /. 1048576.)
     st.E.fp_bound
     (float_of_int rss_kb /. 1024.)
-
-(* The proved-invariant pruning oracle (Inductive.proved passes both
-   induction obligations at this n, so states violating it are
-   unreachable and the pruned sweep must reproduce the unpruned space
-   exactly — asserted below, not assumed). *)
-let prune_oracle cfg inputs (st : E.state) =
-  Modelcheck.Inductive.violates_state ~cfg ~inputs Modelcheck.Inductive.proved
-    ~locals:st.E.locals ~registers:st.E.registers
-
-(* Run the pruned twin of a sequential row and hard-fail the benchmark on
-   any reachable-state disparity: verdict parity is the soundness claim,
-   the row's wall-clock delta is the oracle's evaluation overhead. *)
-let pruned_twin ?stop_expansion ~case ~reduction ~cfg ~wiring ~inputs
-    (base_space : E.space) =
-  let space, _ =
-    seq_case ?stop_expansion ~prune:(prune_oracle cfg inputs) ~case ~reduction
-      ~cfg ~wiring ~inputs ()
-  in
-  if
-    E.state_count space <> E.state_count base_space
-    || E.transition_count space <> E.transition_count base_space
-  then failwith (case ^ ": pruned run lost reachable-state parity");
-  if space.E.pruned <> 0 then
-    failwith (case ^ ": proved invariant pruned a reachable state")
 
 let run_matrix ?(measure_layout = false) ~case ~domain_counts ~cfg ~wiring
     ~inputs () =
@@ -365,11 +328,11 @@ let json_of_rows rows ~reduction_factor ~layout ~universe =
       Buffer.add_string b
         (Printf.sprintf
            "    {\"case\": %S, \"engine\": %S, \"domains\": %d, \"reduction\": \
-            %b, \"states\": %d, \"transitions\": %d, \"pruned\": %d, \
-            \"wall_s\": %.3f, \"live_words\": %d, \"top_heap_words\": %d, \
-            \"spill_bytes\": %d, \"omission_bound\": %.3g, \"rss_kb\": %d}%s\n"
+            %b, \"states\": %d, \"transitions\": %d, \"wall_s\": %.3f, \
+            \"live_words\": %d, \"top_heap_words\": %d, \"spill_bytes\": %d, \
+            \"omission_bound\": %.3g, \"rss_kb\": %d}%s\n"
            r.case r.engine r.domains r.reduction r.states r.transitions
-           r.pruned r.wall_s r.live_words r.top_heap_words r.spill_bytes
+           r.wall_s r.live_words r.top_heap_words r.spill_bytes
            r.omission_bound r.rss_kb
            (if i = List.length rows - 1 then "" else ",")))
     rows;
@@ -391,8 +354,6 @@ let () =
       ~domain_counts:[ 1; 2; 4 ] ~cfg:cfg2 ~wiring:group_wiring2
       ~inputs:[| 1; 1 |] ()
   in
-  pruned_twin ~case:"snapshot_n2_group" ~reduction:false ~cfg:cfg2
-    ~wiring:group_wiring2 ~inputs:[| 1; 1 |] sp2;
   (* Fingerprint twins of the n=2 rows: a deliberately starved 1 KiB
      budget forces the disk-spill path even on this tiny space. *)
   fp_case ~case:"snapshot_n2_group" ~reduction:false ~ram_budget_bytes:1024
@@ -439,11 +400,6 @@ let () =
         ~domain_counts:[ 1; 2; 4 ] ~cfg:cfg3 ~wiring:wiring3
         ~inputs:[| 1; 1; 1 |] ()
     in
-    (* The pruned twin of the n=3 full row: the invariant passed
-       induction at n=3 (anonsim inductive --check -n 3), so parity is a
-       theorem this row re-verifies empirically. *)
-    pruned_twin ~case:"snapshot_n3_identity" ~reduction:false ~cfg:cfg3
-      ~wiring:wiring3 ~inputs:[| 1; 1; 1 |] sp3;
     (* Fingerprint twins at 4 MiB — enough to force several spill runs
        on the ~2M-state space while matching the exact counts. *)
     fp_case ~case:"snapshot_n3_identity" ~reduction:false
@@ -453,12 +409,9 @@ let () =
     fp_case ~case:"snapshot_n3_identity" ~reduction:true
       ~ram_budget_bytes:(4 * 1024 * 1024)
       ~cfg:cfg3 ~wiring:wiring3 ~inputs:[| 1; 1; 1 |] ();
-    let sp4, _ =
-      seq_case ~stop_expansion:stop_two_scans ~case:"snapshot_n4_bounded"
-        ~reduction:true ~cfg:cfg4 ~wiring:wiring4 ~inputs:inputs4 ()
-    in
-    pruned_twin ~stop_expansion:stop_two_scans ~case:"snapshot_n4_bounded"
-      ~reduction:true ~cfg:cfg4 ~wiring:wiring4 ~inputs:inputs4 sp4
+    ignore
+      (seq_case ~stop_expansion:stop_two_scans ~case:"snapshot_n4_bounded"
+         ~reduction:true ~cfg:cfg4 ~wiring:wiring4 ~inputs:inputs4 ())
   end;
   let ordered = List.rev !rows in
   (* Cross-engine parity, post hoc: every fingerprint and work-stealing
@@ -494,7 +447,7 @@ let () =
   in
   (* Candidate-universe accounting at n=4 from the closed-form counter:
      syntactic local assignments vs assignments admitted by the proved
-     clauses — the measured candidate-state reduction the pruning oracle
+     clauses — the candidate-state reduction the proved invariant
      represents on the bounded row. *)
   let universe =
     Modelcheck.Inductive.universe_counts ~n:4 Modelcheck.Inductive.proved

@@ -874,33 +874,10 @@ let feasibility_cmd =
         (const run $ quick_arg $ max_states_arg $ out_arg $ journal_arg
        $ resume_arg $ max_seconds_arg $ max_heap_mb_arg $ ckpt_dir_arg))
 
-(* inductive: certify the snapshot invariant by induction / prune with it *)
+(* inductive: certify the snapshot invariant by induction *)
 
 let inductive_cmd =
   let module I = Modelcheck.Inductive in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Discharge the two induction obligations (Init ⇒ Inv and Inv ∧ \
-             Next ⇒ Inv′) for the clause set over the abstract transition \
-             system — a pass certifies the invariant for every register \
-             count, wiring and schedule at this $(b,-n).  This is the \
-             default mode.")
-  in
-  let prune_arg =
-    Arg.(
-      value & flag
-      & info [ "prune" ]
-          ~doc:
-            "Instead of checking, run the full snapshot model-checking \
-             sweep ($(b,check-snapshot) semantics) with the proved \
-             invariant as a pruning oracle and report how many candidate \
-             successors it skipped.  A proved invariant never fires on a \
-             reachable state, so the sweep's verdict and state counts \
-             match the unpruned run exactly.")
-  in
   let clauses_arg =
     Arg.(
       value & opt string "proved"
@@ -909,7 +886,7 @@ let inductive_cmd =
             "Comma-separated clause names, or the presets $(b,proved) (the \
              containment-and-coverage conjunction that passes induction) \
              and $(b,candidates) (plus the comparability strengthenings, \
-             which are rejected with CTIs).  Check mode only.")
+             which are rejected with CTIs).")
   in
   let concrete_arg =
     Arg.(
@@ -935,7 +912,7 @@ let inductive_cmd =
           ~doc:
             "Checkpoint the induction cursor to $(docv) periodically so a \
              budget-exhausted or interrupted check resumes with \
-             $(b,--resume).  Check mode only.")
+             $(b,--resume).")
   in
   let resume_arg =
     Arg.(
@@ -954,148 +931,101 @@ let inductive_cmd =
             "Wall-clock budget; on expiry the run writes a final \
              checkpoint (with $(b,--checkpoint)) and exits with code 3.")
   in
-  let run n check prune clauses concrete max_ctis checkpoint resume
-      max_seconds =
-    if check && prune then
-      `Error (true, "--check and --prune are mutually exclusive")
-    else begin
-      install_signal_handlers ();
-      let governor =
-        Modelcheck.Governor.create ?wall_seconds:max_seconds
-          ~interrupted_flag:interrupted ()
-      in
-      let exit_on_trip () =
-        match Modelcheck.Governor.tripped governor with
-        | Some Modelcheck.Governor.Interrupted -> Stdlib.exit exit_interrupted
-        | _ -> Stdlib.exit exit_exhausted
-      in
-      if prune then begin
-        match
-          Core.verify_snapshot_model ~n ~prune_with_invariant:true ~governor
-            ()
-        with
-        | Ok s ->
-            Printf.printf
-              "verified (invariant-pruned): snapshot correct and wait-free \
-               for n=%d\n"
-              n;
-            Printf.printf
-              "wirings: %d, states: %d, transitions: %d, pruned \
-               successors: %d\n"
-              s.Modelcheck.Explorer.wirings_checked
-              s.Modelcheck.Explorer.total_states
-              s.Modelcheck.Explorer.total_transitions
-              s.Modelcheck.Explorer.total_pruned;
-            if s.Modelcheck.Explorer.total_pruned <> 0 then begin
-              (* a proved invariant cannot fire on reachable states *)
-              prerr_endline
-                "error: the proved invariant pruned a reachable state";
-              Stdlib.exit exit_violation
-            end;
-            `Ok ()
-        | Error e ->
-            if Modelcheck.Governor.tripped governor <> None then begin
-              Printf.printf "budget exhausted: %s\n" e;
-              exit_on_trip ()
-            end
-            else begin
-              prerr_endline e;
-              Stdlib.exit exit_violation
-            end
-      end
-      else begin
-        match I.parse_clauses clauses with
-        | Error e -> `Error (false, e)
-        | Ok cls -> (
-            let ckpt =
-              Option.map
-                (fun path ->
-                  { Modelcheck.Checkpoint.path; every_states = 500_000 })
-                checkpoint
-            in
-            let resume_hint () =
-              match checkpoint with
-              | Some f ->
-                  Printf.printf
-                    "resume with: anonsim inductive --check -n %d --clauses \
-                     %s --checkpoint %s --resume\n"
-                    n clauses f
-              | None -> ()
-            in
-            let finish_concrete () =
-              if not concrete then `Ok ()
-              else if n > 2 then
-                `Error
-                  ( false,
-                    "--concrete is limited to n <= 2 (the full universe is \
-                     enumerated); the abstract check covers larger n" )
-              else
-                match I.check_concrete ~max_ctis ~governor ~n cls with
-                | I.C_proved cr ->
-                    Fmt.pr
-                      "concrete cross-check (m = n, all wirings): proved@,%a@."
-                      I.pp_report cr.I.k_report;
-                    `Ok ()
-                | I.C_refuted cr ->
-                    Fmt.pr "concrete cross-check: refuted@,%a@." I.pp_report
-                      cr.I.k_report;
-                    List.iteri
-                      (fun i c ->
-                        if i < 3 then
-                          Fmt.pr "@,%a@." I.pp_ccti (I.shrink_ccti ~n cls c))
-                      cr.I.k_ctis;
-                    Stdlib.exit exit_violation
-                | I.C_gave_up { reason; processed } ->
-                    Fmt.pr "concrete cross-check gave up (%a) after %d states@."
-                      Modelcheck.Governor.pp_reason reason processed;
-                    exit_on_trip ()
-            in
-            match
-              I.check_abstract ~max_ctis ~governor ?ckpt ~resume ~n cls
-            with
-            | I.Proved r ->
+  let run n clauses concrete max_ctis checkpoint resume max_seconds =
+    install_signal_handlers ();
+    let governor =
+      Modelcheck.Governor.create ?wall_seconds:max_seconds
+        ~interrupted_flag:interrupted ()
+    in
+    let exit_on_trip () =
+      match Modelcheck.Governor.tripped governor with
+      | Some Modelcheck.Governor.Interrupted -> Stdlib.exit exit_interrupted
+      | _ -> Stdlib.exit exit_exhausted
+    in
+    match I.parse_clauses clauses with
+    | Error e -> `Error (false, e)
+    | Ok cls -> (
+        let ckpt =
+          Option.map
+            (fun path -> { Modelcheck.Checkpoint.path; every_states = 500_000 })
+            checkpoint
+        in
+        let resume_hint () =
+          match checkpoint with
+          | Some f ->
+              Printf.printf
+                "resume with: anonsim inductive -n %d --clauses %s \
+                 --checkpoint %s --resume\n"
+                n clauses f
+          | None -> ()
+        in
+        let finish_concrete () =
+          if not concrete then `Ok ()
+          else if n > 2 then
+            `Error
+              ( false,
+                "--concrete is limited to n <= 2 (the full universe is \
+                 enumerated); the abstract check covers larger n" )
+          else
+            match I.check_concrete ~max_ctis ~governor ~n cls with
+            | I.C_proved cr ->
                 Fmt.pr
-                  "inductive: both obligations discharged for n=%d — the \
-                   invariant holds in every reachable state of every \
-                   (m, wiring, schedule) instance at this n@,%a@."
-                  n I.pp_report r;
-                (match checkpoint with
-                | Some f when Sys.file_exists f -> Sys.remove f
-                | _ -> ());
-                finish_concrete ()
-            | I.Refuted r ->
-                Fmt.pr "inductive: refuted at n=%d@,%a@." n I.pp_report r;
+                  "concrete cross-check (m = n, all wirings): proved@,%a@."
+                  I.pp_report cr.I.k_report;
+                `Ok ()
+            | I.C_refuted cr ->
+                Fmt.pr "concrete cross-check: refuted@,%a@." I.pp_report
+                  cr.I.k_report;
                 List.iteri
-                  (fun i cti ->
+                  (fun i c ->
                     if i < 3 then
-                      Fmt.pr "@,shrunk CTI:@,%a@." I.pp_acti
-                        (I.shrink_acti ~n cls cti))
-                  r.I.r_ctis;
+                      Fmt.pr "@,%a@." I.pp_ccti (I.shrink_ccti ~n cls c))
+                  cr.I.k_ctis;
                 Stdlib.exit exit_violation
-            | I.Gave_up { reason; processed } ->
-                Fmt.pr "inductive: gave up (%a) after %d configurations@."
+            | I.C_gave_up { reason; processed } ->
+                Fmt.pr "concrete cross-check gave up (%a) after %d states@."
                   Modelcheck.Governor.pp_reason reason processed;
-                resume_hint ();
-                exit_on_trip ())
-      end
-    end
+                exit_on_trip ()
+        in
+        match I.check_abstract ~max_ctis ~governor ?ckpt ~resume ~n cls with
+        | I.Proved r ->
+            Fmt.pr
+              "inductive: both obligations discharged for n=%d — the \
+               invariant holds in every reachable state of every \
+               (m, wiring, schedule) instance at this n@,%a@."
+              n I.pp_report r;
+            (match checkpoint with
+            | Some f when Sys.file_exists f -> Sys.remove f
+            | _ -> ());
+            finish_concrete ()
+        | I.Refuted r ->
+            Fmt.pr "inductive: refuted at n=%d@,%a@." n I.pp_report r;
+            List.iteri
+              (fun i cti ->
+                if i < 3 then
+                  Fmt.pr "@,shrunk CTI:@,%a@." I.pp_acti
+                    (I.shrink_acti ~n cls cti))
+              r.I.r_ctis;
+            Stdlib.exit exit_violation
+        | I.Gave_up { reason; processed } ->
+            Fmt.pr "inductive: gave up (%a) after %d configurations@."
+              Modelcheck.Governor.pp_reason reason processed;
+            resume_hint ();
+            exit_on_trip ())
   in
   Cmd.v
     (Cmd.info "inductive"
        ~doc:
-         "Certify the Figure-3 snapshot invariant by induction (Init ⇒ Inv \
-          and Inv ∧ Next ⇒ Inv′ over an abstraction quantifying out the \
-          register count, wiring and schedule), or — with $(b,--prune) — \
-          reuse the proved invariant as a pruning oracle inside the \
-          explicit model-checking sweep.  Failed checks report shrunk, \
-          1-minimal counterexamples to induction; $(b,--concrete) \
-          cross-validates the abstraction against the full concrete \
-          universe at n ≤ 2.")
+         "Certify the Figure-3 snapshot invariant by induction: discharge \
+          Init ⇒ Inv and Inv ∧ Next ⇒ Inv′ over an abstraction quantifying \
+          out the register count, wiring and schedule, so a pass holds for \
+          all of them at this $(b,-n).  Failed checks report shrunk, 1-minimal counterexamples \
+          to induction; $(b,--concrete) cross-validates the abstraction \
+          against the full concrete universe at n ≤ 2.")
     Term.(
       ret
-        (const run $ n_arg ~default:2 $ check_arg $ prune_arg $ clauses_arg
-       $ concrete_arg $ max_ctis_arg $ checkpoint_arg $ resume_arg
-       $ max_seconds_arg))
+        (const run $ n_arg ~default:2 $ clauses_arg $ concrete_arg
+       $ max_ctis_arg $ checkpoint_arg $ resume_arg $ max_seconds_arg))
 
 let main_cmd =
   let doc =

@@ -216,39 +216,33 @@ let snapshot_invariant cfg inputs (st : Snapshot_mc.state) =
     [~reduction:true] quotients each per-wiring space by its anonymity
     symmetries (a gain exactly when [inputs] has repeated values — with
     all-distinct inputs the symmetry group is trivial); [~domains > 1]
-    switches to the parallel engine ({!Modelcheck.Par_explorer}) with that
-    many worker domains.  Both engines return the same summary type and
-    agree on every verdict (asserted by the differential suite). *)
-let snapshot_prune_oracle cfg inputs (st : Snapshot_mc.state) =
-  Modelcheck.Inductive.violates_state ~cfg ~inputs
-    Modelcheck.Inductive.proved ~locals:st.Snapshot_mc.locals
-    ~registers:st.Snapshot_mc.registers
-
+    switches to the layer-synchronous parallel engine
+    ({!Modelcheck.Par_explorer}) with that many worker domains, or — with
+    [~ws:true] — to the work-stealing engine ({!Modelcheck.Ws_explorer}).
+    All engines return the same summary type and agree on every verdict
+    (asserted by the differential suite).  Only the sequential engine
+    ([domains = 1]) honours [ckpt]/[resume]. *)
 let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states
-    ?(reduction = false) ?(domains = 1) ?(ws = false)
-    ?(prune_with_invariant = false) ?governor ?ckpt ?(resume = false) () =
+    ?(reduction = false) ?(domains = 1) ?(ws = false) ?governor ?ckpt
+    ?(resume = false) () =
   let inputs = match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1) in
   let cfg = Algorithms.Snapshot.standard ~n in
-  let prune =
-    if prune_with_invariant then Some (snapshot_prune_oracle cfg inputs)
-    else None
-  in
   if domains > 1 && ws then
     (* Work-stealing engine: governed but not checkpointable (no
-       consistent cut without stopping the pool) and unpruned. *)
+       consistent cut without stopping the pool). *)
     Snapshot_ws_mc.check_all_wirings ?max_states ~reduction ?governor ~domains
       ~invariant:(snapshot_invariant cfg inputs)
       ~cfg ~inputs ()
   else if domains > 1 then
     (* The layer-synchronous engine shares no checkpointable sweep
-       position; run it unbudgeted and unpruned (callers wanting
-       durability or pruning use domains = 1). *)
+       position; run it unbudgeted (callers wanting durability use
+       domains = 1). *)
     Snapshot_par_mc.check_all_wirings ?max_states ~reduction ~domains
       ~invariant:(snapshot_invariant cfg inputs)
       ~cfg ~inputs ()
   else
-    Snapshot_mc.check_all_wirings ?max_states ~reduction ?prune ?governor
-      ?ckpt ~resume
+    Snapshot_mc.check_all_wirings ?max_states ~reduction ?governor ?ckpt
+      ~resume
       ~invariant:(snapshot_invariant cfg inputs)
       ~cfg ~inputs ()
 
@@ -262,18 +256,14 @@ let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states
     the exact engines for liveness.  Supports the full
     governor/checkpoint/resume contract of the sequential engine. *)
 let verify_snapshot_model_fp ?(n = 3) ?(inputs = None) ?max_states
-    ?(reduction = false) ?(prune_with_invariant = false) ?ram_budget_bytes
-    ?batch_states ?spill_dir ?governor ?ckpt ?(resume = false) () =
+    ?(reduction = false) ?ram_budget_bytes ?batch_states ?spill_dir ?governor
+    ?ckpt ?(resume = false) () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
-  let prune =
-    if prune_with_invariant then Some (snapshot_prune_oracle cfg inputs)
-    else None
-  in
-  Snapshot_mc.check_all_wirings_fp ?max_states ~reduction ?prune
-    ?ram_budget_bytes ?batch_states ?spill_dir ?governor ?ckpt ~resume
+  Snapshot_mc.check_all_wirings_fp ?max_states ~reduction ?ram_budget_bytes
+    ?batch_states ?spill_dir ?governor ?ckpt ~resume
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 
@@ -293,18 +283,13 @@ module Snapshot_fault_mc =
     territory (a crash-stopped processor is exactly one that is never
     scheduled again). *)
 let verify_snapshot_model_crashes ?(n = 2) ?(inputs = None) ?(max_crashes = 1)
-    ?max_states ?(reduction = false) ?(prune_with_invariant = false) ?governor
-    () =
+    ?max_states ?(reduction = false) ?governor () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
-  let prune =
-    if prune_with_invariant then Some (snapshot_prune_oracle cfg inputs)
-    else None
-  in
   Snapshot_fault_mc.check_all_wirings ?max_states ~max_crashes ~reduction
-    ?prune ?governor
+    ?governor
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 

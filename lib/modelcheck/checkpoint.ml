@@ -16,7 +16,12 @@ exception Corrupt_checkpoint of string
 exception Simulated_crash
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt_checkpoint s)) fmt
-let magic = "ANONCKP1"
+
+(* The last byte is the format version.  Bump it whenever an engine's
+   section layout or context string changes: an older image then fails
+   with a version error instead of a misleading context mismatch. *)
+let magic_family = "ANONCKP"
+let magic = magic_family ^ "2"
 
 (* 64-bit FNV-1a over a byte range, folded into OCaml's nonnegative int
    range the same way State_table.hash folds it — deterministic across
@@ -85,8 +90,15 @@ let to_bytes sections =
 let of_bytes b =
   let len = Bytes.length b in
   if len < String.length magic + 4 then corrupt "truncated header (%d bytes)" len;
-  if Bytes.sub_string b 0 (String.length magic) <> magic then
-    corrupt "bad magic (not a checkpoint file)";
+  let found = Bytes.sub_string b 0 (String.length magic) in
+  if found <> magic then
+    if String.starts_with ~prefix:magic_family found then
+      corrupt
+        "checkpoint format version %s, this build reads version %s; restart \
+         the run without --resume"
+        (String.sub found (String.length magic_family) 1)
+        (String.sub magic (String.length magic_family) 1)
+    else corrupt "bad magic (not a checkpoint file)";
   let nsec = Int32.to_int (Bytes.get_int32_le b (String.length magic)) in
   if nsec < 0 || nsec > 0xFFFF then corrupt "implausible section count %d" nsec;
   let off = ref (String.length magic + 4) in

@@ -3,7 +3,7 @@
     A checkpoint is a flat container of named binary sections:
 
     {v
-      "ANONCKP1"  8-byte magic
+      "ANONCKP2"  8-byte magic; the last byte is the format version
       u32 LE      section count
       per section:
         u16 LE    tag length   | tag bytes (UTF-8 name, e.g. "table")
@@ -19,7 +19,9 @@
     image to [path ^ ".tmp"], fsyncs, then renames — so the previous
     checkpoint survives any crash mid-write, and [load] of a torn or
     bit-flipped file raises {!Corrupt_checkpoint} instead of returning a
-    silently wrong frontier. *)
+    silently wrong frontier.  So does an image written under another
+    format version: its error names both versions and says to restart
+    without [--resume]. *)
 
 exception Corrupt_checkpoint of string
 (** Raised by {!of_bytes} / {!load} / the engines' [deserialize]

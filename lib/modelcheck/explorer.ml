@@ -86,10 +86,6 @@ type summary = {
   max_space_states : int;
   total_transitions : int;
   terminal_states : int;
-  total_pruned : int;
-      (** successors skipped by the [~prune] oracle; 0 when pruning is
-          off, and 0 by construction when the oracle is a proved
-          invariant (its violating states are unreachable) *)
   all_wait_free : bool;
 }
 (** Aggregate of a [check_all_wirings] sweep.  Defined outside the functor
@@ -103,7 +99,6 @@ let empty_summary =
     max_space_states = 0;
     total_transitions = 0;
     terminal_states = 0;
-    total_pruned = 0;
     all_wait_free = true;
   }
 
@@ -113,7 +108,6 @@ type fp_summary = {
   fp_max_space_states : int;
   fp_total_transitions : int;
   fp_terminal_states : int;
-  fp_total_pruned : int;
   fp_omission_bound : float;
       (** union bound over the per-wiring birthday bounds: the probability
           that {e any} state anywhere in the sweep was omitted by a 64-bit
@@ -133,7 +127,6 @@ let empty_fp_summary =
     fp_max_space_states = 0;
     fp_total_transitions = 0;
     fp_terminal_states = 0;
-    fp_total_pruned = 0;
     fp_omission_bound = 0.0;
     fp_spilled_runs = 0;
     fp_spill_bytes = 0;
@@ -255,9 +248,6 @@ module Make (P : CHECKABLE) = struct
             adjacency image; [deg] delimits the per-source runs *)
     deg : State_table.Packed_vec.t;  (** id -> out-degree (expanded ids) *)
     terminal : int list;  (** ids of states where all processors halted *)
-    pruned : int;
-        (** candidate successors skipped by the [~prune] oracle — not
-            interned, not edges; 0 when pruning was off *)
   }
 
   let state_count space = State_table.length space.table
@@ -312,15 +302,11 @@ module Make (P : CHECKABLE) = struct
       whose successors should not be explored — used to bound protocols
       with unbounded state.  [progress] is called every [2^20] states.
       [reduction] explores the symmetry quotient instead (visited keys are
-      canonical orbit minima); invariant, [stop_expansion] and [prune] must
-      then be symmetric predicates.  [prune] (default: never) drops
-      candidate successor states without interning them — sound exactly
-      when pruned states are unreachable, e.g. states violating an
-      invariant {e proved} inductive by {!Inductive.check_abstract}; the
-      drop count is reported in [space.pruned]. *)
+      canonical orbit minima); invariant and [stop_expansion] must then be
+      symmetric predicates. *)
   let explore ?(max_states = 50_000_000) ?invariant ?stop_expansion ?progress
-      ?(reduction = false) ?prune ?governor ?ckpt ?(resume = false) ~cfg
-      ~wiring ~inputs () =
+      ?(reduction = false) ?governor ?ckpt ?(resume = false) ~cfg ~wiring
+      ~inputs () =
     guard_processors ~engine:"Explorer.explore" (P.processors cfg);
     let canon = if reduction then Some (canon_of ~cfg ~wiring ~inputs) else None in
     let canonical key =
@@ -331,8 +317,8 @@ module Make (P : CHECKABLE) = struct
        the step relation.  A mismatched resume is a structured error, not
        a silently wrong exploration. *)
     let context =
-      Fmt.str "bfs|%d|%a|%b|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
-        reduction (prune <> None)
+      Fmt.str "bfs|%d|%a|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
+        reduction
         (canonical (encode_state cfg (init_state ~cfg ~inputs)))
     in
     let resumed =
@@ -366,13 +352,6 @@ module Make (P : CHECKABLE) = struct
             State_table.Packed_vec.create ~stride:1 (),
             ref [] )
     in
-    let pruned =
-      ref
-        (match resumed with
-        | Some sections ->
-            (Checkpoint.ints_of_bytes (Checkpoint.find "pruned" sections)).(0)
-        | None -> 0)
-    in
     let save_ckpt path =
       Checkpoint.save ~path
         [
@@ -382,7 +361,6 @@ module Make (P : CHECKABLE) = struct
           ("succ", State_table.Packed_vec.serialize succ);
           ("deg", State_table.Packed_vec.serialize deg);
           ("terminal", Checkpoint.bytes_of_ints (Array.of_list !terminal));
-          ("pruned", Checkpoint.bytes_of_ints [| !pruned |]);
         ]
     in
     let queue = Queue.create () in
@@ -460,15 +438,8 @@ module Make (P : CHECKABLE) = struct
                   limit_hit := true
                 else begin
                   let st' = successor cfg wiring st p in
-                  match prune with
-                  | Some f when f st' ->
-                      (* unreachable by the proved invariant: neither
-                         interned nor recorded as an edge *)
-                      incr pruned
-                  | _ ->
-                      let id' = add_state st' ~from:((id lsl 4) lor p) in
-                      ignore
-                        (State_table.Packed_vec.push succ ((id' lsl 4) lor p))
+                  let id' = add_state st' ~from:((id lsl 4) lor p) in
+                  ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor p))
                 end)
               en
       end;
@@ -499,7 +470,6 @@ module Make (P : CHECKABLE) = struct
           succ;
           deg;
           terminal = List.rev !terminal;
-          pruned = !pruned;
         }
       in
       match !violation with
@@ -718,7 +688,6 @@ module Make (P : CHECKABLE) = struct
     dfs_transitions : int;
     dfs_terminals : int;
     dfs_max_depth : int;
-    dfs_pruned : int;  (** successors skipped by the [~prune] oracle *)
   }
 
   type dfs_result =
@@ -749,17 +718,16 @@ module Make (P : CHECKABLE) = struct
       obstruction-free (e.g. consensus), where cycles are expected and only
       the invariant is being checked. *)
   let check_exhaustive ?(max_states = 100_000_000) ?(fail_on_cycle = true)
-      ?invariant ?stop_expansion ?progress ?(reduction = false) ?prune
-      ?governor ?ckpt ?(resume = false) ?(ckpt_extra = []) ~cfg ~wiring
-      ~inputs () =
+      ?invariant ?stop_expansion ?progress ?(reduction = false) ?governor
+      ?ckpt ?(resume = false) ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.check_exhaustive" (P.processors cfg);
     let canon = if reduction then Some (canon_of ~cfg ~wiring ~inputs) else None in
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in
     let context =
-      Fmt.str "dfs|%d|%a|%b|%b|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
-        reduction fail_on_cycle (prune <> None)
+      Fmt.str "dfs|%d|%a|%b|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
+        reduction fail_on_cycle
         (canonical (encode_state cfg (init_state ~cfg ~inputs)))
     in
     let resumed =
@@ -787,14 +755,12 @@ module Make (P : CHECKABLE) = struct
     (* 1 = gray (on the DFS path), 2 = black (done) *)
     let n = P.processors cfg in
     let transitions = ref 0 and terminals = ref 0 and max_depth = ref 0 in
-    let pruned = ref 0 in
     let stats () =
       {
         dfs_states = State_table.length table;
         dfs_transitions = !transitions;
         dfs_terminals = !terminals;
         dfs_max_depth = !max_depth;
-        dfs_pruned = !pruned;
       }
     in
     let outcome = ref None in
@@ -827,15 +793,14 @@ module Make (P : CHECKABLE) = struct
         let counters =
           Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections)
         in
-        if Array.length counters <> 5 then
+        if Array.length counters <> 4 then
           raise
             (Checkpoint.Corrupt_checkpoint
                "Explorer.check_exhaustive: counter section of wrong length");
         transitions := counters.(0);
         terminals := counters.(1);
         max_depth := counters.(2);
-        depth := counters.(3);
-        pruned := counters.(4)
+        depth := counters.(3)
     | None -> ());
     let save_ckpt path =
       let frames =
@@ -852,7 +817,7 @@ module Make (P : CHECKABLE) = struct
            ("frames", Checkpoint.bytes_of_ints frames);
            ( "counters",
              Checkpoint.bytes_of_ints
-               [| !transitions; !terminals; !max_depth; !depth; !pruned |] );
+               [| !transitions; !terminals; !max_depth; !depth |] );
          ]
         @ ckpt_extra)
     in
@@ -938,7 +903,7 @@ module Make (P : CHECKABLE) = struct
           (if !next_p = 0 then
              match stop_expansion with
              | Some f when f (decode_state cfg key) ->
-                 (* pruned leaf: skip successors; not a terminal state *)
+                 (* cut-off leaf: skip successors; not a terminal state *)
                  next_p := n;
                  any_enabled := true
              | _ -> ());
@@ -956,9 +921,6 @@ module Make (P : CHECKABLE) = struct
               any_enabled := true;
               incr transitions;
               let st' = successor cfg wiring st p in
-              match prune with
-              | Some f when f st' -> incr pruned
-              | _ -> (
               let key' = canonical (encode_state cfg st') in
               match State_table.find table key' with
               | None ->
@@ -985,7 +947,7 @@ module Make (P : CHECKABLE) = struct
                              processors = List.sort_uniq compare pids;
                              stats = stats ();
                            })
-                  end)
+                  end
             end
           end
       end
@@ -1014,12 +976,11 @@ module Make (P : CHECKABLE) = struct
       s.max_space_states;
       s.total_transitions;
       s.terminal_states;
-      s.total_pruned;
       (if s.all_wait_free then 1 else 0);
     |]
 
   let sweep_of_ints a =
-    if Array.length a <> 8 then
+    if Array.length a <> 7 then
       raise
         (Checkpoint.Corrupt_checkpoint "sweep section of wrong length");
     ( a.(0),
@@ -1029,12 +990,11 @@ module Make (P : CHECKABLE) = struct
         max_space_states = a.(3);
         total_transitions = a.(4);
         terminal_states = a.(5);
-        total_pruned = a.(6);
-        all_wait_free = a.(7) = 1;
+        all_wait_free = a.(6) = 1;
       } )
 
   let check_all_wirings ?max_states ?invariant ?(require_wait_free = true)
-      ?on_wiring ?wirings ?(reduction = false) ?prune ?governor ?ckpt
+      ?on_wiring ?wirings ?(reduction = false) ?governor ?ckpt
       ?(resume = false) ~cfg ~inputs () =
     let n = P.processors cfg and m = P.registers cfg in
     let wirings =
@@ -1066,8 +1026,7 @@ module Make (P : CHECKABLE) = struct
           [ ("sweep", Checkpoint.bytes_of_ints (sweep_to_ints idx summary)) ]
         in
         match
-          check_exhaustive ?max_states ?invariant ~reduction ?prune ?governor
-            ?ckpt ~resume:(resume_idx = Some idx) ~ckpt_extra ~cfg ~wiring
+          check_exhaustive ?max_states ?invariant ~reduction ?governor ?ckpt ~resume:(resume_idx = Some idx) ~ckpt_extra ~cfg ~wiring
             ~inputs ()
         with
         | Dfs_exhausted { reason; stats } ->
@@ -1085,7 +1044,6 @@ module Make (P : CHECKABLE) = struct
                 summary with
                 wirings_checked = summary.wirings_checked + 1;
                 total_states = summary.total_states + stats.dfs_states;
-                total_pruned = summary.total_pruned + stats.dfs_pruned;
                 all_wait_free = false;
               }
             in
@@ -1108,7 +1066,6 @@ module Make (P : CHECKABLE) = struct
                 total_transitions =
                   summary.total_transitions + stats.dfs_transitions;
                 terminal_states = summary.terminal_states + stats.dfs_terminals;
-                total_pruned = summary.total_pruned + stats.dfs_pruned;
               }
             in
             (match on_wiring with Some f -> f wiring summary | None -> ());
@@ -1151,7 +1108,6 @@ module Make (P : CHECKABLE) = struct
     fp_states : int;
     fp_transitions : int;
     fp_terminals : int;
-    fp_pruned : int;
     fp_layers : int;  (** BFS depth reached (layers fully expanded) *)
     fp_runs : int;  (** spill runs written *)
     fp_bytes_spilled : int;
@@ -1170,7 +1126,7 @@ module Make (P : CHECKABLE) = struct
     | Fp_exhausted of { reason : Governor.reason; states : int }
 
   let explore_fp ?(max_states = 1_000_000_000) ?invariant ?stop_expansion
-      ?progress ?(reduction = false) ?prune ?governor ?ckpt ?(resume = false)
+      ?progress ?(reduction = false) ?governor ?ckpt ?(resume = false)
       ?(ckpt_extra = []) ?(ram_budget_bytes = 64 * 1024 * 1024)
       ?(batch_states = 1 lsl 20) ?spill_dir ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.explore_fp" (P.processors cfg);
@@ -1180,8 +1136,8 @@ module Make (P : CHECKABLE) = struct
     in
     let kw = key_width cfg in
     let context =
-      Fmt.str "fpbfs|%d|%a|%b|%b|%d|%S" kw Anonmem.Wiring.pp wiring reduction
-        (prune <> None) ram_budget_bytes
+      Fmt.str "fpbfs|%d|%a|%b|%d|%S" kw Anonmem.Wiring.pp wiring reduction
+        ram_budget_bytes
         (canonical (encode_state cfg (init_state ~cfg ~inputs)))
     in
     (* Spill runs must live next to the checkpoint when there is one: a
@@ -1216,7 +1172,6 @@ module Make (P : CHECKABLE) = struct
     let states = ref 0
     and transitions = ref 0
     and terminals = ref 0
-    and pruned = ref 0
     and layers = ref 0
     and expanded = ref 0 in
     let cur = ref [] and next = ref [] (* reversed accumulator *) in
@@ -1233,16 +1188,15 @@ module Make (P : CHECKABLE) = struct
           let c =
             Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections)
           in
-          if Array.length c <> 6 then
+          if Array.length c <> 5 then
             raise
               (Checkpoint.Corrupt_checkpoint
                  "Explorer.explore_fp: counter section of wrong length");
           states := c.(0);
           transitions := c.(1);
           terminals := c.(2);
-          pruned := c.(3);
-          layers := c.(4);
-          expanded := c.(5);
+          layers := c.(3);
+          expanded := c.(4);
           cur := keys_of_section (Checkpoint.find "fcur" sections);
           next := List.rev (keys_of_section (Checkpoint.find "fnext" sections));
           fps
@@ -1259,9 +1213,7 @@ module Make (P : CHECKABLE) = struct
            ("context", Bytes.of_string context);
            ( "counters",
              Checkpoint.bytes_of_ints
-               [|
-                 !states; !transitions; !terminals; !pruned; !layers; !expanded;
-               |] );
+               [| !states; !transitions; !terminals; !layers; !expanded |] );
            ("fcur", concat_keys !cur);
            ("fnext", concat_keys (List.rev !next));
          ]
@@ -1349,12 +1301,9 @@ module Make (P : CHECKABLE) = struct
                     List.iter
                       (fun p ->
                         let st' = successor cfg wiring st p in
-                        match prune with
-                        | Some f when f st' -> incr pruned
-                        | _ ->
-                            incr transitions;
-                            cands := canonical (encode_state cfg st') :: !cands;
-                            incr ncands)
+                        incr transitions;
+                        cands := canonical (encode_state cfg st') :: !cands;
+                        incr ncands)
                       en
               end;
               if !ncands >= batch_states then begin
@@ -1387,7 +1336,6 @@ module Make (P : CHECKABLE) = struct
         fp_states = !states;
         fp_transitions = !transitions;
         fp_terminals = !terminals;
-        fp_pruned = !pruned;
         fp_layers = !layers;
         fp_runs = Fingerprint_set.spilled_runs fps;
         fp_bytes_spilled = Fingerprint_set.spill_bytes fps;
@@ -1402,8 +1350,8 @@ module Make (P : CHECKABLE) = struct
            same oracle) — the fingerprint set has no parents to walk. *)
         let trace =
           match
-            explore ?invariant ?stop_expansion ~reduction ?prune ~cfg ~wiring
-              ~inputs ()
+            explore ?invariant ?stop_expansion ~reduction ~cfg ~wiring ~inputs
+              ()
           with
           | Invariant_failed (_, v) -> v.trace
           | _ -> []
@@ -1438,7 +1386,6 @@ module Make (P : CHECKABLE) = struct
       s.fp_max_space_states;
       s.fp_total_transitions;
       s.fp_terminal_states;
-      s.fp_total_pruned;
       s.fp_spilled_runs;
       s.fp_spill_bytes;
       Int64.to_int (Int64.logand bits 0xffffffffL);
@@ -1446,13 +1393,13 @@ module Make (P : CHECKABLE) = struct
     |]
 
   let fp_sweep_of_ints a =
-    if Array.length a <> 11 then
+    if Array.length a <> 10 then
       raise
         (Checkpoint.Corrupt_checkpoint "fp sweep section of wrong length");
     let bits =
       Int64.logor
-        (Int64.of_int a.(9))
-        (Int64.shift_left (Int64.of_int a.(10)) 32)
+        (Int64.of_int a.(8))
+        (Int64.shift_left (Int64.of_int a.(9)) 32)
     in
     ( a.(0),
       {
@@ -1461,9 +1408,8 @@ module Make (P : CHECKABLE) = struct
         fp_max_space_states = a.(3);
         fp_total_transitions = a.(4);
         fp_terminal_states = a.(5);
-        fp_total_pruned = a.(6);
-        fp_spilled_runs = a.(7);
-        fp_spill_bytes = a.(8);
+        fp_spilled_runs = a.(6);
+        fp_spill_bytes = a.(7);
         fp_omission_bound = Int64.float_of_bits bits;
       } )
 
@@ -1474,8 +1420,7 @@ module Make (P : CHECKABLE) = struct
       deleted between wirings); the summary's omission bound is the union
       bound over the per-wiring bounds. *)
   let check_all_wirings_fp ?max_states ?invariant ?on_wiring ?wirings
-      ?(reduction = false) ?prune ?governor ?ckpt ?(resume = false)
-      ?ram_budget_bytes ?batch_states ?spill_dir ~cfg ~inputs () =
+      ?(reduction = false) ?governor ?ckpt ?(resume = false) ?ram_budget_bytes ?batch_states ?spill_dir ~cfg ~inputs () =
     let n = P.processors cfg and m = P.registers cfg in
     let wirings =
       match wirings with
@@ -1506,7 +1451,7 @@ module Make (P : CHECKABLE) = struct
           [ ("fp_sweep", Checkpoint.bytes_of_ints (fp_sweep_to_ints idx summary)) ]
         in
         match
-          explore_fp ?max_states ?invariant ~reduction ?prune ?governor ?ckpt
+          explore_fp ?max_states ?invariant ~reduction ?governor ?ckpt
             ~resume:(resume_idx = Some idx) ~ckpt_extra ?ram_budget_bytes
             ?batch_states ?spill_dir ~cfg ~wiring ~inputs ()
         with
@@ -1530,7 +1475,6 @@ module Make (P : CHECKABLE) = struct
                   summary.fp_total_transitions + st.fp_transitions;
                 fp_terminal_states =
                   summary.fp_terminal_states + st.fp_terminals;
-                fp_total_pruned = summary.fp_total_pruned + st.fp_pruned;
                 fp_omission_bound = summary.fp_omission_bound +. st.fp_bound;
                 fp_spilled_runs = summary.fp_spilled_runs + st.fp_runs;
                 fp_spill_bytes = summary.fp_spill_bytes + st.fp_bytes_spilled;

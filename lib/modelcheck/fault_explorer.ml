@@ -47,10 +47,6 @@ module Make (P : Explorer.CHECKABLE) = struct
     states : int;  (** distinct (core state, crashed set) pairs *)
     transitions : int;
     crash_branches : int;  (** how many of the transitions were crashes *)
-    pruned : int;
-        (** protocol-step successors skipped by the [~prune] oracle
-            (crash branches never prune: they keep the admitted core
-            state) *)
   }
 
   type result =
@@ -70,8 +66,8 @@ module Make (P : Explorer.CHECKABLE) = struct
      edges from protocol steps.  The crash mask occupies one key byte, so
      at most 8 processors are supported (structured rejection beyond). *)
   let explore ?(max_states = 50_000_000) ?(max_crashes = 1)
-      ?(reduction = false) ?prune ?governor ?ckpt ?(resume = false) ~invariant
-      ~cfg ~wiring ~inputs () =
+      ?(reduction = false) ?governor ?ckpt ?(resume = false) ~invariant ~cfg
+      ~wiring ~inputs () =
     let n = P.processors cfg in
     Explorer.guard_processors ~engine:"Fault_explorer.explore" ~limit:8 n;
     if max_crashes < 0 then invalid_arg "Fault_explorer.explore: max_crashes";
@@ -92,9 +88,9 @@ module Make (P : Explorer.CHECKABLE) = struct
       | None -> raw
     in
     let context =
-      Fmt.str "fault|%d|%d|%a|%b|%b|%S"
+      Fmt.str "fault|%d|%d|%a|%b|%S"
         (E.key_width cfg + 1)
-        max_crashes Anonmem.Wiring.pp wiring reduction (prune <> None)
+        max_crashes Anonmem.Wiring.pp wiring reduction
         (key_of (E.init_state ~cfg ~inputs) 0)
     in
     let resumed =
@@ -124,20 +120,18 @@ module Make (P : Explorer.CHECKABLE) = struct
     in
     let violation = ref None in
     let transitions = ref 0 and crash_branches = ref 0 and pops = ref 0 in
-    let pruned = ref 0 in
     (match resumed with
     | Some sections ->
         let counters =
           Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections)
         in
-        if Array.length counters <> 4 then
+        if Array.length counters <> 3 then
           raise
             (Checkpoint.Corrupt_checkpoint
                "Fault_explorer.explore: counter section of wrong length");
         pops := counters.(0);
         transitions := counters.(1);
-        crash_branches := counters.(2);
-        pruned := counters.(3)
+        crash_branches := counters.(2)
     | None -> ());
     let save_ckpt path =
       Checkpoint.save ~path
@@ -146,8 +140,8 @@ module Make (P : Explorer.CHECKABLE) = struct
           ("table", State_table.serialize table);
           ("parent", State_table.Packed_vec.serialize parent);
           ( "counters",
-            Checkpoint.bytes_of_ints
-              [| !pops; !transitions; !crash_branches; !pruned |] );
+            Checkpoint.bytes_of_ints [| !pops; !transitions; !crash_branches |]
+          );
         ]
     in
     let queue = Queue.create () in
@@ -279,14 +273,8 @@ module Make (P : Explorer.CHECKABLE) = struct
             end
             else (E.successor cfg wiring st p, mask)
           in
-          match prune with
-          | Some f when (not crash) && f st' ->
-              (* unreachable by the proved invariant; the crash branch of
-                 the same pop keeps the already-admitted core state *)
-              incr pruned
-          | _ ->
-              let tag = (id lsl 5) lor (if crash then 16 else 0) lor p in
-              ignore (add_state st' mask' ~from:tag)
+          let tag = (id lsl 5) lor (if crash then 16 else 0) lor p in
+          ignore (add_state st' mask' ~from:tag)
         end
       in
       List.iter (expand_one ~crash:false) live;
@@ -320,7 +308,6 @@ module Make (P : Explorer.CHECKABLE) = struct
               states = State_table.length table;
               transitions = !transitions;
               crash_branches = !crash_branches;
-              pruned = !pruned;
             }
 
   type summary = {
@@ -328,15 +315,13 @@ module Make (P : Explorer.CHECKABLE) = struct
     total_states : int;
     total_transitions : int;
     total_crash_branches : int;
-    total_pruned : int;
   }
 
   (** Check the invariant across every wiring (processor 0 pinned to the
       identity — lossless by register anonymity) for one input
       assignment, under at most [max_crashes] crash-stops injected at
       arbitrary points. *)
-  let check_all_wirings ?max_states ?max_crashes ?(reduction = false) ?prune
-      ?wirings ?governor ~invariant ~cfg ~inputs () =
+  let check_all_wirings ?max_states ?max_crashes ?(reduction = false) ?wirings ?governor ~invariant ~cfg ~inputs () =
     let n = P.processors cfg and m = P.registers cfg in
     let wirings =
       match wirings with
@@ -347,8 +332,8 @@ module Make (P : Explorer.CHECKABLE) = struct
       | [] -> Ok summary
       | wiring :: rest -> (
           match
-            explore ?max_states ?max_crashes ~reduction ?prune ?governor
-              ~invariant ~cfg ~wiring ~inputs ()
+            explore ?max_states ?max_crashes ~reduction ?governor ~invariant
+              ~cfg ~wiring ~inputs ()
           with
           | Exhausted { reason; states } ->
               Error
@@ -377,7 +362,6 @@ module Make (P : Explorer.CHECKABLE) = struct
                     summary.total_transitions + stats.transitions;
                   total_crash_branches =
                     summary.total_crash_branches + stats.crash_branches;
-                  total_pruned = summary.total_pruned + stats.pruned;
                 }
                 rest)
     in
@@ -387,7 +371,6 @@ module Make (P : Explorer.CHECKABLE) = struct
         total_states = 0;
         total_transitions = 0;
         total_crash_branches = 0;
-        total_pruned = 0;
       }
       wirings
 end

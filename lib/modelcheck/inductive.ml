@@ -289,9 +289,6 @@ let state_violation ~cfg ~inputs clauses ~locals ~registers =
     (Array.map (aproc_of_local cfg) locals)
     (Array.map areg_of_value registers)
 
-let violates_state ~cfg ~inputs clauses ~locals ~registers =
-  state_violation ~cfg ~inputs clauses ~locals ~registers <> None
-
 (* The differential oracle: the same clauses evaluated straight off their
    interface glosses with Iset operations and list quantifiers — no
    bitmask tricks, no [ctx], no sharing with the checker above. *)

@@ -1,6 +1,5 @@
 (** Inductive-invariant track for the Figure-3 snapshot: certify safety
-    facts by induction instead of reachability, then reuse the proved
-    invariant as a pruning oracle inside the explicit engines.
+    facts by induction instead of reachability.
 
     Explicit-state checking enumerates the reachable states of one [(n, m,
     wiring)] instance and tops out around n = 4.  This module takes the
@@ -18,8 +17,8 @@
     {e counterexample to induction} (CTI): a transition [pre → post] with
     [pre ⊨ Inv] and [post ⊭ Inv].  A CTI does not refute invariance — the
     pre-state may be unreachable — but a proved conjunction holds in every
-    reachable state of {e every} schedule, which is what makes it a sound
-    pruning oracle ({!violates_state}).
+    reachable state of {e every} schedule, so {!state_violation} over it
+    can serve as any explicit engine's [~invariant] and never fire.
 
     Two checkers discharge the obligations:
 
@@ -78,8 +77,7 @@ val clause_of_name : string -> clause option
 val pp_clause : clause Fmt.t
 
 val proved : clause list
-(** The containment-and-coverage conjunction that passes both obligations
-    — the invariant behind {!violates_state} pruning. *)
+(** The containment-and-coverage conjunction that passes both obligations. *)
 
 val candidates : clause list
 (** [proved] plus the per-level comparability strengthenings from the
@@ -100,7 +98,7 @@ val state_violation :
   registers:Algorithms.Snapshot.value array ->
   clause option
 (** First clause violated by the configuration, [None] when all hold.
-    Bitmask-based; the workhorse behind the checkers and the oracle. *)
+    Bitmask-based; the workhorse behind the checkers. *)
 
 val naive_state_violation :
   cfg:Algorithms.Snapshot.cfg ->
@@ -112,17 +110,6 @@ val naive_state_violation :
 (** Independent re-implementation of {!state_violation} straight off the
     clause glosses, on {!Repro_util.Iset} operations — the differential
     oracle for the QCheck agreement property. *)
-
-val violates_state :
-  cfg:Algorithms.Snapshot.cfg ->
-  inputs:int array ->
-  clause list ->
-  locals:Algorithms.Snapshot.local array ->
-  registers:Algorithms.Snapshot.value array ->
-  bool
-(** The pruning oracle: [true] iff some clause fails.  Only sound as a
-    [~prune] argument when the clause list has been {e proved} for this
-    [n] — states violating a proved invariant are unreachable. *)
 
 (** {1 Abstract configurations and CTIs} *)
 

@@ -412,7 +412,6 @@ module Make (P : Explorer.CHECKABLE) = struct
                     total_transitions =
                       summary.total_transitions + stats.transitions;
                     terminal_states = summary.terminal_states + stats.terminals;
-                    total_pruned = summary.total_pruned;
                     all_wait_free = summary.all_wait_free && wait_free;
                   }
                 in

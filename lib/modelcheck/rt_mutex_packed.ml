@@ -43,7 +43,7 @@
 open Algorithms
 
 type verdict =
-  | Clean of { states : int; pruned : int }
+  | Clean of { states : int }
       (** swept exhaustively, no violation *)
   | Breach  (** mutual-exclusion invariant or audit tripwire violated *)
   | Fair_cycle  (** deadlock: a fair SCC is reachable *)
@@ -274,7 +274,7 @@ let reset_ws w =
   Vec.reset w.ws_fr_pid;
   Vec.reset w.ws_fr_epid
 
-let check_wiring ?ws:reuse ?max_states ?prune ?governor ?ckpt
+let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
     ?(ckpt_extra = []) ?(resume = false) ~cfg ~wiring ~inputs () =
   let n = Rt_mutex.processors cfg in
   let m = Rt_mutex.registers cfg in
@@ -348,7 +348,6 @@ let check_wiring ?ws:reuse ?max_states ?prune ?governor ?ckpt
          root pop [emask] is then exactly the SCC's internal-edge pid
          set — the fairness check needs no second pass over members. *)
       let count = ref 0 in
-      let pruned = ref 0 in
       let w = match reuse with Some w -> reset_ws w; w | None -> ws () in
       let tab = w.ws_tab in
       let low = w.ws_low and emask = w.ws_emask in
@@ -365,8 +364,7 @@ let check_wiring ?ws:reuse ?max_states ?prune ?governor ?ckpt
          load), the per-id bookkeeping vectors, the SCC stack and the
          four frame vectors.  The loop top is the consistent point. *)
       let context =
-        Fmt.str "packed|%d|%d|%a|%b|%s" n m Anonmem.Wiring.pp wiring
-          (prune <> None)
+        Fmt.str "packed|%d|%d|%a|%s" n m Anonmem.Wiring.pp wiring
           (String.concat "," (List.map string_of_int (Array.to_list inputs)))
       in
       let vec_bytes v = Checkpoint.bytes_of_ints (Array.sub v.Vec.a 0 v.Vec.len) in
@@ -402,7 +400,7 @@ let check_wiring ?ws:reuse ?max_states ?prune ?governor ?ckpt
           ([
              ("context", Bytes.of_string context);
              ("itab", itab_bytes ());
-             ("counters", Checkpoint.bytes_of_ints [| !count; !pruned |]);
+             ("counters", Checkpoint.bytes_of_ints [| !count |]);
              ("low", vec_bytes w.ws_low);
              ("emask", vec_bytes w.ws_emask);
              ("onstack", vec_bytes w.ws_onstack);
@@ -427,12 +425,11 @@ let check_wiring ?ws:reuse ?max_states ?prune ?governor ?ckpt
             let counters =
               Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections)
             in
-            if Array.length counters <> 2 then
+            if Array.length counters <> 1 then
               raise
                 (Checkpoint.Corrupt_checkpoint
                    "Rt_mutex_packed: counter section of wrong length");
             count := counters.(0);
-            pruned := counters.(1);
             restore_vec w.ws_low (Checkpoint.find "low" sections);
             restore_vec w.ws_emask (Checkpoint.find "emask" sections);
             restore_vec w.ws_onstack (Checkpoint.find "onstack" sections);
@@ -505,9 +502,6 @@ let check_wiring ?ws:reuse ?max_states ?prune ?governor ?ckpt
             Vec.set fr_pid fi (pid + 1);
             let s' = succ_of (Vec.get fr_s fi) pid in
             if s' >= 0 then begin
-              match prune with
-              | Some f when f s' -> incr pruned
-              | _ ->
               let r = Itab.find_or_add tab s' !count in
               if r < 0 then push_state s' pid
               else if Vec.get onstack r = 1 then begin
@@ -540,7 +534,7 @@ let check_wiring ?ws:reuse ?max_states ?prune ?governor ?ckpt
       in
       try
         run ();
-        Clean { states = !count; pruned = !pruned }
+        Clean { states = !count }
       with
       | Found_breach -> Breach
       | Found_fair -> Fair_cycle

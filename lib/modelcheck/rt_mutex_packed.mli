@@ -8,9 +8,7 @@
     implementation header for the packing and the soundness argument. *)
 
 type verdict =
-  | Clean of { states : int; pruned : int }
-      (** swept exhaustively, no violation; [pruned] counts successors
-          skipped by the [~prune] oracle (0 when pruning is off) *)
+  | Clean of { states : int }  (** swept exhaustively, no violation *)
   | Breach  (** mutual-exclusion invariant or audit tripwire violated *)
   | Fair_cycle  (** deadlock: a fair SCC is reachable *)
   | Limit of int  (** state cap hit *)
@@ -33,7 +31,6 @@ val ws : unit -> ws
 val check_wiring :
   ?ws:ws ->
   ?max_states:int ->
-  ?prune:(int -> bool) ->
   ?governor:Governor.t ->
   ?ckpt:Checkpoint.policy ->
   ?ckpt_extra:(string * Bytes.t) list ->
@@ -48,11 +45,6 @@ val check_wiring :
     Verdicts carry no witness: re-run the generic explorer on the
     offending wiring to extract one (violating wirings stop early, so
     the re-run is cheap).
-
-    [prune] observes the packed state word of each candidate successor
-    and drops it without interning when [true] — sound exactly when the
-    dropped states are unreachable (a proved inductive invariant over
-    the packing).
 
     [governor] is polled once per Tarjan step; on a trip the verdict is
     {!Exhausted} (after a final checkpoint write when [ckpt] is set).

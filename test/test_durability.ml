@@ -103,6 +103,26 @@ let test_ckpt_corruption () =
   expect_corrupt (fun () -> Ckpt.find "absent" (sample_sections ()));
   expect_corrupt (fun () -> Ckpt.ints_of_bytes (Bytes.create 7))
 
+let test_ckpt_old_version () =
+  (* A well-formed image under an older version header is refused by
+     version, not by a misleading engine-level context mismatch. *)
+  let img = Ckpt.to_bytes (sample_sections ()) in
+  Bytes.blit_string "ANONCKP1" 0 img 0 8;
+  let contains ~sub s =
+    let n = String.length sub and l = String.length s in
+    let rec at i = i + n <= l && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  match Ckpt.of_bytes img with
+  | exception Ckpt.Corrupt_checkpoint msg ->
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool)
+            (Printf.sprintf "message %S mentions %S" msg sub)
+            true (contains ~sub msg))
+        [ "version 1"; "version 2"; "without --resume" ]
+  | _ -> Alcotest.fail "v1 checkpoint accepted"
+
 let test_ckpt_torn_write_preserves_old () =
   let path = fresh_path ".ckpt" in
   let v1 = [ ("gen", Ckpt.bytes_of_ints [| 1 |]) ] in
@@ -857,6 +877,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_ckpt_roundtrip;
           Alcotest.test_case "corruption refused" `Quick test_ckpt_corruption;
+          Alcotest.test_case "older format version refused" `Quick
+            test_ckpt_old_version;
           Alcotest.test_case "torn write preserves previous" `Quick
             test_ckpt_torn_write_preserves_old;
           Alcotest.test_case "int codec" `Quick test_ints_roundtrip;

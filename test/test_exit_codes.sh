@@ -24,26 +24,25 @@ expect() {
 # clean passes
 expect 0 check-snapshot -n 2
 expect 0 feasibility --quick
-expect 0 inductive --check -n 2
-expect 0 inductive --check -n 2 --concrete
-expect 0 inductive --prune -n 2
+expect 0 inductive -n 2
+expect 0 inductive -n 2 --concrete
 
 # refuted invariant: the comparability strengthenings fail induction
-expect 2 inductive --check -n 2 --clauses candidates
+expect 2 inductive -n 2 --clauses candidates
 
 # exhausted budget (exit 3): a tiny wall-clock allowance on a big run
-expect 3 inductive --check -n 3 --max-seconds 0.01
+expect 3 inductive -n 3 --max-seconds 0.01
 expect 3 check-snapshot -n 3 --max-seconds 0.01
 
 # interrupted (exit 4): SIGINT mid-run; the n=3 induction takes seconds
-"$ANONSIM" inductive --check -n 3 >/dev/null 2>&1 &
+"$ANONSIM" inductive -n 3 >/dev/null 2>&1 &
 pid=$!
 sleep 0.4
 kill -INT "$pid" 2>/dev/null
 wait "$pid"
 got=$?
 if [ "$got" -eq 4 ]; then
-  echo "ok  4 <- anonsim inductive --check -n 3 (SIGINT)"
+  echo "ok  4 <- anonsim inductive -n 3 (SIGINT)"
 else
   echo "FAIL: interrupted inductive run exited $got, want 4"
   fails=$((fails + 1))

@@ -249,30 +249,21 @@ let test_sweep_agreement () =
 
 let test_core_fp_parity () =
   (* The Core-level entry point: fp summary equals the exact engine's
-     summary on the standard n=2 verification, pruned or not. *)
-  List.iter
-    (fun prune_with_invariant ->
-      let exact =
-        match Core.verify_snapshot_model ~n:2 ~prune_with_invariant () with
-        | Ok s -> s
-        | Error e -> Alcotest.fail e
-      in
-      let fp =
-        match Core.verify_snapshot_model_fp ~n:2 ~prune_with_invariant () with
-        | Ok s -> s
-        | Error e -> Alcotest.fail e
-      in
-      let module X = Modelcheck.Explorer in
-      Alcotest.(check int)
-        (Fmt.str "core totals (prune=%b)" prune_with_invariant)
-        exact.X.total_states fp.X.fp_total_states;
-      Alcotest.(check int)
-        (Fmt.str "core transitions (prune=%b)" prune_with_invariant)
-        exact.X.total_transitions fp.X.fp_total_transitions;
-      Alcotest.(check int)
-        (Fmt.str "core pruned (prune=%b)" prune_with_invariant)
-        exact.X.total_pruned fp.X.fp_total_pruned)
-    [ false; true ]
+     summary on the standard n=2 verification. *)
+  let exact =
+    match Core.verify_snapshot_model ~n:2 () with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let fp =
+    match Core.verify_snapshot_model_fp ~n:2 () with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let module X = Modelcheck.Explorer in
+  Alcotest.(check int) "core totals" exact.X.total_states fp.X.fp_total_states;
+  Alcotest.(check int) "core transitions" exact.X.total_transitions
+    fp.X.fp_total_transitions
 
 (* ------------------------------------------------------------------ *)
 (* Planted bugs: counterexamples out of a set with no parents.        *)

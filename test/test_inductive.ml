@@ -1,9 +1,10 @@
 (* Tests of the inductive-invariant track: the abstract and concrete
    checkers (both obligations, CTI reporting and replay), the clause
    evaluator (QCheck differential against the naive re-implementation),
-   and the prune-parity guarantee — a proved invariant used as a pruning
-   oracle must leave every engine's explored space bit-identical, with
-   the pruned counter at zero. *)
+   and the reachable-state guarantee — passed as any engine's run
+   invariant, the proved conjunction never fires and the run explores
+   exactly the plain run's space, while a too-strong one fails with a
+   replayable counterexample. *)
 
 open Repro_util
 module I = Modelcheck.Inductive
@@ -109,9 +110,9 @@ let test_concrete_rejects_large_n () =
    comparability.  It holds initially (all registers empty) but is false
    on reachable states — after p0 writes {1} and p1 writes {2} the two
    register views are incomparable — so the checker must reject it at
-   the induction step, and the planted violation must never be pruned
-   silently: it surfaces as CTIs / reachable violations, and (below,
-   in the parity tests) as a non-zero pruned counter. *)
+   the induction step, and the planted violation must surface: as CTIs /
+   reachable violations here, and (below) as a BFS counterexample that
+   replays. *)
 let too_strong = I.proved @ [ I.Regs_comparable_above 0 ]
 
 (* Search the reachable space of one wiring for a genuine CTI: a
@@ -129,8 +130,9 @@ let find_reachable_ccti ~cfg ~wiring ~inputs clauses =
     let st = MC.state_of sp !id in
     (if
        not
-         (I.violates_state ~cfg ~inputs clauses ~locals:st.MC.locals
-            ~registers:st.MC.registers)
+         (I.state_violation ~cfg ~inputs clauses ~locals:st.MC.locals
+            ~registers:st.MC.registers
+         <> None)
      then
        let try_pid p =
          if !found = None then
@@ -187,8 +189,9 @@ let test_concrete_too_strong_refuted () =
   let s = I.shrink_ccti ~n:2 too_strong cti in
   let post = MC.decode_state cfg s.I.c_post in
   Alcotest.(check bool) "shrunk post still violates" true
-    (I.violates_state ~cfg ~inputs too_strong ~locals:post.MC.locals
-       ~registers:post.MC.registers);
+    (I.state_violation ~cfg ~inputs too_strong ~locals:post.MC.locals
+       ~registers:post.MC.registers
+    <> None);
   (* a corrupted trace must not replay *)
   let broken = { cti with I.c_trace = cti.I.c_trace @ [ 0; 0; 0; 0 ] } in
   Alcotest.(check bool) "corrupted trace rejected" false
@@ -222,31 +225,37 @@ let test_input_classes () =
   Alcotest.(check int) "n=4: partitions of 4" 5
     (List.length (I.input_classes 4))
 
-(* --- prune parity: BFS + DFS on the snapshot ------------------------------ *)
+(* --- the proved invariant as every engine's run invariant ----------------- *)
 
-let snapshot_oracle cfg inputs (st : MC.state) =
-  I.violates_state ~cfg ~inputs I.proved ~locals:st.MC.locals
-    ~registers:st.MC.registers
+(* [clauses] as an engine's [~invariant]: the first violated clause is the
+   failure message. *)
+let clauses_inv clauses cfg inputs (st : MC.state) =
+  match
+    I.state_violation ~cfg ~inputs clauses ~locals:st.MC.locals
+      ~registers:st.MC.registers
+  with
+  | None -> Ok ()
+  | Some c -> Error (I.clause_name c)
 
-let explore_space ?prune ?stop_expansion ~cfg ~wiring ~inputs () =
-  match MC.explore ?prune ?stop_expansion ~cfg ~wiring ~inputs () with
+let explore_space ?invariant ?stop_expansion ~cfg ~wiring ~inputs () =
+  match MC.explore ?invariant ?stop_expansion ~cfg ~wiring ~inputs () with
   | MC.Explored sp -> sp
+  | MC.Invariant_failed (_, v) -> Alcotest.failf "invariant fired: %s" v.MC.message
   | _ -> Alcotest.fail "exploration did not finish"
 
-let check_space_parity name base pruned =
+let check_space_parity name base checked =
   Alcotest.(check int) (name ^ ": states") (MC.state_count base)
-    (MC.state_count pruned);
+    (MC.state_count checked);
   Alcotest.(check int)
     (name ^ ": transitions")
     (MC.transition_count base)
-    (MC.transition_count pruned);
+    (MC.transition_count checked);
   Alcotest.(check int)
     (name ^ ": terminals")
     (List.length base.MC.terminal)
-    (List.length pruned.MC.terminal);
-  Alcotest.(check int) (name ^ ": nothing pruned") 0 pruned.MC.pruned
+    (List.length checked.MC.terminal)
 
-let test_prune_parity_snapshot_n2 () =
+let test_reachable_inv_snapshot_n2 () =
   let cfg = Snap.standard ~n:2 in
   let wirings = Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true in
   List.iter
@@ -255,38 +264,38 @@ let test_prune_parity_snapshot_n2 () =
         (fun i wiring ->
           let name = Fmt.str "wiring %d inputs %a" i Fmt.(Dump.array int) inputs in
           let base = explore_space ~cfg ~wiring ~inputs () in
-          let pruned =
-            explore_space ~prune:(snapshot_oracle cfg inputs) ~cfg ~wiring
-              ~inputs ()
+          let checked =
+            explore_space ~invariant:(clauses_inv I.proved cfg inputs) ~cfg
+              ~wiring ~inputs ()
           in
-          check_space_parity name base pruned)
+          check_space_parity name base checked)
         wirings)
     [ [| 1; 2 |]; [| 1; 1 |] ]
 
-let test_prune_parity_snapshot_dfs () =
+let test_reachable_inv_snapshot_dfs () =
   let cfg = Snap.standard ~n:2 in
   let inputs = [| 1; 2 |] in
   let wirings = Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true in
   List.iter
     (fun wiring ->
-      let run prune =
-        match MC.check_exhaustive ?prune ~cfg ~wiring ~inputs () with
+      let run invariant =
+        match MC.check_exhaustive ?invariant ~cfg ~wiring ~inputs () with
         | MC.Dfs_ok s -> s
         | _ -> Alcotest.fail "snapshot DFS must terminate cleanly"
       in
-      let base = run None and pruned = run (Some (snapshot_oracle cfg inputs)) in
-      Alcotest.(check int) "dfs states" base.MC.dfs_states pruned.MC.dfs_states;
+      let base = run None
+      and checked = run (Some (clauses_inv I.proved cfg inputs)) in
+      Alcotest.(check int) "dfs states" base.MC.dfs_states checked.MC.dfs_states;
       Alcotest.(check int) "dfs transitions" base.MC.dfs_transitions
-        pruned.MC.dfs_transitions;
+        checked.MC.dfs_transitions;
       Alcotest.(check int) "dfs terminals" base.MC.dfs_terminals
-        pruned.MC.dfs_terminals;
-      Alcotest.(check int) "dfs nothing pruned" 0 pruned.MC.dfs_pruned)
+        checked.MC.dfs_terminals)
     wirings
 
-let test_prune_parity_snapshot_n3 () =
+let test_reachable_inv_snapshot_n3 () =
   (* Genuine n=3 instance, m=2 registers, depth-bounded with the same
      deterministic stop-expansion on both sides; the invariant is proved
-     at n=3 for every register count, so parity must still be exact. *)
+     at n=3 for every register count, so it must hold throughout. *)
   let cfg = Snap.cfg ~n:3 ~m:2 in
   let wiring = Anonmem.Wiring.identity ~n:3 ~m:2 in
   let inputs = [| 1; 2; 2 |] in
@@ -294,170 +303,140 @@ let test_prune_parity_snapshot_n3 () =
     Array.exists (fun l -> Snap.level_of_local l >= 2) st.MC.locals
   in
   let base = explore_space ~stop_expansion:stop ~cfg ~wiring ~inputs () in
-  let pruned =
-    explore_space ~stop_expansion:stop ~prune:(snapshot_oracle cfg inputs) ~cfg
-      ~wiring ~inputs ()
+  let checked =
+    explore_space ~stop_expansion:stop
+      ~invariant:(clauses_inv I.proved cfg inputs) ~cfg ~wiring ~inputs ()
   in
   Alcotest.(check bool) "non-trivial space" true (MC.state_count base > 100);
-  check_space_parity "snapshot n=3 m=2" base pruned
+  check_space_parity "snapshot n=3 m=2" base checked
 
-let test_prune_parity_planted_bug () =
-  (* A failing run invariant: pruning with the proved clauses must report
-     the identical violation — same state count at failure, same trace. *)
+let test_reachable_inv_fingerprint () =
   let cfg = Snap.standard ~n:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
   let inputs = [| 1; 2 |] in
-  let invariant (st : MC.state) =
-    if Array.exists (fun l -> Snap.level_of_local l >= 2) st.MC.locals then
-      Error "planted: a processor reached level 2"
-    else Ok ()
-  in
-  let run prune =
-    match MC.explore ~invariant ?prune ~cfg ~wiring ~inputs () with
-    | MC.Invariant_failed (_, v) -> v
-    | _ -> Alcotest.fail "planted bug not found"
-  in
-  let base = run None and pruned = run (Some (snapshot_oracle cfg inputs)) in
-  Alcotest.(check string) "same message" base.MC.message pruned.MC.message;
-  Alcotest.(check (list int)) "same witness trace"
-    (List.map fst base.MC.trace)
-    (List.map fst pruned.MC.trace)
+  List.iter
+    (fun wiring ->
+      let base = explore_space ~cfg ~wiring ~inputs () in
+      match
+        MC.explore_fp ~invariant:(clauses_inv I.proved cfg inputs) ~cfg ~wiring
+          ~inputs ()
+      with
+      | MC.Fp_explored st ->
+          Alcotest.(check int) "fp states" (MC.state_count base) st.MC.fp_states;
+          Alcotest.(check int) "fp transitions" (MC.transition_count base)
+            st.MC.fp_transitions;
+          Alcotest.(check int) "fp terminals"
+            (List.length base.MC.terminal)
+            st.MC.fp_terminals
+      | _ -> Alcotest.fail "fingerprint run with the proved invariant failed")
+    (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
 
-let test_unsound_oracle_is_visible () =
-  (* Pruning with the (false) too-strong conjunction must never be
-     silent: the pruned counter exposes every dropped successor and the
-     space visibly shrinks. *)
+let test_reachable_inv_faults () =
+  (* Crash branches keep a processor's last core state, so they reach no
+     state outside the fault-free reachable set: the proved invariant
+     holds under crashes too, and the sweep matches the one checked
+     against the snapshot specification. *)
+  let module FS = Core.Snapshot_fault_mc in
   let cfg = Snap.standard ~n:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
   let inputs = [| 1; 2 |] in
-  let bad (st : MC.state) =
-    I.violates_state ~cfg ~inputs too_strong ~locals:st.MC.locals
-      ~registers:st.MC.registers
-  in
-  let base = explore_space ~cfg ~wiring ~inputs () in
-  let pruned = explore_space ~prune:bad ~cfg ~wiring ~inputs () in
-  Alcotest.(check bool) "states were lost" true
-    (MC.state_count pruned < MC.state_count base);
-  Alcotest.(check bool) "and the counter says so" true (pruned.MC.pruned > 0)
-
-(* --- prune parity: write-scan and double-collect -------------------------- *)
-
-(* Views only ever accumulate participating inputs, so "every local and
-   register view is contained in the participant set" is an invariant of
-   both protocols; parity checks it never fires on reachable states. *)
-
-let test_prune_parity_write_scan () =
-  let cfg = Algorithms.Write_scan.cfg ~n:2 ~m:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let inputs = [| 1; 2 |] in
-  let participants = Iset.of_list [ 1; 2 ] in
-  let oracle (st : MCW.state) =
-    Array.exists
-      (fun (l : Algorithms.Write_scan.local) ->
-        not (Iset.subset l.Algorithms.Write_scan.view participants))
-      st.MCW.locals
-    || Array.exists (fun v -> not (Iset.subset v participants)) st.MCW.registers
-  in
-  let run prune =
-    match MCW.explore ?prune ~cfg ~wiring ~inputs () with
-    | MCW.Explored sp -> sp
-    | _ -> Alcotest.fail "write-scan exploration did not finish"
-  in
-  let base = run None and pruned = run (Some oracle) in
-  Alcotest.(check int) "states" (MCW.state_count base) (MCW.state_count pruned);
-  Alcotest.(check int) "transitions" (MCW.transition_count base)
-    (MCW.transition_count pruned);
-  Alcotest.(check int) "nothing pruned" 0 pruned.MCW.pruned;
-  (* the loop never terminates: no terminal states on either side *)
-  Alcotest.(check int) "no terminals" 0 (List.length base.MCW.terminal)
-
-let test_prune_parity_double_collect () =
-  let cfg = Algorithms.Double_collect.cfg ~n:2 ~m:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let inputs = [| 1; 2 |] in
-  let participants = Iset.of_list [ 1; 2 ] in
-  let oracle (st : MCD.state) =
-    Array.exists
-      (fun l ->
-        not (Iset.subset (Algorithms.Double_collect.view_of_local l) participants))
-      st.MCD.locals
-    || Array.exists (fun v -> not (Iset.subset v participants)) st.MCD.registers
-  in
-  let run prune =
-    match MCD.explore ?prune ~cfg ~wiring ~inputs () with
-    | MCD.Explored sp -> sp
-    | _ -> Alcotest.fail "double-collect exploration did not finish"
-  in
-  let base = run None and pruned = run (Some oracle) in
-  Alcotest.(check int) "states" (MCD.state_count base) (MCD.state_count pruned);
-  Alcotest.(check int) "transitions" (MCD.transition_count base)
-    (MCD.transition_count pruned);
-  Alcotest.(check int) "terminals" (List.length base.MCD.terminal)
-    (List.length pruned.MCD.terminal);
-  Alcotest.(check int) "nothing pruned" 0 pruned.MCD.pruned
-
-(* --- prune parity: fault plans and the packed engine ---------------------- *)
-
-let test_prune_parity_faults () =
-  let run prune_with_invariant =
-    match Core.verify_snapshot_model_crashes ~n:2 ~prune_with_invariant () with
+  let base =
+    match Core.verify_snapshot_model_crashes ~n:2 () with
     | Ok s -> s
     | Error e -> Alcotest.failf "fault sweep failed: %s" e
   in
-  let module FS = Core.Snapshot_fault_mc in
-  let base = run false and pruned = run true in
-  Alcotest.(check int) "wirings" base.FS.wirings_checked
-    pruned.FS.wirings_checked;
-  Alcotest.(check int) "states" base.FS.total_states pruned.FS.total_states;
-  Alcotest.(check int) "transitions" base.FS.total_transitions
-    pruned.FS.total_transitions;
-  Alcotest.(check int) "crash branches" base.FS.total_crash_branches
-    pruned.FS.total_crash_branches;
-  Alcotest.(check int) "nothing pruned" 0 pruned.FS.total_pruned
-
-let test_prune_parity_core_sweep () =
-  let run prune_with_invariant =
-    match Core.verify_snapshot_model ~n:2 ~prune_with_invariant () with
+  let checked =
+    match
+      FS.check_all_wirings ~max_crashes:1
+        ~invariant:(clauses_inv I.proved cfg inputs) ~cfg ~inputs ()
+    with
     | Ok s -> s
-    | Error e -> Alcotest.failf "snapshot sweep failed: %s" e
+    | Error e -> Alcotest.failf "proved invariant fired under crashes: %s" e
   in
-  let module S = Modelcheck.Explorer in
-  let base = run false and pruned = run true in
-  Alcotest.(check int) "wirings" base.S.wirings_checked pruned.S.wirings_checked;
-  Alcotest.(check int) "states" base.S.total_states pruned.S.total_states;
-  Alcotest.(check int) "transitions" base.S.total_transitions
-    pruned.S.total_transitions;
-  Alcotest.(check int) "terminals" base.S.terminal_states
-    pruned.S.terminal_states;
-  Alcotest.(check int) "nothing pruned" 0 pruned.S.total_pruned;
-  Alcotest.(check bool) "wait-freedom verdict preserved" base.S.all_wait_free
-    pruned.S.all_wait_free
+  Alcotest.(check bool) "crash branches explored" true
+    (checked.FS.total_crash_branches > 0);
+  Alcotest.(check int) "wirings" base.FS.wirings_checked
+    checked.FS.wirings_checked;
+  Alcotest.(check int) "states" base.FS.total_states checked.FS.total_states;
+  Alcotest.(check int) "transitions" base.FS.total_transitions
+    checked.FS.total_transitions;
+  Alcotest.(check int) "crash branches" base.FS.total_crash_branches
+    checked.FS.total_crash_branches
 
-let test_prune_parity_packed () =
-  let module Packed = Modelcheck.Rt_mutex_packed in
-  let cfg = Algorithms.Rt_mutex.cfg ~n:2 ~m:3 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:3 in
+let test_too_strong_replays () =
+  (* The too-strong conjunction as the BFS invariant: the run fails, and
+     its minimal trace replays from the initial state to a state that
+     really breaks the planted clause. *)
+  let module R = Modelcheck.Witness.Replay (Modelcheck.Codecs.Snapshot) in
+  let cfg = Snap.standard ~n:2 in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
   let inputs = [| 1; 2 |] in
-  let reference =
-    match Packed.check_wiring ~cfg ~wiring ~inputs () with
-    | Packed.Clean { states; pruned } ->
-        Alcotest.(check int) "no pruning by default" 0 pruned;
-        states
-    | _ -> Alcotest.fail "packed (2,3) must be clean"
+  match
+    MC.explore ~invariant:(clauses_inv too_strong cfg inputs) ~cfg ~wiring
+      ~inputs ()
+  with
+  | MC.Invariant_failed (_, v) ->
+      let planted = I.Regs_comparable_above 0 in
+      Alcotest.(check string) "planted clause named" (I.clause_name planted)
+        v.MC.message;
+      Alcotest.(check bool) "trace needs at least one step" true
+        (v.MC.trace <> []);
+      let final = R.final ~cfg ~wiring ~inputs (List.map fst v.MC.trace) in
+      Alcotest.(check bool) "replayed state violates the planted clause" true
+        (I.state_violation ~cfg ~inputs too_strong ~locals:final.MC.locals
+           ~registers:final.MC.registers
+        = Some planted)
+  | _ -> Alcotest.fail "too-strong invariant must fail on a reachable state"
+
+(* Views only ever accumulate participating inputs, so "every local and
+   register view is contained in the participant set" is an invariant of
+   both protocols: as a run invariant it must never fire. *)
+let views_within participants views =
+  if List.for_all (fun v -> Iset.subset v participants) views then Ok ()
+  else Error "view escapes the participant set"
+
+let test_reachable_inv_write_scan () =
+  let cfg = Algorithms.Write_scan.cfg ~n:2 ~m:2 in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let inputs = [| 1; 2 |] in
+  let invariant (st : MCW.state) =
+    views_within (Iset.of_list [ 1; 2 ])
+      (List.map
+         (fun (l : Algorithms.Write_scan.local) -> l.Algorithms.Write_scan.view)
+         (Array.to_list st.MCW.locals)
+      @ Array.to_list st.MCW.registers)
   in
-  (match
-     Packed.check_wiring ~prune:(fun _ -> false) ~cfg ~wiring ~inputs ()
-   with
-  | Packed.Clean { states; pruned } ->
-      Alcotest.(check int) "never-firing oracle: state parity" reference states;
-      Alcotest.(check int) "never-firing oracle: counter" 0 pruned
-  | _ -> Alcotest.fail "packed (2,3) with inert oracle must stay clean");
-  (* an oracle that drops everything is loud, not silent *)
-  match Packed.check_wiring ~prune:(fun _ -> true) ~cfg ~wiring ~inputs () with
-  | Packed.Clean { states; pruned } ->
-      Alcotest.(check bool) "space collapsed" true (states < reference);
-      Alcotest.(check bool) "counter exposes the drops" true (pruned > 0)
-  | _ -> Alcotest.fail "prune-everything sweep still terminates"
+  let run invariant =
+    match MCW.explore ?invariant ~cfg ~wiring ~inputs () with
+    | MCW.Explored sp -> sp
+    | _ -> Alcotest.fail "write-scan exploration did not finish cleanly"
+  in
+  let base = run None and checked = run (Some invariant) in
+  Alcotest.(check int) "states" (MCW.state_count base) (MCW.state_count checked);
+  Alcotest.(check int) "transitions" (MCW.transition_count base)
+    (MCW.transition_count checked);
+  (* the loop never terminates: no terminal states on either side *)
+  Alcotest.(check int) "no terminals" 0 (List.length base.MCW.terminal)
+
+let test_reachable_inv_double_collect () =
+  let cfg = Algorithms.Double_collect.cfg ~n:2 ~m:2 in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let inputs = [| 1; 2 |] in
+  let invariant (st : MCD.state) =
+    views_within (Iset.of_list [ 1; 2 ])
+      (List.map Algorithms.Double_collect.view_of_local
+         (Array.to_list st.MCD.locals)
+      @ Array.to_list st.MCD.registers)
+  in
+  let run invariant =
+    match MCD.explore ?invariant ~cfg ~wiring ~inputs () with
+    | MCD.Explored sp -> sp
+    | _ -> Alcotest.fail "double-collect exploration did not finish cleanly"
+  in
+  let base = run None and checked = run (Some invariant) in
+  Alcotest.(check int) "states" (MCD.state_count base) (MCD.state_count checked);
+  Alcotest.(check int) "transitions" (MCD.transition_count base)
+    (MCD.transition_count checked);
+  Alcotest.(check int) "terminals" (List.length base.MCD.terminal)
+    (List.length checked.MCD.terminal)
 
 (* --- QCheck: the clause evaluator ----------------------------------------- *)
 
@@ -513,7 +492,7 @@ let prop_reachable_satisfies_proved =
   QCheck.Test.make ~name:"reachable configurations satisfy the proved clauses"
     config_arb (fun input ->
       let cfg, inputs, locals, registers = sample_config input in
-      not (I.violates_state ~cfg ~inputs I.proved ~locals ~registers))
+      I.state_violation ~cfg ~inputs I.proved ~locals ~registers = None)
 
 let prop_thresholds_monotone =
   (* Raising a clause's level threshold weakens its premise, so a
@@ -522,7 +501,9 @@ let prop_thresholds_monotone =
     (QCheck.pair config_arb (QCheck.make QCheck.Gen.(int_bound 2)))
     (fun (input, k) ->
       let cfg, inputs, locals, registers = sample_config input in
-      let viol cs = I.violates_state ~cfg ~inputs cs ~locals ~registers in
+      let viol cs =
+        I.state_violation ~cfg ~inputs cs ~locals ~registers <> None
+      in
       let families =
         [
           (fun k -> I.Reg_nonempty_above k);
@@ -566,25 +547,22 @@ let () =
           Alcotest.test_case "closed-form counts" `Quick test_universe_counts;
           Alcotest.test_case "input classes" `Quick test_input_classes;
         ] );
-      ( "prune-parity",
+      ( "reachable-inv",
         [
           Alcotest.test_case "snapshot n=2, all wirings, BFS" `Quick
-            test_prune_parity_snapshot_n2;
+            test_reachable_inv_snapshot_n2;
           Alcotest.test_case "snapshot n=2, all wirings, DFS" `Quick
-            test_prune_parity_snapshot_dfs;
+            test_reachable_inv_snapshot_dfs;
           Alcotest.test_case "snapshot n=3 m=2, bounded" `Slow
-            test_prune_parity_snapshot_n3;
-          Alcotest.test_case "planted bug: identical witness trace" `Quick
-            test_prune_parity_planted_bug;
-          Alcotest.test_case "unsound oracle is never silent" `Quick
-            test_unsound_oracle_is_visible;
-          Alcotest.test_case "write-scan" `Quick test_prune_parity_write_scan;
+            test_reachable_inv_snapshot_n3;
+          Alcotest.test_case "fingerprint BFS" `Quick
+            test_reachable_inv_fingerprint;
+          Alcotest.test_case "fault plans" `Quick test_reachable_inv_faults;
+          Alcotest.test_case "too-strong invariant fails and replays" `Quick
+            test_too_strong_replays;
+          Alcotest.test_case "write-scan" `Quick test_reachable_inv_write_scan;
           Alcotest.test_case "double-collect" `Quick
-            test_prune_parity_double_collect;
-          Alcotest.test_case "fault plans" `Quick test_prune_parity_faults;
-          Alcotest.test_case "full core sweep" `Quick
-            test_prune_parity_core_sweep;
-          Alcotest.test_case "packed engine" `Quick test_prune_parity_packed;
+            test_reachable_inv_double_collect;
         ] );
       ( "evaluator-qcheck",
         [
