@@ -138,7 +138,11 @@ feasibility:
 # completion for a reference map, run it again but SIGINT it ~1s in (exit
 # 0 if it won the race, 4 if interrupted), then rerun with --resume so
 # the journal replays the finished cells — and require the resumed map
-# to be byte-identical to the uninterrupted reference.  CI runs this on
+# to be byte-identical to the uninterrupted reference.  The second leg
+# does the same through the engine checkpoints: a 0.1 s per-cell budget
+# must stop at least one cell mid-exploration (exit 3) and leave its
+# *.ckpt under --ckpt-dir, and the unbudgeted --resume must finish that
+# cell from the checkpoint with a byte-identical map.  CI runs this on
 # every push; it is the end-to-end check behind the durability suite.
 resume-smoke:
 	dune build bin/anonsim.exe
@@ -153,6 +157,18 @@ resume-smoke:
 	  -o _resume_smoke/resumed.json
 	cmp _resume_smoke/reference.json _resume_smoke/resumed.json
 	@echo "resume-smoke: resumed map byte-identical to uninterrupted run"
+	./_build/default/bin/anonsim.exe feasibility --quick \
+	  --ckpt-dir _resume_smoke/ckpt -o _resume_smoke/ckpt-reference.json
+	( ./_build/default/bin/anonsim.exe feasibility --quick \
+	     --ckpt-dir _resume_smoke/ckpt --max-seconds 0.1 \
+	     -o _resume_smoke/ckpt-resumed.json; \
+	   st=$$?; [ $$st -eq 3 ] )
+	ls _resume_smoke/ckpt/*.ckpt
+	./_build/default/bin/anonsim.exe feasibility --quick \
+	  --ckpt-dir _resume_smoke/ckpt --resume \
+	  -o _resume_smoke/ckpt-resumed.json
+	cmp _resume_smoke/ckpt-reference.json _resume_smoke/ckpt-resumed.json
+	@echo "resume-smoke: map resumed from engine checkpoints byte-identical"
 
 # Line-coverage report over the library code.  Requires the bisect_ppx
 # backend (`opam install bisect_ppx`); the (instrumentation) stanzas in

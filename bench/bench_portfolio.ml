@@ -22,16 +22,12 @@ type row = {
   verdict : string;
   states : int;
   wall_s : float;
-  ckpt_overhead_pct : float option;
-      (** packed-ckpt rows only: wall-clock cost of periodic
-          checkpointing relative to the matching packed row *)
 }
 
 let rows : row list ref = ref []
 
 (* Best-of-3 wall clock: the cheap cells finish in milliseconds, where a
-   single sample is mostly scheduler noise — and the checkpoint-overhead
-   column is a ratio of two such samples. *)
+   single sample is mostly scheduler noise. *)
 let time f =
   let once () =
     let t0 = Unix.gettimeofday () in
@@ -54,58 +50,16 @@ let verdict_name = function
   | Core.Resource_limit _ -> "limit"
   | Core.Exhausted _ -> "exhausted"
 
-(* Wall-clock of the matching plain-packed row, for the checkpoint
-   overhead column. *)
-let packed_wall ~task ~n ~m =
-  List.find_map
-    (fun r ->
-      if r.task = task && r.n = n && r.m = m && r.mode = "packed" then
-        Some r.wall_s
-      else None)
-    !rows
-
 let cell task ~n ~m ~mode verify =
   let reduction = mode = "reduced" in
-  let wiring_classes = mode = "classes" || String.length mode >= 6 && String.sub mode 0 6 = "packed" in
+  let wiring_classes = mode = "classes" || mode = "packed" in
   let v, wall_s = time (fun () -> verify ~reduction ~wiring_classes) in
-  let ckpt_overhead_pct =
-    if mode = "packed-ckpt" then
-      match packed_wall ~task ~n ~m with
-      | Some base when base > 0. -> Some (100. *. (wall_s -. base) /. base)
-      | _ -> None
-    else None
-  in
   let row =
-    {
-      task;
-      n;
-      m;
-      mode;
-      verdict = verdict_name v;
-      states = states_of v;
-      wall_s;
-      ckpt_overhead_pct;
-    }
+    { task; n; m; mode; verdict = verdict_name v; states = states_of v; wall_s }
   in
   rows := row :: !rows;
-  Fmt.pr "%-7s n=%d m=%d %-11s %-16s %8d states %8.3fs%a@." task n m mode
+  Fmt.pr "%-7s n=%d m=%d %-11s %-16s %8d states %8.3fs@." task n m mode
     row.verdict row.states wall_s
-    Fmt.(option (fun ppf p -> pf ppf "  ckpt overhead %+.1f%%" p))
-    ckpt_overhead_pct
-
-(* Periodic checkpointing for the packed-ckpt rows, at the same cadence
-   the feasibility sweep uses in production (Core.feasibility_check):
-   each save is a full table serialize + fsync + rename, so the cadence
-   is what keeps the overhead in budget — every-10k costs >200% on the
-   (2,5) clean cell, every-100k stays within a few percent. *)
-let ckpt_every = 100_000
-
-let with_ckpt f =
-  let path = Filename.temp_file "bench_portfolio" ".ckpt" in
-  Sys.remove path;
-  let r = f { Modelcheck.Checkpoint.path; every_states = ckpt_every } in
-  if Sys.file_exists path then Sys.remove path;
-  r
 
 let () =
   let quick = Array.exists (( = ) "--quick") Sys.argv in
@@ -113,16 +67,10 @@ let () =
     (fun mode ->
       (* "packed" = wiring classes + the single-word mutex engine; it is
          mutex-specific, so the other protocols' cells only run in the
-         generic modes.  "packed-ckpt" is the same sweep with periodic
-         checkpointing on — its only purpose is the overhead column, so
-         it runs the mutex cells alone. *)
-      let packed = mode = "packed" || mode = "packed-ckpt" in
+         generic modes. *)
+      let packed = mode = "packed" in
       let mutex ~n ~m ~reduction ~wiring_classes =
-        if mode = "packed-ckpt" then
-          with_ckpt (fun ckpt ->
-              Core.verify_mutex ~n ~m ~reduction ~wiring_classes ~packed ~ckpt
-                ())
-        else Core.verify_mutex ~n ~m ~reduction ~wiring_classes ~packed ()
+        Core.verify_mutex ~n ~m ~reduction ~wiring_classes ~packed ()
       in
       (* Clean cells: the expensive class (every wiring swept). *)
       cell "mutex" ~n:2 ~m:3 ~mode (mutex ~n:2 ~m:3);
@@ -144,7 +92,7 @@ let () =
       if not packed then
         cell "leader" ~n:2 ~m:1 ~mode (fun ~reduction ~wiring_classes ->
             Core.verify_leader ~n:2 ~m:1 ~reduction ~wiring_classes ()))
-    [ "full"; "reduced"; "classes"; "packed"; "packed-ckpt" ];
+    [ "full"; "reduced"; "classes"; "packed" ];
   (* JSON dump, newline-separated objects like the other benchmarks. *)
   let oc = open_out "BENCH_portfolio.json" in
   output_string oc "{\n";
@@ -156,11 +104,8 @@ let () =
       if i > 0 then output_string oc ",\n";
       Printf.fprintf oc
         "    {\"task\": \"%s\", \"n\": %d, \"m\": %d, \"mode\": \"%s\", \
-         \"verdict\": \"%s\", \"states\": %d, \"wall_s\": %.6f%s}"
-        r.task r.n r.m r.mode r.verdict r.states r.wall_s
-        (match r.ckpt_overhead_pct with
-        | None -> ""
-        | Some p -> Printf.sprintf ", \"ckpt_overhead_pct\": %.2f" p))
+         \"verdict\": \"%s\", \"states\": %d, \"wall_s\": %.6f}"
+        r.task r.n r.m r.mode r.verdict r.states r.wall_s)
     (List.rev !rows);
   output_string oc "\n  ]\n}\n";
   close_out oc;

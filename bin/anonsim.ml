@@ -10,10 +10,24 @@ let iset_str = Repro_util.Iset.to_string
    README): 0 = clean verdict, 2 = violation or contradicted map,
    3 = resource budget exhausted (partial result + resumable state on
    disk), 4 = interrupted by SIGINT/SIGTERM (journal/checkpoint flushed,
-   resume instructions printed).  1 is left to cmdliner/uncaught errors. *)
+   resume instructions printed), 5 = checkpoint or journal unusable
+   (torn, corrupt, or written under another format version; restart
+   without --resume).  1 is left to cmdliner/uncaught errors. *)
 let exit_violation = 2
 let exit_exhausted = 3
 let exit_interrupted = 4
+let exit_unusable = 5
+
+(* Run a verification command, turning a checkpoint the engines refuse
+   into exit 5 with the loader's message instead of an uncaught
+   exception. *)
+let refusing_unusable f =
+  try f ()
+  with Modelcheck.Checkpoint.Corrupt_checkpoint msg ->
+    Printf.eprintf
+      "anonsim: %s\ncheckpoint or journal unusable; restart without --resume\n%!"
+      msg;
+    Stdlib.exit exit_unusable
 
 (* One shared flag: the per-cell governors of a sweep all watch it, so a
    single SIGINT stops the whole run at the next engine tick.  A second
@@ -257,6 +271,7 @@ let check_snapshot_cmd =
   in
   let run n max_states crashes par par_ws fingerprint fp_ram_mb reduce
       checkpoint resume max_seconds =
+    refusing_unusable @@ fun () ->
     if par < 1 then `Error (true, "--par must be at least 1")
     else if par_ws < 0 then `Error (true, "--par-ws must be at least 1")
     else if par_ws > 0 && par > 1 then
@@ -737,6 +752,7 @@ let feasibility_cmd =
   in
   let run quick max_states out journal resume max_seconds max_heap_mb ckpt_dir
       =
+    refusing_unusable @@ fun () ->
     install_signal_handlers ();
     let journal_path =
       match (journal, out) with
@@ -932,6 +948,7 @@ let inductive_cmd =
              checkpoint (with $(b,--checkpoint)) and exits with code 3.")
   in
   let run n clauses concrete max_ctis checkpoint resume max_seconds =
+    refusing_unusable @@ fun () ->
     install_signal_handlers ();
     let governor =
       Modelcheck.Governor.create ?wall_seconds:max_seconds

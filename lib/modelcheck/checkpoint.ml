@@ -10,7 +10,11 @@
      a silently wrong answer.
    - [set_torn_write] is the chaos hook: the next [save] writes only a
      prefix of the tmp file and raises [Simulated_crash] *before* the
-     rename, exactly the failure mode a power cut produces. *)
+     rename, exactly the failure mode a power cut produces.
+   - there is one framing: [frame] yields the image as pieces (file
+     header, then each section's header and payload); [to_bytes]
+     concatenates them and [save] writes them straight to the tmp file,
+     so a save never copies its payloads into a second image. *)
 
 exception Corrupt_checkpoint of string
 exception Simulated_crash
@@ -21,17 +25,28 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt_checkpoint s)) fmt
    section layout or context string changes: an older image then fails
    with a version error instead of a misleading context mismatch. *)
 let magic_family = "ANONCKP"
-let magic = magic_family ^ "2"
+let magic = magic_family ^ "3"
 
-(* 64-bit FNV-1a over a byte range, folded into OCaml's nonnegative int
-   range the same way State_table.hash folds it — deterministic across
-   runs, which is all a torn-write detector needs. *)
+(* 64-bit FNV-1a over the 32-bit little-endian words of a byte range,
+   then over its 0-7 tail bytes, folded into OCaml's nonnegative int
+   range.  Each 8-byte load feeds the hash as two 32-bit halves, not as
+   one word: [Int64.to_int] would drop bit 63, and every payload bit must
+   count.  Each step is a bijection of the running state, so a change
+   confined to one word is always detected. *)
 let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
 
 let checksum buf off len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Checkpoint.checksum";
   let h = ref fnv_offset in
-  for i = off to off + len - 1 do
+  let words = len / 8 in
+  for i = 0 to words - 1 do
+    let w = Bytes.get_int64_le buf (off + (8 * i)) in
+    h := (!h lxor (Int64.to_int w land 0xFFFF_FFFF)) * fnv_prime;
+    h := (!h lxor Int64.to_int (Int64.shift_right_logical w 32)) * fnv_prime
+  done;
+  for i = off + (8 * words) to off + len - 1 do
     h := (!h lxor Char.code (Bytes.unsafe_get buf i)) * fnv_prime
   done;
   !h land max_int
@@ -47,9 +62,13 @@ let get_u64 buf off =
 
 (* --- int-array payloads ----------------------------------------------- *)
 
-let bytes_of_ints a =
-  let b = Bytes.create (8 * Array.length a) in
-  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.of_int v)) a;
+let bytes_of_ints ?len a =
+  let len = Option.value len ~default:(Array.length a) in
+  if len < 0 || len > Array.length a then invalid_arg "Checkpoint.bytes_of_ints";
+  let b = Bytes.create (8 * len) in
+  for i = 0 to len - 1 do
+    Bytes.set_int64_le b (8 * i) (Int64.of_int (Array.unsafe_get a i))
+  done;
   b
 
 let ints_of_bytes b =
@@ -61,31 +80,25 @@ let ints_of_bytes b =
 
 (* --- framing ----------------------------------------------------------- *)
 
-let to_bytes sections =
-  let total =
-    List.fold_left
-      (fun acc (tag, payload) ->
-        acc + 2 + String.length tag + 16 + Bytes.length payload)
-      (String.length magic + 4)
-      sections
-  in
-  let b = Bytes.create total in
-  Bytes.blit_string magic 0 b 0 (String.length magic);
-  Bytes.set_int32_le b (String.length magic)
+let frame sections =
+  let header = Bytes.create (String.length magic + 4) in
+  Bytes.blit_string magic 0 header 0 (String.length magic);
+  Bytes.set_int32_le header (String.length magic)
     (Int32.of_int (List.length sections));
-  let off = ref (String.length magic + 4) in
-  List.iter
-    (fun (tag, payload) ->
-      let tl = String.length tag and pl = Bytes.length payload in
-      if tl > 0xFFFF then invalid_arg "Checkpoint.to_bytes: tag too long";
-      Bytes.set_uint16_le b !off tl;
-      Bytes.blit_string tag 0 b (!off + 2) tl;
-      put_u64 b (!off + 2 + tl) pl;
-      put_u64 b (!off + 2 + tl + 8) (checksum payload 0 pl);
-      Bytes.blit payload 0 b (!off + 2 + tl + 16) pl;
-      off := !off + 2 + tl + 16 + pl)
-    sections;
-  b
+  header
+  :: List.concat_map
+       (fun (tag, payload) ->
+         let tl = String.length tag and pl = Bytes.length payload in
+         if tl > 0xFFFF then invalid_arg "Checkpoint.frame: tag too long";
+         let h = Bytes.create (2 + tl + 16) in
+         Bytes.set_uint16_le h 0 tl;
+         Bytes.blit_string tag 0 h 2 tl;
+         put_u64 h (2 + tl) pl;
+         put_u64 h (2 + tl + 8) (checksum payload 0 pl);
+         [ h; payload ])
+       sections
+
+let to_bytes sections = Bytes.concat Bytes.empty (frame sections)
 
 let of_bytes b =
   let len = Bytes.length b in
@@ -111,7 +124,7 @@ let of_bytes b =
     let pl = get_u64 b (!off + 2 + tl) in
     let crc = get_u64 b (!off + 2 + tl + 8) in
     let poff = !off + 2 + tl + 16 in
-    if pl < 0 || poff + pl > len then
+    if pl > len - poff then
       corrupt "truncated payload in section %S (%d bytes claimed)" tag pl;
     if checksum b poff pl <> crc then corrupt "checksum mismatch in section %S" tag;
     sections := (tag, Bytes.sub b poff pl) :: !sections;
@@ -131,29 +144,31 @@ let torn_write : int option ref = ref None
 let set_torn_write n = torn_write := n
 
 let save ~path sections =
-  let image = to_bytes sections in
+  let pieces = frame sections in
+  let torn = !torn_write in
+  torn_write := None;
   let tmp = path ^ ".tmp" in
-  let write_prefix n =
-    let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-    let rec go off remaining =
-      if remaining > 0 then
-        let w = Unix.write fd image off remaining in
-        go (off + w) (remaining - w)
-    in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        go 0 n;
-        Unix.fsync fd)
+  let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+  let rec write_all piece off remaining =
+    if remaining > 0 then
+      let w = Unix.write fd piece off remaining in
+      write_all piece (off + w) (remaining - w)
   in
-  match !torn_write with
-  | Some n ->
-      torn_write := None;
-      write_prefix (min n (Bytes.length image));
-      raise Simulated_crash
-  | None ->
-      write_prefix (Bytes.length image);
-      Sys.rename tmp path
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      (* [budget]: the bytes the torn-write hook still lets through *)
+      ignore
+        (List.fold_left
+           (fun budget piece ->
+             let k = min budget (Bytes.length piece) in
+             write_all piece 0 k;
+             budget - k)
+           (Option.value torn ~default:max_int)
+           pieces);
+      Unix.fsync fd);
+  if torn <> None then raise Simulated_crash;
+  Sys.rename tmp path
 
 let load ~path =
   let ic = open_in_bin path in

@@ -9,7 +9,10 @@
    spill runs are the same 8-byte words, sorted, behind a checksummed
    header. *)
 
-let run_magic = "FPRUN001"
+(* The last three bytes are the format version; bump them whenever the
+   run layout or [Checkpoint.checksum] changes. *)
+let run_magic_family = "FPRUN"
+let run_magic = run_magic_family ^ "002"
 
 (* ------------------------------------------------------------------ *)
 (* Split 64-bit FNV-1a                                                  *)
@@ -218,8 +221,14 @@ let read_run t idx =
     with Sys_error e -> corrupt "Fingerprint_set: run %d unreadable: %s" idx e
   in
   if Bytes.length img < 24 then corrupt "Fingerprint_set: run %d truncated" idx;
-  if not (String.equal (Bytes.sub_string img 0 8) run_magic) then
-    corrupt "Fingerprint_set: run %d has a bad magic" idx;
+  let found = Bytes.sub_string img 0 8 in
+  if not (String.equal found run_magic) then
+    if String.starts_with ~prefix:run_magic_family found then
+      corrupt
+        "Fingerprint_set: run %d is format %S, this build reads %S; restart \
+         the run without --resume"
+        idx found run_magic
+    else corrupt "Fingerprint_set: run %d has a bad magic" idx;
   let count = read_u64 img 8 in
   if Bytes.length img <> 24 + (count * 8) then
     corrupt "Fingerprint_set: run %d length does not match its header" idx;

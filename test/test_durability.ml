@@ -67,6 +67,10 @@ let test_ckpt_roundtrip () =
     (sections_equal s (Ckpt.of_bytes (Ckpt.to_bytes s)));
   let path = fresh_path ".ckpt" in
   Ckpt.save ~path s;
+  Alcotest.(check string)
+    "save writes exactly to_bytes"
+    (Bytes.to_string (Ckpt.to_bytes s))
+    (read_file path);
   Alcotest.(check bool)
     "save/load round-trip" true
     (sections_equal s (Ckpt.load ~path));
@@ -103,16 +107,36 @@ let test_ckpt_corruption () =
   expect_corrupt (fun () -> Ckpt.find "absent" (sample_sections ()));
   expect_corrupt (fun () -> Ckpt.ints_of_bytes (Bytes.create 7))
 
+let test_ckpt_every_bit_checked () =
+  (* Every one of the 512 bits of a 64-byte payload feeds the checksum —
+     bit 63 of each word included, which an [Int64.to_int] fold of whole
+     words would drop. *)
+  let payload =
+    Ckpt.bytes_of_ints
+      [| 0; 1; -1; min_int; max_int; 0x1555_5555_5555_5555; 42; -42 |]
+  in
+  let img = Ckpt.to_bytes [ ("bits", payload) ] in
+  let poff = Bytes.length img - Bytes.length payload in
+  for bit = 0 to (8 * Bytes.length payload) - 1 do
+    let bad = Bytes.copy img in
+    let i = poff + (bit / 8) in
+    Bytes.set bad i
+      (Char.chr (Char.code (Bytes.get bad i) lxor (1 lsl (bit mod 8))));
+    match Ckpt.of_bytes bad with
+    | exception Ckpt.Corrupt_checkpoint _ -> ()
+    | _ -> Alcotest.failf "flipping payload bit %d went unnoticed" bit
+  done
+
+let contains ~sub s =
+  let n = String.length sub and l = String.length s in
+  let rec at i = i + n <= l && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let test_ckpt_old_version () =
   (* A well-formed image under an older version header is refused by
      version, not by a misleading engine-level context mismatch. *)
   let img = Ckpt.to_bytes (sample_sections ()) in
-  Bytes.blit_string "ANONCKP1" 0 img 0 8;
-  let contains ~sub s =
-    let n = String.length sub and l = String.length s in
-    let rec at i = i + n <= l && (String.sub s i n = sub || at (i + 1)) in
-    at 0
-  in
+  Bytes.blit_string "ANONCKP2" 0 img 0 8;
   match Ckpt.of_bytes img with
   | exception Ckpt.Corrupt_checkpoint msg ->
       List.iter
@@ -120,21 +144,46 @@ let test_ckpt_old_version () =
           Alcotest.(check bool)
             (Printf.sprintf "message %S mentions %S" msg sub)
             true (contains ~sub msg))
-        [ "version 1"; "version 2"; "without --resume" ]
-  | _ -> Alcotest.fail "v1 checkpoint accepted"
+        [ "version 2"; "version 3"; "without --resume" ]
+  | _ -> Alcotest.fail "v2 checkpoint accepted"
 
 let test_ckpt_torn_write_preserves_old () =
+  (* Tear the save at every piece boundary of the new image (file
+     header, section header, payload) and one byte either side of it:
+     the tmp file must hold exactly that prefix of the [to_bytes] stream,
+     and the previous image must still load. *)
   let path = fresh_path ".ckpt" in
   let v1 = [ ("gen", Ckpt.bytes_of_ints [| 1 |]) ] in
-  let v2 = [ ("gen", Ckpt.bytes_of_ints [| 2 |]) ] in
+  let v2 = sample_sections () in
+  let image = Bytes.to_string (Ckpt.to_bytes v2) in
+  let total = String.length image in
+  let boundaries =
+    List.fold_left
+      (fun acc piece -> (List.hd acc + Bytes.length piece) :: acc)
+      [ 0 ] (Ckpt.frame v2)
+  in
+  let cuts =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun b -> List.filter (fun k -> k >= 0 && k <= total) [ b - 1; b; b + 1 ])
+         boundaries)
+  in
   Ckpt.save ~path v1;
-  Ckpt.set_torn_write (Some 6);
-  (match Ckpt.save ~path v2 with
-  | exception Ckpt.Simulated_crash -> ()
-  | () -> Alcotest.fail "armed torn write must raise");
-  Alcotest.(check bool)
-    "previous checkpoint intact" true
-    (sections_equal v1 (Ckpt.load ~path));
+  List.iter
+    (fun k ->
+      Ckpt.set_torn_write (Some k);
+      (match Ckpt.save ~path v2 with
+      | exception Ckpt.Simulated_crash -> ()
+      | () -> Alcotest.failf "torn write at byte %d must raise" k);
+      Alcotest.(check string)
+        (Printf.sprintf "torn at byte %d: tmp holds the stream prefix" k)
+        (String.sub image 0 k)
+        (read_file (path ^ ".tmp"));
+      Alcotest.(check bool)
+        (Printf.sprintf "torn at byte %d: previous checkpoint intact" k)
+        true
+        (sections_equal v1 (Ckpt.load ~path)))
+    cuts;
   (* the hook disarms itself: the retry succeeds *)
   Ckpt.save ~path v2;
   Alcotest.(check bool)
@@ -584,6 +633,15 @@ let test_fp_corrupt_run_refused () =
   (* truncated tail *)
   write_file run0 (String.sub img 0 (String.length img - 8));
   expect_corrupt resume;
+  (* a run under the older format version is refused by name *)
+  write_file run0 ("FPRUN001" ^ String.sub img 8 (String.length img - 8));
+  (match resume () with
+  | exception Ckpt.Corrupt_checkpoint msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "message %S names both formats" msg)
+        true
+        (contains ~sub:"FPRUN001" msg && contains ~sub:"FPRUN002" msg)
+  | () -> Alcotest.fail "an FPRUN001 run must be refused");
   (* restored bytes: the same resume runs to completion *)
   write_file run0 img;
   (match
@@ -667,17 +725,22 @@ let test_fault_resume_parity () =
 
 module Packed = Modelcheck.Rt_mutex_packed
 
-let packed_drive ~cfg ~wiring ~inputs ~quota ~path =
-  let ckpt = { Ckpt.path; every_states = 50 } in
+(* With [~every_states:1] every loop iteration saves, so each prefix of
+   the engine's key vector is written, and every [quota] steps a round
+   ends and the next one restores from the latest save.  One workspace
+   serves all rounds, as in a wiring sweep. *)
+let packed_drive ~every_states ~cfg ~wiring ~inputs ~quota ~path =
+  let ckpt = { Ckpt.path; every_states } in
+  let ws = Packed.ws () in
   drive ~quota (fun g ->
       match
-        Packed.check_wiring ~governor:g ~ckpt ~resume:true ~cfg ~wiring ~inputs
-          ()
+        Packed.check_wiring ~ws ~governor:g ~ckpt ~resume:true ~cfg ~wiring
+          ~inputs ()
       with
       | Packed.Exhausted _ -> Error ()
       | v -> Ok v)
 
-let test_packed_resume_clean_parity () =
+let test_packed_resume_clean_parity ~every_states ~quota () =
   let cfg = Algorithms.Rt_mutex.cfg ~n:2 ~m:3 in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:3 in
   let inputs = [| 1; 2 |] in
@@ -687,7 +750,9 @@ let test_packed_resume_clean_parity () =
     | _ -> Alcotest.fail "reference packed (2,3) must be clean"
   in
   let path = fresh_path ".ckpt" in
-  let (v, rounds) = packed_drive ~cfg ~wiring ~inputs ~quota:150 ~path in
+  let (v, rounds) =
+    packed_drive ~every_states ~cfg ~wiring ~inputs ~quota ~path
+  in
   Alcotest.(check bool) "packed was actually interrupted" true (rounds > 0);
   (match v with
   | Packed.Clean { states; _ } ->
@@ -695,7 +760,7 @@ let test_packed_resume_clean_parity () =
   | _ -> Alcotest.fail "resumed packed (2,3) must be clean");
   if Sys.file_exists path then Sys.remove path
 
-let test_packed_resume_cycle_parity () =
+let test_packed_resume_cycle_parity ~every_states ~quota () =
   (* (2,2) is non-coprime: the verdict must survive interruption too *)
   let cfg = Algorithms.Rt_mutex.cfg ~n:2 ~m:2 in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
@@ -705,7 +770,7 @@ let test_packed_resume_cycle_parity () =
   | Packed.Fair_cycle -> ()
   | _ -> Alcotest.fail "reference packed (2,2) must deadlock");
   let path = fresh_path ".ckpt" in
-  let (v, _) = packed_drive ~cfg ~wiring ~inputs ~quota:40 ~path in
+  let (v, _) = packed_drive ~every_states ~cfg ~wiring ~inputs ~quota ~path in
   (match v with
   | Packed.Fair_cycle -> ()
   | _ -> Alcotest.fail "resumed packed (2,2) must still deadlock");
@@ -879,6 +944,8 @@ let () =
           Alcotest.test_case "corruption refused" `Quick test_ckpt_corruption;
           Alcotest.test_case "older format version refused" `Quick
             test_ckpt_old_version;
+          Alcotest.test_case "every payload bit checked" `Quick
+            test_ckpt_every_bit_checked;
           Alcotest.test_case "torn write preserves previous" `Quick
             test_ckpt_torn_write_preserves_old;
           Alcotest.test_case "int codec" `Quick test_ints_roundtrip;
@@ -919,9 +986,16 @@ let () =
             test_fp_sweep_resume_parity;
           Alcotest.test_case "fault explorer" `Quick test_fault_resume_parity;
           Alcotest.test_case "packed clean cell" `Quick
-            test_packed_resume_clean_parity;
+            (test_packed_resume_clean_parity ~every_states:50 ~quota:150);
           Alcotest.test_case "packed deadlock cell" `Quick
-            test_packed_resume_cycle_parity;
+            (test_packed_resume_cycle_parity ~every_states:50 ~quota:40);
+          (* A restore after every one of the clean cell's 4586 steps
+             would reset the engine's 16 MiB visited table 4586 times; a
+             restore every 10th step keeps the test to seconds. *)
+          Alcotest.test_case "packed clean cell, save every tick" `Quick
+            (test_packed_resume_clean_parity ~every_states:1 ~quota:10);
+          Alcotest.test_case "packed deadlock cell, save every tick" `Quick
+            (test_packed_resume_cycle_parity ~every_states:1 ~quota:1);
           Alcotest.test_case "verify_mutex sweep" `Quick
             test_verify_mutex_sweep_resume;
         ] );

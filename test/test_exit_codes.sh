@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pin the anonsim exit-code contract end to end:
 #   0 = clean pass, 2 = violation / refuted invariant,
-#   3 = resource budget exhausted, 4 = interrupted.
+#   3 = resource budget exhausted, 4 = interrupted,
+#   5 = checkpoint or journal unusable (restart without --resume).
 # Usage: test_exit_codes.sh /path/to/anonsim.exe
 set -u
 
@@ -45,6 +46,24 @@ if [ "$got" -eq 4 ]; then
   echo "ok  4 <- anonsim inductive -n 3 (SIGINT)"
 else
   echo "FAIL: interrupted inductive run exited $got, want 4"
+  fails=$((fails + 1))
+fi
+
+# unusable checkpoint (exit 5): an 8-byte ANONCKP2 magic plus a section
+# count is refused by format version, with both versions named
+ckpt=$(mktemp)
+printf 'ANONCKP2\000\000\000\000' > "$ckpt"
+err=$("$ANONSIM" check-snapshot -n 2 --checkpoint "$ckpt" --resume 2>&1 >/dev/null)
+got=$?
+rm -f "$ckpt"
+case "$err" in
+  *"version 2"*"version 3"*) named=yes ;;
+  *) named=no ;;
+esac
+if [ "$got" -eq 5 ] && [ "$named" = yes ]; then
+  echo "ok  5 <- anonsim check-snapshot -n 2 --checkpoint <ANONCKP2 file> --resume"
+else
+  echo "FAIL: ANONCKP2 checkpoint exited $got, want 5 (stderr: $err)"
   fails=$((fails + 1))
 fi
 
