@@ -166,7 +166,10 @@ module Make (P : CHECKABLE) = struct
       (fun p -> P.next cfg st.locals.(p) <> None)
       (List.init (Array.length st.locals) Fun.id)
 
-  (** Successor of [st] when processor [p] takes its pending step. *)
+  (** Successor of [st] when processor [p] takes its pending step.  Only
+      [p]'s local and, on a write, the one written register are new; every
+      other component is shared with [st], and a read step shares [st]'s
+      registers array itself ({!successor_key} relies on this). *)
   let successor cfg wiring st p =
     match P.next cfg st.locals.(p) with
     | None -> invalid_arg "Explorer.successor: processor halted"
@@ -182,6 +185,26 @@ module Make (P : CHECKABLE) = struct
         locals.(p) <- P.apply_write cfg st.locals.(p);
         registers.(r) <- v;
         { locals; registers }
+
+  (** [successor] paired with its key, for [key = encode_state cfg st]:
+      the parent's key is copied and only the components the step changed
+      are re-encoded — local [p], and any register not physically equal to
+      the parent's (none on a read, one on a write).  A physically equal
+      component encodes to the bytes already in place, so the result is
+      [encode_state cfg st'] exactly. *)
+  let successor_key cfg wiring st key p =
+    let st' = successor cfg wiring st p in
+    let b = Bytes.of_string key in
+    let lw = P.local_width cfg in
+    P.encode_local cfg st'.locals.(p) b (p * lw);
+    if st'.registers != st.registers then begin
+      let base = Array.length st.locals * lw and vw = P.value_width cfg in
+      for r = 0 to Array.length st'.registers - 1 do
+        let v = st'.registers.(r) in
+        if v != st.registers.(r) then P.encode_value cfg v b (base + (r * vw))
+      done
+    end;
+    (st', Bytes.unsafe_to_string b)
 
   let outputs cfg st = Array.map (P.output cfg) st.locals
 
@@ -316,10 +339,11 @@ module Make (P : CHECKABLE) = struct
        canonical initial key pins cfg and inputs, the wiring string pins
        the step relation.  A mismatched resume is a structured error, not
        a silently wrong exploration. *)
+    let init = init_state ~cfg ~inputs in
+    let key0 = canonical (encode_state cfg init) in
     let context =
       Fmt.str "bfs|%d|%a|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
-        reduction
-        (canonical (encode_state cfg (init_state ~cfg ~inputs)))
+        reduction key0
     in
     let resumed =
       match ckpt with
@@ -372,8 +396,8 @@ module Make (P : CHECKABLE) = struct
         Queue.add id queue
       done;
     let violation = ref None in
-    let add_state st ~from =
-      let key = canonical (encode_state cfg st) in
+    (* [key] is [st]'s canonical key. *)
+    let add_state st key ~from =
       let before = State_table.length table in
       let id = State_table.intern table key in
       if id = before then begin
@@ -396,8 +420,7 @@ module Make (P : CHECKABLE) = struct
       end;
       id
     in
-    if resumed = None then
-      ignore (add_state (init_state ~cfg ~inputs) ~from:(-1));
+    if resumed = None then ignore (add_state init key0 ~from:(-1));
     let limit_hit = ref false in
     let exhausted = ref None in
     while
@@ -423,7 +446,8 @@ module Make (P : CHECKABLE) = struct
       | None -> ());
       if !exhausted = None then begin
       let id = Queue.pop queue in
-      let st = decode_state cfg (State_table.key_of_id table id) in
+      let key = State_table.key_of_id table id in
+      let st = decode_state cfg key in
       let expand =
         match stop_expansion with Some f -> not (f st) | None -> true
       in
@@ -434,11 +458,16 @@ module Make (P : CHECKABLE) = struct
         | en ->
             List.iter
               (fun p ->
-                if State_table.length table >= max_states then
-                  limit_hit := true
+                let st', key' = successor_key cfg wiring st key p in
+                let key' = canonical key' in
+                (* Only a state beyond the bound trips the limit: a full
+                   table still accepts edges to states already seen. *)
+                if
+                  State_table.length table >= max_states
+                  && not (State_table.mem table key')
+                then limit_hit := true
                 else begin
-                  let st' = successor cfg wiring st p in
-                  let id' = add_state st' ~from:((id lsl 4) lor p) in
+                  let id' = add_state st' key' ~from:((id lsl 4) lor p) in
                   ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor p))
                 end)
               en
@@ -713,6 +742,16 @@ module Make (P : CHECKABLE) = struct
         (** a resource governor tripped mid-search; resumable when a
             checkpoint policy was in force *)
 
+  (* One entry of the DFS path (see [check_exhaustive]). *)
+  type dfs_frame = {
+    id : int;
+    key : string;  (** canonical key *)
+    st : state;
+    entered_by : int;  (** pid of the step into this frame; -1 at the root *)
+    mutable next_p : int;  (** next processor index to try *)
+    mutable any_enabled : bool;
+  }
+
   (** [fail_on_cycle] (default true) reports the first cycle as a
       wait-freedom violation; pass [false] for protocols that are only
       obstruction-free (e.g. consensus), where cycles are expected and only
@@ -725,10 +764,11 @@ module Make (P : CHECKABLE) = struct
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in
+    let init = init_state ~cfg ~inputs in
+    let key0 = canonical (encode_state cfg init) in
     let context =
       Fmt.str "dfs|%d|%a|%b|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
-        reduction fail_on_cycle
-        (canonical (encode_state cfg (init_state ~cfg ~inputs)))
+        reduction fail_on_cycle key0
     in
     let resumed =
       match ckpt with
@@ -764,9 +804,12 @@ module Make (P : CHECKABLE) = struct
       }
     in
     let outcome = ref None in
-    (* Frames: (id, key, pid of the step that entered this frame, next
-       processor index to try).  The decoded state is rebuilt per
-       successor; keeping it would bloat the path. *)
+    (* The DFS path, deepest frame first.  Each frame carries its state
+       decoded once, at push: the concrete successor itself when unreduced
+       (its key is its exact encoding), the decoded canonical key under
+       reduction.  The path is as deep as the longest simple path explored
+       (313 frames on Figure 3 at n=3), so the states it holds are
+       negligible next to the visited table. *)
     let stack = ref [] and depth = ref 0 in
     (match resumed with
     | Some sections ->
@@ -782,12 +825,16 @@ module Make (P : CHECKABLE) = struct
            Keys are recovered from the table arena, not stored twice. *)
         for i = 0 to (Array.length frames / 4) - 1 do
           let id = frames.(4 * i) in
+          let key = State_table.key_of_id table id in
           stack :=
-            ( id,
-              State_table.key_of_id table id,
-              frames.((4 * i) + 1),
-              ref frames.((4 * i) + 2),
-              ref (frames.((4 * i) + 3) = 1) )
+            {
+              id;
+              key;
+              st = decode_state cfg key;
+              entered_by = frames.((4 * i) + 1);
+              next_p = frames.((4 * i) + 2);
+              any_enabled = frames.((4 * i) + 3) = 1;
+            }
             :: !stack
         done;
         let counters =
@@ -805,8 +852,8 @@ module Make (P : CHECKABLE) = struct
     let save_ckpt path =
       let frames =
         List.rev !stack
-        |> List.concat_map (fun (id, _, entered_by, next_p, any_enabled) ->
-               [ id; entered_by; !next_p; (if !any_enabled then 1 else 0) ])
+        |> List.concat_map (fun f ->
+               [ f.id; f.entered_by; f.next_p; (if f.any_enabled then 1 else 0) ])
         |> Array.of_list
       in
       Checkpoint.save ~path
@@ -821,10 +868,10 @@ module Make (P : CHECKABLE) = struct
          ]
         @ ckpt_extra)
     in
-    (* Only called for keys [probe]d absent, so [intern] always inserts and
-       the returned id equals the colors index pushed alongside. *)
-    let add_state key ~entered_by st =
-      let id = State_table.intern table key in
+    (* Only called for ids [intern] just minted, so the colors index pushed
+       alongside equals [id].  [st] is the concrete state the invariant
+       sees; [key] its canonical key. *)
+    let push_state id key ~entered_by st =
       ignore (State_table.Packed_vec.push colors 1);
       (match progress with
       | Some f when id land ((1 lsl 20) - 1) = 0 -> f id
@@ -839,7 +886,7 @@ module Make (P : CHECKABLE) = struct
                   match canon with
                   | None ->
                       let path =
-                        (List.rev_map (fun (_, _, pid, _, _) -> pid) !stack
+                        (List.rev_map (fun f -> f.entered_by) !stack
                         |> List.filter (fun pid -> pid >= 0))
                         @ (if entered_by >= 0 then [ entered_by ] else [])
                       in
@@ -847,7 +894,7 @@ module Make (P : CHECKABLE) = struct
                         { message; state = st; path; stats = stats () }
                   | Some c ->
                       let keys =
-                        match List.rev_map (fun (_, k, _, _, _) -> k) !stack with
+                        match List.rev_map (fun f -> f.key) !stack with
                         | [] -> []  (* violation at the initial state *)
                         | _root :: ancestors -> ancestors @ [ key ]
                       in
@@ -865,15 +912,14 @@ module Make (P : CHECKABLE) = struct
                 in
                 outcome := Some record)
       | None -> ());
-      stack := (id, key, entered_by, ref 0, ref false) :: !stack;
+      let st = if canon = None then st else decode_state cfg key in
+      stack :=
+        { id; key; st; entered_by; next_p = 0; any_enabled = false } :: !stack;
       incr depth;
-      if !depth > !max_depth then max_depth := !depth;
-      id
+      if !depth > !max_depth then max_depth := !depth
     in
-    (if resumed = None then
-       let init = init_state ~cfg ~inputs in
-       let key0 = canonical (encode_state cfg init) in
-       ignore (add_state key0 ~entered_by:(-1) init));
+    if resumed = None then
+      push_state (State_table.intern table key0) key0 ~entered_by:(-1) init;
     let limit = ref false in
     let exhausted = ref None in
     let ticks = ref 0 in
@@ -899,55 +945,56 @@ module Make (P : CHECKABLE) = struct
       if !exhausted = None then begin
       match !stack with
       | [] -> ()
-      | (id, key, _, next_p, any_enabled) :: rest ->
-          (if !next_p = 0 then
+      | f :: rest ->
+          (if f.next_p = 0 then
              match stop_expansion with
-             | Some f when f (decode_state cfg key) ->
+             | Some cut when cut f.st ->
                  (* cut-off leaf: skip successors; not a terminal state *)
-                 next_p := n;
-                 any_enabled := true
+                 f.next_p <- n;
+                 f.any_enabled <- true
              | _ -> ());
-          if !next_p >= n then begin
-            if not !any_enabled then incr terminals;
-            State_table.Packed_vec.set colors id 2;
+          if f.next_p >= n then begin
+            if not f.any_enabled then incr terminals;
+            State_table.Packed_vec.set colors f.id 2;
             stack := rest;
             decr depth
           end
           else begin
-            let p = !next_p in
-            incr next_p;
-            let st = decode_state cfg key in
-            if P.next cfg st.locals.(p) <> None then begin
-              any_enabled := true;
+            let p = f.next_p in
+            f.next_p <- p + 1;
+            if P.next cfg f.st.locals.(p) <> None then begin
+              f.any_enabled <- true;
               incr transitions;
-              let st' = successor cfg wiring st p in
-              let key' = canonical (encode_state cfg st') in
-              match State_table.find table key' with
-              | None ->
-                  if State_table.length table >= max_states then limit := true
-                  else ignore (add_state key' ~entered_by:p st')
-              | Some id' ->
-                  if
-                    fail_on_cycle
-                    && State_table.Packed_vec.get colors id' = 1
-                  then begin
-                    (* back edge: a cycle through id'.  Collect the pids of
-                       the path segment from id' to here, plus p. *)
-                    let rec collect acc = function
-                      | (fid, _, entered_by, _, _) :: rest ->
-                          if fid = id' then acc
-                          else collect (entered_by :: acc) rest
-                      | [] -> acc
-                    in
-                    let pids = p :: collect [] !stack in
-                    outcome :=
-                      Some
-                        (Dfs_cycle
-                           {
-                             processors = List.sort_uniq compare pids;
-                             stats = stats ();
-                           })
-                  end
+              let st', key' = successor_key cfg wiring f.st f.key p in
+              let key' = canonical key' in
+              (* One probe: [intern] either finds the key or mints the next
+                 id.  A full table only refuses states it has not seen. *)
+              let before = State_table.length table in
+              if before >= max_states && not (State_table.mem table key') then
+                limit := true
+              else
+                let id' = State_table.intern table key' in
+                if id' = before then push_state id' key' ~entered_by:p st'
+                else if
+                  fail_on_cycle && State_table.Packed_vec.get colors id' = 1
+                then begin
+                  (* back edge: a cycle through id'.  Collect the pids of
+                     the path segment from id' to here, plus p. *)
+                  let rec collect acc = function
+                    | g :: rest ->
+                        if g.id = id' then acc
+                        else collect (g.entered_by :: acc) rest
+                    | [] -> acc
+                  in
+                  let pids = p :: collect [] !stack in
+                  outcome :=
+                    Some
+                      (Dfs_cycle
+                         {
+                           processors = List.sort_uniq compare pids;
+                           stats = stats ();
+                         })
+                end
             end
           end
       end
@@ -1135,10 +1182,10 @@ module Make (P : CHECKABLE) = struct
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in
     let kw = key_width cfg in
+    let key0 = canonical (encode_state cfg (init_state ~cfg ~inputs)) in
     let context =
       Fmt.str "fpbfs|%d|%a|%b|%d|%S" kw Anonmem.Wiring.pp wiring reduction
-        ram_budget_bytes
-        (canonical (encode_state cfg (init_state ~cfg ~inputs)))
+        ram_budget_bytes key0
     in
     (* Spill runs must live next to the checkpoint when there is one: a
        resumed run re-opens them by manifest. *)
@@ -1256,12 +1303,11 @@ module Make (P : CHECKABLE) = struct
               next := key :: !next
             end)
           arr;
-        if !states >= max_states then limit := true
+        if !states > max_states then limit := true
       end
     in
     let exhausted = ref None in
     (if resumed = None then
-       let key0 = canonical (encode_state cfg (init_state ~cfg ~inputs)) in
        let fresh = Fingerprint_set.add_batch fps [| key0 |] in
        assert fresh.(0);
        states := 1;
@@ -1300,9 +1346,9 @@ module Make (P : CHECKABLE) = struct
                 | en ->
                     List.iter
                       (fun p ->
-                        let st' = successor cfg wiring st p in
+                        let _, key' = successor_key cfg wiring st key p in
                         incr transitions;
-                        cands := canonical (encode_state cfg st') :: !cands;
+                        cands := canonical key' :: !cands;
                         incr ncands)
                       en
               end;

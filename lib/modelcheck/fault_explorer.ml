@@ -74,6 +74,9 @@ module Make (P : Explorer.CHECKABLE) = struct
     let canon =
       if reduction then Some (E.canon_of ~cfg ~wiring ~inputs) else None
     in
+    (* Encoded in full rather than patched by [E.successor_key]: the key
+       carries the crash-mask byte after the state, and crash branches
+       reuse the parent state under a new mask. *)
     let raw_key st mask =
       E.encode_state cfg st ^ String.make 1 (Char.chr mask)
     in
@@ -87,11 +90,13 @@ module Make (P : Explorer.CHECKABLE) = struct
       | Some c -> Canon.canonicalize_masked c raw
       | None -> raw
     in
+    let init = E.init_state ~cfg ~inputs in
+    let key0 = key_of init 0 in
     let context =
       Fmt.str "fault|%d|%d|%a|%b|%S"
         (E.key_width cfg + 1)
         max_crashes Anonmem.Wiring.pp wiring reduction
-        (key_of (E.init_state ~cfg ~inputs) 0)
+        key0
     in
     let resumed =
       match ckpt with
@@ -156,8 +161,8 @@ module Make (P : Explorer.CHECKABLE) = struct
       let mask = Char.code key.[String.length key - 1] in
       (E.decode_state cfg core, mask)
     in
-    let add_state st mask ~from =
-      let key = key_of st mask in
+    (* [key] is [key_of st mask]. *)
+    let add_state st key ~from =
       let before = State_table.length table in
       let id = State_table.intern table key in
       if id = before then begin
@@ -233,7 +238,7 @@ module Make (P : Explorer.CHECKABLE) = struct
       go (E.init_state ~cfg ~inputs) 0 [] chain
     in
     if resumed = None then
-      ignore (add_state (E.init_state ~cfg ~inputs) 0 ~from:(-1));
+      ignore (add_state init key0 ~from:(-1));
     let limit_hit = ref false in
     let exhausted = ref None in
     while
@@ -263,19 +268,23 @@ module Make (P : Explorer.CHECKABLE) = struct
       in
       let budget = max_crashes - popcount mask in
       let expand_one ~crash p =
-        if State_table.length table >= max_states then limit_hit := true
-        else begin
-          incr transitions;
-          let st', mask' =
-            if crash then begin
-              incr crash_branches;
-              (st, mask lor (1 lsl p))
-            end
-            else (E.successor cfg wiring st p, mask)
-          in
+        incr transitions;
+        let st', mask' =
+          if crash then begin
+            incr crash_branches;
+            (st, mask lor (1 lsl p))
+          end
+          else (E.successor cfg wiring st p, mask)
+        in
+        let key = key_of st' mask' in
+        (* Only a state beyond the bound trips the limit. *)
+        if
+          State_table.length table >= max_states
+          && not (State_table.mem table key)
+        then limit_hit := true
+        else
           let tag = (id lsl 5) lor (if crash then 16 else 0) lor p in
-          ignore (add_state st' mask' ~from:tag)
-        end
+          ignore (add_state st' key ~from:tag)
       in
       List.iter (expand_one ~crash:false) live;
       (* Crash branches: only live (enabled, uncrashed) processors — a

@@ -30,7 +30,8 @@
     completion before the pool stops, so a reported violation always lies
     on the first violating layer — minimal trace length, as in the
     sequential BFS.  The [max_states] bound is likewise checked at layer
-    boundaries, so it can overshoot by at most one layer.
+    boundaries: a limit is reported only once a layer took the count past
+    the bound, which it can overshoot by at most one layer.
 
     Global ids interleave shards ([gid = local * domains + shard]) and
     edges are recorded by the {e destination}'s owner as batches are
@@ -226,9 +227,8 @@ module Make (P : Explorer.CHECKABLE) = struct
         let batches = Array.make nd [] in
         List.iter
           (fun lid ->
-            let st =
-              E.decode_state cfg (State_table.key_of_id shard.table lid)
-            in
+            let key = State_table.key_of_id shard.table lid in
+            let st = E.decode_state cfg key in
             let expand =
               match stop_expansion with Some f -> not (f st) | None -> true
             in
@@ -239,8 +239,9 @@ module Make (P : Explorer.CHECKABLE) = struct
                   List.iter
                     (fun p ->
                       shard.transitions <- shard.transitions + 1;
-                      let st' = E.successor cfg wiring st p in
-                      let key' = canonical (E.encode_state cfg st') in
+                      let key' =
+                        canonical (snd (E.successor_key cfg wiring st key p))
+                      in
                       let from = (gid lid lsl 4) lor p in
                       let dst = owner key' in
                       if dst = w then deliver key' ~from
@@ -277,7 +278,7 @@ module Make (P : Explorer.CHECKABLE) = struct
             if s.violation_seen then violated := true)
           shards;
         if w = 0 && !total_added > 0 then Atomic.incr layers;
-        if !total_added = 0 || !violated || !total_states >= max_states then
+        if !total_added = 0 || !violated || !total_states > max_states then
           continue := false
         else begin
           frontier := List.rev !next_frontier;
@@ -320,7 +321,7 @@ module Make (P : Explorer.CHECKABLE) = struct
     | Some (gid, message) ->
         Par_invariant_failed { stats; message; trace = trace_of gid }
     | None ->
-        if states >= max_states then Par_state_limit states
+        if states > max_states then Par_state_limit states
         else begin
           (* Densify gids (shards have unequal sizes, so the interleaved
              gids are not contiguous) and run the shared SCC pass. *)

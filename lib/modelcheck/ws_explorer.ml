@@ -281,8 +281,9 @@ module Make (P : Explorer.CHECKABLE) = struct
                List.iter
                  (fun p ->
                    shard.transitions <- shard.transitions + 1;
-                   let st' = E.successor cfg wiring st p in
-                   let key' = canonical (E.encode_state cfg st') in
+                   let key' =
+                     canonical (snd (E.successor_key cfg wiring st key p))
+                   in
                    let from = (src_gid lsl 4) lor p in
                    Atomic.incr pending;
                    let dst = owner key' in

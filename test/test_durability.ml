@@ -512,14 +512,20 @@ let test_bfs_resume_parity () =
     "BFS resume parity" reference result;
   if Sys.file_exists path then Sys.remove path
 
-let test_dfs_resume_parity () =
+(* Resumed frames rebuild their decoded state from the checkpointed key;
+   under reduction that key is canonical, so the reduced variant checks
+   frames whose state is not the concrete successor the DFS pushed.  The
+   depth counters are compared too: they ride in the checkpoint. *)
+let test_dfs_resume_parity ~reduction ~inputs () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let inputs = [| 1; 2 |] in
+  let counts (s : Snap_mc.dfs_stats) =
+    ( (s.Snap_mc.dfs_states, s.Snap_mc.dfs_transitions),
+      (s.Snap_mc.dfs_terminals, s.Snap_mc.dfs_max_depth) )
+  in
   let reference =
-    match Snap_mc.check_exhaustive ~cfg ~wiring ~inputs () with
-    | Snap_mc.Dfs_ok s ->
-        (s.Snap_mc.dfs_states, s.Snap_mc.dfs_transitions, s.Snap_mc.dfs_terminals)
+    match Snap_mc.check_exhaustive ~reduction ~cfg ~wiring ~inputs () with
+    | Snap_mc.Dfs_ok s -> counts s
     | _ -> Alcotest.fail "reference DFS must complete"
   in
   let path = fresh_path ".ckpt" in
@@ -527,18 +533,17 @@ let test_dfs_resume_parity () =
   let (result, rounds) =
     drive ~quota:60 (fun g ->
         match
-          Snap_mc.check_exhaustive ~governor:g ~ckpt ~resume:true ~cfg ~wiring
-            ~inputs ()
+          Snap_mc.check_exhaustive ~governor:g ~ckpt ~resume:true ~reduction
+            ~cfg ~wiring ~inputs ()
         with
-        | Snap_mc.Dfs_ok s ->
-            Ok
-              (s.Snap_mc.dfs_states, s.Snap_mc.dfs_transitions,
-               s.Snap_mc.dfs_terminals)
+        | Snap_mc.Dfs_ok s -> Ok (counts s)
         | Snap_mc.Dfs_exhausted _ -> Error ()
         | _ -> Alcotest.fail "unexpected DFS verdict")
   in
   Alcotest.(check bool) "DFS was actually interrupted" true (rounds > 0);
-  Alcotest.(check (triple int int int)) "DFS resume parity" reference result;
+  Alcotest.(check (pair (pair int int) (pair int int)))
+    "DFS resume parity (states, transitions), (terminals, max depth)"
+    reference result;
   if Sys.file_exists path then Sys.remove path
 
 (* The fingerprint engine's checkpoints carry the RAM tier, the spill-run
@@ -978,7 +983,10 @@ let () =
       ( "resume-parity",
         [
           Alcotest.test_case "BFS" `Quick test_bfs_resume_parity;
-          Alcotest.test_case "DFS" `Quick test_dfs_resume_parity;
+          Alcotest.test_case "DFS" `Quick
+            (test_dfs_resume_parity ~reduction:false ~inputs:[| 1; 2 |]);
+          Alcotest.test_case "DFS, reduced" `Quick
+            (test_dfs_resume_parity ~reduction:true ~inputs:[| 1; 1 |]);
           Alcotest.test_case "fingerprint" `Quick test_fp_resume_parity;
           Alcotest.test_case "fingerprint corrupt run refused" `Quick
             test_fp_corrupt_run_refused;

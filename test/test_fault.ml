@@ -446,6 +446,28 @@ let test_crash_search_catches_planted_bug () =
   | FE.State_limit _ -> Alcotest.fail "state limit"
   | FE.Exhausted _ -> Alcotest.fail "unexpected exhaustion"
 
+(* The crash search follows the other engines' [max_states] rule: a
+   limit is reported only when a state beyond the bound was discovered,
+   so a bound equal to the space size explores it and one less trips. *)
+let test_crash_search_state_bound () =
+  let cfg = Algorithms.Snapshot.standard ~n:2 in
+  let inputs = [| 1; 2 |] in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let module FE = Core.Snapshot_fault_mc in
+  let invariant _ = Ok () in
+  let run max_states =
+    FE.explore ~max_states ~max_crashes:1 ~invariant ~cfg ~wiring ~inputs ()
+  in
+  match run 50_000_000 with
+  | FE.Safe { states; _ } -> (
+      (match run states with
+      | FE.Safe s -> Alcotest.(check int) "bound = space" states s.FE.states
+      | _ -> Alcotest.fail "bound = space must explore the space");
+      match run (states - 1) with
+      | FE.State_limit _ -> ()
+      | _ -> Alcotest.fail "bound = space - 1 must report a limit")
+  | _ -> Alcotest.fail "reference crash search must finish"
+
 let () =
   Alcotest.run "fault"
     [
@@ -493,5 +515,6 @@ let () =
             test_snapshot_safe_under_crash_same_group;
           Alcotest.test_case "planted invariant caught with crash witness"
             `Quick test_crash_search_catches_planted_bug;
+          Alcotest.test_case "state bound" `Quick test_crash_search_state_bound;
         ] );
     ]

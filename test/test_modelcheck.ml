@@ -586,6 +586,157 @@ let test_codecs_out_of_range_structured () =
         }
         b off)
 
+(* --- the successor-key path ------------------------------------------------ *)
+
+(* [successor_key] patches the parent's key instead of re-encoding the
+   successor; it must agree with [successor] + [encode_state] on every step
+   of every codec.  The walk is a plain BFS over full encodings (capped at
+   [limit] states), so it shares nothing with the engines under test. *)
+module Key_path (P : Modelcheck.Explorer.CHECKABLE) = struct
+  module E = Modelcheck.Explorer.Make (P)
+
+  let check ?stop_expansion ?(limit = 20_000) name ~cfg ~wiring ~inputs =
+    let canon = E.canon_of ~cfg ~wiring ~inputs in
+    let seen = Hashtbl.create 1024 in
+    let queue = Queue.create () in
+    let visit st =
+      let key = E.encode_state cfg st in
+      if Hashtbl.length seen < limit && not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        Queue.add (st, key) queue
+      end
+    in
+    let roundtrip what key =
+      if not (String.equal (E.encode_state cfg (E.decode_state cfg key)) key)
+      then Alcotest.failf "%s: %s key does not survive decode/encode" name what
+    in
+    let steps = ref 0 in
+    visit (E.init_state ~cfg ~inputs);
+    while not (Queue.is_empty queue) do
+      let st, key = Queue.pop queue in
+      roundtrip "raw" key;
+      roundtrip "canonical" (Modelcheck.Canon.canonicalize canon key);
+      let expand =
+        match stop_expansion with Some f -> not (f st) | None -> true
+      in
+      if expand then
+        List.iter
+          (fun p ->
+            incr steps;
+            let st' = E.successor cfg wiring st p in
+            let st'', key' = E.successor_key cfg wiring st key p in
+            if st'' <> st' then
+              Alcotest.failf "%s: successor_key's state differs (p%d)" name p;
+            if not (String.equal key' (E.encode_state cfg st')) then
+              Alcotest.failf "%s: patched key differs from a full encode (p%d)"
+                name p;
+            visit st')
+          (E.enabled cfg st)
+    done;
+    Alcotest.(check bool) (name ^ ": steps taken") true (!steps > 0)
+end
+
+module Kp_snap = Key_path (SnapC)
+module Kp_ws = Key_path (WsC)
+module Kp_dc = Key_path (DcC)
+module Kp_cons = Key_path (Modelcheck.Codecs.Consensus)
+module Kp_ren = Key_path (Modelcheck.Codecs.Renaming)
+module Kp_mutex = Key_path (Modelcheck.Codecs.Rt_mutex)
+module Kp_leader = Key_path (Modelcheck.Codecs.Weak_leader)
+module Kp_naming = Key_path (Modelcheck.Codecs.Naming)
+
+(* A wiring other than the identity, so register relabelling is on the
+   path being checked. *)
+let last_wiring ~n ~m =
+  let ws = Anonmem.Wiring.enumerate ~n ~m ~fix_first:true in
+  List.nth ws (List.length ws - 1)
+
+let test_successor_key_all_codecs () =
+  let w2 = last_wiring ~n:2 ~m:2 and w3 = last_wiring ~n:2 ~m:3 in
+  List.iter
+    (fun inputs ->
+      Kp_snap.check "snapshot" ~cfg:(Snap.standard ~n:2) ~wiring:w2 ~inputs;
+      Kp_ws.check "write-scan"
+        ~cfg:(Algorithms.Write_scan.cfg ~n:2 ~m:2)
+        ~wiring:w2 ~inputs;
+      Kp_dc.check "double-collect"
+        ~cfg:(Algorithms.Double_collect.standard ~n:2)
+        ~wiring:w2 ~inputs;
+      Kp_cons.check "consensus"
+        ~stop_expansion:(fun st ->
+          Array.exists
+            (fun (l : Algorithms.Consensus.local) ->
+              l.Algorithms.Consensus.ts >= 2)
+            st.Kp_cons.E.locals)
+        ~cfg:(Algorithms.Consensus.standard ~n:2)
+        ~wiring:w2 ~inputs;
+      Kp_ren.check "renaming"
+        ~cfg:(Algorithms.Renaming.standard ~n:2)
+        ~wiring:w2 ~inputs)
+    [ [| 1; 2 |]; [| 1; 1 |] ];
+  let inputs = [| 1; 2 |] in
+  Kp_mutex.check "rt-mutex" ~cfg:(Algorithms.Rt_mutex.cfg ~n:2 ~m:3) ~wiring:w3
+    ~inputs;
+  Kp_leader.check "weak-leader"
+    ~cfg:(Algorithms.Weak_leader.cfg ~n:2 ~m:3)
+    ~wiring:w3 ~inputs;
+  Kp_naming.check "naming" ~cfg:(Algorithms.Naming.cfg ~n:2 ~m:3) ~wiring:w3
+    ~inputs
+
+(* Counts every codec call the engine makes, like the benchmark's traced
+   runs do. *)
+let encode_calls = ref 0
+let decode_calls = ref 0
+
+module Counted_snap = struct
+  include SnapC
+
+  let encode_value cfg v b o =
+    incr encode_calls;
+    SnapC.encode_value cfg v b o
+
+  let encode_local cfg l b o =
+    incr encode_calls;
+    SnapC.encode_local cfg l b o
+
+  let decode_value cfg b o =
+    incr decode_calls;
+    SnapC.decode_value cfg b o
+
+  let decode_local cfg b o =
+    incr decode_calls;
+    SnapC.decode_local cfg b o
+end
+
+module MCC = Modelcheck.Explorer.Make (Counted_snap)
+
+(* The unreduced DFS never decodes (each frame keeps the concrete state)
+   and re-encodes at most the stepping processor's local and one written
+   register per transition; the initial state is encoded once in full. *)
+let test_dfs_codec_call_budget () =
+  let cfg = Snap.standard ~n:2 in
+  let inputs = [| 1; 2 |] in
+  let components = Snap.processors cfg + Snap.registers cfg in
+  List.iter
+    (fun wiring ->
+      encode_calls := 0;
+      decode_calls := 0;
+      match
+        MCC.check_exhaustive
+          ~invariant:(fun st ->
+            Core.snapshot_invariant cfg inputs
+              { MC.locals = st.MCC.locals; registers = st.MCC.registers })
+          ~cfg ~wiring ~inputs ()
+      with
+      | MCC.Dfs_ok s ->
+          Alcotest.(check int) "no decode calls" 0 !decode_calls;
+          let budget = (2 * s.MCC.dfs_transitions) + components in
+          if !encode_calls > budget then
+            Alcotest.failf "%d encode calls for %d transitions (budget %d)"
+              !encode_calls s.MCC.dfs_transitions budget
+      | _ -> Alcotest.fail "snapshot n=2 must verify")
+    (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
+
 let () =
   Alcotest.run "modelcheck"
     [
@@ -601,6 +752,10 @@ let () =
           Alcotest.test_case "invariant violation" `Quick
             test_explore_finds_invariant_violation;
           Alcotest.test_case "state limit" `Quick test_explore_state_limit;
+          Alcotest.test_case "successor_key = successor + encode, all codecs"
+            `Quick test_successor_key_all_codecs;
+          Alcotest.test_case "DFS codec call budget" `Quick
+            test_dfs_codec_call_budget;
           Alcotest.test_case "trace reconstruction" `Quick test_trace_reconstruction;
         ] );
       ( "wait-freedom",

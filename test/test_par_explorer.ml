@@ -717,6 +717,59 @@ let test_ws_state_limit_mid_steal () =
       Alcotest.(check bool) "limit reached" true (k >= 100)
   | _ -> Alcotest.fail "state limit must yield Ws_state_limit"
 
+(* Every engine draws the [max_states] line in the same place: a limit is
+   reported only when a state beyond the bound was discovered.  Figure 3
+   at n=2 (identity wiring, inputs 1,2) has 2,827 states, so a bound of
+   2,827 explores the whole space and 2,826 trips every engine.  The
+   work-stealing pool runs on one domain here: concurrent interns may
+   overshoot its bound by in-flight creates. *)
+let test_state_limit_boundary () =
+  let cfg = Snap.standard ~n:2 in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let inputs = [| 1; 2 |] in
+  let space = 2827 in
+  let open SnapDiff in
+  let unexpected name = Alcotest.failf "%s: unexpected verdict" name in
+  (* [Ok states] for a completed exploration, [Error ()] for a limit. *)
+  let engines max_states =
+    [
+      ( "BFS",
+        match E.explore ~max_states ~cfg ~wiring ~inputs () with
+        | E.Explored sp -> Ok (E.state_count sp)
+        | E.State_limit _ -> Error ()
+        | _ -> unexpected "BFS" );
+      ( "DFS",
+        match E.check_exhaustive ~max_states ~cfg ~wiring ~inputs () with
+        | E.Dfs_ok s -> Ok s.E.dfs_states
+        | E.Dfs_state_limit _ -> Error ()
+        | _ -> unexpected "DFS" );
+      ( "fingerprint",
+        match E.explore_fp ~max_states ~cfg ~wiring ~inputs () with
+        | E.Fp_explored s -> Ok s.E.fp_states
+        | E.Fp_state_limit _ -> Error ()
+        | _ -> unexpected "fingerprint" );
+      ( "parallel",
+        match Par.explore ~max_states ~domains:2 ~cfg ~wiring ~inputs () with
+        | Par.Par_ok { stats; _ } -> Ok stats.Par.states
+        | Par.Par_state_limit _ -> Error ()
+        | _ -> unexpected "parallel" );
+      ( "work-stealing",
+        match Ws.explore ~max_states ~domains:1 ~cfg ~wiring ~inputs () with
+        | Ws.Ws_ok { stats; _ } -> Ok stats.Ws.states
+        | Ws.Ws_state_limit _ -> Error ()
+        | _ -> unexpected "work-stealing" );
+    ]
+  in
+  let verdict = Alcotest.(result int unit) in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.check verdict (name ^ ": bound = space") (Ok space) r)
+    (engines space);
+  List.iter
+    (fun (name, r) ->
+      Alcotest.check verdict (name ^ ": bound = space - 1") (Error ()) r)
+    (engines (space - 1))
+
 let test_ws_violation_mid_steal () =
   (* A planted violation with 4 domains on one core: the first worker to
      see it (owner or thief) publishes through the violation cell, the
@@ -1011,5 +1064,7 @@ let () =
         [
           Alcotest.test_case "structured processor-count rejection" `Quick
             test_processor_limits_structured;
+          Alcotest.test_case "state bound agrees across engines" `Quick
+            test_state_limit_boundary;
         ] );
     ]
