@@ -272,6 +272,9 @@ let check_snapshot_cmd =
   let run n max_states crashes par par_ws fingerprint fp_ram_mb reduce
       checkpoint resume max_seconds =
     refusing_unusable @@ fun () ->
+    let max_fp_ram_mb =
+      Modelcheck.Fingerprint_set.max_ram_budget_bytes / (1024 * 1024)
+    in
     if par < 1 then `Error (true, "--par must be at least 1")
     else if par_ws < 0 then `Error (true, "--par-ws must be at least 1")
     else if par_ws > 0 && par > 1 then
@@ -285,6 +288,9 @@ let check_snapshot_cmd =
           "--par-ws has no checkpoint support; use --max-seconds for bounded \
            runs" )
     else if fp_ram_mb < 1 then `Error (true, "--fp-ram-mb must be at least 1")
+    else if fp_ram_mb > max_fp_ram_mb then
+      `Error
+        (true, Printf.sprintf "--fp-ram-mb must be at most %d" max_fp_ram_mb)
     else if
       (not fingerprint) && par > 1
       && (checkpoint <> None || max_seconds <> None)

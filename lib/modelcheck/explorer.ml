@@ -1231,7 +1231,9 @@ module Make (P : CHECKABLE) = struct
             | Some d -> d
             | None -> assert false (* resume implies a checkpoint path *)
           in
-          let fps = Fingerprint_set.of_sections ~dir sections in
+          let fps =
+            Fingerprint_set.of_sections ~ram_budget_bytes ~dir sections
+          in
           let c =
             Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections)
           in

@@ -1,13 +1,15 @@
 (* Disk-spillable 64-bit fingerprint sets (see the .mli for the design).
 
-   Fingerprints are true 64-bit FNV-1a values, but the hot paths never
-   box an Int64: a fingerprint is carried as two nonnegative native ints
-   (hi, lo), each below 2^32, and the multiply by the FNV prime
-   p = 2^40 + 0x1b3 is done mod 2^64 in that split representation
-   (every intermediate fits well below 2^62).  The RAM tier is one flat
-   [Bytes] of 8-byte little-endian slots — no per-entry allocation — and
-   spill runs are the same 8-byte words, sorted, behind a checksummed
-   header. *)
+   A fingerprint is a true 64-bit FNV-1a value.  The hash loop runs on an
+   unboxed [Int64] local (the native multiply wraps mod 2^64, which is
+   exactly FNV), and every fingerprint at rest is a raw 64-bit word: an
+   8-byte little-endian slot of a [Bytes] (the RAM tier, run images) or
+   an element of an [int64] Bigarray (the per-batch candidates and sort
+   buffers).  Loads of either compare unboxed, so hashing, probing,
+   sorting and merging allocate nothing per key.  Ordering splits a
+   fingerprint into two nonnegative native ints (hi, lo), each below
+   2^32, and compares those ([lt]).  Spill runs are the tier's slots,
+   sorted, behind a checksummed header. *)
 
 (* The last three bytes are the format version; bump them whenever the
    run layout or [Checkpoint.checksum] changes. *)
@@ -15,51 +17,96 @@ let run_magic_family = "FPRUN"
 let run_magic = run_magic_family ^ "002"
 
 (* ------------------------------------------------------------------ *)
-(* Split 64-bit FNV-1a                                                  *)
+(* 64-bit FNV-1a and the (hi, lo) representation                        *)
 (* ------------------------------------------------------------------ *)
 
-let basis_hi = 0xcbf29ce4
-let basis_lo = 0x84222325
+let fnv_basis = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
 let mask32 = 0xffffffff
 
-(* (hi:32, lo:32) * (2^40 + 0x1b3) mod 2^64:
-   h * 2^40 ≡ lo * 2^40 (mod 2^64), whose high word is lo lsl 8;
-   h * 0x1b3 splits into per-word products with one carry. *)
-let[@inline] fnv_step hi lo byte =
-  let lo = lo lxor byte in
-  let lo_t = lo * 0x1b3 in
-  let hi_t = (hi * 0x1b3) + ((lo lsl 8) land mask32) + (lo_t lsr 32) in
-  (hi_t land mask32, lo_t land mask32)
-
-let fp_of_key key =
-  let hi = ref basis_hi and lo = ref basis_lo in
-  for i = 0 to String.length key - 1 do
-    let h, l = fnv_step !hi !lo (Char.code (String.unsafe_get key i)) in
-    hi := h;
-    lo := l
-  done;
-  (* (0, 0) is the tier's empty marker *)
-  if !hi = 0 && !lo = 0 then (0, 1) else (!hi, !lo)
-
 let fingerprint key =
-  let hi, lo = fp_of_key key in
+  let h = ref fnv_basis in
+  for i = 0 to String.length key - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get key i))))
+        fnv_prime
+  done;
+  (* 0 is the tier's empty marker *)
+  if !h = 0L then 1L else !h
+
+let[@inline] hi_of (w : int64) = Int64.to_int (Int64.shift_right_logical w 32)
+let[@inline] lo_of (w : int64) = Int64.to_int w land mask32
+
+(* Functions with loops are never inlined, and an [int64] argument to a
+   call is boxed; so those take a fingerprint as its (hi, lo) halves and
+   rebuild it with [join], which stays unboxed. *)
+let[@inline] join hi lo =
   Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
 
-let[@inline] fp_compare h1 l1 h2 l2 =
-  if h1 <> h2 then compare h1 h2 else compare l1 l2
+(* Ascending unsigned 64-bit order, as integer compares on the (hi, lo)
+   halves: monomorphic, so never a [caml_compare] call. *)
+let[@inline] lt (x : int64) (y : int64) =
+  let hx = hi_of x and hy = hi_of y in
+  hx < hy || (hx = hy && lo_of x < lo_of y)
 
-(* 8-byte LE slot accessors built from unboxed 16-bit reads. *)
-let[@inline] read_lo b off =
-  Bytes.get_uint16_le b off lor (Bytes.get_uint16_le b (off + 2) lsl 16)
+let[@inline] imin (a : int) b = if a < b then a else b
 
-let[@inline] read_hi b off =
-  Bytes.get_uint16_le b (off + 4) lor (Bytes.get_uint16_le b (off + 6) lsl 16)
+(* Scratch arrays live outside the OCaml heap: the per-batch ones are
+   held across batches, and as heap blocks they would raise the live size
+   the major GC paces against. *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type fps = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let[@inline] write_fp b off hi lo =
-  Bytes.set_uint16_le b off (lo land 0xffff);
-  Bytes.set_uint16_le b (off + 2) (lo lsr 16);
-  Bytes.set_uint16_le b (off + 4) (hi land 0xffff);
-  Bytes.set_uint16_le b (off + 6) (hi lsr 16)
+let ints n : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+let fps n : fps = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n
+
+(* Merge sort of the fingerprints [a.{0 .. n-1}] in ascending order,
+   using [b] (at least [n] long) as the other buffer; returns whichever
+   of the two holds the result.  Blocks of 16 are insertion-sorted in
+   place, then merged bottom-up, ping-ponging between the buffers. *)
+let sort_fps (a : fps) (b : fps) n =
+  let block = 16 in
+  let b0 = ref 0 in
+  while !b0 < n do
+    let stop = imin n (!b0 + block) in
+    for i = !b0 + 1 to stop - 1 do
+      let x = a.{i} in
+      let j = ref (i - 1) in
+      while !j >= !b0 && lt x a.{!j} do
+        a.{!j + 1} <- a.{!j};
+        decr j
+      done;
+      a.{!j + 1} <- x
+    done;
+    b0 := stop
+  done;
+  let src = ref a and dst = ref b in
+  let width = ref block in
+  while !width < n do
+    let s = !src and d = !dst in
+    let start = ref 0 in
+    while !start < n do
+      let mid = imin n (!start + !width) in
+      let stop = imin n (mid + !width) in
+      let i = ref !start and j = ref mid in
+      for k = !start to stop - 1 do
+        if !j >= stop || (!i < mid && not (lt s.{!j} s.{!i})) then begin
+          d.{k} <- s.{!i};
+          incr i
+        end
+        else begin
+          d.{k} <- s.{!j};
+          incr j
+        end
+      done;
+      start := stop
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  !src
 
 (* ------------------------------------------------------------------ *)
 (* The set                                                              *)
@@ -77,6 +124,17 @@ type t = {
   mutable total : int;
   mutable runs : run array;  (** index i lives at [run_path t i] *)
   mutable spill_bytes : int;
+  (* Per-batch scratch, grow-only and reused across [add_batch] calls.
+     Candidate [k] is the [k]-th tier miss of the batch (after
+     deduplication, the [k]-th distinct one), in arrival order:
+     fingerprint [cands.{k}], batch index [cand_key.{k}]. *)
+  mutable cands : fps;
+  mutable cand_key : ints;
+  mutable seen : ints;
+      (** open addressing over the distinct candidates: [k + 1], 0 = empty *)
+  mutable sorted : fps;  (** the two buffers of the candidates' sort *)
+  mutable sort_tmp : fps;
+  mutable run_buf : Bytes.t;  (** the run image being merged *)
 }
 
 let corrupt fmt =
@@ -90,6 +148,22 @@ let capacity_of_budget budget =
   let rec go c = if c * 2 <= want then go (c * 2) else c in
   go 64
 
+(* The tier is one [Bytes] of [capacity * 8] bytes.  Budgets round down
+   to a power-of-two capacity, so every budget below twice the largest
+   power of two that fits in a string is accepted. *)
+let max_ram_budget_bytes =
+  let rec go p = if p * 2 <= Sys.max_string_length then go (p * 2) else p in
+  (2 * go 1) - 1
+
+let checked_capacity ram_budget_bytes =
+  if ram_budget_bytes > max_ram_budget_bytes then
+    invalid_arg
+      (Printf.sprintf
+         "Fingerprint_set.create: a %d-byte RAM budget exceeds the largest \
+          tier a string can hold (%d bytes)"
+         ram_budget_bytes max_ram_budget_bytes);
+  capacity_of_budget ram_budget_bytes
+
 let make_dir = function
   | Some dir ->
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -100,9 +174,7 @@ let make_dir = function
       Unix.mkdir dir 0o700;
       (dir, true)
 
-let create ?(ram_budget_bytes = 64 * 1024 * 1024) ?dir () =
-  let cap = capacity_of_budget ram_budget_bytes in
-  let dir, owns_dir = make_dir dir in
+let make ~cap ~dir ~owns_dir =
   {
     slots = Bytes.make (cap * 8) '\000';
     mask = cap - 1;
@@ -113,7 +185,18 @@ let create ?(ram_budget_bytes = 64 * 1024 * 1024) ?dir () =
     total = 0;
     runs = [||];
     spill_bytes = 0;
+    cands = fps 0;
+    cand_key = ints 0;
+    seen = ints 0;
+    sorted = fps 0;
+    sort_tmp = fps 0;
+    run_buf = Bytes.empty;
   }
+
+let create ?(ram_budget_bytes = 64 * 1024 * 1024) ?dir () =
+  let cap = checked_capacity ram_budget_bytes in
+  let dir, owns_dir = make_dir dir in
+  make ~cap ~dir ~owns_dir
 
 let cardinal t = t.total
 let resident t = t.resident
@@ -125,29 +208,55 @@ let omission_bound t =
   n *. n *. ldexp 1.0 (-64)
 
 (* Linear probing; the tier never exceeds 3/4 load, so probes terminate. *)
-let[@inline] slot_index t hi lo = (lo lxor hi) land t.mask
+let[@inline] slot_index mask hi lo = (hi lxor lo) land mask
 
 let tier_mem t hi lo =
-  let rec go i =
-    let off = i * 8 in
-    let shi = read_hi t.slots off and slo = read_lo t.slots off in
-    if shi = 0 && slo = 0 then false
-    else if shi = hi && slo = lo then true
-    else go ((i + 1) land t.mask)
-  in
-  go (slot_index t hi lo)
+  let x = join hi lo in
+  let i = ref (slot_index t.mask hi lo) in
+  while
+    let w = Bytes.get_int64_le t.slots (!i * 8) in
+    not (w = x || w = 0L)
+  do
+    i := (!i + 1) land t.mask
+  done;
+  Bytes.get_int64_le t.slots (!i * 8) = x
 
 (* Only for fingerprints known absent; respects the load bound via the
    caller's spill discipline. *)
 let tier_insert t hi lo =
-  let rec go i =
-    let off = i * 8 in
-    if read_hi t.slots off = 0 && read_lo t.slots off = 0 then
-      write_fp t.slots off hi lo
-    else go ((i + 1) land t.mask)
-  in
-  go (slot_index t hi lo);
+  let x = join hi lo in
+  let i = ref (slot_index t.mask hi lo) in
+  while Bytes.get_int64_le t.slots (!i * 8) <> 0L do
+    i := (!i + 1) land t.mask
+  done;
+  Bytes.set_int64_le t.slots (!i * 8) x;
   t.resident <- t.resident + 1
+
+(* Hash [key] and probe the RAM tier in one pass.  Returns [true] iff the
+   fingerprint is absent from the tier, having stored it at
+   [t.cands.{k}].  One function body, so the [Int64] running hash never
+   leaves a register. *)
+let hash_and_probe t key k =
+  let h = ref fnv_basis in
+  for i = 0 to String.length key - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get key i))))
+        fnv_prime
+  done;
+  if !h = 0L then h := 1L;
+  let slots = t.slots and mask = t.mask in
+  let i = ref (slot_index mask (hi_of !h) (lo_of !h)) in
+  let w = ref (Bytes.get_int64_le slots (!i * 8)) in
+  while not (!w = !h || !w = 0L) do
+    i := (!i + 1) land mask;
+    w := Bytes.get_int64_le slots (!i * 8)
+  done;
+  if !w = 0L then begin
+    t.cands.{k} <- !h;
+    true
+  end
+  else false
 
 (* ------------------------------------------------------------------ *)
 (* Spilling and run files                                               *)
@@ -168,28 +277,23 @@ let read_u64 b off =
 let spill t =
   if t.resident > 0 then begin
     let n = t.resident in
-    let hi = Array.make n 0 and lo = Array.make n 0 in
+    let vals = fps n in
     let j = ref 0 in
     for i = 0 to t.mask do
-      let off = i * 8 in
-      let shi = read_hi t.slots off and slo = read_lo t.slots off in
-      if not (shi = 0 && slo = 0) then begin
-        hi.(!j) <- shi;
-        lo.(!j) <- slo;
+      let x = Bytes.get_int64_le t.slots (i * 8) in
+      if x <> 0L then begin
+        vals.{!j} <- x;
         incr j
       end
     done;
-    let order = Array.init n Fun.id in
-    Array.sort (fun a b -> fp_compare hi.(a) lo.(a) hi.(b) lo.(b)) order;
-    let payload = Bytes.create (n * 8) in
-    Array.iteri
-      (fun k idx -> write_fp payload (k * 8) hi.(idx) lo.(idx))
-      order;
-    let sum = Checkpoint.checksum payload 0 (Bytes.length payload) in
+    let vals = sort_fps vals (fps n) n in
     let img = Bytes.create (16 + (n * 8) + 8) in
     Bytes.blit_string run_magic 0 img 0 8;
     write_u64 img 8 n;
-    Bytes.blit payload 0 img 16 (n * 8);
+    for k = 0 to n - 1 do
+      Bytes.set_int64_le img (16 + (k * 8)) vals.{k}
+    done;
+    let sum = Checkpoint.checksum img 16 (n * 8) in
     write_u64 img (16 + (n * 8)) sum;
     let idx = Array.length t.runs in
     let path = run_path t idx in
@@ -206,21 +310,26 @@ let spill t =
     t.resident <- 0
   end
 
-(* Read one run fully, verifying framing and its trailer checksum (and,
-   when a manifest pinned it, the manifest's count/checksum too). *)
+(* Read run [idx] into [t.run_buf], verifying framing and its trailer
+   checksum against the manifest's count and checksum; returns the
+   fingerprint count.  The payload sits at [t.run_buf] offset 16. *)
 let read_run t idx =
   let path = run_path t idx in
-  let img =
+  let len =
     try
       let ic = open_in_bin path in
       let len = in_channel_length ic in
-      let b = Bytes.create len in
-      really_input ic b 0 len;
+      if Bytes.length t.run_buf < len then t.run_buf <- Bytes.create len;
+      (try really_input ic t.run_buf 0 len
+       with End_of_file ->
+         close_in_noerr ic;
+         corrupt "Fingerprint_set: run %d shrank while being read" idx);
       close_in ic;
-      b
+      len
     with Sys_error e -> corrupt "Fingerprint_set: run %d unreadable: %s" idx e
   in
-  if Bytes.length img < 24 then corrupt "Fingerprint_set: run %d truncated" idx;
+  let img = t.run_buf in
+  if len < 24 then corrupt "Fingerprint_set: run %d truncated" idx;
   let found = Bytes.sub_string img 0 8 in
   if not (String.equal found run_magic) then
     if String.starts_with ~prefix:run_magic_family found then
@@ -230,7 +339,7 @@ let read_run t idx =
         idx found run_magic
     else corrupt "Fingerprint_set: run %d has a bad magic" idx;
   let count = read_u64 img 8 in
-  if Bytes.length img <> 24 + (count * 8) then
+  if len <> 24 + (count * 8) then
     corrupt "Fingerprint_set: run %d length does not match its header" idx;
   let sum = Checkpoint.checksum img 16 (count * 8) in
   if sum <> read_u64 img (16 + (count * 8)) then
@@ -238,86 +347,112 @@ let read_run t idx =
   let r = t.runs.(idx) in
   if r.count <> count || r.sum <> sum then
     corrupt "Fingerprint_set: run %d does not match the manifest" idx;
-  (img, count)
+  count
 
 (* ------------------------------------------------------------------ *)
 (* Batch membership + insertion                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* [a] if it has room for [n] entries, else a fresh, uninitialised
+   buffer at least half again as long. *)
+let grow a n make =
+  let dim = Bigarray.Array1.dim a in
+  if dim >= n then a else make (max n (dim + (dim / 2)))
+
+(* Open-addressing slot of fingerprint [(hi, lo)] in [t.seen] under
+   [smask]: either empty or the entry of the candidate equal to it. *)
+let seen_slot t smask hi lo =
+  let seen = t.seen and cands = t.cands and x = join hi lo in
+  let i = ref (slot_index smask hi lo) in
+  while seen.{!i} <> 0 && cands.{seen.{!i} - 1} <> x do
+    i := (!i + 1) land smask
+  done;
+  !i
+
+(* Compact the [n] tier misses to their first arrivals, in order, and
+   return how many remain with the index mask, [t.seen] then indexing
+   them.  [t.seen] stays at most half full; the part this batch uses is
+   cleared first, so a batch aborted by a corrupt run leaves no debt. *)
+let dedupe t n =
+  let size = ref 64 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  t.seen <- grow t.seen !size ints;
+  Bigarray.Array1.(fill (sub t.seen 0 !size) 0);
+  let smask = !size - 1 in
+  let cands = t.cands and keys = t.cand_key in
+  let m = ref 0 in
+  for k = 0 to n - 1 do
+    let x = cands.{k} in
+    let i = seen_slot t smask (hi_of x) (lo_of x) in
+    if t.seen.{i} = 0 then begin
+      cands.{!m} <- x;
+      keys.{!m} <- keys.{k};
+      incr m;
+      t.seen.{i} <- !m
+    end
+  done;
+  (!m, smask)
+
+(* One sequential pass of the [nc] sorted candidates against the run
+   image in [t.run_buf]: a candidate found there is not fresh. *)
+let merge_run t res (sorted : fps) count nc smask =
+  let buf = t.run_buf in
+  let j = ref 0 and e = ref 0 in
+  while !j < nc && !e < count do
+    let x = sorted.{!j} and w = Bytes.get_int64_le buf (16 + (!e * 8)) in
+    if x = w then begin
+      let i = seen_slot t smask (hi_of x) (lo_of x) in
+      res.(t.cand_key.{t.seen.{i} - 1}) <- false;
+      incr j;
+      incr e
+    end
+    else if lt x w then incr j
+    else incr e
+  done
+
 let add_batch t keys =
   let n = Array.length keys in
   let res = Array.make n false in
-  if n > 0 then begin
-    let hi = Array.make n 0 and lo = Array.make n 0 in
-    for i = 0 to n - 1 do
-      let h, l = fp_of_key keys.(i) in
-      hi.(i) <- h;
-      lo.(i) <- l
-    done;
-    (* Representatives: sort by (fingerprint, arrival); the first of each
-       equal-fingerprint group speaks for the batch, the rest are dups. *)
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun a b ->
-        let c = fp_compare hi.(a) lo.(a) hi.(b) lo.(b) in
-        if c <> 0 then c else compare a b)
-      order;
-    let cand = Array.make n 0 in
-    let alive = Array.make n false in
-    let nc = ref 0 in
-    Array.iteri
-      (fun k idx ->
-        let first_of_group =
-          k = 0
-          ||
-          let p = order.(k - 1) in
-          fp_compare hi.(p) lo.(p) hi.(idx) lo.(idx) <> 0
-        in
-        if first_of_group && not (tier_mem t hi.(idx) lo.(idx)) then begin
-          cand.(!nc) <- idx;
-          alive.(!nc) <- true;
-          incr nc
-        end)
-      order;
-    (* Merge the sorted candidates against each sorted run: one
-       sequential pass per run per batch. *)
-    if !nc > 0 then
-      for r = 0 to Array.length t.runs - 1 do
-        let img, count = read_run t r in
-        let j = ref 0 in
-        (* skip candidates already found in an earlier run as we go *)
-        for e = 0 to count - 1 do
-          let off = 16 + (e * 8) in
-          let rh = read_hi img off and rl = read_lo img off in
-          let rec advance () =
-            if !j < !nc then begin
-              let c = cand.(!j) in
-              let cmp = fp_compare hi.(c) lo.(c) rh rl in
-              if cmp < 0 then begin
-                incr j;
-                advance ()
-              end
-              else if cmp = 0 then begin
-                alive.(!j) <- false;
-                incr j
-              end
-            end
-          in
-          advance ()
-        done
-      done;
-    (* Insert the survivors (ascending fingerprint order — deterministic),
-       spilling whenever the tier hits its load threshold. *)
-    for k = 0 to !nc - 1 do
-      if alive.(k) then begin
-        let idx = cand.(k) in
-        if t.resident >= t.threshold then spill t;
-        tier_insert t hi.(idx) lo.(idx);
-        t.total <- t.total + 1;
-        res.(idx) <- true
-      end
+  t.cands <- grow t.cands n fps;
+  t.cand_key <- grow t.cand_key n ints;
+  (* Hash each key and filter by the RAM tier, in arrival order. *)
+  let misses = ref 0 in
+  for i = 0 to n - 1 do
+    if hash_and_probe t (Array.unsafe_get keys i) !misses then begin
+      t.cand_key.{!misses} <- i;
+      incr misses
+    end
+  done;
+  (* The first arrival of each fingerprint speaks for the batch. *)
+  let nc, smask = dedupe t !misses in
+  for k = 0 to nc - 1 do
+    res.(t.cand_key.{k}) <- true
+  done;
+  (* Merge the sorted candidates against each sorted run: one sequential
+     pass per run per batch.  Every run is read and verified before any
+     candidate is admitted. *)
+  let nruns = Array.length t.runs in
+  if nc > 0 && nruns > 0 then begin
+    t.sorted <- grow t.sorted nc fps;
+    t.sort_tmp <- grow t.sort_tmp nc fps;
+    Bigarray.Array1.(blit (sub t.cands 0 nc) (sub t.sorted 0 nc));
+    let sorted = sort_fps t.sorted t.sort_tmp nc in
+    for r = 0 to nruns - 1 do
+      merge_run t res sorted (read_run t r) nc smask
     done
   end;
+  (* Insert the survivors in arrival order, spilling whenever the tier
+     hits its load threshold. *)
+  for k = 0 to nc - 1 do
+    if res.(t.cand_key.{k}) then begin
+      if t.resident >= t.threshold then spill t;
+      let x = t.cands.{k} in
+      tier_insert t (hi_of x) (lo_of x);
+      t.total <- t.total + 1
+    end
+  done;
   res
 
 (* ------------------------------------------------------------------ *)
@@ -328,10 +463,9 @@ let to_sections t =
   let ram = Bytes.create (t.resident * 8) in
   let j = ref 0 in
   for i = 0 to t.mask do
-    let off = i * 8 in
-    let shi = read_hi t.slots off and slo = read_lo t.slots off in
-    if not (shi = 0 && slo = 0) then begin
-      write_fp ram (!j * 8) shi slo;
+    let x = Bytes.get_int64_le t.slots (i * 8) in
+    if x <> 0L then begin
+      Bytes.set_int64_le ram (!j * 8) x;
       incr j
     end
   done;
@@ -349,13 +483,17 @@ let to_sections t =
     ("fp_manifest", Checkpoint.bytes_of_ints manifest);
   ]
 
-let of_sections ~dir sections =
+let of_sections ~ram_budget_bytes ~dir sections =
   let meta = Checkpoint.ints_of_bytes (Checkpoint.find "fp_meta" sections) in
   if Array.length meta <> 5 then
     corrupt "Fingerprint_set: meta section of wrong length";
-  let cap = meta.(0) in
-  if cap < 64 || cap land (cap - 1) <> 0 then
-    corrupt "Fingerprint_set: invalid tier capacity %d" cap;
+  let cap = meta.(0) and resident = meta.(1) and total = meta.(2) in
+  let expected = checked_capacity ram_budget_bytes in
+  if cap <> expected then
+    corrupt
+      "Fingerprint_set: tier capacity %d does not match the %d slots of a \
+       %d-byte budget"
+      cap expected ram_budget_bytes;
   let manifest =
     Checkpoint.ints_of_bytes (Checkpoint.find "fp_manifest" sections)
   in
@@ -364,30 +502,37 @@ let of_sections ~dir sections =
   let nruns = Array.length manifest / 2 in
   if nruns <> meta.(3) then
     corrupt "Fingerprint_set: manifest run count disagrees with meta";
-  let dir, owns_dir = make_dir (Some dir) in
-  ignore owns_dir;
-  let t =
-    {
-      slots = Bytes.make (cap * 8) '\000';
-      mask = cap - 1;
-      threshold = cap * 3 / 4;
-      dir;
-      owns_dir = false;
-      resident = 0;
-      total = meta.(2);
-      runs =
-        Array.init nruns (fun i ->
-            { count = manifest.(2 * i); sum = manifest.((2 * i) + 1) });
-      spill_bytes = meta.(4);
-    }
+  let runs =
+    Array.init nruns (fun i ->
+        { count = manifest.(2 * i); sum = manifest.((2 * i) + 1) })
   in
+  (* Every fingerprint is resident or in exactly one run, and every run
+     file is its payload plus 24 bytes of framing. *)
+  let spilled = Array.fold_left (fun acc r -> acc + r.count) 0 runs in
+  if total < resident || total <> resident + spilled then
+    corrupt
+      "Fingerprint_set: %d fingerprints do not add up to %d resident plus %d \
+       spilled"
+      total resident spilled;
+  if meta.(4) <> (24 * nruns) + (8 * spilled) then
+    corrupt "Fingerprint_set: spill byte count disagrees with the manifest";
   let ram = Checkpoint.find "fp_ram" sections in
-  if Bytes.length ram <> meta.(1) * 8 then
+  if Bytes.length ram <> resident * 8 then
     corrupt "Fingerprint_set: RAM section does not match its meta count";
-  if meta.(1) > t.threshold then
+  if resident > cap * 3 / 4 then
     corrupt "Fingerprint_set: RAM section exceeds the tier load bound";
-  for i = 0 to meta.(1) - 1 do
-    tier_insert t (read_hi ram (i * 8)) (read_lo ram (i * 8))
+  let dir, _ = make_dir (Some dir) in
+  let t = make ~cap ~dir ~owns_dir:false in
+  t.total <- total;
+  t.runs <- runs;
+  t.spill_bytes <- meta.(4);
+  for i = 0 to resident - 1 do
+    let x = Bytes.get_int64_le ram (i * 8) in
+    if x = 0L then
+      corrupt "Fingerprint_set: RAM section holds the empty marker";
+    if tier_mem t (hi_of x) (lo_of x) then
+      corrupt "Fingerprint_set: RAM section holds a fingerprint twice";
+    tier_insert t (hi_of x) (lo_of x)
   done;
   (* Pin every run file now: a corrupted or missing spill must fail the
      resume, not silently admit states at the next probe. *)

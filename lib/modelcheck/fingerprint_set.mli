@@ -7,12 +7,17 @@
     open-addressing RAM tier (8 bytes per slot, capacity = budget / 8);
     when the tier reaches 3/4 load it is {e spilled}: the resident
     fingerprints are sorted and written as one immutable run file, and
-    the tier is cleared.  Membership is therefore decided in two steps —
-    probe the RAM tier, then merge the (sorted) batch of still-unknown
-    candidates against every sorted run in one sequential pass per run.
-    Batching is what makes the disk tier affordable: the explorers probe
-    one BFS layer (up to [batch] states) at a time, so each run is
-    streamed once per layer, not once per state.
+    the tier is cleared.
+
+    {!add_batch} decides a whole batch in three steps.  Each key is
+    hashed once and probed against the RAM tier, in arrival order.  The
+    tier misses are deduplicated with a batch-local hash index, so the
+    first arrival of each fingerprint speaks for the batch.  Only when
+    runs exist are those candidates sorted and merged against every run
+    in one sequential pass per run.  Batching is what makes the disk
+    tier affordable: the explorers probe one BFS layer (up to [batch]
+    states) at a time, so each run is streamed once per layer, not once
+    per state.
 
     Hash compaction is {e lossy}: two distinct states colliding on all 64
     bits makes the second one silently "already visited", omitting its
@@ -24,11 +29,14 @@
     authority wherever they fit in RAM).
 
     Run files are checksummed ({!Checkpoint.checksum}) and verified on
-    {e every} probe pass and on resume; corruption raises
+    {e every} probe pass that merges against them, before any key of the
+    batch is admitted, and on resume; corruption raises
     {!Checkpoint.Corrupt_checkpoint} rather than silently admitting
-    states.  The set checkpoints as sections ({!to_sections} /
-    {!of_sections}): the RAM tier is serialized, the run files stay on
-    disk and are pinned by a manifest of (count, checksum) pairs. *)
+    states.  That pass re-reads and re-checksums every run, so its cost
+    grows with the bytes spilled, once per batch.  The set checkpoints
+    as sections ({!to_sections} / {!of_sections}): the RAM tier is
+    serialized, the run files stay on disk and are pinned by a manifest
+    of (count, checksum) pairs. *)
 
 type t
 
@@ -37,7 +45,13 @@ val create : ?ram_budget_bytes:int -> ?dir:string -> unit -> t
     [ram_budget_bytes] (default 64 MiB; rounded down to a power-of-two
     slot count, minimum 64 slots).  Spill runs are written under [dir]
     (created if missing); when [dir] is omitted a private directory is
-    created under the system temp dir and removed by {!close}. *)
+    created under the system temp dir and removed by {!close}.
+    Raises [Invalid_argument] when [ram_budget_bytes] exceeds
+    {!max_ram_budget_bytes}. *)
+
+val max_ram_budget_bytes : int
+(** The largest budget {!create} accepts: the tier is one [Bytes], so
+    its [capacity * 8] bytes must not exceed [Sys.max_string_length]. *)
 
 val fingerprint : string -> int64
 (** The 64-bit FNV-1a fingerprint of a key, as the engines compute it
@@ -78,11 +92,17 @@ val to_sections : t -> (string * Bytes.t) list
     files are {e not} copied — they are immutable once written, so the
     manifest pins them in place. *)
 
-val of_sections : dir:string -> (string * Bytes.t) list -> t
+val of_sections :
+  ram_budget_bytes:int -> dir:string -> (string * Bytes.t) list -> t
 (** Rebuild a set from {!to_sections} sections, with run files expected
-    under [dir].  Every manifest entry is verified against its file
-    (magic, count, full checksum); any mismatch, truncation or missing
-    file raises [Checkpoint.Corrupt_checkpoint]. *)
+    under [dir].  [ram_budget_bytes] is the budget the set was created
+    with, and the tier capacity must be the one {!create} picks for it.
+    The counts must add up (every fingerprint is resident or in exactly
+    one run, every run costs its payload plus 24 bytes), the RAM section
+    must hold distinct non-zero fingerprints, and every manifest entry
+    is verified against its file (magic, count, full checksum); any
+    mismatch, truncation or missing file raises
+    [Checkpoint.Corrupt_checkpoint]. *)
 
 val close : ?keep_runs:bool -> t -> unit
 (** Delete the run files (and the spill directory, when the set created

@@ -2,7 +2,8 @@
 # Pin the anonsim exit-code contract end to end:
 #   0 = clean pass, 2 = violation / refuted invariant,
 #   3 = resource budget exhausted, 4 = interrupted,
-#   5 = checkpoint or journal unusable (restart without --resume).
+#   5 = checkpoint or journal unusable (restart without --resume),
+#   124 = command-line usage error.
 # Usage: test_exit_codes.sh /path/to/anonsim.exe
 set -u
 
@@ -30,6 +31,11 @@ expect 0 inductive -n 2 --concrete
 
 # refuted invariant: the comparability strengthenings fail induction
 expect 2 inductive -n 2 --clauses candidates
+
+# usage errors (exit 124, cmdliner's): the fingerprint tier's RAM budget
+# must be at least 1 MiB and small enough for the tier to be one string
+expect 124 check-snapshot -n 2 --fingerprint --fp-ram-mb 0
+expect 124 check-snapshot -n 2 --fingerprint --fp-ram-mb 274877906944
 
 # exhausted budget (exit 3): a tiny wall-clock allowance on a big run
 expect 3 inductive -n 3 --max-seconds 0.01

@@ -321,18 +321,31 @@ let test_planted_counterexample () =
 (* The bare set vs a Hashtbl oracle (QCheck).                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The spill accounting every reachable set satisfies: spills happen
+   exactly at the 3/4-load threshold, and each run file is its 8-byte
+   payload plus 24 bytes of framing. *)
+let spill_accounting_holds t =
+  let threshold = Fp.capacity t * 3 / 4 in
+  let spilled = Fp.cardinal t - Fp.resident t in
+  spilled = Fp.spilled_runs t * threshold
+  && Fp.spill_bytes t = (24 * Fp.spilled_runs t) + (8 * spilled)
+  && Fp.resident t <= threshold
+
 let prop_fp_set_model =
-  (* Random batch scripts against an exact oracle under a 1 KiB budget:
-     add_batch must flag exactly the first global occurrence of each key
-     (in-batch duplicates included), across RAM probes, mid-batch spills
-     and sorted-run merges alike.  A false negative here is a hash
-     collision between short ASCII keys — probability ~ 1e-16 per run. *)
+  (* Random batch scripts against an exact oracle under a 1 KiB budget
+     (a 96-fingerprint tier): add_batch must flag exactly the first
+     global occurrence of each key, across RAM probes, mid-batch spills
+     and sorted-run merges alike, and the spill accounting must hold
+     after every batch.  Keys come from a 300-key pool, so in-batch and
+     cross-batch duplicates are common and a script spills up to three
+     times.  A false negative here is a hash collision between short
+     ASCII keys — probability ~ 1e-16 per run. *)
   QCheck.Test.make ~name:"fingerprint set vs Hashtbl oracle (1 KiB budget)"
     ~count:qcheck_count
     QCheck.(
       list_of_size
         Gen.(1 -- 8)
-        (list_of_size Gen.(0 -- 40) (string_of_size Gen.(1 -- 10))))
+        (list_of_size Gen.(0 -- 80) (map (Printf.sprintf "k%d") (0 -- 299))))
     (fun batches ->
       let t = Fp.create ~ram_budget_bytes:1024 () in
       let seen = Hashtbl.create 64 in
@@ -351,20 +364,124 @@ let prop_fp_set_model =
                   end)
                 arr
             in
-            fresh = expect)
+            fresh = expect && spill_accounting_holds t)
           batches
       in
       let ok = ok && Fp.cardinal t = Hashtbl.length seen in
       Fp.close t;
       ok)
 
+let fresh_dir () =
+  let dir = Filename.temp_file "fpset" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  dir
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let test_live_runs_reverified () =
+  (* Runs are re-verified on every probe pass of a live set, not only on
+     resume: a flipped payload byte must fail the next batch that has to
+     consult the runs, before it admits anything; restoring the bytes
+     lets the very same batch through. *)
+  let dir = fresh_dir () in
+  let t = Fp.create ~ram_budget_bytes:1024 ~dir () in
+  ignore (Fp.add_batch t (Array.init 200 (Printf.sprintf "old-%d")));
+  Alcotest.(check bool) "budget forced a spill" true (Fp.spilled_runs t > 0);
+  let run0 = Filename.concat dir "run-0.fpr" in
+  let img = read_file run0 in
+  let flipped = Bytes.of_string img in
+  Bytes.set flipped 20 (Char.chr (Char.code (Bytes.get flipped 20) lxor 0x01));
+  write_file run0 (Bytes.to_string flipped);
+  let batch = Array.init 10 (Printf.sprintf "new-%d") in
+  let before = Fp.cardinal t in
+  (match Fp.add_batch t batch with
+  | exception Modelcheck.Checkpoint.Corrupt_checkpoint _ -> ()
+  | _ -> Alcotest.fail "a corrupted run must fail the next probe pass");
+  Alcotest.(check int) "nothing admitted" before (Fp.cardinal t);
+  write_file run0 img;
+  Alcotest.(check bool) "restored run lets the batch through" true
+    (Array.for_all Fun.id (Fp.add_batch t batch));
+  Alcotest.(check int) "batch admitted" (before + 10) (Fp.cardinal t);
+  Fp.close t;
+  Unix.rmdir dir
+
+(* Sections of a 1 KiB-budget set holding 200 keys: two runs of 96 and
+   8 resident fingerprints. *)
+let with_sections f =
+  let dir = fresh_dir () in
+  let t = Fp.create ~ram_budget_bytes:1024 ~dir () in
+  ignore (Fp.add_batch t (Array.init 200 (Printf.sprintf "key-%d")));
+  Fun.protect
+    ~finally:(fun () ->
+      Fp.close t;
+      Unix.rmdir dir)
+    (fun () -> f ~dir (Fp.to_sections t))
+
+let replace tag b sections =
+  List.map (fun (k, v) -> if k = tag then (k, b) else (k, v)) sections
+
+let with_meta f sections =
+  let meta =
+    Modelcheck.Checkpoint.ints_of_bytes
+      (Modelcheck.Checkpoint.find "fp_meta" sections)
+  in
+  f meta;
+  replace "fp_meta" (Modelcheck.Checkpoint.bytes_of_ints meta) sections
+
+let with_ram f sections =
+  let ram = Bytes.copy (Modelcheck.Checkpoint.find "fp_ram" sections) in
+  f ram;
+  replace "fp_ram" ram sections
+
+let refused ~sub ~dir sections =
+  match Fp.of_sections ~ram_budget_bytes:1024 ~dir sections with
+  | exception Modelcheck.Checkpoint.Corrupt_checkpoint msg ->
+      let found =
+        let n = String.length sub and m = String.length msg in
+        let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) (Printf.sprintf "%S names %S" msg sub) true found
+  | t ->
+      Fp.close ~keep_runs:true t;
+      Alcotest.failf "sections with a bad %s must be refused" sub
+
+let test_sections_capacity_refused () =
+  (* A checksum-valid capacity other than the one the budget gives: a
+     huge one must not reach the allocator, a smaller power of two must
+     not silently shrink the tier. *)
+  with_sections (fun ~dir sections ->
+      Alcotest.(check int) "1 KiB budget, 128 slots" 128
+        (Modelcheck.Checkpoint.ints_of_bytes
+           (Modelcheck.Checkpoint.find "fp_meta" sections)).(0);
+      refused ~sub:"capacity" ~dir
+        (with_meta (fun m -> m.(0) <- 1 lsl 58) sections);
+      refused ~sub:"capacity" ~dir (with_meta (fun m -> m.(0) <- 64) sections))
+
+let test_sections_total_below_resident_refused () =
+  with_sections (fun ~dir sections ->
+      refused ~sub:"resident" ~dir
+        (with_meta (fun m -> m.(2) <- m.(1) - 1) sections))
+
+let test_sections_empty_marker_refused () =
+  with_sections (fun ~dir sections ->
+      refused ~sub:"empty marker" ~dir
+        (with_ram (fun ram -> Bytes.fill ram 8 8 '\000') sections))
+
+let test_sections_duplicate_refused () =
+  with_sections (fun ~dir sections ->
+      refused ~sub:"twice" ~dir
+        (with_ram (fun ram -> Bytes.blit ram 0 ram 8 8) sections))
+
 let test_fp_set_sections_roundtrip () =
   (* to_sections/of_sections must rebuild an equivalent set: same
      cardinal, same spill manifest, and every previously-added key is
      still a duplicate afterwards. *)
-  let dir = Filename.temp_file "fpset" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
+  let dir = fresh_dir () in
   let t = Fp.create ~ram_budget_bytes:1024 ~dir () in
   let keys = Array.init 500 (Printf.sprintf "key-%04d") in
   let fresh = Fp.add_batch t keys in
@@ -372,7 +489,7 @@ let test_fp_set_sections_roundtrip () =
     (Array.for_all Fun.id fresh);
   Alcotest.(check bool) "budget forced a spill" true (Fp.spilled_runs t > 0);
   let sections = Fp.to_sections t in
-  let t' = Fp.of_sections ~dir sections in
+  let t' = Fp.of_sections ~ram_budget_bytes:1024 ~dir sections in
   Alcotest.(check int) "cardinal preserved" (Fp.cardinal t) (Fp.cardinal t');
   Alcotest.(check int) "runs preserved" (Fp.spilled_runs t)
     (Fp.spilled_runs t');
@@ -383,10 +500,8 @@ let test_fp_set_sections_roundtrip () =
   Fp.close t';
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   (* Missing run files must fail the rebuild, not silently admit states. *)
-  let dir2 = Filename.temp_file "fpset" "" in
-  Sys.remove dir2;
-  Unix.mkdir dir2 0o700;
-  (match Fp.of_sections ~dir:dir2 sections with
+  let dir2 = fresh_dir () in
+  (match Fp.of_sections ~ram_budget_bytes:1024 ~dir:dir2 sections with
   | exception Modelcheck.Checkpoint.Corrupt_checkpoint _ -> ()
   | _ -> Alcotest.fail "of_sections with missing runs must raise");
   try Unix.rmdir dir2 with Unix.Unix_error _ -> ()
@@ -402,6 +517,19 @@ let test_fingerprint_function () =
     if fp (Printf.sprintf "probe-%d" i) = 0L then nonzero := false
   done;
   Alcotest.(check bool) "no zero fingerprints" true !nonzero
+
+let test_oversized_budget_refused () =
+  (* The tier is one string: a budget past the largest one must be a
+     named error from [create], not a bare [Bytes.create] failure. *)
+  match Fp.create ~ram_budget_bytes:(Fp.max_ram_budget_bytes + 1) () with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names Fingerprint_set.create" msg)
+        true
+        (String.starts_with ~prefix:"Fingerprint_set.create" msg)
+  | t ->
+      Fp.close t;
+      Alcotest.fail "an oversized budget must be refused"
 
 let () =
   Alcotest.run "fingerprint"
@@ -425,6 +553,19 @@ let () =
             test_starved_budget_spills;
           Alcotest.test_case "sections round-trip" `Quick
             test_fp_set_sections_roundtrip;
+          Alcotest.test_case "live set re-verifies its runs" `Quick
+            test_live_runs_reverified;
+        ] );
+      ( "sections",
+        [
+          Alcotest.test_case "capacity must match the budget" `Quick
+            test_sections_capacity_refused;
+          Alcotest.test_case "total below resident" `Quick
+            test_sections_total_below_resident_refused;
+          Alcotest.test_case "empty marker in the RAM section" `Quick
+            test_sections_empty_marker_refused;
+          Alcotest.test_case "duplicate in the RAM section" `Quick
+            test_sections_duplicate_refused;
         ] );
       ( "sweep",
         [
@@ -443,5 +584,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_fp_set_model;
           Alcotest.test_case "fingerprint function basics" `Quick
             test_fingerprint_function;
+          Alcotest.test_case "oversized budget refused" `Quick
+            test_oversized_budget_refused;
         ] );
     ]
