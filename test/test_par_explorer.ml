@@ -904,6 +904,165 @@ let prop_canon_preserves_projections =
         [ 0; 1; 2 ]
       && regs_of k = regs_of c)
 
+(* Exactness: the representative is the [String.compare] minimum of the
+   reference images ([Canon.apply] / [Canon.apply_masked]) over the
+   group, not merely some orbit element.  Keys embed in checkpoints, so
+   this is what keeps them byte-compatible across canonicalizer
+   rewrites.  Every n=2 and n=3 wiring with every input choice (one
+   class, mixed classes, all distinct) is checked against a reachable
+   key and random keys over a 1-4 symbol alphabet, where images tie
+   often. *)
+
+let canon_all_setups =
+  lazy
+    (List.concat_map
+       (fun (n, wirings, choices) ->
+         let cfg = Snap.standard ~n in
+         List.concat_map
+           (fun wiring ->
+             List.map
+               (fun inputs ->
+                 let canon =
+                   Canon.make
+                     ~local_width:(Modelcheck.Codecs.Snapshot.local_width cfg)
+                     ~value_width:(Modelcheck.Codecs.Snapshot.value_width cfg)
+                     ~wiring
+                     ~classes:(Canon.classes_of_inputs inputs)
+                 in
+                 (cfg, wiring, inputs, canon))
+               choices)
+           wirings)
+       [
+         (2, wirings2, [ [| 1; 1 |]; [| 1; 2 |] ]);
+         (3, wirings3, canon_inputs_choices);
+       ])
+
+let orbit_min apply canon k =
+  List.fold_left
+    (fun best img -> if String.compare img best < 0 then img else best)
+    k
+    (List.map (fun s -> apply canon s k) (Canon.group canon))
+
+let gen_exact_cell =
+  QCheck.(
+    triple (list_of_size Gen.(0 -- 14) small_int) (int_range 1 4) int)
+
+(* The keys one case checks on setup [i]: a reachable key, a key of
+   random bytes and a key of random slices (each local and register slice
+   drawn from [alpha] candidates, so that images tie slice-wise), each
+   unmasked and with a crash-mask byte appended. *)
+let exact_keys (cfg, wiring, inputs, _) i (walk, alpha, seed) =
+  let n = Array.length inputs in
+  let rs = Random.State.make [| seed; i |] in
+  let bytes len =
+    String.init len (fun _ -> Char.chr (Random.State.int rs alpha))
+  in
+  let slices width =
+    let pool = Array.init alpha (fun _ -> bytes width) in
+    String.concat ""
+      (List.init n (fun _ -> pool.(Random.State.int rs alpha)))
+  in
+  let reached = reachable_key cfg wiring inputs walk in
+  let keys =
+    [
+      reached;
+      bytes (String.length reached);
+      slices (Modelcheck.Codecs.Snapshot.local_width cfg)
+      ^ slices (Modelcheck.Codecs.Snapshot.value_width cfg);
+    ]
+  in
+  let mask () = String.make 1 (Char.chr (Random.State.int rs (1 lsl n))) in
+  (keys, List.map (fun k -> k ^ mask ()) keys)
+
+let prop_canon_exact ~name canonicalize apply keys =
+  QCheck.Test.make ~name ~count:qcheck_count gen_exact_cell (fun cell ->
+      List.for_all Fun.id
+        (List.mapi
+           (fun i ((_, _, _, canon) as setup) ->
+             List.for_all
+               (fun k ->
+                 String.equal (canonicalize canon k) (orbit_min apply canon k))
+               (keys (exact_keys setup i cell)))
+           (Lazy.force canon_all_setups)))
+
+let prop_canon_exact_minimum =
+  prop_canon_exact ~name:"canonicalize = least reference image"
+    Canon.canonicalize Canon.apply fst
+
+let prop_canon_masked_exact_minimum =
+  prop_canon_exact ~name:"canonicalize_masked = least reference image"
+    Canon.canonicalize_masked Canon.apply_masked snd
+
+let test_canon_allocation () =
+  (* The orbit scan allocates nothing: a key that is its own minimum
+     comes back physically equal at 0 words, any other key costs exactly
+     its one result string (header + padded bytes). *)
+  let cfg, wiring, inputs, canon = canon_setup (0, 0) in
+  Alcotest.(check int) "group of order 6" 6 (Canon.group_order canon);
+  let rs = Random.State.make [| 17 |] in
+  let keys =
+    List.concat_map
+      (fun len ->
+        let walk = List.init len (fun _ -> Random.State.int rs 100) in
+        let k = reachable_key cfg wiring inputs walk in
+        [ k; Canon.canonicalize canon k ])
+      (List.init 40 Fun.id)
+  in
+  let words f k =
+    let before = Gc.minor_words () in
+    let r = Sys.opaque_identity (f k) in
+    let after = Gc.minor_words () in
+    (r, int_of_float (after -. before))
+  in
+  let _, overhead = words Fun.id (List.hd keys) in
+  let word_bytes = Sys.word_size / 8 in
+  let minimal = ref 0 and moved = ref 0 in
+  List.iter
+    (fun k ->
+      let c, w = words (Canon.canonicalize canon) k in
+      let w = w - overhead in
+      if String.equal c k then begin
+        incr minimal;
+        Alcotest.(check int) "own minimum: no allocation" 0 w;
+        Alcotest.(check bool) "own minimum: the key itself" true (c == k)
+      end
+      else begin
+        incr moved;
+        Alcotest.(check int) "one string of the key's length"
+          (1 + ((String.length k + word_bytes) / word_bytes))
+          w
+      end)
+    keys;
+  Alcotest.(check bool) "both cases exercised" true (!minimal > 0 && !moved > 0)
+
+(* A key of [extra] bytes past the n=3 snapshot body ([n*lw + m*vw],
+   the bytes [Canon] permutes) is refused by name, whatever the group. *)
+let check_short_key canonicalize ~extra message =
+  let cfg = Snap.standard ~n:3 in
+  let body =
+    3
+    * (Modelcheck.Codecs.Snapshot.local_width cfg
+      + Modelcheck.Codecs.Snapshot.value_width cfg)
+  in
+  List.iter
+    (fun isel ->
+      let _, _, _, canon = canon_setup (0, isel) in
+      Alcotest.check_raises
+        (Printf.sprintf "|G| = %d" (Canon.group_order canon))
+        (Invalid_argument message)
+        (fun () -> ignore (canonicalize canon (String.make (body + extra) 'a'))))
+    [ 0; 2 ]
+
+let test_canon_short_key () =
+  check_short_key Canon.canonicalize ~extra:(-1)
+    "Canon.canonicalize: key shorter than the state image"
+
+let test_canon_masked_short_key () =
+  (* Without room for the crash mask the key is refused, not read with
+     its last register byte taken for the mask. *)
+  check_short_key Canon.canonicalize_masked ~extra:0
+    "Canon.canonicalize_masked: key shorter than the state image and mask"
+
 let test_canon_group_sizes () =
   (* Known group orders: identity wiring with one input class has the
      full S_3 (order 6); all-distinct inputs always give the trivial
@@ -1059,6 +1218,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_canon_no_unsound_merge;
           QCheck_alcotest.to_alcotest prop_canon_preserves_projections;
           Alcotest.test_case "known group orders" `Quick test_canon_group_sizes;
+          QCheck_alcotest.to_alcotest prop_canon_exact_minimum;
+          QCheck_alcotest.to_alcotest prop_canon_masked_exact_minimum;
+          Alcotest.test_case "allocates only the winner" `Quick
+            test_canon_allocation;
+          Alcotest.test_case "short key refused" `Quick test_canon_short_key;
+          Alcotest.test_case "short masked key refused" `Quick
+            test_canon_masked_short_key;
         ] );
       ( "limits",
         [
