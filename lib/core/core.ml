@@ -186,26 +186,45 @@ module Snapshot_ws_mc = Modelcheck.Ws_explorer.Make (Modelcheck.Codecs.Snapshot)
 (** The strong snapshot invariant checked during model checking: every
     pair of outputs produced so far is related by containment, every
     output contains the owner's input and only participating inputs. *)
-let snapshot_invariant cfg inputs (st : Snapshot_mc.state) =
+let snapshot_invariant cfg inputs =
+  (* Computed once, when the check is partially applied to [cfg] and
+     [inputs], not once per state. *)
   let participating = Iset.of_list (Array.to_list inputs) in
-  let outs =
-    Array.to_list st.Snapshot_mc.locals
-    |> List.mapi (fun p l -> (p, Algorithms.Snapshot.output cfg l))
-    |> List.filter_map (fun (p, o) -> Option.map (fun o -> (p, o)) o)
-  in
-  let rec check = function
-    | [] -> Ok ()
-    | (p, o) :: rest ->
-        if not (Iset.mem inputs.(p) o) then
-          Error (Fmt.str "output of p%d misses its own input" (p + 1))
-        else if not (Iset.subset o participating) then
-          Error (Fmt.str "output of p%d contains non-participants" (p + 1))
-        else if
-          List.exists (fun (_, o') -> not (Iset.comparable o o')) rest
-        then Error (Fmt.str "incomparable outputs (p%d)" (p + 1))
-        else check rest
-  in
-  check outs
+  let output = Algorithms.Snapshot.output cfg in
+  fun (st : Snapshot_mc.state) ->
+    let locals = st.Snapshot_mc.locals in
+    let n = Array.length locals in
+    (* The first offending processor in index order; at each one, the
+       own-input check, then non-participants, then an incomparable
+       output at a later index. *)
+    let verdict = ref (Ok ()) and p = ref 0 in
+    while Result.is_ok !verdict && !p < n do
+      (match output locals.(!p) with
+      | None -> ()
+      | Some o ->
+          if not (Iset.mem inputs.(!p) o) then
+            verdict :=
+              Error (Fmt.str "output of p%d misses its own input" (!p + 1))
+          else if not (Iset.subset o participating) then
+            verdict :=
+              Error (Fmt.str "output of p%d contains non-participants" (!p + 1))
+          else begin
+            let q = ref (!p + 1) in
+            while
+              !q < n
+              &&
+              match output locals.(!q) with
+              | Some o' -> Iset.comparable o o'
+              | None -> true
+            do
+              incr q
+            done;
+            if !q < n then
+              verdict := Error (Fmt.str "incomparable outputs (p%d)" (!p + 1))
+          end);
+      incr p
+    done;
+    !verdict
 
 (** Exhaustively verify the Figure-3 algorithm for [n] processors: for the
     given inputs and {e every} wiring (processor 0 pinned to the identity —

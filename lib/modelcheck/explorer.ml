@@ -166,19 +166,20 @@ module Make (P : CHECKABLE) = struct
       (fun p -> P.next cfg st.locals.(p) <> None)
       (List.init (Array.length st.locals) Fun.id)
 
-  (** Successor of [st] when processor [p] takes its pending step.  Only
-      [p]'s local and, on a write, the one written register are new; every
-      other component is shared with [st], and a read step shares [st]'s
-      registers array itself ({!successor_key} relies on this). *)
-  let successor cfg wiring st p =
-    match P.next cfg st.locals.(p) with
-    | None -> invalid_arg "Explorer.successor: processor halted"
-    | Some (Anonmem.Protocol.Read i) ->
+  (** Successor of [st] when processor [p] takes [action], the step
+      [P.next cfg st.locals.(p)] returned — for a loop that has already
+      asked whether [p] is enabled.  Only [p]'s local and, on a write, the
+      one written register are new; every other component is shared with
+      [st], and a read step shares [st]'s registers array itself
+      ({!successor_into} relies on this). *)
+  let successor_by cfg wiring st p action =
+    match action with
+    | Anonmem.Protocol.Read i ->
         let r = Anonmem.Wiring.phys wiring ~p i in
         let locals = Array.copy st.locals in
         locals.(p) <- P.apply_read cfg st.locals.(p) ~reg:i st.registers.(r);
         { st with locals }
-    | Some (Anonmem.Protocol.Write (i, v)) ->
+    | Anonmem.Protocol.Write (i, v) ->
         let r = Anonmem.Wiring.phys wiring ~p i in
         let locals = Array.copy st.locals in
         let registers = Array.copy st.registers in
@@ -186,25 +187,43 @@ module Make (P : CHECKABLE) = struct
         registers.(r) <- v;
         { locals; registers }
 
-  (** [successor] paired with its key, for [key = encode_state cfg st]:
-      the parent's key is copied and only the components the step changed
-      are re-encoded — local [p], and any register not physically equal to
-      the parent's (none on a read, one on a write).  A physically equal
-      component encodes to the bytes already in place, so the result is
-      [encode_state cfg st'] exactly. *)
-  let successor_key cfg wiring st key p =
-    let st' = successor cfg wiring st p in
-    let b = Bytes.of_string key in
+  (** Successor of [st] when processor [p] takes its pending step. *)
+  let successor cfg wiring st p =
+    match P.next cfg st.locals.(p) with
+    | None -> invalid_arg "Explorer.successor: processor halted"
+    | Some action -> successor_by cfg wiring st p action
+
+  (** [successor_by], with the successor's key left in [buf], for
+      [key = encode_state cfg st]: the parent's key is copied into [buf]
+      (whatever [buf] held before) and only the components the step
+      changed are re-encoded — local [p], and any register not physically
+      equal to the parent's (none on a read, one on a write).  A
+      physically equal component encodes to the bytes already in place,
+      so [buf] ends up holding [encode_state cfg st'] exactly.  [buf] must
+      be [String.length key] bytes long. *)
+  let successor_into cfg wiring st key p action buf =
+    let st' = successor_by cfg wiring st p action in
+    Bytes.blit_string key 0 buf 0 (String.length key);
     let lw = P.local_width cfg in
-    P.encode_local cfg st'.locals.(p) b (p * lw);
+    P.encode_local cfg st'.locals.(p) buf (p * lw);
     if st'.registers != st.registers then begin
       let base = Array.length st.locals * lw and vw = P.value_width cfg in
       for r = 0 to Array.length st'.registers - 1 do
         let v = st'.registers.(r) in
-        if v != st.registers.(r) then P.encode_value cfg v b (base + (r * vw))
+        if v != st.registers.(r) then P.encode_value cfg v buf (base + (r * vw))
       done
     end;
-    (st', Bytes.unsafe_to_string b)
+    st'
+
+  (** [successor] paired with its key, for [key = encode_state cfg st]:
+      {!successor_into} on a fresh buffer. *)
+  let successor_key cfg wiring st key p =
+    match P.next cfg st.locals.(p) with
+    | None -> invalid_arg "Explorer.successor_key: processor halted"
+    | Some action ->
+        let buf = Bytes.create (String.length key) in
+        let st' = successor_into cfg wiring st key p action buf in
+        (st', Bytes.unsafe_to_string buf)
 
   let outputs cfg st = Array.map (P.output cfg) st.locals
 
@@ -388,6 +407,7 @@ module Make (P : CHECKABLE) = struct
         ]
     in
     let queue = Queue.create () in
+    let buf = Bytes.create (key_width cfg) in
     (* BFS pops ids in ascending order, so the frontier is exactly the
        ids discovered but not yet popped: [deg length, table length). *)
     if resumed <> None then
@@ -396,28 +416,31 @@ module Make (P : CHECKABLE) = struct
         Queue.add id queue
       done;
     let violation = ref None in
+    (* Bookkeeping for [id], just minted for the concrete state [st];
+       under reduction the invariant sees the decoded canonical [key]
+       instead, which is read only then. *)
+    let admit id st key ~from =
+      ignore (State_table.Packed_vec.push parent (from + 1));
+      (match invariant with
+      | Some check -> (
+          (* check the representative: symmetric invariants have the
+             same verdict on every member of the orbit *)
+          let st = if canon = None then st else decode_state cfg key in
+          match check st with
+          | Ok () -> ()
+          | Error message ->
+              if !violation = None then violation := Some (id, message))
+      | None -> ());
+      (match progress with
+      | Some f when id land ((1 lsl 20) - 1) = 0 -> f id
+      | _ -> ());
+      Queue.add id queue
+    in
     (* [key] is [st]'s canonical key. *)
     let add_state st key ~from =
       let before = State_table.length table in
       let id = State_table.intern table key in
-      if id = before then begin
-        (* fresh state *)
-        ignore (State_table.Packed_vec.push parent (from + 1));
-        (match invariant with
-        | Some check -> (
-            (* check the representative: symmetric invariants have the
-               same verdict on every member of the orbit *)
-            let st = if canon = None then st else decode_state cfg key in
-            match check st with
-            | Ok () -> ()
-            | Error message ->
-                if !violation = None then violation := Some (id, message))
-        | None -> ());
-        (match progress with
-        | Some f when id land ((1 lsl 20) - 1) = 0 -> f id
-        | _ -> ());
-        Queue.add id queue
-      end;
+      if id = before then admit id st key ~from;
       id
     in
     if resumed = None then ignore (add_state init key0 ~from:(-1));
@@ -453,24 +476,40 @@ module Make (P : CHECKABLE) = struct
       in
       let edges_before = State_table.Packed_vec.length succ in
       if expand then begin
-        match enabled cfg st with
-        | [] -> terminal := id :: !terminal
-        | en ->
-            List.iter
-              (fun p ->
-                let st', key' = successor_key cfg wiring st key p in
-                let key' = canonical key' in
-                (* Only a state beyond the bound trips the limit: a full
-                   table still accepts edges to states already seen. *)
-                if
-                  State_table.length table >= max_states
-                  && not (State_table.mem table key')
-                then limit_hit := true
-                else begin
-                  let id' = add_state st' key' ~from:((id lsl 4) lor p) in
-                  ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor p))
-                end)
-              en
+        let any_enabled = ref false in
+        for p = 0 to Array.length st.locals - 1 do
+          match P.next cfg st.locals.(p) with
+          | None -> ()
+          | Some action ->
+              any_enabled := true;
+              let st' = successor_into cfg wiring st key p action buf in
+              let from = (id lsl 4) lor p in
+              (* Only a state beyond the bound trips the limit: a full
+                 table still accepts edges to states already seen.  The
+                 unreduced key is probed straight from [buf]; a string is
+                 built only for the limit check or under reduction. *)
+              let before = State_table.length table in
+              let id' =
+                match canon with
+                | None ->
+                    if before >= max_states
+                       && not (State_table.mem table (Bytes.to_string buf))
+                    then -1
+                    else
+                      let id' = State_table.intern_bytes table buf in
+                      if id' = before then admit id' st' "" ~from;
+                      id'
+                | Some c ->
+                    let key' = Canon.canonicalize c (Bytes.to_string buf) in
+                    if before >= max_states && not (State_table.mem table key')
+                    then -1
+                    else add_state st' key' ~from
+              in
+              if id' < 0 then limit_hit := true
+              else
+                ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor p))
+        done;
+        if not !any_enabled then terminal := id :: !terminal
       end;
       (* Pops happen in id order, so this row is deg.(id); a violation or
          state limit leaves deg shorter than the table — the CSR builder
@@ -918,6 +957,25 @@ module Make (P : CHECKABLE) = struct
       incr depth;
       if !depth > !max_depth then max_depth := !depth
     in
+    (* An edge by [p] from the top frame to the already-seen [id']: a
+       back edge when [id'] is still on the path (gray), i.e. a cycle
+       through [id'].  Collect the pids of the path segment from [id'] to
+       here, plus [p]. *)
+    let revisit p id' =
+      if fail_on_cycle && State_table.Packed_vec.get colors id' = 1 then begin
+        let rec collect acc = function
+          | g :: rest ->
+              if g.id = id' then acc else collect (g.entered_by :: acc) rest
+          | [] -> acc
+        in
+        let pids = p :: collect [] !stack in
+        outcome :=
+          Some
+            (Dfs_cycle
+               { processors = List.sort_uniq compare pids; stats = stats () })
+      end
+    in
+    let buf = Bytes.create (key_width cfg) in
     if resumed = None then
       push_state (State_table.intern table key0) key0 ~entered_by:(-1) init;
     let limit = ref false in
@@ -962,40 +1020,35 @@ module Make (P : CHECKABLE) = struct
           else begin
             let p = f.next_p in
             f.next_p <- p + 1;
-            if P.next cfg f.st.locals.(p) <> None then begin
+            match P.next cfg f.st.locals.(p) with
+            | None -> ()
+            | Some action ->
               f.any_enabled <- true;
               incr transitions;
-              let st', key' = successor_key cfg wiring f.st f.key p in
-              let key' = canonical key' in
+              let st' = successor_into cfg wiring f.st f.key p action buf in
               (* One probe: [intern] either finds the key or mints the next
-                 id.  A full table only refuses states it has not seen. *)
+                 id.  A full table only refuses states it has not seen.
+                 Unreduced, the probe reads [buf] in place and a key
+                 string is built only for a fresh state. *)
               let before = State_table.length table in
-              if before >= max_states && not (State_table.mem table key') then
-                limit := true
-              else
-                let id' = State_table.intern table key' in
-                if id' = before then push_state id' key' ~entered_by:p st'
-                else if
-                  fail_on_cycle && State_table.Packed_vec.get colors id' = 1
-                then begin
-                  (* back edge: a cycle through id'.  Collect the pids of
-                     the path segment from id' to here, plus p. *)
-                  let rec collect acc = function
-                    | g :: rest ->
-                        if g.id = id' then acc
-                        else collect (g.entered_by :: acc) rest
-                    | [] -> acc
-                  in
-                  let pids = p :: collect [] !stack in
-                  outcome :=
-                    Some
-                      (Dfs_cycle
-                         {
-                           processors = List.sort_uniq compare pids;
-                           stats = stats ();
-                         })
-                end
-            end
+              match canon with
+              | None ->
+                  if before >= max_states
+                     && not (State_table.mem table (Bytes.to_string buf))
+                  then limit := true
+                  else
+                    let id' = State_table.intern_bytes table buf in
+                    if id' = before then
+                      push_state id' (Bytes.to_string buf) ~entered_by:p st'
+                    else revisit p id'
+              | Some c ->
+                  let key' = Canon.canonicalize c (Bytes.to_string buf) in
+                  if before >= max_states && not (State_table.mem table key')
+                  then limit := true
+                  else
+                    let id' = State_table.intern table key' in
+                    if id' = before then push_state id' key' ~entered_by:p st'
+                    else revisit p id'
           end
       end
     done;

@@ -3,43 +3,82 @@
 
      arena : Bytes.t     all interned keys, back to back; key [id] is the
                          [key_width] bytes at offset [id * key_width]
-     slots : Bytes.t     capacity * 4 bytes, little-endian u32 per slot,
-                         storing id + 1 so that all-zero = empty (which is
-                         what [Bytes.make _ '\000'] gives us for free)
-     tags  : Bytes.t     capacity * 1 byte: bits 55..62 of the key's hash,
-                         disjoint from the low bits that select the slot,
-                         so a tag mismatch rejects a colliding key without
-                         reading the arena
+     slots : Bytes.t     capacity * 5 bytes of slot records plus 3 bytes
+                         of padding.  Record [i] is at [5 * i]: a
+                         little-endian u32 holding id + 1 (all-zero =
+                         empty, which [Bytes.make _ '\000'] gives for
+                         free), then one tag byte — bits 55..62 of the
+                         key's hash, disjoint from the low bits that
+                         select the slot, so a tag mismatch rejects a
+                         colliding key without reading the arena.  The
+                         padding lets a probe load a whole record with one
+                         8-byte read.
 
    Probing is linear (step 1).  With power-of-two capacities, load kept
-   at or below 3/4 and an 8-bit tag filter, the expected number of arena
+   at or below 3/4 and a tag filter, the expected number of arena
    comparisons per lookup stays within a few percent of one. *)
 
 type t = {
   key_width : int;
   mutable arena : Bytes.t; (* count * key_width bytes in use *)
   mutable count : int;
-  mutable slots : Bytes.t; (* 4 bytes per slot, u32 LE, id + 1; 0 = empty *)
-  mutable tags : Bytes.t; (* 1 byte per slot, valid iff slot nonzero *)
+  mutable slots : Bytes.t; (* 5-byte records: u32 LE id + 1, tag byte *)
   mutable mask : int; (* capacity - 1 *)
 }
 
-(* 64-bit FNV-1a, folded into OCaml's 63-bit nonnegative int range.  The
-   canonical offset basis 0xcbf29ce484222325 exceeds max_int on 64-bit
-   OCaml, so we start from its value mod 2^63; multiplication already
-   happens mod 2^63 in native ints, and the final [land max_int] keeps the
-   result nonnegative after the sign bit is discarded. *)
-let fnv_offset = 0x4bf29ce484222325
-let fnv_prime = 0x100000001b3
+(* Word-wise multiply-xorshift hash.  Each 8-byte little-endian word is
+   folded in with one multiply and one xorshift.  An OCaml int holds 63
+   bits, so the top bit of every word is collected in [top] and folded
+   in after the last word: for keys of up to 62 words no key bit is
+   dropped before mixing.  The
+   trailing [width mod 8] bytes are read as the high bytes of the word
+   that ends at the key's last byte (byte by byte when the whole key is
+   shorter than a word).  A final avalanche spreads every input bit over
+   both the low bits that pick the slot and the tag bits.  The functions
+   are top-level so that hashing allocates nothing. *)
+let[@inline] mix h x =
+  let h = (h lxor x) * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 31)
 
-let hash key =
-  let h = ref fnv_offset in
-  for i = 0 to String.length key - 1 do
-    h := (!h lxor Char.code (String.unsafe_get key i)) * fnv_prime
-  done;
-  !h land max_int
+let[@inline] avalanche h =
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  h lxor (h lsr 31)
 
+(* Little-endian value of the [len] bytes at [off], for [len < 8]. *)
+let rec bytes_le b off len acc =
+  if len = 0 then acc
+  else
+    bytes_le b off (len - 1)
+      ((acc lsl 8) lor Char.code (Bytes.unsafe_get b (off + len - 1)))
+
+let rec hash_words b off width h top i =
+  if i + 8 <= width then
+    let x = Bytes.get_int64_le b (off + i) in
+    hash_words b off width
+      (mix h (Int64.to_int x))
+      ((top lsl 1) lor Int64.to_int (Int64.shift_right_logical x 63))
+      (i + 8)
+  else
+    let rest = width - i in
+    let h =
+      if rest = 0 then h
+      else if width >= 8 then
+        mix h
+          (Int64.to_int
+             (Int64.shift_right_logical
+                (Bytes.get_int64_le b (off + width - 8))
+                (8 * (8 - rest))))
+      else mix h (bytes_le b off rest 0)
+    in
+    avalanche (mix h top) land max_int
+
+(* Hash of the [width] bytes at [off] of [b], seeded with [width]. *)
+let hash_at b off width = hash_words b off width width 0 0
+let hash key = hash_at (Bytes.unsafe_of_string key) 0 (String.length key)
 let tag_of_hash h = (h lsr 55) land 0xff
+
+let slots_for cap = Bytes.make ((5 * cap) + 3) '\000'
 
 let create ?(log2_slots = 12) ~key_width () =
   if key_width < 0 then invalid_arg "State_table.create: negative key_width";
@@ -49,8 +88,7 @@ let create ?(log2_slots = 12) ~key_width () =
     key_width;
     arena = Bytes.create (max 64 (64 * key_width));
     count = 0;
-    slots = Bytes.make (4 * cap) '\000';
-    tags = Bytes.create cap;
+    slots = slots_for cap;
     mask = cap - 1;
   }
 
@@ -58,44 +96,50 @@ let key_width t = t.key_width
 let length t = t.count
 let capacity t = t.mask + 1
 
-let slot_get t i =
-  (* [Bytes.get_int32_le] sign-extends via Int32, hence the mask. *)
-  Int32.to_int (Bytes.get_int32_le t.slots (4 * i)) land 0xFFFFFFFF
+(* Slot record [i] as one int: id + 1 in bits 0..31 (0 = empty), the tag
+   in bits 32..39. *)
+let[@inline] record t i = Int64.to_int (Bytes.get_int64_le t.slots (5 * i))
 
-let slot_set t i v = Bytes.set_int32_le t.slots (4 * i) (Int32.of_int v)
+let set_record t i id h =
+  Bytes.set_int32_le t.slots (5 * i) (Int32.of_int (id + 1));
+  Bytes.unsafe_set t.slots ((5 * i) + 4) (Char.unsafe_chr (tag_of_hash h))
 
-(* Keys are compared against the arena without materializing a string. *)
-let arena_equals t id key =
-  let off = id * t.key_width in
-  let rec go i =
-    i = t.key_width
-    || Char.equal (Bytes.unsafe_get t.arena (off + i)) (String.unsafe_get key i)
-       && go (i + 1)
-  in
-  go 0
+(* [width] bytes of [a] at [aoff] against [k] at 0, a word at a time; the
+   trailing partial word is compared as the word ending at the last
+   byte. *)
+let rec equal_words a aoff k width i =
+  if i + 8 <= width then
+    Bytes.get_int64_le a (aoff + i) = Bytes.get_int64_le k i
+    && equal_words a aoff k width (i + 8)
+  else if i = width then true
+  else if width >= 8 then
+    Bytes.get_int64_le a (aoff + width - 8) = Bytes.get_int64_le k (width - 8)
+  else
+    Char.equal (Bytes.unsafe_get a (aoff + i)) (Bytes.unsafe_get k i)
+    && equal_words a aoff k width (i + 1)
 
-(* Find the slot holding [key], or the first empty slot of its probe
-   sequence.  Returns the id if present, [lnot slot_index] if absent —
-   an int encoding rather than a variant so the hot path stays
-   allocation-free. *)
-let probe t key h =
-  let tag = tag_of_hash h in
-  let rec go i =
-    let s = slot_get t i in
-    if s = 0 then lnot i
-    else
-      let id = s - 1 in
-      if Char.code (Bytes.unsafe_get t.tags i) = tag && arena_equals t id key
-      then id
-      else go ((i + 1) land t.mask)
-  in
-  go (h land t.mask)
+(* Find the slot holding key [k] (a [key_width]-byte buffer whose hash
+   has tag [tag]), starting at slot [i], or the first empty slot of its
+   probe sequence.  Returns the id if present, [lnot slot_index] if
+   absent — an int encoding rather than a variant, and a top-level
+   function rather than a closure, so a probe allocates nothing. *)
+let rec probe t k tag i =
+  let r = record t i in
+  let s = r land 0xFFFF_FFFF in
+  if s = 0 then lnot i
+  else if
+    (r lsr 32) land 0xff = tag
+    && equal_words t.arena ((s - 1) * t.key_width) k t.key_width 0
+  then s - 1
+  else probe t k tag ((i + 1) land t.mask)
 
-let check_width t key name =
-  if String.length key <> t.key_width then
+let lookup t k h = probe t k (tag_of_hash h) (h land t.mask)
+
+let check_width t len name =
+  if len <> t.key_width then
     invalid_arg
       (Printf.sprintf "State_table.%s: key of width %d, table of width %d" name
-         (String.length key) t.key_width)
+         len t.key_width)
 
 let key_of_id t id =
   if id < 0 || id >= t.count then
@@ -109,21 +153,19 @@ let iter f t =
     f id (Bytes.sub_string t.arena (id * t.key_width) t.key_width)
   done
 
-(* Double the slot array, re-deriving each key's hash from the arena.
-   Insertion order (hence every dense id) is untouched. *)
-let grow_slots t =
-  let cap = 2 * (t.mask + 1) in
-  t.slots <- Bytes.make (4 * cap) '\000';
-  t.tags <- Bytes.create cap;
+let rec free_slot t i =
+  if record t i land 0xFFFF_FFFF = 0 then i
+  else free_slot t ((i + 1) land t.mask)
+
+(* Slot records for every interned key, re-derived from the arena into a
+   fresh [cap]-slot array.  Insertion order (hence every dense id) is
+   untouched. *)
+let rebuild_slots t cap =
+  t.slots <- slots_for cap;
   t.mask <- cap - 1;
-  let buf = Bytes.create t.key_width in
   for id = 0 to t.count - 1 do
-    Bytes.blit t.arena (id * t.key_width) buf 0 t.key_width;
-    let h = hash (Bytes.unsafe_to_string buf) in
-    let rec free i = if slot_get t i = 0 then i else free ((i + 1) land t.mask) in
-    let i = free (h land t.mask) in
-    slot_set t i (id + 1);
-    Bytes.set t.tags i (Char.chr (tag_of_hash h))
+    let h = hash_at t.arena (id * t.key_width) t.key_width in
+    set_record t (free_slot t (h land t.mask)) id h
   done
 
 let ensure_arena t =
@@ -137,46 +179,54 @@ let ensure_arena t =
 
 let max_id = 0xFFFF_FFFE (* slots store id + 1 in a u32 *)
 
-let intern t key =
-  check_width t key "intern";
-  let h = hash key in
-  let r = probe t key h in
+(* Probe for key [k], inserting a copy of it if absent. *)
+let intern_key t k =
+  let h = hash_at k 0 t.key_width in
+  let r = lookup t k h in
   if r >= 0 then r
   else begin
     if t.count > max_id then
       invalid_arg "State_table.intern: table full (2^32 - 1 keys)";
     let id = t.count in
     ensure_arena t;
-    Bytes.blit_string key 0 t.arena (id * t.key_width) t.key_width;
+    Bytes.blit k 0 t.arena (id * t.key_width) t.key_width;
     t.count <- id + 1;
-    let i = lnot r in
-    slot_set t i (id + 1);
-    Bytes.set t.tags i (Char.chr (tag_of_hash h));
-    (* Grow at 3/4 load, after insertion so [i] was still valid. *)
-    if 4 * t.count >= 3 * (t.mask + 1) then grow_slots t;
+    set_record t (lnot r) id h;
+    (* Grow at 3/4 load, after insertion so the slot was still valid. *)
+    if 4 * t.count >= 3 * (t.mask + 1) then rebuild_slots t (2 * (t.mask + 1));
     id
   end
 
+let intern t key =
+  check_width t (String.length key) "intern";
+  intern_key t (Bytes.unsafe_of_string key)
+
+let intern_bytes t buf =
+  check_width t (Bytes.length buf) "intern_bytes";
+  intern_key t buf
+
 let find t key =
-  check_width t key "find";
-  let r = probe t key (hash key) in
+  check_width t (String.length key) "find";
+  let k = Bytes.unsafe_of_string key in
+  let r = lookup t k (hash_at k 0 t.key_width) in
   if r >= 0 then Some r else None
 
 let mem t key =
-  check_width t key "mem";
-  probe t key (hash key) >= 0
+  check_width t (String.length key) "mem";
+  let k = Bytes.unsafe_of_string key in
+  lookup t k (hash_at k 0 t.key_width) >= 0
 
 let words t =
   (* Bytes payloads round up to whole words, plus a 1-word header each;
-     the record itself is 7 fields + header. *)
+     the record itself is 5 fields + header. *)
   let bytes_words b = 2 + (Bytes.length b / (Sys.word_size / 8)) in
-  8 + bytes_words t.arena + bytes_words t.slots + bytes_words t.tags
+  6 + bytes_words t.arena + bytes_words t.slots
 
 (* --- checkpoint (de)serialization -------------------------------------
    The arena is the whole truth: dense ids are insertion order, and the
-   slot/tag arrays are a pure function of the interned keys.  So the
+   slot records are a pure function of the interned keys.  So the
    image is a small header plus a blit of the used arena prefix, and
-   [deserialize] rebuilds the slots exactly as [grow_slots] does —
+   [deserialize] rebuilds the slots exactly as growth does —
    membership, ids, [key_of_id] and iteration order all come back
    bit-identical. *)
 
@@ -219,15 +269,7 @@ let deserialize b =
   t.arena <- Bytes.create (max 64 (max used (64 * key_width)));
   Bytes.blit b 32 t.arena 0 used;
   t.count <- count;
-  let buf = Bytes.create key_width in
-  for id = 0 to count - 1 do
-    Bytes.blit t.arena (id * key_width) buf 0 key_width;
-    let h = hash (Bytes.unsafe_to_string buf) in
-    let rec free i = if slot_get t i = 0 then i else free ((i + 1) land t.mask) in
-    let i = free (h land t.mask) in
-    slot_set t i (id + 1);
-    Bytes.set t.tags i (Char.chr (tag_of_hash h))
-  done;
+  rebuild_slots t (1 lsl !log2);
   t
 
 module Packed_vec = struct

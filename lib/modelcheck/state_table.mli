@@ -13,14 +13,23 @@
 
     {!t} stores the keys themselves back to back in a single growable
     [Bytes] arena (key [id] lives at offset [id * key_width]) and resolves
-    membership through an open-addressing slot array: 4 bytes of
-    little-endian id-plus-one per slot (0 = empty) plus one stored hash-tag
-    byte per slot (the top bits of the key's 64-bit FNV-1a hash, disjoint
-    from the bits that pick the bucket), so a probe almost never touches
-    the arena for keys that do not match.  Slot counts are powers of two,
-    doubled at 3/4 load; growth re-derives hashes from the arena, so
-    nothing but the keys is ever stored twice.  Net cost: [key_width]
-    arena bytes plus ~7-10 slot bytes per state.
+    membership through an open-addressing slot array of 5-byte records,
+    interleaved in one [Bytes]: a little-endian u32 holding id + 1
+    (0 = empty), then one tag byte.  The tag is bits 55..62 of the key's
+    {!hash}, disjoint from the low bits that pick the bucket, so a probe
+    almost never touches the arena for keys that do not match, and it
+    reads the id and the tag of a slot with one 8-byte load.
+    Slot counts are powers of two, doubled at 3/4 load; growth re-derives
+    hashes from the arena, so nothing but the keys is ever stored twice.
+    Net cost: [key_width] arena bytes plus ~7-10 slot bytes per state.
+
+    The hash reads the key 8 bytes at a time ([Bytes.get_int64_le]),
+    folds each word in with a multiply and an xorshift, and finishes with
+    an avalanche; keys are compared against the arena word by word too.
+    {!intern_bytes} probes straight from a caller's scratch buffer and
+    copies the key into the arena only when it is new, so an engine that
+    patches each successor's key into one reused buffer allocates nothing
+    for a successor it has already seen.
 
     The table is deliberately minimal: no deletion, no satellite values
     (the dense id {e is} the value), single-writer.  For cross-domain use,
@@ -51,6 +60,13 @@ val intern : t -> string -> int
     length).  Raises [Invalid_argument] if [String.length key] differs
     from [key_width t]. *)
 
+val intern_bytes : t -> Bytes.t -> int
+(** [intern_bytes t buf] is [intern t (Bytes.to_string buf)] without the
+    copy: the probe reads [buf] in place, and only a new key is copied
+    into the arena.  The table never keeps a reference to [buf], so the
+    caller may reuse it as scratch for the next key.  Raises
+    [Invalid_argument] if [Bytes.length buf] differs from [key_width t]. *)
+
 val find : t -> string -> int option
 (** [find t key] is the dense id of [key], or [None]; never inserts.
     Raises [Invalid_argument] on a key-width mismatch. *)
@@ -69,17 +85,18 @@ val iter : (int -> string -> unit) -> t -> unit
 
 val words : t -> int
 (** Approximate retained size of the table in machine words (arena + slot
-    array + tag bytes + record), for the benchmark's memory column. *)
+    records + record), for the benchmark's memory column. *)
 
 val hash : string -> int
-(** The table's own key hash (64-bit FNV-1a, truncated to a nonnegative
-    OCaml int).  Slot index is [hash land (capacity - 1)]; the stored tag
-    is bits 55..62.  Exposed so tests can seed same-bucket collisions. *)
+(** The table's own key hash (word-wise multiply-xorshift with a final
+    avalanche, a nonnegative OCaml int).  Slot index is
+    [hash land (capacity - 1)]; the stored tag is bits 55..62.  Exposed so
+    tests can seed same-bucket collisions. *)
 
 val serialize : t -> Bytes.t
 (** Checkpoint image of the table: a checksummed header plus a blit of
-    the used arena prefix.  The slot/tag arrays are a pure function of
-    the interned keys, so they are rebuilt on load rather than stored. *)
+    the used arena prefix.  The slot records are a pure function of the
+    interned keys, so they are rebuilt on load rather than stored. *)
 
 val deserialize : Bytes.t -> t
 (** Inverse of {!serialize} — membership, dense ids, {!key_of_id} and

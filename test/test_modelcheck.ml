@@ -590,8 +590,11 @@ let test_codecs_out_of_range_structured () =
 
 (* [successor_key] patches the parent's key instead of re-encoding the
    successor; it must agree with [successor] + [encode_state] on every step
-   of every codec.  The walk is a plain BFS over full encodings (capped at
-   [limit] states), so it shares nothing with the engines under test. *)
+   of every codec.  So must [successor_into], which patches into a scratch
+   buffer (here one that starts each step full of garbage), and
+   [successor_by], which takes the action [P.next] already returned.  The
+   walk is a plain BFS over full encodings (capped at [limit] states), so
+   it shares nothing with the engines under test. *)
 module Key_path (P : Modelcheck.Explorer.CHECKABLE) = struct
   module E = Modelcheck.Explorer.Make (P)
 
@@ -611,6 +614,7 @@ module Key_path (P : Modelcheck.Explorer.CHECKABLE) = struct
       then Alcotest.failf "%s: %s key does not survive decode/encode" name what
     in
     let steps = ref 0 in
+    let buf = Bytes.create (E.key_width cfg) in
     visit (E.init_state ~cfg ~inputs);
     while not (Queue.is_empty queue) do
       let st, key = Queue.pop queue in
@@ -629,6 +633,19 @@ module Key_path (P : Modelcheck.Explorer.CHECKABLE) = struct
               Alcotest.failf "%s: successor_key's state differs (p%d)" name p;
             if not (String.equal key' (E.encode_state cfg st')) then
               Alcotest.failf "%s: patched key differs from a full encode (p%d)"
+                name p;
+            let action = Option.get (P.next cfg st.E.locals.(p)) in
+            if E.successor_by cfg wiring st p action <> st' then
+              Alcotest.failf "%s: successor_by differs from successor (p%d)"
+                name p;
+            Bytes.fill buf 0 (Bytes.length buf) (Char.chr (!steps land 0xff));
+            let st_into = E.successor_into cfg wiring st key p action buf in
+            if st_into <> st' then
+              Alcotest.failf "%s: successor_into's state differs (p%d)" name p;
+            if not (String.equal (Bytes.to_string buf) (E.encode_state cfg st'))
+            then
+              Alcotest.failf
+                "%s: successor_into's buffer differs from a full encode (p%d)"
                 name p;
             visit st')
           (E.enabled cfg st)
@@ -682,6 +699,119 @@ let test_successor_key_all_codecs () =
     ~wiring:w3 ~inputs;
   Kp_naming.check "naming" ~cfg:(Algorithms.Naming.cfg ~n:2 ~m:3) ~wiring:w3
     ~inputs
+
+(* --- the snapshot invariant ------------------------------------------------ *)
+
+(* The list-based definition [Core.snapshot_invariant] had before it
+   scanned the locals in place, kept as the oracle: every verdict and
+   message must agree, own-input before non-participants before
+   incomparable, at the first offending processor. *)
+let oracle_snapshot_invariant cfg inputs (st : Core.Snapshot_mc.state) =
+  let participating = Iset.of_list (Array.to_list inputs) in
+  let outs =
+    Array.to_list st.Core.Snapshot_mc.locals
+    |> List.mapi (fun p l -> (p, Snap.output cfg l))
+    |> List.filter_map (fun (p, o) -> Option.map (fun o -> (p, o)) o)
+  in
+  let rec check = function
+    | [] -> Ok ()
+    | (p, o) :: rest ->
+        if not (Iset.mem inputs.(p) o) then
+          Error (Fmt.str "output of p%d misses its own input" (p + 1))
+        else if not (Iset.subset o participating) then
+          Error (Fmt.str "output of p%d contains non-participants" (p + 1))
+        else if List.exists (fun (_, o') -> not (Iset.comparable o o')) rest
+        then Error (Fmt.str "incomparable outputs (p%d)" (p + 1))
+        else check rest
+  in
+  check outs
+
+let invariant_against_oracle ~what cfg inputs =
+  let check = Core.snapshot_invariant cfg inputs in
+  let states = ref 0 in
+  let invariant st =
+    incr states;
+    let got = check st in
+    if got <> oracle_snapshot_invariant cfg inputs st then
+      Alcotest.failf "%s: verdict differs from the list-based oracle" what;
+    got
+  in
+  (invariant, states)
+
+let test_snapshot_invariant_differential () =
+  (* every reachable state of every n=2 wiring, both input shapes *)
+  List.iter
+    (fun inputs ->
+      List.iter
+        (fun wiring ->
+          let cfg = Snap.standard ~n:2 in
+          let invariant, states =
+            invariant_against_oracle ~what:"n=2" cfg inputs
+          in
+          match MC.check_exhaustive ~invariant ~cfg ~wiring ~inputs () with
+          | MC.Dfs_ok s ->
+              Alcotest.(check int) "invariant saw every state" s.MC.dfs_states
+                !states
+          | _ -> Alcotest.fail "snapshot n=2 must verify")
+        (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true))
+    [ [| 1; 2 |]; [| 1; 1 |] ];
+  (* every reachable state of the benchmark's n=3 space: inputs 1,1,1 on
+     the wiring class with the smallest unreduced space (1,721,671
+     states); the spaces with distinct inputs run to tens of millions *)
+  let cfg = Snap.standard ~n:3 and inputs = [| 1; 1; 1 |] in
+  let invariant, states = invariant_against_oracle ~what:"n=3" cfg inputs in
+  match
+    MC.check_exhaustive ~invariant ~cfg
+      ~wiring:(List.nth (Anonmem.Wiring.enumerate ~n:3 ~m:3 ~fix_first:true) 9)
+      ~inputs ()
+  with
+  | MC.Dfs_ok s ->
+      Alcotest.(check int) "n=3 states" 1_721_671 s.MC.dfs_states;
+      Alcotest.(check int) "invariant saw every state" s.MC.dfs_states !states
+  | _ -> Alcotest.fail "snapshot n=3 must verify"
+
+(* States planted to trip each message, alone and in combination. *)
+let test_snapshot_invariant_planted () =
+  let cfg = Snap.standard ~n:3 and inputs = [| 1; 2; 3 |] in
+  let check = Core.snapshot_invariant cfg inputs in
+  let running = Snap.init cfg 1 in
+  let done_with view =
+    {
+      SC.view = Iset.of_list view;
+      level = 3;
+      next_write = 0;
+      phase = SC.Writing;
+    }
+  in
+  let state locals =
+    {
+      MC.locals = Array.of_list locals;
+      registers = Array.make 3 (Snap.register_init cfg);
+    }
+  in
+  let expect what locals expected =
+    let st = state locals in
+    Alcotest.(check (result unit string)) (what ^ " vs oracle")
+      (oracle_snapshot_invariant cfg inputs st) (check st);
+    Alcotest.(check (result unit string)) what expected (check st)
+  in
+  expect "own input" [ done_with [ 2 ]; running; running ]
+    (Error "output of p1 misses its own input");
+  expect "non-participant" [ running; done_with [ 2; 7 ]; running ]
+    (Error "output of p2 contains non-participants");
+  expect "incomparable" [ done_with [ 1; 2 ]; running; done_with [ 1; 3 ] ]
+    (Error "incomparable outputs (p1)");
+  expect "own input before incomparable"
+    [ done_with [ 2; 3 ]; done_with [ 1; 2 ]; running ]
+    (Error "output of p1 misses its own input");
+  expect "non-participant before own input of a later processor"
+    [ done_with [ 1 ]; done_with [ 1; 2; 9 ]; done_with [ 1 ] ]
+    (Error "output of p2 contains non-participants");
+  expect "first offender wins" [ running; done_with [ 2 ]; done_with [ 3 ] ]
+    (Error "incomparable outputs (p2)");
+  expect "chain is fine"
+    [ done_with [ 1 ]; done_with [ 1; 2 ]; done_with [ 1; 2; 3 ] ]
+    (Ok ())
 
 (* Counts every codec call the engine makes, like the benchmark's traced
    runs do. *)
@@ -754,6 +884,10 @@ let () =
           Alcotest.test_case "state limit" `Quick test_explore_state_limit;
           Alcotest.test_case "successor_key = successor + encode, all codecs"
             `Quick test_successor_key_all_codecs;
+          Alcotest.test_case "snapshot invariant = list-based oracle" `Quick
+            test_snapshot_invariant_differential;
+          Alcotest.test_case "snapshot invariant planted violations" `Quick
+            test_snapshot_invariant_planted;
           Alcotest.test_case "DFS codec call budget" `Quick
             test_dfs_codec_call_budget;
           Alcotest.test_case "trace reconstruction" `Quick test_trace_reconstruction;

@@ -12,8 +12,11 @@
    of that, deterministic unit tests pin down the adversarial cases
    randomness is unlikely to hit: seeded same-bucket (and same-tag)
    collision chains, duplicate interns across a resize, and the
-   structured width/range errors.  The Packed_vec companion gets the same
-   treatment against a plain [int array] model. *)
+   structured width/range errors.  [intern_bytes] is held to [intern] and
+   the oracle through one reused, scribbled-over scratch buffer, and a
+   probe-quality pin holds the word-wise hash to the byte-wise FNV-1a it
+   replaced on real snapshot key streams.  The Packed_vec companion gets
+   the same treatment against a plain [int array] model. *)
 
 module St = Modelcheck.State_table
 module Pv = Modelcheck.State_table.Packed_vec
@@ -105,6 +108,32 @@ let prop_load_factor =
       let cap = St.capacity t in
       cap land (cap - 1) = 0 && 4 * St.length t <= 3 * cap)
 
+(* [intern_bytes] against both [intern] and the oracle, all through one
+   reused scratch buffer that is scribbled over after every call: the
+   table must copy a new key out of the buffer, never alias it. *)
+let prop_intern_bytes_matches_intern =
+  QCheck.Test.make ~name:"intern_bytes = intern = oracle, scratch reused"
+    ~count:qcheck_count scenario (fun ((w, inserts, probes) as sc) ->
+      let t, oracle, order, _ = run_against_oracle sc in
+      let tb = St.create ~log2_slots:0 ~key_width:w () in
+      let buf = Bytes.create w in
+      List.iter
+        (fun k ->
+          Bytes.blit_string k 0 buf 0 w;
+          let got = St.intern_bytes tb buf in
+          Bytes.fill buf 0 w 'z';
+          if got <> St.intern t k || got <> Hashtbl.find oracle k then
+            QCheck.Test.fail_reportf "intern_bytes %S: id %d" k got)
+        inserts;
+      St.length tb = Hashtbl.length oracle
+      && List.for_all
+           (fun k -> St.find tb k = Hashtbl.find_opt oracle k)
+           probes
+      && List.for_all2
+           (fun id k -> String.equal (St.key_of_id tb id) k)
+           (List.init (List.length order) Fun.id)
+           order)
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic adversarial cases                                     *)
 (* ------------------------------------------------------------------ *)
@@ -184,6 +213,26 @@ let test_duplicate_inserts_across_growth () =
   Alcotest.(check int) "length unchanged by duplicates" 5000 (St.length t);
   Alcotest.(check string) "round trip" (key 1234) (St.key_of_id t 1234)
 
+let test_scratch_buffer_not_aliased () =
+  let t = St.create ~log2_slots:3 ~key_width:6 () in
+  let buf = Bytes.of_string "abcdef" in
+  Alcotest.(check int) "fresh id" 0 (St.intern_bytes t buf);
+  Bytes.blit_string "uvwxyz" 0 buf 0 6;
+  Alcotest.(check string) "interned key unchanged by the caller's write"
+    "abcdef" (St.key_of_id t 0);
+  Alcotest.(check (option int)) "original key still found" (Some 0)
+    (St.find t "abcdef");
+  Alcotest.(check (option int)) "mutated buffer is a different key" None
+    (St.find t "uvwxyz");
+  Alcotest.(check int) "second key gets the next id" 1 (St.intern_bytes t buf);
+  Bytes.blit_string "abcdef" 0 buf 0 6;
+  Alcotest.(check int) "re-probe from the buffer finds the first key" 0
+    (St.intern_bytes t buf);
+  Alcotest.(check int) "two keys" 2 (St.length t);
+  match St.intern_bytes t (Bytes.create 5) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "width mismatch accepted by intern_bytes"
+
 let test_structured_errors () =
   let t = St.create ~key_width:3 () in
   ignore (St.intern t "abc");
@@ -212,6 +261,108 @@ let test_words_grows () =
     ignore (St.intern t (Bytes.to_string b))
   done;
   Alcotest.(check bool) "words reflects arena growth" true (St.words t > w0)
+
+(* ------------------------------------------------------------------ *)
+(* Probe quality on real key streams                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Snap = Algorithms.Snapshot
+module Mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Snapshot)
+
+(* The byte-wise 64-bit FNV-1a the word-wise hash replaced, kept as the
+   yardstick: same offset basis folded into 63 bits, same prime. *)
+let fnv1a key =
+  let h = ref 0x4bf29ce484222325 in
+  for i = 0 to String.length key - 1 do
+    h := (!h lxor Char.code (String.unsafe_get key i)) * 0x100000001b3
+  done;
+  !h land max_int
+
+(* Distinct snapshot keys in BFS discovery order, wiring after wiring,
+   at most [limit] — the inputs [1..n] are [Core.verify_snapshot_model]'s
+   defaults. *)
+let snapshot_keys ~n ~wirings ~limit =
+  let cfg = Snap.standard ~n in
+  let inputs = Array.init n (fun i -> i + 1) in
+  let distinct = Hashtbl.create 4096 and order = ref [] in
+  List.iter
+    (fun wiring ->
+      let seen = Hashtbl.create 4096 and queue = Queue.create () in
+      let visit st =
+        let key = Mc.encode_state cfg st in
+        if Hashtbl.length distinct < limit && not (Hashtbl.mem seen key)
+        then begin
+          Hashtbl.add seen key ();
+          Queue.add st queue;
+          if not (Hashtbl.mem distinct key) then begin
+            Hashtbl.add distinct key ();
+            order := key :: !order
+          end
+        end
+      in
+      visit (Mc.init_state ~cfg ~inputs);
+      while not (Queue.is_empty queue) do
+        let st = Queue.pop queue in
+        List.iter
+          (fun p -> visit (Mc.successor cfg wiring st p))
+          (Mc.enabled cfg st)
+      done)
+    wirings;
+  Array.of_list (List.rev !order)
+
+(* Mean distance from home slot over the first [3/4 cap] keys of
+   [keys], linear probing in a [cap]-slot table — the table's state just
+   before it grows. *)
+let mean_displacement hash keys cap =
+  let used = Array.make cap false in
+  let count = 3 * cap / 4 in
+  let total = ref 0 in
+  for j = 0 to count - 1 do
+    let i = ref (hash keys.(j) land (cap - 1)) in
+    while used.(!i) do
+      i := (!i + 1) land (cap - 1);
+      incr total
+    done;
+    used.(!i) <- true
+  done;
+  float_of_int !total /. float_of_int count
+
+(* An ideal hash for reference: the first 8 bytes of the MD5 of a salt
+   and the key. *)
+let salted_md5 salt key =
+  Int64.to_int (String.get_int64_le (Digest.string (salt ^ key)) 0) land max_int
+
+(* The word hash must place the stream no worse than FNV-1a does.  On a
+   few thousand keys the displacement of any good hash is mostly
+   sampling noise (a random function lands anywhere in about +-15%), so
+   a hash that matches the median of 11 salted ideal hashes also passes:
+   it cannot be blamed for an FNV-1a draw that happened to be lucky.  A
+   structurally weak hash sits far above both bars. *)
+let check_probe_quality name keys =
+  (* The largest table whose 3/4 growth point the stream reaches. *)
+  let cap = ref 8 in
+  while 3 * (2 * !cap) / 4 <= Array.length keys do cap := 2 * !cap done;
+  let displacement hash = mean_displacement hash keys !cap in
+  let word = displacement St.hash and fnv = displacement fnv1a in
+  let ideal =
+    List.init 11 (fun i -> displacement (salted_md5 (string_of_int i)))
+    |> List.sort Float.compare
+  in
+  let ideal_median = List.nth ideal 5 in
+  if word > Float.max fnv ideal_median then
+    Alcotest.failf
+      "%s: mean displacement %.4f at %d slots; FNV-1a %.4f, ideal median %.4f"
+      name word !cap fnv ideal_median
+
+let test_probe_quality () =
+  check_probe_quality "n=2 snapshot, all wirings"
+    (snapshot_keys ~n:2
+       ~wirings:(Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
+       ~limit:max_int);
+  check_probe_quality "first 200k n=3 snapshot keys"
+    (snapshot_keys ~n:3
+       ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3 ]
+       ~limit:200_000)
 
 (* ------------------------------------------------------------------ *)
 (* Packed_vec vs int-array model                                       *)
@@ -298,6 +449,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_key_of_id_round_trip;
           QCheck_alcotest.to_alcotest prop_iter_is_insertion_order;
           QCheck_alcotest.to_alcotest prop_load_factor;
+          QCheck_alcotest.to_alcotest prop_intern_bytes_matches_intern;
+          Alcotest.test_case "scratch buffer never aliased" `Quick
+            test_scratch_buffer_not_aliased;
         ] );
       ( "collisions",
         [
@@ -313,6 +467,11 @@ let () =
           Alcotest.test_case "structured width/id errors" `Quick
             test_structured_errors;
           Alcotest.test_case "words tracks growth" `Quick test_words_grows;
+        ] );
+      ( "probe-quality",
+        [
+          Alcotest.test_case "word hash displaces no more than FNV-1a" `Quick
+            test_probe_quality;
         ] );
       ( "packed-vec",
         [
