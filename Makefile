@@ -1,4 +1,4 @@
-.PHONY: build test bench experiments bench-mc bench-fuzz bench-portfolio mc-smoke mc-long fuzz-smoke fuzz-long fault-smoke faults-long portfolio-smoke portfolio-long feasibility resume-smoke coverage clean
+.PHONY: build test experiments mc-smoke mc-long fuzz-smoke fuzz-long fault-smoke faults-long portfolio-smoke portfolio-long feasibility resume-smoke coverage clean
 
 build:
 	dune build @all
@@ -6,45 +6,12 @@ build:
 test:
 	dune runtest
 
-# Full reproduction report (EXPERIMENTS.md's tables).  The output file
-# is regenerated, not committed (.gitignore'd).
+# Full reproduction report (EXPERIMENTS.md's tables, the X6/X7/X12
+# scaling rows included).  The output file is regenerated, not committed
+# (.gitignore'd).
 experiments:
 	dune build bin/experiments.exe
 	cd $(CURDIR) && ./_build/default/bin/experiments.exe | tee experiments_output.txt
-
-bench:
-	dune exec bench/main.exe
-
-# Model-checking engine benchmark: states visited, wall-clock and peak
-# memory for sequential vs symmetry-reduced vs parallel x {1,2,4}
-# domains on the snapshot explorations.  Writes BENCH_mc.json (several
-# minutes: the 3-processor rows explore ~2M states each, and the
-# 4-processor bounded-depth row explores a ~28M-state symmetry quotient
-# — a few GiB of heap — that only the arena state tables keep
-# affordable).  The 3-processor full row is additionally rebuilt in the
-# pre-arena boxed layout to report the memory-compaction factor.
-bench-mc:
-	dune build bench/bench_mc.exe
-	cd $(CURDIR) && ./_build/default/bench/bench_mc.exe
-
-# Fuzzing-throughput benchmark: cases/s, steps/s and allocated words per
-# step for the legacy (list-view, traced) execution core vs the bitset
-# views traced, boxed-fast, and on the flat int-machine fast path, plus
-# campaign wall-clock at 1 vs N domains.  Writes BENCH_fuzz.json; the
-# EXPERIMENTS.md fuzzing tables (X8, X13) come from this output.  Pass
-# BENCH_FUZZ_FLAGS=--quick for the CI-sized run (which doubles as the
-# perf gate: <8 alloc words/step and >=3M steps/s on the flat row).
-bench-fuzz:
-	dune build bench/bench_fuzz.exe
-	cd $(CURDIR) && ./_build/default/bench/bench_fuzz.exe $(BENCH_FUZZ_FLAGS)
-
-# Portfolio-verification benchmark: wall-clock + visited states per
-# feasibility-map cell class, sequential vs symmetry-reduced.  Writes
-# BENCH_portfolio.json.  Pass BENCH_PORTFOLIO_FLAGS=--quick to skip the
-# m=5 clean cells.
-bench-portfolio:
-	dune build bench/bench_portfolio.exe
-	cd $(CURDIR) && ./_build/default/bench/bench_portfolio.exe $(BENCH_PORTFOLIO_FLAGS)
 
 # The quick cross-engine differential pass that runtest already includes.
 mc-smoke:

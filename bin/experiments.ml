@@ -5,8 +5,11 @@
 
    --full additionally runs the n=3 exhaustive model check over all 36
    wirings (the paper's TLC claim), which explores hundreds of millions of
-   states and takes a while; the default run checks n=2 exhaustively and
-   n=3 on a subset of wirings. *)
+   states and takes a while, and the n=4 bounded-quotient scaling rows
+   (about 28.5M states; several GiB of peak RSS); the default run checks
+   n=2 exhaustively and n=3 on a subset of wirings.  The exit status is
+   non-zero when a fingerprint row loses count parity with its exact
+   twin. *)
 
 let full = Array.exists (( = ) "--full") Sys.argv
 
@@ -544,10 +547,140 @@ let x5 () =
               max_crashes e)
     [ 1; 2 ]
 
+(* X6/X7/X12: scaling rows.  Figure 3 on the identity wiring with a
+   single input class, whose automorphism group is the whole symmetric
+   group. *)
+
+module Snap_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Snapshot)
+
+let mib_of_words w = float_of_int (w * (Sys.word_size / 8)) /. 1048576.
+
+(* Peak resident set of this process in MiB (VmHWM), 0 off Linux. *)
+let vm_hwm_mib () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> 0.
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:" ->
+            Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" Fun.id
+        | _ -> scan ()
+        | exception End_of_file -> 0
+      in
+      let kb = Fun.protect ~finally:(fun () -> close_in ic) scan in
+      float_of_int kb /. 1024.
+
+let timed f =
+  Gc.compact ();
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let print_counts ~label ~engine ~reduction ~states ~transitions ~wall =
+  Printf.printf "  %-14s %-12s %-9s %9d states %9d transitions %8.2fs" label
+    engine
+    (if reduction then "reduced" else "unreduced")
+    states transitions wall
+
+(* An exact BFS row; returns (states, transitions).  Retained MiB is the
+   exact heap reachable from the explored space. *)
+let exact_row ?stop_expansion ~label ~reduction ~cfg ~wiring ~inputs () =
+  let space, wall =
+    timed (fun () ->
+        match
+          Snap_mc.explore ?stop_expansion ~reduction ~cfg ~wiring ~inputs ()
+        with
+        | Snap_mc.Explored sp -> sp
+        | _ -> failwith (label ^ ": exact exploration did not complete"))
+  in
+  let states = Snap_mc.state_count space
+  and transitions = Snap_mc.transition_count space in
+  print_counts ~label ~engine:"exact" ~reduction ~states ~transitions ~wall;
+  Printf.printf ", %.1f MiB retained\n%!"
+    (mib_of_words (Obj.reachable_words (Obj.repr space)));
+  (states, transitions)
+
+(* A fingerprint BFS row at [ram_mib]; returns (states, transitions). *)
+let fp_row ?stop_expansion ?(hwm = false) ~label ~reduction ~ram_mib ~cfg
+    ~wiring ~inputs () =
+  let st, wall =
+    timed (fun () ->
+        match
+          Snap_mc.explore_fp ?stop_expansion ~reduction
+            ~ram_budget_bytes:(ram_mib * 1024 * 1024)
+            ~cfg ~wiring ~inputs ()
+        with
+        | Snap_mc.Fp_explored st -> st
+        | _ -> failwith (label ^ ": fingerprint exploration did not complete"))
+  in
+  print_counts ~label
+    ~engine:(Printf.sprintf "fp %d MiB" ram_mib)
+    ~reduction ~states:st.Snap_mc.fp_states
+    ~transitions:st.Snap_mc.fp_transitions ~wall;
+  Printf.printf ", %d runs, %.1f MiB spilled, omission bound %.3g%s\n%!"
+    st.Snap_mc.fp_runs
+    (float_of_int st.Snap_mc.fp_bytes_spilled /. 1048576.)
+    st.Snap_mc.fp_bound
+    (if hwm then Printf.sprintf ", VmHWM %.1f MiB" (vm_hwm_mib ()) else "");
+  (st.Snap_mc.fp_states, st.Snap_mc.fp_transitions)
+
+(* A fingerprint row must reproduce its exact twin's counts. *)
+let check_parity ~label ~fp ~exact =
+  if fp <> exact then begin
+    Printf.printf "  %s: fingerprint counts (%d, %d) differ from exact (%d, %d)\n%!"
+      label (fst fp) (snd fp) (fst exact) (snd exact);
+    exit 1
+  end
+
+(* n=4 bounded quotient: expansion stops once two processors have
+   completed a scan, a symmetric predicate, so the reduced run explores
+   the true quotient of the bounded space (|G| = 24). *)
+let n4_cfg = Algorithms.Snapshot.standard ~n:4
+let n4_wiring = Anonmem.Wiring.identity ~n:4 ~m:4
+let n4_inputs = [| 1; 1; 1; 1 |]
+
+let two_scans (st : Snap_mc.state) =
+  Array.fold_left
+    (fun c l -> if Algorithms.Snapshot.level_of_local l >= 1 then c + 1 else c)
+    0 st.Snap_mc.locals
+  >= 2
+
+(* Runs first in --full mode: VmHWM is process-wide and monotone, so the
+   reading is this row's own only while nothing larger has run. *)
+let scaling_n4_fp () =
+  header "X12: n=4 bounded quotient, fingerprint row (runs first for VmHWM)";
+  fp_row ~stop_expansion:two_scans ~hwm:true ~label:"n=4 bounded"
+    ~reduction:true ~ram_mib:128 ~cfg:n4_cfg ~wiring:n4_wiring
+    ~inputs:n4_inputs ()
+
+let scaling ?n4_fp () =
+  header "X6/X7/X12: scaling rows";
+  let cfg = Algorithms.Snapshot.standard ~n:3 in
+  let wiring = Anonmem.Wiring.identity ~n:3 ~m:3 in
+  let inputs = [| 1; 1; 1 |] in
+  let label = "n=3 identity" in
+  let full_counts = exact_row ~label ~reduction:false ~cfg ~wiring ~inputs () in
+  let red_counts = exact_row ~label ~reduction:true ~cfg ~wiring ~inputs () in
+  let fp = fp_row ~label ~reduction:false ~ram_mib:4 ~cfg ~wiring ~inputs () in
+  check_parity ~label ~fp ~exact:full_counts;
+  Printf.printf "  symmetry reduction: %d / %d = %.2fx fewer states\n"
+    (fst full_counts) (fst red_counts)
+    (float_of_int (fst full_counts) /. float_of_int (fst red_counts));
+  match n4_fp with
+  | None -> print_endline "  (pass --full for the n=4 bounded quotient)"
+  | Some fp ->
+      let label = "n=4 bounded" in
+      let exact =
+        exact_row ~stop_expansion:two_scans ~label ~reduction:true ~cfg:n4_cfg
+          ~wiring:n4_wiring ~inputs:n4_inputs ()
+      in
+      check_parity ~label ~fp ~exact
+
 let () =
   Printf.printf
     "Reproduction report: Losa & Gafni, PODC 2024 (fully-anonymous model)\n";
   Printf.printf "mode: %s\n" (if full then "full" else "default (pass --full for the complete n=3 sweep)");
+  let n4_fp = if full then Some (scaling_n4_fp ()) else None in
   figure2 ();
   theorem48 ();
   fig3 ();
@@ -562,4 +695,5 @@ let () =
   x3 ();
   x4 ();
   x5 ();
+  scaling ?n4_fp ();
   print_endline "\ndone."

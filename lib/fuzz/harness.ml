@@ -80,12 +80,8 @@ module Make (T : Target.S) = struct
      {!Sys.run}'s zero-observer fast path — no event records, no trace
      conses, no ghost bookkeeping.  Step counts come from [Sys.run]'s own
      counter either way (it sees dropped writes, which emit no event), so
-     verdicts agree between the two modes; only [trace] differs.
-     [flat = false] additionally forces the boxed interpreter even when
-     the protocol ships a flat machine — the benchmark's before-rows and
-     the flat/boxed differential tests. *)
-  let exec ?(flat = true) ~record ~cfg ~wiring ~inputs ~sched ~faults
-      ~max_steps () =
+     verdicts agree between the two modes; only [trace] differs. *)
+  let exec ~record ~cfg ~wiring ~inputs ~sched ~faults ~max_steps () =
     let state = Sys.init ~cfg ~wiring ~inputs in
     let trace = Tr.create () in
     let step_counts = Array.make (T.P.processors cfg) 0 in
@@ -93,13 +89,12 @@ module Make (T : Target.S) = struct
     let on_fault = if record then Some (Tr.on_fault trace) else None in
     let faults = match faults with [] -> None | plan -> Some plan in
     let stop, steps =
-      Sys.run ~max_steps ?faults ~step_counts ~flat ~sched ?on_event ?on_fault
-        state
+      Sys.run ~max_steps ?faults ~step_counts ~sched ?on_event ?on_fault state
     in
     { stop; steps; outputs = Sys.outputs state; step_counts; trace }
 
-  let run_case ?(record = true) ?flat (c : Gen.case) =
-    exec ?flat ~record
+  let run_case ?(record = true) (c : Gen.case) =
+    exec ~record
       ~cfg:(T.cfg ~n:c.n ~m:c.m)
       ~wiring:(Gen.wiring c) ~inputs:c.inputs
       ~sched:(Schedule.scheduler (Gen.schedule_rng c) c.shape)

@@ -250,8 +250,9 @@ type counts = {
 
 val universe_counts : n:int -> clause list -> counts
 (** Closed-form universe sizes — no enumeration of assignments, so this is
-    cheap even at n = 4/5 where the induction itself is not run.  Feeds
-    the candidate-state-reduction column of BENCH_mc.json. *)
+    cheap even at n = 4/5 where the induction itself is not run.  Gives
+    the candidate-state reduction of EXPERIMENTS X11 (16x at n = 4,
+    pinned by test_inductive). *)
 
 val input_classes : int -> int array list
 (** Input assignments at [n] processors up to input renaming and

@@ -2,8 +2,8 @@
     the successor to {!Par_explorer}'s layer-synchronous BFS.
 
     The layer-synchronous design pays two full barriers per BFS layer,
-    and every domain idles for the slowest one at each; BENCH_mc.json
-    shows it losing to the sequential engine outright.  This engine
+    and every domain idles for the slowest one at each; measured, it
+    loses to the sequential engine outright (EXPERIMENTS X6).  This engine
     removes the barriers entirely:
 
     - Every domain owns a {!Deque} (a Chase–Lev-style work-stealing

@@ -50,6 +50,12 @@ let test_campaign_determinism () =
   Alcotest.(check int) "same total steps" r1.Harness.total_steps
     r2.Harness.total_steps
 
+(* The throughput shape: at n = m in 24..40 every snapshot case runs
+   the whole 5,000-step budget mid-protocol, so execution dominates. *)
+let big_seed = 2026
+let big_n_range = (24, 40)
+let big_max_steps = 5_000
+
 (* Same seed => byte-identical deterministic report, whatever the domain
    count.  The sharding protocol guarantees the smallest failing
    iteration wins and every case seed derives from (campaign seed,
@@ -57,13 +63,20 @@ let test_campaign_determinism () =
    steps, counterexample, shrunk instance — cannot depend on how many
    workers ran the campaign. *)
 let test_parallel_campaign_clean () =
-  let summary domains =
-    H_snap.deterministic_summary ~key:"snapshot"
-      (H_snap.campaign ~domains ~seed:7 ~iterations:200 ())
+  let same_summary ?n_range ?max_steps ~seed ~iterations () =
+    let summary domains =
+      H_snap.deterministic_summary ~key:"snapshot"
+        (H_snap.campaign ~domains ?n_range ?max_steps ~seed ~iterations ())
+    in
+    let s1 = summary 1 in
+    Alcotest.(check string) "2 domains = 1 domain" s1 (summary 2);
+    Alcotest.(check string) "4 domains = 1 domain" s1 (summary 4)
   in
-  let s1 = summary 1 in
-  Alcotest.(check string) "2 domains = 1 domain" s1 (summary 2);
-  Alcotest.(check string) "4 domains = 1 domain" s1 (summary 4)
+  same_summary ~seed:7 ~iterations:200 ();
+  (* Large instances that saturate the step budget: every case is long,
+     so each of 4 domains claims several 64-case chunks. *)
+  same_summary ~n_range:big_n_range ~max_steps:big_max_steps ~seed:big_seed
+    ~iterations:2_000 ()
 
 let test_parallel_campaign_planted_bug () =
   let report domains = H_dc.campaign ~domains ~seed:0 ~iterations:200 () in
@@ -113,6 +126,44 @@ let test_fast_vs_traced_differential () =
     Alcotest.(check bool) "same verdict" true
       (Result.is_ok (v traced) = Result.is_ok (v fast))
   done
+
+(* The untraced path runs the snapshot target on its flat int machine,
+   which allocates a few words per step; the boxed interpreter allocates
+   about 39, so a silent fallback fails here.  One measured iteration is
+   a whole harness case: generation, execution and verdict. *)
+let test_flat_path_allocation () =
+  let run_one i =
+    let case =
+      Gen.case
+        ~seed:((big_seed * 1_000_003) + i)
+        ~n_range:big_n_range ~m_range:m_eq_n ~max_steps:big_max_steps ()
+    in
+    let run = H_snap.run_case ~record:false case in
+    (match
+       H_snap.verdict ~n:case.Gen.n ~m:case.Gen.m ~inputs:case.Gen.inputs run
+     with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "snapshot: unexpected counterexample");
+    run.H_snap.steps
+  in
+  let allocated () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let iterations = 1_500 in
+  for i = 0 to 63 do
+    ignore (run_one i : int)
+  done;
+  Gc.full_major ();
+  let a0 = allocated () in
+  let steps = ref 0 in
+  for i = 0 to iterations - 1 do
+    steps := !steps + run_one i
+  done;
+  let per_step = (allocated () -. a0) /. float_of_int !steps in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words/step < 8" per_step)
+    true (per_step < 8.0)
 
 (* --- The planted bug ------------------------------------------------------ *)
 
@@ -268,6 +319,8 @@ let () =
             test_parallel_campaign_planted_bug;
           Alcotest.test_case "fast path vs traced" `Quick
             test_fast_vs_traced_differential;
+          Alcotest.test_case "flat path allocation" `Quick
+            test_flat_path_allocation;
         ] );
       ( "planted-bug",
         [
