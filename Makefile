@@ -109,7 +109,11 @@ feasibility:
 # does the same through the engine checkpoints: a 0.1 s per-cell budget
 # must stop at least one cell mid-exploration (exit 3) and leave its
 # *.ckpt under --ckpt-dir, and the unbudgeted --resume must finish that
-# cell from the checkpoint with a byte-identical map.  CI runs this on
+# cell from the checkpoint with a byte-identical map.  The third leg
+# does the same for the snapshot sweep checkpoints of check-snapshot,
+# exact and --fingerprint: a zero wall budget must exit 3 leaving the
+# checkpoint, and --resume must print the uninterrupted output byte for
+# byte and remove the checkpoint.  CI runs this on
 # every push; it is the end-to-end check behind the durability suite.
 resume-smoke:
 	dune build bin/anonsim.exe
@@ -136,6 +140,20 @@ resume-smoke:
 	  -o _resume_smoke/ckpt-resumed.json
 	cmp _resume_smoke/ckpt-reference.json _resume_smoke/ckpt-resumed.json
 	@echo "resume-smoke: map resumed from engine checkpoints byte-identical"
+	for mode in "" --fingerprint; do \
+	  ./_build/default/bin/anonsim.exe check-snapshot -n 2 $$mode \
+	    > _resume_smoke/snapshot-reference.txt || exit 1; \
+	  ./_build/default/bin/anonsim.exe check-snapshot -n 2 $$mode \
+	    --checkpoint _resume_smoke/snapshot.ckpt --max-seconds 0 > /dev/null; \
+	  [ $$? -eq 3 ] && [ -f _resume_smoke/snapshot.ckpt ] || exit 1; \
+	  ./_build/default/bin/anonsim.exe check-snapshot -n 2 $$mode \
+	    --checkpoint _resume_smoke/snapshot.ckpt --resume \
+	    > _resume_smoke/snapshot-resumed.txt || exit 1; \
+	  cmp _resume_smoke/snapshot-reference.txt \
+	    _resume_smoke/snapshot-resumed.txt || exit 1; \
+	  [ ! -e _resume_smoke/snapshot.ckpt ] || exit 1; \
+	done
+	@echo "resume-smoke: check-snapshot resumed from its sweep checkpoint byte-identical"
 
 # Line-coverage report over the library code.  Requires the bisect_ppx
 # backend (`opam install bisect_ppx`); the (instrumentation) stanzas in

@@ -347,29 +347,23 @@ let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5)
       (fun l -> l.Algorithms.Consensus.ts >= max_ts)
       st.Consensus_mc.locals
   in
-  let wirings = Anonmem.Wiring.enumerate ~n ~m:n ~fix_first:true in
-  let rec go total = function
-    | [] -> Ok total
-    | wiring :: rest -> (
-        match
-          Consensus_mc.check_exhaustive ?max_states ~fail_on_cycle:false
-            ~reduction ?governor ~invariant ~stop_expansion ~cfg ~wiring
-            ~inputs ()
-        with
-        | Consensus_mc.Dfs_ok s -> go (total + s.Consensus_mc.dfs_states) rest
-        | Consensus_mc.Dfs_cycle _ -> assert false
-        | Consensus_mc.Dfs_invariant_failed { message; _ } ->
-            Error
-              (Fmt.str "under wiring %a: %s" Anonmem.Wiring.pp wiring message)
-        | Consensus_mc.Dfs_state_limit k ->
-            Error (Fmt.str "state limit at %d" k)
-        | Consensus_mc.Dfs_exhausted { reason; stats } ->
-            Error
-              (Fmt.str "budget exhausted (%a) at %d states"
-                 Modelcheck.Governor.pp_reason reason
-                 stats.Consensus_mc.dfs_states))
-  in
-  go 0 wirings
+  Modelcheck.Wiring_sweep.run ~n ~m:n ~init:0
+    (fun ~resume:_ ~ckpt_extra:_ wiring total ->
+      match
+        Consensus_mc.check_exhaustive ?max_states ~fail_on_cycle:false
+          ~reduction ?governor ~invariant ~stop_expansion ~cfg ~wiring ~inputs
+          ()
+      with
+      | Consensus_mc.Dfs_ok s -> Ok (total + s.Consensus_mc.dfs_states)
+      | Consensus_mc.Dfs_cycle _ -> assert false
+      | Consensus_mc.Dfs_invariant_failed { message; _ } ->
+          Error (Fmt.str "under wiring %a: %s" Anonmem.Wiring.pp wiring message)
+      | Consensus_mc.Dfs_state_limit k -> Error (Fmt.str "state limit at %d" k)
+      | Consensus_mc.Dfs_exhausted { reason; stats } ->
+          Error
+            (Fmt.str "budget exhausted (%a) at %d states"
+               Modelcheck.Governor.pp_reason reason
+               stats.Consensus_mc.dfs_states))
 
 (** {1 Protocol portfolio verification}
 
@@ -381,19 +375,6 @@ let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5)
     transition graph — so verification splits into a state invariant
     (safety) and a fair-SCC search (liveness), both per wiring.  The
     verdicts feed {!Analysis.Feasibility}. *)
-
-module Rt_mutex_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Rt_mutex)
-module Rt_mutex_par_mc =
-  Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Rt_mutex)
-module Rt_mutex_fault_mc =
-  Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Rt_mutex)
-module Weak_leader_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Weak_leader)
-module Weak_leader_par_mc =
-  Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Weak_leader)
-module Naming_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Naming)
-module Naming_par_mc = Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Naming)
-module Naming_fault_mc =
-  Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Naming)
 
 (** One verdict shape for every portfolio protocol, structured enough for
     the feasibility map and for witness replay in the test suite.  Paths
@@ -445,6 +426,113 @@ let pp_verdict ppf = function
 
 let verdict_is_verified = function Verified _ -> true | _ -> false
 
+(* The portfolio verifiers fold (wirings verified, states so far) over
+   the sweep — over whole wirings, or over processor-relabelling classes
+   with [~wiring_classes:true]. *)
+let portfolio_sweep ?(wiring_classes = false) ?section ?ckpt ?resume ~n ~m
+    check =
+  let wirings =
+    if wiring_classes then Some (Wiring.enumerate_classes ~n ~m) else None
+  in
+  match
+    Modelcheck.Wiring_sweep.run ?wirings ?section ?ckpt ?resume ~n ~m
+      ~init:(0, 0) check
+  with
+  | Ok (wirings, states) -> Verified { wirings; states }
+  | Error v -> v
+
+(** The generic engine for a spinning portfolio protocol, plus its
+    per-wiring check: explore with the safety invariant, check the task
+    at terminal outcomes, then search for a fair SCC and build the lasso
+    witness. *)
+module Portfolio_mc (P : Modelcheck.Explorer.CHECKABLE with type input = int) =
+struct
+  include Modelcheck.Explorer.Make (P)
+
+  (* Liveness post-pass: the BFS space was explored clean of safety
+     violations; look for a fair SCC.  Detection is exact on reduced
+     spaces, but the lasso witness needs concrete states, so a reduced
+     hit triggers one unreduced re-exploration. *)
+  let liveness ?max_states ~cfg ~wiring ~inputs space =
+    match find_fair_scc space with
+    | None -> Ok ()
+    | Some (_, live) ->
+        let wspace =
+          if space.reduction = None then Some space
+          else
+            match
+              explore ?max_states ~reduction:false ~cfg ~wiring ~inputs ()
+            with
+            | Explored s -> Some s
+            | _ -> None
+        in
+        let live, stem, cycle =
+          match Option.map (fun s -> (s, find_fair_scc s)) wspace with
+          | Some (s, Some (entry, live)) ->
+              ( live,
+                List.map fst (trace_to s entry),
+                fair_cycle_witness s ~entry ~live )
+          | _ -> (live, [], [])
+        in
+        Error (live, stem, cycle)
+
+  (** Check one wiring; [Ok k] is the wiring's state count.  [states] is
+      the sweep's count before this wiring, which an exhausted verdict
+      reports on top of the engine's own. *)
+  let check_wiring ?max_states ~reduction ?governor ~invariant ~task ~cfg
+      ~inputs ~states wiring =
+    match
+      explore ?max_states ~reduction ?governor ~invariant ~cfg ~wiring ~inputs
+        ()
+    with
+    | State_limit k -> Error (Resource_limit k)
+    | Exhausted { reason; states = k } ->
+        Error (Exhausted { reason; states_visited = states + k; checkpoint = None })
+    | Invariant_failed (_, v) ->
+        Error
+          (Safety_violation
+             { wiring; message = v.message; path = List.map fst v.trace })
+    | Explored space -> (
+        let bad_terminal =
+          List.find_map
+            (fun t -> Result.fold ~ok:(fun () -> None) ~error:Option.some (task t))
+            (terminal_outcomes space ~group_of_input:Fun.id
+               ~to_task_output:Fun.id)
+        in
+        match bad_terminal with
+        | Some e ->
+            Error
+              (Safety_violation
+                 {
+                   wiring;
+                   message = Fmt.str "%a" Tasks.Task_failure.pp e;
+                   path = [];
+                 })
+        | None -> (
+            match liveness ?max_states ~cfg ~wiring ~inputs space with
+            | Ok () -> Ok (state_count space)
+            | Error (live, stem, cycle) ->
+                Error (Liveness_violation { wiring; live; stem; cycle })))
+
+  (** The sweep of {!check_wiring} over every wiring. *)
+  let verify ?max_states ~reduction ?wiring_classes ?governor ~invariant ~task
+      ~cfg ~inputs ~n ~m () =
+    portfolio_sweep ?wiring_classes ~n ~m (fun ~resume:_ ~ckpt_extra:_ wiring
+        (wcount, states) ->
+        Result.map
+          (fun k -> (wcount + 1, states + k))
+          (check_wiring ?max_states ~reduction ?governor ~invariant ~task ~cfg
+             ~inputs ~states wiring))
+end
+
+module Rt_mutex_mc = Portfolio_mc (Modelcheck.Codecs.Rt_mutex)
+module Rt_mutex_fault_mc =
+  Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Rt_mutex)
+module Weak_leader_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Weak_leader)
+module Naming_mc = Portfolio_mc (Modelcheck.Codecs.Naming)
+module Naming_fault_mc =
+  Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Naming)
+
 (** Mutual exclusion as a state invariant: at most one processor inside
     the critical section, and no completed audit may have tripped. *)
 let mutex_invariant cfg (st : Rt_mutex_mc.state) =
@@ -473,33 +561,14 @@ let mutex_invariant cfg (st : Rt_mutex_mc.state) =
              Fmt.(list ~sep:(any ", ") (fun ppf p -> Fmt.pf ppf "p%d" (p + 1)))
              intruded)
 
-(* Shared liveness post-pass: the BFS space was explored clean of safety
-   violations; look for a fair SCC.  Detection is exact on reduced
-   spaces, but the lasso witness needs concrete states, so a reduced hit
-   triggers one unreduced re-exploration. *)
-let mutex_liveness ?max_states ~cfg ~wiring ~inputs space =
-  match Rt_mutex_mc.find_fair_scc space with
-  | None -> Ok ()
-  | Some (_, live) ->
-      let wspace =
-        if space.Rt_mutex_mc.reduction = None then Some space
-        else
-          match
-            Rt_mutex_mc.explore ?max_states ~reduction:false ~cfg ~wiring
-              ~inputs ()
-          with
-          | Rt_mutex_mc.Explored s -> Some s
-          | _ -> None
-      in
-      let live, stem, cycle =
-        match Option.map (fun s -> (s, Rt_mutex_mc.find_fair_scc s)) wspace with
-        | Some (s, Some (entry, live)) ->
-            ( live,
-              List.map fst (Rt_mutex_mc.trace_to s entry),
-              Rt_mutex_mc.fair_cycle_witness s ~entry ~live )
-        | _ -> (live, [], [])
-      in
-      Error (live, stem, cycle)
+(* The packed mutex sweep's checkpoint section: (wirings verified,
+   states so far) after the wiring index. *)
+let mutex_sweep_section =
+  {
+    Modelcheck.Wiring_sweep.name = "sweep";
+    to_ints = (fun (wcount, states) -> [| wcount; states |]);
+    of_ints = (fun a -> (a.(0), a.(1)));
+  }
 
 (** Exhaustively verify the symmetric mutex at [(n, m)]: for every wiring
     (processor 0 pinned), explore every interleaving, check mutual
@@ -515,132 +584,47 @@ let mutex_liveness ?max_states ~cfg ~wiring ~inputs space =
     cells exhaustively checkable): clean wirings are accepted on its
     word, while any violating or unsupported wiring is re-explored by
     the generic engine below so counterexample witnesses stay concrete
-    and replayable. *)
+    and replayable.  Only the packed path checkpoints: [ckpt] and
+    [resume] go through {!Modelcheck.Wiring_sweep.run}, which re-enters
+    mid-sweep and lets the engine restart the wiring mid-exploration. *)
 let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
-    ?(wiring_classes = false) ?(packed = false) ?governor ?ckpt
-    ?(resume = false) () =
+    ?wiring_classes ?(packed = false) ?governor ?ckpt ?resume () =
   let cfg = match cfg with Some c -> c | None -> Algorithms.Rt_mutex.cfg ~n ~m in
   let n = Algorithms.Rt_mutex.processors cfg in
   let m = Algorithms.Rt_mutex.registers cfg in
   let inputs = Array.init n (fun i -> i + 1) in
-  let wirings =
-    if wiring_classes then Wiring.enumerate_classes ~n ~m
-    else Wiring.enumerate ~n ~m ~fix_first:true
-  in
-  let wiring_arr = Array.of_list wirings in
-  let pws =
-    if packed then Some (Modelcheck.Rt_mutex_packed.ws ()) else None
-  in
-  (* Sweep-level resume (packed path): the checkpoint's "sweep" section
-     carries (wiring index, wirings done, states so far); fast-forward
-     to that wiring and let the engine restart it mid-exploration from
-     its own sections.  A missing file on [resume] just runs fresh, so
-     drivers can pass [~resume:true] unconditionally. *)
-  let resume_idx, start_wcount, start_states =
-    match ckpt with
-    | Some p
-      when packed && resume
-           && Sys.file_exists p.Modelcheck.Checkpoint.path -> (
-        let sections =
-          Modelcheck.Checkpoint.load ~path:p.Modelcheck.Checkpoint.path
-        in
-        match List.assoc_opt "sweep" sections with
-        | None -> (None, 0, 0)
-        | Some b -> (
-            match Modelcheck.Checkpoint.ints_of_bytes b with
-            | [| idx; wcount; states |]
-              when idx >= 0 && idx < Array.length wiring_arr ->
-                (Some idx, wcount, states)
-            | _ ->
-                raise
-                  (Modelcheck.Checkpoint.Corrupt_checkpoint
-                     "verify_mutex: bad sweep section")))
-    | _ -> (None, 0, 0)
-  in
-  let rec go idx wcount states =
-    if idx >= Array.length wiring_arr then Verified { wirings = wcount; states }
-    else
-      let wiring = wiring_arr.(idx) in
-      let generic () =
+  let invariant = mutex_invariant cfg in
+  if not packed then
+    Rt_mutex_mc.verify ?max_states ~reduction ?wiring_classes ?governor
+      ~invariant ~task:Tasks.Mutex_task.check ~cfg ~inputs ~n ~m ()
+  else
+    let ws = Modelcheck.Rt_mutex_packed.ws () in
+    portfolio_sweep ?wiring_classes ~section:mutex_sweep_section ?ckpt ?resume
+      ~n ~m (fun ~resume ~ckpt_extra wiring (wcount, states) ->
+        let verified k = Ok (wcount + 1, states + k) in
         match
-          Rt_mutex_mc.explore ?max_states ~reduction ?governor
-            ~invariant:(mutex_invariant cfg) ~cfg ~wiring ~inputs ()
+          Modelcheck.Rt_mutex_packed.check_wiring ~ws ?max_states ?governor
+            ?ckpt ~ckpt_extra ~resume ~cfg ~wiring ~inputs ()
         with
-        | Rt_mutex_mc.State_limit k -> Resource_limit k
-        | Rt_mutex_mc.Exhausted { reason; states = k } ->
-            Exhausted
-              { reason; states_visited = states + k; checkpoint = None }
-        | Rt_mutex_mc.Invariant_failed (_, v) ->
-            Safety_violation
-              {
-                wiring;
-                message = v.Rt_mutex_mc.message;
-                path = List.map fst v.Rt_mutex_mc.trace;
-              }
-        | Rt_mutex_mc.Explored space -> (
-            let bad_terminal =
-              List.find_map
-                (fun t ->
-                  match Tasks.Mutex_task.check t with
-                  | Ok () -> None
-                  | Error e -> Some e)
-                (Rt_mutex_mc.terminal_outcomes space ~group_of_input:Fun.id
-                   ~to_task_output:Fun.id)
-            in
-            match bad_terminal with
-            | Some e ->
-                Safety_violation
-                  {
-                    wiring;
-                    message = Fmt.str "%a" Tasks.Task_failure.pp e;
-                    path = [];
-                  }
-            | None -> (
-                match
-                  mutex_liveness ?max_states ~cfg ~wiring ~inputs space
-                with
-                | Ok () ->
-                    go (idx + 1) (wcount + 1)
-                      (states + Rt_mutex_mc.state_count space)
-                | Error (live, stem, cycle) ->
-                    Liveness_violation { wiring; live; stem; cycle }))
-      in
-      match pws with
-      | None -> generic ()
-      | Some ws -> (
-          match
-            Modelcheck.Rt_mutex_packed.check_wiring ~ws ?max_states ?governor
-              ?ckpt
-              ~ckpt_extra:
-                [
-                  ( "sweep",
-                    Modelcheck.Checkpoint.bytes_of_ints
-                      [| idx; wcount; states |] );
-                ]
-              ~resume:(resume_idx = Some idx)
-              ~cfg ~wiring ~inputs ()
-          with
-          | Modelcheck.Rt_mutex_packed.Clean { states = k; _ } ->
-              go (idx + 1) (wcount + 1) (states + k)
-          | Modelcheck.Rt_mutex_packed.Limit k -> Resource_limit k
-          | Modelcheck.Rt_mutex_packed.Exhausted { reason; states = k } ->
-              Exhausted
-                {
-                  reason;
-                  states_visited = states + k;
-                  checkpoint =
-                    Option.map
-                      (fun p -> p.Modelcheck.Checkpoint.path)
-                      ckpt;
-                }
-          | Modelcheck.Rt_mutex_packed.Breach
-          | Modelcheck.Rt_mutex_packed.Fair_cycle
-          | Modelcheck.Rt_mutex_packed.Unsupported ->
-              generic ())
-  in
-  match resume_idx with
-  | Some idx -> go idx start_wcount start_states
-  | None -> go 0 0 0
+        | Modelcheck.Rt_mutex_packed.Clean { states = k } -> verified k
+        | Modelcheck.Rt_mutex_packed.Limit k -> Error (Resource_limit k)
+        | Modelcheck.Rt_mutex_packed.Exhausted { reason; states = k } ->
+            Error
+              (Exhausted
+                 {
+                   reason;
+                   states_visited = states + k;
+                   checkpoint =
+                     Option.map (fun p -> p.Modelcheck.Checkpoint.path) ckpt;
+                 })
+        | Modelcheck.Rt_mutex_packed.Breach
+        | Modelcheck.Rt_mutex_packed.Fair_cycle
+        | Modelcheck.Rt_mutex_packed.Unsupported ->
+            Result.bind
+              (Rt_mutex_mc.check_wiring ?max_states ~reduction ?governor
+                 ~invariant ~task:Tasks.Mutex_task.check ~cfg ~inputs ~states
+                 wiring)
+              verified)
 
 (** Name distinctness as a state invariant (inputs are distinct
     identities, so any repeated acquired name is a violation).  The
@@ -669,93 +653,20 @@ let naming_invariant cfg (st : Naming_mc.state) =
         (Fmt.str "p%d and p%d both acquired name %d" (p + 1) (q + 1) k)
   | None -> Ok ()
 
-let naming_liveness ?max_states ~cfg ~wiring ~inputs space =
-  match Naming_mc.find_fair_scc space with
-  | None -> Ok ()
-  | Some (_, live) ->
-      let wspace =
-        if space.Naming_mc.reduction = None then Some space
-        else
-          match
-            Naming_mc.explore ?max_states ~reduction:false ~cfg ~wiring
-              ~inputs ()
-          with
-          | Naming_mc.Explored s -> Some s
-          | _ -> None
-      in
-      let live, stem, cycle =
-        match Option.map (fun s -> (s, Naming_mc.find_fair_scc s)) wspace with
-        | Some (s, Some (entry, live)) ->
-            ( live,
-              List.map fst (Naming_mc.trace_to s entry),
-              Naming_mc.fair_cycle_witness s ~entry ~live )
-        | _ -> (live, [], [])
-      in
-      Error (live, stem, cycle)
-
 (** Exhaustively verify the desanonymization layer at [(n, m)]:
     distinctness and flood exclusion as invariants, the full naming task
     (distinctness, own-cell inclusion, view containment) at terminal
     outcomes, and deadlock-freedom by fair-SCC search.  The layer runs
     above the mutex, so its feasibility inherits the mutex threshold. *)
 let verify_naming ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
-    ?(wiring_classes = false) ?governor () =
+    ?wiring_classes ?governor () =
   let cfg = match cfg with Some c -> c | None -> Algorithms.Naming.cfg ~n ~m in
   let n = Algorithms.Naming.processors cfg in
   let m = Algorithms.Naming.registers cfg in
-  let inputs = Array.init n (fun i -> i + 1) in
-  let wirings =
-    if wiring_classes then Wiring.enumerate_classes ~n ~m
-    else Wiring.enumerate ~n ~m ~fix_first:true
-  in
-  let rec go wcount states = function
-    | [] -> Verified { wirings = wcount; states }
-    | wiring :: rest -> (
-        match
-          Naming_mc.explore ?max_states ~reduction ?governor
-            ~invariant:(naming_invariant cfg) ~cfg ~wiring ~inputs ()
-        with
-        | Naming_mc.State_limit k -> Resource_limit k
-        | Naming_mc.Exhausted { reason; states = k } ->
-            Exhausted
-              { reason; states_visited = states + k; checkpoint = None }
-        | Naming_mc.Invariant_failed (_, v) ->
-            Safety_violation
-              {
-                wiring;
-                message = v.Naming_mc.message;
-                path = List.map fst v.Naming_mc.trace;
-              }
-        | Naming_mc.Explored space -> (
-            let bad_terminal =
-              List.find_map
-                (fun t ->
-                  match Tasks.Naming_task.check t with
-                  | Ok () -> None
-                  | Error e -> Some e)
-                (Naming_mc.terminal_outcomes space ~group_of_input:Fun.id
-                   ~to_task_output:Fun.id)
-            in
-            match bad_terminal with
-            | Some e ->
-                Safety_violation
-                  {
-                    wiring;
-                    message = Fmt.str "%a" Tasks.Task_failure.pp e;
-                    path = [];
-                  }
-            | None -> (
-                match
-                  naming_liveness ?max_states ~cfg ~wiring ~inputs space
-                with
-                | Ok () ->
-                    go (wcount + 1)
-                      (states + Naming_mc.state_count space)
-                      rest
-                | Error (live, stem, cycle) ->
-                    Liveness_violation { wiring; live; stem; cycle })))
-  in
-  go 0 0 wirings
+  Naming_mc.verify ?max_states ~reduction ?wiring_classes ?governor
+    ~invariant:(naming_invariant cfg) ~task:Tasks.Naming_task.check ~cfg
+    ~inputs:(Array.init n (fun i -> i + 1))
+    ~n ~m ()
 
 (** Leader uniqueness as a state invariant. *)
 let leader_invariant cfg (st : Weak_leader_mc.state) =
@@ -777,42 +688,37 @@ let leader_invariant cfg (st : Weak_leader_mc.state) =
     violations here — no fair-SCC pass needed).  A wait-freedom breach
     reports the spinning processors as a liveness violation. *)
 let verify_leader ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
-    ?(wiring_classes = false) ?governor () =
+    ?wiring_classes ?governor () =
   let cfg =
     match cfg with Some c -> c | None -> Algorithms.Weak_leader.cfg ~n ~m
   in
   let n = Algorithms.Weak_leader.processors cfg in
   let m = Algorithms.Weak_leader.registers cfg in
   let inputs = Array.init n (fun i -> i + 1) in
-  let wirings =
-    if wiring_classes then Wiring.enumerate_classes ~n ~m
-    else Wiring.enumerate ~n ~m ~fix_first:true
-  in
-  let rec go wcount states = function
-    | [] -> Verified { wirings = wcount; states }
-    | wiring :: rest -> (
-        match
-          Weak_leader_mc.check_exhaustive ?max_states ~fail_on_cycle:true
-            ~reduction ?governor ~invariant:(leader_invariant cfg) ~cfg
-            ~wiring ~inputs ()
-        with
-        | Weak_leader_mc.Dfs_ok stats ->
-            go (wcount + 1) (states + stats.Weak_leader_mc.dfs_states) rest
-        | Weak_leader_mc.Dfs_invariant_failed { message; path; _ } ->
-            Safety_violation { wiring; message; path }
-        | Weak_leader_mc.Dfs_cycle { processors; _ } ->
-            Liveness_violation
-              { wiring; live = processors; stem = []; cycle = [] }
-        | Weak_leader_mc.Dfs_state_limit k -> Resource_limit k
-        | Weak_leader_mc.Dfs_exhausted { reason; stats } ->
-            Exhausted
-              {
-                reason;
-                states_visited = states + stats.Weak_leader_mc.dfs_states;
-                checkpoint = None;
-              })
-  in
-  go 0 0 wirings
+  portfolio_sweep ?wiring_classes ~n ~m
+    (fun ~resume:_ ~ckpt_extra:_ wiring (wcount, states) ->
+      match
+        Weak_leader_mc.check_exhaustive ?max_states ~fail_on_cycle:true
+          ~reduction ?governor ~invariant:(leader_invariant cfg) ~cfg ~wiring
+          ~inputs ()
+      with
+      | Weak_leader_mc.Dfs_ok stats ->
+          Ok (wcount + 1, states + stats.Weak_leader_mc.dfs_states)
+      | Weak_leader_mc.Dfs_invariant_failed { message; path; _ } ->
+          Error (Safety_violation { wiring; message; path })
+      | Weak_leader_mc.Dfs_cycle { processors; _ } ->
+          Error
+            (Liveness_violation
+               { wiring; live = processors; stem = []; cycle = [] })
+      | Weak_leader_mc.Dfs_state_limit k -> Error (Resource_limit k)
+      | Weak_leader_mc.Dfs_exhausted { reason; stats } ->
+          Error
+            (Exhausted
+               {
+                 reason;
+                 states_visited = states + stats.Weak_leader_mc.dfs_states;
+                 checkpoint = None;
+               }))
 
 (** Mutual exclusion under at most [max_crashes] crash-stops: a crashed
     holder deadlocks the lock (liveness is forfeit, as for any one-shot
@@ -931,36 +837,11 @@ let feasibility_map ?(quick = false) ?max_states ?reduction ?wiring_classes
     (Analysis.Feasibility.grids ~quick ())
 
 module Snapshot_witness = Modelcheck.Witness.Search (Algorithms.Snapshot)
-module Snapshot_exhaustive_witness =
-  Modelcheck.Witness.Exhaustive (Modelcheck.Codecs.Snapshot)
 
 let snapshot_memory_set regs =
   Array.fold_left
     (fun acc (v : Algorithms.Snapshot.value) -> Iset.union acc v.view)
     Iset.empty regs
-
-(** Exhaustively search for the Section-8 non-atomicity witness: for each
-    candidate set [target] and each wiring, explore the sub-state-space in
-    which the memory content set never equals [target] and look for a
-    reachable state where a processor has output [target].  A hit is a
-    complete proof of the claim, with a shortest witness execution. *)
-let find_nonatomic_exhaustive ?(n = 3) ?max_states
-    ?(targets = [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ]; [ 1 ]; [ 2 ]; [ 3 ] ]) () =
-  let inputs = Array.init n (fun i -> i + 1) in
-  let cfg = Algorithms.Snapshot.standard ~n in
-  let wirings = Anonmem.Wiring.enumerate ~n ~m:n ~fix_first:true in
-  let rec try_targets = function
-    | [] -> None
-    | t :: rest -> (
-        match
-          Snapshot_exhaustive_witness.find_nonatomic_exhaustive ?max_states
-            ~cfg ~inputs ~memory_set:snapshot_memory_set ~output_set:Fun.id
-            ~target:(Iset.of_list t) ~wirings ()
-        with
-        | Some w -> Some w
-        | None -> try_targets rest)
-  in
-  try_targets targets
 
 (** Exhaustive non-atomicity witness search for the paper's 3-processor
     configuration using the bit-packed checker: for each (inputs, target)

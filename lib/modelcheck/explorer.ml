@@ -132,6 +132,97 @@ let empty_fp_summary =
     fp_spill_bytes = 0;
   }
 
+(* The per-wiring error strings every sweep over wirings reports. *)
+let exhausted_error reason states =
+  Fmt.str "exhausted (%a) at %d states" Governor.pp_reason reason states
+
+let limit_error k = Fmt.str "state limit hit at %d states" k
+
+let invariant_error wiring message =
+  Fmt.str "invariant violated under wiring %a: %s" Anonmem.Wiring.pp wiring
+    message
+
+let diverge_error wiring processors =
+  Fmt.str "wait-freedom violated under wiring %a: processors %a diverge"
+    Anonmem.Wiring.pp wiring
+    Fmt.(list ~sep:comma int)
+    processors
+
+(** [summary] after one more wiring with the given space counts. *)
+let add_wiring s ~states ~transitions ~terminals ~wait_free =
+  {
+    wirings_checked = s.wirings_checked + 1;
+    total_states = s.total_states + states;
+    max_space_states = max s.max_space_states states;
+    total_transitions = s.total_transitions + transitions;
+    terminal_states = s.terminal_states + terminals;
+    all_wait_free = s.all_wait_free && wait_free;
+  }
+
+(** Sweep positions for multi-wiring checkpoints ({!Wiring_sweep}): the
+    summary accumulated over the wirings before the one in flight. *)
+let sweep_section =
+  {
+    Wiring_sweep.name = "sweep";
+    to_ints =
+      (fun s ->
+        [|
+          s.wirings_checked;
+          s.total_states;
+          s.max_space_states;
+          s.total_transitions;
+          s.terminal_states;
+          (if s.all_wait_free then 1 else 0);
+        |]);
+    of_ints =
+      (fun a ->
+        {
+          wirings_checked = a.(0);
+          total_states = a.(1);
+          max_space_states = a.(2);
+          total_transitions = a.(3);
+          terminal_states = a.(4);
+          all_wait_free = a.(5) = 1;
+        });
+  }
+
+(* The float bound travels as the two 32-bit halves of its IEEE-754
+   image (the int sections are 63-bit-safe, a raw bits_of_float is
+   not). *)
+let fp_sweep_section =
+  {
+    Wiring_sweep.name = "fp_sweep";
+    to_ints =
+      (fun s ->
+        let bits = Int64.bits_of_float s.fp_omission_bound in
+        [|
+          s.fp_wirings;
+          s.fp_total_states;
+          s.fp_max_space_states;
+          s.fp_total_transitions;
+          s.fp_terminal_states;
+          s.fp_spilled_runs;
+          s.fp_spill_bytes;
+          Int64.to_int (Int64.logand bits 0xffffffffL);
+          Int64.to_int (Int64.shift_right_logical bits 32);
+        |]);
+    of_ints =
+      (fun a ->
+        {
+          fp_wirings = a.(0);
+          fp_total_states = a.(1);
+          fp_max_space_states = a.(2);
+          fp_total_transitions = a.(3);
+          fp_terminal_states = a.(4);
+          fp_spilled_runs = a.(5);
+          fp_spill_bytes = a.(6);
+          fp_omission_bound =
+            Int64.float_of_bits
+              (Int64.logor (Int64.of_int a.(7))
+                 (Int64.shift_left (Int64.of_int a.(8)) 32));
+        });
+  }
+
 module Make (P : CHECKABLE) = struct
   type state = { locals : P.local array; registers : P.value array }
 
@@ -1061,117 +1152,30 @@ module Make (P : CHECKABLE) = struct
       by default every wiring with processor 0's permutation pinned to the
       identity (register anonymity makes the restriction lossless) — for
       one input assignment, using the lean DFS pass.  [on_wiring] observes
-      each per-wiring result as it completes.  [~reduction:true]
+      the summary after each wiring that passes.  [~reduction:true]
       additionally quotients each per-wiring space by its anonymity
-      symmetries. *)
-  (* Sweep position for multi-wiring checkpoints: the wiring index plus
-     the summary accumulated over the wirings *before* it.  Stored as an
-     extra section in the per-wiring DFS checkpoint, so one file resumes
-     both the in-flight wiring and the sweep around it. *)
-  let sweep_to_ints idx s =
-    [|
-      idx;
-      s.wirings_checked;
-      s.total_states;
-      s.max_space_states;
-      s.total_transitions;
-      s.terminal_states;
-      (if s.all_wait_free then 1 else 0);
-    |]
-
-  let sweep_of_ints a =
-    if Array.length a <> 7 then
-      raise
-        (Checkpoint.Corrupt_checkpoint "sweep section of wrong length");
-    ( a.(0),
-      {
-        wirings_checked = a.(1);
-        total_states = a.(2);
-        max_space_states = a.(3);
-        total_transitions = a.(4);
-        terminal_states = a.(5);
-        all_wait_free = a.(6) = 1;
-      } )
-
-  let check_all_wirings ?max_states ?invariant ?(require_wait_free = true)
-      ?on_wiring ?wirings ?(reduction = false) ?governor ?ckpt
-      ?(resume = false) ~cfg ~inputs () =
-    let n = P.processors cfg and m = P.registers cfg in
-    let wirings =
-      match wirings with
-      | Some ws -> ws
-      | None -> Anonmem.Wiring.enumerate ~n ~m ~fix_first:true
-    in
-    let wiring_arr = Array.of_list wirings in
-    let start_idx, start_summary, resume_idx =
-      match ckpt with
-      | Some { Checkpoint.path; _ } when resume && Sys.file_exists path ->
-          let sections = Checkpoint.load ~path in
-          let idx, s =
-            sweep_of_ints
-              (Checkpoint.ints_of_bytes (Checkpoint.find "sweep" sections))
-          in
-          if idx < 0 || idx >= Array.length wiring_arr then
-            raise
-              (Checkpoint.Corrupt_checkpoint
-                 "sweep index outside the wiring list");
-          (idx, s, Some idx)
-      | _ -> (0, empty_summary, None)
-    in
-    let rec go idx summary =
-      if idx >= Array.length wiring_arr then Ok summary
-      else
-        let wiring = wiring_arr.(idx) in
-        let ckpt_extra =
-          [ ("sweep", Checkpoint.bytes_of_ints (sweep_to_ints idx summary)) ]
-        in
+      symmetries.  With [ckpt], the {!sweep_section} rides in each
+      per-wiring DFS checkpoint, so one file resumes both. *)
+  let check_all_wirings ?max_states ?invariant ?on_wiring ?wirings
+      ?(reduction = false) ?governor ?ckpt ?(resume = false) ~cfg ~inputs () =
+    Wiring_sweep.run ?wirings ~section:sweep_section ?ckpt ~resume ?on_wiring
+      ~n:(P.processors cfg) ~m:(P.registers cfg) ~init:empty_summary
+      (fun ~resume ~ckpt_extra wiring summary ->
         match
-          check_exhaustive ?max_states ?invariant ~reduction ?governor ?ckpt ~resume:(resume_idx = Some idx) ~ckpt_extra ~cfg ~wiring
-            ~inputs ()
+          check_exhaustive ?max_states ?invariant ~reduction ?governor ?ckpt
+            ~resume ~ckpt_extra ~cfg ~wiring ~inputs ()
         with
         | Dfs_exhausted { reason; stats } ->
-            Error
-              (Fmt.str "exhausted (%a) at %d states" Governor.pp_reason reason
-                 stats.dfs_states)
-        | Dfs_state_limit k -> Error (Fmt.str "state limit hit at %d states" k)
+            Error (exhausted_error reason stats.dfs_states)
+        | Dfs_state_limit k -> Error (limit_error k)
         | Dfs_invariant_failed { message; _ } ->
-            Error
-              (Fmt.str "invariant violated under wiring %a: %s"
-                 Anonmem.Wiring.pp wiring message)
-        | Dfs_cycle { processors; stats } ->
-            let summary =
-              {
-                summary with
-                wirings_checked = summary.wirings_checked + 1;
-                total_states = summary.total_states + stats.dfs_states;
-                all_wait_free = false;
-              }
-            in
-            (match on_wiring with Some f -> f wiring summary | None -> ());
-            if require_wait_free then
-              Error
-                (Fmt.str
-                   "wait-freedom violated under wiring %a: processors %a diverge"
-                   Anonmem.Wiring.pp wiring
-                   Fmt.(list ~sep:comma int)
-                   processors)
-            else go (idx + 1) summary
-        | Dfs_ok stats ->
-            let summary =
-              {
-                summary with
-                wirings_checked = summary.wirings_checked + 1;
-                total_states = summary.total_states + stats.dfs_states;
-                max_space_states = max summary.max_space_states stats.dfs_states;
-                total_transitions =
-                  summary.total_transitions + stats.dfs_transitions;
-                terminal_states = summary.terminal_states + stats.dfs_terminals;
-              }
-            in
-            (match on_wiring with Some f -> f wiring summary | None -> ());
-            go (idx + 1) summary
-    in
-    go start_idx start_summary
+            Error (invariant_error wiring message)
+        | Dfs_cycle { processors; _ } -> Error (diverge_error wiring processors)
+        | Dfs_ok s ->
+            Ok
+              (add_wiring summary ~states:s.dfs_states
+                 ~transitions:s.dfs_transitions ~terminals:s.dfs_terminals
+                 ~wait_free:true))
 
   (** {1 Fingerprint (hash-compacted) exploration}
 
@@ -1475,45 +1479,6 @@ module Make (P : CHECKABLE) = struct
           Fp_explored st
         end
 
-  (* Sweep position for multi-wiring fingerprint checkpoints; the float
-     bound travels as the two 32-bit halves of its IEEE-754 image (the
-     int sections are 63-bit-safe, a raw bits_of_float is not). *)
-  let fp_sweep_to_ints idx s =
-    let bits = Int64.bits_of_float s.fp_omission_bound in
-    [|
-      idx;
-      s.fp_wirings;
-      s.fp_total_states;
-      s.fp_max_space_states;
-      s.fp_total_transitions;
-      s.fp_terminal_states;
-      s.fp_spilled_runs;
-      s.fp_spill_bytes;
-      Int64.to_int (Int64.logand bits 0xffffffffL);
-      Int64.to_int (Int64.shift_right_logical bits 32);
-    |]
-
-  let fp_sweep_of_ints a =
-    if Array.length a <> 10 then
-      raise
-        (Checkpoint.Corrupt_checkpoint "fp sweep section of wrong length");
-    let bits =
-      Int64.logor
-        (Int64.of_int a.(8))
-        (Int64.shift_left (Int64.of_int a.(9)) 32)
-    in
-    ( a.(0),
-      {
-        fp_wirings = a.(1);
-        fp_total_states = a.(2);
-        fp_max_space_states = a.(3);
-        fp_total_transitions = a.(4);
-        fp_terminal_states = a.(5);
-        fp_spilled_runs = a.(6);
-        fp_spill_bytes = a.(7);
-        fp_omission_bound = Int64.float_of_bits bits;
-      } )
-
   (** Safety-only sweep over wirings with the fingerprint engine: same
       iteration, checkpointing and error-string contract as
       {!check_all_wirings}, but RAM-bounded and without wait-freedom
@@ -1521,52 +1486,23 @@ module Make (P : CHECKABLE) = struct
       deleted between wirings); the summary's omission bound is the union
       bound over the per-wiring bounds. *)
   let check_all_wirings_fp ?max_states ?invariant ?on_wiring ?wirings
-      ?(reduction = false) ?governor ?ckpt ?(resume = false) ?ram_budget_bytes ?batch_states ?spill_dir ~cfg ~inputs () =
-    let n = P.processors cfg and m = P.registers cfg in
-    let wirings =
-      match wirings with
-      | Some ws -> ws
-      | None -> Anonmem.Wiring.enumerate ~n ~m ~fix_first:true
-    in
-    let wiring_arr = Array.of_list wirings in
-    let start_idx, start_summary, resume_idx =
-      match ckpt with
-      | Some { Checkpoint.path; _ } when resume && Sys.file_exists path ->
-          let sections = Checkpoint.load ~path in
-          let idx, s =
-            fp_sweep_of_ints
-              (Checkpoint.ints_of_bytes (Checkpoint.find "fp_sweep" sections))
-          in
-          if idx < 0 || idx >= Array.length wiring_arr then
-            raise
-              (Checkpoint.Corrupt_checkpoint
-                 "fp sweep index outside the wiring list");
-          (idx, s, Some idx)
-      | _ -> (0, empty_fp_summary, None)
-    in
-    let rec go idx summary =
-      if idx >= Array.length wiring_arr then Ok summary
-      else
-        let wiring = wiring_arr.(idx) in
-        let ckpt_extra =
-          [ ("fp_sweep", Checkpoint.bytes_of_ints (fp_sweep_to_ints idx summary)) ]
-        in
+      ?(reduction = false) ?governor ?ckpt ?(resume = false) ?ram_budget_bytes
+      ?batch_states ?spill_dir ~cfg ~inputs () =
+    Wiring_sweep.run ?wirings ~section:fp_sweep_section ?ckpt ~resume
+      ?on_wiring ~n:(P.processors cfg) ~m:(P.registers cfg)
+      ~init:empty_fp_summary
+      (fun ~resume ~ckpt_extra wiring summary ->
         match
-          explore_fp ?max_states ?invariant ~reduction ?governor ?ckpt
-            ~resume:(resume_idx = Some idx) ~ckpt_extra ?ram_budget_bytes
-            ?batch_states ?spill_dir ~cfg ~wiring ~inputs ()
+          explore_fp ?max_states ?invariant ~reduction ?governor ?ckpt ~resume
+            ~ckpt_extra ?ram_budget_bytes ?batch_states ?spill_dir ~cfg ~wiring
+            ~inputs ()
         with
-        | Fp_exhausted { reason; states } ->
-            Error
-              (Fmt.str "exhausted (%a) at %d states" Governor.pp_reason reason
-                 states)
-        | Fp_state_limit k -> Error (Fmt.str "state limit hit at %d states" k)
+        | Fp_exhausted { reason; states } -> Error (exhausted_error reason states)
+        | Fp_state_limit k -> Error (limit_error k)
         | Fp_invariant_failed { message; _ } ->
-            Error
-              (Fmt.str "invariant violated under wiring %a: %s"
-                 Anonmem.Wiring.pp wiring message)
+            Error (invariant_error wiring message)
         | Fp_explored st ->
-            let summary =
+            Ok
               {
                 fp_wirings = summary.fp_wirings + 1;
                 fp_total_states = summary.fp_total_states + st.fp_states;
@@ -1579,10 +1515,5 @@ module Make (P : CHECKABLE) = struct
                 fp_omission_bound = summary.fp_omission_bound +. st.fp_bound;
                 fp_spilled_runs = summary.fp_spilled_runs + st.fp_runs;
                 fp_spill_bytes = summary.fp_spill_bytes + st.fp_bytes_spilled;
-              }
-            in
-            (match on_wiring with Some f -> f wiring summary | None -> ());
-            go (idx + 1) summary
-    in
-    go start_idx start_summary
+              })
 end

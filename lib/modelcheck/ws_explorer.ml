@@ -433,52 +433,23 @@ module Make (P : Explorer.CHECKABLE) = struct
   let check_all_wirings ?max_states ?invariant ?(require_wait_free = true)
       ?on_wiring ?wirings ?(reduction = false) ?governor ~domains ~cfg ~inputs
       () =
-    let n = P.processors cfg and m = P.registers cfg in
-    let wirings =
-      match wirings with
-      | Some ws -> ws
-      | None -> Anonmem.Wiring.enumerate ~n ~m ~fix_first:true
-    in
-    let rec go (summary : Explorer.summary) = function
-      | [] -> Ok summary
-      | wiring :: rest -> (
-          match
-            explore ?max_states ?invariant ~reduction ?governor ~domains ~cfg
-              ~wiring ~inputs ()
-          with
-          | Ws_exhausted { reason; states } ->
-              Error
-                (Fmt.str "exhausted (%a) at %d states" Governor.pp_reason
-                   reason states)
-          | Ws_state_limit k -> Error (Fmt.str "state limit hit at %d states" k)
-          | Ws_invariant_failed { message; _ } ->
-              Error
-                (Fmt.str "invariant violated under wiring %a: %s"
-                   Anonmem.Wiring.pp wiring message)
-          | Ws_ok { stats; wait_free; divergent } ->
-              if require_wait_free && not wait_free then
-                Error
-                  (Fmt.str
-                     "wait-freedom violated under wiring %a: processors %a \
-                      diverge"
-                     Anonmem.Wiring.pp wiring
-                     Fmt.(list ~sep:comma int)
-                     divergent)
-              else begin
-                let summary =
-                  {
-                    Explorer.wirings_checked = summary.wirings_checked + 1;
-                    total_states = summary.total_states + stats.states;
-                    max_space_states = max summary.max_space_states stats.states;
-                    total_transitions =
-                      summary.total_transitions + stats.transitions;
-                    terminal_states = summary.terminal_states + stats.terminals;
-                    all_wait_free = summary.all_wait_free && wait_free;
-                  }
-                in
-                (match on_wiring with Some f -> f wiring summary | None -> ());
-                go summary rest
-              end)
-    in
-    go Explorer.empty_summary wirings
+    Wiring_sweep.run ?wirings ?on_wiring ~n:(P.processors cfg)
+      ~m:(P.registers cfg) ~init:Explorer.empty_summary
+      (fun ~resume:_ ~ckpt_extra:_ wiring summary ->
+        match
+          explore ?max_states ?invariant ~reduction ?governor ~domains ~cfg
+            ~wiring ~inputs ()
+        with
+        | Ws_exhausted { reason; states } ->
+            Error (Explorer.exhausted_error reason states)
+        | Ws_state_limit k -> Error (Explorer.limit_error k)
+        | Ws_invariant_failed { message; _ } ->
+            Error (Explorer.invariant_error wiring message)
+        | Ws_ok { divergent; _ } when require_wait_free && divergent <> [] ->
+            Error (Explorer.diverge_error wiring divergent)
+        | Ws_ok { stats; wait_free; _ } ->
+            Ok
+              (Explorer.add_wiring summary ~states:stats.states
+                 ~transitions:stats.transitions ~terminals:stats.terminals
+                 ~wait_free))
 end

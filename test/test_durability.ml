@@ -480,6 +480,9 @@ let drive ~quota step =
   in
   go 0
 
+(* A sweep error that a governor caused, which a resume continues. *)
+let is_exhausted e = String.length e >= 9 && String.sub e 0 9 = "exhausted"
+
 module Snap_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Snapshot)
 
 let test_bfs_resume_parity () =
@@ -676,10 +679,7 @@ let test_fp_sweep_resume_parity () =
             ~ckpt ~resume:true ()
         with
         | Ok s -> Ok s
-        | Error e ->
-            if String.length e >= 9 && String.sub e 0 9 = "exhausted" then
-              Error ()
-            else Alcotest.fail e)
+        | Error e -> if is_exhausted e then Error () else Alcotest.fail e)
   in
   let module X = Modelcheck.Explorer in
   Alcotest.(check bool) "fp sweep was actually interrupted" true (rounds > 0);
@@ -813,6 +813,98 @@ let test_verify_mutex_sweep_resume () =
   Alcotest.(check (pair int int))
     "verify_mutex sweep resume parity" reference result;
   if Sys.file_exists path then Sys.remove path
+
+let test_verify_mutex_sectionless_refused () =
+  (* A packed checkpoint written outside a sweep has no "sweep" section.
+     Resuming the sweep from it must refuse, as the snapshot sweeps do,
+     not restart from wiring 0 and overwrite the file. *)
+  let cfg = Algorithms.Rt_mutex.cfg ~n:2 ~m:3 in
+  let wiring = List.hd (Anonmem.Wiring.enumerate ~n:2 ~m:3 ~fix_first:true) in
+  let path = fresh_path ".ckpt" in
+  let ckpt = { Ckpt.path; every_states = 100 } in
+  let g = Gov.create ~quota:400 () in
+  (match
+     Packed.check_wiring ~governor:g ~ckpt ~cfg ~wiring ~inputs:[| 1; 2 |] ()
+   with
+  | Packed.Exhausted _ -> ()
+  | _ -> Alcotest.fail "the quota must interrupt the first wiring");
+  Gov.dispose g;
+  let image = read_file path in
+  (match Core.verify_mutex ~n:2 ~m:3 ~packed:true ~ckpt ~resume:true () with
+  | exception Ckpt.Corrupt_checkpoint _ -> ()
+  | v -> Alcotest.failf "sweep resumed anyway: %a" Core.pp_verdict v);
+  Alcotest.(check bool) "checkpoint left as it was" true
+    (String.equal image (read_file path));
+  Sys.remove path
+
+let test_dfs_sweep_resume_parity () =
+  (* The DFS "sweep" section: the summary accumulated over the wirings
+     before the in-flight one must survive any number of quota
+     interruptions, field by field. *)
+  let reference =
+    match Core.verify_snapshot_model ~n:2 () with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let path = fresh_path ".ckpt" in
+  let ckpt = { Ckpt.path; every_states = 25 } in
+  let (result, rounds) =
+    drive ~quota:150 (fun g ->
+        match
+          Core.verify_snapshot_model ~n:2 ~governor:g ~ckpt ~resume:true ()
+        with
+        | Ok s -> Ok s
+        | Error e -> if is_exhausted e then Error () else Alcotest.fail e)
+  in
+  let module X = Modelcheck.Explorer in
+  Alcotest.(check bool) "DFS sweep was actually interrupted" true (rounds > 0);
+  Alcotest.(check int) "wirings" reference.X.wirings_checked
+    result.X.wirings_checked;
+  Alcotest.(check int) "states" reference.X.total_states result.X.total_states;
+  Alcotest.(check int) "max space" reference.X.max_space_states
+    result.X.max_space_states;
+  Alcotest.(check int) "transitions" reference.X.total_transitions
+    result.X.total_transitions;
+  Alcotest.(check int) "terminals" reference.X.terminal_states
+    result.X.terminal_states;
+  Alcotest.(check bool) "wait-free" reference.X.all_wait_free
+    result.X.all_wait_free;
+  if Sys.file_exists path then Sys.remove path
+
+let test_sweep_index_refused () =
+  (* Each of the three sweep-section layouts, written with an index just
+     outside the wiring list on either side, must be refused. *)
+  let count ~m =
+    List.length (Anonmem.Wiring.enumerate ~n:2 ~m ~fix_first:true)
+  in
+  let cases =
+    [
+      ( "DFS sweep", "sweep", 6, count ~m:2,
+        fun ckpt -> ignore (Core.verify_snapshot_model ~n:2 ~ckpt ~resume:true ()) );
+      ( "fp sweep", "fp_sweep", 9, count ~m:2,
+        fun ckpt ->
+          ignore
+            (Core.verify_snapshot_model_fp ~n:2 ~ram_budget_bytes:1024 ~ckpt
+               ~resume:true ()) );
+      ( "packed mutex sweep", "sweep", 2, count ~m:3,
+        fun ckpt ->
+          ignore
+            (Core.verify_mutex ~n:2 ~m:3 ~packed:true ~ckpt ~resume:true ()) );
+    ]
+  in
+  List.iter
+    (fun (label, tag, width, wirings, resume) ->
+      List.iter
+        (fun idx ->
+          let path = fresh_path ".ckpt" in
+          Ckpt.save ~path
+            [ (tag, Ckpt.bytes_of_ints (Array.append [| idx |] (Array.make width 0))) ];
+          (match resume { Ckpt.path; every_states = 100 } with
+          | exception Ckpt.Corrupt_checkpoint _ -> ()
+          | () -> Alcotest.failf "%s: index %d accepted" label idx);
+          Sys.remove path)
+        [ -1; wirings ])
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* Map-level crash-resume differential                                 *)
@@ -1006,6 +1098,11 @@ let () =
             (test_packed_resume_cycle_parity ~every_states:1 ~quota:1);
           Alcotest.test_case "verify_mutex sweep" `Quick
             test_verify_mutex_sweep_resume;
+          Alcotest.test_case "verify_mutex sweep needs its section" `Quick
+            test_verify_mutex_sectionless_refused;
+          Alcotest.test_case "DFS sweep" `Quick test_dfs_sweep_resume_parity;
+          Alcotest.test_case "sweep index outside the wiring list" `Quick
+            test_sweep_index_refused;
         ] );
       ( "map-differential",
         [

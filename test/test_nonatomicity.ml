@@ -9,6 +9,8 @@ open Repro_util
 
 let memory_set = Core.snapshot_memory_set
 
+module W = Modelcheck.Witness.Exhaustive (Modelcheck.Codecs.Snapshot)
+
 let test_memory_set () =
   let v view level : Algorithms.Snapshot.value =
     { view = Iset.of_list view; level }
@@ -40,7 +42,6 @@ let test_exhaustive_search_rejects_impossible_targets () =
      must return a well-formed witness if any. *)
   let cfg = Algorithms.Snapshot.standard ~n:3 in
   let inputs = [| 1; 2; 3 |] in
-  let module W = Core.Snapshot_exhaustive_witness in
   match
     W.find_nonatomic_exhaustive ~max_states:300_000 ~cfg ~inputs
       ~memory_set ~output_set:Fun.id
@@ -60,7 +61,6 @@ let test_exhaustive_search_rejects_impossible_targets () =
 let test_exhaustive_search_budget_respected () =
   let cfg = Algorithms.Snapshot.standard ~n:3 in
   let inputs = [| 1; 2; 3 |] in
-  let module W = Core.Snapshot_exhaustive_witness in
   let r =
     W.find_nonatomic_exhaustive ~max_states:50_000 ~cfg ~inputs ~memory_set
       ~output_set:Fun.id
@@ -80,7 +80,6 @@ let test_witness_trace_replays () =
      and the memory set differs from it at every step. *)
   let cfg = Algorithms.Snapshot.standard ~n:3 in
   let inputs = [| 1; 2; 3 |] in
-  let module W = Core.Snapshot_exhaustive_witness in
   let module E = Modelcheck.Explorer.Make (Modelcheck.Codecs.Snapshot) in
   let wirings =
     List.filteri (fun i _ -> i < 4)
