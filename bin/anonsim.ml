@@ -461,27 +461,24 @@ let check_nonatomic_cmd =
       & info [ "exhaustive" ]
           ~doc:
             "Settle the claim by pruned-reachability search over all wirings \
-             (3 processors only); explores up to ~10^8 states per candidate.")
+             (3 processors only, cyclic write order); explores up to ~10^8 \
+             states per candidate.  A candidate whose visited table fills \
+             is undecided (exit 3); a snapshot-invariant or wait-freedom \
+             violation exits 2.")
   in
   let run n attempts exhaustive =
-    if exhaustive then
-      match Core.find_nonatomic_packed () with
-      | Some (inputs, target, w) ->
-          Printf.printf
-            "exhaustive witness: with inputs (%d,%d,%d), processor %d \
-             returns %s although the memory never contains it\n"
-            inputs.(0) inputs.(1) inputs.(2)
-            (w.Modelcheck.Snapshot3.culprit + 1)
-            (iset_str target);
-          Printf.printf "wiring %s, witness execution of %d steps\n"
-            (Fmt.str "%a" Anonmem.Wiring.pp w.Modelcheck.Snapshot3.wiring)
-            (List.length w.Modelcheck.Snapshot3.path);
-          `Ok ()
-      | None ->
-          Printf.printf
-            "no witness in the candidate configurations: each candidate \
-             (inputs, target) was refuted exhaustively over all wirings\n";
-          `Ok ()
+    if exhaustive && n <> 3 then
+      `Error (true, "--exhaustive searches 3 processors only; pass -n 3")
+    else if exhaustive then begin
+      Core.find_nonatomic_packed ()
+      |> Seq.iter (fun ((_, _, outcome) as o) ->
+             print_endline (Core.nonatomic_line o);
+             match outcome with
+             | Modelcheck.Snapshot3.Undecided _ -> Stdlib.exit exit_exhausted
+             | Unsafe _ -> Stdlib.exit exit_violation
+             | Nonatomic _ | Refuted _ -> ());
+      `Ok ()
+    end
     else
       match Core.find_nonatomic_execution ~n ~attempts () with
       | Some w ->

@@ -844,12 +844,15 @@ let snapshot_memory_set regs =
     Iset.empty regs
 
 (** Exhaustive non-atomicity witness search for the paper's 3-processor
-    configuration using the bit-packed checker: for each (inputs, target)
-    candidate, decide by pruned reachability whether some execution makes
-    a processor return [target] although the memory never contains it.
-    Candidates start with group assignments, where two same-input
-    processors can raise each other's levels while the third keeps
-    covering. *)
+    configuration using the bit-packed checker, under the implementation's
+    cyclic write order unless [write_order] says otherwise: for each
+    (inputs, target) candidate, decide by pruned reachability over every
+    wiring whether some execution makes a processor return [target]
+    although the memory never contains it.  Returns each candidate with
+    its outcome, lazily and in order, up to and including the first that
+    is not [Refuted].  Candidates start with group assignments, where two
+    same-input processors can raise each other's levels while the third
+    keeps covering. *)
 let find_nonatomic_packed
     ?(candidates =
       [
@@ -857,20 +860,51 @@ let find_nonatomic_packed
         ([| 1; 2; 2 |], [ 2 ]);
         ([| 1; 1; 2 |], [ 1; 2 ]);
         ([| 1; 2; 3 |], [ 1; 2 ]);
-      ]) ?log2_capacity () =
+      ]) ?write_order ?log2_capacity () =
   let wirings = Anonmem.Wiring.enumerate ~n:3 ~m:3 ~fix_first:true in
-  let rec go = function
-    | [] -> None
-    | (inputs, target) :: rest -> (
+  let rec go candidates () =
+    match candidates with
+    | [] -> Seq.Nil
+    | (inputs, target) :: rest ->
         let target_mask = Iset.to_bits (Iset.map (fun i -> i - 1) (Iset.of_list target)) in
-        match
-          Modelcheck.Snapshot3.find_nonatomic ?log2_capacity ~inputs
+        let outcome =
+          Modelcheck.Snapshot3.find_nonatomic ?write_order ?log2_capacity ~inputs
             ~target_mask ~wirings ()
-        with
-        | Some w -> Some (inputs, Iset.of_list target, w)
-        | None -> go rest)
+        in
+        Seq.Cons
+          ( (inputs, Iset.of_list target, outcome),
+            match outcome with Modelcheck.Snapshot3.Refuted _ -> go rest | _ -> Seq.empty )
   in
   go candidates
+
+(** One report line for a candidate outcome of {!find_nonatomic_packed}. *)
+let nonatomic_line (inputs, target, outcome) =
+  let candidate =
+    Printf.sprintf "inputs (%d,%d,%d), target %s" inputs.(0) inputs.(1)
+      inputs.(2) (Iset.to_string target)
+  in
+  let wiring = Fmt.str "%a" Anonmem.Wiring.pp in
+  match (outcome : Modelcheck.Snapshot3.nonatomic) with
+  | Nonatomic w ->
+      Printf.sprintf
+        "%s: witness - processor %d returns %s although the memory never \
+         contains it (wiring %s, execution of %d steps)"
+        candidate (w.culprit + 1) (Iset.to_string target) (wiring w.wiring)
+        (List.length w.path)
+  | Refuted { states } ->
+      Printf.sprintf "%s: refuted exhaustively over every wiring (%d states)"
+        candidate states
+  | Undecided { wiring = w; states } ->
+      Printf.sprintf
+        "%s: undecided - the visited table filled at %d states on wiring %s"
+        candidate states (wiring w)
+  | Unsafe { wiring = w; result = Cycle { processors; _ } } ->
+      Printf.sprintf "%s: WAIT-FREEDOM VIOLATED on wiring %s (processors %s)"
+        candidate (wiring w)
+        (String.concat "," (List.map (fun p -> string_of_int (p + 1)) processors))
+  | Unsafe { wiring = w; _ } ->
+      Printf.sprintf "%s: SAFETY VIOLATED - the snapshot invariant fails on wiring %s"
+        candidate (wiring w)
 
 (** Search for the Section-8 non-atomicity witness: an execution in which
     some processor's snapshot never equalled the set of inputs present in

@@ -159,86 +159,3 @@ module Replay (P : Explorer.CHECKABLE) = struct
       (E.init_state ~cfg ~inputs)
       path
 end
-
-module Exhaustive (P : Explorer.CHECKABLE) = struct
-  type witness = {
-    wiring : Anonmem.Wiring.t;
-    culprit : int;
-    target : Iset.t;  (** the returned set the memory never contained *)
-    trace : (int * Iset.t) list;
-        (** processor steps from the initial state, with the memory content
-            set after each step *)
-    states_explored : int;
-  }
-
-  (** Exhaustive witness search for one candidate output set [target]:
-      "processor returns [target] although the memory never contained
-      exactly [target]" is, for a fixed wiring, plain reachability in the
-      sub-state-space of states whose memory content set differs from
-      [target] (the path condition is a state predicate, so no history
-      augmentation is needed).  A hit is a complete proof: freeze the
-      execution at the witness state — its memory set differs from
-      [target], and no processor moving means it differs forever.
-      Searches depth-first (witness executions are long, structured
-      interleavings that DFS reaches quickly and with little memory);
-      tries each wiring in [wirings] until a witness appears. *)
-  let find_nonatomic_exhaustive ?(max_states = 60_000_000) ?progress ~cfg
-      ~inputs ~memory_set ~output_set ~target ~wirings () =
-    let module E = Explorer.Make (P) in
-    let rec go = function
-      | [] -> None
-      | wiring :: rest -> (
-          let invariant (st : E.state) =
-            let hit =
-              Array.exists
-                (fun l ->
-                  match P.output cfg l with
-                  | Some o -> Iset.equal (output_set o) target
-                  | None -> false)
-                st.E.locals
-              && not (Iset.equal (memory_set st.E.registers) target)
-            in
-            if hit then Error "witness" else Ok ()
-          in
-          let stop_expansion (st : E.state) =
-            Iset.equal (memory_set st.E.registers) target
-          in
-          match
-            E.check_exhaustive ~max_states ?progress ~invariant ~stop_expansion
-              ~cfg ~wiring ~inputs ()
-          with
-          | E.Dfs_invariant_failed { state; path; stats; _ } ->
-              let culprit =
-                let rec find p =
-                  if p >= Array.length state.E.locals then 0
-                  else
-                    match P.output cfg state.E.locals.(p) with
-                    | Some o when Iset.equal (output_set o) target -> p
-                    | _ -> find (p + 1)
-                in
-                find 0
-              in
-              (* Replay the pid path from the initial state to recover the
-                 memory content set after every step. *)
-              let trace =
-                let st = ref (E.init_state ~cfg ~inputs) in
-                List.map
-                  (fun p ->
-                    st := E.successor cfg wiring !st p;
-                    (p, memory_set (!st).E.registers))
-                  path
-              in
-              Some
-                {
-                  wiring;
-                  culprit;
-                  target;
-                  trace;
-                  states_explored = stats.E.dfs_states;
-                }
-          | E.Dfs_ok _ | E.Dfs_cycle _ | E.Dfs_state_limit _
-          | E.Dfs_exhausted _ ->
-              go rest)
-    in
-    go wirings
-end

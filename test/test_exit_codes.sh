@@ -1,7 +1,9 @@
 #!/bin/sh
-# Pin the anonsim exit-code contract end to end:
+# Pin the anonsim exit-code contract end to end, across check-snapshot,
+# check-nonatomic, feasibility and inductive:
 #   0 = clean pass, 2 = violation / refuted invariant,
-#   3 = resource budget exhausted, 4 = interrupted,
+#   3 = resource budget exhausted (check-nonatomic --exhaustive: a full
+#       visited table leaves a candidate undecided), 4 = interrupted,
 #   5 = checkpoint or journal unusable (restart without --resume),
 #   124 = command-line usage error.
 # Usage: test_exit_codes.sh /path/to/anonsim.exe
@@ -36,6 +38,9 @@ expect 2 inductive -n 2 --clauses candidates
 # must be at least 1 MiB and small enough for the tier to be one string
 expect 124 check-snapshot -n 2 --fingerprint --fp-ram-mb 0
 expect 124 check-snapshot -n 2 --fingerprint --fp-ram-mb 274877906944
+# the packed exhaustive witness search exists for 3 processors only
+expect 124 check-nonatomic -n 2 --exhaustive
+expect 124 check-nonatomic -n 4 --exhaustive
 
 # exhausted budget (exit 3): a tiny wall-clock allowance on a big run
 expect 3 inductive -n 3 --max-seconds 0.01

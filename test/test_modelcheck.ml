@@ -221,80 +221,124 @@ let test_snapshot3_selfcheck () =
 
 let test_snapshot3_bit_layout () =
   let open Modelcheck.Snapshot3 in
-  let l = mk_local ~view:5 ~level:3 ~nw:2 ~phase:6 ~mn:3 in
+  let l = mk_local ~view:5 ~level:3 ~written:6 ~phase:6 ~mn:3 in
   Alcotest.(check int) "view" 5 (l_view l);
   Alcotest.(check int) "level" 3 (l_level l);
-  Alcotest.(check int) "nw" 2 (l_nw l);
+  Alcotest.(check int) "written" 6 (l_written l);
   Alcotest.(check int) "phase" 6 (l_phase l);
   Alcotest.(check int) "min" 3 (l_min l);
   let s = set_local (set_reg 0 2 (mk_reg ~view:7 ~level:1)) 1 l in
   Alcotest.(check int) "local roundtrip through state" l (get_local s 1);
   Alcotest.(check int) "reg view" 7 (r_view (get_reg s 2));
   Alcotest.(check int) "reg level" 1 (r_level (get_reg s 2));
-  Alcotest.(check int) "other locals untouched" 0 (get_local s 0)
+  Alcotest.(check int) "other locals untouched" 0 (get_local s 0);
+  Alcotest.(check bool) "a full state fits in 54 bits" true
+    (set_local (set_reg 0 2 rmask) 2 lmask < 1 lsl 54)
 
 let test_snapshot3_rejects_bad_inputs () =
   Alcotest.check_raises "input out of range"
     (Invalid_argument "Snapshot3: inputs must be in 1..3") (fun () ->
       ignore (Modelcheck.Snapshot3.initial_state [| 1; 2; 9 |]))
 
-(* --- the nondeterministic-write-order variant ------------------------------- *)
+(* --- the two write orders --------------------------------------------------- *)
 
 let test_snapshot3_nd_choices () =
-  let open Modelcheck.Snapshot3_nd in
+  let open Modelcheck.Snapshot3 in
   let s = initial_state [| 1; 2; 3 |] in
   (* initially every processor is writing with an empty round mask: 3
-     choices each *)
+     choices each under Any, the lowest register only under Cyclic *)
   List.iter
-    (fun p -> Alcotest.(check int) "3 write choices" 3 (choices s p))
+    (fun p ->
+      Alcotest.(check int) "3 write choices" 3 (choices Any s p);
+      Alcotest.(check int) "1 cyclic choice" 1 (choices Cyclic s p))
     [ 0; 1; 2 ];
   Alcotest.(check int) "first unwritten" 0 (write_target 0b000 0);
   Alcotest.(check int) "skip written" 1 (write_target 0b001 0);
   Alcotest.(check int) "second choice" 2 (write_target 0b001 1);
   Alcotest.(check int) "only r1 free" 1 (write_target 0b101 0)
 
-let test_snapshot3_nd_step_subsumes_cyclic () =
-  (* Choosing the lowest unwritten register each round reproduces the
-     deterministic implementation's behaviour: run both packed semantics
-     in lockstep on a random schedule and compare views and levels. *)
-  let open Modelcheck.Snapshot3_nd in
-  let rng = Rng.create ~seed:11 in
-  let wiring = Anonmem.Wiring.random rng ~n:3 ~m:3 in
-  let sigmas =
-    Array.init 3 (fun p -> Array.init 3 (fun i -> Anonmem.Wiring.phys wiring ~p i))
-  in
-  let det = ref (Modelcheck.Snapshot3.initial_state [| 1; 2; 3 |]) in
-  let nd = ref (initial_state [| 1; 2; 3 |]) in
-  for _ = 1 to 500 do
-    let enabled =
-      List.filter (fun p -> choices !nd p > 0) [ 0; 1; 2 ]
-    in
-    if enabled <> [] then begin
-      let p = Rng.pick rng enabled in
-      (* deterministic cyclic order = always the round's lowest unwritten
-         register, which under Snapshot3's cursor is choice... the cursor
-         and the mask enumerate registers in the same private order, so
-         choice 0 matches *)
-      det := Modelcheck.Snapshot3.step !det p sigmas.(p);
-      nd := step !nd p 0 sigmas.(p);
-      List.iter
-        (fun q ->
-          let dl = Modelcheck.Snapshot3.get_local !det q in
-          let nl = get_local !nd q in
-          if
-            Modelcheck.Snapshot3.l_view dl <> l_view nl
-            || Modelcheck.Snapshot3.l_level dl <> l_level nl
-          then Alcotest.fail "ND(choice 0) diverged from cyclic semantics")
-        [ 0; 1; 2 ]
-    end
-  done
+let pin_wiring = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 2; 0 ] ]
+
+(* Some processor's round written-set is none of the cyclic cursor's. *)
+let off_cursor s =
+  let open Modelcheck.Snapshot3 in
+  List.exists
+    (fun p ->
+      let w = l_written (get_local s p) in
+      w <> 0b000 && w <> 0b001 && w <> 0b011)
+    [ 0; 1; 2 ]
+
+let test_snapshot3_cyclic_count_pin () =
+  (* The counts of the cyclic-cursor layout this checker had before it
+     took a written-set: the cursor positions 0, 1, 2 are the sets 000,
+     001, 011, so the cyclic search must visit the same states in the
+     same order.  The planted witness checks that it never leaves those
+     three sets (a terminated processor's set is pinned to 000). *)
+  let open Modelcheck.Snapshot3 in
+  match
+    check ~write_order:Cyclic ~log2_capacity:23 ~witness:off_cursor
+      ~wiring:pin_wiring ~inputs:[| 1; 1; 1 |] ()
+  with
+  | Verified s ->
+      Alcotest.(check int) "states" 1_606_198 s.states;
+      Alcotest.(check int) "transitions" 4_753_080 s.transitions;
+      Alcotest.(check int) "terminals" 1 s.terminals;
+      Alcotest.(check int) "depth" 144 s.max_depth
+  | _ -> Alcotest.fail "cyclic pin wiring not verified"
+
+let test_snapshot3_cyclic_path_replays () =
+  (* A planted target (some processor returns {1,2}): the reported path
+     must be a real execution of the reference semantics, landing on a
+     state that packs to the reported one. *)
+  let open Modelcheck.Snapshot3 in
+  let wiring = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ] in
+  let inputs = [| 1; 2; 3 |] in
+  let witness s = List.exists (fun p -> output_view s p = 0b011) [ 0; 1; 2 ] in
+  match check ~log2_capacity:20 ~witness ~wiring ~inputs () with
+  | Witness { state; path; _ } ->
+      Alcotest.(check bool) "cyclic paths take choice 0" true
+        (List.for_all (fun (_, c) -> c = 0) path);
+      let cfg = Snap.standard ~n:3 in
+      let st =
+        List.fold_left
+          (fun st (p, _) -> MC.successor cfg wiring st p)
+          (MC.init_state ~cfg ~inputs) path
+      in
+      Alcotest.(check int) "replayed state packs to the reported one" state
+        (pack cfg st.MC.locals st.MC.registers);
+      Alcotest.(check bool) "reported state is a witness" true (witness state)
+  | _ -> Alcotest.fail "planted cyclic witness not found"
+
+let test_snapshot3_any_path_replays () =
+  (* A target only the nondeterministic order reaches: a written-set the
+     cyclic cursor never holds.  The path must replay through [step] to
+     the reported state. *)
+  let open Modelcheck.Snapshot3 in
+  let wiring = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ] in
+  let inputs = [| 1; 2; 3 |] in
+  match
+    check ~write_order:Any ~log2_capacity:20 ~witness:off_cursor ~wiring ~inputs ()
+  with
+  | Witness { state; path; _ } ->
+      Alcotest.(check bool) "some write picks past the lowest register" true
+        (List.exists (fun (_, c) -> c > 0) path);
+      let sigmas = sigmas_of wiring in
+      let final =
+        List.fold_left
+          (fun s (p, c) ->
+            Alcotest.(check bool) "choice in range" true (c < choices Any s p);
+            step s p c sigmas.(p))
+          (initial_state inputs) path
+      in
+      Alcotest.(check int) "replayed state is the reported one" state final
+  | _ -> Alcotest.fail "planted nondeterministic witness not found"
 
 let test_snapshot3_nd_search_smoke () =
   (* With a single group, every view is {1}: the first write puts {1} in
      memory and the whole subtree is pruned, so the search refutes the
      target immediately on every wiring. *)
-  let r =
-    Modelcheck.Snapshot3_nd.find_nonatomic ~log2_capacity:16
+  match
+    Modelcheck.Snapshot3.find_nonatomic ~write_order:Any ~log2_capacity:16
       ~inputs:[| 1; 1; 1 |] ~target_mask:0b001
       ~wirings:
         [
@@ -302,8 +346,9 @@ let test_snapshot3_nd_search_smoke () =
           Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ];
         ]
       ()
-  in
-  Alcotest.(check bool) "single group has no witness" true (r = None)
+  with
+  | Modelcheck.Snapshot3.Refuted _ -> ()
+  | _ -> Alcotest.fail "single group not refuted"
 
 (* --- consensus codec -------------------------------------------------------- *)
 
@@ -921,8 +966,12 @@ let () =
             test_snapshot3_rejects_bad_inputs;
           Alcotest.test_case "ND: choices and targets" `Quick
             test_snapshot3_nd_choices;
-          Alcotest.test_case "ND: choice 0 = cyclic order" `Quick
-            test_snapshot3_nd_step_subsumes_cyclic;
+          Alcotest.test_case "cyclic: count pin" `Quick
+            test_snapshot3_cyclic_count_pin;
+          Alcotest.test_case "cyclic: witness path replays" `Quick
+            test_snapshot3_cyclic_path_replays;
+          Alcotest.test_case "ND: witness path replays" `Quick
+            test_snapshot3_any_path_replays;
           Alcotest.test_case "ND: single-group refuted" `Quick
             test_snapshot3_nd_search_smoke;
         ] );

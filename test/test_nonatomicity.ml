@@ -9,7 +9,7 @@ open Repro_util
 
 let memory_set = Core.snapshot_memory_set
 
-module W = Modelcheck.Witness.Exhaustive (Modelcheck.Codecs.Snapshot)
+module S3 = Modelcheck.Snapshot3
 
 let test_memory_set () =
   let v view level : Algorithms.Snapshot.value =
@@ -34,79 +34,41 @@ let test_random_search_structure () =
               (Iset.equal w.Core.Snapshot_witness.culprit_output)
               w.Core.Snapshot_witness.memory_sets_seen))
 
+let identity = Anonmem.Wiring.identity ~n:3 ~m:3
+
 let test_exhaustive_search_rejects_impossible_targets () =
-  (* No execution can output the full input set without the memory having
-     contained it: any write of the full view puts it in memory, and a
-     processor only outputs a view it has written.  The exhaustive search
-     on target {1,2} restricted to a tiny budget must simply not crash and
-     must return a well-formed witness if any. *)
-  let cfg = Algorithms.Snapshot.standard ~n:3 in
-  let inputs = [| 1; 2; 3 |] in
-  match
-    W.find_nonatomic_exhaustive ~max_states:300_000 ~cfg ~inputs
-      ~memory_set ~output_set:Fun.id
-      ~target:(Iset.of_list [ 1; 2; 3 ])
-      ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3 ]
-      ()
-  with
-  | None -> ()
-  | Some w ->
-      (* if a witness were claimed for the full set, the trace itself must
-         refute memory ever equalling it — verify *)
-      Alcotest.(check bool) "trace never shows target" true
-        (List.for_all
-           (fun (_, mem) -> not (Iset.equal mem w.W.target))
-           w.W.trace)
+  (* With inputs {1,2} only, a processor returns {1,2} only after
+     writing it, which puts {1,2} in memory: the target is impossible,
+     and the pruned search refutes it under both write orders. *)
+  List.iter
+    (fun write_order ->
+      match
+        S3.find_nonatomic ~write_order ~log2_capacity:23 ~inputs:[| 1; 1; 2 |]
+          ~target_mask:0b011 ~wirings:[ identity ] ()
+      with
+      | S3.Refuted { states } ->
+          Alcotest.(check bool) "explored something" true (states > 0)
+      | _ -> Alcotest.fail "impossible target not refuted")
+    [ S3.Cyclic; S3.Any ]
 
-let test_exhaustive_search_budget_respected () =
-  let cfg = Algorithms.Snapshot.standard ~n:3 in
-  let inputs = [| 1; 2; 3 |] in
-  let r =
-    W.find_nonatomic_exhaustive ~max_states:50_000 ~cfg ~inputs ~memory_set
-      ~output_set:Fun.id
-      ~target:(Iset.of_list [ 1; 2 ])
-      ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3 ]
-      ()
-  in
-  match r with
-  | None -> ()
-  | Some w ->
-      Alcotest.(check bool) "explored within budget-ish" true
-        (w.W.states_explored <= 60_000)
-
-let test_witness_trace_replays () =
-  (* When the exhaustive search does find a witness (cheap targets first),
-     its trace must replay to a state where the culprit outputs the target
-     and the memory set differs from it at every step. *)
-  let cfg = Algorithms.Snapshot.standard ~n:3 in
-  let inputs = [| 1; 2; 3 |] in
-  let module E = Modelcheck.Explorer.Make (Modelcheck.Codecs.Snapshot) in
-  let wirings =
-    List.filteri (fun i _ -> i < 4)
-      (Anonmem.Wiring.enumerate ~n:3 ~m:3 ~fix_first:true)
-  in
-  match
-    W.find_nonatomic_exhaustive ~max_states:800_000 ~cfg ~inputs ~memory_set
-      ~output_set:Fun.id
-      ~target:(Iset.of_list [ 1; 2 ])
-      ~wirings ()
-  with
-  | None -> () (* within this budget the witness may be out of reach *)
-  | Some w ->
-      List.iter
-        (fun (_, mem) ->
-          Alcotest.(check bool) "memory never equals target" false
-            (Iset.equal mem w.W.target))
-        w.W.trace;
-      let st = ref (E.init_state ~cfg ~inputs) in
-      List.iter
-        (fun (p, _) -> st := E.successor cfg w.W.wiring !st p)
-        w.W.trace;
-      let out =
-        Algorithms.Snapshot.output cfg (!st).E.locals.(w.W.culprit)
-      in
-      Alcotest.(check bool) "culprit output equals target" true
-        (match out with Some o -> Iset.equal o w.W.target | None -> false)
+let test_full_table_is_undecided () =
+  (* A table too small for the pruned space fills at 70% of 2^16 slots:
+     that is no refutation, and the outcome says where it stopped. *)
+  (match
+     S3.find_nonatomic ~log2_capacity:16 ~inputs:[| 1; 1; 2 |]
+       ~target_mask:0b001 ~wirings:[ identity; identity ] ()
+   with
+  | S3.Undecided { wiring; states } ->
+      Alcotest.(check bool) "on the first wiring" true (wiring == identity);
+      Alcotest.(check int) "where the table filled" 45_875 states
+  | _ -> Alcotest.fail "full table reported as a verdict");
+  match List.of_seq (Core.find_nonatomic_packed ~log2_capacity:16 ()) with
+  | [ ((inputs, _, S3.Undecided _) as o) ] ->
+      Alcotest.(check (array int)) "first candidate" [| 1; 1; 2 |] inputs;
+      let line = Core.nonatomic_line o in
+      Alcotest.(check bool) "reported as undecided" true
+        (List.mem "undecided" (String.split_on_char ' ' line))
+  | _ -> Alcotest.fail "Core did not stop at the undecided candidate"
 
 let () =
   Alcotest.run "nonatomicity"
@@ -118,9 +80,7 @@ let () =
             test_random_search_structure;
           Alcotest.test_case "exhaustive: impossible target" `Quick
             test_exhaustive_search_rejects_impossible_targets;
-          Alcotest.test_case "exhaustive: budget respected" `Quick
-            test_exhaustive_search_budget_respected;
-          Alcotest.test_case "exhaustive: witness trace replays" `Slow
-            test_witness_trace_replays;
+          Alcotest.test_case "exhaustive: full table is undecided" `Quick
+            test_full_table_is_undecided;
         ] );
     ]
