@@ -106,8 +106,9 @@ feasibility:
 # 0 if it won the race, 4 if interrupted), then rerun with --resume so
 # the journal replays the finished cells — and require the resumed map
 # to be byte-identical to the uninterrupted reference.  The second leg
-# does the same through the engine checkpoints: a 0.1 s per-cell budget
-# must stop at least one cell mid-exploration (exit 3) and leave its
+# does the same through the engine checkpoints: a 0.02 s per-cell budget
+# (a quarter of what the packed mutex (2,5) cell takes) must stop at
+# least one cell mid-exploration (exit 3) and leave its
 # *.ckpt under --ckpt-dir, and the unbudgeted --resume must finish that
 # cell from the checkpoint with a byte-identical map.  The third leg
 # does the same for the snapshot sweep checkpoints of check-snapshot,
@@ -131,7 +132,7 @@ resume-smoke:
 	./_build/default/bin/anonsim.exe feasibility --quick \
 	  --ckpt-dir _resume_smoke/ckpt -o _resume_smoke/ckpt-reference.json
 	( ./_build/default/bin/anonsim.exe feasibility --quick \
-	     --ckpt-dir _resume_smoke/ckpt --max-seconds 0.1 \
+	     --ckpt-dir _resume_smoke/ckpt --max-seconds 0.02 \
 	     -o _resume_smoke/ckpt-resumed.json; \
 	   st=$$?; [ $$st -eq 3 ] )
 	ls _resume_smoke/ckpt/*.ckpt

@@ -452,7 +452,8 @@ struct
   (* Liveness post-pass: the BFS space was explored clean of safety
      violations; look for a fair SCC.  Detection is exact on reduced
      spaces, but the lasso witness needs concrete states, so a reduced
-     hit triggers one unreduced re-exploration. *)
+     hit triggers one unreduced re-exploration (never on a map cell:
+     distinct inputs give the identity group, explored unreduced). *)
   let liveness ?max_states ~cfg ~wiring ~inputs space =
     match find_fair_scc space with
     | None -> Ok ()
@@ -533,29 +534,42 @@ module Naming_mc = Portfolio_mc (Modelcheck.Codecs.Naming)
 module Naming_fault_mc =
   Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Naming)
 
+(* The portfolio invariants run on every explored state, so each decides
+   with scans of the locals that allocate nothing; only a violation
+   builds its message. *)
+
+(* The first index [>= i] of [locals] that satisfies [f], or [-1]. *)
+let rec find_from f locals i =
+  if i >= Array.length locals then -1
+  else if f locals.(i) then i
+  else find_from f locals (i + 1)
+
+(* Do two of [locals] satisfy [f]? *)
+let two_satisfy f locals =
+  let p = find_from f locals 0 in
+  p >= 0 && find_from f locals (p + 1) >= 0
+
+(* Every index [>= i] of [locals] that satisfies [f], in order. *)
+let rec indices f locals i =
+  let p = find_from f locals i in
+  if p < 0 then [] else p :: indices f locals (p + 1)
+
+let audit_tripped (l : Algorithms.Rt_mutex.local) =
+  match l.phase with Done Cs_intruded -> true | _ -> false
+
 (** Mutual exclusion as a state invariant: at most one processor inside
     the critical section, and no completed audit may have tripped. *)
-let mutex_invariant cfg (st : Rt_mutex_mc.state) =
-  let in_cs =
-    Array.to_list st.Rt_mutex_mc.locals
-    |> List.mapi (fun p l -> (p, l))
-    |> List.filter (fun (_, l) -> Algorithms.Rt_mutex.in_cs l)
-    |> List.map fst
-  in
-  match in_cs with
-  | _ :: _ :: _ ->
-      Error
-        (Fmt.str "%a" Tasks.Task_failure.pp
-           (Tasks.Mutex_task.exclusion_failure ~processors:in_cs))
-  | _ ->
-      let intruded =
-        Array.to_list st.Rt_mutex_mc.locals
-        |> List.mapi (fun p l -> (p, Algorithms.Rt_mutex.output cfg l))
-        |> List.filter (fun (_, o) -> o = Some Algorithms.Rt_mutex.Cs_intruded)
-        |> List.map fst
-      in
-      if intruded = [] then Ok ()
-      else
+let mutex_invariant _cfg (st : Rt_mutex_mc.state) =
+  let locals = st.Rt_mutex_mc.locals in
+  if two_satisfy Algorithms.Rt_mutex.in_cs locals then
+    Error
+      (Fmt.str "%a" Tasks.Task_failure.pp
+         (Tasks.Mutex_task.exclusion_failure
+            ~processors:(indices Algorithms.Rt_mutex.in_cs locals 0)))
+  else
+    match indices audit_tripped locals 0 with
+    | [] -> Ok ()
+    | intruded ->
         Error
           (Fmt.str "audit tripwire: %a observed an intruder"
              Fmt.(list ~sep:(any ", ") (fun ppf p -> Fmt.pf ppf "p%d" (p + 1)))
@@ -626,6 +640,16 @@ let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
                  wiring)
               verified)
 
+(* The first pair [(p', q', name)], [p' < q'], in order from the pair
+   [(p, q)], of processors both done with the same name. *)
+let rec named_twice (locals : Algorithms.Naming.local array) p q =
+  if p >= Array.length locals then None
+  else if q >= Array.length locals then named_twice locals (p + 1) (p + 2)
+  else
+    match (locals.(p).phase, locals.(q).phase) with
+    | Done a, Done b when a = b -> Some (p, q, a)
+    | _ -> named_twice locals p (q + 1)
+
 (** Name distinctness as a state invariant (inputs are distinct
     identities, so any repeated acquired name is a violation).  The
     flood phase is deliberately {e not} required to be exclusive: each
@@ -633,25 +657,11 @@ let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
     legitimately start its own flood before the predecessor's last
     write lands — a benign overlap, serialized by the name ledger
     itself rather than by CS occupancy. *)
-let naming_invariant cfg (st : Naming_mc.state) =
-  let named =
-    Array.to_list st.Naming_mc.locals
-    |> List.mapi (fun p l -> (p, Algorithms.Naming.output cfg l))
-    |> List.filter_map (fun (p, o) ->
-           Option.map (fun o -> (p, o.Algorithms.Naming.name)) o)
-  in
-  let rec dup = function
-    | [] -> None
-    | (p, k) :: rest -> (
-        match List.find_opt (fun (_, k') -> k = k') rest with
-        | Some (q, _) -> Some (p, q, k)
-        | None -> dup rest)
-  in
-  match dup named with
-  | Some (p, q, k) ->
-      Error
-        (Fmt.str "p%d and p%d both acquired name %d" (p + 1) (q + 1) k)
+let naming_invariant _cfg (st : Naming_mc.state) =
+  match named_twice st.Naming_mc.locals 0 1 with
   | None -> Ok ()
+  | Some (p, q, k) ->
+      Error (Fmt.str "p%d and p%d both acquired name %d" (p + 1) (q + 1) k)
 
 (** Exhaustively verify the desanonymization layer at [(n, m)]:
     distinctness and flood exclusion as invariants, the full naming task
@@ -668,19 +678,18 @@ let verify_naming ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
     ~inputs:(Array.init n (fun i -> i + 1))
     ~n ~m ()
 
+let elected (l : Algorithms.Weak_leader.local) =
+  match l.phase with Done Leader -> true | _ -> false
+
 (** Leader uniqueness as a state invariant. *)
-let leader_invariant cfg (st : Weak_leader_mc.state) =
-  let leaders =
-    Array.to_list st.Weak_leader_mc.locals
-    |> List.mapi (fun p l -> (p, Algorithms.Weak_leader.output cfg l))
-    |> List.filter (fun (_, o) -> o = Some Algorithms.Weak_leader.Leader)
-    |> List.map fst
-  in
-  match leaders with
-  | p :: q :: _ ->
-      Error
-        (Fmt.str "p%d and p%d both elected themselves leader" (p + 1) (q + 1))
-  | _ -> Ok ()
+let leader_invariant _cfg (st : Weak_leader_mc.state) =
+  let locals = st.Weak_leader_mc.locals in
+  let p = find_from elected locals 0 in
+  let q = if p < 0 then -1 else find_from elected locals (p + 1) in
+  if q < 0 then Ok ()
+  else
+    Error
+      (Fmt.str "p%d and p%d both elected themselves leader" (p + 1) (q + 1))
 
 (** Exhaustively verify the weak leader protocol at [(n, m)]: leader
     uniqueness as an invariant and wait-freedom as acyclicity, both via

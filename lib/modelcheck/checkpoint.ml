@@ -8,13 +8,15 @@
      any mismatch, truncation or framing error raises
      [Corrupt_checkpoint] — a structured error, never a crash and never
      a silently wrong answer.
-   - [set_torn_write] is the chaos hook: the next [save] writes only a
+   - [set_torn_write] is the chaos hook: the next [write] writes only a
      prefix of the tmp file and raises [Simulated_crash] *before* the
      rename, exactly the failure mode a power cut produces.
-   - there is one framing: [frame] yields the image as pieces (file
-     header, then each section's header and payload); [to_bytes]
-     concatenates them and [save] writes them straight to the tmp file,
-     so a save never copies its payloads into a second image. *)
+   - there is one framing walk, [frame]: a file header, then per
+     section its header and payload, handed to a sink piece by piece.
+     [to_bytes] collects the pieces; [write] streams them straight to
+     the tmp file, byte payloads as they are and int-array payloads
+     through one scratch buffer, so a save never copies its payloads
+     into a second image. *)
 
 exception Corrupt_checkpoint of string
 exception Simulated_crash
@@ -80,25 +82,70 @@ let ints_of_bytes b =
 
 (* --- framing ----------------------------------------------------------- *)
 
-let frame sections =
+type payload = Raw of Bytes.t | Ints of int array * int
+
+(* [checksum] of the [bytes_of_ints ~len a] image, read from the ints:
+   word [x]'s low and high 32-bit halves, with the high half of the
+   sign-extended 64-bit word (bits 32-62 of [x], then its sign). *)
+let checksum_ints a len =
+  if len < 0 || len > Array.length a then
+    invalid_arg "Checkpoint.frame: int prefix out of range";
+  let h = ref fnv_offset in
+  for i = 0 to len - 1 do
+    let x = Array.unsafe_get a i in
+    h := (!h lxor (x land 0xFFFF_FFFF)) * fnv_prime;
+    h := (!h lxor ((x asr 32) land 0xFFFF_FFFF)) * fnv_prime
+  done;
+  !h land max_int
+
+(* Int payloads are encoded through one scratch buffer of this many
+   bytes, a multiple of 8. *)
+let scratch_bytes = 65536
+
+let frame piece sections =
   let header = Bytes.create (String.length magic + 4) in
   Bytes.blit_string magic 0 header 0 (String.length magic);
   Bytes.set_int32_le header (String.length magic)
     (Int32.of_int (List.length sections));
-  header
-  :: List.concat_map
-       (fun (tag, payload) ->
-         let tl = String.length tag and pl = Bytes.length payload in
-         if tl > 0xFFFF then invalid_arg "Checkpoint.frame: tag too long";
-         let h = Bytes.create (2 + tl + 16) in
-         Bytes.set_uint16_le h 0 tl;
-         Bytes.blit_string tag 0 h 2 tl;
-         put_u64 h (2 + tl) pl;
-         put_u64 h (2 + tl + 8) (checksum payload 0 pl);
-         [ h; payload ])
-       sections
+  piece header (Bytes.length header);
+  let scratch = lazy (Bytes.create scratch_bytes) in
+  List.iter
+    (fun (tag, payload) ->
+      let tl = String.length tag in
+      if tl > 0xFFFF then invalid_arg "Checkpoint.frame: tag too long";
+      let pl, crc =
+        match payload with
+        | Raw b -> (Bytes.length b, checksum b 0 (Bytes.length b))
+        | Ints (a, len) -> (8 * len, checksum_ints a len)
+      in
+      let h = Bytes.create (2 + tl + 16) in
+      Bytes.set_uint16_le h 0 tl;
+      Bytes.blit_string tag 0 h 2 tl;
+      put_u64 h (2 + tl) pl;
+      put_u64 h (2 + tl + 8) crc;
+      piece h (Bytes.length h);
+      match payload with
+      | Raw b -> piece b (Bytes.length b)
+      | Ints (a, len) ->
+          let scratch = Lazy.force scratch in
+          let i = ref 0 in
+          while !i < len do
+            let k = min (scratch_bytes / 8) (len - !i) in
+            for j = 0 to k - 1 do
+              Bytes.set_int64_le scratch (8 * j)
+                (Int64.of_int (Array.unsafe_get a (!i + j)))
+            done;
+            piece scratch (8 * k);
+            i := !i + k
+          done)
+    sections
 
-let to_bytes sections = Bytes.concat Bytes.empty (frame sections)
+let to_bytes sections =
+  let b = Buffer.create 4096 in
+  frame
+    (fun buf len -> Buffer.add_subbytes b buf 0 len)
+    (List.map (fun (tag, p) -> (tag, Raw p)) sections);
+  Buffer.to_bytes b
 
 let of_bytes b =
   let len = Bytes.length b in
@@ -143,32 +190,33 @@ let find tag sections =
 let torn_write : int option ref = ref None
 let set_torn_write n = torn_write := n
 
-let save ~path sections =
-  let pieces = frame sections in
+let write ~path sections =
   let torn = !torn_write in
   torn_write := None;
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  let rec write_all piece off remaining =
+  (* [budget]: the bytes the torn-write hook still lets through *)
+  let budget = ref (Option.value torn ~default:max_int) in
+  let rec write_all buf off remaining =
     if remaining > 0 then
-      let w = Unix.write fd piece off remaining in
-      write_all piece (off + w) (remaining - w)
+      let w = Unix.write fd buf off remaining in
+      write_all buf (off + w) (remaining - w)
   in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      (* [budget]: the bytes the torn-write hook still lets through *)
-      ignore
-        (List.fold_left
-           (fun budget piece ->
-             let k = min budget (Bytes.length piece) in
-             write_all piece 0 k;
-             budget - k)
-           (Option.value torn ~default:max_int)
-           pieces);
+      frame
+        (fun buf len ->
+          let k = min !budget len in
+          write_all buf 0 k;
+          budget := !budget - k)
+        sections;
       Unix.fsync fd);
   if torn <> None then raise Simulated_crash;
   Sys.rename tmp path
+
+let save ~path sections =
+  write ~path (List.map (fun (tag, b) -> (tag, Raw b)) sections)
 
 let load ~path =
   let ic = open_in_bin path in

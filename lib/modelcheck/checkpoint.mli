@@ -22,7 +22,7 @@
     Each engine decides what its sections mean ({!Explorer} stores the
     visited table, parent/successor vectors and BFS frontier position;
     {!Rt_mutex_packed} its id-ordered key vector and Tarjan stacks);
-    this module owns only framing, integrity and atomicity.  [save]
+    this module owns only framing, integrity and atomicity.  {!write}
     streams the framed sections to [path ^ ".tmp"], fsyncs, then renames
     — so the previous checkpoint survives any crash mid-write, and
     [load] of a torn or bit-flipped file raises {!Corrupt_checkpoint}
@@ -36,18 +36,29 @@ exception Corrupt_checkpoint of string
     string names the failing section or offset. *)
 
 exception Simulated_crash
-(** Raised by {!save} when a torn write was armed via
+(** Raised by {!write} (and so {!save}) when a torn write was armed via
     {!set_torn_write} — the chaos-test stand-in for a power cut. *)
 
-val frame : (string * Bytes.t) list -> Bytes.t list
-(** The framed image as the pieces it concatenates to, in order: the
-    file header, then each section's header followed by its payload
-    (the payload itself, not a copy).  The one framing both {!to_bytes}
-    and {!save} use. *)
+type payload =
+  | Raw of Bytes.t  (** written as it is *)
+  | Ints of int array * int
+      (** [Ints (a, len)]: the {!bytes_of_ints} [~len a] image, encoded
+          from the array through a fixed scratch buffer as it is written,
+          and checksummed from the ints *)
+(** A section payload. *)
+
+val frame : (Bytes.t -> int -> unit) -> (string * payload) list -> unit
+(** [frame piece sections] walks the framed image in order: [piece buf
+    len] receives the first [len] bytes of [buf] for the file header,
+    then for each section its header and its payload — a [Raw] payload
+    as it is, an [Ints] prefix as consecutive chunks of one scratch
+    buffer that the next chunk overwrites.  The one framing both
+    {!to_bytes} and {!write} use.  Raises [Invalid_argument] on a tag
+    longer than 65,535 bytes or an [Ints] prefix out of range. *)
 
 val to_bytes : (string * Bytes.t) list -> Bytes.t
-(** The concatenated {!frame}: byte-identical to the file {!save}
-    writes for the same sections. *)
+(** The image {!frame} walks for [Raw] payloads: byte-identical to the
+    file {!save} writes for the same sections. *)
 
 val of_bytes : Bytes.t -> (string * Bytes.t) list
 
@@ -55,10 +66,16 @@ val find : string -> (string * Bytes.t) list -> Bytes.t
 (** [find tag sections] is the payload of section [tag]; raises
     {!Corrupt_checkpoint} if absent. *)
 
+val write : path:string -> (string * payload) list -> unit
+(** Atomic write-rename of the framed image to [path]: the file header,
+    then each section's header and payload, written straight to the tmp
+    file with no intermediate image.  The file is byte-identical to
+    {!to_bytes} of the same sections with every [Ints (a, len)] replaced
+    by [bytes_of_ints ~len a], so an engine saves a live vector's prefix
+    without copying it.  Raises [Invalid_argument] as {!frame} does. *)
+
 val save : path:string -> (string * Bytes.t) list -> unit
-(** Atomic write-rename of the framed image to [path]: the {!frame}
-    pieces are written straight to the tmp file, with no intermediate
-    image. *)
+(** {!write} with every payload [Raw]. *)
 
 val load : path:string -> (string * Bytes.t) list
 (** Read and verify a checkpoint file.  Raises {!Corrupt_checkpoint} on
@@ -86,6 +103,6 @@ type policy = { path : string; every_states : int }
     write a final checkpoint when a governor trips. *)
 
 val set_torn_write : int option -> unit
-(** [set_torn_write (Some k)] arms the chaos hook: the next {!save}
+(** [set_torn_write (Some k)] arms the chaos hook: the next {!write}
     writes only the first [k] bytes of the tmp file, skips the rename,
     raises {!Simulated_crash}, and disarms itself.  [None] disarms. *)

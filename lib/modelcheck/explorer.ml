@@ -33,12 +33,14 @@
     Two scaling levers sit on top of the sequential passes: the opt-in
     [~reduction] flag quotients the space by the wiring's anonymity
     symmetries ({!Canon}; sound because canonical keys are orbit minima
-    under genuine automorphisms, see DESIGN.md), and {!Par_explorer} runs
-    the BFS on a pool of OCaml 5 domains.  Under reduction, invariants and
-    [stop_expansion] predicates must themselves be symmetric — invariant
-    under permuting same-input processors together with the induced
-    register relabelling — which holds for every property shipped here
-    (containment, agreement, memory-content sets, timestamp bounds). *)
+    under genuine automorphisms, see DESIGN.md; a group holding only the
+    identity, as with distinct inputs, is explored unreduced), and
+    {!Par_explorer} runs the BFS on a pool of OCaml 5 domains.  Under
+    reduction, invariants and [stop_expansion] predicates must themselves
+    be symmetric — invariant under permuting same-input processors
+    together with the induced register relabelling — which holds for
+    every property shipped here (containment, agreement, memory-content
+    sets, timestamp bounds). *)
 
 (** A protocol whose states can be exhaustively explored: local states and
     register values serialize to fixed-width byte strings.  Codecs must be
@@ -320,13 +322,25 @@ module Make (P : CHECKABLE) = struct
 
   (** The symmetry group of [(cfg, wiring, inputs)]: processors in the same
       input class permute together with the induced register relabelling.
-      The [~reduction] flags below build exactly this. *)
+      The [~reduction] flags below build this, through {!symmetry}. *)
   let canon_of ~cfg ~wiring ~inputs =
     Canon.make
       ~local_width:(P.local_width cfg)
       ~value_width:(P.value_width cfg)
       ~wiring
       ~classes:(Canon.classes_of_inputs inputs)
+
+  (** The group the [~reduction] flags below explore by: [canon_of]'s
+      group when [reduction] is set, unless it holds only the identity —
+      as it does whenever the inputs are distinct — in which case the
+      quotient is the space itself, and it is explored unreduced: same
+      states, edges, verdicts and traces, without canonicalizing every
+      successor.  Checkpoint contexts still record the requested flag. *)
+  let symmetry ~reduction ~cfg ~wiring ~inputs =
+    if not reduction then None
+    else
+      let c = canon_of ~cfg ~wiring ~inputs in
+      if Canon.is_trivial c then None else Some c
 
   (** Replay a chain of {e canonical} keys into a concrete execution: from
       [init_state], at each key pick an enabled processor whose successor
@@ -368,8 +382,9 @@ module Make (P : CHECKABLE) = struct
     wiring : Anonmem.Wiring.t;
     inputs : P.input array;
     reduction : Canon.t option;
-        (** present iff the space is a symmetry quotient: keys are orbit
-            minima and traces are concretized on demand *)
+        (** present iff the space is a quotient by a nontrivial group
+            ({!symmetry}): keys are orbit minima and traces are
+            concretized on demand *)
     table : State_table.t;
         (** arena of encoded states; dense id = discovery order, id 0 is
             the initial state *)
@@ -436,12 +451,13 @@ module Make (P : CHECKABLE) = struct
       with unbounded state.  [progress] is called every [2^20] states.
       [reduction] explores the symmetry quotient instead (visited keys are
       canonical orbit minima); invariant and [stop_expansion] must then be
-      symmetric predicates. *)
+      symmetric predicates.  The identity group quotients nothing, so
+      there [reduction] explores the space unreduced ({!symmetry}). *)
   let explore ?(max_states = 50_000_000) ?invariant ?stop_expansion ?progress
       ?(reduction = false) ?governor ?ckpt ?(resume = false) ~cfg ~wiring
       ~inputs () =
     guard_processors ~engine:"Explorer.explore" (P.processors cfg);
-    let canon = if reduction then Some (canon_of ~cfg ~wiring ~inputs) else None in
+    let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in
@@ -890,7 +906,7 @@ module Make (P : CHECKABLE) = struct
       ?invariant ?stop_expansion ?progress ?(reduction = false) ?governor
       ?ckpt ?(resume = false) ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.check_exhaustive" (P.processors cfg);
-    let canon = if reduction then Some (canon_of ~cfg ~wiring ~inputs) else None in
+    let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in
@@ -1234,7 +1250,7 @@ module Make (P : CHECKABLE) = struct
       ?(ckpt_extra = []) ?(ram_budget_bytes = 64 * 1024 * 1024)
       ?(batch_states = 1 lsl 20) ?spill_dir ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.explore_fp" (P.processors cfg);
-    let canon = if reduction then Some (canon_of ~cfg ~wiring ~inputs) else None in
+    let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in

@@ -71,9 +71,7 @@ module Make (P : Explorer.CHECKABLE) = struct
     let n = P.processors cfg in
     Explorer.guard_processors ~engine:"Fault_explorer.explore" ~limit:8 n;
     if max_crashes < 0 then invalid_arg "Fault_explorer.explore: max_crashes";
-    let canon =
-      if reduction then Some (E.canon_of ~cfg ~wiring ~inputs) else None
-    in
+    let canon = E.symmetry ~reduction ~cfg ~wiring ~inputs in
     (* Encoded in full rather than patched by [E.successor_key]: the key
        carries the crash-mask byte after the state, and crash branches
        reuse the parent state under a new mask. *)

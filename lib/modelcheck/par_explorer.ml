@@ -150,9 +150,7 @@ module Make (P : Explorer.CHECKABLE) = struct
     Explorer.guard_processors ~engine:"Par_explorer.explore" (P.processors cfg);
     if domains < 1 then invalid_arg "Par_explorer.explore: domains < 1";
     let nd = domains in
-    let canon =
-      if reduction then Some (E.canon_of ~cfg ~wiring ~inputs) else None
-    in
+    let canon = E.symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in

@@ -175,12 +175,13 @@ end
 (* Open-addressing packed-state -> dense-id map; -1 marks empty slots
    (packed states are non-negative).  Key and id sit in adjacent words
    of one array so a probe costs a single cache line; multiplicative
-   hashing, linear probing, growth at 50 % load. *)
+   hashing, linear probing, growth at 50 % load from a small start, so
+   a table costs what its space needs. *)
 module Itab = struct
   type t = { mutable a : int array; mutable mask : int; mutable size : int }
 
   let create () =
-    let cap = 1 lsl 20 in
+    let cap = 1 lsl 12 in
     { a = Array.make (2 * cap) (-1); mask = cap - 1; size = 0 }
 
   (* Top-level so probing allocates nothing (an inner closure would cost
@@ -246,10 +247,11 @@ type ws = {
   ws_fr_epid : Vec.t;
 }
 (** Reusable exploration buffers: a wiring sweep visits thousands of
-    multi-million-state spaces, and re-growing the visited table and the
-    Tarjan vectors from scratch each time costs more major-GC work than
-    the exploration itself.  Buffers keep their high-water capacity
-    across {!check_wiring} calls. *)
+    spaces, and re-growing the visited table and the Tarjan vectors from
+    scratch each time costs more major-GC work than the exploration
+    itself.  Buffers start small and keep their high-water capacity
+    across {!check_wiring} calls, so a reset (one fill of the visited
+    table) costs what the largest space so far needed. *)
 
 let ws () =
   {
@@ -363,7 +365,8 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
       let cap = Option.value max_states ~default:max_int in
       (* --- checkpoint plumbing ----------------------------------------
          Everything the Tarjan loop owns is flat int data, and each
-         vector is encoded straight from its live prefix.  Dense ids are
+         vector's live prefix is streamed into the file as it is
+         ([Checkpoint.Ints]), never copied.  Dense ids are
          insertion order, so the packed-state hash table is saved as the
          id-ordered key vector [keys] — 8 B/state, written in O(states)
          instead of a walk over the table's whole capacity — and rebuilt
@@ -375,7 +378,7 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
         Fmt.str "packed|%d|%d|%a|%s" n m Anonmem.Wiring.pp wiring
           (String.concat "," (List.map string_of_int (Array.to_list inputs)))
       in
-      let vec_bytes v = Checkpoint.bytes_of_ints ~len:v.Vec.len v.Vec.a in
+      let vec v = Checkpoint.Ints (v.Vec.a, v.Vec.len) in
       let restore_vec v b =
         Vec.reset v;
         Array.iter (Vec.push v) (Checkpoint.ints_of_bytes b)
@@ -392,21 +395,21 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
         done
       in
       let save_ckpt path =
-        Checkpoint.save ~path
+        Checkpoint.write ~path
           ([
-             ("context", Bytes.of_string context);
-             ("itab", vec_bytes keys);
-             ("counters", Checkpoint.bytes_of_ints [| !count |]);
-             ("low", vec_bytes w.ws_low);
-             ("emask", vec_bytes w.ws_emask);
-             ("onstack", vec_bytes w.ws_onstack);
-             ("sccs", vec_bytes w.ws_sccs);
-             ("fr_u", vec_bytes w.ws_fr_u);
-             ("fr_s", vec_bytes w.ws_fr_s);
-             ("fr_pid", vec_bytes w.ws_fr_pid);
-             ("fr_epid", vec_bytes w.ws_fr_epid);
+             ("context", Checkpoint.Raw (Bytes.of_string context));
+             ("itab", vec keys);
+             ("counters", Checkpoint.Ints ([| !count |], 1));
+             ("low", vec w.ws_low);
+             ("emask", vec w.ws_emask);
+             ("onstack", vec w.ws_onstack);
+             ("sccs", vec w.ws_sccs);
+             ("fr_u", vec w.ws_fr_u);
+             ("fr_s", vec w.ws_fr_s);
+             ("fr_pid", vec w.ws_fr_pid);
+             ("fr_epid", vec w.ws_fr_epid);
            ]
-          @ ckpt_extra)
+          @ List.map (fun (tag, b) -> (tag, Checkpoint.Raw b)) ckpt_extra)
       in
       let resumed =
         match ckpt with

@@ -23,8 +23,11 @@ type verdict =
 type ws
 (** Reusable exploration buffers (visited table, Tarjan vectors).  A
     sweep over many wirings should allocate one and pass it to every
-    {!check_wiring} call: buffers keep their high-water capacity, so
-    only the first large space pays the growth cost. *)
+    {!check_wiring} call.  Buffers start small (a 4096-slot table) and
+    keep their high-water capacity, so only the first large space pays
+    the growth cost.  Each call first empties the visited table with one
+    fill, so a reset costs the capacity the largest space so far grew it
+    to (two words per slot, at most four slots per state). *)
 
 val ws : unit -> ws
 

@@ -170,9 +170,7 @@ module Make (P : Explorer.CHECKABLE) = struct
     Explorer.guard_processors ~engine:"Ws_explorer.explore" (P.processors cfg);
     if domains < 1 then invalid_arg "Ws_explorer.explore: domains < 1";
     let nd = domains in
-    let canon =
-      if reduction then Some (E.canon_of ~cfg ~wiring ~inputs) else None
-    in
+    let canon = E.symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in

@@ -147,6 +147,13 @@ let test_ckpt_old_version () =
         [ "version 2"; "version 3"; "without --resume" ]
   | _ -> Alcotest.fail "v2 checkpoint accepted"
 
+(* The offsets, last first, at which [Ckpt.frame] hands over a piece. *)
+let piece_boundaries sections =
+  let offsets = ref [ 0 ] in
+  Ckpt.frame (fun _ len -> offsets := (List.hd !offsets + len) :: !offsets)
+    sections;
+  !offsets
+
 let test_ckpt_torn_write_preserves_old () =
   (* Tear the save at every piece boundary of the new image (file
      header, section header, payload) and one byte either side of it:
@@ -158,9 +165,7 @@ let test_ckpt_torn_write_preserves_old () =
   let image = Bytes.to_string (Ckpt.to_bytes v2) in
   let total = String.length image in
   let boundaries =
-    List.fold_left
-      (fun acc piece -> (List.hd acc + Bytes.length piece) :: acc)
-      [ 0 ] (Ckpt.frame v2)
+    piece_boundaries (List.map (fun (tag, b) -> (tag, Ckpt.Raw b)) v2)
   in
   let cuts =
     List.sort_uniq compare
@@ -189,6 +194,83 @@ let test_ckpt_torn_write_preserves_old () =
   Alcotest.(check bool)
     "retry lands v2" true
     (sections_equal v2 (Ckpt.load ~path));
+  Sys.remove path
+
+(* Int-prefix payloads stream through a scratch buffer; the file must be
+   the [to_bytes] image of the same sections built with [bytes_of_ints]. *)
+let int_payload_cases () =
+  let big = Array.init 20_000 (fun i -> (i * 0x1E37_79B9_7F4A_7C15) lxor (i lsl 33)) in
+  [
+    ("signs", [| -1; min_int; max_int; 0; 1 lsl 32; (1 lsl 40) + 7; -(1 lsl 35) |], 7);
+    ("empty", [| 1; 2; 3 |], 0);
+    ("prefix", [| 10; -20; 30; -40; 50 |], 3);
+    ("big", big, Array.length big - 5);
+  ]
+
+let streamed cases =
+  ("context", Ckpt.Raw (Bytes.of_string "packed|2|5"))
+  :: List.map (fun (tag, a, len) -> (tag, Ckpt.Ints (a, len))) cases
+
+let materialized cases =
+  ("context", Bytes.of_string "packed|2|5")
+  :: List.map (fun (tag, a, len) -> (tag, Ckpt.bytes_of_ints ~len a)) cases
+
+let test_ckpt_streamed_ints () =
+  let cases = int_payload_cases () in
+  let path = fresh_path ".ckpt" in
+  Ckpt.write ~path (streamed cases);
+  Alcotest.(check string)
+    "int-prefix sections write the bytes_of_ints image"
+    (Bytes.to_string (Ckpt.to_bytes (materialized cases)))
+    (read_file path);
+  let loaded = Ckpt.load ~path in
+  List.iter
+    (fun (tag, a, len) ->
+      Alcotest.(check (array int))
+        (tag ^ ": load then ints_of_bytes gives the prefix back")
+        (Array.sub a 0 len)
+        (Ckpt.ints_of_bytes (Ckpt.find tag loaded)))
+    cases;
+  Sys.remove path
+
+let test_ckpt_streamed_torn_write () =
+  (* The torn-write test on a streamed int payload of 160 KB, larger
+     than the scratch buffer it passes through: cut at every piece
+     boundary [frame] hands over (scratch-buffer chunks included) and at
+     every 4 KiB step of the payload, one byte either side too. *)
+  let cases = [ List.nth (int_payload_cases ()) 3 ] in
+  let image = Bytes.to_string (Ckpt.to_bytes (materialized cases)) in
+  let total = String.length image in
+  let boundaries = piece_boundaries (streamed cases) in
+  let _, _, len = List.hd cases in
+  let payload_start = total - (8 * len) in
+  let steps =
+    List.init ((total - payload_start) / 4096) (fun j ->
+        payload_start + (4096 * (j + 1)))
+  in
+  let cuts =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun b -> List.filter (fun k -> k >= 0 && k <= total) [ b - 1; b; b + 1 ])
+         (boundaries @ steps))
+  in
+  let path = fresh_path ".ckpt" in
+  let v1 = [ ("gen", Ckpt.bytes_of_ints [| 1 |]) ] in
+  Ckpt.save ~path v1;
+  List.iter
+    (fun k ->
+      Ckpt.set_torn_write (Some k);
+      (match Ckpt.write ~path (streamed cases) with
+      | exception Ckpt.Simulated_crash -> ()
+      | () -> Alcotest.failf "torn write at byte %d must raise" k);
+      let tmp = read_file (path ^ ".tmp") in
+      if not (String.equal tmp (String.sub image 0 k)) then
+        Alcotest.failf "torn at byte %d: tmp is not the stream prefix" k;
+      if not (sections_equal v1 (Ckpt.load ~path)) then
+        Alcotest.failf "torn at byte %d: previous checkpoint lost" k)
+    cuts;
+  Ckpt.write ~path (streamed cases);
+  Alcotest.(check string) "retry lands the image" image (read_file path);
   Sys.remove path
 
 let test_ints_roundtrip () =
@@ -515,6 +597,54 @@ let test_bfs_resume_parity () =
     "BFS resume parity" reference result;
   if Sys.file_exists path then Sys.remove path
 
+(* Distinct inputs give the identity group, which [~reduction:true]
+   explores unreduced; its checkpoints still record the requested flag,
+   so a reduced run interrupted by a quota resumes to the uninterrupted
+   counts, reduced or not, and its context still reads [|true|]. *)
+let test_identity_group_resume_parity () =
+  let module Nm = Core.Naming_mc in
+  let cfg = Algorithms.Naming.cfg ~n:2 ~m:3 in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:3 in
+  let inputs = [| 1; 2 |] in
+  let counts = function
+    | Nm.Explored sp -> Ok (Nm.state_count sp, Nm.transition_count sp)
+    | Nm.Exhausted _ -> Error ()
+    | _ -> Alcotest.fail "unexpected naming BFS verdict"
+  in
+  let reference reduction =
+    match counts (Nm.explore ~reduction ~cfg ~wiring ~inputs ()) with
+    | Ok c -> c
+    | Error () -> Alcotest.fail "reference run must complete"
+  in
+  Alcotest.(check (pair int int))
+    "identity group: reduced = unreduced" (reference false) (reference true);
+  let path = fresh_path ".ckpt" in
+  let ckpt = { Ckpt.path; every_states = 100 } in
+  let contexts = ref [] in
+  let result, rounds =
+    drive ~quota:300 (fun g ->
+        let r =
+          counts
+            (Nm.explore ~reduction:true ~governor:g ~ckpt ~resume:true ~cfg
+               ~wiring ~inputs ())
+        in
+        if Result.is_error r then
+          contexts :=
+            Bytes.to_string (Ckpt.find "context" (Ckpt.load ~path))
+            :: !contexts;
+        r)
+  in
+  Alcotest.(check bool) "reduced BFS was actually interrupted" true (rounds > 0);
+  Alcotest.(check (pair int int))
+    "identity group: resumed = uninterrupted" (reference true) result;
+  List.iter
+    (fun ctx ->
+      Alcotest.(check bool)
+        (Printf.sprintf "context %S records the requested flag" ctx)
+        true (contains ~sub:"|true|" ctx))
+    !contexts;
+  if Sys.file_exists path then Sys.remove path
+
 (* Resumed frames rebuild their decoded state from the checkpointed key;
    under reduction that key is canonical, so the reduced variant checks
    frames whose state is not the concrete successor the DFS pushed.  The
@@ -734,9 +864,9 @@ module Packed = Modelcheck.Rt_mutex_packed
    the engine's key vector is written, and every [quota] steps a round
    ends and the next one restores from the latest save.  One workspace
    serves all rounds, as in a wiring sweep. *)
-let packed_drive ~every_states ~cfg ~wiring ~inputs ~quota ~path =
+let packed_drive ?(ws = Packed.ws ()) ~every_states ~cfg ~wiring ~inputs
+    ~quota ~path () =
   let ckpt = { Ckpt.path; every_states } in
-  let ws = Packed.ws () in
   drive ~quota (fun g ->
       match
         Packed.check_wiring ~ws ~governor:g ~ckpt ~resume:true ~cfg ~wiring
@@ -756,7 +886,7 @@ let test_packed_resume_clean_parity ~every_states ~quota () =
   in
   let path = fresh_path ".ckpt" in
   let (v, rounds) =
-    packed_drive ~every_states ~cfg ~wiring ~inputs ~quota ~path
+    packed_drive ~every_states ~cfg ~wiring ~inputs ~quota ~path ()
   in
   Alcotest.(check bool) "packed was actually interrupted" true (rounds > 0);
   (match v with
@@ -775,10 +905,82 @@ let test_packed_resume_cycle_parity ~every_states ~quota () =
   | Packed.Fair_cycle -> ()
   | _ -> Alcotest.fail "reference packed (2,2) must deadlock");
   let path = fresh_path ".ckpt" in
-  let (v, _) = packed_drive ~every_states ~cfg ~wiring ~inputs ~quota ~path in
+  let (v, _) = packed_drive ~every_states ~cfg ~wiring ~inputs ~quota ~path () in
   (match v with
   | Packed.Fair_cycle -> ()
   | _ -> Alcotest.fail "resumed packed (2,2) must still deadlock");
+  if Sys.file_exists path then Sys.remove path
+
+let packed_verdict = function
+  | Packed.Clean { states } -> Printf.sprintf "Clean %d" states
+  | Packed.Breach -> "Breach"
+  | Packed.Fair_cycle -> "Fair_cycle"
+  | Packed.Limit k -> Printf.sprintf "Limit %d" k
+  | Packed.Exhausted { reason; states } ->
+      Printf.sprintf "Exhausted (%s, %d)" (Gov.reason_to_string reason) states
+  | Packed.Unsupported -> "Unsupported"
+
+(* One workspace driven through every way a run ends must answer each
+   wiring exactly as a fresh one does.  A breach and a state cap trip on
+   a key the table already holds but the Tarjan vectors never got; a
+   deadlock and a governor stop leave half-explored spaces behind; then
+   every (2,5) class runs on what is left, and a checkpointed run is
+   interrupted and resumed on the same workspace.  Each run goes twice
+   on the reused workspace, so the second meets whatever the first left
+   of the same space. *)
+let test_packed_ws_reuse () =
+  let ws = Packed.ws () in
+  let run ?max_states ?quota ~n ~m wiring =
+    let cfg = Algorithms.Rt_mutex.cfg ~n ~m in
+    let inputs = Array.init n (fun i -> i + 1) in
+    let go ws =
+      let governor = Option.map (fun quota -> Gov.create ~quota ()) quota in
+      let v =
+        Packed.check_wiring ?ws ?max_states ?governor ~cfg ~wiring ~inputs ()
+      in
+      Option.iter Gov.dispose governor;
+      v
+    in
+    let fresh = go None in
+    for round = 1 to 2 do
+      Alcotest.(check string)
+        (Fmt.str "(%d,%d) %a, round %d: reused workspace = fresh" n m
+           Anonmem.Wiring.pp wiring round)
+        (packed_verdict fresh) (packed_verdict (go (Some ws)))
+    done;
+    fresh
+  in
+  let sweep_until ~n ~m want =
+    let found =
+      List.exists
+        (fun w -> run ~n ~m w = want)
+        (Anonmem.Wiring.enumerate_classes ~n ~m)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "(%d,%d) has a %s wiring" n m (packed_verdict want))
+      true found
+  in
+  sweep_until ~n:2 ~m:1 Packed.Breach;
+  sweep_until ~n:2 ~m:4 Packed.Fair_cycle;
+  let classes = Anonmem.Wiring.enumerate_classes ~n:2 ~m:5 in
+  let w = List.nth classes (List.length classes / 2) in
+  Alcotest.(check string) "state cap" "Limit 300"
+    (packed_verdict (run ~max_states:300 ~n:2 ~m:5 w));
+  (match run ~quota:1500 ~n:2 ~m:5 w with
+  | Packed.Exhausted _ -> ()
+  | v -> Alcotest.failf "governed run: want Exhausted, got %s" (packed_verdict v));
+  List.iter (fun w -> ignore (run ~n:2 ~m:5 w)) classes;
+  let cfg = Algorithms.Rt_mutex.cfg ~n:2 ~m:5 in
+  let inputs = [| 1; 2 |] in
+  let reference = Packed.check_wiring ~cfg ~wiring:w ~inputs () in
+  let path = fresh_path ".ckpt" in
+  let v, rounds =
+    packed_drive ~ws ~every_states:500 ~cfg ~wiring:w ~inputs ~quota:3000
+      ~path ()
+  in
+  Alcotest.(check bool) "resume was interrupted" true (rounds > 0);
+  Alcotest.(check string) "resume on a reused workspace = fresh"
+    (packed_verdict reference) (packed_verdict v);
   if Sys.file_exists path then Sys.remove path
 
 let test_verify_mutex_sweep_resume () =
@@ -1046,6 +1248,10 @@ let () =
           Alcotest.test_case "torn write preserves previous" `Quick
             test_ckpt_torn_write_preserves_old;
           Alcotest.test_case "int codec" `Quick test_ints_roundtrip;
+          Alcotest.test_case "streamed int sections" `Quick
+            test_ckpt_streamed_ints;
+          Alcotest.test_case "torn streamed write" `Quick
+            test_ckpt_streamed_torn_write;
         ] );
       ( "governor",
         [
@@ -1079,6 +1285,8 @@ let () =
             (test_dfs_resume_parity ~reduction:false ~inputs:[| 1; 2 |]);
           Alcotest.test_case "DFS, reduced" `Quick
             (test_dfs_resume_parity ~reduction:true ~inputs:[| 1; 1 |]);
+          Alcotest.test_case "BFS, reduced by the identity group" `Quick
+            test_identity_group_resume_parity;
           Alcotest.test_case "fingerprint" `Quick test_fp_resume_parity;
           Alcotest.test_case "fingerprint corrupt run refused" `Quick
             test_fp_corrupt_run_refused;
@@ -1090,12 +1298,14 @@ let () =
           Alcotest.test_case "packed deadlock cell" `Quick
             (test_packed_resume_cycle_parity ~every_states:50 ~quota:40);
           (* A restore after every one of the clean cell's 4586 steps
-             would reset the engine's 16 MiB visited table 4586 times; a
-             restore every 10th step keeps the test to seconds. *)
+             would re-insert the saved keys 4586 times; a restore every
+             10th step keeps the test short. *)
           Alcotest.test_case "packed clean cell, save every tick" `Quick
             (test_packed_resume_clean_parity ~every_states:1 ~quota:10);
           Alcotest.test_case "packed deadlock cell, save every tick" `Quick
             (test_packed_resume_cycle_parity ~every_states:1 ~quota:1);
+          Alcotest.test_case "packed workspace reuse" `Quick
+            test_packed_ws_reuse;
           Alcotest.test_case "verify_mutex sweep" `Quick
             test_verify_mutex_sweep_resume;
           Alcotest.test_case "verify_mutex sweep needs its section" `Quick

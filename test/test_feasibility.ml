@@ -176,6 +176,41 @@ let test_quick_map_confirms () =
     cells;
   Alcotest.(check bool) "nonempty map" true (List.length cells >= 12)
 
+(* Every map cell has distinct inputs, so its symmetry group is the
+   identity alone and [~reduction:true] must explore exactly the
+   unreduced space: the same verdict, counts, counterexample path and
+   lasso on every quick-map cell, run as the map runs it (the packed
+   mutex with its generic fallback, the naming BFS, the leader DFS), and
+   on the generic BFS mutex. *)
+let test_identity_group_is_unreduced () =
+  let same name verify =
+    let unreduced = verify ~reduction:false in
+    let reduced = verify ~reduction:true in
+    if unreduced <> reduced then
+      Alcotest.failf "%s: unreduced %a, reduced %a" name Core.pp_verdict
+        unreduced Core.pp_verdict reduced
+  in
+  List.iter
+    (fun (g : F.grid) ->
+      List.iter
+        (fun (n, m) ->
+          let name = Printf.sprintf "%s(%d,%d)" g.F.g_task n m in
+          match g.F.g_task with
+          | "mutex" ->
+              same name (fun ~reduction ->
+                  Core.verify_mutex ~n ~m ~reduction ~wiring_classes:true
+                    ~packed:true ());
+              same (name ^ " generic") (fun ~reduction ->
+                  Core.verify_mutex ~n ~m ~reduction ~wiring_classes:true ())
+          | "naming" ->
+              same name (fun ~reduction ->
+                  Core.verify_naming ~n ~m ~reduction ~wiring_classes:true ())
+          | _ ->
+              same name (fun ~reduction ->
+                  Core.verify_leader ~n ~m ~reduction ~wiring_classes:true ()))
+        g.F.g_cells)
+    (F.grids ~quick:true ())
+
 let () =
   Alcotest.run "feasibility"
     [
@@ -201,5 +236,7 @@ let () =
             test_covering_floor_cells_pinned;
           Alcotest.test_case "quick map confirms prediction" `Quick
             test_quick_map_confirms;
+          Alcotest.test_case "identity group explores unreduced" `Quick
+            test_identity_group_is_unreduced;
         ] );
     ]
