@@ -38,6 +38,11 @@ let magic = magic_family ^ "3"
 let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
 
+let checksum_basis = fnv_offset
+
+let[@inline] checksum_word h ~lo ~hi =
+  (((h lxor lo) * fnv_prime) lxor hi) * fnv_prime
+
 let checksum buf off len =
   if off < 0 || len < 0 || off > Bytes.length buf - len then
     invalid_arg "Checkpoint.checksum";
@@ -45,8 +50,10 @@ let checksum buf off len =
   let words = len / 8 in
   for i = 0 to words - 1 do
     let w = Bytes.get_int64_le buf (off + (8 * i)) in
-    h := (!h lxor (Int64.to_int w land 0xFFFF_FFFF)) * fnv_prime;
-    h := (!h lxor Int64.to_int (Int64.shift_right_logical w 32)) * fnv_prime
+    h :=
+      checksum_word !h
+        ~lo:(Int64.to_int w land 0xFFFF_FFFF)
+        ~hi:(Int64.to_int (Int64.shift_right_logical w 32))
   done;
   for i = off + (8 * words) to off + len - 1 do
     h := (!h lxor Char.code (Bytes.unsafe_get buf i)) * fnv_prime
@@ -93,8 +100,9 @@ let checksum_ints a len =
   let h = ref fnv_offset in
   for i = 0 to len - 1 do
     let x = Array.unsafe_get a i in
-    h := (!h lxor (x land 0xFFFF_FFFF)) * fnv_prime;
-    h := (!h lxor ((x asr 32) land 0xFFFF_FFFF)) * fnv_prime
+    h :=
+      checksum_word !h ~lo:(x land 0xFFFF_FFFF)
+        ~hi:((x asr 32) land 0xFFFF_FFFF)
   done;
   !h land max_int
 

@@ -87,6 +87,16 @@ val checksum : Bytes.t -> int -> int -> int
     that embed their own checksums.  Every bit of the range feeds it;
     raises [Invalid_argument] if the range is out of bounds. *)
 
+val checksum_basis : int
+
+val checksum_word : int -> lo:int -> hi:int -> int
+(** One step of {!checksum}: [checksum_word h ~lo ~hi] folds an 8-byte
+    word, given as its low and high 32-bit halves, into the running
+    value [h].  The checksum of a range of whole words is the fold of
+    its words in order from [checksum_basis], masked with [max_int] —
+    for readers that verify a payload in the same pass that consumes
+    it. *)
+
 val bytes_of_ints : ?len:int -> int array -> Bytes.t
 (** 8-byte little-endian encoding of each element of the prefix of
     length [len] (default: the whole array) — the common payload shape

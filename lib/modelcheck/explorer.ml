@@ -244,15 +244,18 @@ module Make (P : CHECKABLE) = struct
       st.registers;
     Bytes.unsafe_to_string b
 
-  let decode_state cfg key =
-    let b = Bytes.unsafe_of_string key in
+  (** [decode_state] of the key at byte [off] of [b]. *)
+  let decode_at cfg b off =
     let n = P.processors cfg and m = P.registers cfg in
     let lw = P.local_width cfg and vw = P.value_width cfg in
     {
-      locals = Array.init n (fun p -> P.decode_local cfg b (p * lw));
+      locals = Array.init n (fun p -> P.decode_local cfg b (off + (p * lw)));
       registers =
-        Array.init m (fun r -> P.decode_value cfg b ((n * lw) + (r * vw)));
+        Array.init m (fun r ->
+            P.decode_value cfg b (off + (n * lw) + (r * vw)));
     }
+
+  let decode_state cfg key = decode_at cfg (Bytes.unsafe_of_string key) 0
 
   let enabled cfg st =
     List.filter
@@ -286,17 +289,17 @@ module Make (P : CHECKABLE) = struct
     | None -> invalid_arg "Explorer.successor: processor halted"
     | Some action -> successor_by cfg wiring st p action
 
-  (** [successor_by], with the successor's key left in [buf], for
-      [key = encode_state cfg st]: the parent's key is copied into [buf]
-      (whatever [buf] held before) and only the components the step
-      changed are re-encoded — local [p], and any register not physically
-      equal to the parent's (none on a read, one on a write).  A
-      physically equal component encodes to the bytes already in place,
-      so [buf] ends up holding [encode_state cfg st'] exactly.  [buf] must
-      be [String.length key] bytes long. *)
-  let successor_into cfg wiring st key p action buf =
+  (** [successor_by], with the successor's key left in [buf], for the
+      parent key [encode_state cfg st] found at byte [off] of [src]: the
+      parent's key is copied into [buf] (whatever [buf] held before) and
+      only the components the step changed are re-encoded — local [p],
+      and any register not physically equal to the parent's (none on a
+      read, one on a write).  A physically equal component encodes to the
+      bytes already in place, so [buf] ends up holding
+      [encode_state cfg st'] exactly.  [buf] must be one key long. *)
+  let successor_into cfg wiring st src off p action buf =
     let st' = successor_by cfg wiring st p action in
-    Bytes.blit_string key 0 buf 0 (String.length key);
+    Bytes.blit src off buf 0 (Bytes.length buf);
     let lw = P.local_width cfg in
     P.encode_local cfg st'.locals.(p) buf (p * lw);
     if st'.registers != st.registers then begin
@@ -315,7 +318,10 @@ module Make (P : CHECKABLE) = struct
     | None -> invalid_arg "Explorer.successor_key: processor halted"
     | Some action ->
         let buf = Bytes.create (String.length key) in
-        let st' = successor_into cfg wiring st key p action buf in
+        let st' =
+          successor_into cfg wiring st (Bytes.unsafe_of_string key) 0 p action
+            buf
+        in
         (st', Bytes.unsafe_to_string buf)
 
   let outputs cfg st = Array.map (P.output cfg) st.locals
@@ -589,7 +595,10 @@ module Make (P : CHECKABLE) = struct
           | None -> ()
           | Some action ->
               any_enabled := true;
-              let st' = successor_into cfg wiring st key p action buf in
+              let st' =
+                successor_into cfg wiring st (Bytes.unsafe_of_string key) 0 p
+                  action buf
+              in
               let from = (id lsl 4) lor p in
               (* Only a state beyond the bound trips the limit: a full
                  table still accepts edges to states already seen.  The
@@ -1132,7 +1141,10 @@ module Make (P : CHECKABLE) = struct
             | Some action ->
               f.any_enabled <- true;
               incr transitions;
-              let st' = successor_into cfg wiring f.st f.key p action buf in
+              let st' =
+                successor_into cfg wiring f.st (Bytes.unsafe_of_string f.key) 0
+                  p action buf
+              in
               (* One probe: [intern] either finds the key or mints the next
                  id.  A full table only refuses states it has not seen.
                  Unreduced, the probe reads [buf] in place and a key
@@ -1251,11 +1263,11 @@ module Make (P : CHECKABLE) = struct
       ?(batch_states = 1 lsl 20) ?spill_dir ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.explore_fp" (P.processors cfg);
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
-    let canonical key =
+    let kw = key_width cfg in
+    let key0 =
+      let key = encode_state cfg (init_state ~cfg ~inputs) in
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in
-    let kw = key_width cfg in
-    let key0 = canonical (encode_state cfg (init_state ~cfg ~inputs)) in
     let context =
       Fmt.str "fpbfs|%d|%a|%b|%d|%S" kw Anonmem.Wiring.pp wiring reduction
         ram_budget_bytes key0
@@ -1280,21 +1292,35 @@ module Make (P : CHECKABLE) = struct
           Some sections
       | _ -> None
     in
-    let keys_of_section b =
-      let len = Bytes.length b in
-      if len mod kw <> 0 then
+    (* Keys live in pages: [Bytes] of [kw]-byte records, grown by
+       doubling.  [cur] holds the layer being expanded, [pos] of its
+       [ncur] keys done; [next] the [nnext] fresh keys of the next layer;
+       [cand] the [ncand] successors of the pending batch. *)
+    let room page ~used ~want =
+      if Bytes.length page >= want * kw then page
+      else begin
+        let b = Bytes.create (max (want * kw) (2 * Bytes.length page)) in
+        Bytes.blit page 0 b 0 (used * kw);
+        b
+      end
+    in
+    let page_of_section tag sections =
+      let b = Checkpoint.find tag sections in
+      if Bytes.length b mod kw <> 0 then
         raise
           (Checkpoint.Corrupt_checkpoint
              "Explorer.explore_fp: frontier section not a multiple of the \
               key width");
-      List.init (len / kw) (fun i -> Bytes.sub_string b (i * kw) kw)
+      (b, Bytes.length b / kw)
     in
     let states = ref 0
     and transitions = ref 0
     and terminals = ref 0
     and layers = ref 0
     and expanded = ref 0 in
-    let cur = ref [] and next = ref [] (* reversed accumulator *) in
+    let cur = ref Bytes.empty and ncur = ref 0 and pos = ref 0 in
+    let next = ref Bytes.empty and nnext = ref 0 in
+    let cand = ref Bytes.empty and ncand = ref 0 in
     let violation = ref None in
     let fps =
       match resumed with
@@ -1319,15 +1345,14 @@ module Make (P : CHECKABLE) = struct
           terminals := c.(2);
           layers := c.(3);
           expanded := c.(4);
-          cur := keys_of_section (Checkpoint.find "fcur" sections);
-          next := List.rev (keys_of_section (Checkpoint.find "fnext" sections));
+          let b, n = page_of_section "fcur" sections in
+          cur := b;
+          ncur := n;
+          let b, n = page_of_section "fnext" sections in
+          next := b;
+          nnext := n;
           fps
       | None -> Fingerprint_set.create ~ram_budget_bytes ?dir ()
-    in
-    let concat_keys keys =
-      let b = Buffer.create (kw * List.length keys) in
-      List.iter (Buffer.add_string b) keys;
-      Buffer.to_bytes b
     in
     let save_ckpt path =
       Checkpoint.save ~path
@@ -1336,8 +1361,8 @@ module Make (P : CHECKABLE) = struct
            ( "counters",
              Checkpoint.bytes_of_ints
                [| !states; !transitions; !terminals; !layers; !expanded |] );
-           ("fcur", concat_keys !cur);
-           ("fnext", concat_keys (List.rev !next));
+           ("fcur", Bytes.sub !cur (!pos * kw) ((!ncur - !pos) * kw));
+           ("fnext", Bytes.sub !next 0 (!nnext * kw));
          ]
         @ Fingerprint_set.to_sections fps
         @ ckpt_extra)
@@ -1352,32 +1377,31 @@ module Make (P : CHECKABLE) = struct
       | _ -> ()
     in
     let limit = ref false in
-    let cands = ref [] and ncands = ref 0 in
-    (* Probe a batch: fresh keys are counted, invariant-checked on their
-       decoded representative, and queued for the next layer. *)
+    (* Probe the pending batch: fresh keys are counted, invariant-checked
+       on their decoded representative, and appended to the next
+       layer. *)
     let flush () =
-      if !cands <> [] then begin
-        let arr = Array.of_list (List.rev !cands) in
-        cands := [];
-        ncands := 0;
-        let fresh = Fingerprint_set.add_batch fps arr in
-        Array.iteri
-          (fun i key ->
-            if fresh.(i) then begin
-              incr states;
-              (match progress with
-              | Some f when !states land ((1 lsl 20) - 1) = 0 -> f !states
-              | _ -> ());
-              (match invariant with
-              | Some check -> (
-                  match check (decode_state cfg key) with
-                  | Ok () -> ()
-                  | Error message ->
-                      if !violation = None then violation := Some message)
-              | None -> ());
-              next := key :: !next
-            end)
-          arr;
+      if !ncand > 0 then begin
+        let fresh =
+          Fingerprint_set.add_page fps !cand ~width:kw ~count:!ncand
+        in
+        ncand := 0;
+        for i = 0 to fresh - 1 do
+          incr states;
+          (match progress with
+          | Some f when !states land ((1 lsl 20) - 1) = 0 -> f !states
+          | _ -> ());
+          match invariant with
+          | Some check -> (
+              match check (decode_at cfg !cand (i * kw)) with
+              | Ok () -> ()
+              | Error message ->
+                  if !violation = None then violation := Some message)
+          | None -> ()
+        done;
+        next := room !next ~used:!nnext ~want:(!nnext + fresh);
+        Bytes.blit !cand 0 !next (!nnext * kw) (fresh * kw);
+        nnext := !nnext + fresh;
         if !states > max_states then limit := true
       end
     in
@@ -1392,12 +1416,14 @@ module Make (P : CHECKABLE) = struct
            | Ok () -> ()
            | Error message -> violation := Some message)
        | None -> ());
-       cur := [ key0 ]);
+       cur := Bytes.of_string key0;
+       ncur := 1);
+    let buf = Bytes.create kw in
     let running = ref (!violation = None) in
     while !running do
       (* Consume the current layer, batching candidate successors. *)
       while
-        !cur <> [] && !violation = None && !exhausted = None && not !limit
+        !pos < !ncur && !violation = None && !exhausted = None && not !limit
       do
         (match governor with
         | Some g -> (
@@ -1406,31 +1432,37 @@ module Make (P : CHECKABLE) = struct
             | None -> ())
         | None -> ());
         if !exhausted = None then begin
-          match !cur with
-          | [] -> ()
-          | key :: rest ->
-              cur := rest;
-              incr expanded;
-              let st = decode_state cfg key in
-              let expand =
-                match stop_expansion with Some f -> not (f st) | None -> true
-              in
-              if expand then begin
-                match enabled cfg st with
-                | [] -> incr terminals
-                | en ->
-                    List.iter
-                      (fun p ->
-                        let _, key' = successor_key cfg wiring st key p in
-                        incr transitions;
-                        cands := canonical key' :: !cands;
-                        incr ncands)
-                      en
-              end;
-              if !ncands >= batch_states then begin
-                flush ();
-                maybe_ckpt ()
-              end
+          let off = !pos * kw in
+          incr pos;
+          incr expanded;
+          let st = decode_at cfg !cur off in
+          let expand =
+            match stop_expansion with Some f -> not (f st) | None -> true
+          in
+          if expand then begin
+            let any_enabled = ref false in
+            for p = 0 to Array.length st.locals - 1 do
+              match P.next cfg st.locals.(p) with
+              | None -> ()
+              | Some action -> (
+                  any_enabled := true;
+                  incr transitions;
+                  ignore (successor_into cfg wiring st !cur off p action buf);
+                  cand := room !cand ~used:!ncand ~want:(!ncand + 1);
+                  let at = !ncand * kw in
+                  incr ncand;
+                  match canon with
+                  | None -> Bytes.blit buf 0 !cand at kw
+                  | Some c ->
+                      let key' = Canon.canonicalize c (Bytes.to_string buf) in
+                      Bytes.blit_string key' 0 !cand at kw)
+            done;
+            if not !any_enabled then incr terminals
+          end;
+          if !ncand >= batch_states then begin
+            flush ();
+            maybe_ckpt ()
+          end
         end
       done;
       (* Pause point: flush what is pending so the set and the frontier
@@ -1444,11 +1476,15 @@ module Make (P : CHECKABLE) = struct
         running := false
       end
       else if !limit then running := false
-      else if !next = [] then running := false
+      else if !nnext = 0 then running := false
       else begin
         maybe_ckpt ();
-        cur := List.rev !next;
-        next := [];
+        let spent = !cur in
+        cur := !next;
+        ncur := !nnext;
+        pos := 0;
+        next := spent;
+        nnext := 0;
         incr layers
       end
     done;

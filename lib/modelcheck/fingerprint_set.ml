@@ -2,9 +2,10 @@
 
    A fingerprint is a true 64-bit FNV-1a value.  The hash loop runs on an
    unboxed [Int64] local (the native multiply wraps mod 2^64, which is
-   exactly FNV), and every fingerprint at rest is a raw 64-bit word: an
-   8-byte little-endian slot of a [Bytes] (the RAM tier, run images) or
-   an element of an [int64] Bigarray (the per-batch candidates and sort
+   exactly FNV) and stores straight into the batch's candidate buffer;
+   every fingerprint at rest is a raw 64-bit word: an 8-byte
+   little-endian slot of a [Bytes] (the RAM tier, run images) or an
+   element of an [int64] Bigarray (the per-batch candidates and sort
    buffers).  Loads of either compare unboxed, so hashing, probing,
    sorting and merging allocate nothing per key.  Ordering splits a
    fingerprint into two nonnegative native ints (hi, lo), each below
@@ -23,17 +24,6 @@ let run_magic = run_magic_family ^ "002"
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 let mask32 = 0xffffffff
-
-let fingerprint key =
-  let h = ref fnv_basis in
-  for i = 0 to String.length key - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get key i))))
-        fnv_prime
-  done;
-  (* 0 is the tier's empty marker *)
-  if !h = 0L then 1L else !h
 
 let[@inline] hi_of (w : int64) = Int64.to_int (Int64.shift_right_logical w 32)
 let[@inline] lo_of (w : int64) = Int64.to_int w land mask32
@@ -60,6 +50,25 @@ type fps = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let ints n : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 let fps n : fps = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n
+
+(* [dst.{k}] <- the fingerprint of the [len] bytes of [b] at [off], which
+   the caller has bounds-checked.  The one FNV loop: storing the hash
+   instead of returning it keeps the [Int64] unboxed. *)
+let hash_into (dst : fps) k b off len =
+  let h = ref fnv_basis in
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        fnv_prime
+  done;
+  (* 0 is the tier's empty marker *)
+  dst.{k} <- (if !h = 0L then 1L else !h)
+
+let fingerprint key =
+  let a = fps 1 in
+  hash_into a 0 (Bytes.unsafe_of_string key) 0 (String.length key);
+  a.{0}
 
 (* Merge sort of the fingerprints [a.{0 .. n-1}] in ascending order,
    using [b] (at least [n] long) as the other buffer; returns whichever
@@ -124,12 +133,14 @@ type t = {
   mutable total : int;
   mutable runs : run array;  (** index i lives at [run_path t i] *)
   mutable spill_bytes : int;
-  (* Per-batch scratch, grow-only and reused across [add_batch] calls.
-     Candidate [k] is the [k]-th tier miss of the batch (after
-     deduplication, the [k]-th distinct one), in arrival order:
-     fingerprint [cands.{k}], batch index [cand_key.{k}]. *)
+  (* Per-batch scratch, grow-only and reused across batches.  The batch's
+     fingerprints arrive in [cands], in batch order; after the tier probe,
+     candidate [k] is the [k]-th tier miss (after deduplication, the
+     [k]-th distinct one), in arrival order: fingerprint [cands.{k}],
+     batch index [cand_key.{k}]. *)
   mutable cands : fps;
   mutable cand_key : ints;
+  mutable flags : Bytes.t;  (** byte [i] is 1 iff batch key [i] is fresh *)
   mutable seen : ints;
       (** open addressing over the distinct candidates: [k + 1], 0 = empty *)
   mutable sorted : fps;  (** the two buffers of the candidates' sort *)
@@ -187,6 +198,7 @@ let make ~cap ~dir ~owns_dir =
     spill_bytes = 0;
     cands = fps 0;
     cand_key = ints 0;
+    flags = Bytes.empty;
     seen = ints 0;
     sorted = fps 0;
     sort_tmp = fps 0;
@@ -232,32 +244,6 @@ let tier_insert t hi lo =
   Bytes.set_int64_le t.slots (!i * 8) x;
   t.resident <- t.resident + 1
 
-(* Hash [key] and probe the RAM tier in one pass.  Returns [true] iff the
-   fingerprint is absent from the tier, having stored it at
-   [t.cands.{k}].  One function body, so the [Int64] running hash never
-   leaves a register. *)
-let hash_and_probe t key k =
-  let h = ref fnv_basis in
-  for i = 0 to String.length key - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get key i))))
-        fnv_prime
-  done;
-  if !h = 0L then h := 1L;
-  let slots = t.slots and mask = t.mask in
-  let i = ref (slot_index mask (hi_of !h) (lo_of !h)) in
-  let w = ref (Bytes.get_int64_le slots (!i * 8)) in
-  while not (!w = !h || !w = 0L) do
-    i := (!i + 1) land mask;
-    w := Bytes.get_int64_le slots (!i * 8)
-  done;
-  if !w = 0L then begin
-    t.cands.{k} <- !h;
-    true
-  end
-  else false
-
 (* ------------------------------------------------------------------ *)
 (* Spilling and run files                                               *)
 (* ------------------------------------------------------------------ *)
@@ -299,33 +285,46 @@ let spill t =
     let path = run_path t idx in
     let tmp = path ^ ".tmp" in
     let oc = open_out_bin tmp in
-    output_bytes oc img;
-    flush oc;
-    Unix.fsync (Unix.descr_of_out_channel oc);
-    close_out oc;
-    Sys.rename tmp path;
+    (* A failed write, fsync or rename closes the channel and leaves no
+       [.tmp] behind. *)
+    (try
+       output_bytes oc img;
+       flush oc;
+       Unix.fsync (Unix.descr_of_out_channel oc);
+       close_out oc;
+       Sys.rename tmp path
+     with e ->
+       close_out_noerr oc;
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
     t.runs <- Array.append t.runs [| { count = n; sum } |];
     t.spill_bytes <- t.spill_bytes + Bytes.length img;
     Bytes.fill t.slots 0 (Bytes.length t.slots) '\000';
     t.resident <- 0
   end
 
-(* Read run [idx] into [t.run_buf], verifying framing and its trailer
-   checksum against the manifest's count and checksum; returns the
-   fingerprint count.  The payload sits at [t.run_buf] offset 16. *)
+(* Read run [idx] into [t.run_buf] and check its framing; returns the
+   fingerprint count.  The payload sits at [t.run_buf] offset 16, the
+   trailer checksum right after it; [verify_run] checks that.  The
+   channel is closed on every exit path. *)
 let read_run t idx =
   let path = run_path t idx in
   let len =
     try
       let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      if Bytes.length t.run_buf < len then t.run_buf <- Bytes.create len;
-      (try really_input ic t.run_buf 0 len
-       with End_of_file ->
-         close_in_noerr ic;
-         corrupt "Fingerprint_set: run %d shrank while being read" idx);
-      close_in ic;
-      len
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let len = in_channel_length ic in
+          (* no allocation beyond what the manifest entry can account for *)
+          if len > 24 + (8 * t.runs.(idx).count) then
+            corrupt "Fingerprint_set: run %d is longer than its manifest entry"
+              idx;
+          if Bytes.length t.run_buf < len then t.run_buf <- Bytes.create len;
+          (try really_input ic t.run_buf 0 len
+           with End_of_file ->
+             corrupt "Fingerprint_set: run %d shrank while being read" idx);
+          len)
     with Sys_error e -> corrupt "Fingerprint_set: run %d unreadable: %s" idx e
   in
   let img = t.run_buf in
@@ -341,12 +340,6 @@ let read_run t idx =
   let count = read_u64 img 8 in
   if len <> 24 + (count * 8) then
     corrupt "Fingerprint_set: run %d length does not match its header" idx;
-  let sum = Checkpoint.checksum img 16 (count * 8) in
-  if sum <> read_u64 img (16 + (count * 8)) then
-    corrupt "Fingerprint_set: run %d failed its checksum" idx;
-  let r = t.runs.(idx) in
-  if r.count <> count || r.sum <> sum then
-    corrupt "Fingerprint_set: run %d does not match the manifest" idx;
   count
 
 (* ------------------------------------------------------------------ *)
@@ -395,65 +388,125 @@ let dedupe t n =
   done;
   (!m, smask)
 
-(* One sequential pass of the [nc] sorted candidates against the run
-   image in [t.run_buf]: a candidate found there is not fresh. *)
-let merge_run t res (sorted : fps) count nc smask =
-  let buf = t.run_buf in
-  let j = ref 0 and e = ref 0 in
-  while !j < nc && !e < count do
-    let x = sorted.{!j} and w = Bytes.get_int64_le buf (16 + (!e * 8)) in
-    if x = w then begin
-      let i = seen_slot t smask (hi_of x) (lo_of x) in
-      res.(t.cand_key.{t.seen.{i} - 1}) <- false;
-      incr j;
-      incr e
+(* The one verifying pass over run [idx]: read it, then walk every
+   payload word once, folding it into the checksum and advancing the [nc]
+   sorted candidates alongside; a candidate found in the run is not
+   fresh.  The walk never stops early — a flipped bit anywhere in the
+   payload must fail the checksum — and the trailer and manifest are
+   checked after it, before the caller inserts anything. *)
+let verify_run t idx (sorted : fps) nc smask =
+  let count = read_run t idx in
+  let buf = t.run_buf and flags = t.flags in
+  let h = ref Checkpoint.checksum_basis and j = ref 0 in
+  for e = 0 to count - 1 do
+    let w = Bytes.get_int64_le buf (16 + (e * 8)) in
+    h := Checkpoint.checksum_word !h ~lo:(lo_of w) ~hi:(hi_of w);
+    while !j < nc && lt sorted.{!j} w do
+      incr j
+    done;
+    if !j < nc && sorted.{!j} = w then begin
+      let i = seen_slot t smask (hi_of w) (lo_of w) in
+      Bytes.unsafe_set flags t.cand_key.{t.seen.{i} - 1} '\000';
+      incr j
     end
-    else if lt x w then incr j
-    else incr e
-  done
+  done;
+  let sum = !h land max_int in
+  if sum <> read_u64 buf (16 + (count * 8)) then
+    corrupt "Fingerprint_set: run %d failed its checksum" idx;
+  let r = t.runs.(idx) in
+  if r.count <> count || r.sum <> sum then
+    corrupt "Fingerprint_set: run %d does not match the manifest" idx
 
-let add_batch t keys =
-  let n = Array.length keys in
-  let res = Array.make n false in
+(* Room for a batch of [n] keys in the candidate buffers. *)
+let reserve t n =
   t.cands <- grow t.cands n fps;
   t.cand_key <- grow t.cand_key n ints;
-  (* Hash each key and filter by the RAM tier, in arrival order. *)
+  if Bytes.length t.flags < n then
+    t.flags <- Bytes.create (max n (Bytes.length t.flags * 3 / 2))
+
+(* Decide the batch whose [n] fingerprints are [t.cands.{0 .. n-1}], in
+   arrival order: byte [i] of [t.flags] becomes 1 iff fingerprint [i] is
+   not in the set and no earlier one of the batch shares it, and those
+   are inserted.  The one probe path behind {!add_page} and
+   {!add_batch}. *)
+let decide t n =
+  Bytes.fill t.flags 0 n '\000';
+  (* Filter by the RAM tier in arrival order, compacting the misses to
+     the front of [cands]. *)
+  let cands = t.cands and cand_key = t.cand_key in
+  let slots = t.slots and mask = t.mask in
   let misses = ref 0 in
-  for i = 0 to n - 1 do
-    if hash_and_probe t (Array.unsafe_get keys i) !misses then begin
-      t.cand_key.{!misses} <- i;
+  for k = 0 to n - 1 do
+    let x = cands.{k} in
+    let i = ref (slot_index mask (hi_of x) (lo_of x)) in
+    let w = ref (Bytes.get_int64_le slots (!i * 8)) in
+    while not (!w = x || !w = 0L) do
+      i := (!i + 1) land mask;
+      w := Bytes.get_int64_le slots (!i * 8)
+    done;
+    if !w = 0L then begin
+      cands.{!misses} <- x;
+      cand_key.{!misses} <- k;
       incr misses
     end
   done;
   (* The first arrival of each fingerprint speaks for the batch. *)
   let nc, smask = dedupe t !misses in
   for k = 0 to nc - 1 do
-    res.(t.cand_key.{k}) <- true
+    Bytes.unsafe_set t.flags cand_key.{k} '\001'
   done;
-  (* Merge the sorted candidates against each sorted run: one sequential
-     pass per run per batch.  Every run is read and verified before any
-     candidate is admitted. *)
+  (* Merge the sorted candidates against each sorted run: one verifying
+     pass per run per batch, every run before any candidate is
+     admitted. *)
   let nruns = Array.length t.runs in
   if nc > 0 && nruns > 0 then begin
     t.sorted <- grow t.sorted nc fps;
     t.sort_tmp <- grow t.sort_tmp nc fps;
-    Bigarray.Array1.(blit (sub t.cands 0 nc) (sub t.sorted 0 nc));
+    Bigarray.Array1.(blit (sub cands 0 nc) (sub t.sorted 0 nc));
     let sorted = sort_fps t.sorted t.sort_tmp nc in
     for r = 0 to nruns - 1 do
-      merge_run t res sorted (read_run t r) nc smask
+      verify_run t r sorted nc smask
     done
   end;
   (* Insert the survivors in arrival order, spilling whenever the tier
      hits its load threshold. *)
   for k = 0 to nc - 1 do
-    if res.(t.cand_key.{k}) then begin
+    if Bytes.unsafe_get t.flags cand_key.{k} <> '\000' then begin
       if t.resident >= t.threshold then spill t;
-      let x = t.cands.{k} in
+      let x = cands.{k} in
       tier_insert t (hi_of x) (lo_of x);
       t.total <- t.total + 1
     end
+  done
+
+let add_page t page ~width ~count =
+  if width < 0 || count < 0 || (width > 0 && count > Bytes.length page / width)
+  then
+    invalid_arg "Fingerprint_set.add_page: page too short";
+  reserve t count;
+  for k = 0 to count - 1 do
+    hash_into t.cands k page (k * width) width
   done;
-  res
+  decide t count;
+  (* Move the fresh keys to the front, in arrival order. *)
+  let m = ref 0 in
+  for k = 0 to count - 1 do
+    if Bytes.unsafe_get t.flags k <> '\000' then begin
+      if !m <> k then Bytes.blit page (k * width) page (!m * width) width;
+      incr m
+    end
+  done;
+  !m
+
+let add_batch t keys =
+  let n = Array.length keys in
+  reserve t n;
+  Array.iteri
+    (fun k key ->
+      hash_into t.cands k (Bytes.unsafe_of_string key) 0 (String.length key))
+    keys;
+  decide t n;
+  Array.init n (fun k -> Bytes.unsafe_get t.flags k <> '\000')
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint sections                                                  *)
@@ -537,7 +590,7 @@ let of_sections ~ram_budget_bytes ~dir sections =
   (* Pin every run file now: a corrupted or missing spill must fail the
      resume, not silently admit states at the next probe. *)
   for r = 0 to nruns - 1 do
-    ignore (read_run t r)
+    verify_run t r t.sorted 0 0
   done;
   t
 

@@ -9,7 +9,7 @@
     fingerprints are sorted and written as one immutable run file, and
     the tier is cleared.
 
-    {!add_batch} decides a whole batch in three steps.  Each key is
+    A batch is decided in three steps, on one probe path.  Each key is
     hashed once and probed against the RAM tier, in arrival order.  The
     tier misses are deduplicated with a batch-local hash index, so the
     first arrival of each fingerprint speaks for the batch.  Only when
@@ -17,7 +17,10 @@
     in one sequential pass per run.  Batching is what makes the disk
     tier affordable: the explorers probe one BFS layer (up to [batch]
     states) at a time, so each run is streamed once per layer, not once
-    per state.
+    per state.  The engines hand a batch over as a {e page}
+    ({!add_page}): fixed-width keys packed back to back in one [Bytes],
+    hashed where they lie; {!add_batch} takes a string array and shares
+    the rest of the path.
 
     Hash compaction is {e lossy}: two distinct states colliding on all 64
     bits makes the second one silently "already visited", omitting its
@@ -29,14 +32,17 @@
     authority wherever they fit in RAM).
 
     Run files are checksummed ({!Checkpoint.checksum}) and verified on
-    {e every} probe pass that merges against them, before any key of the
-    batch is admitted, and on resume; corruption raises
-    {!Checkpoint.Corrupt_checkpoint} rather than silently admitting
-    states.  That pass re-reads and re-checksums every run, so its cost
-    grows with the bytes spilled, once per batch.  The set checkpoints
-    as sections ({!to_sections} / {!of_sections}): the RAM tier is
-    serialized, the run files stay on disk and are pinned by a manifest
-    of (count, checksum) pairs. *)
+    {e every} probe pass that merges against them, and on resume;
+    corruption raises {!Checkpoint.Corrupt_checkpoint} rather than
+    silently admitting states.  Verification and merging are one pass
+    over the run: every payload word is folded into the checksum as the
+    sorted candidates advance past it, the walk runs to the last word
+    even when the candidates run out, and the trailer and manifest are
+    compared before any key of the batch is admitted.  So each batch
+    reads every run once, and its cost grows with the bytes spilled.
+    The set checkpoints as sections ({!to_sections} / {!of_sections}):
+    the RAM tier is serialized, the run files stay on disk and are
+    pinned by a manifest of (count, checksum) pairs. *)
 
 type t
 
@@ -58,6 +64,15 @@ val fingerprint : string -> int64
     (the all-zero fingerprint is remapped to 1, which the RAM tier
     reserves as its empty marker).  Exposed for tests that plant
     collisions or check the spill format. *)
+
+val add_page : t -> Bytes.t -> width:int -> count:int -> int
+(** [add_page t page ~width ~count] decides the [count] keys of [width]
+    bytes at offsets [0, width, 2 * width, ...] of [page] as {!add_batch}
+    decides an array of them, and inserts the fresh ones.  It moves the
+    fresh keys, in arrival order, to the front of [page] and returns how
+    many there are; the bytes after them are unspecified.  Raises
+    [Invalid_argument] if [page] is shorter than [count * width] bytes,
+    and [Checkpoint.Corrupt_checkpoint] as {!add_batch} does. *)
 
 val add_batch : t -> string array -> bool array
 (** [add_batch t keys] decides membership and inserts in one pass:

@@ -14,7 +14,10 @@
    the exact sweep field by field.  A QCheck model test drives the bare
    Fingerprint_set against a Hashtbl oracle across random batch
    scripts under a 1 KiB budget, exercising in-batch dedup, RAM-tier
-   probing and sorted-run merges together.
+   probing and sorted-run merges together; a second one holds the page
+   entry to [add_batch] on the same key stream.  The spill tests flip
+   bits where a merge that stopped early would not look, and check that
+   failed run I/O leaks no descriptor and no [.tmp] file.
 
    Everything here is tiny (n <= 3, bounded) and runs under @mc-smoke;
    MC_LONG=1 widens the n=3 slice. *)
@@ -371,6 +374,53 @@ let prop_fp_set_model =
       Fp.close t;
       ok)
 
+let prop_page_entry_matches_add_batch =
+  (* The page entry and [add_batch] share one probe path: one key stream
+     of 4-byte keys, driven through [add_page] on one set and through
+     [add_batch] on another, must give the same fresh flags and leave
+     both sets with the same cardinal and spill layout after every batch.
+     The page entry returns the fresh keys compacted in arrival order;
+     since a fresh key is always its first arrival in the batch, matching
+     them against the batch in order recovers its flags. *)
+  QCheck.Test.make ~name:"page entry = add_batch (1 KiB budget)"
+    ~count:qcheck_count
+    QCheck.(
+      list_of_size
+        Gen.(1 -- 8)
+        (list_of_size Gen.(0 -- 80) (map (Printf.sprintf "k%03d") (0 -- 299))))
+    (fun batches ->
+      let by_page = Fp.create ~ram_budget_bytes:1024 () in
+      let by_batch = Fp.create ~ram_budget_bytes:1024 () in
+      let ok =
+        List.for_all
+          (fun batch ->
+            let keys = Array.of_list batch in
+            let page = Bytes.of_string (String.concat "" batch) in
+            let fresh =
+              Fp.add_page by_page page ~width:4 ~count:(Array.length keys)
+            in
+            let expect = Fp.add_batch by_batch keys in
+            let j = ref 0 in
+            let flags =
+              Array.map
+                (fun k ->
+                  let hit =
+                    !j < fresh && Bytes.sub_string page (!j * 4) 4 = k
+                  in
+                  if hit then incr j;
+                  hit)
+                keys
+            in
+            flags = expect && !j = fresh
+            && Fp.cardinal by_page = Fp.cardinal by_batch
+            && Fp.spilled_runs by_page = Fp.spilled_runs by_batch
+            && Fp.spill_bytes by_page = Fp.spill_bytes by_batch)
+          batches
+      in
+      Fp.close by_page;
+      Fp.close by_batch;
+      ok)
+
 let fresh_dir () =
   let dir = Filename.temp_file "fpset" "" in
   Sys.remove dir;
@@ -406,6 +456,102 @@ let test_live_runs_reverified () =
   Alcotest.(check bool) "restored run lets the batch through" true
     (Array.for_all Fun.id (Fp.add_batch t batch));
   Alcotest.(check int) "batch admitted" (before + 10) (Fp.cardinal t);
+  Fp.close t;
+  Unix.rmdir dir
+
+let test_fused_pass_checks_every_byte () =
+  (* Merging a batch against a run and verifying the run are one pass.
+     It must walk the run to its last word even when every candidate of
+     the batch sorts before that word, and compare the trailer after the
+     walk: a flipped bit in either place fails the batch before it admits
+     anything. *)
+  let dir = fresh_dir () in
+  let t = Fp.create ~ram_budget_bytes:1024 ~dir () in
+  ignore (Fp.add_batch t (Array.init 200 (Printf.sprintf "old-%d")));
+  Alcotest.(check bool) "budget forced a spill" true (Fp.spilled_runs t > 0);
+  let run0 = Filename.concat dir "run-0.fpr" in
+  let img = read_file run0 in
+  let count = (String.length img - 24) / 8 in
+  let last_word = 16 + (8 * (count - 1)) in
+  let last = String.get_int64_le img last_word in
+  let rec below i acc =
+    if List.length acc = 10 then Array.of_list acc
+    else
+      let k = Printf.sprintf "new-%d" i in
+      if Int64.unsigned_compare (Fp.fingerprint k) last < 0 then
+        below (i + 1) (k :: acc)
+      else below (i + 1) acc
+  in
+  let batch = below 0 [] in
+  let before = Fp.cardinal t in
+  List.iter
+    (fun (what, off) ->
+      let flipped = Bytes.of_string img in
+      Bytes.set flipped off
+        (Char.chr (Char.code (Bytes.get flipped off) lxor 0x01));
+      write_file run0 (Bytes.to_string flipped);
+      (match Fp.add_batch t batch with
+      | exception Modelcheck.Checkpoint.Corrupt_checkpoint _ -> ()
+      | _ -> Alcotest.failf "a flipped bit in the %s must fail the batch" what);
+      Alcotest.(check int) (what ^ ": nothing admitted") before (Fp.cardinal t);
+      write_file run0 img)
+    [ ("last payload word", last_word); ("trailer", 16 + (8 * count)) ];
+  Alcotest.(check bool) "restored run lets the batch through" true
+    (Array.for_all Fun.id (Fp.add_batch t batch));
+  Fp.close t;
+  Unix.rmdir dir
+
+(* Open descriptors of this process, or [None] off Linux. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+let test_unreadable_run_closes_its_channel () =
+  (* A directory where a run should be: opening it succeeds, reading it
+     fails.  Every probe must fail as a corrupt run and close what it
+     opened. *)
+  let dir = fresh_dir () in
+  let t = Fp.create ~ram_budget_bytes:1024 ~dir () in
+  ignore (Fp.add_batch t (Array.init 200 (Printf.sprintf "old-%d")));
+  let run0 = Filename.concat dir "run-0.fpr" in
+  Sys.remove run0;
+  Unix.mkdir run0 0o700;
+  let before = open_fds () in
+  for i = 1 to 200 do
+    match Fp.add_batch t [| Printf.sprintf "probe-%d" i |] with
+    | exception Modelcheck.Checkpoint.Corrupt_checkpoint _ -> ()
+    | _ -> Alcotest.failf "probe %d: a directory run must be refused" i
+  done;
+  Alcotest.(check (option int)) "no descriptor leaked" before (open_fds ());
+  Unix.rmdir run0;
+  Fp.close t;
+  Unix.rmdir dir
+
+let test_failed_spill_cleans_up () =
+  (* A non-empty directory where the first run must go makes the spill's
+     rename fail: the error surfaces, the channel is closed and no
+     [.tmp] file is left behind, however often it is retried. *)
+  let dir = fresh_dir () in
+  let t = Fp.create ~ram_budget_bytes:1024 ~dir () in
+  let run0 = Filename.concat dir "run-0.fpr" in
+  Unix.mkdir run0 0o700;
+  write_file (Filename.concat run0 "occupied") "";
+  (* 96 keys fill the 128-slot tier to its spill threshold *)
+  ignore (Fp.add_batch t (Array.init 96 (Printf.sprintf "old-%d")));
+  Alcotest.(check int) "tier at its threshold, no run yet" 0
+    (Fp.spilled_runs t);
+  let before = open_fds () in
+  for i = 1 to 50 do
+    match Fp.add_batch t [| Printf.sprintf "spill-%d" i |] with
+    | exception Sys_error _ -> ()
+    | _ -> Alcotest.failf "spill %d: the rename onto a directory must fail" i
+  done;
+  Alcotest.(check (option int)) "no descriptor leaked" before (open_fds ());
+  Alcotest.(check bool) "no .tmp left behind" false
+    (Sys.file_exists (run0 ^ ".tmp"));
+  Sys.remove (Filename.concat run0 "occupied");
+  Unix.rmdir run0;
   Fp.close t;
   Unix.rmdir dir
 
@@ -555,6 +701,12 @@ let () =
             test_fp_set_sections_roundtrip;
           Alcotest.test_case "live set re-verifies its runs" `Quick
             test_live_runs_reverified;
+          Alcotest.test_case "the fused pass checks every byte" `Quick
+            test_fused_pass_checks_every_byte;
+          Alcotest.test_case "an unreadable run closes its channel" `Quick
+            test_unreadable_run_closes_its_channel;
+          Alcotest.test_case "a failed spill cleans up" `Quick
+            test_failed_spill_cleans_up;
         ] );
       ( "sections",
         [
@@ -582,6 +734,7 @@ let () =
       ( "set",
         [
           QCheck_alcotest.to_alcotest prop_fp_set_model;
+          QCheck_alcotest.to_alcotest prop_page_entry_matches_add_batch;
           Alcotest.test_case "fingerprint function basics" `Quick
             test_fingerprint_function;
           Alcotest.test_case "oversized budget refused" `Quick

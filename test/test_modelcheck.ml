@@ -684,7 +684,9 @@ module Key_path (P : Modelcheck.Explorer.CHECKABLE) = struct
               Alcotest.failf "%s: successor_by differs from successor (p%d)"
                 name p;
             Bytes.fill buf 0 (Bytes.length buf) (Char.chr (!steps land 0xff));
-            let st_into = E.successor_into cfg wiring st key p action buf in
+            (* the parent key read at an offset inside a larger page *)
+            let src = Bytes.of_string ("pad" ^ key) in
+            let st_into = E.successor_into cfg wiring st src 3 p action buf in
             if st_into <> st' then
               Alcotest.failf "%s: successor_into's state differs (p%d)" name p;
             if not (String.equal (Bytes.to_string buf) (E.encode_state cfg st'))
