@@ -276,6 +276,7 @@ let check_snapshot_cmd =
       Modelcheck.Fingerprint_set.max_ram_budget_bytes / (1024 * 1024)
     in
     if par < 1 then `Error (true, "--par must be at least 1")
+    else if crashes < 0 then `Error (true, "--crashes must be at least 0")
     else if par_ws < 0 then `Error (true, "--par-ws must be at least 1")
     else if par_ws > 0 && par > 1 then
       `Error (true, "--par and --par-ws are mutually exclusive")
@@ -315,12 +316,18 @@ let check_snapshot_cmd =
     in
     (* The resume command must reproduce every flag baked into the
        checkpoint's context fingerprint — a mismatched engine or
-       reduction setting is refused on load. *)
+       reduction setting is refused on load — and every flag that
+       changes what the finished run checks: the state bound and the
+       crash pass that follows the sweep. *)
     let resume_hint f =
       Printf.printf
-        "resume with: anonsim check-snapshot -n %d%s%s --checkpoint %s \
+        "resume with: anonsim check-snapshot -n %d%s%s%s%s --checkpoint %s \
          --resume\n"
         n
+        (if crashes > 0 then Printf.sprintf " --crashes %d" crashes else "")
+        (match max_states with
+        | Some k -> Printf.sprintf " --max-states %d" k
+        | None -> "")
         (if reduce then " --reduce" else "")
         (if fingerprint then
            Printf.sprintf " --fingerprint --fp-ram-mb %d" fp_ram_mb
@@ -352,7 +359,7 @@ let check_snapshot_cmd =
       | _ -> ()
     in
     let check_crashes () =
-      if crashes <= 0 then `Ok ()
+      if crashes = 0 then `Ok ()
       else
         match
           Core.verify_snapshot_model_crashes ~n ~max_crashes:crashes

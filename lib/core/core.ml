@@ -275,14 +275,14 @@ let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states
     the exact engines for liveness.  Supports the full
     governor/checkpoint/resume contract of the sequential engine. *)
 let verify_snapshot_model_fp ?(n = 3) ?(inputs = None) ?max_states
-    ?(reduction = false) ?ram_budget_bytes ?batch_states ?spill_dir ?governor
-    ?ckpt ?(resume = false) () =
+    ?(reduction = false) ?ram_budget_bytes ?spill_dir ?governor ?ckpt
+    ?(resume = false) () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
   Snapshot_mc.check_all_wirings_fp ?max_states ~reduction ?ram_budget_bytes
-    ?batch_states ?spill_dir ?governor ?ckpt ~resume
+    ?spill_dir ?governor ?ckpt ~resume
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 

@@ -132,8 +132,9 @@ let apply_raw t s key =
 let apply t s key = Bytes.unsafe_to_string (apply_raw t s key)
 
 (** [apply_masked] additionally treats the {e last} byte of the key as a
-    processor bitmask (the crash set of {!Fault_explorer}) and permutes
-    its bits by [pi]: crashed processors move with their local slices. *)
+    processor bitmask (the crash set of {!Explorer}'s crash search) and
+    permutes its bits by [pi]: crashed processors move with their local
+    slices. *)
 let apply_masked t s key =
   if String.length key < t.body + 1 then
     invalid_arg "Canon.apply_masked: key shorter than the state image and mask";

@@ -59,15 +59,18 @@ end
 (* BFS successor edges are packed as (dst lsl 4) lor pid in five-byte
    arena words grouped by source ({!Make.space}); parent links pack
    (parent lsl 4) lor pid the same way.  Dense state ids stay well below
-   2^31 and processor counts below 16 in any feasible exploration. *)
+   2^31 and processor counts below 16 in any feasible exploration.  A
+   crash-stop of processor p is the pid n + p ({!Make.explore}'s
+   [max_crashes]), which fits the 4 bits while n <= 8. *)
 let max_processors = 16
 
 exception
   Unsupported_processors of { engine : string; processors : int; limit : int }
 (** Structured rejection of configurations whose processor count would
     silently corrupt the packed edge/parent encodings (pids occupy 4 bits;
-    {!Fault_explorer} additionally packs the crash mask in one byte, so its
-    limit is 8).  Raised eagerly by every exploration entry point. *)
+    a crash search additionally packs the crash mask in one key byte and
+    crash pids as [n + p], so its limit is 8).  Raised eagerly by every
+    exploration entry point. *)
 
 let () =
   Printexc.register_printer (function
@@ -348,40 +351,59 @@ module Make (P : CHECKABLE) = struct
       let c = canon_of ~cfg ~wiring ~inputs in
       if Canon.is_trivial c then None else Some c
 
-  (** Replay a chain of {e canonical} keys into a concrete execution: from
-      [init_state], at each key pick an enabled processor whose successor
-      canonicalizes to that key.  Any such choice is a valid concrete step
-      (two choices hitting the same orbit are symmetric), so traces of
-      reduced explorations stay replayable counterexamples. *)
-  let concretize ~cfg ~wiring ~canon ~inputs keys =
-    let rec go st acc = function
-      | [] -> List.rev acc
-      | key :: rest ->
-          let n = Array.length st.locals in
-          let rec pick p =
-            if p >= n then
-              invalid_arg
-                "Explorer.concretize: canonical key chain has no concrete \
-                 refinement (asymmetric invariant?)"
-            else if P.next cfg st.locals.(p) = None then pick (p + 1)
-            else
-              let st' = successor cfg wiring st p in
-              if
-                String.equal
-                  (Canon.canonicalize canon (encode_state cfg st'))
-                  key
-              then (p, st')
-              else pick (p + 1)
-          in
-          let p, st' = pick 0 in
-          go st' ((p, st') :: acc) rest
-    in
-    go (init_state ~cfg ~inputs) [] keys
-
   (** Width of the encoded-state keys for [cfg]. *)
   let key_width cfg =
     (P.processors cfg * P.local_width cfg)
     + (P.registers cfg * P.value_width cfg)
+
+  (** Replay a chain of {e canonical} keys into a concrete execution: from
+      [init_state], at each key pick an enabled processor whose successor
+      canonicalizes to that key.  Any such choice is a valid concrete step
+      (two choices hitting the same orbit are symmetric), so traces of
+      reduced explorations stay replayable counterexamples.  Keys one byte
+      longer than [key_width] end in a crash mask ({!explore}'s
+      [max_crashes]): a live processor's crash-stop, pid [n + p], is then
+      a candidate too, tried after every step as {!explore} makes its
+      moves. *)
+  let concretize ~cfg ~wiring ~canon ~inputs keys =
+    let n = P.processors cfg in
+    let masked =
+      match keys with
+      | key :: _ -> String.length key > key_width cfg
+      | [] -> false
+    in
+    let canonical st crashed =
+      if masked then
+        Canon.canonicalize_masked canon
+          (encode_state cfg st ^ String.make 1 (Char.chr crashed))
+      else Canon.canonicalize canon (encode_state cfg st)
+    in
+    let moves = if masked then 2 * n else n in
+    let rec go st crashed acc = function
+      | [] -> List.rev acc
+      | key :: rest ->
+          let rec pick pid =
+            if pid >= moves then
+              invalid_arg
+                "Explorer.concretize: canonical key chain has no concrete \
+                 refinement (asymmetric invariant?)"
+            else
+              let p = pid mod n in
+              if crashed land (1 lsl p) <> 0 || P.next cfg st.locals.(p) = None
+              then pick (pid + 1)
+              else
+                let st', crashed' =
+                  if pid < n then (successor cfg wiring st p, crashed)
+                  else (st, crashed lor (1 lsl p))
+                in
+                if String.equal (canonical st' crashed') key then
+                  (pid, st', crashed')
+                else pick (pid + 1)
+          in
+          let pid, st', crashed' = pick 0 in
+          go st' crashed' ((pid, st') :: acc) rest
+    in
+    go (init_state ~cfg ~inputs) 0 [] keys
 
   type space = {
     cfg : P.cfg;
@@ -393,7 +415,8 @@ module Make (P : CHECKABLE) = struct
             concretized on demand *)
     table : State_table.t;
         (** arena of encoded states; dense id = discovery order, id 0 is
-            the initial state *)
+            the initial state.  A crash search's keys end in the crash
+            mask, and its pids [n + p] are crash-stops ({!explore}). *)
     parent : State_table.Packed_vec.t;
         (** id -> ((parent_id lsl 4) lor pid) + 1; 0 at the root *)
     succ : State_table.Packed_vec.t;
@@ -406,6 +429,16 @@ module Make (P : CHECKABLE) = struct
 
   let state_count space = State_table.length space.table
   let transition_count space = State_table.Packed_vec.length space.succ
+
+  (** How many of the transitions are crash-stops (pid [n + p]). *)
+  let crash_transitions space =
+    let n = P.processors space.cfg in
+    let count = ref 0 in
+    for i = 0 to transition_count space - 1 do
+      if State_table.Packed_vec.get space.succ i land 15 >= n then incr count
+    done;
+    !count
+
   let state_of space id =
     decode_state space.cfg (State_table.key_of_id space.table id)
 
@@ -414,7 +447,8 @@ module Make (P : CHECKABLE) = struct
     message : string;
     trace : (int * state) list;
         (** steps [(pid, post-state)] from the initial state to the
-            violating state; concretized when the space is reduced *)
+            violating state; concretized when the space is reduced.  A
+            pid [n + p] is processor [p]'s crash-stop. *)
   }
 
   type result =
@@ -454,28 +488,52 @@ module Make (P : CHECKABLE) = struct
       it is discovered; the first failure aborts with a minimal-length
       counterexample trace.  [stop_expansion] (default: never) marks states
       whose successors should not be explored — used to bound protocols
-      with unbounded state.  [progress] is called every [2^20] states.
+      with unbounded state.
       [reduction] explores the symmetry quotient instead (visited keys are
       canonical orbit minima); invariant and [stop_expansion] must then be
       symmetric predicates.  The identity group quotients nothing, so
-      there [reduction] explores the space unreduced ({!symmetry}). *)
-  let explore ?(max_states = 50_000_000) ?invariant ?stop_expansion ?progress
-      ?(reduction = false) ?governor ?ckpt ?(resume = false) ~cfg ~wiring
-      ~inputs () =
-    guard_processors ~engine:"Explorer.explore" (P.processors cfg);
+      there [reduction] explores the space unreduced ({!symmetry}).
+
+      [max_crashes] (default 0) adds time-abstract crash-stops: at every
+      state, after its protocol steps, each live (enabled, not crashed)
+      processor [p] may crash-stop while fewer than [max_crashes] have,
+      which covers every timed crash plan with at most [max_crashes]
+      crashes.  A crashed processor takes no further step.  Keys then end
+      in the crashed set as one mask byte, which {!successor_into} copies
+      with the rest of the parent key (the remaining budget follows from
+      its popcount).  A crash move is the pid [n + p]; under reduction
+      keys canonicalize with {!Canon.canonicalize_masked}, so a crashed
+      processor's identity follows its slice into the orbit minimum. *)
+  let explore ?(max_states = 50_000_000) ?invariant ?stop_expansion
+      ?(reduction = false) ?(max_crashes = 0) ?governor ?ckpt ?(resume = false)
+      ~cfg ~wiring ~inputs () =
+    let n = P.processors cfg in
+    if max_crashes < 0 then invalid_arg "Explorer.explore: max_crashes";
+    let crashes = max_crashes > 0 in
+    guard_processors ~engine:"Explorer.explore"
+      ?limit:(if crashes then Some 8 else None)
+      n;
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
-    let canonical key =
-      match canon with Some c -> Canon.canonicalize c key | None -> key
+    let canonicalize =
+      if crashes then Canon.canonicalize_masked else Canon.canonicalize
     in
+    let canonical key =
+      match canon with Some c -> canonicalize c key | None -> key
+    in
+    let kw = key_width cfg + if crashes then 1 else 0 in
     (* Fingerprint of everything the checkpoint's meaning depends on: the
        canonical initial key pins cfg and inputs, the wiring string pins
-       the step relation.  A mismatched resume is a structured error, not
-       a silently wrong exploration. *)
+       the step relation, the trailing field the crash budget.  A
+       mismatched resume is a structured error, not a silently wrong
+       exploration. *)
     let init = init_state ~cfg ~inputs in
-    let key0 = canonical (encode_state cfg init) in
+    let key0 =
+      let key = encode_state cfg init in
+      canonical (if crashes then key ^ "\000" else key)
+    in
     let context =
-      Fmt.str "bfs|%d|%a|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
-        reduction key0
+      Fmt.str "bfs|%d|%a|%b|%S%s" kw Anonmem.Wiring.pp wiring reduction key0
+        (if crashes then Printf.sprintf "|crashes %d" max_crashes else "")
     in
     let resumed =
       match ckpt with
@@ -502,7 +560,7 @@ module Make (P : CHECKABLE) = struct
                  (Checkpoint.ints_of_bytes (Checkpoint.find "terminal" sections)))
           )
       | None ->
-          ( State_table.create ~log2_slots:16 ~key_width:(key_width cfg) (),
+          ( State_table.create ~log2_slots:16 ~key_width:kw (),
             State_table.Packed_vec.create ~stride:5 (),
             State_table.Packed_vec.create ~stride:5 (),
             State_table.Packed_vec.create ~stride:1 (),
@@ -520,7 +578,7 @@ module Make (P : CHECKABLE) = struct
         ]
     in
     let queue = Queue.create () in
-    let buf = Bytes.create (key_width cfg) in
+    let buf = Bytes.create kw in
     (* BFS pops ids in ascending order, so the frontier is exactly the
        ids discovered but not yet popped: [deg length, table length). *)
     if resumed <> None then
@@ -544,20 +602,42 @@ module Make (P : CHECKABLE) = struct
           | Error message ->
               if !violation = None then violation := Some (id, message))
       | None -> ());
-      (match progress with
-      | Some f when id land ((1 lsl 20) - 1) = 0 -> f id
-      | _ -> ());
       Queue.add id queue
     in
-    (* [key] is [st]'s canonical key. *)
-    let add_state st key ~from =
-      let before = State_table.length table in
-      let id = State_table.intern table key in
-      if id = before then admit id st key ~from;
-      id
-    in
-    if resumed = None then ignore (add_state init key0 ~from:(-1));
+    if resumed = None then begin
+      ignore (State_table.intern table key0);
+      admit 0 init key0 ~from:(-1)
+    end;
     let limit_hit = ref false in
+    (* The move of [pid] from [id] to the successor key in [buf], whose
+       concrete state is [st'].  Only a state beyond the bound trips the
+       limit: a full table still accepts edges to states already seen.
+       The unreduced key is probed straight from [buf]; a string is built
+       only for the limit check or under reduction. *)
+    let move id pid st' =
+      let from = (id lsl 4) lor pid in
+      let before = State_table.length table in
+      let id' =
+        match canon with
+        | None ->
+            if before >= max_states
+               && not (State_table.mem table (Bytes.to_string buf))
+            then -1
+            else
+              let id' = State_table.intern_bytes table buf in
+              if id' = before then admit id' st' "" ~from;
+              id'
+        | Some c ->
+            let key' = canonicalize c (Bytes.to_string buf) in
+            if before >= max_states && not (State_table.mem table key') then -1
+            else
+              let id' = State_table.intern table key' in
+              if id' = before then admit id' st' key' ~from;
+              id'
+      in
+      if id' < 0 then limit_hit := true
+      else ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor pid))
+    in
     let exhausted = ref None in
     while
       (not (Queue.is_empty queue))
@@ -584,48 +664,35 @@ module Make (P : CHECKABLE) = struct
       let id = Queue.pop queue in
       let key = State_table.key_of_id table id in
       let st = decode_state cfg key in
+      let crashed = if crashes then Char.code key.[kw - 1] else 0 in
       let expand =
         match stop_expansion with Some f -> not (f st) | None -> true
       in
       let edges_before = State_table.Packed_vec.length succ in
       if expand then begin
-        let any_enabled = ref false in
-        for p = 0 to Array.length st.locals - 1 do
-          match P.next cfg st.locals.(p) with
-          | None -> ()
-          | Some action ->
-              any_enabled := true;
-              let st' =
-                successor_into cfg wiring st (Bytes.unsafe_of_string key) 0 p
-                  action buf
-              in
-              let from = (id lsl 4) lor p in
-              (* Only a state beyond the bound trips the limit: a full
-                 table still accepts edges to states already seen.  The
-                 unreduced key is probed straight from [buf]; a string is
-                 built only for the limit check or under reduction. *)
-              let before = State_table.length table in
-              let id' =
-                match canon with
-                | None ->
-                    if before >= max_states
-                       && not (State_table.mem table (Bytes.to_string buf))
-                    then -1
-                    else
-                      let id' = State_table.intern_bytes table buf in
-                      if id' = before then admit id' st' "" ~from;
-                      id'
-                | Some c ->
-                    let key' = Canon.canonicalize c (Bytes.to_string buf) in
-                    if before >= max_states && not (State_table.mem table key')
-                    then -1
-                    else add_state st' key' ~from
-              in
-              if id' < 0 then limit_hit := true
-              else
-                ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor p))
+        let live = ref 0 in
+        for p = 0 to n - 1 do
+          if crashed land (1 lsl p) = 0 then
+            match P.next cfg st.locals.(p) with
+            | None -> ()
+            | Some action ->
+                live := !live lor (1 lsl p);
+                move id p
+                  (successor_into cfg wiring st (Bytes.unsafe_of_string key) 0
+                     p action buf)
         done;
-        if not !any_enabled then terminal := id :: !terminal
+        (* Then the crash moves: the parent state under a wider mask.  A
+           halted processor's crash changes nothing observable, so only
+           live processors crash. *)
+        if Repro_util.Bits.popcount crashed < max_crashes then
+          for p = 0 to n - 1 do
+            if !live land (1 lsl p) <> 0 then begin
+              Bytes.blit_string key 0 buf 0 kw;
+              Bytes.set buf (kw - 1) (Char.chr (crashed lor (1 lsl p)));
+              move id (n + p) st
+            end
+          done;
+        if !live = 0 then terminal := id :: !terminal
       end;
       (* Pops happen in id order, so this row is deg.(id); a violation or
          state limit leaves deg shorter than the table — the CSR builder
@@ -912,8 +979,8 @@ module Make (P : CHECKABLE) = struct
       obstruction-free (e.g. consensus), where cycles are expected and only
       the invariant is being checked. *)
   let check_exhaustive ?(max_states = 100_000_000) ?(fail_on_cycle = true)
-      ?invariant ?stop_expansion ?progress ?(reduction = false) ?governor
-      ?ckpt ?(resume = false) ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
+      ?invariant ?stop_expansion ?(reduction = false) ?governor ?ckpt
+      ?(resume = false) ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.check_exhaustive" (P.processors cfg);
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
@@ -1028,9 +1095,6 @@ module Make (P : CHECKABLE) = struct
        sees; [key] its canonical key. *)
     let push_state id key ~entered_by st =
       ignore (State_table.Packed_vec.push colors 1);
-      (match progress with
-      | Some f when id land ((1 lsl 20) - 1) = 0 -> f id
-      | _ -> ());
       (match invariant with
       | Some check -> (
           match check st with
@@ -1258,7 +1322,7 @@ module Make (P : CHECKABLE) = struct
     | Fp_exhausted of { reason : Governor.reason; states : int }
 
   let explore_fp ?(max_states = 1_000_000_000) ?invariant ?stop_expansion
-      ?progress ?(reduction = false) ?governor ?ckpt ?(resume = false)
+      ?(reduction = false) ?governor ?ckpt ?(resume = false)
       ?(ckpt_extra = []) ?(ram_budget_bytes = 64 * 1024 * 1024)
       ?(batch_states = 1 lsl 20) ?spill_dir ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.explore_fp" (P.processors cfg);
@@ -1388,9 +1452,6 @@ module Make (P : CHECKABLE) = struct
         ncand := 0;
         for i = 0 to fresh - 1 do
           incr states;
-          (match progress with
-          | Some f when !states land ((1 lsl 20) - 1) = 0 -> f !states
-          | _ -> ());
           match invariant with
           | Some check -> (
               match check (decode_at cfg !cand (i * kw)) with
@@ -1539,15 +1600,14 @@ module Make (P : CHECKABLE) = struct
       bound over the per-wiring bounds. *)
   let check_all_wirings_fp ?max_states ?invariant ?on_wiring ?wirings
       ?(reduction = false) ?governor ?ckpt ?(resume = false) ?ram_budget_bytes
-      ?batch_states ?spill_dir ~cfg ~inputs () =
+      ?spill_dir ~cfg ~inputs () =
     Wiring_sweep.run ?wirings ~section:fp_sweep_section ?ckpt ~resume
       ?on_wiring ~n:(P.processors cfg) ~m:(P.registers cfg)
       ~init:empty_fp_summary
       (fun ~resume ~ckpt_extra wiring summary ->
         match
           explore_fp ?max_states ?invariant ~reduction ?governor ?ckpt ~resume
-            ~ckpt_extra ?ram_budget_bytes ?batch_states ?spill_dir ~cfg ~wiring
-            ~inputs ()
+            ~ckpt_extra ?ram_budget_bytes ?spill_dir ~cfg ~wiring ~inputs ()
         with
         | Fp_exhausted { reason; states } -> Error (exhausted_error reason states)
         | Fp_state_limit k -> Error (limit_error k)

@@ -1,7 +1,7 @@
 (** Arena-backed visited-state tables for the explicit-state explorers.
 
-    Every engine in this library ({!Explorer}'s BFS and DFS passes,
-    {!Fault_explorer}, each {!Par_explorer} shard) needs the same data
+    Every engine in this library ({!Explorer}'s BFS and DFS passes, the
+    crash search included, each {!Par_explorer} shard) needs the same data
     structure: a set of fixed-width byte keys with a dense integer id per
     key (id = insertion order), O(1) membership, and the ability to read a
     key back from its id (for decoding popped states and for concretizing

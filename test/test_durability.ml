@@ -858,6 +858,57 @@ let test_fault_resume_parity () =
   Alcotest.(check (triple int int int)) "fault resume parity" reference result;
   if Sys.file_exists path then Sys.remove path
 
+(* The crash search once kept its own checkpoint format: a "fault|..."
+   context over a table of mask-byte keys, packed parent words and a
+   counter section.  Built here from a genuine crash checkpoint's table
+   and parents, such an image differs from a current one only in its
+   context and sections.  A resume must refuse it as corrupt, leave the
+   file as it was, and neither resume from it nor start over. *)
+let test_fault_checkpoint_refused () =
+  let cfg = Algorithms.Snapshot.standard ~n:2 in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let inputs = [| 1; 2 |] in
+  let invariant _ = Ok () in
+  let path = fresh_path ".ckpt" in
+  let ckpt = { Ckpt.path; every_states = 0 } in
+  let g = Gov.create ~quota:100 () in
+  (match
+     Snap_fault.explore ~max_crashes:1 ~governor:g ~ckpt ~invariant ~cfg
+       ~wiring ~inputs ()
+   with
+  | Snap_fault.Exhausted _ -> ()
+  | _ -> Alcotest.fail "the quota must stop the crash search");
+  Gov.dispose g;
+  let sections = Ckpt.load ~path in
+  let length tag =
+    Modelcheck.State_table.Packed_vec.length
+      (Modelcheck.State_table.Packed_vec.deserialize (Ckpt.find tag sections))
+  in
+  let key0 =
+    Snap_fault.E.encode_state cfg (Snap_fault.E.init_state ~cfg ~inputs)
+    ^ "\000"
+  in
+  Ckpt.save ~path
+    [
+      ( "context",
+        Bytes.of_string
+          (Fmt.str "fault|%d|%d|%a|%b|%S" (String.length key0) 1
+             Anonmem.Wiring.pp wiring false key0) );
+      ("table", Ckpt.find "table" sections);
+      ("parent", Ckpt.find "parent" sections);
+      ( "counters",
+        Ckpt.bytes_of_ints [| length "deg"; length "succ"; 0 |] );
+    ];
+  let image = read_file path in
+  (match
+     Snap_fault.explore ~max_crashes:1 ~ckpt ~resume:true ~invariant ~cfg
+       ~wiring ~inputs ()
+   with
+  | exception Ckpt.Corrupt_checkpoint _ -> ()
+  | _ -> Alcotest.fail "a fault| checkpoint must be refused");
+  Alcotest.(check string) "refused image left as it was" image (read_file path);
+  Sys.remove path
+
 module Packed = Modelcheck.Rt_mutex_packed
 
 (* With [~every_states:1] every loop iteration saves, so each prefix of
@@ -1293,6 +1344,8 @@ let () =
           Alcotest.test_case "fingerprint sweep" `Quick
             test_fp_sweep_resume_parity;
           Alcotest.test_case "fault explorer" `Quick test_fault_resume_parity;
+          Alcotest.test_case "fault| checkpoint refused" `Quick
+            test_fault_checkpoint_refused;
           Alcotest.test_case "packed clean cell" `Quick
             (test_packed_resume_clean_parity ~every_states:50 ~quota:150);
           Alcotest.test_case "packed deadlock cell" `Quick

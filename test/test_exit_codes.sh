@@ -38,6 +38,8 @@ expect 2 inductive -n 2 --clauses candidates
 # must be at least 1 MiB and small enough for the tier to be one string
 expect 124 check-snapshot -n 2 --fingerprint --fp-ram-mb 0
 expect 124 check-snapshot -n 2 --fingerprint --fp-ram-mb 274877906944
+# a crash budget cannot be negative
+expect 124 check-snapshot -n 2 --crashes=-1
 # the packed exhaustive witness search exists for 3 processors only
 expect 124 check-nonatomic -n 2 --exhaustive
 expect 124 check-nonatomic -n 4 --exhaustive
@@ -45,6 +47,36 @@ expect 124 check-nonatomic -n 4 --exhaustive
 # exhausted budget (exit 3): a tiny wall-clock allowance on a big run
 expect 3 inductive -n 3 --max-seconds 0.01
 expect 3 check-snapshot -n 3 --max-seconds 0.01
+
+# the resume hint of an exhausted run reproduces the crash pass and the
+# state bound: running the printed command finishes the sweep and then
+# verifies under the injected crash-stop
+ckpt=$(mktemp)
+rm -f "$ckpt"
+out=$("$ANONSIM" check-snapshot -n 2 --crashes 1 --max-states 100000 \
+  --checkpoint "$ckpt" --max-seconds 0 2>/dev/null)
+stopped=$?
+hint=$(printf '%s\n' "$out" | sed -n 's/^resume with: anonsim //p')
+case "$hint" in
+  *"--crashes 1"*"--max-states 100000"*) carried=yes ;;
+  *) carried=no ;;
+esac
+# shellcheck disable=SC2086
+out=$("$ANONSIM" $hint 2>&1)
+resumed=$?
+rm -f "$ckpt"
+case "$out" in
+  *"injected crash-stop"*) crashed=yes ;;
+  *) crashed=no ;;
+esac
+if [ "$stopped" -eq 3 ] && [ "$carried" = yes ] && [ "$resumed" -eq 0 ] \
+  && [ "$crashed" = yes ]; then
+  echo "ok  0 <- anonsim $hint (crash pass resumed)"
+else
+  echo "FAIL: stopped run exited $stopped (want 3); resume hint '$hint'" \
+    "(carried=$carried) exited $resumed, crash pass run: $crashed"
+  fails=$((fails + 1))
+fi
 
 # interrupted (exit 4): SIGINT mid-run; the n=3 induction takes seconds
 "$ANONSIM" inductive -n 3 >/dev/null 2>&1 &

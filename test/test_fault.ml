@@ -400,17 +400,21 @@ let test_fault_plan_in_replay_command () =
 
 (* ---- bounded-crash model check --------------------------------------- *)
 
-let test_snapshot_safe_under_one_crash () =
-  (* Acceptance bar (c): exhaustive n=2 safety under <= 1 injected
-     crash-stop, over all wirings and all (time-abstract) crash points —
-     this subsumes every timed crash-stop plan the fuzzer can draw. *)
-  match Core.verify_snapshot_model_crashes ~n:2 ~max_crashes:1 () with
+(* Exhaustive n=2 safety under <= [max_crashes] injected crash-stops,
+   over all wirings and all (time-abstract) crash points — this subsumes
+   every timed crash-stop plan the fuzzer can draw.  The space sizes are
+   pinned exactly: a change to the crash moves shows as a count change. *)
+let test_snapshot_crash_space ~max_crashes ~states ~transitions
+    ~crash_branches () =
+  match Core.verify_snapshot_model_crashes ~n:2 ~max_crashes () with
   | Error e -> Alcotest.fail e
   | Ok s ->
-      Alcotest.(check int) "both wirings" 2
-        s.Core.Snapshot_fault_mc.wirings_checked;
-      Alcotest.(check bool) "crash branches explored" true
-        (s.Core.Snapshot_fault_mc.total_crash_branches > 0)
+      let module FE = Core.Snapshot_fault_mc in
+      Alcotest.(check int) "both wirings" 2 s.FE.wirings_checked;
+      Alcotest.(check int) "states" states s.FE.total_states;
+      Alcotest.(check int) "transitions" transitions s.FE.total_transitions;
+      Alcotest.(check int) "crash branches" crash_branches
+        s.FE.total_crash_branches
 
 let test_snapshot_safe_under_crash_same_group () =
   match
@@ -422,8 +426,9 @@ let test_snapshot_safe_under_crash_same_group () =
 
 let test_crash_search_catches_planted_bug () =
   (* Sanity that the crash search can fail at all: an invariant that
-     forbids any processor from halting while another is crashed must be
-     violated, and the witness must contain a crash edge. *)
+     forbids any processor from halting must be violated.  Crash moves
+     keep the core state, so the minimal witness needs none of them: it
+     is p1 running solo to its output, twelve steps, nobody crashed. *)
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let inputs = [| 1; 2 |] in
   let module FE = Core.Snapshot_fault_mc in
@@ -441,10 +446,59 @@ let test_crash_search_catches_planted_bug () =
       ~inputs ()
   with
   | FE.Invariant_failed v ->
-      Alcotest.(check bool) "witness nonempty" true (v.FE.steps <> [])
+      Alcotest.(check (list string))
+        "witness" (List.init 12 (fun _ -> "p1"))
+        (List.map (Fmt.str "%a" FE.pp_step) v.FE.steps);
+      Alcotest.(check int) "nobody crashed" 0 v.FE.crashed
   | FE.Safe _ -> Alcotest.fail "planted invariant must fail"
   | FE.State_limit _ -> Alcotest.fail "state limit"
   | FE.Exhausted _ -> Alcotest.fail "unexpected exhaustion"
+
+(* Traces to crashed states: every state of the space whose key carries
+   a crash bit has a trace whose crash steps are the pids [n + p] and
+   whose replay (steps through the explorer's successor, crashes as mask
+   bits) reaches exactly that key — canonicalized with its mask when the
+   space is reduced, which exercises [concretize]'s crash candidates. *)
+let test_crash_traces_replay () =
+  let cfg = Algorithms.Snapshot.standard ~n:2 in
+  let inputs = [| 1; 1 |] in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let module E = Core.Snapshot_fault_mc.E in
+  List.iter
+    (fun reduction ->
+      match E.explore ~max_crashes:2 ~reduction ~cfg ~wiring ~inputs () with
+      | E.Explored space ->
+          let kw = E.key_width cfg + 1 in
+          let crashed_ids = ref 0 in
+          for id = 0 to E.state_count space - 1 do
+            let key = Modelcheck.State_table.key_of_id space.E.table id in
+            if key.[kw - 1] <> '\000' then begin
+              incr crashed_ids;
+              let st, mask =
+                List.fold_left
+                  (fun (st, mask) (pid, post) ->
+                    let st, mask =
+                      if pid < 2 then (E.successor cfg wiring st pid, mask)
+                      else (st, mask lor (1 lsl (pid - 2)))
+                    in
+                    Alcotest.(check string) "post-state"
+                      (E.encode_state cfg post) (E.encode_state cfg st);
+                    (st, mask))
+                  (E.init_state ~cfg ~inputs, 0)
+                  (E.trace_to space id)
+              in
+              let raw = E.encode_state cfg st ^ String.make 1 (Char.chr mask) in
+              let replayed =
+                match space.E.reduction with
+                | Some c -> Modelcheck.Canon.canonicalize_masked c raw
+                | None -> raw
+              in
+              Alcotest.(check string) "replay reaches the key" key replayed
+            end
+          done;
+          Alcotest.(check bool) "crashed states traced" true (!crashed_ids > 0)
+      | _ -> Alcotest.failf "crash space must explore (reduction=%b)" reduction)
+    [ false; true ]
 
 (* The crash search follows the other engines' [max_states] rule: a
    limit is reported only when a state beyond the bound was discovered,
@@ -510,11 +564,17 @@ let () =
       ( "modelcheck",
         [
           Alcotest.test_case "n=2 safe under <=1 crash" `Quick
-            test_snapshot_safe_under_one_crash;
+            (test_snapshot_crash_space ~max_crashes:1 ~states:14_941
+               ~transitions:28_518 ~crash_branches:9_728);
+          Alcotest.test_case "n=2 safe under <=2 crashes" `Quick
+            (test_snapshot_crash_space ~max_crashes:2 ~states:19_472
+               ~transitions:37_580 ~crash_branches:18_790);
           Alcotest.test_case "n=2 same group safe under crash" `Quick
             test_snapshot_safe_under_crash_same_group;
           Alcotest.test_case "planted invariant caught with crash witness"
             `Quick test_crash_search_catches_planted_bug;
           Alcotest.test_case "state bound" `Quick test_crash_search_state_bound;
+          Alcotest.test_case "traces to crashed states replay" `Quick
+            test_crash_traces_replay;
         ] );
     ]

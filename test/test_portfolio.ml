@@ -264,17 +264,28 @@ let test_planted_majority_leader_caught () =
 
 (* --- crash-stop sweeps --------------------------------------------------- *)
 
+(* The sweep sizes are pinned exactly: a change to the crash moves shows
+   as a count change, not only as a verdict change. *)
 let test_mutex_exclusion_survives_crashes () =
+  let module FE = Core.Rt_mutex_fault_mc in
   match Core.verify_mutex_crashes ~n:2 ~m:3 ~max_crashes:1 () with
   | Ok s ->
-      Alcotest.(check int)
-        "mutex(2,3) crash sweep: all wirings" 6
-        s.Core.Rt_mutex_fault_mc.wirings_checked
+      Alcotest.(check int) "mutex(2,3) crash sweep: all wirings" 6
+        s.FE.wirings_checked;
+      Alcotest.(check int) "states" 18_892 s.FE.total_states;
+      Alcotest.(check int) "transitions" 36_088 s.FE.total_transitions;
+      Alcotest.(check int) "crash branches" 12_310 s.FE.total_crash_branches
   | Error e -> Alcotest.failf "mutex(2,3) under crashes: %s" e
 
 let test_naming_distinctness_survives_crashes () =
+  let module FE = Core.Naming_fault_mc in
   match Core.verify_naming_crashes ~n:2 ~m:3 ~max_crashes:1 () with
-  | Ok _ -> ()
+  | Ok s ->
+      Alcotest.(check int) "naming(2,3) crash sweep: all wirings" 6
+        s.FE.wirings_checked;
+      Alcotest.(check int) "states" 15_500 s.FE.total_states;
+      Alcotest.(check int) "transitions" 28_340 s.FE.total_transitions;
+      Alcotest.(check int) "crash branches" 9_882 s.FE.total_crash_branches
   | Error e -> Alcotest.failf "naming(2,3) under crashes: %s" e
 
 (* --- n=3 cells ----------------------------------------------------------- *)
