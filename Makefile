@@ -112,9 +112,10 @@ feasibility:
 # *.ckpt under --ckpt-dir, and the unbudgeted --resume must finish that
 # cell from the checkpoint with a byte-identical map.  The third leg
 # does the same for the snapshot sweep checkpoints of check-snapshot,
-# exact and --fingerprint: a zero wall budget must exit 3 leaving the
-# checkpoint, and --resume must print the uninterrupted output byte for
-# byte and remove the checkpoint.  CI runs this on
+# exact, --fingerprint and with the --crashes 1 pass after the sweep: a
+# zero wall budget must exit 3 leaving the checkpoint, and --resume must
+# print the uninterrupted output byte for byte and remove the
+# checkpoint.  CI runs this on
 # every push; it is the end-to-end check behind the durability suite.
 resume-smoke:
 	dune build bin/anonsim.exe
@@ -141,7 +142,7 @@ resume-smoke:
 	  -o _resume_smoke/ckpt-resumed.json
 	cmp _resume_smoke/ckpt-reference.json _resume_smoke/ckpt-resumed.json
 	@echo "resume-smoke: map resumed from engine checkpoints byte-identical"
-	for mode in "" --fingerprint; do \
+	for mode in "" --fingerprint "--crashes 1"; do \
 	  ./_build/default/bin/anonsim.exe check-snapshot -n 2 $$mode \
 	    > _resume_smoke/snapshot-reference.txt || exit 1; \
 	  ./_build/default/bin/anonsim.exe check-snapshot -n 2 $$mode \

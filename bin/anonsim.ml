@@ -192,25 +192,6 @@ let check_snapshot_cmd =
              covers every timed crash plan with at most K crashes.  Safety \
              only: crashed processors trivially never terminate.")
   in
-  let par_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "par" ] ~docv:"N"
-          ~doc:
-            "Explore with N worker domains (the sharded layer-synchronous \
-             parallel engine).  N=1 keeps the sequential explorer.")
-  in
-  let par_ws_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "par-ws" ] ~docv:"N"
-          ~doc:
-            "Explore with N worker domains using the work-stealing engine \
-             (Chase-Lev frontier deques, no layer barriers).  Supports \
-             $(b,--max-seconds) but not $(b,--checkpoint) (there is no \
-             consistent cut to snapshot without stopping the pool).  \
-             Mutually exclusive with $(b,--par) and $(b,--fingerprint).")
-  in
   let fingerprint_arg =
     Arg.(
       value & flag
@@ -250,7 +231,8 @@ let check_snapshot_cmd =
           ~doc:
             "Checkpoint exploration state to $(docv) periodically \
              (atomically), so an interrupted or budget-exhausted run can \
-             continue with $(b,--resume).  Sequential engine only.")
+             continue with $(b,--resume); the $(b,--crashes) pass \
+             checkpoints to the same file.")
   in
   let resume_arg =
     Arg.(
@@ -269,45 +251,22 @@ let check_snapshot_cmd =
             "Wall-clock budget; on expiry the run writes a final \
              checkpoint (with $(b,--checkpoint)) and exits with code 3.")
   in
-  let run n max_states crashes par par_ws fingerprint fp_ram_mb reduce
-      checkpoint resume max_seconds =
+  let run n max_states crashes fingerprint fp_ram_mb reduce checkpoint resume
+      max_seconds =
     refusing_unusable @@ fun () ->
     let max_fp_ram_mb =
       Modelcheck.Fingerprint_set.max_ram_budget_bytes / (1024 * 1024)
     in
-    if par < 1 then `Error (true, "--par must be at least 1")
-    else if crashes < 0 then `Error (true, "--crashes must be at least 0")
-    else if par_ws < 0 then `Error (true, "--par-ws must be at least 1")
-    else if par_ws > 0 && par > 1 then
-      `Error (true, "--par and --par-ws are mutually exclusive")
-    else if fingerprint && (par > 1 || par_ws > 0) then
-      `Error
-        (true, "--fingerprint is a sequential engine (drop --par/--par-ws)")
-    else if par_ws > 0 && checkpoint <> None then
-      `Error
-        ( true,
-          "--par-ws has no checkpoint support; use --max-seconds for bounded \
-           runs" )
+    if crashes < 0 then `Error (true, "--crashes must be at least 0")
     else if fp_ram_mb < 1 then `Error (true, "--fp-ram-mb must be at least 1")
     else if fp_ram_mb > max_fp_ram_mb then
       `Error
         (true, Printf.sprintf "--fp-ram-mb must be at most %d" max_fp_ram_mb)
-    else if
-      (not fingerprint) && par > 1
-      && (checkpoint <> None || max_seconds <> None)
-    then
-      `Error
-        ( true,
-          "--checkpoint/--max-seconds require the sequential engine (--par 1)"
-        )
     else begin
     install_signal_handlers ();
     let governor =
-      if max_seconds <> None || par = 1 then
-        Some
-          (Modelcheck.Governor.create ?wall_seconds:max_seconds
-             ~interrupted_flag:interrupted ())
-      else None
+      Modelcheck.Governor.create ?wall_seconds:max_seconds
+        ~interrupted_flag:interrupted ()
     in
     let ckpt =
       Option.map
@@ -338,16 +297,16 @@ let check_snapshot_cmd =
       (* The sweep returns a plain [Error] for budget trips too; the
          governor's sticky verdict tells the two apart from a genuine
          violation. *)
-      match Option.map Modelcheck.Governor.tripped governor with
-      | Some (Some Modelcheck.Governor.Interrupted) ->
+      match Modelcheck.Governor.tripped governor with
+      | Some Modelcheck.Governor.Interrupted ->
           Printf.printf "interrupted: %s\n" e;
           Option.iter resume_hint checkpoint;
           Stdlib.exit exit_interrupted
-      | Some (Some _) ->
+      | Some _ ->
           Printf.printf "budget exhausted: %s\n" e;
           Option.iter resume_hint checkpoint;
           Stdlib.exit exit_exhausted
-      | _ ->
+      | None ->
           prerr_endline e;
           Stdlib.exit exit_violation
     in
@@ -358,15 +317,23 @@ let check_snapshot_cmd =
       | Some f when Sys.file_exists f -> Sys.remove f
       | _ -> ()
     in
-    let check_crashes () =
+    (* The crash pass checkpoints to the same file, with the fault-free
+       sweep's printed report in one more section: a resume that finds
+       that section reprints the report and continues the crash pass
+       without sweeping again. *)
+    let report_section = "fault_free_report" in
+    let check_crashes report =
       if crashes = 0 then `Ok ()
       else
         match
           Core.verify_snapshot_model_crashes ~n ~max_crashes:crashes
-            ?max_states ~reduction:reduce ?governor ()
+            ?max_states ~reduction:reduce ~governor ?ckpt ~resume
+            ~ckpt_extra:[ (report_section, Bytes.of_string report) ]
+            ()
         with
         | Error e -> finish_durably e
         | Ok fs ->
+            retire_checkpoint ();
             Printf.printf
               "verified: containment safety holds for n=%d under at most %d \
                injected crash-stop(s)\n"
@@ -380,55 +347,66 @@ let check_snapshot_cmd =
               fs.Core.Snapshot_fault_mc.total_crash_branches;
             `Ok ()
     in
-    if fingerprint then
-      match
-        Core.verify_snapshot_model_fp ~n ?max_states ~reduction:reduce
-          ~ram_budget_bytes:(fp_ram_mb * 1024 * 1024)
-          ?governor ?ckpt ~resume ()
-      with
-      | Error e -> finish_durably e
-      | Ok s ->
-          retire_checkpoint ();
-          Printf.printf
-            "verified (fingerprint engine): containment safety holds for \
-             n=%d\n"
-            n;
-          Printf.printf
-            "wirings: %d, states: %d (largest space %d), transitions: %d, \
-             terminal states: %d\n"
-            s.Modelcheck.Explorer.fp_wirings
-            s.Modelcheck.Explorer.fp_total_states
-            s.Modelcheck.Explorer.fp_max_space_states
-            s.Modelcheck.Explorer.fp_total_transitions
-            s.Modelcheck.Explorer.fp_terminal_states;
-          Printf.printf
-            "omission bound: %.3g (birthday, states^2 / 2^64); spilled runs: \
-             %d (%d bytes)\n"
-            s.Modelcheck.Explorer.fp_omission_bound
-            s.Modelcheck.Explorer.fp_spilled_runs
-            s.Modelcheck.Explorer.fp_spill_bytes;
-          Printf.printf
-            "note: safety only — the fingerprint engine stores no edges, so \
-             wait-freedom is not decided\n";
-          check_crashes ()
-    else
-      match
-        Core.verify_snapshot_model ~n ?max_states ~reduction:reduce
-          ~domains:(if par_ws > 0 then par_ws else par)
-          ~ws:(par_ws > 0) ?governor ?ckpt ~resume ()
-      with
-      | Error e -> finish_durably e
-      | Ok s ->
-          retire_checkpoint ();
-          Printf.printf
-            "verified: snapshot algorithm correct and wait-free for n=%d\n" n;
-          Printf.printf
-            "wirings: %d, states: %d (largest space %d), transitions: %d, \
-             terminal states: %d\n"
-            s.Modelcheck.Explorer.wirings_checked s.Modelcheck.Explorer.total_states
-            s.Modelcheck.Explorer.max_space_states s.Modelcheck.Explorer.total_transitions
-            s.Modelcheck.Explorer.terminal_states;
-          check_crashes ()
+    let verified report =
+      retire_checkpoint ();
+      print_string report;
+      check_crashes report
+    in
+    let resumed_report =
+      match checkpoint with
+      | Some path when resume && crashes > 0 && Sys.file_exists path ->
+          List.assoc_opt report_section (Modelcheck.Checkpoint.load ~path)
+          |> Option.map Bytes.to_string
+      | _ -> None
+    in
+    match resumed_report with
+    | Some report ->
+        print_string report;
+        check_crashes report
+    | None when fingerprint -> (
+        match
+          Core.verify_snapshot_model_fp ~n ?max_states ~reduction:reduce
+            ~ram_budget_bytes:(fp_ram_mb * 1024 * 1024)
+            ~governor ?ckpt ~resume ()
+        with
+        | Error e -> finish_durably e
+        | Ok s ->
+            verified
+              (Printf.sprintf
+                 "verified (fingerprint engine): containment safety holds \
+                  for n=%d\n\
+                  wirings: %d, states: %d (largest space %d), transitions: \
+                  %d, terminal states: %d\n\
+                  omission bound: %.3g (birthday, states^2 / 2^64); spilled \
+                  runs: %d (%d bytes)\n\
+                  note: safety only — the fingerprint engine stores no \
+                  edges, so wait-freedom is not decided\n"
+                 n s.Modelcheck.Explorer.fp_wirings
+                 s.Modelcheck.Explorer.fp_total_states
+                 s.Modelcheck.Explorer.fp_max_space_states
+                 s.Modelcheck.Explorer.fp_total_transitions
+                 s.Modelcheck.Explorer.fp_terminal_states
+                 s.Modelcheck.Explorer.fp_omission_bound
+                 s.Modelcheck.Explorer.fp_spilled_runs
+                 s.Modelcheck.Explorer.fp_spill_bytes))
+    | None -> (
+        match
+          Core.verify_snapshot_model ~n ?max_states ~reduction:reduce ~governor
+            ?ckpt ~resume ()
+        with
+        | Error e -> finish_durably e
+        | Ok s ->
+            verified
+              (Printf.sprintf
+                 "verified: snapshot algorithm correct and wait-free for \
+                  n=%d\n\
+                  wirings: %d, states: %d (largest space %d), transitions: \
+                  %d, terminal states: %d\n"
+                 n s.Modelcheck.Explorer.wirings_checked
+                 s.Modelcheck.Explorer.total_states
+                 s.Modelcheck.Explorer.max_space_states
+                 s.Modelcheck.Explorer.total_transitions
+                 s.Modelcheck.Explorer.terminal_states))
     end
   in
   Cmd.v
@@ -438,9 +416,7 @@ let check_snapshot_cmd =
           (containment safety + wait-freedom) over all wirings — the \
           paper's TLC claim.  With $(b,--crashes) K, additionally \
           re-verify safety under at most K injected crash-stop faults.  \
-          $(b,--par) N shards the exploration over N domains \
-          (layer-synchronous); $(b,--par-ws) N uses the work-stealing pool \
-          instead; $(b,--fingerprint) switches to the RAM-bounded \
+          $(b,--fingerprint) switches to the RAM-bounded \
           hash-compaction engine (safety only, quantified omission bound); \
           $(b,--reduce) \
           switches on symmetry reduction.  $(b,--checkpoint), \
@@ -450,9 +426,9 @@ let check_snapshot_cmd =
           where it stopped.")
     Term.(
       ret
-        (const run $ n_arg ~default:2 $ max_states_arg $ crashes_arg $ par_arg
-       $ par_ws_arg $ fingerprint_arg $ fp_ram_mb_arg $ reduce_arg
-       $ checkpoint_arg $ resume_arg $ max_seconds_arg))
+        (const run $ n_arg ~default:2 $ max_states_arg $ crashes_arg
+       $ fingerprint_arg $ fp_ram_mb_arg $ reduce_arg $ checkpoint_arg
+       $ resume_arg $ max_seconds_arg))
 
 (* check-nonatomic: the Section-8 claim *)
 

@@ -179,6 +179,11 @@ let figure2_table ?actions () =
 let lower_bound_demo ~n () = Analysis.Lower_bound.run ~n ()
 
 module Snapshot_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Snapshot)
+
+(** The intra-space parallel engines on the Figure-3 model.  No
+    verification entry point runs them; they stay only because the
+    benchmark's parallel probe builds them, and go when that probe
+    does. *)
 module Snapshot_par_mc =
   Modelcheck.Par_explorer.Make (Modelcheck.Codecs.Snapshot)
 module Snapshot_ws_mc = Modelcheck.Ws_explorer.Make (Modelcheck.Codecs.Snapshot)
@@ -234,36 +239,16 @@ let snapshot_invariant cfg inputs =
 
     [~reduction:true] quotients each per-wiring space by its anonymity
     symmetries (a gain exactly when [inputs] has repeated values — with
-    all-distinct inputs the symmetry group is trivial); [~domains > 1]
-    switches to the layer-synchronous parallel engine
-    ({!Modelcheck.Par_explorer}) with that many worker domains, or — with
-    [~ws:true] — to the work-stealing engine ({!Modelcheck.Ws_explorer}).
-    All engines return the same summary type and agree on every verdict
-    (asserted by the differential suite).  Only the sequential engine
-    ([domains = 1]) honours [ckpt]/[resume]. *)
+    all-distinct inputs the symmetry group is trivial).  The sweep is the
+    sequential DFS ({!Modelcheck.Explorer.Make.check_all_wirings}), which
+    honours [governor], [ckpt] and [resume]. *)
 let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states
-    ?(reduction = false) ?(domains = 1) ?(ws = false) ?governor ?ckpt
-    ?(resume = false) () =
+    ?(reduction = false) ?governor ?ckpt ?(resume = false) () =
   let inputs = match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1) in
   let cfg = Algorithms.Snapshot.standard ~n in
-  if domains > 1 && ws then
-    (* Work-stealing engine: governed but not checkpointable (no
-       consistent cut without stopping the pool). *)
-    Snapshot_ws_mc.check_all_wirings ?max_states ~reduction ?governor ~domains
-      ~invariant:(snapshot_invariant cfg inputs)
-      ~cfg ~inputs ()
-  else if domains > 1 then
-    (* The layer-synchronous engine shares no checkpointable sweep
-       position; run it unbudgeted (callers wanting durability use
-       domains = 1). *)
-    Snapshot_par_mc.check_all_wirings ?max_states ~reduction ~domains
-      ~invariant:(snapshot_invariant cfg inputs)
-      ~cfg ~inputs ()
-  else
-    Snapshot_mc.check_all_wirings ?max_states ~reduction ?governor ?ckpt
-      ~resume
-      ~invariant:(snapshot_invariant cfg inputs)
-      ~cfg ~inputs ()
+  Snapshot_mc.check_all_wirings ?max_states ~reduction ?governor ?ckpt ~resume
+    ~invariant:(snapshot_invariant cfg inputs)
+    ~cfg ~inputs ()
 
 (** RAM-bounded, safety-only variant of {!verify_snapshot_model}: the
     hash-compacted fingerprint engine
@@ -300,15 +285,20 @@ module Snapshot_fault_mc =
     Only safety is checked — crashed processors trivially never
     terminate, so wait-freedom questions under crashes are the fuzzer's
     territory (a crash-stopped processor is exactly one that is never
-    scheduled again). *)
+    scheduled again).
+
+    [governor], [ckpt] and [resume] make the sweep durable as in
+    {!verify_snapshot_model}; [ckpt_extra] sections ride in every
+    checkpoint it writes. *)
 let verify_snapshot_model_crashes ?(n = 2) ?(inputs = None) ?(max_crashes = 1)
-    ?max_states ?(reduction = false) ?governor () =
+    ?max_states ?(reduction = false) ?governor ?ckpt ?(resume = false)
+    ?ckpt_extra () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
   Snapshot_fault_mc.check_all_wirings ?max_states ~max_crashes ~reduction
-    ?governor
+    ?governor ?ckpt ~resume ?ckpt_extra
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 

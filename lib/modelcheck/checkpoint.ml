@@ -240,3 +240,11 @@ let load ~path =
   of_bytes image
 
 type policy = { path : string; every_states : int }
+
+let resumable ~who ~context ~resume = function
+  | Some { path; _ } when resume && Sys.file_exists path ->
+      let sections = load ~path in
+      if not (String.equal (Bytes.to_string (find "context" sections)) context)
+      then corrupt "%s: checkpoint context mismatch" who;
+      Some sections
+  | _ -> None

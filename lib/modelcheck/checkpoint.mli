@@ -116,3 +116,16 @@ val set_torn_write : int option -> unit
 (** [set_torn_write (Some k)] arms the chaos hook: the next {!write}
     writes only the first [k] bytes of the tmp file, skips the rename,
     raises {!Simulated_crash}, and disarms itself.  [None] disarms. *)
+
+val resumable :
+  who:string ->
+  context:string ->
+  resume:bool ->
+  policy option ->
+  (string * Bytes.t) list option
+(** [resumable ~who ~context ~resume ckpt] is the sections an engine
+    resumes from: [Some] of the loaded checkpoint when [resume] holds and
+    the policy's file exists, [None] otherwise (a missing file runs
+    fresh).  Raises {!Corrupt_checkpoint} ["<who>: checkpoint context
+    mismatch"] when the file's ["context"] section is not [context], and
+    as {!load} does on an unusable file. *)

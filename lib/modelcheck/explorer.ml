@@ -34,9 +34,11 @@
     [~reduction] flag quotients the space by the wiring's anonymity
     symmetries ({!Canon}; sound because canonical keys are orbit minima
     under genuine automorphisms, see DESIGN.md; a group holding only the
-    identity, as with distinct inputs, is explored unreduced), and
-    {!Par_explorer} runs the BFS on a pool of OCaml 5 domains.  Under
-    reduction, invariants and [stop_expansion] predicates must themselves
+    identity, as with distinct inputs, is explored unreduced), and the
+    fingerprint BFS ({!Make.explore_fp}) caps the visited set's RAM.  The
+    intra-space parallel engines lose to these passes on two cores
+    (EXPERIMENTS X6); no production path runs them.  Under reduction,
+    invariants and [stop_expansion] predicates must themselves
     be symmetric — invariant under permuting same-input processors
     together with the induced register relabelling — which holds for
     every property shipped here (containment, agreement, memory-content
@@ -94,8 +96,7 @@ type summary = {
   all_wait_free : bool;
 }
 (** Aggregate of a [check_all_wirings] sweep.  Defined outside the functor
-    so the sequential and parallel engines ({!Par_explorer}) share one
-    summary type and can be swapped behind a single interface. *)
+    so callers name one summary type whatever protocol was checked. *)
 
 let empty_summary =
   {
@@ -146,23 +147,6 @@ let limit_error k = Fmt.str "state limit hit at %d states" k
 let invariant_error wiring message =
   Fmt.str "invariant violated under wiring %a: %s" Anonmem.Wiring.pp wiring
     message
-
-let diverge_error wiring processors =
-  Fmt.str "wait-freedom violated under wiring %a: processors %a diverge"
-    Anonmem.Wiring.pp wiring
-    Fmt.(list ~sep:comma int)
-    processors
-
-(** [summary] after one more wiring with the given space counts. *)
-let add_wiring s ~states ~transitions ~terminals ~wait_free =
-  {
-    wirings_checked = s.wirings_checked + 1;
-    total_states = s.total_states + states;
-    max_space_states = max s.max_space_states states;
-    total_transitions = s.total_transitions + transitions;
-    terminal_states = s.terminal_states + terminals;
-    all_wait_free = s.all_wait_free && wait_free;
-  }
 
 (** Sweep positions for multi-wiring checkpoints ({!Wiring_sweep}): the
     summary accumulated over the wirings before the one in flight. *)
@@ -503,10 +487,13 @@ module Make (P : CHECKABLE) = struct
       with the rest of the parent key (the remaining budget follows from
       its popcount).  A crash move is the pid [n + p]; under reduction
       keys canonicalize with {!Canon.canonicalize_masked}, so a crashed
-      processor's identity follows its slice into the orbit minimum. *)
+      processor's identity follows its slice into the orbit minimum.
+
+      [ckpt_extra] sections ride in every checkpoint written (a sweep
+      driver stores its position there, {!Wiring_sweep}). *)
   let explore ?(max_states = 50_000_000) ?invariant ?stop_expansion
       ?(reduction = false) ?(max_crashes = 0) ?governor ?ckpt ?(resume = false)
-      ~cfg ~wiring ~inputs () =
+      ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
     let n = P.processors cfg in
     if max_crashes < 0 then invalid_arg "Explorer.explore: max_crashes";
     let crashes = max_crashes > 0 in
@@ -536,16 +523,7 @@ module Make (P : CHECKABLE) = struct
         (if crashes then Printf.sprintf "|crashes %d" max_crashes else "")
     in
     let resumed =
-      match ckpt with
-      | Some { Checkpoint.path; _ } when resume && Sys.file_exists path ->
-          let sections = Checkpoint.load ~path in
-          let ctx = Bytes.to_string (Checkpoint.find "context" sections) in
-          if not (String.equal ctx context) then
-            raise
-              (Checkpoint.Corrupt_checkpoint
-                 "Explorer.explore: checkpoint context mismatch");
-          Some sections
-      | _ -> None
+      Checkpoint.resumable ~who:"Explorer.explore" ~context ~resume ckpt
     in
     let table, parent, succ, deg, terminal =
       match resumed with
@@ -568,14 +546,15 @@ module Make (P : CHECKABLE) = struct
     in
     let save_ckpt path =
       Checkpoint.save ~path
-        [
-          ("context", Bytes.of_string context);
-          ("table", State_table.serialize table);
-          ("parent", State_table.Packed_vec.serialize parent);
-          ("succ", State_table.Packed_vec.serialize succ);
-          ("deg", State_table.Packed_vec.serialize deg);
-          ("terminal", Checkpoint.bytes_of_ints (Array.of_list !terminal));
-        ]
+        ([
+           ("context", Bytes.of_string context);
+           ("table", State_table.serialize table);
+           ("parent", State_table.Packed_vec.serialize parent);
+           ("succ", State_table.Packed_vec.serialize succ);
+           ("deg", State_table.Packed_vec.serialize deg);
+           ("terminal", Checkpoint.bytes_of_ints (Array.of_list !terminal));
+         ]
+        @ ckpt_extra)
     in
     let queue = Queue.create () in
     let buf = Bytes.create kw in
@@ -993,16 +972,8 @@ module Make (P : CHECKABLE) = struct
         reduction fail_on_cycle key0
     in
     let resumed =
-      match ckpt with
-      | Some { Checkpoint.path; _ } when resume && Sys.file_exists path ->
-          let sections = Checkpoint.load ~path in
-          let ctx = Bytes.to_string (Checkpoint.find "context" sections) in
-          if not (String.equal ctx context) then
-            raise
-              (Checkpoint.Corrupt_checkpoint
-                 "Explorer.check_exhaustive: checkpoint context mismatch");
-          Some sections
-      | _ -> None
+      Checkpoint.resumable ~who:"Explorer.check_exhaustive" ~context ~resume
+        ckpt
     in
     let table, colors =
       match resumed with
@@ -1262,12 +1233,24 @@ module Make (P : CHECKABLE) = struct
         | Dfs_state_limit k -> Error (limit_error k)
         | Dfs_invariant_failed { message; _ } ->
             Error (invariant_error wiring message)
-        | Dfs_cycle { processors; _ } -> Error (diverge_error wiring processors)
+        | Dfs_cycle { processors; _ } ->
+            Error
+              (Fmt.str
+                 "wait-freedom violated under wiring %a: processors %a diverge"
+                 Anonmem.Wiring.pp wiring
+                 Fmt.(list ~sep:comma int)
+                 processors)
         | Dfs_ok s ->
             Ok
-              (add_wiring summary ~states:s.dfs_states
-                 ~transitions:s.dfs_transitions ~terminals:s.dfs_terminals
-                 ~wait_free:true))
+              {
+                wirings_checked = summary.wirings_checked + 1;
+                total_states = summary.total_states + s.dfs_states;
+                max_space_states = max summary.max_space_states s.dfs_states;
+                total_transitions =
+                  summary.total_transitions + s.dfs_transitions;
+                terminal_states = summary.terminal_states + s.dfs_terminals;
+                all_wait_free = summary.all_wait_free;
+              })
 
   (** {1 Fingerprint (hash-compacted) exploration}
 
@@ -1345,16 +1328,7 @@ module Make (P : CHECKABLE) = struct
       | None, None -> None
     in
     let resumed =
-      match ckpt with
-      | Some { Checkpoint.path; _ } when resume && Sys.file_exists path ->
-          let sections = Checkpoint.load ~path in
-          let ctx = Bytes.to_string (Checkpoint.find "context" sections) in
-          if not (String.equal ctx context) then
-            raise
-              (Checkpoint.Corrupt_checkpoint
-                 "Explorer.explore_fp: checkpoint context mismatch");
-          Some sections
-      | _ -> None
+      Checkpoint.resumable ~who:"Explorer.explore_fp" ~context ~resume ckpt
     in
     (* Keys live in pages: [Bytes] of [kw]-byte records, grown by
        doubling.  [cur] holds the layer being expanded, [pos] of its

@@ -56,11 +56,11 @@ module Make (P : Explorer.CHECKABLE) = struct
             policy was in force *)
 
   let explore ?max_states ?(max_crashes = 1) ?reduction ?governor ?ckpt
-      ?resume ~invariant ~cfg ~wiring ~inputs () =
+      ?resume ?ckpt_extra ~invariant ~cfg ~wiring ~inputs () =
     let n = P.processors cfg in
     match
       E.explore ?max_states ~max_crashes ?reduction ?governor ?ckpt ?resume
-        ~invariant ~cfg ~wiring ~inputs ()
+        ?ckpt_extra ~invariant ~cfg ~wiring ~inputs ()
     with
     | E.Explored space ->
         Safe
@@ -96,14 +96,41 @@ module Make (P : Explorer.CHECKABLE) = struct
     total_crash_branches : int;
   }
 
+  (* The crash sweep's position in a checkpoint ({!Wiring_sweep}). *)
+  let sweep_section =
+    {
+      Wiring_sweep.name = "crash_sweep";
+      to_ints =
+        (fun s ->
+          [|
+            s.wirings_checked;
+            s.total_states;
+            s.total_transitions;
+            s.total_crash_branches;
+          |]);
+      of_ints =
+        (fun a ->
+          {
+            wirings_checked = a.(0);
+            total_states = a.(1);
+            total_transitions = a.(2);
+            total_crash_branches = a.(3);
+          });
+    }
+
   (** Check the invariant across every wiring (processor 0 pinned to the
       identity — lossless by register anonymity) for one input
       assignment, under at most [max_crashes] crash-stops injected at
-      arbitrary points. *)
+      arbitrary points.  With [ckpt], each per-wiring search checkpoints
+      with the sweep's position (section ["crash_sweep"]) and the
+      caller's [ckpt_extra] sections beside it, so [~resume] re-enters
+      the sweep where it stopped. *)
   let check_all_wirings ?max_states ?max_crashes ?(reduction = false) ?wirings
-      ?governor ~invariant ~cfg ~inputs () =
+      ?governor ?ckpt ?(resume = false) ?(ckpt_extra = []) ~invariant ~cfg
+      ~inputs () =
     let n = P.processors cfg in
-    Wiring_sweep.run ?wirings ~n ~m:(P.registers cfg)
+    Wiring_sweep.run ?wirings ~section:sweep_section ?ckpt ~resume
+      ~n ~m:(P.registers cfg)
       ~init:
         {
           wirings_checked = 0;
@@ -111,10 +138,11 @@ module Make (P : Explorer.CHECKABLE) = struct
           total_transitions = 0;
           total_crash_branches = 0;
         }
-      (fun ~resume:_ ~ckpt_extra:_ wiring summary ->
+      (fun ~resume ~ckpt_extra:position wiring summary ->
         match
-          explore ?max_states ?max_crashes ~reduction ?governor ~invariant ~cfg
-            ~wiring ~inputs ()
+          explore ?max_states ?max_crashes ~reduction ?governor ?ckpt ~resume
+            ~ckpt_extra:(position @ ckpt_extra) ~invariant ~cfg ~wiring
+            ~inputs ()
         with
         | Exhausted { reason; states } ->
             Error (Explorer.exhausted_error reason states)

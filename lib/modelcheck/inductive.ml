@@ -747,14 +747,11 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
      (number of Inv assignments fully processed, in the deterministic
      class-by-class order below). *)
   let processed0, transitions0, cti_total0, init_ok0, ctis0 =
-    match ckpt with
-    | Some { Checkpoint.path; _ } when resume && Sys.file_exists path ->
-        let sections = Checkpoint.load ~path in
-        let ctx_s = Bytes.to_string (Checkpoint.find "context" sections) in
-        if not (String.equal ctx_s context) then
-          raise
-            (Checkpoint.Corrupt_checkpoint
-               "Inductive.check_abstract: checkpoint context mismatch");
+    match
+      Checkpoint.resumable ~who:"Inductive.check_abstract" ~context ~resume
+        ckpt
+    with
+    | Some sections ->
         let c = Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections) in
         if Array.length c <> 4 then
           raise (Checkpoint.Corrupt_checkpoint "inductive: counters image");
@@ -763,7 +760,7 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
           c.(2),
           c.(3) <> 0,
           ctis_of_bytes (Checkpoint.find "ctis" sections) )
-    | _ -> (0, 0, 0, true, [])
+    | None -> (0, 0, 0, true, [])
   in
   let fresh = processed0 = 0 in
   let processed = ref processed0

@@ -39,7 +39,12 @@
     by the shared {!Scc} pass over the merged edge image, exactly as in
     {!Explorer}.  Composes with [~reduction]: keys are canonicalized
     ({!Canon}) before hashing, so ownership respects symmetry orbits by
-    construction. *)
+    construction.
+
+    No production path runs this engine: on two cores it loses to the
+    sequential passes (EXPERIMENTS X6).  It stays only for the
+    benchmark's parallel probe and the differential tests, and goes
+    with them. *)
 
 open Repro_util
 
@@ -368,27 +373,4 @@ module Make (P : Explorer.CHECKABLE) = struct
           in
           Par_ok { stats; wait_free = divergent = []; divergent }
         end
-
-  (** Parallel counterpart of {!Explorer.Make.check_all_wirings}: same
-      summary type, same error messages, so {!Core} and the CLI can swap
-      engines behind one interface. *)
-  let check_all_wirings ?max_states ?invariant ?(require_wait_free = true)
-      ?on_wiring ?wirings ?(reduction = false) ~domains ~cfg ~inputs () =
-    Wiring_sweep.run ?wirings ?on_wiring ~n:(P.processors cfg)
-      ~m:(P.registers cfg) ~init:Explorer.empty_summary
-      (fun ~resume:_ ~ckpt_extra:_ wiring summary ->
-        match
-          explore ?max_states ?invariant ?stop_expansion:None ~reduction
-            ~domains ~cfg ~wiring ~inputs ()
-        with
-        | Par_state_limit k -> Error (Explorer.limit_error k)
-        | Par_invariant_failed { message; _ } ->
-            Error (Explorer.invariant_error wiring message)
-        | Par_ok { divergent; _ } when require_wait_free && divergent <> [] ->
-            Error (Explorer.diverge_error wiring divergent)
-        | Par_ok { stats; wait_free; _ } ->
-            Ok
-              (Explorer.add_wiring summary ~states:stats.states
-                 ~transitions:stats.transitions ~terminals:stats.terminals
-                 ~wait_free))
 end

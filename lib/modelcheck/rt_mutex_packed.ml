@@ -412,14 +412,10 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
           @ List.map (fun (tag, b) -> (tag, Checkpoint.Raw b)) ckpt_extra)
       in
       let resumed =
-        match ckpt with
-        | Some { Checkpoint.path; _ } when resume && Sys.file_exists path ->
-            let sections = Checkpoint.load ~path in
-            let ctx = Bytes.to_string (Checkpoint.find "context" sections) in
-            if not (String.equal ctx context) then
-              raise
-                (Checkpoint.Corrupt_checkpoint
-                   "Rt_mutex_packed: checkpoint context mismatch");
+        match
+          Checkpoint.resumable ~who:"Rt_mutex_packed" ~context ~resume ckpt
+        with
+        | Some sections ->
             restore_itab (Checkpoint.find "itab" sections);
             let counters =
               Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections)
@@ -443,7 +439,7 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
             restore_vec w.ws_fr_pid (Checkpoint.find "fr_pid" sections);
             restore_vec w.ws_fr_epid (Checkpoint.find "fr_epid" sections);
             true
-        | _ -> false
+        | None -> false
       in
       let push_state s epid =
         (* pre: s is fresh, already interned with id = !count *)

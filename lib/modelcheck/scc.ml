@@ -1,8 +1,8 @@
 (** Strongly connected components of an explicit graph in CSR form.
 
     Shared by the sequential {!Explorer} (wait-freedom as a [p]-edge inside
-    an SCC) and the parallel {!Par_explorer} (which shards exploration but
-    runs this pass sequentially over the merged edge image: the SCC pass is
+    an SCC) and the parallel engines (which shard exploration but run
+    this pass sequentially over the merged edge image: the SCC pass is
     linear in the graph and never dominates exploration).  Iterative
     Tarjan — the state graphs run to millions of nodes, so no recursion. *)
 

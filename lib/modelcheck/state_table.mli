@@ -1,7 +1,7 @@
 (** Arena-backed visited-state tables for the explicit-state explorers.
 
     Every engine in this library ({!Explorer}'s BFS and DFS passes, the
-    crash search included, each {!Par_explorer} shard) needs the same data
+    crash search included, each parallel-engine shard) needs the same data
     structure: a set of fixed-width byte keys with a dense integer id per
     key (id = insertion order), O(1) membership, and the ability to read a
     key back from its id (for decoding popped states and for concretizing
@@ -33,7 +33,7 @@
 
     The table is deliberately minimal: no deletion, no satellite values
     (the dense id {e is} the value), single-writer.  For cross-domain use,
-    shard by key ownership as {!Par_explorer} does — one table per domain,
+    shard by key ownership as the parallel engines do — one table per domain,
     never shared. *)
 
 type t

@@ -27,18 +27,22 @@
       every unit's derived units are incremented {e before} the unit
       itself is decremented, so [pending = 0] is reachable only at true
       global quiescence — there is no transient zero to race with, and
-      the first worker to observe it stops the pool.  Violations, the
-      state limit and governor trips short-circuit through the same
-      single stop cell (first cause wins).
+      the first worker to observe it stops the pool.  Violations and
+      the state limit short-circuit through the same single stop cell
+      (first cause wins).
 
     Without layers, traces are valid executions but not necessarily
     shortest (each parent link is still a real step); state, transition
     and terminal counts remain exactly the sequential BFS's, which the
     differential matrix asserts.  Wait-freedom is decided post-join by
     the same dense-CSR Tarjan pass as {!Par_explorer}.  The engine has
-    no checkpoint support (there is no consistent cut to snapshot
-    without stopping the pool); pair it with a governor for bounded
-    runs, or use the sequential/fingerprint engines for durability. *)
+    no checkpoint or governor support (there is no consistent cut to
+    snapshot without stopping the pool).
+
+    No production path runs this engine: on the full-size [mc-exact]
+    space it reaches 0.81x the sequential BFS at two domains, at 2.3x
+    its memory (EXPERIMENTS X6).  It stays only for the benchmark's
+    parallel probe and the differential tests, and goes with them. *)
 
 open Repro_util
 
@@ -142,7 +146,6 @@ module Make (P : Explorer.CHECKABLE) = struct
                 reduced *)
       }
     | Ws_state_limit of int
-    | Ws_exhausted of { reason : Governor.reason; states : int }
 
   type shard = {
     table : State_table.t;
@@ -153,20 +156,13 @@ module Make (P : Explorer.CHECKABLE) = struct
     mutable transitions : int;
   }
 
-  type stop_cause =
-    | Running
-    | All_done
-    | Hit_limit
-    | Hit_violation
-    | Hit_exhausted of Governor.reason
+  type stop_cause = Running | All_done | Hit_limit | Hit_violation
 
   (** [explore ~domains ...] — same optional knobs and semantics as
-      {!Par_explorer.Make.explore}, plus [?governor] (ticked once per
-      interned state, under a small mutex: {!Governor} is not
-      thread-safe).  [domains = 1] degrades to a deque-driven sequential
-      BFS with zero steals. *)
+      {!Par_explorer.Make.explore}.  [domains = 1] degrades to a
+      deque-driven sequential BFS with zero steals. *)
   let explore ?(max_states = 50_000_000) ?invariant ?stop_expansion
-      ?(reduction = false) ?governor ~domains ~cfg ~wiring ~inputs () =
+      ?(reduction = false) ~domains ~cfg ~wiring ~inputs () =
     Explorer.guard_processors ~engine:"Ws_explorer.explore" (P.processors cfg);
     if domains < 1 then invalid_arg "Ws_explorer.explore: domains < 1";
     let nd = domains in
@@ -196,18 +192,6 @@ module Make (P : Explorer.CHECKABLE) = struct
     let request cause = ignore (Atomic.compare_and_set stop Running cause) in
     let running () = match Atomic.get stop with Running -> true | _ -> false in
     let violation : (int * string) option Atomic.t = Atomic.make None in
-    let gov_mutex = Mutex.create () in
-    let tick_governor () =
-      match governor with
-      | None -> ()
-      | Some g ->
-          Mutex.lock gov_mutex;
-          let tripped = Governor.tick g in
-          Mutex.unlock gov_mutex;
-          (match tripped with
-          | Some reason -> request (Hit_exhausted reason)
-          | None -> ())
-    in
     let worker w =
       let shard = shards.(w) in
       let gid lid = (lid * nd) + w in
@@ -228,7 +212,6 @@ module Make (P : Explorer.CHECKABLE) = struct
                      (Some (gid lid, message)));
                 request Hit_violation)
         | None -> ());
-        tick_governor ();
         Deque.push deques.(w) (key, gid lid);
         lid
       in
@@ -374,7 +357,6 @@ module Make (P : Explorer.CHECKABLE) = struct
     | Hit_violation ->
         let gid, message = Option.get (Atomic.get violation) in
         Ws_invariant_failed { stats; message; trace = trace_of gid }
-    | Hit_exhausted reason -> Ws_exhausted { reason; states }
     | Hit_limit -> Ws_state_limit states
     | Running | All_done ->
         (* Densify gids and run the shared SCC pass, exactly as the
@@ -423,31 +405,4 @@ module Make (P : Explorer.CHECKABLE) = struct
           List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) bad [])
         in
         Ws_ok { stats; wait_free = divergent = []; divergent }
-
-  (** Work-stealing counterpart of {!Explorer.Make.check_all_wirings}:
-      same summary type and error strings as the other engines, plus the
-      governor's [exhausted] error shape (the engine itself carries no
-      checkpoint, so exhaustion is terminal for the sweep). *)
-  let check_all_wirings ?max_states ?invariant ?(require_wait_free = true)
-      ?on_wiring ?wirings ?(reduction = false) ?governor ~domains ~cfg ~inputs
-      () =
-    Wiring_sweep.run ?wirings ?on_wiring ~n:(P.processors cfg)
-      ~m:(P.registers cfg) ~init:Explorer.empty_summary
-      (fun ~resume:_ ~ckpt_extra:_ wiring summary ->
-        match
-          explore ?max_states ?invariant ~reduction ?governor ~domains ~cfg
-            ~wiring ~inputs ()
-        with
-        | Ws_exhausted { reason; states } ->
-            Error (Explorer.exhausted_error reason states)
-        | Ws_state_limit k -> Error (Explorer.limit_error k)
-        | Ws_invariant_failed { message; _ } ->
-            Error (Explorer.invariant_error wiring message)
-        | Ws_ok { divergent; _ } when require_wait_free && divergent <> [] ->
-            Error (Explorer.diverge_error wiring divergent)
-        | Ws_ok { stats; wait_free; _ } ->
-            Ok
-              (Explorer.add_wiring summary ~states:stats.states
-                 ~transitions:stats.transitions ~terminals:stats.terminals
-                 ~wait_free))
 end

@@ -1124,6 +1124,52 @@ let test_dfs_sweep_resume_parity () =
     result.X.all_wait_free;
   if Sys.file_exists path then Sys.remove path
 
+let test_crash_sweep_resume_parity () =
+  (* The crash sweep's "crash_sweep" section: every quota trip inside
+     [verify_snapshot_model_crashes ~ckpt] must leave the checkpoint,
+     with the caller's extra section beside the position, and the
+     resumed sweep must end on the uninterrupted totals. *)
+  let reference =
+    match Core.verify_snapshot_model_crashes ~n:2 ~max_crashes:2 () with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let path = fresh_path ".ckpt" in
+  let ckpt = { Ckpt.path; every_states = 500 } in
+  let ckpt_extra = [ ("report", Bytes.of_string "fault-free report") ] in
+  let last_index = ref 0 in
+  let result, rounds =
+    drive ~quota:2000 (fun g ->
+        match
+          Core.verify_snapshot_model_crashes ~n:2 ~max_crashes:2 ~governor:g
+            ~ckpt ~resume:true ~ckpt_extra ()
+        with
+        | Ok s -> Ok s
+        | Error e when is_exhausted e ->
+            Alcotest.(check bool) "the trip leaves the checkpoint" true
+              (Sys.file_exists path);
+            let sections = Ckpt.load ~path in
+            Alcotest.(check string) "extra section rides along"
+              "fault-free report"
+              (Bytes.to_string (Ckpt.find "report" sections));
+            last_index :=
+              (Ckpt.ints_of_bytes (Ckpt.find "crash_sweep" sections)).(0);
+            Error ()
+        | Error e -> Alcotest.fail e)
+  in
+  let module X = Core.Snapshot_fault_mc in
+  Alcotest.(check bool) "crash sweep was actually interrupted" true
+    (rounds > 0);
+  Alcotest.(check int) "last trip inside the second wiring" 1 !last_index;
+  Alcotest.(check int) "wirings" reference.X.wirings_checked
+    result.X.wirings_checked;
+  Alcotest.(check int) "states" reference.X.total_states result.X.total_states;
+  Alcotest.(check int) "transitions" reference.X.total_transitions
+    result.X.total_transitions;
+  Alcotest.(check int) "crash branches" reference.X.total_crash_branches
+    result.X.total_crash_branches;
+  if Sys.file_exists path then Sys.remove path
+
 let test_sweep_index_refused () =
   (* Each of the three sweep-section layouts, written with an index just
      outside the wiring list on either side, must be refused. *)
@@ -1364,6 +1410,8 @@ let () =
           Alcotest.test_case "verify_mutex sweep needs its section" `Quick
             test_verify_mutex_sectionless_refused;
           Alcotest.test_case "DFS sweep" `Quick test_dfs_sweep_resume_parity;
+          Alcotest.test_case "crash sweep" `Quick
+            test_crash_sweep_resume_parity;
           Alcotest.test_case "sweep index outside the wiring list" `Quick
             test_sweep_index_refused;
         ] );

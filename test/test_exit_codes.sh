@@ -40,6 +40,9 @@ expect 124 check-snapshot -n 2 --fingerprint --fp-ram-mb 0
 expect 124 check-snapshot -n 2 --fingerprint --fp-ram-mb 274877906944
 # a crash budget cannot be negative
 expect 124 check-snapshot -n 2 --crashes=-1
+# the intra-space parallel engines are no longer check-snapshot options
+expect 124 check-snapshot -n 2 --par 2
+expect 124 check-snapshot -n 2 --par-ws 2
 # the packed exhaustive witness search exists for 3 processors only
 expect 124 check-nonatomic -n 2 --exhaustive
 expect 124 check-nonatomic -n 4 --exhaustive

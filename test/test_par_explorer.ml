@@ -7,7 +7,7 @@
    the Chase–Lev work-stealing deque against a sequential oracle, a
    multi-domain steal stress test, and termination-detection
    regressions for the work-stealing pool (trivial spaces, violations
-   and governor trips mid-steal must all produce structured results,
+   and state limits mid-steal must all produce structured results,
    never a hang).
 
    The contract under test: for every checkable protocol, wiring and
@@ -95,8 +95,6 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
           message
     | Ws.Ws_state_limit k ->
         Alcotest.failf "work-stealing BFS: state limit %d" k
-    | Ws.Ws_exhausted _ ->
-        Alcotest.fail "work-stealing BFS: unexpected exhaustion"
 
   let check_verdicts name (a : verdicts) (b : verdicts) ~exact_counts =
     if exact_counts then begin
@@ -553,7 +551,6 @@ let test_snapshot3_nd_planted_search () =
 (* ------------------------------------------------------------------ *)
 
 module Deque = Modelcheck.Ws_explorer.Deque
-module Gov = Modelcheck.Governor
 
 (* Model-based: a random push/pop/steal script applied to the deque and
    to a list oracle (top at the head, bottom at the tail).  Without
@@ -675,36 +672,6 @@ let test_ws_single_state_space () =
             (wait_free && divergent = [])
       | _ -> Alcotest.failf "ws%d: single-state space must return Ws_ok" domains)
     [ 1; 2; 4 ]
-
-let test_ws_governor_trip_mid_steal () =
-  (* A 25-state quota on a 2827-state space with 4 domains: some worker
-     trips the governor mid-run (possibly on a stolen item) and the pool
-     must drain to a structured Ws_exhausted with the quota reason —
-     the sticky first-cause-wins stop cell is what is under test. *)
-  let cfg = Snap.standard ~n:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let inputs = [| 1; 2 |] in
-  let module W = SnapDiff.Ws in
-  let g = Gov.create ~quota:25 () in
-  (match W.explore ~governor:g ~domains:4 ~cfg ~wiring ~inputs () with
-  | W.Ws_exhausted { reason; states } ->
-      Alcotest.(check string) "quota reason" "quota"
-        (Gov.reason_to_string reason);
-      Alcotest.(check bool) "made progress before tripping" true (states > 0)
-  | _ -> Alcotest.fail "quota trip must yield Ws_exhausted");
-  Gov.dispose g;
-  (* Sweep level: the governor error string matches the shared shape. *)
-  let g = Gov.create ~quota:25 () in
-  (match
-     SnapDiff.Ws.check_all_wirings ~governor:g ~domains:2 ~cfg ~inputs ()
-   with
-  | Error msg ->
-      Alcotest.(check bool)
-        (Fmt.str "sweep error names exhaustion: %s" msg)
-        true
-        (String.length msg >= 9 && String.sub msg 0 9 = "exhausted")
-  | Ok _ -> Alcotest.fail "quota-bounded sweep cannot finish");
-  Gov.dispose g
 
 let test_ws_state_limit_mid_steal () =
   let cfg = Snap.standard ~n:2 in
@@ -1130,37 +1097,6 @@ let test_processor_limits_structured () =
     (String.length printed > 0
     && String.sub printed 0 16 = "Explorer.explore")
 
-(* --- Core-level engine switching ------------------------------------ *)
-
-let test_core_engine_parity () =
-  let run ?(reduction = false) ?(domains = 1) ?(ws = false) () =
-    match Core.verify_snapshot_model ~n:2 ~reduction ~domains ~ws () with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
-  let seq = run () in
-  let par = run ~domains:2 () in
-  let wse = run ~domains:2 ~ws:true () in
-  Alcotest.(check int) "ws engine total states"
-    seq.Modelcheck.Explorer.total_states wse.Modelcheck.Explorer.total_states;
-  Alcotest.(check int) "ws engine total transitions"
-    seq.Modelcheck.Explorer.total_transitions
-    wse.Modelcheck.Explorer.total_transitions;
-  Alcotest.(check int) "total states" seq.Modelcheck.Explorer.total_states
-    par.Modelcheck.Explorer.total_states;
-  Alcotest.(check int) "total transitions"
-    seq.Modelcheck.Explorer.total_transitions
-    par.Modelcheck.Explorer.total_transitions;
-  let red = run ~reduction:true () in
-  let parred = run ~reduction:true ~domains:2 () in
-  Alcotest.(check int) "reduced totals agree across engines"
-    red.Modelcheck.Explorer.total_states parred.Modelcheck.Explorer.total_states;
-  Alcotest.(check bool) "all engines verify wait-freedom" true
-    (seq.Modelcheck.Explorer.all_wait_free
-    && par.Modelcheck.Explorer.all_wait_free
-    && red.Modelcheck.Explorer.all_wait_free
-    && parred.Modelcheck.Explorer.all_wait_free)
-
 let () =
   Alcotest.run "par_explorer"
     [
@@ -1180,8 +1116,6 @@ let () =
           Alcotest.test_case "consensus, ts-bounded" `Quick
             test_consensus_bounded_matrix;
           Alcotest.test_case "renaming" `Quick test_renaming_matrix;
-          Alcotest.test_case "Core engine switching parity" `Quick
-            test_core_engine_parity;
         ] );
       ( "counterexamples",
         [
@@ -1205,8 +1139,6 @@ let () =
             test_ws_deque_steal_stress;
           Alcotest.test_case "single-state space terminates" `Quick
             test_ws_single_state_space;
-          Alcotest.test_case "governor quota trip mid-steal" `Quick
-            test_ws_governor_trip_mid_steal;
           Alcotest.test_case "state limit mid-steal" `Quick
             test_ws_state_limit_mid_steal;
           Alcotest.test_case "violation mid-steal" `Quick

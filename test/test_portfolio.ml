@@ -74,20 +74,21 @@ let test_mutex_clean_cell_all_engines () =
             Printf.sprintf "mutex(2,3) par%d%s" domains
               (if reduction then " reduced" else "")
           in
-          match
-            RmPar.check_all_wirings ~require_wait_free:false ~invariant
-              ~reduction ~domains ~cfg ~inputs ()
-          with
-          | Ok (s : Modelcheck.Explorer.summary) ->
-              Alcotest.(check int)
-                (nm ^ ": wiring count")
-                (List.length wirings)
-                s.Modelcheck.Explorer.wirings_checked;
-              Alcotest.(check int)
-                (nm ^ ": visited-state parity")
-                (if reduction then seq_red_states else seq_states)
-                s.Modelcheck.Explorer.total_states
-          | Error e -> Alcotest.failf "%s: %s" nm e)
+          let par_states =
+            List.fold_left
+              (fun acc wiring ->
+                match
+                  RmPar.explore ~invariant ~reduction ~domains ~cfg ~wiring
+                    ~inputs ()
+                with
+                | RmPar.Par_ok { stats; _ } -> acc + stats.RmPar.states
+                | _ -> Alcotest.failf "%s: parallel BFS must stay clean" nm)
+              0 wirings
+          in
+          Alcotest.(check int)
+            (nm ^ ": visited-state parity")
+            (if reduction then seq_red_states else seq_states)
+            par_states)
         [ false; true ])
     [ 1; 2; 4 ]
 
@@ -115,15 +116,16 @@ let test_naming_clean_cell_all_engines () =
   in
   List.iter
     (fun domains ->
-      match
-        NmPar.check_all_wirings ~require_wait_free:false ~invariant ~domains
-          ~cfg ~inputs ()
-      with
-      | Ok (s : Modelcheck.Explorer.summary) ->
-          Alcotest.(check int)
-            (Printf.sprintf "naming(2,3) par%d: visited-state parity" domains)
-            seq_states s.Modelcheck.Explorer.total_states
-      | Error e -> Alcotest.failf "naming(2,3) par%d: %s" domains e)
+      let nm = Printf.sprintf "naming(2,3) par%d" domains in
+      let par_states =
+        List.fold_left
+          (fun acc wiring ->
+            match NmPar.explore ~invariant ~domains ~cfg ~wiring ~inputs () with
+            | NmPar.Par_ok { stats; _ } -> acc + stats.NmPar.states
+            | _ -> Alcotest.failf "%s: parallel BFS must stay clean" nm)
+          0 wirings
+      in
+      Alcotest.(check int) (nm ^ ": visited-state parity") seq_states par_states)
     [ 1; 2; 4 ]
 
 let test_leader_clean_cell () =
