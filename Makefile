@@ -154,6 +154,7 @@ resume-smoke:
 	  cmp _resume_smoke/snapshot-reference.txt \
 	    _resume_smoke/snapshot-resumed.txt || exit 1; \
 	  [ ! -e _resume_smoke/snapshot.ckpt ] || exit 1; \
+	  [ ! -e _resume_smoke/snapshot.ckpt.runs ] || exit 1; \
 	done
 	@echo "resume-smoke: check-snapshot resumed from its sweep checkpoint byte-identical"
 

@@ -18,6 +18,17 @@ let exit_exhausted = 3
 let exit_interrupted = 4
 let exit_unusable = 5
 
+(* A budget trip's exit code: 4 when a signal stopped the run, else 3. *)
+let exit_tripped reason =
+  Stdlib.exit
+    (match reason with
+    | Modelcheck.Governor.Interrupted -> exit_interrupted
+    | _ -> exit_exhausted)
+
+(* A finished run retires its checkpoint, with the spill runs beside it:
+   resuming a finished run must start over, not replay a stale position. *)
+let retire_checkpoint = Option.iter Modelcheck.Checkpoint.retire
+
 (* Run a verification command, turning a checkpoint the engines refuse
    into exit 5 with the loader's message instead of an uncaught
    exception. *)
@@ -298,24 +309,16 @@ let check_snapshot_cmd =
          governor's sticky verdict tells the two apart from a genuine
          violation. *)
       match Modelcheck.Governor.tripped governor with
-      | Some Modelcheck.Governor.Interrupted ->
-          Printf.printf "interrupted: %s\n" e;
+      | Some reason ->
+          Printf.printf "%s: %s\n"
+            (if reason = Modelcheck.Governor.Interrupted then "interrupted"
+             else "budget exhausted")
+            e;
           Option.iter resume_hint checkpoint;
-          Stdlib.exit exit_interrupted
-      | Some _ ->
-          Printf.printf "budget exhausted: %s\n" e;
-          Option.iter resume_hint checkpoint;
-          Stdlib.exit exit_exhausted
+          exit_tripped reason
       | None ->
           prerr_endline e;
           Stdlib.exit exit_violation
-    in
-    (* A clean verdict retires the checkpoint: resuming a finished run
-       must start over, not replay a stale position. *)
-    let retire_checkpoint () =
-      match checkpoint with
-      | Some f when Sys.file_exists f -> Sys.remove f
-      | _ -> ()
     in
     (* The crash pass checkpoints to the same file, with the fault-free
        sweep's printed report in one more section: a resume that finds
@@ -333,7 +336,7 @@ let check_snapshot_cmd =
         with
         | Error e -> finish_durably e
         | Ok fs ->
-            retire_checkpoint ();
+            retire_checkpoint checkpoint;
             Printf.printf
               "verified: containment safety holds for n=%d under at most %d \
                injected crash-stop(s)\n"
@@ -348,7 +351,7 @@ let check_snapshot_cmd =
             `Ok ()
     in
     let verified report =
-      retire_checkpoint ();
+      retire_checkpoint checkpoint;
       print_string report;
       check_crashes report
     in
@@ -940,11 +943,6 @@ let inductive_cmd =
       Modelcheck.Governor.create ?wall_seconds:max_seconds
         ~interrupted_flag:interrupted ()
     in
-    let exit_on_trip () =
-      match Modelcheck.Governor.tripped governor with
-      | Some Modelcheck.Governor.Interrupted -> Stdlib.exit exit_interrupted
-      | _ -> Stdlib.exit exit_exhausted
-    in
     match I.parse_clauses clauses with
     | Error e -> `Error (false, e)
     | Ok cls -> (
@@ -988,7 +986,7 @@ let inductive_cmd =
             | I.C_gave_up { reason; processed } ->
                 Fmt.pr "concrete cross-check gave up (%a) after %d states@."
                   Modelcheck.Governor.pp_reason reason processed;
-                exit_on_trip ()
+                exit_tripped reason
         in
         match I.check_abstract ~max_ctis ~governor ?ckpt ~resume ~n cls with
         | I.Proved r ->
@@ -997,9 +995,7 @@ let inductive_cmd =
                invariant holds in every reachable state of every \
                (m, wiring, schedule) instance at this n@,%a@."
               n I.pp_report r;
-            (match checkpoint with
-            | Some f when Sys.file_exists f -> Sys.remove f
-            | _ -> ());
+            retire_checkpoint checkpoint;
             finish_concrete ()
         | I.Refuted r ->
             Fmt.pr "inductive: refuted at n=%d@,%a@." n I.pp_report r;
@@ -1014,7 +1010,7 @@ let inductive_cmd =
             Fmt.pr "inductive: gave up (%a) after %d configurations@."
               Modelcheck.Governor.pp_reason reason processed;
             resume_hint ();
-            exit_on_trip ())
+            exit_tripped reason)
   in
   Cmd.v
     (Cmd.info "inductive"

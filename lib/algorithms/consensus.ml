@@ -463,7 +463,6 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
       }
   end
 let rounds_of_local l = l.rounds
-let preference_of_local l = (l.pref, l.ts)
 let pp_value = Snap.pp_value
 
 let pp_local c ppf l =

@@ -85,7 +85,6 @@ val resolve : Pset.t -> [ `Decide of int | `Adopt of int * int ]
     adopt it with the next timestamp. *)
 
 val rounds_of_local : local -> int
-val preference_of_local : local -> int * int
 val pp_value : cfg -> value Fmt.t
 val pp_local : cfg -> local Fmt.t
 val pp_output : cfg -> output Fmt.t

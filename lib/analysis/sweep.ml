@@ -1,9 +1,9 @@
 (** Parameter sweeps for the experiment harness: step-count distributions
-    of each algorithm as the number of processors grows and as the
-    scheduler changes.  The paper reports no measurements (it is a brief
-    announcement), so these sweeps characterize the implementation; the
-    shapes — growth with [N], scheduler sensitivity, the cheapness of the
-    unsound double collect — are recorded in EXPERIMENTS.md. *)
+    of the snapshot algorithm as the number of processors grows and as
+    the scheduler changes.  The paper reports no measurements (it is a
+    brief announcement), so these sweeps characterize the implementation;
+    the shapes — growth with [N], scheduler sensitivity — are recorded in
+    EXPERIMENTS.md. *)
 
 open Repro_util
 module Scheduler = Anonmem.Scheduler
@@ -57,8 +57,6 @@ let to_table ~param_name rows =
 (* --- ready-made sweeps ------------------------------------------------------ *)
 
 module Snap_sys = Anonmem.System.Make (Algorithms.Snapshot)
-module Dc_sys = Anonmem.System.Make (Algorithms.Double_collect)
-module Cons_sys = Anonmem.System.Make (Algorithms.Consensus)
 
 type sched_kind = Round_robin | Random_fair | Solo
 
@@ -84,36 +82,6 @@ let snapshot_steps ?(seeds = 21) ?(sched = Random_fair) ~ns () =
       match Snap_sys.run ~max_steps:20_000_000 ~sched:(make_sched sched rng) state with
       | Snap_sys.All_halted, steps -> Some steps
       | Snap_sys.Scheduler_done, steps when sched = Solo -> Some steps
-      | _ -> None)
-
-(** Steps of the (unsound) double collect under the same conditions — the
-    baseline that shows what the level mechanism costs. *)
-let double_collect_steps ?(seeds = 21) ~ns () =
-  run ~params:ns ~seeds (fun n seed ->
-      let rng = Rng.create ~seed:(seed + (1000 * n)) in
-      let cfg = Algorithms.Double_collect.standard ~n in
-      let wiring = Anonmem.Wiring.random rng ~n ~m:n in
-      let inputs = Array.init n (fun i -> i + 1) in
-      let state = Dc_sys.init ~cfg ~wiring ~inputs in
-      match
-        Dc_sys.run ~max_steps:20_000_000
-          ~sched:(Scheduler.random (Rng.split rng))
-          state
-      with
-      | Dc_sys.All_halted, steps -> Some steps
-      | _ -> None)
-
-(** Snapshot-invocation rounds a solo processor needs to decide consensus. *)
-let consensus_solo_steps ?(seeds = 11) ~ns () =
-  run ~params:ns ~seeds (fun n seed ->
-      let rng = Rng.create ~seed:(seed + (1000 * n)) in
-      let cfg = Algorithms.Consensus.standard ~n in
-      let wiring = Anonmem.Wiring.random rng ~n ~m:n in
-      let inputs = Array.init n (fun i -> 1 + (i mod 2)) in
-      let state = Cons_sys.init ~cfg ~wiring ~inputs in
-      match Cons_sys.run ~max_steps:20_000_000 ~sched:(Scheduler.solo 0) state with
-      | Cons_sys.Scheduler_done, steps when Cons_sys.is_halted state 0 ->
-          Some steps
       | _ -> None)
 
 (** Steps until all snapshots complete, per scheduler — the X1 ablation. *)

@@ -414,8 +414,6 @@ let pp_verdict ppf = function
         Fmt.(option (any "; resume from " ++ string))
         checkpoint
 
-let verdict_is_verified = function Verified _ -> true | _ -> false
-
 (* The portfolio verifiers fold (wirings verified, states so far) over
    the sweep — over whole wirings, or over processor-relabelling classes
    with [~wiring_classes:true]. *)
@@ -813,9 +811,8 @@ let feasibility_check ?max_states ?(reduction = false)
   (* A finished cell's checkpoint is dead weight (and would poison a
      re-run with a stale context): drop it. *)
   (match (verdict, ckpt) with
-  | (Verified _ | Safety_violation _ | Liveness_violation _), Some p
-    when Sys.file_exists p.Modelcheck.Checkpoint.path ->
-      Sys.remove p.Modelcheck.Checkpoint.path
+  | (Verified _ | Safety_violation _ | Liveness_violation _), Some p ->
+      Modelcheck.Checkpoint.retire p.Modelcheck.Checkpoint.path
   | _ -> ());
   classify verdict
 

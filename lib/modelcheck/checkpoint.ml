@@ -193,6 +193,18 @@ let find tag sections =
   | Some payload -> payload
   | None -> corrupt "missing section %S" tag
 
+let find_records ~who ~width ?count tag sections =
+  let b = find tag sections in
+  let len = Bytes.length b in
+  let whole = len mod width = 0 in
+  let counted = match count with Some k -> len = k * width | None -> true in
+  if not (whole && counted) then
+    corrupt "%s: %s section of wrong length" who tag;
+  b
+
+let find_ints ~who ?(group = 1) ?count tag sections =
+  ints_of_bytes (find_records ~who ~width:(8 * group) ?count tag sections)
+
 (* --- atomic file I/O --------------------------------------------------- *)
 
 let torn_write : int option ref = ref None
@@ -240,6 +252,60 @@ let load ~path =
   of_bytes image
 
 type policy = { path : string; every_states : int }
+
+let runs_dir path = path ^ ".runs"
+
+let retire path =
+  if Sys.file_exists path then Sys.remove path;
+  let dir = runs_dir path in
+  if Sys.file_exists dir && Sys.is_directory dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+(* --- the durability contract ------------------------------------------- *)
+
+type run = {
+  governor : Governor.t option;
+  policy : policy option;
+  save : string -> unit;
+  mutable since : int;  (* ticks since the last save or the run's start *)
+}
+
+(* A run with neither a policy nor a governor does nothing; one shared
+   value serves them all, so such an engine call allocates no run. *)
+let inert = { governor = None; policy = None; save = ignore; since = 0 }
+
+let run ?governor policy save =
+  match (governor, policy) with
+  | None, None -> inert
+  | _ -> { governor; policy; save; since = 0 }
+
+let poll r =
+  (match r.policy with Some _ -> r.since <- r.since + 1 | None -> ());
+  match r.governor with Some g -> Governor.tick g | None -> None
+
+(* The one cadence: a save is due once [every_states] ticks have passed
+   since the last one; [final] forces it. *)
+let save_if r ~final =
+  match r.policy with
+  | Some { path; every_states }
+    when final || (every_states > 0 && r.since >= every_states) ->
+      r.since <- 0;
+      r.save path
+  | _ -> ()
+
+let settle r =
+  save_if r
+    ~final:
+      (match r.governor with
+      | Some g -> Governor.tripped g <> None
+      | None -> false)
+
+let tick r =
+  let tripped = poll r in
+  save_if r ~final:(tripped <> None);
+  tripped
 
 let resumable ~who ~context ~resume = function
   | Some { path; _ } when resume && Sys.file_exists path ->

@@ -66,6 +66,31 @@ val find : string -> (string * Bytes.t) list -> Bytes.t
 (** [find tag sections] is the payload of section [tag]; raises
     {!Corrupt_checkpoint} if absent. *)
 
+val find_records :
+  who:string ->
+  width:int ->
+  ?count:int ->
+  string ->
+  (string * Bytes.t) list ->
+  Bytes.t
+(** [find_records ~who ~width ?count tag sections] is the payload of
+    section [tag], checked to hold whole [width]-byte records, and
+    exactly [count] of them when [count] is given.  The one length check
+    of the engines' sections: raises {!Corrupt_checkpoint} ["<who>: <tag>
+    section of wrong length"] otherwise, and as {!find} does when the
+    section is absent. *)
+
+val find_ints :
+  who:string ->
+  ?group:int ->
+  ?count:int ->
+  string ->
+  (string * Bytes.t) list ->
+  int array
+(** {!ints_of_bytes} of {!find_records} with [group]-int records
+    (default 1): [~count:4] reads exactly four ints, [~group:4] any whole
+    number of four-int frames. *)
+
 val write : path:string -> (string * payload) list -> unit
 (** Atomic write-rename of the framed image to [path]: the file header,
     then each section's header and payload, written straight to the tmp
@@ -108,9 +133,53 @@ val ints_of_bytes : Bytes.t -> int array
     length is not a multiple of 8. *)
 
 type policy = { path : string; every_states : int }
-(** Where to checkpoint and how often, in states popped between
-    snapshots.  Engines accept this as their [?ckpt] argument and also
-    write a final checkpoint when a governor trips. *)
+(** Where an engine checkpoints and how often: every [every_states]
+    ticks of its {!run}, and never periodically when [every_states] is 0
+    or less.  Engines accept this as their [?ckpt] argument. *)
+
+val runs_dir : string -> string
+(** [runs_dir path] is the directory beside checkpoint [path] that holds
+    the fingerprint engine's spill runs: [path ^ ".runs"]. *)
+
+val retire : string -> unit
+(** [retire path] removes a finished run's checkpoint [path] and its
+    {!runs_dir} with the runs in it, whichever exist: resuming a finished
+    run must start over, not replay a stale position. *)
+
+(** {2 The durability contract}
+
+    Every exhaustive engine runs its budget and its checkpoints through
+    one {!run}.  A {e tick} is one unit of the engine's work — a popped
+    state, a DFS step, an induction configuration — counted at a
+    {e consistent point}, where the engine's save closure writes an image
+    a resume continues from.  A save is {e due} once [every_states] ticks
+    have passed since the last save (or since the run began); with
+    [every_states <= 0] none ever is.  A tripped governor makes a
+    {e final} save due at once: the image of the work done before the
+    tick that tripped, so a resume re-runs that unit.  Without a policy
+    nothing is saved; without a governor nothing trips.  A tick that
+    saves nothing allocates nothing. *)
+
+type run
+
+val run : ?governor:Governor.t -> policy option -> (string -> unit) -> run
+(** [run ?governor ckpt save] starts a run's count at 0; [save path]
+    writes the engine's image to [path]. *)
+
+val tick : run -> Governor.reason option
+(** Count one unit at a consistent point and poll the governor.  On a
+    trip, save the final image and return [Some reason] (sticky, as
+    {!Governor.tick}); the engine then stops without doing the unit.
+    Otherwise save if one is due and return [None]. *)
+
+val poll : run -> Governor.reason option
+(** {!tick} for a unit counted where the image is not consistent (the
+    fingerprint engine's pending batch): counts and polls, but leaves any
+    due or final save to the next {!settle}. *)
+
+val settle : run -> unit
+(** At a consistent point after {!poll}s: save if one is due, or the
+    final image if the governor has tripped. *)
 
 val set_torn_write : int option -> unit
 (** [set_torn_write (Some k)] arms the chaos hook: the next {!write}

@@ -556,6 +556,7 @@ module Make (P : CHECKABLE) = struct
          ]
         @ ckpt_extra)
     in
+    let durable = Checkpoint.run ?governor ckpt save_ckpt in
     let queue = Queue.create () in
     let buf = Bytes.create kw in
     (* BFS pops ids in ascending order, so the frontier is exactly the
@@ -624,21 +625,7 @@ module Make (P : CHECKABLE) = struct
     do
       (* Loop top is the consistent point: the previous pop's edges and
          degree row are complete, the frontier is [deg length, count). *)
-      (match ckpt with
-      | Some { Checkpoint.path; every_states } when every_states > 0 ->
-          let pops = State_table.Packed_vec.length deg in
-          if pops > 0 && pops mod every_states = 0 then save_ckpt path
-      | _ -> ());
-      (match governor with
-      | Some g -> (
-          match Governor.tick g with
-          | Some reason ->
-              exhausted := Some reason;
-              (match ckpt with
-              | Some { Checkpoint.path; _ } -> save_ckpt path
-              | None -> ())
-          | None -> ())
-      | None -> ());
+      exhausted := Checkpoint.tick durable;
       if !exhausted = None then begin
       let id = Queue.pop queue in
       let key = State_table.key_of_id table id in
@@ -726,7 +713,7 @@ module Make (P : CHECKABLE) = struct
   let adj_of space i = State_table.Packed_vec.get space.succ i asr 4
 
   let scc_ids space =
-    Scc.tarjan ~n:(state_count space)
+    Repro_util.Scc.tarjan ~n:(state_count space)
       ~off:(Array.get (csr_offsets space))
       ~adj:(adj_of space)
 
@@ -739,7 +726,7 @@ module Make (P : CHECKABLE) = struct
   let divergent_processors space =
     let off = csr_offsets space in
     let comp, _ =
-      Scc.tarjan ~n:(state_count space) ~off:(Array.get off)
+      Repro_util.Scc.tarjan ~n:(state_count space) ~off:(Array.get off)
         ~adj:(adj_of space)
     in
     let bad = Hashtbl.create 8 in
@@ -782,7 +769,7 @@ module Make (P : CHECKABLE) = struct
     let n = state_count space in
     let off = csr_offsets space in
     let comp, ncomp =
-      Scc.tarjan ~n ~off:(Array.get off) ~adj:(adj_of space)
+      Repro_util.Scc.tarjan ~n ~off:(Array.get off) ~adj:(adj_of space)
     in
     let pidmask = Array.make (max ncomp 1) 0 in
     let internal = Bytes.make (max ncomp 1) '\000' in
@@ -971,10 +958,8 @@ module Make (P : CHECKABLE) = struct
       Fmt.str "dfs|%d|%a|%b|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
         reduction fail_on_cycle key0
     in
-    let resumed =
-      Checkpoint.resumable ~who:"Explorer.check_exhaustive" ~context ~resume
-        ckpt
-    in
+    let who = "Explorer.check_exhaustive" in
+    let resumed = Checkpoint.resumable ~who ~context ~resume ckpt in
     let table, colors =
       match resumed with
       | Some sections ->
@@ -1006,14 +991,7 @@ module Make (P : CHECKABLE) = struct
     let stack = ref [] and depth = ref 0 in
     (match resumed with
     | Some sections ->
-        let frames =
-          Checkpoint.ints_of_bytes (Checkpoint.find "frames" sections)
-        in
-        if Array.length frames mod 4 <> 0 then
-          raise
-            (Checkpoint.Corrupt_checkpoint
-               "Explorer.check_exhaustive: frame section not a multiple of 4 \
-                ints");
+        let frames = Checkpoint.find_ints ~who ~group:4 "frames" sections in
         (* Stored bottom-to-top; consing rebuilds head = deepest frame.
            Keys are recovered from the table arena, not stored twice. *)
         for i = 0 to (Array.length frames / 4) - 1 do
@@ -1030,13 +1008,7 @@ module Make (P : CHECKABLE) = struct
             }
             :: !stack
         done;
-        let counters =
-          Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections)
-        in
-        if Array.length counters <> 4 then
-          raise
-            (Checkpoint.Corrupt_checkpoint
-               "Explorer.check_exhaustive: counter section of wrong length");
+        let counters = Checkpoint.find_ints ~who ~count:4 "counters" sections in
         transitions := counters.(0);
         terminals := counters.(1);
         max_depth := counters.(2);
@@ -1061,6 +1033,7 @@ module Make (P : CHECKABLE) = struct
          ]
         @ ckpt_extra)
     in
+    let durable = Checkpoint.run ?governor ckpt save_ckpt in
     (* Only called for ids [intern] just minted, so the colors index pushed
        alongside equals [id].  [st] is the concrete state the invariant
        sees; [key] its canonical key. *)
@@ -1131,26 +1104,10 @@ module Make (P : CHECKABLE) = struct
       push_state (State_table.intern table key0) key0 ~entered_by:(-1) init;
     let limit = ref false in
     let exhausted = ref None in
-    let ticks = ref 0 in
     while
       !stack <> [] && !outcome = None && (not !limit) && !exhausted = None
     do
-      incr ticks;
-      (match ckpt with
-      | Some { Checkpoint.path; every_states }
-        when every_states > 0 && !ticks mod every_states = 0 ->
-          save_ckpt path
-      | _ -> ());
-      (match governor with
-      | Some g -> (
-          match Governor.tick g with
-          | Some reason ->
-              exhausted := Some reason;
-              (match ckpt with
-              | Some { Checkpoint.path; _ } -> save_ckpt path
-              | None -> ())
-          | None -> ())
-      | None -> ());
+      exhausted := Checkpoint.tick durable;
       if !exhausted = None then begin
       match !stack with
       | [] -> ()
@@ -1324,12 +1281,11 @@ module Make (P : CHECKABLE) = struct
     let dir =
       match (spill_dir, ckpt) with
       | Some d, _ -> Some d
-      | None, Some { Checkpoint.path; _ } -> Some (path ^ ".runs")
+      | None, Some { Checkpoint.path; _ } -> Some (Checkpoint.runs_dir path)
       | None, None -> None
     in
-    let resumed =
-      Checkpoint.resumable ~who:"Explorer.explore_fp" ~context ~resume ckpt
-    in
+    let who = "Explorer.explore_fp" in
+    let resumed = Checkpoint.resumable ~who ~context ~resume ckpt in
     (* Keys live in pages: [Bytes] of [kw]-byte records, grown by
        doubling.  [cur] holds the layer being expanded, [pos] of its
        [ncur] keys done; [next] the [nnext] fresh keys of the next layer;
@@ -1343,12 +1299,7 @@ module Make (P : CHECKABLE) = struct
       end
     in
     let page_of_section tag sections =
-      let b = Checkpoint.find tag sections in
-      if Bytes.length b mod kw <> 0 then
-        raise
-          (Checkpoint.Corrupt_checkpoint
-             "Explorer.explore_fp: frontier section not a multiple of the \
-              key width");
+      let b = Checkpoint.find_records ~who ~width:kw tag sections in
       (b, Bytes.length b / kw)
     in
     let states = ref 0
@@ -1371,13 +1322,7 @@ module Make (P : CHECKABLE) = struct
           let fps =
             Fingerprint_set.of_sections ~ram_budget_bytes ~dir sections
           in
-          let c =
-            Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections)
-          in
-          if Array.length c <> 5 then
-            raise
-              (Checkpoint.Corrupt_checkpoint
-                 "Explorer.explore_fp: counter section of wrong length");
+          let c = Checkpoint.find_ints ~who ~count:5 "counters" sections in
           states := c.(0);
           transitions := c.(1);
           terminals := c.(2);
@@ -1405,15 +1350,10 @@ module Make (P : CHECKABLE) = struct
         @ Fingerprint_set.to_sections fps
         @ ckpt_extra)
     in
-    let last_ckpt = ref !expanded in
-    let maybe_ckpt () =
-      match ckpt with
-      | Some { Checkpoint.path; every_states }
-        when every_states > 0 && !expanded - !last_ckpt >= every_states ->
-          save_ckpt path;
-          last_ckpt := !expanded
-      | _ -> ()
-    in
+    (* Ticks come per popped state, but the image is consistent only
+       with no batch pending: the set and the frontier halves agree at a
+       batch or layer boundary, where the run settles. *)
+    let durable = Checkpoint.run ?governor ckpt save_ckpt in
     let limit = ref false in
     (* Probe the pending batch: fresh keys are counted, invariant-checked
        on their decoded representative, and appended to the next
@@ -1460,12 +1400,7 @@ module Make (P : CHECKABLE) = struct
       while
         !pos < !ncur && !violation = None && !exhausted = None && not !limit
       do
-        (match governor with
-        | Some g -> (
-            match Governor.tick g with
-            | Some reason -> exhausted := Some reason
-            | None -> ())
-        | None -> ());
+        exhausted := Checkpoint.poll durable;
         if !exhausted = None then begin
           let off = !pos * kw in
           incr pos;
@@ -1496,7 +1431,7 @@ module Make (P : CHECKABLE) = struct
           end;
           if !ncand >= batch_states then begin
             flush ();
-            maybe_ckpt ()
+            Checkpoint.settle durable
           end
         end
       done;
@@ -1505,15 +1440,13 @@ module Make (P : CHECKABLE) = struct
       flush ();
       if !violation <> None then running := false
       else if !exhausted <> None then begin
-        (match ckpt with
-        | Some { Checkpoint.path; _ } -> save_ckpt path
-        | None -> ());
+        Checkpoint.settle durable;
         running := false
       end
       else if !limit then running := false
       else if !nnext = 0 then running := false
       else begin
-        maybe_ckpt ();
+        Checkpoint.settle durable;
         let spent = !cur in
         cur := !next;
         ncur := !nnext;

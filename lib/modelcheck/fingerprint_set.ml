@@ -537,9 +537,8 @@ let to_sections t =
   ]
 
 let of_sections ~ram_budget_bytes ~dir sections =
-  let meta = Checkpoint.ints_of_bytes (Checkpoint.find "fp_meta" sections) in
-  if Array.length meta <> 5 then
-    corrupt "Fingerprint_set: meta section of wrong length";
+  let who = "Fingerprint_set" in
+  let meta = Checkpoint.find_ints ~who ~count:5 "fp_meta" sections in
   let cap = meta.(0) and resident = meta.(1) and total = meta.(2) in
   let expected = checked_capacity ram_budget_bytes in
   if cap <> expected then
@@ -548,10 +547,9 @@ let of_sections ~ram_budget_bytes ~dir sections =
        %d-byte budget"
       cap expected ram_budget_bytes;
   let manifest =
-    Checkpoint.ints_of_bytes (Checkpoint.find "fp_manifest" sections)
+    (* count/checksum pairs *)
+    Checkpoint.find_ints ~who ~group:2 "fp_manifest" sections
   in
-  if Array.length manifest mod 2 <> 0 then
-    corrupt "Fingerprint_set: manifest section not count/checksum pairs";
   let nruns = Array.length manifest / 2 in
   if nruns <> meta.(3) then
     corrupt "Fingerprint_set: manifest run count disagrees with meta";

@@ -743,18 +743,14 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
     Fmt.str "inductive-abs|%d|%s" n
       (String.concat "," (List.map clause_name clauses))
   in
+  let who = "Inductive.check_abstract" in
   (* Resume: counters + CTIs found so far + the enumeration cursor
      (number of Inv assignments fully processed, in the deterministic
      class-by-class order below). *)
   let processed0, transitions0, cti_total0, init_ok0, ctis0 =
-    match
-      Checkpoint.resumable ~who:"Inductive.check_abstract" ~context ~resume
-        ckpt
-    with
+    match Checkpoint.resumable ~who ~context ~resume ckpt with
     | Some sections ->
-        let c = Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections) in
-        if Array.length c <> 4 then
-          raise (Checkpoint.Corrupt_checkpoint "inductive: counters image");
+        let c = Checkpoint.find_ints ~who ~count:4 "counters" sections in
         ( c.(0),
           c.(1),
           c.(2),
@@ -768,40 +764,27 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
   and cti_total = ref cti_total0
   and init_ok = ref init_ok0
   and ctis = ref (List.rev ctis0)
-  and to_skip = ref processed0
-  and since_save = ref 0 in
-  let save_ckpt () =
-    match ckpt with
-    | None -> ()
-    | Some { Checkpoint.path; _ } ->
-        Checkpoint.save ~path
-          [
-            ("context", Bytes.of_string context);
-            ( "counters",
-              Checkpoint.bytes_of_ints
-                [|
-                  !processed;
-                  !transitions;
-                  !cti_total;
-                  (if !init_ok then 1 else 0);
-                |] );
-            ("ctis", ctis_to_bytes (List.rev !ctis));
-          ]
+  and to_skip = ref processed0 in
+  let save_ckpt path =
+    Checkpoint.save ~path
+      [
+        ("context", Bytes.of_string context);
+        ( "counters",
+          Checkpoint.bytes_of_ints
+            [|
+              !processed;
+              !transitions;
+              !cti_total;
+              (if !init_ok then 1 else 0);
+            |] );
+        ("ctis", ctis_to_bytes (List.rev !ctis));
+      ]
   in
+  let durable = Checkpoint.run ?governor ckpt save_ckpt in
   let record_cti cti =
     incr cti_total;
     if List.length !ctis < max_ctis then ctis := cti :: !ctis;
     if !cti_total >= max_ctis then raise Cti_cap
-  in
-  let tick () =
-    match governor with
-    | None -> ()
-    | Some g -> (
-        match Governor.tick g with
-        | None -> ()
-        | Some reason ->
-            save_ckpt ();
-            raise (Stop_run reason))
   in
   let has_proc2 = List.exists (fun c -> kind_of c = Proc2) clauses in
   let has_mixed = List.exists (fun c -> kind_of c = Mixed) clauses in
@@ -1005,7 +988,11 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
     let process () =
       if !to_skip > 0 then decr to_skip
       else begin
-        tick ();
+        (* The top of a configuration is the consistent point: the
+           counters and CTIs cover exactly the [processed] before it. *)
+        (match Checkpoint.tick durable with
+        | Some reason -> raise (Stop_run reason)
+        | None -> ());
         let rid, regok = regok_of chosen in
         Array.iteri
           (fun i a ->
@@ -1043,13 +1030,7 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
                     }
               | None -> ())
           chosen;
-        incr processed;
-        incr since_save;
-        match ckpt with
-        | Some { Checkpoint.every_states; _ } when !since_save >= every_states ->
-            since_save := 0;
-            save_ckpt ()
-        | _ -> ()
+        incr processed
       end
     in
     let rec place i =
@@ -1094,7 +1075,7 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
   in
   match List.iter run_class classes with
   | () ->
-      save_ckpt ();
+      Option.iter (fun { Checkpoint.path; _ } -> save_ckpt path) ckpt;
       let r = finish () in
       if r.r_cti_total = 0 && r.r_init_ok then Proved r else Refuted r
   | exception Cti_cap -> Refuted (finish ())
@@ -1303,14 +1284,7 @@ let check_concrete ?(max_ctis = 100) ?governor ~n clauses =
     if List.length !ctis < max_ctis then ctis := cti :: !ctis;
     if !cti_total >= max_ctis then raise Cti_cap
   in
-  let tick () =
-    match governor with
-    | None -> ()
-    | Some g -> (
-        match Governor.tick g with
-        | None -> ()
-        | Some reason -> raise (Stop_run reason))
-  in
+  let durable = Checkpoint.run ?governor None ignore in
   (* Reachable spaces, explored on demand and shared between the
      reachability sweep and CTI classification. *)
   let spaces = Hashtbl.create 8 in
@@ -1378,7 +1352,9 @@ let check_concrete ?(max_ctis = 100) ?governor ~n clauses =
     let locals = Array.make n (List.hd syn_locals) in
     let regs = Array.make m { SC.view = Iset.empty; level = 0 } in
     let process_state () =
-      tick ();
+      (match Checkpoint.tick durable with
+      | Some reason -> raise (Stop_run reason)
+      | None -> ());
       incr processed;
       match state_violation ~cfg ~inputs clauses ~locals ~registers:regs with
       | Some _ -> ()

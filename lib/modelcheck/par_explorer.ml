@@ -36,7 +36,7 @@
     Global ids interleave shards ([gid = local * domains + shard]) and
     edges are recorded by the {e destination}'s owner as batches are
     absorbed; after the pool joins, wait-freedom is decided sequentially
-    by the shared {!Scc} pass over the merged edge image, exactly as in
+    by the shared {!Repro_util.Scc} pass over the merged edge image, exactly as in
     {!Explorer}.  Composes with [~reduction]: keys are canonicalized
     ({!Canon}) before hashing, so ownership respects symmetry orbits by
     construction.
@@ -360,7 +360,8 @@ module Make (P : Explorer.CHECKABLE) = struct
                 s.edge_src)
             shards;
           let comp, _ =
-            Scc.tarjan ~n:states ~off:(Array.get deg) ~adj:(Array.get adj)
+            Repro_util.Scc.tarjan ~n:states ~off:(Array.get deg)
+              ~adj:(Array.get adj)
           in
           let bad = Hashtbl.create 8 in
           for u = 0 to states - 1 do

@@ -411,19 +411,15 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
            ]
           @ List.map (fun (tag, b) -> (tag, Checkpoint.Raw b)) ckpt_extra)
       in
+      let durable = Checkpoint.run ?governor ckpt save_ckpt in
+      let who = "Rt_mutex_packed" in
       let resumed =
-        match
-          Checkpoint.resumable ~who:"Rt_mutex_packed" ~context ~resume ckpt
-        with
+        match Checkpoint.resumable ~who ~context ~resume ckpt with
         | Some sections ->
             restore_itab (Checkpoint.find "itab" sections);
             let counters =
-              Checkpoint.ints_of_bytes (Checkpoint.find "counters" sections)
+              Checkpoint.find_ints ~who ~count:1 "counters" sections
             in
-            if Array.length counters <> 1 then
-              raise
-                (Checkpoint.Corrupt_checkpoint
-                   "Rt_mutex_packed: counter section of wrong length");
             count := counters.(0);
             if keys.Vec.len <> !count then
               raise
@@ -474,28 +470,14 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
           if lm <> 0 && lm land pidmask = lm then raise Found_fair
         end
       in
-      let ticks = ref 0 in
       let run () =
         if not resumed then begin
           ignore (Itab.find_or_add tab 0 0);
           push_state 0 0
         end;
         while Vec.(fr_u.len) > 0 do
-          incr ticks;
-          (match ckpt with
-          | Some { Checkpoint.path; every_states }
-            when every_states > 0 && !ticks mod every_states = 0 ->
-              save_ckpt path
-          | _ -> ());
-          (match governor with
-          | Some g -> (
-              match Governor.tick g with
-              | Some reason ->
-                  (match ckpt with
-                  | Some { Checkpoint.path; _ } -> save_ckpt path
-                  | None -> ());
-                  raise (Found_exhausted reason)
-              | None -> ())
+          (match Checkpoint.tick durable with
+          | Some reason -> raise (Found_exhausted reason)
           | None -> ());
           let fi = Vec.(fr_u.len) - 1 in
           let pid = Vec.get fr_pid fi in

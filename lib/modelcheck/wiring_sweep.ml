@@ -13,10 +13,10 @@ let corrupt fmt =
    over the wirings before it). *)
 let read_position s ~path ~init ~wirings =
   let a =
-    Checkpoint.ints_of_bytes (Checkpoint.find s.name (Checkpoint.load ~path))
+    Checkpoint.find_ints ~who:"Wiring_sweep"
+      ~count:(1 + Array.length (s.to_ints init))
+      s.name (Checkpoint.load ~path)
   in
-  if Array.length a <> 1 + Array.length (s.to_ints init) then
-    corrupt "%s section of wrong length" s.name;
   if a.(0) < 0 || a.(0) >= wirings then
     corrupt "%s index outside the wiring list" s.name;
   (a.(0), s.of_ints (Array.sub a 1 (Array.length a - 1)))

@@ -393,7 +393,8 @@ module Make (P : Explorer.CHECKABLE) = struct
               s.edge_src)
           shards;
         let comp, _ =
-          Scc.tarjan ~n:states ~off:(Array.get deg) ~adj:(Array.get adj)
+          Repro_util.Scc.tarjan ~n:states ~off:(Array.get deg)
+            ~adj:(Array.get adj)
         in
         let bad = Hashtbl.create 8 in
         for u = 0 to states - 1 do

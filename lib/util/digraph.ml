@@ -16,65 +16,19 @@ let sources g =
   Array.iter (List.iter (fun v -> incoming.(v) <- true)) g.succ;
   List.filter (fun v -> not incoming.(v)) (List.init n Fun.id)
 
-(* Iterative Tarjan: explicit stack to survive large model-checking graphs. *)
+(* Tarjan over the CSR image of the successor lists, each in list
+   order. *)
 let scc_ids g =
   let n = vertex_count g in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let comp = Array.make n (-1) in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let comp_count = ref 0 in
-  let visit root =
-    (* Each frame is (v, remaining successors). *)
-    let frames = ref [ (root, ref g.succ.(root)) ] in
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
-    incr next_index;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while !frames <> [] do
-      match !frames with
-      | [] -> ()
-      | (v, rest) :: parent_frames -> (
-          match !rest with
-          | w :: more ->
-              rest := more;
-              if index.(w) = -1 then begin
-                index.(w) <- !next_index;
-                lowlink.(w) <- !next_index;
-                incr next_index;
-                stack := w :: !stack;
-                on_stack.(w) <- true;
-                frames := (w, ref g.succ.(w)) :: !frames
-              end
-              else if on_stack.(w) then
-                lowlink.(v) <- min lowlink.(v) index.(w)
-          | [] ->
-              if lowlink.(v) = index.(v) then begin
-                let continue = ref true in
-                while !continue do
-                  match !stack with
-                  | [] -> continue := false
-                  | w :: tl ->
-                      stack := tl;
-                      on_stack.(w) <- false;
-                      comp.(w) <- !comp_count;
-                      if w = v then continue := false
-                done;
-                incr comp_count
-              end;
-              frames := parent_frames;
-              (match parent_frames with
-              | (u, _) :: _ -> lowlink.(u) <- min lowlink.(u) lowlink.(v)
-              | [] -> ()))
-    done
-  in
-  for v = 0 to n - 1 do
-    if index.(v) = -1 then visit v
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + List.length g.succ.(u)
   done;
-  (comp, !comp_count)
+  let adj = Array.make off.(n) 0 in
+  Array.iteri
+    (fun u vs -> List.iteri (fun i v -> adj.(off.(u) + i) <- v) vs)
+    g.succ;
+  Scc.tarjan ~n ~off:(Array.get off) ~adj:(Array.get adj)
 
 let sccs g =
   let comp, count = scc_ids g in

@@ -35,7 +35,6 @@ let int t bound =
   next t land max_int mod bound
 
 let bool t = next t land 1 = 1
-let bits64 t = Int64.of_int (next t)
 
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"

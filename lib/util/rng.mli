@@ -21,10 +21,6 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound) — requires [bound > 0]. *)
 
 val bool : t -> bool
-val bits64 : t -> int64
-(** 63 bits of pseudo-randomness in the low bits (the generator runs on
-    the native word). *)
-
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list.  Raises [Invalid_argument] on
     an empty list. *)

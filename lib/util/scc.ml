@@ -1,20 +1,7 @@
-(** Strongly connected components of an explicit graph in CSR form.
+(* Iterative Tarjan over a graph in CSR form; see scc.mli.  The state
+   graphs run to millions of nodes, so no recursion. *)
 
-    Shared by the sequential {!Explorer} (wait-freedom as a [p]-edge inside
-    an SCC) and the parallel engines (which shard exploration but run
-    this pass sequentially over the merged edge image: the SCC pass is
-    linear in the graph and never dominates exploration).  Iterative
-    Tarjan — the state graphs run to millions of nodes, so no recursion. *)
-
-(** [tarjan ~n ~off ~adj] labels the [n] nodes of the graph whose
-    out-neighbours of [u] are [adj (off u) .. adj (off (u+1) - 1)] with
-    component ids, returning [(comp, count)].  [off] and [adj] are
-    accessor functions rather than arrays so callers can serve them
-    straight from packed byte representations ({!State_table.Packed_vec})
-    without materializing an intermediate [int array] copy of the edge
-    image.  Component ids are assigned in reverse topological completion
-    order; only equality of ids is meaningful to callers. *)
-let tarjan ~n ~(off : int -> int) ~(adj : int -> int) =
+let tarjan ~n ~off ~adj =
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Bytes.make (max n 1) '\000' in

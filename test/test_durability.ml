@@ -1034,6 +1034,162 @@ let test_packed_ws_reuse () =
     (packed_verdict reference) (packed_verdict v);
   if Sys.file_exists path then Sys.remove path
 
+(* The trip-save path of each exhaustive engine, one row per engine:
+   with [every_states = 0] no periodic save is ever due, so the file a
+   tripped quota governor leaves is the final image alone.  It must
+   exist, carry the engine's context, and resume (without a governor) to
+   the counts of an uninterrupted run. *)
+type trip_row = {
+  engine : string;
+  context_prefix : string;
+  quota : int;
+  run :
+    ?governor:Gov.t -> ?ckpt:Ckpt.policy -> resume:bool -> unit -> string option;
+      (** [None] when the governor tripped, else the run's counts *)
+}
+
+let trip_rows =
+  let cfg = Algorithms.Snapshot.standard ~n:2 in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let inputs = [| 1; 2 |] in
+  let mutex_cfg = Algorithms.Rt_mutex.cfg ~n:2 ~m:3 in
+  let mutex_wiring = Anonmem.Wiring.identity ~n:2 ~m:3 in
+  [
+    {
+      engine = "Explorer.explore";
+      context_prefix = "bfs|";
+      quota = 200;
+      run =
+        (fun ?governor ?ckpt ~resume () ->
+          match
+            Snap_mc.explore ?governor ?ckpt ~resume ~cfg ~wiring ~inputs ()
+          with
+          | Snap_mc.Explored sp ->
+              Some
+                (Printf.sprintf "%d states, %d transitions, %d terminal"
+                   (Snap_mc.state_count sp) (Snap_mc.transition_count sp)
+                   (List.length sp.Snap_mc.terminal))
+          | Snap_mc.Exhausted _ -> None
+          | _ -> Alcotest.fail "unexpected BFS verdict");
+    };
+    {
+      engine = "Explorer.check_exhaustive";
+      context_prefix = "dfs|";
+      quota = 1_000;
+      run =
+        (fun ?governor ?ckpt ~resume () ->
+          match
+            Snap_mc.check_exhaustive ?governor ?ckpt ~resume ~cfg ~wiring
+              ~inputs ()
+          with
+          | Snap_mc.Dfs_ok s ->
+              Some
+                (Printf.sprintf
+                   "%d states, %d transitions, %d terminal, depth %d"
+                   s.Snap_mc.dfs_states s.Snap_mc.dfs_transitions
+                   s.Snap_mc.dfs_terminals s.Snap_mc.dfs_max_depth)
+          | Snap_mc.Dfs_exhausted _ -> None
+          | _ -> Alcotest.fail "unexpected DFS verdict");
+    };
+    {
+      engine = "Explorer.explore_fp";
+      context_prefix = "fpbfs|";
+      quota = 1_000;
+      run =
+        (fun ?governor ?ckpt ~resume () ->
+          match
+            Snap_mc.explore_fp ?governor ?ckpt ~resume ~ram_budget_bytes:1024
+              ~batch_states:32 ~cfg ~wiring ~inputs ()
+          with
+          | Snap_mc.Fp_explored s ->
+              Some
+                (Printf.sprintf "%d states, %d transitions, %d terminal, %h"
+                   s.Snap_mc.fp_states s.Snap_mc.fp_transitions
+                   s.Snap_mc.fp_terminals s.Snap_mc.fp_bound)
+          | Snap_mc.Fp_exhausted _ -> None
+          | _ -> Alcotest.fail "unexpected fingerprint verdict");
+    };
+    {
+      engine = "Rt_mutex_packed.check_wiring";
+      context_prefix = "packed|";
+      quota = 2_000;
+      run =
+        (fun ?governor ?ckpt ~resume () ->
+          match
+            Packed.check_wiring ?governor ?ckpt ~resume ~cfg:mutex_cfg
+              ~wiring:mutex_wiring ~inputs ()
+          with
+          | Packed.Exhausted _ -> None
+          | v -> Some (packed_verdict v));
+    };
+    {
+      engine = "Inductive.check_abstract";
+      context_prefix = "inductive-abs|";
+      quota = 200;
+      run =
+        (fun ?governor ?ckpt ~resume () ->
+          let module I = Modelcheck.Inductive in
+          match I.check_abstract ?governor ?ckpt ~resume ~n:2 I.proved with
+          | I.Proved r ->
+              Some
+                (Printf.sprintf "proved: %d configurations, %d transitions"
+                   r.I.r_universe r.I.r_transitions)
+          | I.Refuted _ -> Alcotest.fail "the proved clauses must pass"
+          | I.Gave_up _ -> None);
+    };
+  ]
+
+let test_trip_save row () =
+  let reference =
+    match row.run ~resume:false () with
+    | Some counts -> counts
+    | None -> Alcotest.failf "%s: an ungoverned run cannot trip" row.engine
+  in
+  let path = fresh_path ".ckpt" in
+  let ckpt = { Ckpt.path; every_states = 0 } in
+  let g = Gov.create ~quota:row.quota () in
+  let tripped = row.run ~governor:g ~ckpt ~resume:false () in
+  Gov.dispose g;
+  Alcotest.(check (option string))
+    (row.engine ^ ": the quota trips the run") None tripped;
+  Alcotest.(check bool)
+    (row.engine ^ ": the trip wrote the final image") true (Sys.file_exists path);
+  let context = Bytes.to_string (Ckpt.find "context" (Ckpt.load ~path)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: context %S" row.engine context)
+    true
+    (String.starts_with ~prefix:row.context_prefix context);
+  Alcotest.(check (option string))
+    (row.engine ^ ": resumed = uninterrupted") (Some reference)
+    (row.run ~ckpt ~resume:true ());
+  Ckpt.retire path;
+  Alcotest.(check bool)
+    (row.engine ^ ": retired with its runs") false
+    (Sys.file_exists path || Sys.file_exists (Ckpt.runs_dir path))
+
+(* [every_states = 0] means no periodic save for the induction too: a
+   refuted check stops at its CTI cap without a trip or a save, so it
+   leaves no file, while [every_states = 1] saves at every
+   configuration. *)
+let test_abstract_no_periodic_save () =
+  let module I = Modelcheck.Inductive in
+  let leaves every_states =
+    let path = fresh_path ".ckpt" in
+    (match
+       I.check_abstract ~max_ctis:5 ~ckpt:{ Ckpt.path; every_states } ~n:2
+         I.candidates
+     with
+    | I.Refuted r ->
+        Alcotest.(check bool)
+          "configurations were checked before the cap" true (r.I.r_universe > 1)
+    | _ -> Alcotest.fail "the candidate clauses must be refuted");
+    let left = Sys.file_exists path in
+    Ckpt.retire path;
+    left
+  in
+  Alcotest.(check bool) "every_states = 0 saves nothing" false (leaves 0);
+  Alcotest.(check bool) "every_states = 1 saves" true (leaves 1)
+
 let test_verify_mutex_sweep_resume () =
   let reference =
     match Core.verify_mutex ~n:2 ~m:3 ~packed:true () with
@@ -1415,6 +1571,14 @@ let () =
           Alcotest.test_case "sweep index outside the wiring list" `Quick
             test_sweep_index_refused;
         ] );
+      ( "trip-save",
+        List.map
+          (fun row -> Alcotest.test_case row.engine `Quick (test_trip_save row))
+          trip_rows
+        @ [
+            Alcotest.test_case "abstract every_states = 0: no periodic save"
+              `Quick test_abstract_no_periodic_save;
+          ] );
       ( "map-differential",
         [
           Alcotest.test_case "crash at every append point" `Quick

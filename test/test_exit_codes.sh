@@ -81,6 +81,36 @@ else
   fails=$((fails + 1))
 fi
 
+# a finished fingerprint run retires its checkpoint together with the
+# spill-run directory beside it, whether it ran straight through or was
+# stopped and resumed
+ckpt=$(mktemp)
+rm -f "$ckpt"
+"$ANONSIM" check-snapshot -n 2 --fingerprint --fp-ram-mb 1 \
+  --checkpoint "$ckpt" >/dev/null 2>&1
+straight=$?
+[ -e "$ckpt" ] || [ -e "$ckpt.runs" ]
+straight_left=$?
+"$ANONSIM" check-snapshot -n 2 --fingerprint --fp-ram-mb 1 \
+  --checkpoint "$ckpt" --max-seconds 0 >/dev/null 2>&1
+stopped=$?
+"$ANONSIM" check-snapshot -n 2 --fingerprint --fp-ram-mb 1 \
+  --checkpoint "$ckpt" --resume >/dev/null 2>&1
+resumed=$?
+[ -e "$ckpt" ] || [ -e "$ckpt.runs" ]
+resumed_left=$?
+rm -rf "$ckpt" "$ckpt.runs"
+if [ "$straight" -eq 0 ] && [ "$straight_left" -ne 0 ] \
+  && [ "$stopped" -eq 3 ] && [ "$resumed" -eq 0 ] \
+  && [ "$resumed_left" -ne 0 ]; then
+  echo "ok  0 <- anonsim check-snapshot -n 2 --fingerprint --checkpoint F" \
+    "(F and F.runs retired)"
+else
+  echo "FAIL: fingerprint checkpoint runs exited $straight/$stopped/$resumed" \
+    "(want 0/3/0) or left F or F.runs behind"
+  fails=$((fails + 1))
+fi
+
 # interrupted (exit 4): SIGINT mid-run; the n=3 induction takes seconds
 "$ANONSIM" inductive -n 3 >/dev/null 2>&1 &
 pid=$!
