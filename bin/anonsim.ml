@@ -224,16 +224,6 @@ let check_snapshot_cmd =
             "RAM budget (MiB) for the fingerprint engine's in-memory tier; \
              past 3/4 load the tier spills to sorted on-disk runs.")
   in
-  let reduce_arg =
-    Arg.(
-      value & flag
-      & info [ "reduce" ]
-          ~doc:
-            "Quotient each per-wiring state space by its anonymity \
-             symmetries (orbit-minimum canonicalization).  Pays off exactly \
-             when several processors share an input; with all-distinct \
-             inputs the symmetry group is trivial.")
-  in
   let checkpoint_arg =
     Arg.(
       value
@@ -262,7 +252,7 @@ let check_snapshot_cmd =
             "Wall-clock budget; on expiry the run writes a final \
              checkpoint (with $(b,--checkpoint)) and exits with code 3.")
   in
-  let run n max_states crashes fingerprint fp_ram_mb reduce checkpoint resume
+  let run n max_states crashes fingerprint fp_ram_mb checkpoint resume
       max_seconds =
     refusing_unusable @@ fun () ->
     let max_fp_ram_mb =
@@ -285,20 +275,19 @@ let check_snapshot_cmd =
         checkpoint
     in
     (* The resume command must reproduce every flag baked into the
-       checkpoint's context fingerprint — a mismatched engine or
-       reduction setting is refused on load — and every flag that
+       checkpoint's context fingerprint — a mismatched engine is refused
+       on load — and every flag that
        changes what the finished run checks: the state bound and the
        crash pass that follows the sweep. *)
     let resume_hint f =
       Printf.printf
-        "resume with: anonsim check-snapshot -n %d%s%s%s%s --checkpoint %s \
+        "resume with: anonsim check-snapshot -n %d%s%s%s --checkpoint %s \
          --resume\n"
         n
         (if crashes > 0 then Printf.sprintf " --crashes %d" crashes else "")
         (match max_states with
         | Some k -> Printf.sprintf " --max-states %d" k
         | None -> "")
-        (if reduce then " --reduce" else "")
         (if fingerprint then
            Printf.sprintf " --fingerprint --fp-ram-mb %d" fp_ram_mb
          else "")
@@ -330,7 +319,7 @@ let check_snapshot_cmd =
       else
         match
           Core.verify_snapshot_model_crashes ~n ~max_crashes:crashes
-            ?max_states ~reduction:reduce ~governor ?ckpt ~resume
+            ?max_states ~governor ?ckpt ~resume
             ~ckpt_extra:[ (report_section, Bytes.of_string report) ]
             ()
         with
@@ -344,10 +333,10 @@ let check_snapshot_cmd =
             Printf.printf
               "wirings: %d, states: %d, transitions: %d (of which %d crash \
                branches)\n"
-              fs.Core.Snapshot_fault_mc.wirings_checked
-              fs.Core.Snapshot_fault_mc.total_states
-              fs.Core.Snapshot_fault_mc.total_transitions
-              fs.Core.Snapshot_fault_mc.total_crash_branches;
+              fs.Core.Snapshot_mc.wirings_checked
+              fs.Core.Snapshot_mc.total_states
+              fs.Core.Snapshot_mc.total_transitions
+              fs.Core.Snapshot_mc.total_crash_branches;
             `Ok ()
     in
     let verified report =
@@ -368,7 +357,7 @@ let check_snapshot_cmd =
         check_crashes report
     | None when fingerprint -> (
         match
-          Core.verify_snapshot_model_fp ~n ?max_states ~reduction:reduce
+          Core.verify_snapshot_model_fp ~n ?max_states
             ~ram_budget_bytes:(fp_ram_mb * 1024 * 1024)
             ~governor ?ckpt ~resume ()
         with
@@ -394,8 +383,7 @@ let check_snapshot_cmd =
                  s.Modelcheck.Explorer.fp_spill_bytes))
     | None -> (
         match
-          Core.verify_snapshot_model ~n ?max_states ~reduction:reduce ~governor
-            ?ckpt ~resume ()
+          Core.verify_snapshot_model ~n ?max_states ~governor ?ckpt ~resume ()
         with
         | Error e -> finish_durably e
         | Ok s ->
@@ -420,9 +408,8 @@ let check_snapshot_cmd =
           paper's TLC claim.  With $(b,--crashes) K, additionally \
           re-verify safety under at most K injected crash-stop faults.  \
           $(b,--fingerprint) switches to the RAM-bounded \
-          hash-compaction engine (safety only, quantified omission bound); \
-          $(b,--reduce) \
-          switches on symmetry reduction.  $(b,--checkpoint), \
+          hash-compaction engine (safety only, quantified omission bound).  \
+          $(b,--checkpoint), \
           $(b,--resume) and $(b,--max-seconds) make the run durable: \
           exploration state is snapshotted atomically and an interrupted \
           (exit 4) or budget-exhausted (exit 3) run continues exactly \
@@ -430,8 +417,8 @@ let check_snapshot_cmd =
     Term.(
       ret
         (const run $ n_arg ~default:2 $ max_states_arg $ crashes_arg
-       $ fingerprint_arg $ fp_ram_mb_arg $ reduce_arg $ checkpoint_arg
-       $ resume_arg $ max_seconds_arg))
+       $ fingerprint_arg $ fp_ram_mb_arg $ checkpoint_arg $ resume_arg
+       $ max_seconds_arg))
 
 (* check-nonatomic: the Section-8 claim *)
 

@@ -536,9 +536,9 @@ let x5 () =
               "  model check: snapshot containment safety VERIFIED for n=2 \
                under <=%d crash-stop(s) (%d wirings, %d states, %d crash \
                branches)\n"
-              max_crashes s.Core.Snapshot_fault_mc.wirings_checked
-              s.Core.Snapshot_fault_mc.total_states
-              s.Core.Snapshot_fault_mc.total_crash_branches
+              max_crashes s.Core.Snapshot_mc.wirings_checked
+              s.Core.Snapshot_mc.total_states
+              s.Core.Snapshot_mc.total_crash_branches
         | Error e ->
             Printf.printf "  model check under <=%d crash(es) FAILED: %s\n"
               max_crashes e)

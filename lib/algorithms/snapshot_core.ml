@@ -68,8 +68,6 @@ module Make (Vset : Sorted_set.S) = struct
   let init _cfg input =
     { view = Vset.singleton input; level = 0; next_write = 0; phase = Writing }
 
-  let init_view _cfg view = { view; level = 0; next_write = 0; phase = Writing }
-
   (** The pending operation of a processor that has not terminated.  The
       engine itself never terminates; clients decide when to stop asking. *)
   let next _cfg l =

@@ -556,34 +556,4 @@ module Make (P : Protocol.S) = struct
             | None -> ()
             | Some q -> Fmt.pf ppf " [overwrites p%d]" (q + 1))
           overwrote
-
-  let pp_fault_note cfg ppf = function
-    | Dropped_write { p; local_reg; phys_reg; value; stuck } ->
-        Fmt.pf ppf "p%d write r%d (own #%d) := %a DROPPED (%s)" (p + 1)
-          (phys_reg + 1) (local_reg + 1) (P.pp_value cfg) value
-          (if stuck then "stuck register" else "omission")
-    | Stale_read_note { p; local_reg; phys_reg; stale; fresh } ->
-        Fmt.pf ppf "p%d reads r%d (own #%d) STALE = %a (fresh was %a)" (p + 1)
-          (phys_reg + 1) (local_reg + 1) (P.pp_value cfg) stale
-          (P.pp_value cfg) fresh
-    | Crash_note { p; recovering } ->
-        Fmt.pf ppf "p%d crashes%s" (p + 1)
-          (if recovering then " (will recover)" else "")
-    | Restart_note { p; attempt } ->
-        Fmt.pf ppf "p%d restarts (attempt %d, fresh local state)" (p + 1) attempt
-
-  let pp_state ppf s =
-    let m = Array.length s.registers in
-    Fmt.pf ppf "@[<v>";
-    for r = 0 to m - 1 do
-      Fmt.pf ppf "r%d = %a%a@," (r + 1) (P.pp_value s.cfg) s.registers.(r)
-        (fun ppf -> function
-          | None -> ()
-          | Some q -> Fmt.pf ppf "  (last writer p%d)" (q + 1))
-        s.last_writer.(r)
-    done;
-    Array.iteri
-      (fun p l -> Fmt.pf ppf "p%d: %a@," (p + 1) (P.pp_local s.cfg) l)
-      s.locals;
-    Fmt.pf ppf "@]"
 end

@@ -235,18 +235,14 @@ let snapshot_invariant cfg inputs =
     given inputs and {e every} wiring (processor 0 pinned to the identity —
     lossless by register anonymity), explore all interleavings, check the
     strong snapshot invariant and wait-freedom.  [n = 3] reproduces the
-    paper's TLC claim.
-
-    [~reduction:true] quotients each per-wiring space by its anonymity
-    symmetries (a gain exactly when [inputs] has repeated values — with
-    all-distinct inputs the symmetry group is trivial).  The sweep is the
-    sequential DFS ({!Modelcheck.Explorer.Make.check_all_wirings}), which
-    honours [governor], [ckpt] and [resume]. *)
-let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states
-    ?(reduction = false) ?governor ?ckpt ?(resume = false) () =
+    paper's TLC claim.  The sweep is the sequential DFS
+    ({!Modelcheck.Explorer.Make.check_all_wirings}), which honours
+    [governor], [ckpt] and [resume]. *)
+let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states ?governor
+    ?ckpt ?(resume = false) () =
   let inputs = match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1) in
   let cfg = Algorithms.Snapshot.standard ~n in
-  Snapshot_mc.check_all_wirings ?max_states ~reduction ?governor ?ckpt ~resume
+  Snapshot_mc.check_all_wirings ?max_states ?governor ?ckpt ~resume
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 
@@ -260,25 +256,22 @@ let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states
     the exact engines for liveness.  Supports the full
     governor/checkpoint/resume contract of the sequential engine. *)
 let verify_snapshot_model_fp ?(n = 3) ?(inputs = None) ?max_states
-    ?(reduction = false) ?ram_budget_bytes ?spill_dir ?governor ?ckpt
-    ?(resume = false) () =
+    ?ram_budget_bytes ?spill_dir ?governor ?ckpt ?(resume = false) () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
-  Snapshot_mc.check_all_wirings_fp ?max_states ~reduction ?ram_budget_bytes
-    ?spill_dir ?governor ?ckpt ~resume
+  Snapshot_mc.check_all_wirings_fp ?max_states ?ram_budget_bytes ?spill_dir
+    ?governor ?ckpt ~resume
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
-
-module Snapshot_fault_mc =
-  Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Snapshot)
 
 (** Exhaustively verify the strong snapshot invariant under at most
     [max_crashes] injected crash-stops: for every wiring (processor 0
     pinned to the identity) and every interleaving, the search also
     branches on crashing any live processor at any point, which covers
-    every timed crash-stop plan with at most [max_crashes] crashes.  The
+    every timed crash-stop plan with at most [max_crashes] crashes
+    ({!Modelcheck.Explorer.Make.check_all_wirings_crashes}).  The
     default [n = 2] completes in well under a second; [n = 3] is feasible
     but expensive (the crash branching multiplies the fault-free space).
 
@@ -291,14 +284,13 @@ module Snapshot_fault_mc =
     {!verify_snapshot_model}; [ckpt_extra] sections ride in every
     checkpoint it writes. *)
 let verify_snapshot_model_crashes ?(n = 2) ?(inputs = None) ?(max_crashes = 1)
-    ?max_states ?(reduction = false) ?governor ?ckpt ?(resume = false)
-    ?ckpt_extra () =
+    ?max_states ?governor ?ckpt ?(resume = false) ?ckpt_extra () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
-  Snapshot_fault_mc.check_all_wirings ?max_states ~max_crashes ~reduction
-    ?governor ?ckpt ~resume ?ckpt_extra
+  Snapshot_mc.check_all_wirings_crashes ?max_states ~max_crashes ?governor
+    ?ckpt ~resume ?ckpt_extra
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 
@@ -312,7 +304,7 @@ module Consensus_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Consensus)
     the full algorithm iff it holds for every bound, so each run is a
     genuine bounded-safety certificate. *)
 let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5)
-    ?max_states ?(reduction = false) ?governor () =
+    ?max_states ?governor () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
@@ -341,8 +333,7 @@ let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5)
     (fun ~resume:_ ~ckpt_extra:_ wiring total ->
       match
         Consensus_mc.check_exhaustive ?max_states ~fail_on_cycle:false
-          ~reduction ?governor ~invariant ~stop_expansion ~cfg ~wiring ~inputs
-          ()
+          ?governor ~invariant ~stop_expansion ~cfg ~wiring ~inputs ()
       with
       | Consensus_mc.Dfs_ok s -> Ok (total + s.Consensus_mc.dfs_states)
       | Consensus_mc.Dfs_cycle _ -> assert false
@@ -437,43 +428,14 @@ module Portfolio_mc (P : Modelcheck.Explorer.CHECKABLE with type input = int) =
 struct
   include Modelcheck.Explorer.Make (P)
 
-  (* Liveness post-pass: the BFS space was explored clean of safety
-     violations; look for a fair SCC.  Detection is exact on reduced
-     spaces, but the lasso witness needs concrete states, so a reduced
-     hit triggers one unreduced re-exploration (never on a map cell:
-     distinct inputs give the identity group, explored unreduced). *)
-  let liveness ?max_states ~cfg ~wiring ~inputs space =
-    match find_fair_scc space with
-    | None -> Ok ()
-    | Some (_, live) ->
-        let wspace =
-          if space.reduction = None then Some space
-          else
-            match
-              explore ?max_states ~reduction:false ~cfg ~wiring ~inputs ()
-            with
-            | Explored s -> Some s
-            | _ -> None
-        in
-        let live, stem, cycle =
-          match Option.map (fun s -> (s, find_fair_scc s)) wspace with
-          | Some (s, Some (entry, live)) ->
-              ( live,
-                List.map fst (trace_to s entry),
-                fair_cycle_witness s ~entry ~live )
-          | _ -> (live, [], [])
-        in
-        Error (live, stem, cycle)
-
   (** Check one wiring; [Ok k] is the wiring's state count.  [states] is
       the sweep's count before this wiring, which an exhausted verdict
-      reports on top of the engine's own. *)
-  let check_wiring ?max_states ~reduction ?governor ~invariant ~task ~cfg
-      ~inputs ~states wiring =
-    match
-      explore ?max_states ~reduction ?governor ~invariant ~cfg ~wiring ~inputs
-        ()
-    with
+      reports on top of the engine's own.  Once the space is explored
+      clean of safety violations, a fair SCC is a deadlock, reported with
+      its lasso witness. *)
+  let check_wiring ?max_states ?governor ~invariant ~task ~cfg ~inputs
+      ~states wiring =
+    match explore ?max_states ?governor ~invariant ~cfg ~wiring ~inputs () with
     | State_limit k -> Error (Resource_limit k)
     | Exhausted { reason; states = k } ->
         Error (Exhausted { reason; states_visited = states + k; checkpoint = None })
@@ -498,29 +460,32 @@ struct
                    path = [];
                  })
         | None -> (
-            match liveness ?max_states ~cfg ~wiring ~inputs space with
-            | Ok () -> Ok (state_count space)
-            | Error (live, stem, cycle) ->
-                Error (Liveness_violation { wiring; live; stem; cycle })))
+            match find_fair_scc space with
+            | None -> Ok (state_count space)
+            | Some (entry, live) ->
+                Error
+                  (Liveness_violation
+                     {
+                       wiring;
+                       live;
+                       stem = List.map fst (trace_to space entry);
+                       cycle = fair_cycle_witness space ~entry ~live;
+                     })))
 
   (** The sweep of {!check_wiring} over every wiring. *)
-  let verify ?max_states ~reduction ?wiring_classes ?governor ~invariant ~task
-      ~cfg ~inputs ~n ~m () =
+  let verify ?max_states ?wiring_classes ?governor ~invariant ~task ~cfg
+      ~inputs ~n ~m () =
     portfolio_sweep ?wiring_classes ~n ~m (fun ~resume:_ ~ckpt_extra:_ wiring
         (wcount, states) ->
         Result.map
           (fun k -> (wcount + 1, states + k))
-          (check_wiring ?max_states ~reduction ?governor ~invariant ~task ~cfg
-             ~inputs ~states wiring))
+          (check_wiring ?max_states ?governor ~invariant ~task ~cfg ~inputs
+             ~states wiring))
 end
 
 module Rt_mutex_mc = Portfolio_mc (Modelcheck.Codecs.Rt_mutex)
-module Rt_mutex_fault_mc =
-  Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Rt_mutex)
 module Weak_leader_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Weak_leader)
 module Naming_mc = Portfolio_mc (Modelcheck.Codecs.Naming)
-module Naming_fault_mc =
-  Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Naming)
 
 (* The portfolio invariants run on every explored state, so each decides
    with scans of the locals that allocate nothing; only a violation
@@ -579,54 +544,49 @@ let mutex_sweep_section =
     planted-bug variant ({!Algorithms.Rt_mutex.cfg_eager}).
     [~wiring_classes:true] additionally quotients the wiring sweep by
     processor relabelling ({!Anonmem.Wiring.enumerate_classes}) — sound
-    here because every verdict below is id-agnostic.  [~packed:true]
-    sweeps each wiring with the single-word engine
-    ({!Modelcheck.Rt_mutex_packed}; same step relation and verdicts, an
-    order of magnitude faster — what makes the clean n = 3 feasibility
-    cells exhaustively checkable): clean wirings are accepted on its
-    word, while any violating or unsupported wiring is re-explored by
-    the generic engine below so counterexample witnesses stay concrete
-    and replayable.  Only the packed path checkpoints: [ckpt] and
-    [resume] go through {!Modelcheck.Wiring_sweep.run}, which re-enters
-    mid-sweep and lets the engine restart the wiring mid-exploration. *)
-let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
-    ?wiring_classes ?(packed = false) ?governor ?ckpt ?resume () =
+    here because every verdict below is id-agnostic.  Each wiring is
+    swept by the single-word engine ({!Modelcheck.Rt_mutex_packed}; same
+    step relation and verdicts as {!Rt_mutex_mc.verify}, the generic
+    reference, and an order of magnitude faster — what makes the clean
+    n = 3 feasibility cells exhaustively checkable): clean wirings are
+    accepted on its word, while any violating or unsupported wiring is
+    re-explored by the generic engine so counterexample witnesses stay
+    concrete and replayable.  [ckpt] and [resume] go through
+    {!Modelcheck.Wiring_sweep.run}, which re-enters mid-sweep and lets
+    the packed engine restart the wiring mid-exploration. *)
+let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
+    ?ckpt ?resume () =
   let cfg = match cfg with Some c -> c | None -> Algorithms.Rt_mutex.cfg ~n ~m in
   let n = Algorithms.Rt_mutex.processors cfg in
   let m = Algorithms.Rt_mutex.registers cfg in
   let inputs = Array.init n (fun i -> i + 1) in
-  let invariant = mutex_invariant cfg in
-  if not packed then
-    Rt_mutex_mc.verify ?max_states ~reduction ?wiring_classes ?governor
-      ~invariant ~task:Tasks.Mutex_task.check ~cfg ~inputs ~n ~m ()
-  else
-    let ws = Modelcheck.Rt_mutex_packed.ws () in
-    portfolio_sweep ?wiring_classes ~section:mutex_sweep_section ?ckpt ?resume
-      ~n ~m (fun ~resume ~ckpt_extra wiring (wcount, states) ->
-        let verified k = Ok (wcount + 1, states + k) in
-        match
-          Modelcheck.Rt_mutex_packed.check_wiring ~ws ?max_states ?governor
-            ?ckpt ~ckpt_extra ~resume ~cfg ~wiring ~inputs ()
-        with
-        | Modelcheck.Rt_mutex_packed.Clean { states = k } -> verified k
-        | Modelcheck.Rt_mutex_packed.Limit k -> Error (Resource_limit k)
-        | Modelcheck.Rt_mutex_packed.Exhausted { reason; states = k } ->
-            Error
-              (Exhausted
-                 {
-                   reason;
-                   states_visited = states + k;
-                   checkpoint =
-                     Option.map (fun p -> p.Modelcheck.Checkpoint.path) ckpt;
-                 })
-        | Modelcheck.Rt_mutex_packed.Breach
-        | Modelcheck.Rt_mutex_packed.Fair_cycle
-        | Modelcheck.Rt_mutex_packed.Unsupported ->
-            Result.bind
-              (Rt_mutex_mc.check_wiring ?max_states ~reduction ?governor
-                 ~invariant ~task:Tasks.Mutex_task.check ~cfg ~inputs ~states
-                 wiring)
-              verified)
+  let ws = Modelcheck.Rt_mutex_packed.ws () in
+  portfolio_sweep ?wiring_classes ~section:mutex_sweep_section ?ckpt ?resume ~n
+    ~m (fun ~resume ~ckpt_extra wiring (wcount, states) ->
+      let verified k = Ok (wcount + 1, states + k) in
+      match
+        Modelcheck.Rt_mutex_packed.check_wiring ~ws ?max_states ?governor ?ckpt
+          ~ckpt_extra ~resume ~cfg ~wiring ~inputs ()
+      with
+      | Modelcheck.Rt_mutex_packed.Clean { states = k } -> verified k
+      | Modelcheck.Rt_mutex_packed.Limit k -> Error (Resource_limit k)
+      | Modelcheck.Rt_mutex_packed.Exhausted { reason; states = k } ->
+          Error
+            (Exhausted
+               {
+                 reason;
+                 states_visited = states + k;
+                 checkpoint =
+                   Option.map (fun p -> p.Modelcheck.Checkpoint.path) ckpt;
+               })
+      | Modelcheck.Rt_mutex_packed.Breach
+      | Modelcheck.Rt_mutex_packed.Fair_cycle
+      | Modelcheck.Rt_mutex_packed.Unsupported ->
+          Result.bind
+            (Rt_mutex_mc.check_wiring ?max_states ?governor
+               ~invariant:(mutex_invariant cfg) ~task:Tasks.Mutex_task.check
+               ~cfg ~inputs ~states wiring)
+            verified)
 
 (* The first pair [(p', q', name)], [p' < q'], in order from the pair
    [(p, q)], of processors both done with the same name. *)
@@ -656,12 +616,12 @@ let naming_invariant _cfg (st : Naming_mc.state) =
     (distinctness, own-cell inclusion, view containment) at terminal
     outcomes, and deadlock-freedom by fair-SCC search.  The layer runs
     above the mutex, so its feasibility inherits the mutex threshold. *)
-let verify_naming ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
-    ?wiring_classes ?governor () =
+let verify_naming ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
+    () =
   let cfg = match cfg with Some c -> c | None -> Algorithms.Naming.cfg ~n ~m in
   let n = Algorithms.Naming.processors cfg in
   let m = Algorithms.Naming.registers cfg in
-  Naming_mc.verify ?max_states ~reduction ?wiring_classes ?governor
+  Naming_mc.verify ?max_states ?wiring_classes ?governor
     ~invariant:(naming_invariant cfg) ~task:Tasks.Naming_task.check ~cfg
     ~inputs:(Array.init n (fun i -> i + 1))
     ~n ~m ()
@@ -684,8 +644,8 @@ let leader_invariant _cfg (st : Weak_leader_mc.state) =
     the lean DFS engine (the protocol claims wait-freedom, so cycles are
     violations here — no fair-SCC pass needed).  A wait-freedom breach
     reports the spinning processors as a liveness violation. *)
-let verify_leader ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
-    ?wiring_classes ?governor () =
+let verify_leader ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
+    () =
   let cfg =
     match cfg with Some c -> c | None -> Algorithms.Weak_leader.cfg ~n ~m
   in
@@ -696,8 +656,7 @@ let verify_leader ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
     (fun ~resume:_ ~ckpt_extra:_ wiring (wcount, states) ->
       match
         Weak_leader_mc.check_exhaustive ?max_states ~fail_on_cycle:true
-          ~reduction ?governor ~invariant:(leader_invariant cfg) ~cfg ~wiring
-          ~inputs ()
+          ?governor ~invariant:(leader_invariant cfg) ~cfg ~wiring ~inputs ()
       with
       | Weak_leader_mc.Dfs_ok stats ->
           Ok (wcount + 1, states + stats.Weak_leader_mc.dfs_states)
@@ -717,27 +676,6 @@ let verify_leader ?(n = 2) ?(m = 3) ?cfg ?max_states ?(reduction = false)
                  checkpoint = None;
                }))
 
-(** Mutual exclusion under at most [max_crashes] crash-stops: a crashed
-    holder deadlocks the lock (liveness is forfeit, as for any one-shot
-    mutex under crash-stop) but exclusion must survive.  Exhaustive over
-    wirings, interleavings and crash placements. *)
-let verify_mutex_crashes ?(n = 2) ?(m = 3) ?cfg ?(max_crashes = 1) ?max_states
-    ?(reduction = false) ?governor () =
-  let cfg = match cfg with Some c -> c | None -> Algorithms.Rt_mutex.cfg ~n ~m in
-  let n = Algorithms.Rt_mutex.processors cfg in
-  let inputs = Array.init n (fun i -> i + 1) in
-  Rt_mutex_fault_mc.check_all_wirings ?max_states ~max_crashes ~reduction
-    ?governor ~invariant:(mutex_invariant cfg) ~cfg ~inputs ()
-
-(** Name distinctness under at most [max_crashes] crash-stops. *)
-let verify_naming_crashes ?(n = 2) ?(m = 3) ?cfg ?(max_crashes = 1) ?max_states
-    ?(reduction = false) ?governor () =
-  let cfg = match cfg with Some c -> c | None -> Algorithms.Naming.cfg ~n ~m in
-  let n = Algorithms.Naming.processors cfg in
-  let inputs = Array.init n (fun i -> i + 1) in
-  Naming_fault_mc.check_all_wirings ?max_states ~max_crashes ~reduction
-    ?governor ~invariant:(naming_invariant cfg) ~cfg ~inputs ()
-
 (** Glue between the verifiers above and the pure map of
     {!Analysis.Feasibility}: classify one cell of the (task, n, m) grid
     by exhaustive model checking.
@@ -749,8 +687,12 @@ let verify_naming_crashes ?(n = 2) ?(m = 3) ?cfg ?(max_crashes = 1) ?max_states
     mutex path) to [ckpt_dir/task-n-m.ckpt], with resume always on — a
     budget-exhausted or interrupted cell classifies as
     {!Analysis.Feasibility.Unknown} carrying the checkpoint path, and
-    re-running the same cell with the same [ckpt_dir] continues from it. *)
-let feasibility_check ?max_states ?(reduction = false)
+    re-running the same cell with the same [ckpt_dir] continues from it.
+
+    [reduction] has no effect: every cell runs on distinct identities,
+    whose symmetry group is the identity alone, so there is nothing to
+    quotient by. *)
+let feasibility_check ?max_states ?reduction:(_ : bool option)
     ?(wiring_classes = false) ?wall_seconds ?heap_words ?quota
     ?interrupted_flag ?ckpt_dir ~task ~n ~m () =
   let classify = function
@@ -795,14 +737,10 @@ let feasibility_check ?max_states ?(reduction = false)
   let verdict =
     match task with
     | "mutex" ->
-        verify_mutex ~n ~m ?max_states ~reduction ~wiring_classes
-          ~packed:true ?governor ?ckpt ~resume:true ()
-    | "naming" ->
-        verify_naming ~n ~m ?max_states ~reduction ~wiring_classes ?governor
-          ()
-    | "leader" ->
-        verify_leader ~n ~m ?max_states ~reduction ~wiring_classes ?governor
-          ()
+        verify_mutex ~n ~m ?max_states ~wiring_classes ?governor ?ckpt
+          ~resume:true ()
+    | "naming" -> verify_naming ~n ~m ?max_states ~wiring_classes ?governor ()
+    | "leader" -> verify_leader ~n ~m ?max_states ~wiring_classes ?governor ()
     | t ->
         Option.iter Modelcheck.Governor.dispose governor;
         invalid_arg (Fmt.str "feasibility_check: unknown task %S" t)
@@ -822,13 +760,13 @@ let feasibility_check ?max_states ?(reduction = false)
     rows (the smoke budget).  [cached] / [on_fresh] / [stop] are the
     durable-run hooks of {!Analysis.Feasibility.run} (journal replay,
     journal append, interrupt); the budget knobs are per cell, as in
-    {!feasibility_check}. *)
-let feasibility_map ?(quick = false) ?max_states ?reduction ?wiring_classes
-    ?wall_seconds ?heap_words ?quota ?interrupted_flag ?ckpt_dir ?on_cell
-    ?on_fresh ?cached ?stop () =
+    {!feasibility_check}, and [reduction] has no effect there either. *)
+let feasibility_map ?(quick = false) ?max_states ?reduction:(_ : bool option)
+    ?wiring_classes ?wall_seconds ?heap_words ?quota ?interrupted_flag
+    ?ckpt_dir ?on_cell ?on_fresh ?cached ?stop () =
   Analysis.Feasibility.run ?on_cell ?on_fresh ?cached ?stop
     ~check:(fun ~task ~n ~m ->
-      feasibility_check ?max_states ?reduction ?wiring_classes ?wall_seconds
+      feasibility_check ?max_states ?wiring_classes ?wall_seconds
         ?heap_words ?quota ?interrupted_flag ?ckpt_dir ~task ~n ~m ())
     (Analysis.Feasibility.grids ~quick ())
 

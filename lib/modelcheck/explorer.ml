@@ -1535,4 +1535,103 @@ module Make (P : CHECKABLE) = struct
                 fp_spilled_runs = summary.fp_spilled_runs + st.fp_runs;
                 fp_spill_bytes = summary.fp_spill_bytes + st.fp_bytes_spilled;
               })
+
+  (** {1 Crash-stop sweep}
+
+      {!explore} with [max_crashes] swept over wirings.  The search is
+      time-abstract: instead of fixing fault times as the simulator's
+      {!Anonmem.Fault.plan} does, it branches on "processor [p] crashes
+      {e now}" at every reachable state, which covers every timed plan
+      with at most [max_crashes] crashes — a safety certificate here
+      subsumes every seeded crash-stop campaign of the fuzzer at the same
+      sizes.  Only the invariant is checked: crashed processors trivially
+      never terminate, so wait-freedom under crash-stop is the fuzzer's
+      oracle territory.  BFS keeps a reported witness minimal. *)
+
+  type crash_summary = {
+    wirings_checked : int;
+    total_states : int;  (** distinct (core state, crashed set) pairs *)
+    total_transitions : int;
+    total_crash_branches : int;  (** how many transitions were crashes *)
+  }
+
+  (* The crash sweep's position in a checkpoint ({!Wiring_sweep}). *)
+  let crash_sweep_section =
+    {
+      Wiring_sweep.name = "crash_sweep";
+      to_ints =
+        (fun s ->
+          [|
+            s.wirings_checked;
+            s.total_states;
+            s.total_transitions;
+            s.total_crash_branches;
+          |]);
+      of_ints =
+        (fun a ->
+          {
+            wirings_checked = a.(0);
+            total_states = a.(1);
+            total_transitions = a.(2);
+            total_crash_branches = a.(3);
+          });
+    }
+
+  (** Check [invariant] across a set of wirings (by default every wiring
+      with processor 0 pinned, as {!check_all_wirings}) for one input
+      assignment, under at most [max_crashes] (default 1) crash-stops
+      injected at arbitrary points.  A violation's error names the
+      crashed processors and the witness, each move [pK] or [crash:pK].
+      With [ckpt], each per-wiring search checkpoints with the sweep's
+      position (section ["crash_sweep"]) and the caller's [ckpt_extra]
+      sections beside it, so [~resume] re-enters the sweep where it
+      stopped. *)
+  let check_all_wirings_crashes ?max_states ?(max_crashes = 1) ?invariant
+      ?wirings ?governor ?ckpt ?(resume = false) ?(ckpt_extra = []) ~cfg
+      ~inputs () =
+    let n = P.processors cfg in
+    let pp_move ppf pid =
+      if pid < n then Fmt.pf ppf "p%d" (pid + 1)
+      else Fmt.pf ppf "crash:p%d" (pid - n + 1)
+    in
+    Wiring_sweep.run ?wirings ~section:crash_sweep_section ?ckpt ~resume ~n
+      ~m:(P.registers cfg)
+      ~init:
+        {
+          wirings_checked = 0;
+          total_states = 0;
+          total_transitions = 0;
+          total_crash_branches = 0;
+        }
+      (fun ~resume ~ckpt_extra:position wiring summary ->
+        match
+          explore ?max_states ~max_crashes ?invariant ?governor ?ckpt ~resume
+            ~ckpt_extra:(position @ ckpt_extra) ~cfg ~wiring ~inputs ()
+        with
+        | Exhausted { reason; states } -> Error (exhausted_error reason states)
+        | State_limit k -> Error (limit_error k)
+        | Invariant_failed (_, v) ->
+            let moves = List.map fst v.trace in
+            Error
+              (Fmt.str
+                 "invariant violated under wiring %a with crashes {%a}: %s \
+                  (witness: %a)"
+                 Anonmem.Wiring.pp wiring
+                 Fmt.(list ~sep:comma int)
+                 (List.filter
+                    (fun p -> List.mem (n + p) moves)
+                    (List.init n Fun.id))
+                 v.message
+                 Fmt.(list ~sep:(any " ") pp_move)
+                 moves)
+        | Explored space ->
+            Ok
+              {
+                wirings_checked = summary.wirings_checked + 1;
+                total_states = summary.total_states + state_count space;
+                total_transitions =
+                  summary.total_transitions + transition_count space;
+                total_crash_branches =
+                  summary.total_crash_branches + crash_transitions space;
+              })
 end

@@ -747,18 +747,18 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
   (* Resume: counters + CTIs found so far + the enumeration cursor
      (number of Inv assignments fully processed, in the deterministic
      class-by-class order below). *)
-  let processed0, transitions0, cti_total0, init_ok0, ctis0 =
+  let resumed, processed0, transitions0, cti_total0, init_ok0, ctis0 =
     match Checkpoint.resumable ~who ~context ~resume ckpt with
     | Some sections ->
         let c = Checkpoint.find_ints ~who ~count:4 "counters" sections in
-        ( c.(0),
+        ( true,
+          c.(0),
           c.(1),
           c.(2),
           c.(3) <> 0,
           ctis_of_bytes (Checkpoint.find "ctis" sections) )
-    | None -> (0, 0, 0, true, [])
+    | None -> (false, 0, 0, 0, true, [])
   in
-  let fresh = processed0 = 0 in
   let processed = ref processed0
   and transitions = ref transitions0
   and cti_total = ref cti_total0
@@ -807,9 +807,11 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
             (admitted_procs ctx clauses ~own:ctx.own.(i)))
     in
     let values = syntactic_values ctx in
-    (* Init obligation for this class (fresh runs only — on resume the
-       restored [init_ok] already accounts for it). *)
-    if fresh then begin
+    (* Init obligation for this class.  A checkpoint is taken at the top
+       of a configuration, after its class's Init check, so on resume the
+       restored [init_ok] and CTIs already account for every class up to
+       the first configuration this call processes. *)
+    if (not resumed) || !processed > processed0 then begin
       let init_procs =
         Array.init n (fun i -> { aview = ctx.own.(i); alevel = 0; aphase = Boundary })
       in
@@ -1085,10 +1087,6 @@ let check_abstract ?(max_ctis = 100) ?governor ?ckpt ?(resume = false) ~n
 (* CTI shrinking (abstract)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 let rec ipow b e = if e <= 0 then 1 else b * ipow b (e - 1)
 
 (* A value admitted by the register clauses relative to [procs]. *)
@@ -1179,7 +1177,9 @@ let shrink_acti ~n clauses cti =
           syntactic_values ctx
           |> List.filter (admissible_value ctx clauses pre)
           |> List.sort (fun a b ->
-                 compare (popcount a.rview, a.rlevel) (popcount b.rview, b.rlevel))
+                 compare
+                   (Bits.popcount a.rview, a.rlevel)
+                   (Bits.popcount b.rview, b.rlevel))
         in
         let v = Fuzzing.Shrink.first_accepted ~still_failing:try_value candidates v0 in
         if v = v0 then cti

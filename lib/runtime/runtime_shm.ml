@@ -287,16 +287,6 @@ module Supervisor = struct
     | Completed of { value : 'a; restarts : int }
     | Gave_up of { restarts : int; last_error : string }
 
-  let pp_outcome pp_v ppf = function
-    | Completed { value; restarts } ->
-        Fmt.pf ppf "completed after %d restart%s: %a" restarts
-          (if restarts = 1 then "" else "s")
-          pp_v value
-    | Gave_up { restarts; last_error } ->
-        Fmt.pf ppf "gave up after %d restart%s: %s" restarts
-          (if restarts = 1 then "" else "s")
-          last_error
-
   (** [supervise ~checkpoint f] runs [f ~resume_from] up to
       [1 + max_restarts] times; the [k]-th restart sleeps
       [backoff_s * 2^k] seconds first. *)

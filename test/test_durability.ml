@@ -826,17 +826,18 @@ let test_fp_sweep_resume_parity () =
   if Sys.file_exists path then Sys.remove path;
   rm_rf_runs (path ^ ".runs")
 
-module Snap_fault = Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Snapshot)
-
 let test_fault_resume_parity () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
   let inputs = [| 1; 2 |] in
-  let invariant _ = Ok () in
+  let counts sp =
+    ( Snap_mc.state_count sp,
+      Snap_mc.transition_count sp,
+      Snap_mc.crash_transitions sp )
+  in
   let reference =
-    match Snap_fault.explore ~max_crashes:1 ~invariant ~cfg ~wiring ~inputs () with
-    | Snap_fault.Safe s ->
-        (s.Snap_fault.states, s.Snap_fault.transitions, s.Snap_fault.crash_branches)
+    match Snap_mc.explore ~max_crashes:1 ~cfg ~wiring ~inputs () with
+    | Snap_mc.Explored sp -> counts sp
     | _ -> Alcotest.fail "reference fault run must complete"
   in
   let path = fresh_path ".ckpt" in
@@ -844,14 +845,11 @@ let test_fault_resume_parity () =
   let (result, rounds) =
     drive ~quota:100 (fun g ->
         match
-          Snap_fault.explore ~max_crashes:1 ~governor:g ~ckpt ~resume:true
-            ~invariant ~cfg ~wiring ~inputs ()
+          Snap_mc.explore ~max_crashes:1 ~governor:g ~ckpt ~resume:true ~cfg
+            ~wiring ~inputs ()
         with
-        | Snap_fault.Safe s ->
-            Ok
-              (s.Snap_fault.states, s.Snap_fault.transitions,
-               s.Snap_fault.crash_branches)
-        | Snap_fault.Exhausted _ -> Error ()
+        | Snap_mc.Explored sp -> Ok (counts sp)
+        | Snap_mc.Exhausted _ -> Error ()
         | _ -> Alcotest.fail "unexpected fault verdict")
   in
   Alcotest.(check bool) "fault run was actually interrupted" true (rounds > 0);
@@ -868,15 +866,13 @@ let test_fault_checkpoint_refused () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
   let inputs = [| 1; 2 |] in
-  let invariant _ = Ok () in
   let path = fresh_path ".ckpt" in
   let ckpt = { Ckpt.path; every_states = 0 } in
   let g = Gov.create ~quota:100 () in
   (match
-     Snap_fault.explore ~max_crashes:1 ~governor:g ~ckpt ~invariant ~cfg
-       ~wiring ~inputs ()
+     Snap_mc.explore ~max_crashes:1 ~governor:g ~ckpt ~cfg ~wiring ~inputs ()
    with
-  | Snap_fault.Exhausted _ -> ()
+  | Snap_mc.Exhausted _ -> ()
   | _ -> Alcotest.fail "the quota must stop the crash search");
   Gov.dispose g;
   let sections = Ckpt.load ~path in
@@ -885,8 +881,7 @@ let test_fault_checkpoint_refused () =
       (Modelcheck.State_table.Packed_vec.deserialize (Ckpt.find tag sections))
   in
   let key0 =
-    Snap_fault.E.encode_state cfg (Snap_fault.E.init_state ~cfg ~inputs)
-    ^ "\000"
+    Snap_mc.encode_state cfg (Snap_mc.init_state ~cfg ~inputs) ^ "\000"
   in
   Ckpt.save ~path
     [
@@ -901,8 +896,7 @@ let test_fault_checkpoint_refused () =
     ];
   let image = read_file path in
   (match
-     Snap_fault.explore ~max_crashes:1 ~ckpt ~resume:true ~invariant ~cfg
-       ~wiring ~inputs ()
+     Snap_mc.explore ~max_crashes:1 ~ckpt ~resume:true ~cfg ~wiring ~inputs ()
    with
   | exception Ckpt.Corrupt_checkpoint _ -> ()
   | _ -> Alcotest.fail "a fault| checkpoint must be refused");
@@ -1190,9 +1184,43 @@ let test_abstract_no_periodic_save () =
   Alcotest.(check bool) "every_states = 0 saves nothing" false (leaves 0);
   Alcotest.(check bool) "every_states = 1 saves" true (leaves 1)
 
+(* A resumed induction checks each input class's Init obligation once:
+   these clauses fail Init, and a run tripped at configuration 0, 1 or 5
+   and resumed to completion reports the CTI count and Init verdict of
+   an uninterrupted run. *)
+let test_abstract_resume_init_once () =
+  let module I = Modelcheck.Inductive in
+  let clauses =
+    match I.parse_clauses "own-input-in-view,reg-nonempty-ge:0" with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let outcome = function
+    | I.Proved r | I.Refuted r -> (r.I.r_cti_total, r.I.r_init_ok)
+    | I.Gave_up _ -> Alcotest.fail "an ungoverned run cannot trip"
+  in
+  let reference = outcome (I.check_abstract ~n:2 clauses) in
+  Alcotest.(check bool) "the clauses fail Init" false (snd reference);
+  List.iter
+    (fun quota ->
+      let path = fresh_path ".ckpt" in
+      let ckpt = { Ckpt.path; every_states = 0 } in
+      let g = Gov.create ~quota () in
+      (match I.check_abstract ~governor:g ~ckpt ~n:2 clauses with
+      | I.Gave_up { processed; _ } ->
+          Alcotest.(check int) "tripped where asked" quota processed
+      | _ -> Alcotest.failf "quota %d must trip the run" quota);
+      Gov.dispose g;
+      Alcotest.(check (pair int bool))
+        (Printf.sprintf "resumed after a trip at %d" quota)
+        reference
+        (outcome (I.check_abstract ~ckpt ~resume:true ~n:2 clauses));
+      Ckpt.retire path)
+    [ 0; 1; 5 ]
+
 let test_verify_mutex_sweep_resume () =
   let reference =
-    match Core.verify_mutex ~n:2 ~m:3 ~packed:true () with
+    match Core.verify_mutex ~n:2 ~m:3 () with
     | Core.Verified { wirings; states } -> (wirings, states)
     | v -> Alcotest.failf "reference sweep: %s" (Fmt.str "%a" Core.pp_verdict v)
   in
@@ -1204,7 +1232,7 @@ let test_verify_mutex_sweep_resume () =
     else
       let g = Gov.create ~quota:400 () in
       let v =
-        Core.verify_mutex ~n:2 ~m:3 ~packed:true ~governor:g ~ckpt ~resume:true
+        Core.verify_mutex ~n:2 ~m:3 ~governor:g ~ckpt ~resume:true
           ()
       in
       Gov.dispose g;
@@ -1239,7 +1267,7 @@ let test_verify_mutex_sectionless_refused () =
   | _ -> Alcotest.fail "the quota must interrupt the first wiring");
   Gov.dispose g;
   let image = read_file path in
-  (match Core.verify_mutex ~n:2 ~m:3 ~packed:true ~ckpt ~resume:true () with
+  (match Core.verify_mutex ~n:2 ~m:3 ~ckpt ~resume:true () with
   | exception Ckpt.Corrupt_checkpoint _ -> ()
   | v -> Alcotest.failf "sweep resumed anyway: %a" Core.pp_verdict v);
   Alcotest.(check bool) "checkpoint left as it was" true
@@ -1313,7 +1341,7 @@ let test_crash_sweep_resume_parity () =
             Error ()
         | Error e -> Alcotest.fail e)
   in
-  let module X = Core.Snapshot_fault_mc in
+  let module X = Core.Snapshot_mc in
   Alcotest.(check bool) "crash sweep was actually interrupted" true
     (rounds > 0);
   Alcotest.(check int) "last trip inside the second wiring" 1 !last_index;
@@ -1344,7 +1372,7 @@ let test_sweep_index_refused () =
       ( "packed mutex sweep", "sweep", 2, count ~m:3,
         fun ckpt ->
           ignore
-            (Core.verify_mutex ~n:2 ~m:3 ~packed:true ~ckpt ~resume:true ()) );
+            (Core.verify_mutex ~n:2 ~m:3 ~ckpt ~resume:true ()) );
     ]
   in
   List.iter
@@ -1578,6 +1606,8 @@ let () =
         @ [
             Alcotest.test_case "abstract every_states = 0: no periodic save"
               `Quick test_abstract_no_periodic_save;
+            Alcotest.test_case "abstract resume checks Init once" `Quick
+              test_abstract_resume_init_once;
           ] );
       ( "map-differential",
         [

@@ -43,6 +43,8 @@ expect 124 check-snapshot -n 2 --crashes=-1
 # the intra-space parallel engines are no longer check-snapshot options
 expect 124 check-snapshot -n 2 --par 2
 expect 124 check-snapshot -n 2 --par-ws 2
+# nor is symmetry reduction: distinct inputs leave nothing to quotient
+expect 124 check-snapshot -n 2 --reduce
 # the packed exhaustive witness search exists for 3 processors only
 expect 124 check-nonatomic -n 2 --exhaustive
 expect 124 check-nonatomic -n 4 --exhaustive

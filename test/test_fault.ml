@@ -409,7 +409,7 @@ let test_snapshot_crash_space ~max_crashes ~states ~transitions
   match Core.verify_snapshot_model_crashes ~n:2 ~max_crashes () with
   | Error e -> Alcotest.fail e
   | Ok s ->
-      let module FE = Core.Snapshot_fault_mc in
+      let module FE = Core.Snapshot_mc in
       Alcotest.(check int) "both wirings" 2 s.FE.wirings_checked;
       Alcotest.(check int) "states" states s.FE.total_states;
       Alcotest.(check int) "transitions" transitions s.FE.total_transitions;
@@ -428,31 +428,32 @@ let test_crash_search_catches_planted_bug () =
   (* Sanity that the crash search can fail at all: an invariant that
      forbids any processor from halting must be violated.  Crash moves
      keep the core state, so the minimal witness needs none of them: it
-     is p1 running solo to its output, twelve steps, nobody crashed. *)
+     is p1 running solo to its output, twelve steps, nobody crashed, and
+     the sweep's error names both. *)
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let inputs = [| 1; 2 |] in
-  let module FE = Core.Snapshot_fault_mc in
-  let invariant (st : Core.Snapshot_mc.state) =
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let module E = Core.Snapshot_mc in
+  let invariant (st : E.state) =
     if
       Array.exists
         (fun l -> Algorithms.Snapshot.output cfg l <> None)
-        st.Core.Snapshot_mc.locals
+        st.E.locals
     then Error "planted: someone terminated"
     else Ok ()
   in
   match
-    FE.explore ~max_crashes:1 ~invariant ~cfg
-      ~wiring:(Anonmem.Wiring.identity ~n:2 ~m:2)
-      ~inputs ()
+    E.check_all_wirings_crashes ~wirings:[ wiring ] ~invariant ~cfg ~inputs ()
   with
-  | FE.Invariant_failed v ->
-      Alcotest.(check (list string))
-        "witness" (List.init 12 (fun _ -> "p1"))
-        (List.map (Fmt.str "%a" FE.pp_step) v.FE.steps);
-      Alcotest.(check int) "nobody crashed" 0 v.FE.crashed
-  | FE.Safe _ -> Alcotest.fail "planted invariant must fail"
-  | FE.State_limit _ -> Alcotest.fail "state limit"
-  | FE.Exhausted _ -> Alcotest.fail "unexpected exhaustion"
+  | Error e ->
+      Alcotest.(check string) "sweep error"
+        (Fmt.str
+           "invariant violated under wiring %a with crashes {}: planted: \
+            someone terminated (witness: %s)"
+           Anonmem.Wiring.pp wiring
+           (String.concat " " (List.init 12 (fun _ -> "p1"))))
+        e
+  | Ok _ -> Alcotest.fail "planted invariant must fail the sweep"
 
 (* Traces to crashed states: every state of the space whose key carries
    a crash bit has a trace whose crash steps are the pids [n + p] and
@@ -463,7 +464,7 @@ let test_crash_traces_replay () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let inputs = [| 1; 1 |] in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let module E = Core.Snapshot_fault_mc.E in
+  let module E = Core.Snapshot_mc in
   List.iter
     (fun reduction ->
       match E.explore ~max_crashes:2 ~reduction ~cfg ~wiring ~inputs () with
@@ -507,18 +508,19 @@ let test_crash_search_state_bound () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let inputs = [| 1; 2 |] in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let module FE = Core.Snapshot_fault_mc in
-  let invariant _ = Ok () in
+  let module E = Core.Snapshot_mc in
   let run max_states =
-    FE.explore ~max_states ~max_crashes:1 ~invariant ~cfg ~wiring ~inputs ()
+    E.explore ~max_states ~max_crashes:1 ~cfg ~wiring ~inputs ()
   in
   match run 50_000_000 with
-  | FE.Safe { states; _ } -> (
+  | E.Explored space -> (
+      let states = E.state_count space in
       (match run states with
-      | FE.Safe s -> Alcotest.(check int) "bound = space" states s.FE.states
+      | E.Explored s ->
+          Alcotest.(check int) "bound = space" states (E.state_count s)
       | _ -> Alcotest.fail "bound = space must explore the space");
       match run (states - 1) with
-      | FE.State_limit _ -> ()
+      | E.State_limit _ -> ()
       | _ -> Alcotest.fail "bound = space - 1 must report a limit")
   | _ -> Alcotest.fail "reference crash search must finish"
 

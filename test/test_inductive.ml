@@ -340,7 +340,7 @@ let test_reachable_inv_faults () =
      state outside the fault-free reachable set: the proved invariant
      holds under crashes too, and the sweep matches the one checked
      against the snapshot specification. *)
-  let module FS = Core.Snapshot_fault_mc in
+  let module FS = Core.Snapshot_mc in
   let cfg = Snap.standard ~n:2 in
   let inputs = [| 1; 2 |] in
   let base =
@@ -350,7 +350,7 @@ let test_reachable_inv_faults () =
   in
   let checked =
     match
-      FS.check_all_wirings ~max_crashes:1
+      FS.check_all_wirings_crashes ~max_crashes:1
         ~invariant:(clauses_inv I.proved cfg inputs) ~cfg ~inputs ()
     with
     | Ok s -> s

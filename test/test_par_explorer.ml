@@ -482,40 +482,38 @@ let test_fault_explorer_reduced_witness () =
   (* Crash masks must canonicalize with their processors: under a
      single-group assignment with reduction on, the fault search still
      catches the planted bug and its witness replays — crash steps
-     included — to a violating state. *)
+     (pids [n + p]) included — to a violating state. *)
   let cfg = Snap.standard ~n:2 in
   let inputs = [| 1; 1 |] in
-  let module FE = Core.Snapshot_fault_mc in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let module E = SnapDiff.E in
   let invariant = no_output_invariant cfg in
   List.iter
     (fun reduction ->
       match
-        FE.explore ~max_crashes:1 ~reduction ~invariant ~cfg
-          ~wiring:(Anonmem.Wiring.identity ~n:2 ~m:2)
-          ~inputs ()
+        E.explore ~max_crashes:1 ~reduction ~invariant ~cfg ~wiring ~inputs ()
       with
-      | FE.Invariant_failed v ->
-          (* Replay the step list (protocol steps + crashes). *)
-          let module E = SnapDiff.E in
-          let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-          let st, mask =
+      | E.Invariant_failed (_, v) ->
+          let st, _ =
             List.fold_left
-              (fun (st, mask) -> function
-                | FE.Step p ->
+              (fun (st, mask) (pid, post) ->
+                let st, mask =
+                  if pid < 2 then begin
                     Alcotest.(check bool) "stepping pid is live" true
-                      (mask land (1 lsl p) = 0);
-                    (E.successor cfg wiring st p, mask)
-                | FE.Crash p -> (st, mask lor (1 lsl p)))
+                      (mask land (1 lsl pid) = 0);
+                    (E.successor cfg wiring st pid, mask)
+                  end
+                  else (st, mask lor (1 lsl (pid - 2)))
+                in
+                Alcotest.(check string) "trace state is the replayed one"
+                  (E.encode_state cfg post) (E.encode_state cfg st);
+                (st, mask))
               (E.init_state ~cfg ~inputs, 0)
-              v.FE.steps
+              v.E.trace
           in
-          Alcotest.(check int) "crash mask matches replay" v.FE.crashed mask;
           (match invariant st with
           | Error _ -> ()
-          | Ok () -> Alcotest.fail "replayed fault witness does not violate");
-          Alcotest.(check string) "reported state is the replayed endpoint"
-            (E.encode_state cfg v.FE.state)
-            (E.encode_state cfg st)
+          | Ok () -> Alcotest.fail "replayed fault witness does not violate")
       | _ -> Alcotest.failf "planted bug missed (reduction=%b)" reduction)
     [ false; true ]
 
@@ -1061,7 +1059,6 @@ let test_processor_limits_structured () =
      structured errors, not silent corruption. *)
   let module WsE = WsDiff.E in
   let module WsPar = WsDiff.Par in
-  let module WsFE = Modelcheck.Fault_explorer.Make (Modelcheck.Codecs.Write_scan) in
   let cfg16 = Algorithms.Write_scan.cfg ~n:16 ~m:2 in
   let wiring16 = Anonmem.Wiring.identity ~n:16 ~m:2 in
   let inputs16 = Array.make 16 1 in
@@ -1081,10 +1078,8 @@ let test_processor_limits_structured () =
   expect_unsupported "par explore" (fun () ->
       WsPar.explore ~domains:2 ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
   let cfg9 = Algorithms.Write_scan.cfg ~n:9 ~m:2 in
-  expect_unsupported "fault explore (crash-mask byte)" (fun () ->
-      WsFE.explore
-        ~invariant:(fun _ -> Ok ())
-        ~cfg:cfg9
+  expect_unsupported "crash explore (crash-mask byte)" (fun () ->
+      WsE.explore ~max_crashes:1 ~cfg:cfg9
         ~wiring:(Anonmem.Wiring.identity ~n:9 ~m:2)
         ~inputs:(Array.make 9 1) ());
   (* The registered printer renders the payload, not <exn>. *)

@@ -43,16 +43,11 @@ let test_mutex_clean_cell_all_engines () =
   let cfg = Rm.cfg ~n ~m in
   let inputs = Array.init n (fun i -> i + 1) in
   let invariant = Core.mutex_invariant cfg in
-  (* Sequential (unreduced and reduced) through the Core verifier: both
-     must certify the cell, over the same wiring enumeration. *)
+  (* The Core verifier must certify the cell over every wiring. *)
   (match Core.verify_mutex ~n ~m () with
   | Core.Verified { wirings; _ } ->
       Alcotest.(check int) "mutex(2,3): all wirings" 6 wirings
-  | v -> Alcotest.failf "mutex(2,3) unreduced: %s" (verdict_kind v));
-  (match Core.verify_mutex ~n ~m ~reduction:true () with
-  | Core.Verified { wirings; _ } ->
-      Alcotest.(check int) "mutex(2,3) reduced: all wirings" 6 wirings
-  | v -> Alcotest.failf "mutex(2,3) reduced: %s" (verdict_kind v));
+  | v -> Alcotest.failf "mutex(2,3): %s" (verdict_kind v));
   let wirings = Anonmem.Wiring.enumerate ~n ~m ~fix_first:true in
   let seq_total reduction =
     List.fold_left
@@ -99,10 +94,7 @@ let test_naming_clean_cell_all_engines () =
   let invariant = Core.naming_invariant cfg in
   (match Core.verify_naming ~n ~m () with
   | Core.Verified _ -> ()
-  | v -> Alcotest.failf "naming(2,3) unreduced: %s" (verdict_kind v));
-  (match Core.verify_naming ~n ~m ~reduction:true () with
-  | Core.Verified _ -> ()
-  | v -> Alcotest.failf "naming(2,3) reduced: %s" (verdict_kind v));
+  | v -> Alcotest.failf "naming(2,3): %s" (verdict_kind v));
   let wirings = Anonmem.Wiring.enumerate ~n ~m ~fix_first:true in
   let seq_states =
     List.fold_left
@@ -129,13 +121,10 @@ let test_naming_clean_cell_all_engines () =
     [ 1; 2; 4 ]
 
 let test_leader_clean_cell () =
-  (match Core.verify_leader ~n:2 ~m:2 () with
+  match Core.verify_leader ~n:2 ~m:2 () with
   | Core.Verified { wirings; _ } ->
       Alcotest.(check int) "leader(2,2): all wirings" 2 wirings
-  | v -> Alcotest.failf "leader(2,2): %s" (verdict_kind v));
-  match Core.verify_leader ~n:2 ~m:2 ~reduction:true () with
-  | Core.Verified _ -> ()
-  | v -> Alcotest.failf "leader(2,2) reduced: %s" (verdict_kind v)
+  | v -> Alcotest.failf "leader(2,2): %s" (verdict_kind v)
 
 (* --- violating cells: witnesses must replay ------------------------------ *)
 
@@ -174,14 +163,7 @@ let test_mutex_deadlock_lasso_replays () =
       Alcotest.(check string)
         "mutex(2,2): cycle closes"
         (RmE.encode_state cfg entry)
-        (RmE.encode_state cfg around);
-      (* Reduced liveness detection agrees (same live set). *)
-      (match Core.verify_mutex ~n:2 ~m:2 ~reduction:true () with
-      | Core.Liveness_violation { live = live'; _ } ->
-          Alcotest.(check (list int)) "mutex(2,2): reduced live set" live live'
-      | v ->
-          Alcotest.failf "mutex(2,2) reduced: expected deadlock, got %s"
-            (verdict_kind v))
+        (RmE.encode_state cfg around)
   | v ->
       Alcotest.failf "mutex(2,2): expected deadlock, got %s" (verdict_kind v)
 
@@ -269,8 +251,12 @@ let test_planted_majority_leader_caught () =
 (* The sweep sizes are pinned exactly: a change to the crash moves shows
    as a count change, not only as a verdict change. *)
 let test_mutex_exclusion_survives_crashes () =
-  let module FE = Core.Rt_mutex_fault_mc in
-  match Core.verify_mutex_crashes ~n:2 ~m:3 ~max_crashes:1 () with
+  let module FE = Core.Rt_mutex_mc in
+  let cfg = Rm.cfg ~n:2 ~m:3 in
+  match
+    FE.check_all_wirings_crashes ~max_crashes:1
+      ~invariant:(Core.mutex_invariant cfg) ~cfg ~inputs:[| 1; 2 |] ()
+  with
   | Ok s ->
       Alcotest.(check int) "mutex(2,3) crash sweep: all wirings" 6
         s.FE.wirings_checked;
@@ -280,8 +266,12 @@ let test_mutex_exclusion_survives_crashes () =
   | Error e -> Alcotest.failf "mutex(2,3) under crashes: %s" e
 
 let test_naming_distinctness_survives_crashes () =
-  let module FE = Core.Naming_fault_mc in
-  match Core.verify_naming_crashes ~n:2 ~m:3 ~max_crashes:1 () with
+  let module FE = Core.Naming_mc in
+  let cfg = Nm.cfg ~n:2 ~m:3 in
+  match
+    FE.check_all_wirings_crashes ~max_crashes:1
+      ~invariant:(Core.naming_invariant cfg) ~cfg ~inputs:[| 1; 2 |] ()
+  with
   | Ok s ->
       Alcotest.(check int) "naming(2,3) crash sweep: all wirings" 6
         s.FE.wirings_checked;
@@ -306,7 +296,7 @@ let test_mutex_n3_noncoprime_violations () =
 let test_mutex_n3_deadlock_long () =
   if not long_mode then ()
   else
-    match Core.verify_mutex ~n:3 ~m:4 ~reduction:true () with
+    match Core.verify_mutex ~n:3 ~m:4 () with
     | Core.Liveness_violation _ -> ()
     | v ->
         Alcotest.failf "mutex(3,4): expected deadlock, got %s" (verdict_kind v)
@@ -314,7 +304,7 @@ let test_mutex_n3_deadlock_long () =
 let test_leader_n3_clean_long () =
   if not long_mode then ()
   else
-    match Core.verify_leader ~n:3 ~m:2 ~reduction:true () with
+    match Core.verify_leader ~n:3 ~m:2 () with
     | Core.Verified _ -> ()
     | v -> Alcotest.failf "leader(3,2): %s" (verdict_kind v)
 
@@ -443,15 +433,20 @@ let test_packed_mutex_parity () =
         Alcotest.failf "%s: generic %s vs packed %s" name (verdict_kind a)
           (verdict_kind b)
   in
+  let generic ?wiring_classes n m =
+    let cfg = Rm.cfg ~n ~m in
+    Core.Rt_mutex_mc.verify ?wiring_classes ~invariant:(Core.mutex_invariant cfg)
+      ~task:Tasks.Mutex_task.check ~cfg
+      ~inputs:(Array.init n (fun i -> i + 1))
+      ~n ~m ()
+  in
   List.iter
     (fun (n, m) ->
       let name = Printf.sprintf "mutex(%d,%d) packed" n m in
-      same_verdict name
-        (Core.verify_mutex ~n ~m ())
-        (Core.verify_mutex ~n ~m ~packed:true ());
+      same_verdict name (generic n m) (Core.verify_mutex ~n ~m ());
       same_verdict (name ^ " classes")
-        (Core.verify_mutex ~n ~m ~wiring_classes:true ())
-        (Core.verify_mutex ~n ~m ~wiring_classes:true ~packed:true ()))
+        (generic ~wiring_classes:true n m)
+        (Core.verify_mutex ~n ~m ~wiring_classes:true ()))
     [ (2, 1); (2, 2); (2, 3); (2, 4); (3, 2); (3, 3) ]
 
 let test_packed_planted_eager_caught () =
@@ -459,7 +454,7 @@ let test_packed_planted_eager_caught () =
      packed sweep flags the wiring, the generic fallback extracts the
      replayable witness. *)
   let cfg = Rm.cfg_eager ~n:2 ~m:3 in
-  match Core.verify_mutex ~cfg ~packed:true () with
+  match Core.verify_mutex ~cfg () with
   | Core.Safety_violation { wiring; path; _ } ->
       Alcotest.(check bool) "packed eager: mid-trace witness" true (path <> []);
       let final = RmReplay.final ~cfg ~wiring ~inputs:[| 1; 2 |] path in
@@ -471,7 +466,7 @@ let test_packed_planted_eager_caught () =
         (verdict_kind v)
 
 let test_packed_state_cap () =
-  match Core.verify_mutex ~n:2 ~m:3 ~max_states:10 ~packed:true () with
+  match Core.verify_mutex ~n:2 ~m:3 ~max_states:10 () with
   | Core.Resource_limit k -> Alcotest.(check int) "packed cap" 10 k
   | v -> Alcotest.failf "packed cap: expected limit, got %s" (verdict_kind v)
 
