@@ -186,12 +186,6 @@ let lower_bound_cmd =
 (* check-snapshot: the TLC claim *)
 
 let check_snapshot_cmd =
-  let max_states_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-states" ] ~docv:"K" ~doc:"Abort exploration beyond K states.")
-  in
   let crashes_arg =
     Arg.(
       value & opt int 0
@@ -252,8 +246,7 @@ let check_snapshot_cmd =
             "Wall-clock budget; on expiry the run writes a final \
              checkpoint (with $(b,--checkpoint)) and exits with code 3.")
   in
-  let run n max_states crashes fingerprint fp_ram_mb checkpoint resume
-      max_seconds =
+  let run n crashes fingerprint fp_ram_mb checkpoint resume max_seconds =
     refusing_unusable @@ fun () ->
     let max_fp_ram_mb =
       Modelcheck.Fingerprint_set.max_ram_budget_bytes / (1024 * 1024)
@@ -276,18 +269,14 @@ let check_snapshot_cmd =
     in
     (* The resume command must reproduce every flag baked into the
        checkpoint's context fingerprint — a mismatched engine is refused
-       on load — and every flag that
-       changes what the finished run checks: the state bound and the
-       crash pass that follows the sweep. *)
+       on load — and every flag that changes what the finished run
+       checks: the crash pass that follows the sweep. *)
     let resume_hint f =
       Printf.printf
-        "resume with: anonsim check-snapshot -n %d%s%s%s --checkpoint %s \
+        "resume with: anonsim check-snapshot -n %d%s%s --checkpoint %s \
          --resume\n"
         n
         (if crashes > 0 then Printf.sprintf " --crashes %d" crashes else "")
-        (match max_states with
-        | Some k -> Printf.sprintf " --max-states %d" k
-        | None -> "")
         (if fingerprint then
            Printf.sprintf " --fingerprint --fp-ram-mb %d" fp_ram_mb
          else "")
@@ -318,8 +307,8 @@ let check_snapshot_cmd =
       if crashes = 0 then `Ok ()
       else
         match
-          Core.verify_snapshot_model_crashes ~n ~max_crashes:crashes
-            ?max_states ~governor ?ckpt ~resume
+          Core.verify_snapshot_model_crashes ~n ~max_crashes:crashes ~governor
+            ?ckpt ~resume
             ~ckpt_extra:[ (report_section, Bytes.of_string report) ]
             ()
         with
@@ -357,7 +346,7 @@ let check_snapshot_cmd =
         check_crashes report
     | None when fingerprint -> (
         match
-          Core.verify_snapshot_model_fp ~n ?max_states
+          Core.verify_snapshot_model_fp ~n
             ~ram_budget_bytes:(fp_ram_mb * 1024 * 1024)
             ~governor ?ckpt ~resume ()
         with
@@ -382,9 +371,7 @@ let check_snapshot_cmd =
                  s.Modelcheck.Explorer.fp_spilled_runs
                  s.Modelcheck.Explorer.fp_spill_bytes))
     | None -> (
-        match
-          Core.verify_snapshot_model ~n ?max_states ~governor ?ckpt ~resume ()
-        with
+        match Core.verify_snapshot_model ~n ~governor ?ckpt ~resume () with
         | Error e -> finish_durably e
         | Ok s ->
             verified
@@ -416,9 +403,8 @@ let check_snapshot_cmd =
           where it stopped.")
     Term.(
       ret
-        (const run $ n_arg ~default:2 $ max_states_arg $ crashes_arg
-       $ fingerprint_arg $ fp_ram_mb_arg $ checkpoint_arg $ resume_arg
-       $ max_seconds_arg))
+        (const run $ n_arg ~default:2 $ crashes_arg $ fingerprint_arg
+       $ fp_ram_mb_arg $ checkpoint_arg $ resume_arg $ max_seconds_arg))
 
 (* check-nonatomic: the Section-8 claim *)
 
@@ -666,13 +652,6 @@ let feasibility_cmd =
       & info [ "quick" ]
           ~doc:"Only the n=2 rows of each grid (the smoke-test budget).")
   in
-  let max_states_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-states" ] ~docv:"K"
-          ~doc:"Abort any single exploration beyond $(docv) states.")
-  in
   let journal_arg =
     Arg.(
       value
@@ -691,8 +670,7 @@ let feasibility_cmd =
           ~doc:
             "Replay conclusively-finished cells from the journal instead \
              of recomputing them (torn tails from a crash are healed \
-             first); cells that hit a resource limit or budget are \
-             recomputed, continuing from their engine checkpoint when \
+             first); cells that ran out of budget are recomputed, continuing from their engine checkpoint when \
              $(b,--ckpt-dir) is set.")
   in
   let max_seconds_arg =
@@ -726,8 +704,7 @@ let feasibility_cmd =
              checkpoint here; re-running the sweep with the same \
              $(b,--ckpt-dir) continues them mid-exploration.")
   in
-  let run quick max_states out journal resume max_seconds max_heap_mb ckpt_dir
-      =
+  let run quick out journal resume max_seconds max_heap_mb ckpt_dir =
     refusing_unusable @@ fun () ->
     install_signal_handlers ();
     let journal_path =
@@ -745,9 +722,9 @@ let feasibility_cmd =
       if resume then Runtime_shm.Journal.open_append journal_path
       else (Runtime_shm.Journal.create journal_path, [])
     in
-    (* Only conclusive verdicts replay from the journal: Limit/Unknown
-       cells are exactly the ones a resumed run should try again (with
-       their checkpoints, when available). *)
+    (* Only conclusive verdicts replay from the journal: Unknown cells
+       are exactly the ones a resumed run should try again (with their
+       checkpoints, when available). *)
     let cached_cells =
       List.filter_map
         (Analysis.Feasibility.cell_of_record ~floor_of ~coprime_of)
@@ -774,14 +751,10 @@ let feasibility_cmd =
       Option.map (fun mb -> mb * 1024 * 1024 / (Sys.word_size / 8)) max_heap_mb
     in
     let cells =
-      (* The map is the symmetry-reduced sequential engine's verdict;
-         engine agreement is test_portfolio's job.  Violating cells
-         re-explore unreduced only to extract a replayable witness.
-         Clean sweeps run over wiring classes (processor-relabelling
+      (* Clean sweeps run over wiring classes (processor-relabelling
          quotient) — sound for these id-agnostic verdicts, and the only
          thing that keeps the 14400-wiring n=3 m=5 cells affordable. *)
-      Core.feasibility_map ~quick ?max_states ~reduction:true
-        ~wiring_classes:true ?wall_seconds:max_seconds ?heap_words
+      Core.feasibility_map ~quick ~wiring_classes:true ?wall_seconds:max_seconds ?heap_words
         ~interrupted_flag:interrupted ?ckpt_dir ~cached
         ~on_fresh:(fun c ->
           Runtime_shm.Journal.append jnl (Analysis.Feasibility.cell_to_record c))
@@ -863,8 +836,8 @@ let feasibility_cmd =
           engine checkpoints.")
     Term.(
       ret
-        (const run $ quick_arg $ max_states_arg $ out_arg $ journal_arg
-       $ resume_arg $ max_seconds_arg $ max_heap_mb_arg $ ckpt_dir_arg))
+        (const run $ quick_arg $ out_arg $ journal_arg $ resume_arg
+       $ max_seconds_arg $ max_heap_mb_arg $ ckpt_dir_arg))
 
 (* inductive: certify the snapshot invariant by induction *)
 

@@ -51,7 +51,6 @@ type status =
   | Solved of { wirings : int; states : int }
   | Safety_broken of string
   | Deadlock of string
-  | Limit of int
   | Unknown of { reason : string; states : int; checkpoint : string option }
       (** a resource budget ran out mid-cell; [reason] names the budget
           ("wall-clock", "heap", "quota", "interrupted"), [states] how
@@ -62,7 +61,6 @@ let pp_status ppf = function
       Fmt.pf ppf "solved (%d wirings, %d states)" wirings states
   | Safety_broken msg -> Fmt.pf ppf "safety violation: %s" msg
   | Deadlock msg -> Fmt.pf ppf "deadlock: %s" msg
-  | Limit k -> Fmt.pf ppf "resource limit at %d states" k
   | Unknown { reason; states; checkpoint } ->
       Fmt.pf ppf "unknown (%s budget exhausted at %d states%a)" reason states
         Fmt.(option (any ", checkpoint " ++ string))
@@ -72,18 +70,16 @@ let status_keyword = function
   | Solved _ -> "solved"
   | Safety_broken _ -> "safety-violation"
   | Deadlock _ -> "deadlock"
-  | Limit _ -> "resource-limit"
   | Unknown _ -> "unknown"
 
-(** Is the status a conclusive verdict about the cell?  Resource limits
-    and exhausted budgets are not: a resumed or re-budgeted run must
-    recompute them. *)
+(** Is the status a conclusive verdict about the cell?  An exhausted
+    budget is not: a resumed or re-budgeted run must recompute it. *)
 let status_final = function
   | Solved _ | Safety_broken _ | Deadlock _ -> true
-  | Limit _ | Unknown _ -> false
+  | Unknown _ -> false
 
-(** Does the observed status confirm the expectation?  Resource limits
-    confirm nothing. *)
+(** Does the observed status confirm the expectation?  An exhausted
+    budget confirms nothing. *)
 let confirms expectation status =
   match (expectation, status) with
   | Clean, Solved _ -> true
@@ -138,7 +134,6 @@ let grids ?(quick = false) () =
      task n m solved WIRINGS STATES
      task n m safety-violation MESSAGE...
      task n m deadlock MESSAGE...
-     task n m resource-limit K
      task n m unknown REASON STATES CHECKPOINT-or--
    This is the payload format of the run journal (lib/runtime/journal
    frames it with sequence numbers and checksums); it must round-trip
@@ -150,7 +145,6 @@ let cell_to_record c =
     | Solved { wirings; states } -> Printf.sprintf "solved %d %d" wirings states
     | Safety_broken msg -> "safety-violation " ^ msg
     | Deadlock msg -> "deadlock " ^ msg
-    | Limit k -> Printf.sprintf "resource-limit %d" k
     | Unknown { reason; states; checkpoint } ->
         Printf.sprintf "unknown %s %d %s" reason states
           (match checkpoint with None -> "-" | Some p -> p)
@@ -173,8 +167,6 @@ let cell_of_record ~floor_of ~coprime_of line =
                 Some (Safety_broken (String.concat " " msg))
             | "deadlock" :: msg when msg <> [] ->
                 Some (Deadlock (String.concat " " msg))
-            | [ "resource-limit"; k ] ->
-                Option.map (fun k -> Limit k) (int_opt k)
             | [ "unknown"; reason; s; ckpt ] ->
                 Option.map
                   (fun states ->
@@ -251,8 +243,8 @@ let run ?on_cell ?on_fresh ?cached ?(stop = fun () -> false) ~check grids =
         g.g_cells)
     grids
 
-(** Every cell either confirmed its expectation or hit a resource
-    limit — no surprises in the map. *)
+(** Every cell confirmed its expectation — no surprises, and no cell
+    left unknown, in the map. *)
 let all_confirmed cells =
   List.for_all (fun c -> confirms c.expectation c.status) cells
 
@@ -287,7 +279,6 @@ let to_json cells =
             Printf.sprintf "\"wirings\": %d, \"states\": %d" wirings states
         | Safety_broken msg | Deadlock msg ->
             Printf.sprintf "\"detail\": \"%s\"" (json_escape msg)
-        | Limit k -> Printf.sprintf "\"limit\": %d" k
         | Unknown { reason; states; checkpoint } ->
             Printf.sprintf "\"reason\": \"%s\", \"states\": %d%s"
               (json_escape reason) states

@@ -238,11 +238,11 @@ let snapshot_invariant cfg inputs =
     paper's TLC claim.  The sweep is the sequential DFS
     ({!Modelcheck.Explorer.Make.check_all_wirings}), which honours
     [governor], [ckpt] and [resume]. *)
-let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states ?governor
-    ?ckpt ?(resume = false) () =
+let verify_snapshot_model ?(n = 3) ?(inputs = None) ?governor ?ckpt
+    ?(resume = false) () =
   let inputs = match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1) in
   let cfg = Algorithms.Snapshot.standard ~n in
-  Snapshot_mc.check_all_wirings ?max_states ?governor ?ckpt ~resume
+  Snapshot_mc.check_all_wirings ?governor ?ckpt ~resume
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 
@@ -255,14 +255,14 @@ let verify_snapshot_model ?(n = 3) ?(inputs = None) ?max_states ?governor
     verdict; wait-freedom is {e not} decided (no edges are stored) — use
     the exact engines for liveness.  Supports the full
     governor/checkpoint/resume contract of the sequential engine. *)
-let verify_snapshot_model_fp ?(n = 3) ?(inputs = None) ?max_states
-    ?ram_budget_bytes ?spill_dir ?governor ?ckpt ?(resume = false) () =
+let verify_snapshot_model_fp ?(n = 3) ?(inputs = None) ?ram_budget_bytes
+    ?spill_dir ?governor ?ckpt ?(resume = false) () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
-  Snapshot_mc.check_all_wirings_fp ?max_states ?ram_budget_bytes ?spill_dir
-    ?governor ?ckpt ~resume
+  Snapshot_mc.check_all_wirings_fp ?ram_budget_bytes ?spill_dir ?governor
+    ?ckpt ~resume
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 
@@ -284,13 +284,13 @@ let verify_snapshot_model_fp ?(n = 3) ?(inputs = None) ?max_states
     {!verify_snapshot_model}; [ckpt_extra] sections ride in every
     checkpoint it writes. *)
 let verify_snapshot_model_crashes ?(n = 2) ?(inputs = None) ?(max_crashes = 1)
-    ?max_states ?governor ?ckpt ?(resume = false) ?ckpt_extra () =
+    ?governor ?ckpt ?(resume = false) ?ckpt_extra () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
   let cfg = Algorithms.Snapshot.standard ~n in
-  Snapshot_mc.check_all_wirings_crashes ?max_states ~max_crashes ?governor
-    ?ckpt ~resume ?ckpt_extra
+  Snapshot_mc.check_all_wirings_crashes ~max_crashes ?governor ?ckpt ~resume
+    ?ckpt_extra
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 
@@ -303,8 +303,8 @@ module Consensus_mc = Modelcheck.Explorer.Make (Modelcheck.Codecs.Consensus)
     bound makes the otherwise-infinite state space finite; safety holds for
     the full algorithm iff it holds for every bound, so each run is a
     genuine bounded-safety certificate. *)
-let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5)
-    ?max_states ?governor () =
+let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5) ?governor
+    () =
   let inputs =
     match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
   in
@@ -332,18 +332,16 @@ let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5)
   Modelcheck.Wiring_sweep.run ~n ~m:n ~init:0
     (fun ~resume:_ ~ckpt_extra:_ wiring total ->
       match
-        Consensus_mc.check_exhaustive ?max_states ~fail_on_cycle:false
-          ?governor ~invariant ~stop_expansion ~cfg ~wiring ~inputs ()
+        Consensus_mc.check_exhaustive ~fail_on_cycle:false ?governor
+          ~invariant ~stop_expansion ~cfg ~wiring ~inputs ()
       with
       | Consensus_mc.Dfs_ok s -> Ok (total + s.Consensus_mc.dfs_states)
       | Consensus_mc.Dfs_cycle _ -> assert false
       | Consensus_mc.Dfs_invariant_failed { message; _ } ->
           Error (Fmt.str "under wiring %a: %s" Anonmem.Wiring.pp wiring message)
-      | Consensus_mc.Dfs_state_limit k -> Error (Fmt.str "state limit at %d" k)
       | Consensus_mc.Dfs_exhausted { reason; stats } ->
           Error
-            (Fmt.str "budget exhausted (%a) at %d states"
-               Modelcheck.Governor.pp_reason reason
+            (Modelcheck.Explorer.exhausted_error reason
                stats.Consensus_mc.dfs_states))
 
 (** {1 Protocol portfolio verification}
@@ -377,7 +375,6 @@ type verdict =
       cycle : int list;  (** steps around the fair cycle, stepping every
                              live processor at least once *)
     }
-  | Resource_limit of int
   | Exhausted of {
       reason : Modelcheck.Governor.reason;
       states_visited : int;
@@ -398,7 +395,6 @@ let pp_verdict ppf = function
         Wiring.pp wiring
         Fmt.(list ~sep:(any ", ") (fun ppf p -> Fmt.pf ppf "p%d" (p + 1)))
         live
-  | Resource_limit k -> Fmt.pf ppf "state limit hit at %d states" k
   | Exhausted { reason; states_visited; checkpoint } ->
       Fmt.pf ppf "budget exhausted (%a) after %d states%a"
         Modelcheck.Governor.pp_reason reason states_visited
@@ -433,10 +429,9 @@ struct
       reports on top of the engine's own.  Once the space is explored
       clean of safety violations, a fair SCC is a deadlock, reported with
       its lasso witness. *)
-  let check_wiring ?max_states ?governor ~invariant ~task ~cfg ~inputs
-      ~states wiring =
-    match explore ?max_states ?governor ~invariant ~cfg ~wiring ~inputs () with
-    | State_limit k -> Error (Resource_limit k)
+  let check_wiring ?governor ~invariant ~task ~cfg ~inputs ~states wiring :
+      (int, verdict) Stdlib.result =
+    match explore ?governor ~invariant ~cfg ~wiring ~inputs () with
     | Exhausted { reason; states = k } ->
         Error (Exhausted { reason; states_visited = states + k; checkpoint = None })
     | Invariant_failed (_, v) ->
@@ -473,14 +468,12 @@ struct
                      })))
 
   (** The sweep of {!check_wiring} over every wiring. *)
-  let verify ?max_states ?wiring_classes ?governor ~invariant ~task ~cfg
-      ~inputs ~n ~m () =
+  let verify ?wiring_classes ?governor ~invariant ~task ~cfg ~inputs ~n ~m () =
     portfolio_sweep ?wiring_classes ~n ~m (fun ~resume:_ ~ckpt_extra:_ wiring
         (wcount, states) ->
         Result.map
           (fun k -> (wcount + 1, states + k))
-          (check_wiring ?max_states ?governor ~invariant ~task ~cfg ~inputs
-             ~states wiring))
+          (check_wiring ?governor ~invariant ~task ~cfg ~inputs ~states wiring))
 end
 
 module Rt_mutex_mc = Portfolio_mc (Modelcheck.Codecs.Rt_mutex)
@@ -554,8 +547,8 @@ let mutex_sweep_section =
     concrete and replayable.  [ckpt] and [resume] go through
     {!Modelcheck.Wiring_sweep.run}, which re-enters mid-sweep and lets
     the packed engine restart the wiring mid-exploration. *)
-let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
-    ?ckpt ?resume () =
+let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?wiring_classes ?governor ?ckpt ?resume
+    () =
   let cfg = match cfg with Some c -> c | None -> Algorithms.Rt_mutex.cfg ~n ~m in
   let n = Algorithms.Rt_mutex.processors cfg in
   let m = Algorithms.Rt_mutex.registers cfg in
@@ -565,11 +558,10 @@ let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
     ~m (fun ~resume ~ckpt_extra wiring (wcount, states) ->
       let verified k = Ok (wcount + 1, states + k) in
       match
-        Modelcheck.Rt_mutex_packed.check_wiring ~ws ?max_states ?governor ?ckpt
-          ~ckpt_extra ~resume ~cfg ~wiring ~inputs ()
+        Modelcheck.Rt_mutex_packed.check_wiring ~ws ?governor ?ckpt ~ckpt_extra
+          ~resume ~cfg ~wiring ~inputs ()
       with
       | Modelcheck.Rt_mutex_packed.Clean { states = k } -> verified k
-      | Modelcheck.Rt_mutex_packed.Limit k -> Error (Resource_limit k)
       | Modelcheck.Rt_mutex_packed.Exhausted { reason; states = k } ->
           Error
             (Exhausted
@@ -583,9 +575,8 @@ let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
       | Modelcheck.Rt_mutex_packed.Fair_cycle
       | Modelcheck.Rt_mutex_packed.Unsupported ->
           Result.bind
-            (Rt_mutex_mc.check_wiring ?max_states ?governor
-               ~invariant:(mutex_invariant cfg) ~task:Tasks.Mutex_task.check
-               ~cfg ~inputs ~states wiring)
+            (Rt_mutex_mc.check_wiring ?governor ~invariant:(mutex_invariant cfg)
+               ~task:Tasks.Mutex_task.check ~cfg ~inputs ~states wiring)
             verified)
 
 (* The first pair [(p', q', name)], [p' < q'], in order from the pair
@@ -616,12 +607,11 @@ let naming_invariant _cfg (st : Naming_mc.state) =
     (distinctness, own-cell inclusion, view containment) at terminal
     outcomes, and deadlock-freedom by fair-SCC search.  The layer runs
     above the mutex, so its feasibility inherits the mutex threshold. *)
-let verify_naming ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
-    () =
+let verify_naming ?(n = 2) ?(m = 3) ?cfg ?wiring_classes ?governor () =
   let cfg = match cfg with Some c -> c | None -> Algorithms.Naming.cfg ~n ~m in
   let n = Algorithms.Naming.processors cfg in
   let m = Algorithms.Naming.registers cfg in
-  Naming_mc.verify ?max_states ?wiring_classes ?governor
+  Naming_mc.verify ?wiring_classes ?governor
     ~invariant:(naming_invariant cfg) ~task:Tasks.Naming_task.check ~cfg
     ~inputs:(Array.init n (fun i -> i + 1))
     ~n ~m ()
@@ -644,8 +634,7 @@ let leader_invariant _cfg (st : Weak_leader_mc.state) =
     the lean DFS engine (the protocol claims wait-freedom, so cycles are
     violations here — no fair-SCC pass needed).  A wait-freedom breach
     reports the spinning processors as a liveness violation. *)
-let verify_leader ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
-    () =
+let verify_leader ?(n = 2) ?(m = 3) ?cfg ?wiring_classes ?governor () =
   let cfg =
     match cfg with Some c -> c | None -> Algorithms.Weak_leader.cfg ~n ~m
   in
@@ -655,8 +644,8 @@ let verify_leader ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
   portfolio_sweep ?wiring_classes ~n ~m
     (fun ~resume:_ ~ckpt_extra:_ wiring (wcount, states) ->
       match
-        Weak_leader_mc.check_exhaustive ?max_states ~fail_on_cycle:true
-          ?governor ~invariant:(leader_invariant cfg) ~cfg ~wiring ~inputs ()
+        Weak_leader_mc.check_exhaustive ~fail_on_cycle:true ?governor
+          ~invariant:(leader_invariant cfg) ~cfg ~wiring ~inputs ()
       with
       | Weak_leader_mc.Dfs_ok stats ->
           Ok (wcount + 1, states + stats.Weak_leader_mc.dfs_states)
@@ -666,7 +655,6 @@ let verify_leader ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
           Error
             (Liveness_violation
                { wiring; live = processors; stem = []; cycle = [] })
-      | Weak_leader_mc.Dfs_state_limit k -> Error (Resource_limit k)
       | Weak_leader_mc.Dfs_exhausted { reason; stats } ->
           Error
             (Exhausted
@@ -692,9 +680,9 @@ let verify_leader ?(n = 2) ?(m = 3) ?cfg ?max_states ?wiring_classes ?governor
     [reduction] has no effect: every cell runs on distinct identities,
     whose symmetry group is the identity alone, so there is nothing to
     quotient by. *)
-let feasibility_check ?max_states ?reduction:(_ : bool option)
-    ?(wiring_classes = false) ?wall_seconds ?heap_words ?quota
-    ?interrupted_flag ?ckpt_dir ~task ~n ~m () =
+let feasibility_check ?reduction:(_ : bool option) ?(wiring_classes = false)
+    ?wall_seconds ?heap_words ?quota ?interrupted_flag ?ckpt_dir ~task ~n ~m
+    () =
   let classify = function
     | Verified { wirings; states } ->
         Analysis.Feasibility.Solved { wirings; states }
@@ -704,7 +692,6 @@ let feasibility_check ?max_states ?reduction:(_ : bool option)
           (Fmt.str "processors %a spin forever"
              Fmt.(list ~sep:(any ", ") (fun ppf p -> Fmt.pf ppf "p%d" (p + 1)))
              live)
-    | Resource_limit k -> Analysis.Feasibility.Limit k
     | Exhausted { reason; states_visited; checkpoint } ->
         Analysis.Feasibility.Unknown
           {
@@ -737,10 +724,9 @@ let feasibility_check ?max_states ?reduction:(_ : bool option)
   let verdict =
     match task with
     | "mutex" ->
-        verify_mutex ~n ~m ?max_states ~wiring_classes ?governor ?ckpt
-          ~resume:true ()
-    | "naming" -> verify_naming ~n ~m ?max_states ~wiring_classes ?governor ()
-    | "leader" -> verify_leader ~n ~m ?max_states ~wiring_classes ?governor ()
+        verify_mutex ~n ~m ~wiring_classes ?governor ?ckpt ~resume:true ()
+    | "naming" -> verify_naming ~n ~m ~wiring_classes ?governor ()
+    | "leader" -> verify_leader ~n ~m ~wiring_classes ?governor ()
     | t ->
         Option.iter Modelcheck.Governor.dispose governor;
         invalid_arg (Fmt.str "feasibility_check: unknown task %S" t)
@@ -761,13 +747,13 @@ let feasibility_check ?max_states ?reduction:(_ : bool option)
     durable-run hooks of {!Analysis.Feasibility.run} (journal replay,
     journal append, interrupt); the budget knobs are per cell, as in
     {!feasibility_check}, and [reduction] has no effect there either. *)
-let feasibility_map ?(quick = false) ?max_states ?reduction:(_ : bool option)
+let feasibility_map ?(quick = false) ?reduction:(_ : bool option)
     ?wiring_classes ?wall_seconds ?heap_words ?quota ?interrupted_flag
     ?ckpt_dir ?on_cell ?on_fresh ?cached ?stop () =
   Analysis.Feasibility.run ?on_cell ?on_fresh ?cached ?stop
     ~check:(fun ~task ~n ~m ->
-      feasibility_check ?max_states ?wiring_classes ?wall_seconds
-        ?heap_words ?quota ?interrupted_flag ?ckpt_dir ~task ~n ~m ())
+      feasibility_check ?wiring_classes ?wall_seconds ?heap_words ?quota
+        ?interrupted_flag ?ckpt_dir ~task ~n ~m ())
     (Analysis.Feasibility.grids ~quick ())
 
 module Snapshot_witness = Modelcheck.Witness.Search (Algorithms.Snapshot)

@@ -150,7 +150,8 @@ val retire : string -> unit
 
     Every exhaustive engine runs its budget and its checkpoints through
     one {!run}.  A {e tick} is one unit of the engine's work — a popped
-    state, a DFS step, an induction configuration — counted at a
+    state, a DFS step, a packed Tarjan step, an induction configuration
+    — counted at a
     {e consistent point}, where the engine's save closure writes an image
     a resume continues from.  A save is {e due} once [every_states] ticks
     have passed since the last save (or since the run began); with

@@ -142,8 +142,6 @@ let empty_fp_summary =
 let exhausted_error reason states =
   Fmt.str "exhausted (%a) at %d states" Governor.pp_reason reason states
 
-let limit_error k = Fmt.str "state limit hit at %d states" k
-
 let invariant_error wiring message =
   Fmt.str "invariant violated under wiring %a: %s" Anonmem.Wiring.pp wiring
     message
@@ -438,7 +436,6 @@ module Make (P : CHECKABLE) = struct
   type result =
     | Explored of space
     | Invariant_failed of space * violation
-    | State_limit of int  (** exploration aborted at this many states *)
     | Exhausted of { reason : Governor.reason; states : int }
         (** a resource governor tripped; a final checkpoint was written
             when a checkpoint policy was in force, so the run is
@@ -491,9 +488,9 @@ module Make (P : CHECKABLE) = struct
 
       [ckpt_extra] sections ride in every checkpoint written (a sweep
       driver stores its position there, {!Wiring_sweep}). *)
-  let explore ?(max_states = 50_000_000) ?invariant ?stop_expansion
-      ?(reduction = false) ?(max_crashes = 0) ?governor ?ckpt ?(resume = false)
-      ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
+  let explore ?invariant ?stop_expansion ?(reduction = false)
+      ?(max_crashes = 0) ?governor ?ckpt ?(resume = false) ?(ckpt_extra = [])
+      ~cfg ~wiring ~inputs () =
     let n = P.processors cfg in
     if max_crashes < 0 then invalid_arg "Explorer.explore: max_crashes";
     let crashes = max_crashes > 0 in
@@ -588,40 +585,29 @@ module Make (P : CHECKABLE) = struct
       ignore (State_table.intern table key0);
       admit 0 init key0 ~from:(-1)
     end;
-    let limit_hit = ref false in
     (* The move of [pid] from [id] to the successor key in [buf], whose
-       concrete state is [st'].  Only a state beyond the bound trips the
-       limit: a full table still accepts edges to states already seen.
-       The unreduced key is probed straight from [buf]; a string is built
-       only for the limit check or under reduction. *)
+       concrete state is [st'].  The unreduced key is probed straight from
+       [buf]; a string is built only under reduction. *)
     let move id pid st' =
       let from = (id lsl 4) lor pid in
       let before = State_table.length table in
       let id' =
         match canon with
         | None ->
-            if before >= max_states
-               && not (State_table.mem table (Bytes.to_string buf))
-            then -1
-            else
-              let id' = State_table.intern_bytes table buf in
-              if id' = before then admit id' st' "" ~from;
-              id'
+            let id' = State_table.intern_bytes table buf in
+            if id' = before then admit id' st' "" ~from;
+            id'
         | Some c ->
             let key' = canonicalize c (Bytes.to_string buf) in
-            if before >= max_states && not (State_table.mem table key') then -1
-            else
-              let id' = State_table.intern table key' in
-              if id' = before then admit id' st' key' ~from;
-              id'
+            let id' = State_table.intern table key' in
+            if id' = before then admit id' st' key' ~from;
+            id'
       in
-      if id' < 0 then limit_hit := true
-      else ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor pid))
+      ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor pid))
     in
     let exhausted = ref None in
     while
-      (not (Queue.is_empty queue))
-      && !violation = None && (not !limit_hit) && !exhausted = None
+      (not (Queue.is_empty queue)) && !violation = None && !exhausted = None
     do
       (* Loop top is the consistent point: the previous pop's edges and
          degree row are complete, the frontier is [deg length, count). *)
@@ -660,9 +646,9 @@ module Make (P : CHECKABLE) = struct
           done;
         if !live = 0 then terminal := id :: !terminal
       end;
-      (* Pops happen in id order, so this row is deg.(id); a violation or
-         state limit leaves deg shorter than the table — the CSR builder
-         pads the never-popped tail with zeros. *)
+      (* Pops happen in id order, so this row is deg.(id); a violation
+         leaves deg shorter than the table — the CSR builder pads the
+         never-popped tail with zeros. *)
       ignore
         (State_table.Packed_vec.push deg
            (State_table.Packed_vec.length succ - edges_before))
@@ -674,7 +660,6 @@ module Make (P : CHECKABLE) = struct
           reason = Option.get !exhausted;
           states = State_table.length table;
         }
-    else if !limit_hit then State_limit (State_table.length table)
     else begin
       let space =
         {
@@ -925,7 +910,6 @@ module Make (P : CHECKABLE) = struct
                 representatives under [~reduction]) *)
         stats : dfs_stats;
       }
-    | Dfs_state_limit of int
     | Dfs_exhausted of { reason : Governor.reason; stats : dfs_stats }
         (** a resource governor tripped mid-search; resumable when a
             checkpoint policy was in force *)
@@ -944,9 +928,9 @@ module Make (P : CHECKABLE) = struct
       wait-freedom violation; pass [false] for protocols that are only
       obstruction-free (e.g. consensus), where cycles are expected and only
       the invariant is being checked. *)
-  let check_exhaustive ?(max_states = 100_000_000) ?(fail_on_cycle = true)
-      ?invariant ?stop_expansion ?(reduction = false) ?governor ?ckpt
-      ?(resume = false) ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
+  let check_exhaustive ?(fail_on_cycle = true) ?invariant ?stop_expansion
+      ?(reduction = false) ?governor ?ckpt ?(resume = false) ?(ckpt_extra = [])
+      ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.check_exhaustive" (P.processors cfg);
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
@@ -1102,11 +1086,8 @@ module Make (P : CHECKABLE) = struct
     let buf = Bytes.create (key_width cfg) in
     if resumed = None then
       push_state (State_table.intern table key0) key0 ~entered_by:(-1) init;
-    let limit = ref false in
     let exhausted = ref None in
-    while
-      !stack <> [] && !outcome = None && (not !limit) && !exhausted = None
-    do
+    while !stack <> [] && !outcome = None && !exhausted = None do
       exhausted := Checkpoint.tick durable;
       if !exhausted = None then begin
       match !stack with
@@ -1138,34 +1119,25 @@ module Make (P : CHECKABLE) = struct
                   p action buf
               in
               (* One probe: [intern] either finds the key or mints the next
-                 id.  A full table only refuses states it has not seen.
-                 Unreduced, the probe reads [buf] in place and a key
+                 id.  Unreduced, the probe reads [buf] in place and a key
                  string is built only for a fresh state. *)
               let before = State_table.length table in
               match canon with
               | None ->
-                  if before >= max_states
-                     && not (State_table.mem table (Bytes.to_string buf))
-                  then limit := true
-                  else
-                    let id' = State_table.intern_bytes table buf in
-                    if id' = before then
-                      push_state id' (Bytes.to_string buf) ~entered_by:p st'
-                    else revisit p id'
+                  let id' = State_table.intern_bytes table buf in
+                  if id' = before then
+                    push_state id' (Bytes.to_string buf) ~entered_by:p st'
+                  else revisit p id'
               | Some c ->
                   let key' = Canon.canonicalize c (Bytes.to_string buf) in
-                  if before >= max_states && not (State_table.mem table key')
-                  then limit := true
-                  else
-                    let id' = State_table.intern table key' in
-                    if id' = before then push_state id' key' ~entered_by:p st'
-                    else revisit p id'
+                  let id' = State_table.intern table key' in
+                  if id' = before then push_state id' key' ~entered_by:p st'
+                  else revisit p id'
           end
       end
     done;
     if !exhausted <> None then
       Dfs_exhausted { reason = Option.get !exhausted; stats = stats () }
-    else if !limit then Dfs_state_limit (State_table.length table)
     else match !outcome with Some r -> r | None -> Dfs_ok (stats ())
 
   (** Check an invariant and wait-freedom across a set of wirings —
@@ -1176,18 +1148,17 @@ module Make (P : CHECKABLE) = struct
       additionally quotients each per-wiring space by its anonymity
       symmetries.  With [ckpt], the {!sweep_section} rides in each
       per-wiring DFS checkpoint, so one file resumes both. *)
-  let check_all_wirings ?max_states ?invariant ?on_wiring ?wirings
+  let check_all_wirings ?invariant ?on_wiring ?wirings
       ?(reduction = false) ?governor ?ckpt ?(resume = false) ~cfg ~inputs () =
     Wiring_sweep.run ?wirings ~section:sweep_section ?ckpt ~resume ?on_wiring
       ~n:(P.processors cfg) ~m:(P.registers cfg) ~init:empty_summary
       (fun ~resume ~ckpt_extra wiring summary ->
         match
-          check_exhaustive ?max_states ?invariant ~reduction ?governor ?ckpt
+          check_exhaustive ?invariant ~reduction ?governor ?ckpt
             ~resume ~ckpt_extra ~cfg ~wiring ~inputs ()
         with
         | Dfs_exhausted { reason; stats } ->
             Error (exhausted_error reason stats.dfs_states)
-        | Dfs_state_limit k -> Error (limit_error k)
         | Dfs_invariant_failed { message; _ } ->
             Error (invariant_error wiring message)
         | Dfs_cycle { processors; _ } ->
@@ -1258,13 +1229,12 @@ module Make (P : CHECKABLE) = struct
         trace : (int * state) list;
             (** minimal-length counterexample, rebuilt by the exact BFS *)
       }
-    | Fp_state_limit of int
     | Fp_exhausted of { reason : Governor.reason; states : int }
 
-  let explore_fp ?(max_states = 1_000_000_000) ?invariant ?stop_expansion
-      ?(reduction = false) ?governor ?ckpt ?(resume = false)
-      ?(ckpt_extra = []) ?(ram_budget_bytes = 64 * 1024 * 1024)
-      ?(batch_states = 1 lsl 20) ?spill_dir ~cfg ~wiring ~inputs () =
+  let explore_fp ?invariant ?stop_expansion ?(reduction = false) ?governor
+      ?ckpt ?(resume = false) ?(ckpt_extra = [])
+      ?(ram_budget_bytes = 64 * 1024 * 1024) ?(batch_states = 1 lsl 20)
+      ?spill_dir ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.explore_fp" (P.processors cfg);
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let kw = key_width cfg in
@@ -1354,7 +1324,6 @@ module Make (P : CHECKABLE) = struct
        with no batch pending: the set and the frontier halves agree at a
        batch or layer boundary, where the run settles. *)
     let durable = Checkpoint.run ?governor ckpt save_ckpt in
-    let limit = ref false in
     (* Probe the pending batch: fresh keys are counted, invariant-checked
        on their decoded representative, and appended to the next
        layer. *)
@@ -1376,8 +1345,7 @@ module Make (P : CHECKABLE) = struct
         done;
         next := room !next ~used:!nnext ~want:(!nnext + fresh);
         Bytes.blit !cand 0 !next (!nnext * kw) (fresh * kw);
-        nnext := !nnext + fresh;
-        if !states > max_states then limit := true
+        nnext := !nnext + fresh
       end
     in
     let exhausted = ref None in
@@ -1397,9 +1365,7 @@ module Make (P : CHECKABLE) = struct
     let running = ref (!violation = None) in
     while !running do
       (* Consume the current layer, batching candidate successors. *)
-      while
-        !pos < !ncur && !violation = None && !exhausted = None && not !limit
-      do
+      while !pos < !ncur && !violation = None && !exhausted = None do
         exhausted := Checkpoint.poll durable;
         if !exhausted = None then begin
           let off = !pos * kw in
@@ -1443,7 +1409,6 @@ module Make (P : CHECKABLE) = struct
         Checkpoint.settle durable;
         running := false
       end
-      else if !limit then running := false
       else if !nnext = 0 then running := false
       else begin
         Checkpoint.settle durable;
@@ -1488,11 +1453,6 @@ module Make (P : CHECKABLE) = struct
           Fingerprint_set.close ~keep_runs:(ckpt <> None) fps;
           Fp_exhausted { reason = Option.get !exhausted; states = n }
         end
-        else if !limit then begin
-          let n = !states in
-          Fingerprint_set.close fps;
-          Fp_state_limit n
-        end
         else begin
           let st = stats () in
           Fingerprint_set.close fps;
@@ -1505,7 +1465,7 @@ module Make (P : CHECKABLE) = struct
       verdicts.  A fresh fingerprint set serves each wiring (runs are
       deleted between wirings); the summary's omission bound is the union
       bound over the per-wiring bounds. *)
-  let check_all_wirings_fp ?max_states ?invariant ?on_wiring ?wirings
+  let check_all_wirings_fp ?invariant ?on_wiring ?wirings
       ?(reduction = false) ?governor ?ckpt ?(resume = false) ?ram_budget_bytes
       ?spill_dir ~cfg ~inputs () =
     Wiring_sweep.run ?wirings ~section:fp_sweep_section ?ckpt ~resume
@@ -1513,11 +1473,10 @@ module Make (P : CHECKABLE) = struct
       ~init:empty_fp_summary
       (fun ~resume ~ckpt_extra wiring summary ->
         match
-          explore_fp ?max_states ?invariant ~reduction ?governor ?ckpt ~resume
-            ~ckpt_extra ?ram_budget_bytes ?spill_dir ~cfg ~wiring ~inputs ()
+          explore_fp ?invariant ~reduction ?governor ?ckpt ~resume ~ckpt_extra
+            ?ram_budget_bytes ?spill_dir ~cfg ~wiring ~inputs ()
         with
         | Fp_exhausted { reason; states } -> Error (exhausted_error reason states)
-        | Fp_state_limit k -> Error (limit_error k)
         | Fp_invariant_failed { message; _ } ->
             Error (invariant_error wiring message)
         | Fp_explored st ->
@@ -1586,9 +1545,8 @@ module Make (P : CHECKABLE) = struct
       position (section ["crash_sweep"]) and the caller's [ckpt_extra]
       sections beside it, so [~resume] re-enters the sweep where it
       stopped. *)
-  let check_all_wirings_crashes ?max_states ?(max_crashes = 1) ?invariant
-      ?wirings ?governor ?ckpt ?(resume = false) ?(ckpt_extra = []) ~cfg
-      ~inputs () =
+  let check_all_wirings_crashes ?(max_crashes = 1) ?invariant ?wirings
+      ?governor ?ckpt ?(resume = false) ?(ckpt_extra = []) ~cfg ~inputs () =
     let n = P.processors cfg in
     let pp_move ppf pid =
       if pid < n then Fmt.pf ppf "p%d" (pid + 1)
@@ -1605,11 +1563,10 @@ module Make (P : CHECKABLE) = struct
         }
       (fun ~resume ~ckpt_extra:position wiring summary ->
         match
-          explore ?max_states ~max_crashes ?invariant ?governor ?ckpt ~resume
+          explore ~max_crashes ?invariant ?governor ?ckpt ~resume
             ~ckpt_extra:(position @ ckpt_extra) ~cfg ~wiring ~inputs ()
         with
         | Exhausted { reason; states } -> Error (exhausted_error reason states)
-        | State_limit k -> Error (limit_error k)
         | Invariant_failed (_, v) ->
             let moves = List.map fst v.trace in
             Error

@@ -1,6 +1,6 @@
 (* Resource governor for long verification runs: wall-clock, heap and
-   state-quota budgets plus an externally shared interrupt flag, polled
-   by the engines once per popped state.  A tripped governor is sticky —
+   tick-quota budgets plus an externally shared interrupt flag, polled
+   by the engines once per unit of work.  A tripped governor is sticky —
    once [tick] reports a reason, every later [tick] reports the same
    one, so an engine that checks the governor at several points in its
    loop cannot see the budget flicker back under the line. *)

@@ -2,17 +2,20 @@
 
     A governor bundles up to four budgets — wall-clock seconds, live
     heap words (checked from a [Gc] alarm at major-collection
-    boundaries), a state quota, and a shared interrupt flag (set from a
+    boundaries), a tick quota, and a shared interrupt flag (set from a
     SIGINT/SIGTERM handler, or {!interrupt}) — behind a single [tick]
-    call that engines make once per popped state.  When a budget is
-    exceeded, [tick] returns the reason and the engine returns a
-    structured [Exhausted] verdict (after writing a final checkpoint)
-    instead of dying; a feasibility sweep marks the cell
-    [Unknown(reason)] and moves on.
+    call that engines make once per unit of work, through
+    {!Checkpoint.tick}: a popped state, a DFS step, a packed Tarjan step
+    or an induction configuration.  It is the only way an exhaustive
+    engine stops early.  When a budget is exceeded, [tick] returns the
+    reason and the engine returns a structured [Exhausted] verdict
+    (after writing a final checkpoint) instead of dying; a feasibility
+    sweep marks the cell [Unknown(reason)] and moves on.
 
     Tripping is sticky: once [tick] reports a reason it keeps reporting
     the same one.  The quota budget is exact and deterministic (it
-    counts ticks), which is what the resume-parity tests use; the
+    counts ticks) — the only deterministic budget, which the tests and
+    the benchmark use; the
     wall-clock budget is polled every 64 ticks (but on the first tick,
     so a zero budget trips immediately); the heap budget is as fresh as
     the last major collection. *)
@@ -38,7 +41,8 @@ val create :
     {!interrupt}). *)
 
 val tick : t -> reason option
-(** Called once per unit of work (popped state).  [Some r] once any
+(** Called once per unit of work (a popped state, a DFS step, a packed
+    Tarjan step or an induction configuration).  [Some r] once any
     budget is exceeded — sticky thereafter. *)
 
 val tripped : t -> reason option

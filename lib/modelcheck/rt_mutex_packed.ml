@@ -47,7 +47,6 @@ type verdict =
       (** swept exhaustively, no violation *)
   | Breach  (** mutual-exclusion invariant or audit tripwire violated *)
   | Fair_cycle  (** deadlock: a fair SCC is reachable *)
-  | Limit of int  (** state cap hit *)
   | Exhausted of { reason : Governor.reason; states : int }
       (** a resource governor tripped; resumable when a checkpoint
           policy was in force *)
@@ -231,7 +230,6 @@ end
 
 exception Found_breach
 exception Found_fair
-exception Found_limit
 exception Found_exhausted of Governor.reason
 
 type ws = {
@@ -279,8 +277,8 @@ let reset_ws w =
   Vec.reset w.ws_fr_pid;
   Vec.reset w.ws_fr_epid
 
-let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
-    ?(ckpt_extra = []) ?(resume = false) ~cfg ~wiring ~inputs () =
+let check_wiring ?ws:reuse ?governor ?ckpt ?(ckpt_extra = []) ?(resume = false)
+    ~cfg ~wiring ~inputs () =
   let n = Rt_mutex.processors cfg in
   let m = Rt_mutex.registers cfg in
   if n < 1 || n > 3 || Array.length inputs <> n then Unsupported
@@ -362,7 +360,6 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
          pid of the tree edge that discovered this frame. *)
       let fr_u = w.ws_fr_u and fr_s = w.ws_fr_s in
       let fr_pid = w.ws_fr_pid and fr_epid = w.ws_fr_epid in
-      let cap = Option.value max_states ~default:max_int in
       (* --- checkpoint plumbing ----------------------------------------
          Everything the Tarjan loop owns is flat int data, and each
          vector's live prefix is streamed into the file as it is
@@ -440,7 +437,6 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
       let push_state s epid =
         (* pre: s is fresh, already interned with id = !count *)
         if not (safe s) then raise Found_breach;
-        if !count >= cap then raise Found_limit;
         let id = !count in
         incr count;
         Vec.push keys s;
@@ -521,7 +517,6 @@ let check_wiring ?ws:reuse ?max_states ?governor ?ckpt
       with
       | Found_breach -> Breach
       | Found_fair -> Fair_cycle
-      | Found_limit -> Limit !count
       | Found_exhausted reason -> Exhausted { reason; states = !count }
     end
   end

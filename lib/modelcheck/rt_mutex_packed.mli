@@ -11,7 +11,6 @@ type verdict =
   | Clean of { states : int }  (** swept exhaustively, no violation *)
   | Breach  (** mutual-exclusion invariant or audit tripwire violated *)
   | Fair_cycle  (** deadlock: a fair SCC is reachable *)
-  | Limit of int  (** state cap hit *)
   | Exhausted of { reason : Governor.reason; states : int }
       (** a resource governor tripped mid-sweep; when a checkpoint
           policy was in force a final checkpoint was written first, so
@@ -33,7 +32,6 @@ val ws : unit -> ws
 
 val check_wiring :
   ?ws:ws ->
-  ?max_states:int ->
   ?governor:Governor.t ->
   ?ckpt:Checkpoint.policy ->
   ?ckpt_extra:(string * Bytes.t) list ->

@@ -62,12 +62,9 @@ module Make (P : Anonmem.Protocol.S) = struct
     | Done
     | Restarted of int
         (** completed, but only after this many injected crash-recoveries *)
-    | Timed_out of { elapsed_s : float; checkpoint : string option }
+    | Timed_out of { elapsed_s : float }
         (** step budget or watchdog deadline exhausted after [elapsed_s]
-            seconds of wall clock; [checkpoint], when present, is where
-            the run's progress survives (processors themselves never
-            checkpoint — the field is filled in by supervision layers
-            that do, e.g. {!Supervisor}) *)
+            seconds of wall clock *)
     | Crashed of { injected : bool; reason : string }
         (** [injected = true]: a planned fault; [false]: a real exception
             escaped the protocol code (reported, never re-raised across
@@ -83,10 +80,7 @@ module Make (P : Anonmem.Protocol.S) = struct
   let pp_status ppf = function
     | Done -> Fmt.string ppf "done"
     | Restarted k -> Fmt.pf ppf "done after %d restart%s" k (if k = 1 then "" else "s")
-    | Timed_out { elapsed_s; checkpoint } ->
-        Fmt.pf ppf "timed out after %.2fs%a" elapsed_s
-          Fmt.(option (any "; checkpoint at " ++ string))
-          checkpoint
+    | Timed_out { elapsed_s } -> Fmt.pf ppf "timed out after %.2fs" elapsed_s
     | Crashed { injected; reason } ->
         Fmt.pf ppf "crashed (%s%s)" (if injected then "injected: " else "") reason
 
@@ -219,11 +213,9 @@ module Make (P : Anonmem.Protocol.S) = struct
             let status = if restarts > 0 then Restarted restarts else Done in
             (status, P.output cfg local, !steps)
         | exception Step_limit k ->
-            (Timed_out { elapsed_s = elapsed_s (); checkpoint = None }, None, k)
+            (Timed_out { elapsed_s = elapsed_s () }, None, k)
         | exception Deadline_exceeded ->
-            ( Timed_out { elapsed_s = elapsed_s (); checkpoint = None },
-              None,
-              !steps )
+            (Timed_out { elapsed_s = elapsed_s () }, None, !steps)
         | exception Injected_crash_stop ->
             (Crashed { injected = true; reason = "crash-stop" }, None, !steps)
         | exception Injected_crash_recover ->
@@ -268,45 +260,6 @@ module Make (P : Anonmem.Protocol.S) = struct
           && Array.exists (function Timed_out _ -> true | _ -> false) statuses
         then Error (Fmt.str "some processor exceeded %d operations" max_steps)
         else Ok { outputs; steps; statuses; wiring }
-end
-
-(** Bounded restart-from-checkpoint supervision for long verification
-    jobs: run a job closure, and when it dies (any exception — a
-    governor-independent crash, an [Out_of_memory], a
-    [Checkpoint.Corrupt_checkpoint] from a torn file is {e not} retried
-    against the same file because the job itself decides how to read
-    it), restart it with exponential backoff, pointing it at the last
-    checkpoint that survived.  The job sees [~resume_from:(Some path)]
-    exactly when the checkpoint file exists, so a first run and a
-    restart-after-crash-before-first-checkpoint both start fresh.
-
-    [sleep] is injectable so the supervision tests exercise the backoff
-    schedule without waiting it out. *)
-module Supervisor = struct
-  type 'a outcome =
-    | Completed of { value : 'a; restarts : int }
-    | Gave_up of { restarts : int; last_error : string }
-
-  (** [supervise ~checkpoint f] runs [f ~resume_from] up to
-      [1 + max_restarts] times; the [k]-th restart sleeps
-      [backoff_s * 2^k] seconds first. *)
-  let supervise ?(max_restarts = 3) ?(backoff_s = 0.1)
-      ?(sleep = Unix.sleepf) ~checkpoint f =
-    let resume_from () =
-      if Sys.file_exists checkpoint then Some checkpoint else None
-    in
-    let rec go attempt =
-      match f ~resume_from:(resume_from ()) with
-      | value -> Completed { value; restarts = attempt }
-      | exception exn ->
-          if attempt >= max_restarts then
-            Gave_up
-              { restarts = attempt; last_error = Printexc.to_string exn }
-          else (
-            sleep (backoff_s *. (2. ** float_of_int attempt));
-            go (attempt + 1))
-    in
-    go 0
 end
 
 module Snapshot_run = Make (Algorithms.Snapshot)

@@ -504,7 +504,7 @@ let test_cell_codec () =
       F.Solved { wirings = 5; states = 123_456 };
       F.Safety_broken "p1 and p2 both acquired name 3";
       F.Deadlock "processors p1, p2 spin forever";
-      F.Limit 100_000;
+      F.Unknown { reason = "heap"; states = 100_000; checkpoint = None };
       F.Unknown { reason = "wall-clock"; states = 42; checkpoint = None };
       F.Unknown
         {
@@ -540,7 +540,16 @@ let test_cell_codec () =
       Alcotest.(check bool)
         ("rejects: " ^ bad) true
         (F.cell_of_record ~floor_of ~coprime_of bad = None))
-    [ ""; "mutex"; "mutex x 3 solved 1 2"; "mutex 2 3 nonsense"; "mutex 2 3 solved 1" ]
+    [
+      "";
+      "mutex";
+      "mutex x 3 solved 1 2";
+      "mutex 2 3 nonsense";
+      "mutex 2 3 solved 1";
+      (* an older journal's state-limit line: dropped, so the cell is
+         recomputed *)
+      "mutex 2 3 resource-limit 5";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine kill-and-resume parity                                       *)
@@ -960,28 +969,27 @@ let packed_verdict = function
   | Packed.Clean { states } -> Printf.sprintf "Clean %d" states
   | Packed.Breach -> "Breach"
   | Packed.Fair_cycle -> "Fair_cycle"
-  | Packed.Limit k -> Printf.sprintf "Limit %d" k
   | Packed.Exhausted { reason; states } ->
       Printf.sprintf "Exhausted (%s, %d)" (Gov.reason_to_string reason) states
   | Packed.Unsupported -> "Unsupported"
 
 (* One workspace driven through every way a run ends must answer each
-   wiring exactly as a fresh one does.  A breach and a state cap trip on
-   a key the table already holds but the Tarjan vectors never got; a
-   deadlock and a governor stop leave half-explored spaces behind; then
+   wiring exactly as a fresh one does.  A breach trips on a key the
+   table already holds but the Tarjan vectors never got; a deadlock and
+   a governor stop leave half-explored spaces behind; then
    every (2,5) class runs on what is left, and a checkpointed run is
    interrupted and resumed on the same workspace.  Each run goes twice
    on the reused workspace, so the second meets whatever the first left
    of the same space. *)
 let test_packed_ws_reuse () =
   let ws = Packed.ws () in
-  let run ?max_states ?quota ~n ~m wiring =
+  let run ?quota ~n ~m wiring =
     let cfg = Algorithms.Rt_mutex.cfg ~n ~m in
     let inputs = Array.init n (fun i -> i + 1) in
     let go ws =
       let governor = Option.map (fun quota -> Gov.create ~quota ()) quota in
       let v =
-        Packed.check_wiring ?ws ?max_states ?governor ~cfg ~wiring ~inputs ()
+        Packed.check_wiring ?ws ?governor ~cfg ~wiring ~inputs ()
       in
       Option.iter Gov.dispose governor;
       v
@@ -1009,8 +1017,6 @@ let test_packed_ws_reuse () =
   sweep_until ~n:2 ~m:4 Packed.Fair_cycle;
   let classes = Anonmem.Wiring.enumerate_classes ~n:2 ~m:5 in
   let w = List.nth classes (List.length classes / 2) in
-  Alcotest.(check string) "state cap" "Limit 300"
-    (packed_verdict (run ~max_states:300 ~n:2 ~m:5 w));
   (match run ~quota:1500 ~n:2 ~m:5 w with
   | Packed.Exhausted _ -> ()
   | v -> Alcotest.failf "governed run: want Exhausted, got %s" (packed_verdict v));
@@ -1394,14 +1400,14 @@ let test_sweep_index_refused () =
 (* ------------------------------------------------------------------ *)
 
 (* A deterministic stand-in checker covering every status shape the
-   journal must carry (Limit is non-final, so resumed runs recompute it —
-   determinism keeps the final map identical either way). *)
+   journal must carry (Unknown is non-final, so resumed runs recompute it
+   — determinism keeps the final map identical either way). *)
 let stub ~task ~n ~m =
   match (String.length task + n + m) mod 4 with
   | 0 -> F.Solved { wirings = n * m; states = (n * 100) + m }
   | 1 -> F.Safety_broken (Printf.sprintf "%s breaks at %d %d" task n m)
   | 2 -> F.Deadlock "spin"
-  | _ -> F.Limit (n + m)
+  | _ -> F.Unknown { reason = "quota"; states = n + m; checkpoint = None }
 
 let run_map_with_journal path =
   let grids = F.grids ~quick:true () in
@@ -1460,60 +1466,6 @@ let test_map_stop_skips_remaining () =
       ~check:stub grids
   in
   Alcotest.(check int) "stopped after 3 cells" 3 (List.length cells)
-
-(* ------------------------------------------------------------------ *)
-(* Supervisor                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_supervisor_restart_backoff () =
-  let ckpt = fresh_path ".ckpt" in
-  let sleeps = ref [] in
-  let attempts = ref 0 in
-  let outcome =
-    Runtime_shm.Supervisor.supervise ~max_restarts:3 ~backoff_s:0.5
-      ~sleep:(fun s -> sleeps := s :: !sleeps)
-      ~checkpoint:ckpt
-      (fun ~resume_from ->
-        incr attempts;
-        match !attempts with
-        | 1 ->
-            Alcotest.(check (option string)) "first run fresh" None resume_from;
-            write_file ckpt "progress";
-            failwith "crash one"
-        | 2 ->
-            Alcotest.(check (option string))
-              "restart sees the checkpoint" (Some ckpt) resume_from;
-            failwith "crash two"
-        | _ ->
-            Alcotest.(check (option string))
-              "third run still resumes" (Some ckpt) resume_from;
-            "done")
-  in
-  (match outcome with
-  | Runtime_shm.Supervisor.Completed { value; restarts } ->
-      Alcotest.(check string) "value" "done" value;
-      Alcotest.(check int) "restarts" 2 restarts
-  | Runtime_shm.Supervisor.Gave_up _ -> Alcotest.fail "must complete");
-  Alcotest.(check (list (float 1e-9)))
-    "exponential backoff schedule" [ 0.5; 1.0 ] (List.rev !sleeps);
-  Sys.remove ckpt
-
-let test_supervisor_gives_up () =
-  let sleeps = ref 0 in
-  let outcome =
-    Runtime_shm.Supervisor.supervise ~max_restarts:2 ~backoff_s:0.1
-      ~sleep:(fun _ -> incr sleeps)
-      ~checkpoint:(fresh_path ".ckpt")
-      (fun ~resume_from:_ -> failwith "always down")
-  in
-  (match outcome with
-  | Runtime_shm.Supervisor.Gave_up { restarts; last_error } ->
-      Alcotest.(check int) "exhausted restart budget" 2 restarts;
-      Alcotest.(check bool)
-        "error preserved" true
-        (String.length last_error > 0)
-  | Runtime_shm.Supervisor.Completed _ -> Alcotest.fail "cannot complete");
-  Alcotest.(check int) "one sleep per restart" 2 !sleeps
 
 let () =
   Alcotest.run "durability"
@@ -1615,11 +1567,5 @@ let () =
             test_map_crash_resume_identical;
           Alcotest.test_case "stop skips remaining cells" `Quick
             test_map_stop_skips_remaining;
-        ] );
-      ( "supervisor",
-        [
-          Alcotest.test_case "restart with backoff" `Quick
-            test_supervisor_restart_backoff;
-          Alcotest.test_case "gives up" `Quick test_supervisor_gives_up;
         ] );
     ]

@@ -501,28 +501,23 @@ let test_crash_traces_replay () =
       | _ -> Alcotest.failf "crash space must explore (reduction=%b)" reduction)
     [ false; true ]
 
-(* The crash search follows the other engines' [max_states] rule: a
-   limit is reported only when a state beyond the bound was discovered,
-   so a bound equal to the space size explores it and one less trips. *)
+(* The crash search stops early only on its governor, like every other
+   engine: under a quota it returns [Exhausted] with a partial count, and
+   with no governor it explores the whole (pinned) space. *)
 let test_crash_search_state_bound () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let inputs = [| 1; 2 |] in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
   let module E = Core.Snapshot_mc in
-  let run max_states =
-    E.explore ~max_states ~max_crashes:1 ~cfg ~wiring ~inputs ()
-  in
-  match run 50_000_000 with
-  | E.Explored space -> (
-      let states = E.state_count space in
-      (match run states with
-      | E.Explored s ->
-          Alcotest.(check int) "bound = space" states (E.state_count s)
-      | _ -> Alcotest.fail "bound = space must explore the space");
-      match run (states - 1) with
-      | E.State_limit _ -> ()
-      | _ -> Alcotest.fail "bound = space - 1 must report a limit")
-  | _ -> Alcotest.fail "reference crash search must finish"
+  (match E.explore ~max_crashes:1 ~cfg ~wiring ~inputs () with
+  | E.Explored space ->
+      Alcotest.(check int) "pinned space" 8105 (E.state_count space)
+  | _ -> Alcotest.fail "the crash search must finish without a governor");
+  let governor = Modelcheck.Governor.create ~quota:50 () in
+  match E.explore ~governor ~max_crashes:1 ~cfg ~wiring ~inputs () with
+  | E.Exhausted { reason = Modelcheck.Governor.Quota; states } ->
+      Alcotest.(check bool) "partial count" true (states >= 50)
+  | _ -> Alcotest.fail "a quota must stop the crash search"
 
 let () =
   Alcotest.run "fault"

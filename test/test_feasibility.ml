@@ -68,7 +68,9 @@ let test_confirmation_matrix () =
   let solved = F.Solved { wirings = 1; states = 1 } in
   let broken = F.Safety_broken "x" in
   let dead = F.Deadlock "y" in
-  let limit = F.Limit 5 in
+  let unknown =
+    F.Unknown { reason = "quota"; states = 5; checkpoint = None }
+  in
   List.iter
     (fun (exp_, st, want) ->
       Alcotest.(check bool)
@@ -80,14 +82,14 @@ let test_confirmation_matrix () =
       (F.Clean, solved, true);
       (F.Clean, broken, false);
       (F.Clean, dead, false);
-      (F.Clean, limit, false);
+      (F.Clean, unknown, false);
       (F.Noncoprime, solved, false);
       (F.Noncoprime, broken, true);
       (F.Noncoprime, dead, true);
       (F.Below_floor, broken, true);
       (F.Below_floor, dead, true);
       (F.Below_floor, solved, false);
-      (F.Noncoprime, limit, false);
+      (F.Noncoprime, unknown, false);
     ]
 
 let test_json_shape () =
@@ -145,7 +147,6 @@ let test_first_noncoprime_cells_pinned () =
         (match v with
         | Core.Verified _ -> "verified"
         | Core.Safety_violation _ -> "safety violation"
-        | Core.Resource_limit _ -> "limit"
         | Core.Liveness_violation _ | Core.Exhausted _ -> assert false));
   (match Core.verify_mutex ~n:3 ~m:2 () with
   | Core.Safety_violation _ -> ()
@@ -176,6 +177,37 @@ let test_quick_map_confirms () =
     cells;
   Alcotest.(check bool) "nonempty map" true (List.length cells >= 12)
 
+(* One budget stops every engine behind the map: a quota of 50 ticks
+   leaves a clean cell [Unknown "quota"] with a partial count whichever
+   engine sweeps it — the packed Tarjan loop (mutex), the generic BFS
+   (naming) or the DFS (leader) — and the bounded consensus check reports
+   the sweeps' shared exhausted text. *)
+let test_quota_stops_every_engine () =
+  List.iter
+    (fun (task, n, m) ->
+      match Core.feasibility_check ~quota:50 ~task ~n ~m () with
+      | F.Unknown { reason; states; checkpoint = None } ->
+          Alcotest.(check string) (Fmt.str "%s (%d,%d) reason" task n m)
+            "quota" reason;
+          Alcotest.(check bool)
+            (Fmt.str "%s (%d,%d) partial count" task n m)
+            true (states > 0)
+      | st ->
+          Alcotest.failf "%s (%d,%d): want unknown, got %s" task n m
+            (F.status_keyword st))
+    [ ("mutex", 2, 3); ("naming", 2, 3); ("leader", 2, 2) ];
+  let governor = Modelcheck.Governor.create ~quota:50 () in
+  match Core.verify_consensus_bounded ~n:2 ~max_ts:4 ~governor () with
+  | Error e -> (
+      match Scanf.sscanf_opt e "%_s@(quota) at %d states%!" Fun.id with
+      | Some states ->
+          Alcotest.(check string) "consensus: the sweeps' exhausted text"
+            (Modelcheck.Explorer.exhausted_error Modelcheck.Governor.Quota
+               states)
+            e
+      | None -> Alcotest.failf "consensus: unexpected error %S" e)
+  | Ok _ -> Alcotest.fail "a quota must stop the consensus check"
+
 let () =
   Alcotest.run "feasibility"
     [
@@ -201,5 +233,7 @@ let () =
             test_covering_floor_cells_pinned;
           Alcotest.test_case "quick map confirms prediction" `Quick
             test_quick_map_confirms;
+          Alcotest.test_case "a quota stops every engine" `Quick
+            test_quota_stops_every_engine;
         ] );
     ]

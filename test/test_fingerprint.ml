@@ -55,7 +55,6 @@ module FpDiff (P : Modelcheck.Explorer.CHECKABLE) = struct
         }
     | E.Invariant_failed (_, v) ->
         Alcotest.failf "exact BFS: unexpected invariant failure: %s" v.E.message
-    | E.State_limit k -> Alcotest.failf "exact BFS: state limit %d" k
     | E.Exhausted _ -> Alcotest.fail "exact BFS: unexpected exhaustion"
 
   let fp ?invariant ?stop_expansion ?(reduction = false) ?ram_budget_bytes
@@ -67,7 +66,6 @@ module FpDiff (P : Modelcheck.Explorer.CHECKABLE) = struct
     | E.Fp_explored st -> st
     | E.Fp_invariant_failed { message; _ } ->
         Alcotest.failf "fp BFS: unexpected invariant failure: %s" message
-    | E.Fp_state_limit k -> Alcotest.failf "fp BFS: state limit %d" k
     | E.Fp_exhausted _ -> Alcotest.fail "fp BFS: unexpected exhaustion"
 
   let check_counts ?(bound = 1e-12) name (ex : counts) (st : E.fp_stats) =

@@ -87,12 +87,16 @@ let test_explore_finds_invariant_violation () =
       Alcotest.(check int) "violation at initial state" 0 (List.length v.MC.trace)
   | _ -> Alcotest.fail "expected invariant failure"
 
+(* The governor is the one way to stop an exploration early: a quota of
+   10 ticks stops the BFS after 10 popped states, with a partial count. *)
 let test_explore_state_limit () =
   let cfg = Snap.standard ~n:2 in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  match MC.explore ~max_states:10 ~cfg ~wiring ~inputs:[| 1; 2 |] () with
-  | MC.State_limit k -> Alcotest.(check bool) "stopped near limit" true (k >= 10)
-  | _ -> Alcotest.fail "expected state limit"
+  let governor = Modelcheck.Governor.create ~quota:10 () in
+  match MC.explore ~governor ~cfg ~wiring ~inputs:[| 1; 2 |] () with
+  | MC.Exhausted { reason = Modelcheck.Governor.Quota; states } ->
+      Alcotest.(check bool) "stopped past the quota" true (states >= 10)
+  | _ -> Alcotest.fail "expected a quota trip"
 
 let test_trace_reconstruction () =
   let cfg = Snap.cfg ~n:1 ~m:1 in
@@ -209,7 +213,6 @@ let test_double_collect_explored () =
       | MCD.Explored space ->
           Alcotest.(check bool) "explored" true (MCD.state_count space > 0)
       | MCD.Invariant_failed _ -> Alcotest.fail "no invariant given"
-      | MCD.State_limit _ -> Alcotest.fail "unexpected state limit"
       | MCD.Exhausted _ -> Alcotest.fail "unexpected exhaustion")
     (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
 

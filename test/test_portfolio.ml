@@ -28,7 +28,6 @@ let verdict_kind = function
   | Core.Verified _ -> "verified"
   | Core.Safety_violation _ -> "safety"
   | Core.Liveness_violation _ -> "liveness"
-  | Core.Resource_limit _ -> "limit"
   | Core.Exhausted _ -> "exhausted"
 
 (* --- clean cells: three-engine agreement --------------------------------- *)
@@ -465,10 +464,15 @@ let test_packed_planted_eager_caught () =
       Alcotest.failf "packed eager: expected safety violation, got %s"
         (verdict_kind v)
 
+(* The packed sweep stops early only on its governor: a quota of 10
+   Tarjan steps leaves the (2,3) cell exhausted with a partial count. *)
 let test_packed_state_cap () =
-  match Core.verify_mutex ~n:2 ~m:3 ~max_states:10 () with
-  | Core.Resource_limit k -> Alcotest.(check int) "packed cap" 10 k
-  | v -> Alcotest.failf "packed cap: expected limit, got %s" (verdict_kind v)
+  let governor = Modelcheck.Governor.create ~quota:10 () in
+  match Core.verify_mutex ~n:2 ~m:3 ~governor () with
+  | Core.Exhausted { reason = Modelcheck.Governor.Quota; states_visited; _ } ->
+      Alcotest.(check bool) "partial count" true (states_visited > 0)
+  | v ->
+      Alcotest.failf "packed quota: expected exhausted, got %s" (verdict_kind v)
 
 let () =
   Alcotest.run "portfolio"
