@@ -285,13 +285,11 @@ let check_snapshot_cmd =
     let finish_durably e =
       (* The sweep returns a plain [Error] for budget trips too; the
          governor's sticky verdict tells the two apart from a genuine
-         violation. *)
+         violation.  A trip's error already names its reason
+         ("exhausted (interrupted) at K states"). *)
       match Modelcheck.Governor.tripped governor with
       | Some reason ->
-          Printf.printf "%s: %s\n"
-            (if reason = Modelcheck.Governor.Interrupted then "interrupted"
-             else "budget exhausted")
-            e;
+          print_endline e;
           Option.iter resume_hint checkpoint;
           exit_tripped reason
       | None ->

@@ -455,17 +455,10 @@ struct
                    path = [];
                  })
         | None -> (
-            match find_fair_scc space with
+            match fair_lasso space with
             | None -> Ok (state_count space)
-            | Some (entry, live) ->
-                Error
-                  (Liveness_violation
-                     {
-                       wiring;
-                       live;
-                       stem = List.map fst (trace_to space entry);
-                       cycle = fair_cycle_witness space ~entry ~live;
-                     })))
+            | Some { live; stem; cycle } ->
+                Error (Liveness_violation { wiring; live; stem; cycle })))
 
   (** The sweep of {!check_wiring} over every wiring. *)
   let verify ?wiring_classes ?governor ~invariant ~task ~cfg ~inputs ~n ~m () =
@@ -633,7 +626,9 @@ let leader_invariant _cfg (st : Weak_leader_mc.state) =
     uniqueness as an invariant and wait-freedom as acyclicity, both via
     the lean DFS engine (the protocol claims wait-freedom, so cycles are
     violations here — no fair-SCC pass needed).  A wait-freedom breach
-    reports the spinning processors as a liveness violation. *)
+    reports the spinning processors as a liveness violation.  A safety
+    violation is explained by the exact BFS, re-run on the offending
+    wiring under the same governor: its message and minimal trace. *)
 let verify_leader ?(n = 2) ?(m = 3) ?cfg ?wiring_classes ?governor () =
   let cfg =
     match cfg with Some c -> c | None -> Algorithms.Weak_leader.cfg ~n ~m
@@ -649,8 +644,26 @@ let verify_leader ?(n = 2) ?(m = 3) ?cfg ?wiring_classes ?governor () =
       with
       | Weak_leader_mc.Dfs_ok stats ->
           Ok (wcount + 1, states + stats.Weak_leader_mc.dfs_states)
-      | Weak_leader_mc.Dfs_invariant_failed { message; path; _ } ->
-          Error (Safety_violation { wiring; message; path })
+      | Weak_leader_mc.Dfs_invariant_failed _ -> (
+          match
+            Weak_leader_mc.explore ?governor ~invariant:(leader_invariant cfg)
+              ~cfg ~wiring ~inputs ()
+          with
+          | Weak_leader_mc.Invariant_failed (_, v) ->
+              Error
+                (Safety_violation
+                   {
+                     wiring;
+                     message = v.message;
+                     path = List.map fst v.trace;
+                   })
+          | Weak_leader_mc.Exhausted { reason; states = k } ->
+              Error
+                (Exhausted
+                   { reason; states_visited = states + k; checkpoint = None })
+          | Weak_leader_mc.Explored _ ->
+              (* same space, same invariant: the BFS meets the violation *)
+              assert false)
       | Weak_leader_mc.Dfs_cycle { processors; _ } ->
           Error
             (Liveness_violation
@@ -773,14 +786,15 @@ let snapshot_memory_set regs =
     is not [Refuted].  Candidates start with group assignments, where two
     same-input processors can raise each other's levels while the third
     keeps covering. *)
-let find_nonatomic_packed
-    ?(candidates =
-      [
-        ([| 1; 1; 2 |], [ 1 ]);
-        ([| 1; 2; 2 |], [ 2 ]);
-        ([| 1; 1; 2 |], [ 1; 2 ]);
-        ([| 1; 2; 3 |], [ 1; 2 ]);
-      ]) ?write_order ?log2_capacity () =
+let find_nonatomic_packed ?write_order ?log2_capacity () =
+  let candidates =
+    [
+      ([| 1; 1; 2 |], [ 1 ]);
+      ([| 1; 2; 2 |], [ 2 ]);
+      ([| 1; 1; 2 |], [ 1; 2 ]);
+      ([| 1; 2; 3 |], [ 1; 2 ]);
+    ]
+  in
   let wirings = Anonmem.Wiring.enumerate ~n:3 ~m:3 ~fix_first:true in
   let rec go candidates () =
     match candidates with
@@ -832,9 +846,5 @@ let nonatomic_line (inputs, target, outcome) =
 let find_nonatomic_execution ?(n = 3) ?(attempts = 2_000) () =
   let inputs = Array.init n (fun i -> i + 1) in
   let cfg = Algorithms.Snapshot.standard ~n in
-  Snapshot_witness.find_nonatomic ~cfg ~inputs
-    ~memory_set:(fun regs ->
-      Array.fold_left
-        (fun acc (v : Algorithms.Snapshot.value) -> Iset.union acc v.view)
-        Iset.empty regs)
+  Snapshot_witness.find_nonatomic ~cfg ~inputs ~memory_set:snapshot_memory_set
     ~output_set:Fun.id ~attempts ()

@@ -31,8 +31,11 @@
     slices, and local states carry over {e verbatim} — private register
     indices inside a local state (scan cursors, write cursors) need no
     relabelling because they are reinterpreted through the moved wiring
-    permutation.  See DESIGN.md §"Symmetry reduction" for the soundness
-    argument and for why named processors would break it. *)
+    permutation.  Bytes past the state image are copied verbatim; no
+    key of a reduced search has any, because {!Explorer}'s crash search,
+    whose keys end in a crash-mask byte, runs unreduced.  See DESIGN.md
+    §"Symmetry reduction" for the soundness argument and for why named
+    processors would break it. *)
 
 open Repro_util
 
@@ -50,7 +53,6 @@ type t = {
   gathers : int array array;
       (** one byte-gather map per element of [group], in its order: byte
           [i < body] of the element's image is [key.[g.(i)]] *)
-  pis : int array array;  (** [pi] of each element of [group] *)
 }
 
 (** Interchangeability classes of an input assignment: same class iff
@@ -101,18 +103,16 @@ let make ~local_width:lw ~value_width:vw ~wiring ~classes =
     body;
     group;
     gathers = Array.of_list (List.map gather group);
-    pis = Array.of_list (List.map (fun s -> s.pi) group);
   }
 
 let is_trivial t = Array.length t.gathers = 1
 let group t = t.group
 let group_order t = Array.length t.gathers
 
-(* Apply one automorphism to an encoded key.  [extra] bytes past the
-   [n*lw + m*vw] state image (e.g. a crash mask) are copied verbatim;
-   {!apply_masked} permutes them instead.  This and {!apply_masked} are
-   the reference semantics the tests hold {!canonicalize} to. *)
-let apply_raw t s key =
+(** Apply one automorphism to an encoded key.  Bytes past the
+    [n*lw + m*vw] state image are copied verbatim.  This is the reference
+    semantics the tests hold {!canonicalize} to. *)
+let apply t s key =
   if String.length key < t.body then
     invalid_arg "Canon.apply: key shorter than the state image";
   let out = Bytes.of_string key in
@@ -127,34 +127,7 @@ let apply_raw t s key =
       (roff + (s.rho.(r) * t.vw))
       t.vw
   done;
-  out
-
-let apply t s key = Bytes.unsafe_to_string (apply_raw t s key)
-
-(** [apply_masked] additionally treats the {e last} byte of the key as a
-    processor bitmask (the crash set of {!Explorer}'s crash search) and
-    permutes its bits by [pi]: crashed processors move with their local
-    slices. *)
-let apply_masked t s key =
-  if String.length key < t.body + 1 then
-    invalid_arg "Canon.apply_masked: key shorter than the state image and mask";
-  let out = apply_raw t s key in
-  let last = String.length key - 1 in
-  let mask = Char.code key.[last] in
-  let mask' = ref 0 in
-  for p = 0 to t.n - 1 do
-    if mask land (1 lsl p) <> 0 then mask' := !mask' lor (1 lsl s.pi.(p))
-  done;
-  Bytes.set out last (Char.chr !mask');
   Bytes.unsafe_to_string out
-
-(* The crash-mask bits of [mask] moved by [pi]. *)
-let permute_mask pi mask =
-  let out = ref 0 in
-  for p = 0 to Array.length pi - 1 do
-    if mask land (1 lsl p) <> 0 then out := !out lor (1 lsl pi.(p))
-  done;
-  !out
 
 (* Sign of image [g] against image [h] of [key] from byte [i] on, read in
    place through the two gather maps.  Callers have checked
@@ -171,25 +144,18 @@ let rec compare_images key g h body i =
 (* Index in [group] of the least image of [key]: the [String.compare]
    minimum over the group, the earlier element on ties (so the identity,
    index 0, whenever the key is its own minimum).  Bytes past [body] are
-   the same in every image except, when [masked], the crash mask in the
-   last byte, which therefore decides only between equal bodies. *)
-let least t key ~masked =
+   the same in every image. *)
+let least t key =
   let best = ref 0 in
   for k = 1 to Array.length t.gathers - 1 do
-    let c = compare_images key t.gathers.(k) t.gathers.(!best) t.body 0 in
-    let c =
-      if c = 0 && masked then
-        let mask = Char.code (String.unsafe_get key (String.length key - 1)) in
-        permute_mask t.pis.(k) mask - permute_mask t.pis.(!best) mask
-      else c
-    in
-    if c < 0 then best := k
+    if compare_images key t.gathers.(k) t.gathers.(!best) t.body 0 < 0 then
+      best := k
   done;
   !best
 
 (* Build image [k] of [key]: the body through its gather map, trailing
-   bytes verbatim, the last one re-masked when [masked]. *)
-let build t key k ~masked =
+   bytes verbatim. *)
+let build t key k =
   let g = t.gathers.(k) in
   let len = String.length key in
   let out = Bytes.create len in
@@ -197,9 +163,6 @@ let build t key k ~masked =
     Bytes.unsafe_set out i (String.unsafe_get key (Array.unsafe_get g i))
   done;
   Bytes.blit_string key t.body out t.body (len - t.body);
-  if masked then
-    Bytes.set out (len - 1)
-      (Char.chr (permute_mask t.pis.(k) (Char.code key.[len - 1])));
   Bytes.unsafe_to_string out
 
 (** Orbit minimum of [key] under the group — the canonical representative.
@@ -210,18 +173,4 @@ let build t key k ~masked =
 let canonicalize t key =
   if String.length key < t.body then
     invalid_arg "Canon.canonicalize: key shorter than the state image";
-  match least t key ~masked:false with
-  | 0 -> key
-  | k -> build t key k ~masked:false
-
-(** Orbit minimum for fault-explorer keys carrying a trailing crash-mask
-    byte.
-    @raise Invalid_argument on a key without room for both the state
-    image and the mask. *)
-let canonicalize_masked t key =
-  if String.length key < t.body + 1 then
-    invalid_arg
-      "Canon.canonicalize_masked: key shorter than the state image and mask";
-  match least t key ~masked:true with
-  | 0 -> key
-  | k -> build t key k ~masked:true
+  match least t key with 0 -> key | k -> build t key k

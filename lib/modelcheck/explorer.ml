@@ -42,7 +42,15 @@
     be symmetric — invariant under permuting same-input processors
     together with the induced register relabelling — which holds for
     every property shipped here (containment, agreement, memory-content
-    sets, timestamp bounds). *)
+    sets, timestamp bounds).  The crash search ([~max_crashes]) runs
+    unreduced.
+
+    One question, one path: the DFS ({!Make.check_exhaustive}) and the
+    fingerprint BFS decide, and a minimal-length counterexample comes
+    from the exact BFS's parent links ({!Make.trace_to}), re-run on the
+    offending wiring when another engine found the violation; a
+    liveness verdict and its lasso come from one SCC pass
+    ({!Make.fair_lasso}). *)
 
 (** A protocol whose states can be exhaustively explored: local states and
     register values serialize to fixed-width byte strings.  Codecs must be
@@ -342,50 +350,29 @@ module Make (P : CHECKABLE) = struct
       [init_state], at each key pick an enabled processor whose successor
       canonicalizes to that key.  Any such choice is a valid concrete step
       (two choices hitting the same orbit are symmetric), so traces of
-      reduced explorations stay replayable counterexamples.  Keys one byte
-      longer than [key_width] end in a crash mask ({!explore}'s
-      [max_crashes]): a live processor's crash-stop, pid [n + p], is then
-      a candidate too, tried after every step as {!explore} makes its
-      moves. *)
+      reduced explorations stay replayable counterexamples.  Keys are
+      plain state images: the crash search runs unreduced, so its traces
+      come straight from parent links. *)
   let concretize ~cfg ~wiring ~canon ~inputs keys =
     let n = P.processors cfg in
-    let masked =
-      match keys with
-      | key :: _ -> String.length key > key_width cfg
-      | [] -> false
-    in
-    let canonical st crashed =
-      if masked then
-        Canon.canonicalize_masked canon
-          (encode_state cfg st ^ String.make 1 (Char.chr crashed))
-      else Canon.canonicalize canon (encode_state cfg st)
-    in
-    let moves = if masked then 2 * n else n in
-    let rec go st crashed acc = function
+    let rec go st acc = function
       | [] -> List.rev acc
       | key :: rest ->
-          let rec pick pid =
-            if pid >= moves then
+          let rec pick p =
+            if p >= n then
               invalid_arg
                 "Explorer.concretize: canonical key chain has no concrete \
                  refinement (asymmetric invariant?)"
+            else if P.next cfg st.locals.(p) = None then pick (p + 1)
             else
-              let p = pid mod n in
-              if crashed land (1 lsl p) <> 0 || P.next cfg st.locals.(p) = None
-              then pick (pid + 1)
-              else
-                let st', crashed' =
-                  if pid < n then (successor cfg wiring st p, crashed)
-                  else (st, crashed lor (1 lsl p))
-                in
-                if String.equal (canonical st' crashed') key then
-                  (pid, st', crashed')
-                else pick (pid + 1)
+              let st' = successor cfg wiring st p in
+              let key' = Canon.canonicalize canon (encode_state cfg st') in
+              if String.equal key' key then (p, st') else pick (p + 1)
           in
-          let pid, st', crashed' = pick 0 in
-          go st' crashed' ((pid, st') :: acc) rest
+          let p, st' = pick 0 in
+          go st' ((p, st') :: acc) rest
     in
-    go (init_state ~cfg ~inputs) 0 [] keys
+    go (init_state ~cfg ~inputs) [] keys
 
   type space = {
     cfg : P.cfg;
@@ -482,9 +469,9 @@ module Make (P : CHECKABLE) = struct
       crashes.  A crashed processor takes no further step.  Keys then end
       in the crashed set as one mask byte, which {!successor_into} copies
       with the rest of the parent key (the remaining budget follows from
-      its popcount).  A crash move is the pid [n + p]; under reduction
-      keys canonicalize with {!Canon.canonicalize_masked}, so a crashed
-      processor's identity follows its slice into the orbit minimum.
+      its popcount).  A crash move is the pid [n + p].  The crash search
+      runs unreduced: [~reduction:true] with [max_crashes > 0] raises
+      [Invalid_argument].
 
       [ckpt_extra] sections ride in every checkpoint written (a sweep
       driver stores its position there, {!Wiring_sweep}). *)
@@ -494,15 +481,14 @@ module Make (P : CHECKABLE) = struct
     let n = P.processors cfg in
     if max_crashes < 0 then invalid_arg "Explorer.explore: max_crashes";
     let crashes = max_crashes > 0 in
+    if crashes && reduction then
+      invalid_arg "Explorer.explore: the crash search runs unreduced";
     guard_processors ~engine:"Explorer.explore"
       ?limit:(if crashes then Some 8 else None)
       n;
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
-    let canonicalize =
-      if crashes then Canon.canonicalize_masked else Canon.canonicalize
-    in
     let canonical key =
-      match canon with Some c -> canonicalize c key | None -> key
+      match canon with Some c -> Canon.canonicalize c key | None -> key
     in
     let kw = key_width cfg + if crashes then 1 else 0 in
     (* Fingerprint of everything the checkpoint's meaning depends on: the
@@ -598,7 +584,7 @@ module Make (P : CHECKABLE) = struct
             if id' = before then admit id' st' "" ~from;
             id'
         | Some c ->
-            let key' = canonicalize c (Bytes.to_string buf) in
+            let key' = Canon.canonicalize c (Bytes.to_string buf) in
             let id' = State_table.intern table key' in
             if id' = before then admit id' st' key' ~from;
             id'
@@ -695,12 +681,25 @@ module Make (P : CHECKABLE) = struct
     done;
     off
 
-  let adj_of space i = State_table.Packed_vec.get space.succ i asr 4
-
-  let scc_ids space =
-    Repro_util.Scc.tarjan ~n:(state_count space)
-      ~off:(Array.get (csr_offsets space))
-      ~adj:(adj_of space)
+  (* The one SCC pass: CSR offsets, component ids, and each component's
+     internal-edge pid mask — bit [p] set iff some [p]-edge joins two of
+     its states, 0 for a component with no internal edge. *)
+  let sccs space =
+    let off = csr_offsets space in
+    let comp, ncomp =
+      Repro_util.Scc.tarjan ~n:(state_count space) ~off:(Array.get off)
+        ~adj:(fun i -> State_table.Packed_vec.get space.succ i asr 4)
+    in
+    let internal = Array.make ncomp 0 in
+    for u = 0 to state_count space - 1 do
+      for i = off.(u) to off.(u + 1) - 1 do
+        let packed = State_table.Packed_vec.get space.succ i in
+        let c = comp.(u) in
+        if c = comp.(packed asr 4) then
+          internal.(c) <- internal.(c) lor (1 lsl (packed land 15))
+      done
+    done;
+    (off, comp, internal)
 
   (** Processors that can take infinitely many steps without terminating:
       those with an edge inside a strongly connected component of the
@@ -709,22 +708,11 @@ module Make (P : CHECKABLE) = struct
       are representatives of their symmetry class: a quotient cycle lifts
       to a concrete divergence because automorphisms have finite order.) *)
   let divergent_processors space =
-    let off = csr_offsets space in
-    let comp, _ =
-      Repro_util.Scc.tarjan ~n:(state_count space) ~off:(Array.get off)
-        ~adj:(adj_of space)
-    in
-    let bad = Hashtbl.create 8 in
-    for u = 0 to state_count space - 1 do
-      for i = off.(u) to off.(u + 1) - 1 do
-        let packed = State_table.Packed_vec.get space.succ i in
-        let v = packed asr 4 and p = packed land 15 in
-        if comp.(u) = comp.(v) then Hashtbl.replace bad p ()
-      done
-    done;
-    List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) bad [])
-
-  let is_wait_free space = divergent_processors space = []
+    let _, _, internal = sccs space in
+    let mask = Array.fold_left ( lor ) 0 internal in
+    List.filter
+      (fun p -> mask land (1 lsl p) <> 0)
+      (List.init max_processors Fun.id)
 
   (** {1 Fair-cycle detection}
 
@@ -737,121 +725,102 @@ module Make (P : CHECKABLE) = struct
       processor to move and thereby leave the component for good (if the
       execution could return, the left-to states would belong to the same
       SCC).  Halting is monotone, so the live set is constant across a
-      component and can be read off any member state.
+      component and can be read off any member state. *)
 
-      On a symmetry-reduced space the verdict is still exact: quotient
-      cycles lift to concrete fair cycles (automorphisms have finite
-      order) and concrete fair cycles project onto quotient ones. *)
+  type lasso = {
+    live : int list;  (** the processors spinning forever *)
+    stem : int list;  (** steps from the initial state to the cycle's entry *)
+    cycle : int list;
+        (** steps around the fair cycle back to its entry, stepping every
+            live processor at least once *)
+  }
 
-  (** First fair SCC by discovery order: [(member state id, live pids)].
-      [live] defaults to "not halted". *)
-  let find_fair_scc ?live space =
-    let live =
-      match live with
-      | Some f -> f
-      | None -> fun cfg l -> not (P.halted cfg l)
-    in
-    let n = state_count space in
-    let off = csr_offsets space in
-    let comp, ncomp =
-      Repro_util.Scc.tarjan ~n ~off:(Array.get off) ~adj:(adj_of space)
-    in
-    let pidmask = Array.make (max ncomp 1) 0 in
-    let internal = Bytes.make (max ncomp 1) '\000' in
-    for u = 0 to n - 1 do
-      for i = off.(u) to off.(u + 1) - 1 do
-        let packed = State_table.Packed_vec.get space.succ i in
-        let v = packed asr 4 and p = packed land 15 in
-        if comp.(u) = comp.(v) then begin
-          Bytes.set internal comp.(u) '\001';
-          pidmask.(comp.(u)) <- pidmask.(comp.(u)) lor (1 lsl p)
-        end
-      done
-    done;
-    let nprocs = P.processors space.cfg in
-    let result = ref None in
-    let u = ref 0 in
-    while !result = None && !u < n do
-      let c = comp.(!u) in
-      if Bytes.get internal c = '\001' then begin
-        let st = state_of space !u in
-        let livepids =
-          List.filter
-            (fun p -> live space.cfg st.locals.(p))
-            (List.init nprocs Fun.id)
-        in
-        if
-          livepids <> []
-          && List.for_all
-               (fun p -> pidmask.(c) land (1 lsl p) <> 0)
-               livepids
-        then result := Some (!u, livepids)
-      end;
-      incr u
-    done;
-    !result
-
-  (** A concrete lasso witnessing a fair SCC on an {e unreduced} space:
-      the stem reaches [entry] and the returned pid sequence cycles back
-      to [entry] while stepping every processor in [live] at least once.
-      Raises [Invalid_argument] on a reduced space (detect on the
-      quotient, then re-explore unreduced to extract the witness). *)
-  let fair_cycle_witness space ~entry ~live =
+  (** The first fair SCC by discovery order, as a concrete lasso: the
+      stem is the BFS trace to the component's first-discovered state,
+      the cycle visits an internal edge of each live processor in turn,
+      by shortest paths inside the component, and returns.  A quotient
+      cycle does not replay, so a reduced space raises
+      [Invalid_argument]. *)
+  let fair_lasso space =
     if space.reduction <> None then
-      invalid_arg "fair_cycle_witness: reduced space";
-    let off = csr_offsets space in
-    let comp, _ = scc_ids space in
-    let c = comp.(entry) in
-    let edges u =
-      let rec go i acc =
-        if i >= off.(u + 1) then List.rev acc
-        else
-          let packed = State_table.Packed_vec.get space.succ i in
-          let v = packed asr 4 and p = packed land 15 in
-          go (i + 1) (if comp.(v) = c then (p, v) :: acc else acc)
-      in
-      go off.(u) []
+      invalid_arg "Explorer.fair_lasso: reduced space";
+    let off, comp, internal = sccs space in
+    let live_at u =
+      let locals = (state_of space u).locals in
+      List.filter
+        (fun p -> not (P.halted space.cfg locals.(p)))
+        (List.init (P.processors space.cfg) Fun.id)
     in
-    (* BFS inside the component from [src] to a node satisfying [goal];
-       returns the pid path and the reached node. *)
-    let bfs src goal =
-      if goal src then ([], src)
-      else begin
-        let pred = Hashtbl.create 64 in
-        Hashtbl.replace pred src (-1, -1);
-        let q = Queue.create () in
-        Queue.push src q;
-        let found = ref None in
-        while !found = None && not (Queue.is_empty q) do
-          let u = Queue.pop q in
-          List.iter
-            (fun (p, v) ->
-              if !found = None && not (Hashtbl.mem pred v) then begin
-                Hashtbl.replace pred v (u, p);
-                if goal v then found := Some v else Queue.push v q
-              end)
-            (edges u)
-        done;
-        match !found with
-        | None -> invalid_arg "fair_cycle_witness: goal unreachable in SCC"
-        | Some dst ->
-            let rec up v acc =
-              match Hashtbl.find pred v with
-              | -1, -1 -> acc
-              | u, p -> up u (p :: acc)
-            in
-            (up dst [], dst)
-      end
+    (* The first state, by id, of a component with an internal edge of
+       every live processor. *)
+    let rec first u =
+      if u >= state_count space then None
+      else
+        let mask = internal.(comp.(u)) in
+        let live = if mask = 0 then [] else live_at u in
+        if live <> [] && List.for_all (fun p -> mask land (1 lsl p) <> 0) live
+        then Some (u, live)
+        else first (u + 1)
     in
-    let visit (path, node) p =
-      (* reach a node with an internal p-edge, then take it *)
-      let path', u = bfs node (fun u -> List.mem_assoc p (edges u)) in
-      let v = List.assoc p (edges u) in
-      (path @ path' @ [ p ], v)
-    in
-    let path, node = List.fold_left visit ([], entry) live in
-    let back, _ = bfs node (fun u -> u = entry) in
-    path @ back
+    Option.map
+      (fun (entry, live) ->
+        let c = comp.(entry) in
+        let edges u =
+          let rec go i acc =
+            if i >= off.(u + 1) then List.rev acc
+            else
+              let packed = State_table.Packed_vec.get space.succ i in
+              let v = packed asr 4 and p = packed land 15 in
+              go (i + 1) (if comp.(v) = c then (p, v) :: acc else acc)
+          in
+          go off.(u) []
+        in
+        (* BFS inside the component from [src] to a node satisfying
+           [goal]; returns the pid path and the reached node. *)
+        let bfs src goal =
+          if goal src then ([], src)
+          else begin
+            let pred = Hashtbl.create 64 in
+            Hashtbl.replace pred src (-1, -1);
+            let q = Queue.create () in
+            Queue.push src q;
+            let found = ref None in
+            while !found = None && not (Queue.is_empty q) do
+              let u = Queue.pop q in
+              List.iter
+                (fun (p, v) ->
+                  if !found = None && not (Hashtbl.mem pred v) then begin
+                    Hashtbl.replace pred v (u, p);
+                    if goal v then found := Some v else Queue.push v q
+                  end)
+                (edges u)
+            done;
+            match !found with
+            | None ->
+                invalid_arg "Explorer.fair_lasso: goal unreachable in SCC"
+            | Some dst ->
+                let rec up v acc =
+                  match Hashtbl.find pred v with
+                  | -1, -1 -> acc
+                  | u, p -> up u (p :: acc)
+                in
+                (up dst [], dst)
+          end
+        in
+        let visit (path, node) p =
+          (* reach a node with an internal p-edge, then take it *)
+          let path', u = bfs node (fun u -> List.mem_assoc p (edges u)) in
+          let v = List.assoc p (edges u) in
+          (path @ path' @ [ p ], v)
+        in
+        let path, node = List.fold_left visit ([], entry) live in
+        let back, _ = bfs node (fun u -> u = entry) in
+        {
+          live;
+          stem = List.map fst (trace_to space entry);
+          cycle = path @ back;
+        })
+      (first 0)
 
   (** Terminal outcomes: the task outcome at every all-halted state.
       [to_task_output] converts protocol outputs for the task checkers. *)
@@ -896,11 +865,10 @@ module Make (P : CHECKABLE) = struct
     | Dfs_ok of dfs_stats
     | Dfs_invariant_failed of {
         message : string;
-        state : state;  (** the violating state (concrete) *)
-        path : int list;
-            (** processor ids of the steps from the initial state to the
-                violating state — replay them to rematerialize the trace;
-                concretized when the run is reduced *)
+        state : state;
+            (** the violating state (concrete): [invariant state] is
+                [Error message].  The DFS keeps no trace; {!explore} on the
+                same wiring rebuilds a minimal one. *)
         stats : dfs_stats;
       }
     | Dfs_cycle of {
@@ -1029,35 +997,10 @@ module Make (P : CHECKABLE) = struct
           | Ok () -> ()
           | Error message ->
               if !outcome = None then
-                let record =
-                  match canon with
-                  | None ->
-                      let path =
-                        (List.rev_map (fun f -> f.entered_by) !stack
-                        |> List.filter (fun pid -> pid >= 0))
-                        @ (if entered_by >= 0 then [ entered_by ] else [])
-                      in
-                      Dfs_invariant_failed
-                        { message; state = st; path; stats = stats () }
-                  | Some c ->
-                      let keys =
-                        match List.rev_map (fun f -> f.key) !stack with
-                        | [] -> []  (* violation at the initial state *)
-                        | _root :: ancestors -> ancestors @ [ key ]
-                      in
-                      let steps = concretize ~cfg ~wiring ~canon:c ~inputs keys in
-                      let state =
-                        match List.rev steps with (_, s) :: _ -> s | [] -> st
-                      in
-                      Dfs_invariant_failed
-                        {
-                          message;
-                          state;
-                          path = List.map fst steps;
-                          stats = stats ();
-                        }
-                in
-                outcome := Some record)
+                outcome :=
+                  Some
+                    (Dfs_invariant_failed
+                       { message; state = st; stats = stats () }))
       | None -> ());
       let st = if canon = None then st else decode_state cfg key in
       stack :=

@@ -30,7 +30,7 @@
     {!Tasks.Mutex_task} oracle) is checked as each state is interned, and
     deadlock-freedom as each SCC pops: an SCC with an internal edge is a
     fair cycle iff every non-halted processor of its states takes some
-    step inside it — the same condition as {!Explorer.Make.find_fair_scc}
+    step inside it — the same condition as {!Explorer.Make.fair_lasso}
     (processor liveness is constant across an SCC because halting is
     absorbing).  On a clean wiring the visited count equals the generic
     engine's state count exactly: same initial state, same step relation,

@@ -31,13 +31,9 @@ val participating_groups : 'o t -> Repro_util.Iset.t
 
 val group_of : 'o t -> int -> int
 val members : 'o t -> int -> int list
-val outputs_of_group : 'o t -> int -> 'o list
 
 val terminated : 'o t -> 'o list
 (** All outputs, in processor order. *)
-
-val sampled_groups : 'o t -> (int * 'o list) list
-(** Groups that produced at least one output, with their outputs. *)
 
 val samples : 'o t -> (int * 'o) list Seq.t
 (** All output samples, lazily: each is an association list from group

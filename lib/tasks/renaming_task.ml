@@ -5,7 +5,7 @@
     group) all names are distinct and, with [M] participating groups, fall
     in [1 .. M(M+1)/2].  Processors of the same group may share a name —
     the paper's resolution of the renaming conundrum — but processors of
-    different groups never collide.  {!check_cross_group} validates the
+    different groups never collide.  [check_cross_group] validates the
     latter directly over all outputs, which is what Section 6 proves of the
     Figure-4 algorithm. *)
 

@@ -40,10 +40,6 @@ let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))
 
-let pick_array t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick_array: empty array";
-  a.(int t (Array.length a))
-
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -25,10 +25,6 @@ val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list.  Raises [Invalid_argument] on
     an empty list. *)
 
-val pick_array : t -> 'a array -> 'a
-
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
-
 val permutation : t -> int -> int array
-(** [permutation t n] is a uniformly random permutation of [0..n-1]. *)
+(** [permutation t n] is a uniformly random permutation of [0..n-1]
+    (Fisher–Yates). *)

@@ -58,12 +58,20 @@ expect 3 check-snapshot -n 3 --max-seconds 0.01
 
 # the resume hint of an exhausted run reproduces the crash pass: running
 # the printed command finishes the sweep and then verifies under the
-# injected crash-stop
+# injected crash-stop.  The trip is reported once, as the sweep's error.
 ckpt=$(mktemp)
 rm -f "$ckpt"
 out=$("$ANONSIM" check-snapshot -n 2 --crashes 1 --checkpoint "$ckpt" \
   --max-seconds 0 2>/dev/null)
 stopped=$?
+if printf '%s\n' "$out" | sed -n 1p \
+  | grep -qx 'exhausted (wall-clock) at [0-9]* states'; then
+  echo "ok  trip line: $(printf '%s\n' "$out" | sed -n 1p)"
+else
+  echo "FAIL: trip line '$(printf '%s\n' "$out" | sed -n 1p)'," \
+    "want 'exhausted (wall-clock) at K states'"
+  fails=$((fails + 1))
+fi
 hint=$(printf '%s\n' "$out" | sed -n 's/^resume with: anonsim //p')
 case "$hint" in
   *"--crashes 1"*) carried=yes ;;

@@ -456,50 +456,53 @@ let test_crash_search_catches_planted_bug () =
   | Ok _ -> Alcotest.fail "planted invariant must fail the sweep"
 
 (* Traces to crashed states: every state of the space whose key carries
-   a crash bit has a trace whose crash steps are the pids [n + p] and
-   whose replay (steps through the explorer's successor, crashes as mask
-   bits) reaches exactly that key — canonicalized with its mask when the
-   space is reduced, which exercises [concretize]'s crash candidates. *)
+   a crash bit has a trace, read off the parent links, whose crash steps
+   are the pids [n + p] and whose replay (steps through the explorer's
+   successor, crashes as mask bits) reaches exactly that key. *)
 let test_crash_traces_replay () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let inputs = [| 1; 1 |] in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
   let module E = Core.Snapshot_mc in
-  List.iter
-    (fun reduction ->
-      match E.explore ~max_crashes:2 ~reduction ~cfg ~wiring ~inputs () with
-      | E.Explored space ->
-          let kw = E.key_width cfg + 1 in
-          let crashed_ids = ref 0 in
-          for id = 0 to E.state_count space - 1 do
-            let key = Modelcheck.State_table.key_of_id space.E.table id in
-            if key.[kw - 1] <> '\000' then begin
-              incr crashed_ids;
-              let st, mask =
-                List.fold_left
-                  (fun (st, mask) (pid, post) ->
-                    let st, mask =
-                      if pid < 2 then (E.successor cfg wiring st pid, mask)
-                      else (st, mask lor (1 lsl (pid - 2)))
-                    in
-                    Alcotest.(check string) "post-state"
-                      (E.encode_state cfg post) (E.encode_state cfg st);
-                    (st, mask))
-                  (E.init_state ~cfg ~inputs, 0)
-                  (E.trace_to space id)
-              in
-              let raw = E.encode_state cfg st ^ String.make 1 (Char.chr mask) in
-              let replayed =
-                match space.E.reduction with
-                | Some c -> Modelcheck.Canon.canonicalize_masked c raw
-                | None -> raw
-              in
-              Alcotest.(check string) "replay reaches the key" key replayed
-            end
-          done;
-          Alcotest.(check bool) "crashed states traced" true (!crashed_ids > 0)
-      | _ -> Alcotest.failf "crash space must explore (reduction=%b)" reduction)
-    [ false; true ]
+  match E.explore ~max_crashes:2 ~cfg ~wiring ~inputs () with
+  | E.Explored space ->
+      let kw = E.key_width cfg + 1 in
+      let crashed_ids = ref 0 in
+      for id = 0 to E.state_count space - 1 do
+        let key = Modelcheck.State_table.key_of_id space.E.table id in
+        if key.[kw - 1] <> '\000' then begin
+          incr crashed_ids;
+          let st, mask =
+            List.fold_left
+              (fun (st, mask) (pid, post) ->
+                let st, mask =
+                  if pid < 2 then (E.successor cfg wiring st pid, mask)
+                  else (st, mask lor (1 lsl (pid - 2)))
+                in
+                Alcotest.(check string) "post-state"
+                  (E.encode_state cfg post) (E.encode_state cfg st);
+                (st, mask))
+              (E.init_state ~cfg ~inputs, 0)
+              (E.trace_to space id)
+          in
+          Alcotest.(check string) "replay reaches the key" key
+            (E.encode_state cfg st ^ String.make 1 (Char.chr mask))
+        end
+      done;
+      Alcotest.(check bool) "crashed states traced" true (!crashed_ids > 0)
+  | _ -> Alcotest.fail "crash space must explore"
+
+(* The crash search runs unreduced: a crash budget together with
+   symmetry reduction is refused by name, before any exploration. *)
+let test_reduced_crash_search_refused () =
+  let cfg = Algorithms.Snapshot.standard ~n:2 in
+  Alcotest.check_raises "reduction with max_crashes"
+    (Invalid_argument "Explorer.explore: the crash search runs unreduced")
+    (fun () ->
+      ignore
+        (Core.Snapshot_mc.explore ~max_crashes:1 ~reduction:true ~cfg
+           ~wiring:(Anonmem.Wiring.identity ~n:2 ~m:2)
+           ~inputs:[| 1; 1 |] ()))
 
 (* The crash search stops early only on its governor, like every other
    engine: under a quota it returns [Exhausted] with a partial count, and
@@ -573,5 +576,7 @@ let () =
           Alcotest.test_case "state bound" `Quick test_crash_search_state_bound;
           Alcotest.test_case "traces to crashed states replay" `Quick
             test_crash_traces_replay;
+          Alcotest.test_case "reduced crash search refused" `Quick
+            test_reduced_crash_search_refused;
         ] );
     ]

@@ -71,7 +71,7 @@ let test_explore_solo_snapshot () =
   | MC.Explored space ->
       Alcotest.(check bool) "few states" true (MC.state_count space <= 6);
       Alcotest.(check int) "one terminal" 1 (List.length space.MC.terminal);
-      Alcotest.(check bool) "wait-free" true (MC.is_wait_free space)
+      Alcotest.(check (list int)) "wait-free" [] (MC.divergent_processors space)
   | _ -> Alcotest.fail "expected successful exploration"
 
 let test_explore_finds_invariant_violation () =
@@ -129,9 +129,7 @@ let test_write_scan_bfs_divergence_agrees () =
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
   match MCW.explore ~cfg ~wiring ~inputs:[| 1; 2 |] () with
   | MCW.Explored space ->
-      Alcotest.(check bool) "BFS SCC also reports divergence" false
-        (MCW.is_wait_free space);
-      Alcotest.(check (list int)) "both processors diverge" [ 0; 1 ]
+      Alcotest.(check (list int)) "BFS SCC: both processors diverge" [ 0; 1 ]
         (MCW.divergent_processors space)
   | _ -> Alcotest.fail "expected exploration"
 

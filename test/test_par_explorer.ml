@@ -188,17 +188,13 @@ module Diff (P : Modelcheck.Explorer.CHECKABLE) = struct
           List.length v.E.trace
       | _ -> Alcotest.failf "%s: sequential BFS missed the violation" name
     in
+    (* The DFS decides and keeps no trace: its state must fail the
+       invariant with the message it reports. *)
     (match E.check_exhaustive ~invariant ~reduction ~cfg ~wiring ~inputs () with
-    | E.Dfs_invariant_failed { path; state; _ } ->
-        replay_and_check (name ^ " seq-dfs") path;
-        (* The reported state must be the replayed endpoint (regression
-           for the DFS path construction, which used to append the last
-           pid twice). *)
-        let final = Replay.final ~cfg ~wiring ~inputs path in
-        Alcotest.(check string)
-          (name ^ ": DFS state matches its own path")
-          (E.encode_state cfg state)
-          (E.encode_state cfg final)
+    | E.Dfs_invariant_failed { message; state; _ } ->
+        Alcotest.(check (result unit string))
+          (name ^ ": DFS state fails with its message")
+          (Error message) (invariant state)
     | _ -> Alcotest.failf "%s: DFS missed the violation" name);
     List.iter
       (fun domains ->
@@ -477,43 +473,44 @@ let test_planted_trace_ids_from_arena_table () =
   | _ -> Alcotest.fail "planted n=3 violation missed"
 
 let test_fault_explorer_reduced_witness () =
-  (* Crash masks must canonicalize with their processors: under a
-     single-group assignment with reduction on, the fault search still
-     catches the planted bug and its witness replays — crash steps
-     (pids [n + p]) included — to a violating state. *)
+  (* Under a single-group assignment the crash search catches the planted
+     bug and its witness replays — crash steps (pids [n + p]) included —
+     to a violating state.  The crash search runs unreduced: asking for
+     reduction as well is refused by name. *)
   let cfg = Snap.standard ~n:2 in
   let inputs = [| 1; 1 |] in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
   let module E = SnapDiff.E in
   let invariant = no_output_invariant cfg in
-  List.iter
-    (fun reduction ->
-      match
-        E.explore ~max_crashes:1 ~reduction ~invariant ~cfg ~wiring ~inputs ()
-      with
-      | E.Invariant_failed (_, v) ->
-          let st, _ =
-            List.fold_left
-              (fun (st, mask) (pid, post) ->
-                let st, mask =
-                  if pid < 2 then begin
-                    Alcotest.(check bool) "stepping pid is live" true
-                      (mask land (1 lsl pid) = 0);
-                    (E.successor cfg wiring st pid, mask)
-                  end
-                  else (st, mask lor (1 lsl (pid - 2)))
-                in
-                Alcotest.(check string) "trace state is the replayed one"
-                  (E.encode_state cfg post) (E.encode_state cfg st);
-                (st, mask))
-              (E.init_state ~cfg ~inputs, 0)
-              v.E.trace
-          in
-          (match invariant st with
-          | Error _ -> ()
-          | Ok () -> Alcotest.fail "replayed fault witness does not violate")
-      | _ -> Alcotest.failf "planted bug missed (reduction=%b)" reduction)
-    [ false; true ]
+  Alcotest.check_raises "reduced crash search refused"
+    (Invalid_argument "Explorer.explore: the crash search runs unreduced")
+    (fun () ->
+      ignore
+        (E.explore ~max_crashes:1 ~reduction:true ~invariant ~cfg ~wiring
+           ~inputs ()));
+  match E.explore ~max_crashes:1 ~invariant ~cfg ~wiring ~inputs () with
+  | E.Invariant_failed (_, v) -> (
+      let st, _ =
+        List.fold_left
+          (fun (st, mask) (pid, post) ->
+            let st, mask =
+              if pid < 2 then begin
+                Alcotest.(check bool) "stepping pid is live" true
+                  (mask land (1 lsl pid) = 0);
+                (E.successor cfg wiring st pid, mask)
+              end
+              else (st, mask lor (1 lsl (pid - 2)))
+            in
+            Alcotest.(check string) "trace state is the replayed one"
+              (E.encode_state cfg post) (E.encode_state cfg st);
+            (st, mask))
+          (E.init_state ~cfg ~inputs, 0)
+          v.E.trace
+      in
+      match invariant st with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail "replayed fault witness does not violate")
+  | _ -> Alcotest.fail "planted bug missed"
 
 let test_snapshot3_nd_planted_search () =
   (* The packed 3-processor checker under the nondeterministic write
@@ -855,7 +852,7 @@ let prop_canon_preserves_projections =
       && regs_of k = regs_of c)
 
 (* Exactness: the representative is the [String.compare] minimum of the
-   reference images ([Canon.apply] / [Canon.apply_masked]) over the
+   reference images ([Canon.apply]) over the
    group, not merely some orbit element.  Keys embed in checkpoints, so
    this is what keeps them byte-compatible across canonicalizer
    rewrites.  Every n=2 and n=3 wiring with every input choice (one
@@ -887,11 +884,11 @@ let canon_all_setups =
          (3, wirings3, canon_inputs_choices);
        ])
 
-let orbit_min apply canon k =
+let orbit_min canon k =
   List.fold_left
     (fun best img -> if String.compare img best < 0 then img else best)
     k
-    (List.map (fun s -> apply canon s k) (Canon.group canon))
+    (List.map (fun s -> Canon.apply canon s k) (Canon.group canon))
 
 let gen_exact_cell =
   QCheck.(
@@ -899,8 +896,7 @@ let gen_exact_cell =
 
 (* The keys one case checks on setup [i]: a reachable key, a key of
    random bytes and a key of random slices (each local and register slice
-   drawn from [alpha] candidates, so that images tie slice-wise), each
-   unmasked and with a crash-mask byte appended. *)
+   drawn from [alpha] candidates, so that images tie slice-wise). *)
 let exact_keys (cfg, wiring, inputs, _) i (walk, alpha, seed) =
   let n = Array.length inputs in
   let rs = Random.State.make [| seed; i |] in
@@ -913,35 +909,24 @@ let exact_keys (cfg, wiring, inputs, _) i (walk, alpha, seed) =
       (List.init n (fun _ -> pool.(Random.State.int rs alpha)))
   in
   let reached = reachable_key cfg wiring inputs walk in
-  let keys =
-    [
-      reached;
-      bytes (String.length reached);
-      slices (Modelcheck.Codecs.Snapshot.local_width cfg)
-      ^ slices (Modelcheck.Codecs.Snapshot.value_width cfg);
-    ]
-  in
-  let mask () = String.make 1 (Char.chr (Random.State.int rs (1 lsl n))) in
-  (keys, List.map (fun k -> k ^ mask ()) keys)
+  [
+    reached;
+    bytes (String.length reached);
+    slices (Modelcheck.Codecs.Snapshot.local_width cfg)
+    ^ slices (Modelcheck.Codecs.Snapshot.value_width cfg);
+  ]
 
-let prop_canon_exact ~name canonicalize apply keys =
-  QCheck.Test.make ~name ~count:qcheck_count gen_exact_cell (fun cell ->
+let prop_canon_exact_minimum =
+  QCheck.Test.make ~name:"canonicalize = least reference image"
+    ~count:qcheck_count gen_exact_cell (fun cell ->
       List.for_all Fun.id
         (List.mapi
            (fun i ((_, _, _, canon) as setup) ->
              List.for_all
                (fun k ->
-                 String.equal (canonicalize canon k) (orbit_min apply canon k))
-               (keys (exact_keys setup i cell)))
+                 String.equal (Canon.canonicalize canon k) (orbit_min canon k))
+               (exact_keys setup i cell))
            (Lazy.force canon_all_setups)))
-
-let prop_canon_exact_minimum =
-  prop_canon_exact ~name:"canonicalize = least reference image"
-    Canon.canonicalize Canon.apply fst
-
-let prop_canon_masked_exact_minimum =
-  prop_canon_exact ~name:"canonicalize_masked = least reference image"
-    Canon.canonicalize_masked Canon.apply_masked snd
 
 let test_canon_allocation () =
   (* The orbit scan allocates nothing: a key that is its own minimum
@@ -985,9 +970,9 @@ let test_canon_allocation () =
     keys;
   Alcotest.(check bool) "both cases exercised" true (!minimal > 0 && !moved > 0)
 
-(* A key of [extra] bytes past the n=3 snapshot body ([n*lw + m*vw],
-   the bytes [Canon] permutes) is refused by name, whatever the group. *)
-let check_short_key canonicalize ~extra message =
+(* A key one byte short of the n=3 snapshot body ([n*lw + m*vw], the
+   bytes [Canon] permutes) is refused by name, whatever the group. *)
+let test_canon_short_key () =
   let cfg = Snap.standard ~n:3 in
   let body =
     3
@@ -999,19 +984,11 @@ let check_short_key canonicalize ~extra message =
       let _, _, _, canon = canon_setup (0, isel) in
       Alcotest.check_raises
         (Printf.sprintf "|G| = %d" (Canon.group_order canon))
-        (Invalid_argument message)
-        (fun () -> ignore (canonicalize canon (String.make (body + extra) 'a'))))
+        (Invalid_argument
+           "Canon.canonicalize: key shorter than the state image")
+        (fun () ->
+          ignore (Canon.canonicalize canon (String.make (body - 1) 'a'))))
     [ 0; 2 ]
-
-let test_canon_short_key () =
-  check_short_key Canon.canonicalize ~extra:(-1)
-    "Canon.canonicalize: key shorter than the state image"
-
-let test_canon_masked_short_key () =
-  (* Without room for the crash mask the key is refused, not read with
-     its last register byte taken for the mask. *)
-  check_short_key Canon.canonicalize_masked ~extra:0
-    "Canon.canonicalize_masked: key shorter than the state image and mask"
 
 let test_canon_group_sizes () =
   (* Known group orders: identity wiring with one input class has the
@@ -1131,12 +1108,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_canon_preserves_projections;
           Alcotest.test_case "known group orders" `Quick test_canon_group_sizes;
           QCheck_alcotest.to_alcotest prop_canon_exact_minimum;
-          QCheck_alcotest.to_alcotest prop_canon_masked_exact_minimum;
           Alcotest.test_case "allocates only the winner" `Quick
             test_canon_allocation;
           Alcotest.test_case "short key refused" `Quick test_canon_short_key;
-          Alcotest.test_case "short masked key refused" `Quick
-            test_canon_masked_short_key;
         ] );
       ( "limits",
         [

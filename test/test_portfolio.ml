@@ -144,27 +144,44 @@ let test_mutex_me_violation_below_floor_replays () =
   | v -> Alcotest.failf "mutex(2,1): expected safety violation, got %s"
            (verdict_kind v)
 
+(* A lasso witness must be a genuine execution: the stem reaches the
+   cycle entry, the cycle returns to it, and every reported spinning
+   processor moves along the cycle.  [key path] is the encoded state the
+   replayed [path] ends in. *)
+let check_lasso name ~key ~live ~stem ~cycle =
+  Alcotest.(check bool) (name ^ ": nonempty cycle") true (cycle <> []);
+  Alcotest.(check bool)
+    (name ^ ": every live processor steps in the cycle")
+    true
+    (List.for_all (fun p -> List.mem p cycle) live);
+  Alcotest.(check string) (name ^ ": cycle closes") (key stem)
+    (key (stem @ cycle))
+
 let test_mutex_deadlock_lasso_replays () =
-  (* m=2 shares a factor with n=2: the classic non-coprime deadlock.  The
-     lasso witness must be a genuine execution: the stem reaches the
-     cycle entry, the cycle returns to it, and every reported spinning
-     processor moves along the cycle. *)
+  (* m=2 shares a factor with n=2: the classic non-coprime deadlock. *)
   let cfg = Rm.cfg ~n:2 ~m:2 in
   let inputs = [| 1; 2 |] in
   match Core.verify_mutex ~n:2 ~m:2 () with
   | Core.Liveness_violation { wiring; live; stem; cycle } ->
-      Alcotest.(check bool) "mutex(2,2): nonempty cycle" true (cycle <> []);
-      Alcotest.(check bool)
-        "mutex(2,2): every live processor steps in the cycle" true
-        (List.for_all (fun p -> List.mem p cycle) live);
-      let entry = RmReplay.final ~cfg ~wiring ~inputs stem in
-      let around = RmReplay.final ~cfg ~wiring ~inputs (stem @ cycle) in
-      Alcotest.(check string)
-        "mutex(2,2): cycle closes"
-        (RmE.encode_state cfg entry)
-        (RmE.encode_state cfg around)
+      check_lasso "mutex(2,2)"
+        ~key:(fun path ->
+          RmE.encode_state cfg (RmReplay.final ~cfg ~wiring ~inputs path))
+        ~live ~stem ~cycle
   | v ->
       Alcotest.failf "mutex(2,2): expected deadlock, got %s" (verdict_kind v)
+
+let test_naming_deadlock_lasso_replays () =
+  (* The naming layer inherits the mutex's non-coprime deadlock. *)
+  let cfg = Nm.cfg ~n:2 ~m:2 in
+  let inputs = [| 1; 2 |] in
+  match Core.verify_naming ~n:2 ~m:2 () with
+  | Core.Liveness_violation { wiring; live; stem; cycle } ->
+      check_lasso "naming(2,2)"
+        ~key:(fun path ->
+          NmE.encode_state cfg (NmReplay.final ~cfg ~wiring ~inputs path))
+        ~live ~stem ~cycle
+  | v ->
+      Alcotest.failf "naming(2,2): expected deadlock, got %s" (verdict_kind v)
 
 let test_naming_deadlock_detected () =
   match Core.verify_naming ~n:2 ~m:2 () with
@@ -173,18 +190,33 @@ let test_naming_deadlock_detected () =
   | v ->
       Alcotest.failf "naming(2,2): expected deadlock, got %s" (verdict_kind v)
 
+(* The DFS decides a leader cell and the exact BFS explains it: the
+   witness is as long as the BFS's minimal trace on the witness's wiring
+   and replays to a two-leader state. *)
+let check_leader_witness name cfg wiring path =
+  let inputs = [| 1; 2 |] in
+  Alcotest.(check bool) (name ^ ": mid-trace witness") true (path <> []);
+  (match
+     WlE.explore ~invariant:(Core.leader_invariant cfg) ~cfg ~wiring ~inputs ()
+   with
+  | WlE.Invariant_failed (_, v) ->
+      Alcotest.(check int)
+        (name ^ ": minimal BFS length")
+        (List.length v.WlE.trace) (List.length path)
+  | _ -> Alcotest.failf "%s: the BFS misses the violation" name);
+  match
+    Core.leader_invariant cfg (WlReplay.final ~cfg ~wiring ~inputs path)
+  with
+  | Error _ -> ()
+  | Ok () -> Alcotest.failf "%s: replayed witness has < 2 leaders" name
+
 let test_leader_violation_below_floor_replays () =
   (* A single register cannot protect the winner's view: both processors
-     elect themselves.  The DFS witness replays to a two-leader state. *)
+     elect themselves. *)
   let cfg = Wl.cfg ~n:2 ~m:1 in
   match Core.verify_leader ~n:2 ~m:1 () with
   | Core.Safety_violation { wiring; path; _ } ->
-      Alcotest.(check bool) "leader(2,1): mid-trace witness" true (path <> []);
-      let final = WlReplay.final ~cfg ~wiring ~inputs:[| 1; 2 |] path in
-      (match Core.leader_invariant cfg final with
-      | Error _ -> ()
-      | Ok () ->
-          Alcotest.fail "leader(2,1): replayed witness has < 2 leaders")
+      check_leader_witness "leader(2,1)" cfg wiring path
   | v ->
       Alcotest.failf "leader(2,1): expected safety violation, got %s"
         (verdict_kind v)
@@ -235,12 +267,7 @@ let test_planted_majority_leader_caught () =
   let cfg = Wl.cfg_majority ~n:2 ~m:3 in
   match Core.verify_leader ~cfg () with
   | Core.Safety_violation { wiring; path; _ } ->
-      Alcotest.(check bool) "majority leader: mid-trace witness" true
-        (path <> []);
-      let final = WlReplay.final ~cfg ~wiring ~inputs:[| 1; 2 |] path in
-      (match Core.leader_invariant cfg final with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "majority leader: replayed witness is clean")
+      check_leader_witness "majority leader" cfg wiring path
   | v ->
       Alcotest.failf "majority leader: expected safety violation, got %s"
         (verdict_kind v)
@@ -494,6 +521,8 @@ let () =
             test_mutex_deadlock_lasso_replays;
           Alcotest.test_case "naming (2,2): deadlock detected" `Quick
             test_naming_deadlock_detected;
+          Alcotest.test_case "naming (2,2) lasso replays" `Quick
+            test_naming_deadlock_lasso_replays;
           Alcotest.test_case "leader (2,1): two-leader witness replays" `Quick
             test_leader_violation_below_floor_replays;
           Alcotest.test_case "mutex n=3 non-coprime cells violate" `Quick
