@@ -1,4 +1,4 @@
-.PHONY: build test experiments mc-smoke mc-long fuzz-smoke fuzz-long fault-smoke faults-long portfolio-smoke portfolio-long feasibility resume-smoke coverage clean
+.PHONY: build test experiments mc-smoke mc-long stress fuzz-smoke fuzz-long fault-smoke faults-long portfolio-smoke portfolio-long feasibility resume-smoke coverage clean
 
 build:
 	dune build @all
@@ -24,6 +24,24 @@ mc-smoke:
 mc-long:
 	dune build test/test_par_explorer.exe
 	MC_LONG=1 ./_build/default/test/test_par_explorer.exe
+
+# Pooled wiring sweeps under random parallel schedules: the
+# Wiring_sweep parity suite STRESS_K times, each run drawing its worker
+# count (1..4) and the places of its planted failures from its seed, so
+# no run starts more than 4 domains.  A failing run prints the seed that
+# replays it: SWEEP_STRESS_SEED=<seed> ./_build/default/test/test_wiring_sweep.exe.
+# The default 20 runs take under a minute.
+STRESS_K ?= 20
+STRESS_SEED ?= $(shell date +%s)
+stress:
+	dune build test/test_wiring_sweep.exe
+	for i in $$(seq 1 $(STRESS_K)); do \
+	  seed=$$(( $(STRESS_SEED) + i )); \
+	  SWEEP_STRESS_SEED=$$seed ./_build/default/test/test_wiring_sweep.exe \
+	    --compact \
+	    || { echo "stress: failed at SWEEP_STRESS_SEED=$$seed"; exit 1; }; \
+	done
+	@echo "stress: $(STRESS_K) random pooled runs agree with the sequential sweep"
 
 # The bounded fuzzing pass that runtest already includes (a few seconds).
 fuzz-smoke:
@@ -102,8 +120,9 @@ feasibility:
 	dune exec --no-build bin/anonsim.exe -- feasibility -o FEASIBILITY.json
 
 # Kill-and-resume differential smoke: run the quick feasibility sweep to
-# completion for a reference map, run it again but SIGINT it ~1s in (exit
-# 0 if it won the race, 4 if interrupted), then rerun with --resume so
+# completion for a reference map, run it again but SIGINT it 0.2 s in
+# (the map takes about 0.5 s on two domains; exit 0 if it won the race,
+# 4 if interrupted), then rerun with --resume so
 # the journal replays the finished cells — and require the resumed map
 # to be byte-identical to the uninterrupted reference.  The second leg
 # does the same through the engine checkpoints: a 0.02 s per-cell budget
@@ -124,7 +143,7 @@ resume-smoke:
 	  -o _resume_smoke/reference.json
 	( ./_build/default/bin/anonsim.exe feasibility --quick \
 	     -o _resume_smoke/resumed.json & \
-	   pid=$$!; sleep 1; kill -INT $$pid 2>/dev/null; wait $$pid; st=$$?; \
+	   pid=$$!; sleep 0.2; kill -INT $$pid 2>/dev/null; wait $$pid; st=$$?; \
 	   [ $$st -eq 0 ] || [ $$st -eq 4 ] )
 	./_build/default/bin/anonsim.exe feasibility --quick --resume \
 	  -o _resume_smoke/resumed.json

@@ -43,11 +43,11 @@ let refusing_unusable f =
 (* One shared flag: the per-cell governors of a sweep all watch it, so a
    single SIGINT stops the whole run at the next engine tick.  A second
    signal aborts immediately (escape hatch for a wedged run). *)
-let interrupted = ref false
+let interrupted = Atomic.make false
 
 let install_signal_handlers () =
   let handle _ =
-    if !interrupted then Stdlib.exit exit_interrupted else interrupted := true
+    if Atomic.exchange interrupted true then Stdlib.exit exit_interrupted
   in
   List.iter
     (fun s -> Sys.set_signal s (Sys.Signal_handle handle))
@@ -756,7 +756,7 @@ let feasibility_cmd =
         ~interrupted_flag:interrupted ?ckpt_dir ~cached
         ~on_fresh:(fun c ->
           Runtime_shm.Journal.append jnl (Analysis.Feasibility.cell_to_record c))
-        ~stop:(fun () -> !interrupted)
+        ~stop:(fun () -> Atomic.get interrupted)
         ~on_cell:(fun c ->
           Printf.printf "%-7s n=%d m=%d  expected %-12s -> %s\n%!"
             c.Analysis.Feasibility.task c.Analysis.Feasibility.n
@@ -792,7 +792,7 @@ let feasibility_cmd =
         (match out with Some f -> " -o " ^ f | None -> "")
         (match ckpt_dir with Some d -> " --ckpt-dir " ^ d | None -> "")
     in
-    if !interrupted then begin
+    if Atomic.get interrupted then begin
       Printf.printf "\ninterrupted: %d cell(s) journaled, %d pending\n"
         (Runtime_shm.Journal.next_seq jnl)
         (List.length

@@ -329,13 +329,13 @@ let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5) ?governor
       (fun l -> l.Algorithms.Consensus.ts >= max_ts)
       st.Consensus_mc.locals
   in
-  Modelcheck.Wiring_sweep.run ~n ~m:n ~init:0
-    (fun ~resume:_ ~ckpt_extra:_ wiring total ->
+  Modelcheck.Wiring_sweep.run ?governor ~n ~m:n ~init:0 ~add:( + )
+    (fun ~governor ~resume:_ ~ckpt_extra:_ wiring ->
       match
         Consensus_mc.check_exhaustive ~fail_on_cycle:false ?governor
           ~invariant ~stop_expansion ~cfg ~wiring ~inputs ()
       with
-      | Consensus_mc.Dfs_ok s -> Ok (total + s.Consensus_mc.dfs_states)
+      | Consensus_mc.Dfs_ok s -> Ok s.Consensus_mc.dfs_states
       | Consensus_mc.Dfs_cycle _ -> assert false
       | Consensus_mc.Dfs_invariant_failed { message; _ } ->
           Error (Fmt.str "under wiring %a: %s" Anonmem.Wiring.pp wiring message)
@@ -343,6 +343,7 @@ let verify_consensus_bounded ?(n = 2) ?(inputs = None) ?(max_ts = 5) ?governor
           Error
             (Modelcheck.Explorer.exhausted_error reason
                stats.Consensus_mc.dfs_states))
+  |> Result.map_error snd
 
 (** {1 Protocol portfolio verification}
 
@@ -403,18 +404,32 @@ let pp_verdict ppf = function
 
 (* The portfolio verifiers fold (wirings verified, states so far) over
    the sweep — over whole wirings, or over processor-relabelling classes
-   with [~wiring_classes:true]. *)
-let portfolio_sweep ?(wiring_classes = false) ?section ?ckpt ?resume ~n ~m
-    check =
+   with [~wiring_classes:true] — from per-wiring state counts, on
+   [domains] workers (default: every domain of the host).  A per-wiring
+   check decides its wiring and defers the verdict of a failure: the
+   error is a thunk, forced only for the first failing wiring in order,
+   so a pooled sweep stops claiming wirings as soon as a failure is
+   decided, and no worker explains a wiring the fold never reaches.  An
+   exhausted verdict counts the wiring's own states; the sweep adds the
+   wirings before it. *)
+let portfolio_sweep ?(domains = Domain.recommended_domain_count ())
+    ?(wiring_classes = false) ?governor ?section ?ckpt ?resume ~n ~m make_check
+    =
   let wirings =
     if wiring_classes then Some (Wiring.enumerate_classes ~n ~m) else None
   in
   match
-    Modelcheck.Wiring_sweep.run ?wirings ?section ?ckpt ?resume ~n ~m
-      ~init:(0, 0) check
+    Modelcheck.Wiring_sweep.run ~domains ?governor ?wirings ?section ?ckpt
+      ?resume ~n ~m ~init:(0, 0)
+      ~add:(fun (wcount, states) k -> (wcount + 1, states + k))
+      make_check
   with
   | Ok (wirings, states) -> Verified { wirings; states }
-  | Error v -> v
+  | Error ((_, states), verdict) -> (
+      match verdict () with
+      | Exhausted e ->
+          Exhausted { e with states_visited = states + e.states_visited }
+      | v -> v)
 
 (** The generic engine for a spinning portfolio protocol, plus its
     per-wiring check: explore with the safety invariant, check the task
@@ -424,16 +439,15 @@ module Portfolio_mc (P : Modelcheck.Explorer.CHECKABLE with type input = int) =
 struct
   include Modelcheck.Explorer.Make (P)
 
-  (** Check one wiring; [Ok k] is the wiring's state count.  [states] is
-      the sweep's count before this wiring, which an exhausted verdict
-      reports on top of the engine's own.  Once the space is explored
+  (** Check one wiring; [Ok k] is the wiring's state count, and so is
+      an exhausted verdict's [states_visited].  Once the space is explored
       clean of safety violations, a fair SCC is a deadlock, reported with
       its lasso witness. *)
-  let check_wiring ?governor ~invariant ~task ~cfg ~inputs ~states wiring :
+  let check_wiring ?governor ~invariant ~task ~cfg ~inputs wiring :
       (int, verdict) Stdlib.result =
     match explore ?governor ~invariant ~cfg ~wiring ~inputs () with
     | Exhausted { reason; states = k } ->
-        Error (Exhausted { reason; states_visited = states + k; checkpoint = None })
+        Error (Exhausted { reason; states_visited = k; checkpoint = None })
     | Invariant_failed (_, v) ->
         Error
           (Safety_violation
@@ -461,12 +475,12 @@ struct
                 Error (Liveness_violation { wiring; live; stem; cycle })))
 
   (** The sweep of {!check_wiring} over every wiring. *)
-  let verify ?wiring_classes ?governor ~invariant ~task ~cfg ~inputs ~n ~m () =
-    portfolio_sweep ?wiring_classes ~n ~m (fun ~resume:_ ~ckpt_extra:_ wiring
-        (wcount, states) ->
-        Result.map
-          (fun k -> (wcount + 1, states + k))
-          (check_wiring ?governor ~invariant ~task ~cfg ~inputs ~states wiring))
+  let verify ?domains ?wiring_classes ?governor ~invariant ~task ~cfg ~inputs
+      ~n ~m () =
+    portfolio_sweep ?domains ?wiring_classes ?governor ~n ~m
+      (fun ~governor ~resume:_ ~ckpt_extra:_ wiring ->
+        Result.map_error Fun.const
+          (check_wiring ?governor ~invariant ~task ~cfg ~inputs wiring))
 end
 
 module Rt_mutex_mc = Portfolio_mc (Modelcheck.Codecs.Rt_mutex)
@@ -535,42 +549,61 @@ let mutex_sweep_section =
     step relation and verdicts as {!Rt_mutex_mc.verify}, the generic
     reference, and an order of magnitude faster — what makes the clean
     n = 3 feasibility cells exhaustively checkable): clean wirings are
-    accepted on its word, while any violating or unsupported wiring is
-    re-explored by the generic engine so counterexample witnesses stay
-    concrete and replayable.  [ckpt] and [resume] go through
+    accepted on its word, an unsupported wiring is decided by the
+    generic engine, and the violating wiring the sweep reports is
+    re-explored by it, so counterexample witnesses stay concrete and
+    replayable.  [ckpt] and [resume] go through
     {!Modelcheck.Wiring_sweep.run}, which re-enters mid-sweep and lets
-    the packed engine restart the wiring mid-exploration. *)
-let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?wiring_classes ?governor ?ckpt ?resume
-    () =
+    the packed engine restart the wiring mid-exploration.  [domains]
+    (default: the host's domain count) spreads the wirings over that
+    many workers, each with its own packed workspace; a checkpoint
+    policy or a quota governor keeps the sweep on one, and the verdict
+    is the same at every count. *)
+let verify_mutex ?(n = 2) ?(m = 3) ?cfg ?domains ?wiring_classes ?governor ?ckpt
+    ?resume () =
   let cfg = match cfg with Some c -> c | None -> Algorithms.Rt_mutex.cfg ~n ~m in
   let n = Algorithms.Rt_mutex.processors cfg in
   let m = Algorithms.Rt_mutex.registers cfg in
   let inputs = Array.init n (fun i -> i + 1) in
-  let ws = Modelcheck.Rt_mutex_packed.ws () in
-  portfolio_sweep ?wiring_classes ~section:mutex_sweep_section ?ckpt ?resume ~n
-    ~m (fun ~resume ~ckpt_extra wiring (wcount, states) ->
-      let verified k = Ok (wcount + 1, states + k) in
-      match
-        Modelcheck.Rt_mutex_packed.check_wiring ~ws ?governor ?ckpt ~ckpt_extra
-          ~resume ~cfg ~wiring ~inputs ()
-      with
-      | Modelcheck.Rt_mutex_packed.Clean { states = k } -> verified k
-      | Modelcheck.Rt_mutex_packed.Exhausted { reason; states = k } ->
-          Error
-            (Exhausted
-               {
-                 reason;
-                 states_visited = states + k;
-                 checkpoint =
-                   Option.map (fun p -> p.Modelcheck.Checkpoint.path) ckpt;
-               })
-      | Modelcheck.Rt_mutex_packed.Breach
-      | Modelcheck.Rt_mutex_packed.Fair_cycle
-      | Modelcheck.Rt_mutex_packed.Unsupported ->
-          Result.bind
-            (Rt_mutex_mc.check_wiring ?governor ~invariant:(mutex_invariant cfg)
-               ~task:Tasks.Mutex_task.check ~cfg ~inputs ~states wiring)
-            verified)
+  let generic ?governor wiring =
+    Rt_mutex_mc.check_wiring ?governor ~invariant:(mutex_invariant cfg)
+      ~task:Tasks.Mutex_task.check ~cfg ~inputs wiring
+  in
+  portfolio_sweep ?domains ?wiring_classes ?governor
+    ~section:mutex_sweep_section ?ckpt ?resume ~n ~m (fun ~governor ->
+      let ws = Modelcheck.Rt_mutex_packed.ws () in
+      fun ~resume ~ckpt_extra wiring ->
+        match
+          Modelcheck.Rt_mutex_packed.check_wiring ~ws ?governor ?ckpt
+            ~ckpt_extra ~resume ~cfg ~wiring ~inputs ()
+        with
+        | Modelcheck.Rt_mutex_packed.Clean { states = k } -> Ok k
+        | Modelcheck.Rt_mutex_packed.Exhausted { reason; states = k } ->
+            Error
+              (Fun.const
+                 (Exhausted
+                    {
+                      reason;
+                      states_visited = k;
+                      checkpoint =
+                        Option.map (fun p -> p.Modelcheck.Checkpoint.path) ckpt;
+                    }))
+        | Modelcheck.Rt_mutex_packed.Breach
+        | Modelcheck.Rt_mutex_packed.Fair_cycle ->
+            (* decided; the generic engine builds the witness if the fold
+               reaches this wiring *)
+            Error
+              (fun () ->
+                match generic ?governor wiring with
+                | Error v -> v
+                | Ok _ ->
+                    invalid_arg
+                      (Fmt.str
+                         "verify_mutex: the packed engine flags wiring %a, \
+                          the generic engine verifies it"
+                         Wiring.pp wiring))
+        | Modelcheck.Rt_mutex_packed.Unsupported ->
+            Result.map_error Fun.const (generic ?governor wiring))
 
 (* The first pair [(p', q', name)], [p' < q'], in order from the pair
    [(p, q)], of processors both done with the same name. *)
@@ -600,11 +633,11 @@ let naming_invariant _cfg (st : Naming_mc.state) =
     (distinctness, own-cell inclusion, view containment) at terminal
     outcomes, and deadlock-freedom by fair-SCC search.  The layer runs
     above the mutex, so its feasibility inherits the mutex threshold. *)
-let verify_naming ?(n = 2) ?(m = 3) ?cfg ?wiring_classes ?governor () =
+let verify_naming ?(n = 2) ?(m = 3) ?cfg ?domains ?wiring_classes ?governor () =
   let cfg = match cfg with Some c -> c | None -> Algorithms.Naming.cfg ~n ~m in
   let n = Algorithms.Naming.processors cfg in
   let m = Algorithms.Naming.registers cfg in
-  Naming_mc.verify ?wiring_classes ?governor
+  Naming_mc.verify ?domains ?wiring_classes ?governor
     ~invariant:(naming_invariant cfg) ~task:Tasks.Naming_task.check ~cfg
     ~inputs:(Array.init n (fun i -> i + 1))
     ~n ~m ()
@@ -629,53 +662,51 @@ let leader_invariant _cfg (st : Weak_leader_mc.state) =
     reports the spinning processors as a liveness violation.  A safety
     violation is explained by the exact BFS, re-run on the offending
     wiring under the same governor: its message and minimal trace. *)
-let verify_leader ?(n = 2) ?(m = 3) ?cfg ?wiring_classes ?governor () =
+let verify_leader ?(n = 2) ?(m = 3) ?cfg ?domains ?wiring_classes ?governor () =
   let cfg =
     match cfg with Some c -> c | None -> Algorithms.Weak_leader.cfg ~n ~m
   in
   let n = Algorithms.Weak_leader.processors cfg in
   let m = Algorithms.Weak_leader.registers cfg in
   let inputs = Array.init n (fun i -> i + 1) in
-  portfolio_sweep ?wiring_classes ~n ~m
-    (fun ~resume:_ ~ckpt_extra:_ wiring (wcount, states) ->
+  portfolio_sweep ?domains ?wiring_classes ?governor ~n ~m
+    (fun ~governor ~resume:_ ~ckpt_extra:_ wiring ->
       match
         Weak_leader_mc.check_exhaustive ~fail_on_cycle:true ?governor
           ~invariant:(leader_invariant cfg) ~cfg ~wiring ~inputs ()
       with
-      | Weak_leader_mc.Dfs_ok stats ->
-          Ok (wcount + 1, states + stats.Weak_leader_mc.dfs_states)
-      | Weak_leader_mc.Dfs_invariant_failed _ -> (
-          match
-            Weak_leader_mc.explore ?governor ~invariant:(leader_invariant cfg)
-              ~cfg ~wiring ~inputs ()
-          with
-          | Weak_leader_mc.Invariant_failed (_, v) ->
-              Error
-                (Safety_violation
-                   {
-                     wiring;
-                     message = v.message;
-                     path = List.map fst v.trace;
-                   })
-          | Weak_leader_mc.Exhausted { reason; states = k } ->
-              Error
-                (Exhausted
-                   { reason; states_visited = states + k; checkpoint = None })
-          | Weak_leader_mc.Explored _ ->
-              (* same space, same invariant: the BFS meets the violation *)
-              assert false)
+      | Weak_leader_mc.Dfs_ok stats -> Ok stats.Weak_leader_mc.dfs_states
+      | Weak_leader_mc.Dfs_invariant_failed _ ->
+          (* decided; the exact BFS explains it if the fold reaches this
+             wiring *)
+          Error
+            (fun () ->
+              match
+                Weak_leader_mc.explore ?governor
+                  ~invariant:(leader_invariant cfg) ~cfg ~wiring ~inputs ()
+              with
+              | Weak_leader_mc.Invariant_failed (_, v) ->
+                  Safety_violation
+                    { wiring; message = v.message; path = List.map fst v.trace }
+              | Weak_leader_mc.Exhausted { reason; states = k } ->
+                  Exhausted { reason; states_visited = k; checkpoint = None }
+              | Weak_leader_mc.Explored _ ->
+                  (* same space, same invariant: the BFS meets the violation *)
+                  assert false)
       | Weak_leader_mc.Dfs_cycle { processors; _ } ->
           Error
-            (Liveness_violation
-               { wiring; live = processors; stem = []; cycle = [] })
+            (Fun.const
+               (Liveness_violation
+                  { wiring; live = processors; stem = []; cycle = [] }))
       | Weak_leader_mc.Dfs_exhausted { reason; stats } ->
           Error
-            (Exhausted
-               {
-                 reason;
-                 states_visited = states + stats.Weak_leader_mc.dfs_states;
-                 checkpoint = None;
-               }))
+            (Fun.const
+               (Exhausted
+                  {
+                    reason;
+                    states_visited = stats.Weak_leader_mc.dfs_states;
+                    checkpoint = None;
+                  })))
 
 (** Glue between the verifiers above and the pure map of
     {!Analysis.Feasibility}: classify one cell of the (task, n, m) grid
@@ -745,6 +776,11 @@ let feasibility_check ?reduction:(_ : bool option) ?(wiring_classes = false)
         invalid_arg (Fmt.str "feasibility_check: unknown task %S" t)
   in
   Option.iter Modelcheck.Governor.dispose governor;
+  (* Cells are independent: collect this one's spaces before the next
+     cell grows its own, so a cell's peak never stacks on its
+     predecessor's garbage, however a pooled sweep interleaved it (about
+     a millisecond a cell). *)
+  Gc.full_major ();
   (* A finished cell's checkpoint is dead weight (and would poison a
      re-run with a stale context): drop it. *)
   (match (verdict, ckpt) with

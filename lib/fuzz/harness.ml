@@ -317,7 +317,7 @@ module Make (T : Target.S) = struct
   (** Run a campaign of [iterations] cases across [domains] OCaml 5
       domains (default 1: everything runs inline in the caller's
       domain).  Parallel campaigns fan out over the persistent
-      {!Domain_pool} — no domain is spawned per campaign — and workers
+      {!Repro_util.Domain_pool} — no domain is spawned per campaign — and workers
       claim chunks of {!chunk_size} cases from a shared atomic counter.
       Every case derives its seed from [(seed, iteration)] alone, and
       the reported counterexample is the one with the {e smallest
@@ -389,7 +389,7 @@ module Make (T : Target.S) = struct
         end
       done
     in
-    Domain_pool.parallel ~domains:nd worker;
+    Repro_util.Domain_pool.parallel ~domains:nd worker;
     let sum_steps upto =
       let total = ref 0 in
       for i = 0 to upto - 1 do

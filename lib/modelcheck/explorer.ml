@@ -895,10 +895,11 @@ module Make (P : CHECKABLE) = struct
   (** [fail_on_cycle] (default true) reports the first cycle as a
       wait-freedom violation; pass [false] for protocols that are only
       obstruction-free (e.g. consensus), where cycles are expected and only
-      the invariant is being checked. *)
+      the invariant is being checked.  [log2_slots] (default 12) pre-sizes
+      the visited table, which grows as needed. *)
   let check_exhaustive ?(fail_on_cycle = true) ?invariant ?stop_expansion
-      ?(reduction = false) ?governor ?ckpt ?(resume = false) ?(ckpt_extra = [])
-      ~cfg ~wiring ~inputs () =
+      ?(reduction = false) ?(log2_slots = 12) ?governor ?ckpt ?(resume = false)
+      ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
     guard_processors ~engine:"Explorer.check_exhaustive" (P.processors cfg);
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
@@ -919,7 +920,7 @@ module Make (P : CHECKABLE) = struct
             State_table.Packed_vec.deserialize
               (Checkpoint.find "colors" sections) )
       | None ->
-          ( State_table.create ~log2_slots:20 ~key_width:(key_width cfg) (),
+          ( State_table.create ~log2_slots ~key_width:(key_width cfg) (),
             State_table.Packed_vec.create ~stride:1 () )
     in
     (* 1 = gray (on the DFS path), 2 = black (done) *)
@@ -1090,14 +1091,25 @@ module Make (P : CHECKABLE) = struct
       the summary after each wiring that passes.  [~reduction:true]
       additionally quotients each per-wiring space by its anonymity
       symmetries.  With [ckpt], the {!sweep_section} rides in each
-      per-wiring DFS checkpoint, so one file resumes both. *)
+      per-wiring DFS checkpoint, so one file resumes both.  Each visited
+      table starts at 2{^20} slots, the scale of the n = 3 snapshot
+      spaces. *)
   let check_all_wirings ?invariant ?on_wiring ?wirings
       ?(reduction = false) ?governor ?ckpt ?(resume = false) ~cfg ~inputs () =
-    Wiring_sweep.run ?wirings ~section:sweep_section ?ckpt ~resume ?on_wiring
-      ~n:(P.processors cfg) ~m:(P.registers cfg) ~init:empty_summary
-      (fun ~resume ~ckpt_extra wiring summary ->
+    Wiring_sweep.run ?governor ?wirings ~section:sweep_section ?ckpt ~resume
+      ?on_wiring ~n:(P.processors cfg) ~m:(P.registers cfg) ~init:empty_summary
+      ~add:(fun summary s ->
+        {
+          wirings_checked = summary.wirings_checked + 1;
+          total_states = summary.total_states + s.dfs_states;
+          max_space_states = max summary.max_space_states s.dfs_states;
+          total_transitions = summary.total_transitions + s.dfs_transitions;
+          terminal_states = summary.terminal_states + s.dfs_terminals;
+          all_wait_free = summary.all_wait_free;
+        })
+      (fun ~governor ~resume ~ckpt_extra wiring ->
         match
-          check_exhaustive ?invariant ~reduction ?governor ?ckpt
+          check_exhaustive ?invariant ~reduction ~log2_slots:20 ?governor ?ckpt
             ~resume ~ckpt_extra ~cfg ~wiring ~inputs ()
         with
         | Dfs_exhausted { reason; stats } ->
@@ -1111,17 +1123,8 @@ module Make (P : CHECKABLE) = struct
                  Anonmem.Wiring.pp wiring
                  Fmt.(list ~sep:comma int)
                  processors)
-        | Dfs_ok s ->
-            Ok
-              {
-                wirings_checked = summary.wirings_checked + 1;
-                total_states = summary.total_states + s.dfs_states;
-                max_space_states = max summary.max_space_states s.dfs_states;
-                total_transitions =
-                  summary.total_transitions + s.dfs_transitions;
-                terminal_states = summary.terminal_states + s.dfs_terminals;
-                all_wait_free = summary.all_wait_free;
-              })
+        | Dfs_ok s -> Ok s)
+    |> Result.map_error snd
 
   (** {1 Fingerprint (hash-compacted) exploration}
 
@@ -1411,10 +1414,22 @@ module Make (P : CHECKABLE) = struct
   let check_all_wirings_fp ?invariant ?on_wiring ?wirings
       ?(reduction = false) ?governor ?ckpt ?(resume = false) ?ram_budget_bytes
       ?spill_dir ~cfg ~inputs () =
-    Wiring_sweep.run ?wirings ~section:fp_sweep_section ?ckpt ~resume
-      ?on_wiring ~n:(P.processors cfg) ~m:(P.registers cfg)
+    Wiring_sweep.run ?governor ?wirings ~section:fp_sweep_section ?ckpt
+      ~resume ?on_wiring ~n:(P.processors cfg) ~m:(P.registers cfg)
       ~init:empty_fp_summary
-      (fun ~resume ~ckpt_extra wiring summary ->
+      ~add:(fun summary st ->
+        {
+          fp_wirings = summary.fp_wirings + 1;
+          fp_total_states = summary.fp_total_states + st.fp_states;
+          fp_max_space_states = max summary.fp_max_space_states st.fp_states;
+          fp_total_transitions =
+            summary.fp_total_transitions + st.fp_transitions;
+          fp_terminal_states = summary.fp_terminal_states + st.fp_terminals;
+          fp_omission_bound = summary.fp_omission_bound +. st.fp_bound;
+          fp_spilled_runs = summary.fp_spilled_runs + st.fp_runs;
+          fp_spill_bytes = summary.fp_spill_bytes + st.fp_bytes_spilled;
+        })
+      (fun ~governor ~resume ~ckpt_extra wiring ->
         match
           explore_fp ?invariant ~reduction ?governor ?ckpt ~resume ~ckpt_extra
             ?ram_budget_bytes ?spill_dir ~cfg ~wiring ~inputs ()
@@ -1422,21 +1437,8 @@ module Make (P : CHECKABLE) = struct
         | Fp_exhausted { reason; states } -> Error (exhausted_error reason states)
         | Fp_invariant_failed { message; _ } ->
             Error (invariant_error wiring message)
-        | Fp_explored st ->
-            Ok
-              {
-                fp_wirings = summary.fp_wirings + 1;
-                fp_total_states = summary.fp_total_states + st.fp_states;
-                fp_max_space_states =
-                  max summary.fp_max_space_states st.fp_states;
-                fp_total_transitions =
-                  summary.fp_total_transitions + st.fp_transitions;
-                fp_terminal_states =
-                  summary.fp_terminal_states + st.fp_terminals;
-                fp_omission_bound = summary.fp_omission_bound +. st.fp_bound;
-                fp_spilled_runs = summary.fp_spilled_runs + st.fp_runs;
-                fp_spill_bytes = summary.fp_spill_bytes + st.fp_bytes_spilled;
-              })
+        | Fp_explored st -> Ok st)
+    |> Result.map_error snd
 
   (** {1 Crash-stop sweep}
 
@@ -1495,8 +1497,8 @@ module Make (P : CHECKABLE) = struct
       if pid < n then Fmt.pf ppf "p%d" (pid + 1)
       else Fmt.pf ppf "crash:p%d" (pid - n + 1)
     in
-    Wiring_sweep.run ?wirings ~section:crash_sweep_section ?ckpt ~resume ~n
-      ~m:(P.registers cfg)
+    Wiring_sweep.run ?governor ?wirings ~section:crash_sweep_section ?ckpt
+      ~resume ~n ~m:(P.registers cfg)
       ~init:
         {
           wirings_checked = 0;
@@ -1504,7 +1506,14 @@ module Make (P : CHECKABLE) = struct
           total_transitions = 0;
           total_crash_branches = 0;
         }
-      (fun ~resume ~ckpt_extra:position wiring summary ->
+      ~add:(fun a b ->
+        {
+          wirings_checked = a.wirings_checked + b.wirings_checked;
+          total_states = a.total_states + b.total_states;
+          total_transitions = a.total_transitions + b.total_transitions;
+          total_crash_branches = a.total_crash_branches + b.total_crash_branches;
+        })
+      (fun ~governor ~resume ~ckpt_extra:position wiring ->
         match
           explore ~max_crashes ?invariant ?governor ?ckpt ~resume
             ~ckpt_extra:(position @ ckpt_extra) ~cfg ~wiring ~inputs ()
@@ -1527,11 +1536,10 @@ module Make (P : CHECKABLE) = struct
         | Explored space ->
             Ok
               {
-                wirings_checked = summary.wirings_checked + 1;
-                total_states = summary.total_states + state_count space;
-                total_transitions =
-                  summary.total_transitions + transition_count space;
-                total_crash_branches =
-                  summary.total_crash_branches + crash_transitions space;
+                wirings_checked = 1;
+                total_states = state_count space;
+                total_transitions = transition_count space;
+                total_crash_branches = crash_transitions space;
               })
+    |> Result.map_error snd
 end

@@ -22,22 +22,25 @@ let reason_of_string = function
 
 let pp_reason ppf r = Fmt.string ppf (reason_to_string r)
 
+(* Everything but [ticks] is shared by a governor and its {!view}s, which
+   tick in other domains: the flags and the trip cell are atomic, the
+   rest immutable.  [ticks] belongs to the one domain that ticks it. *)
 type t = {
   wall_seconds : float option;
   quota : int option;
   started : float;
-  interrupted_flag : bool ref;
-  heap_hit : bool ref; (* set from the Gc alarm, read on tick *)
+  interrupted_flag : bool Atomic.t;
+  heap_hit : bool Atomic.t; (* set from the Gc alarm, read on tick *)
   alarm : Gc.alarm option;
+  trip : reason option Atomic.t; (* the first reason any view tripped on *)
   mutable ticks : int;
-  mutable tripped : reason option;
 }
 
 let create ?wall_seconds ?heap_words ?quota ?interrupted_flag () =
   let interrupted_flag =
-    match interrupted_flag with Some f -> f | None -> ref false
+    match interrupted_flag with Some f -> f | None -> Atomic.make false
   in
-  let heap_hit = ref false in
+  let heap_hit = Atomic.make false in
   let alarm =
     match heap_words with
     | None -> None
@@ -46,7 +49,8 @@ let create ?wall_seconds ?heap_words ?quota ?interrupted_flag () =
            moment the live-word figure is fresh and meaningful. *)
         Some
           (Gc.create_alarm (fun () ->
-               if (Gc.quick_stat ()).heap_words > budget then heap_hit := true))
+               if (Gc.quick_stat ()).heap_words > budget then
+                 Atomic.set heap_hit true))
   in
   {
     wall_seconds;
@@ -55,31 +59,34 @@ let create ?wall_seconds ?heap_words ?quota ?interrupted_flag () =
     interrupted_flag;
     heap_hit;
     alarm;
+    trip = Atomic.make None;
     ticks = 0;
-    tripped = None;
   }
 
+let view t = { t with alarm = None; ticks = 0 }
+let has_quota t = t.quota <> None
 let elapsed_s t = Unix.gettimeofday () -. t.started
-let interrupt t = t.interrupted_flag := true
-let interrupted t = !(t.interrupted_flag)
-let tripped t = t.tripped
+let interrupt t = Atomic.set t.interrupted_flag true
+let interrupted t = Atomic.get t.interrupted_flag
+let tripped t = Atomic.get t.trip
 
 let dispose t = match t.alarm with Some a -> Gc.delete_alarm a | None -> ()
 
 (* The wall clock is a syscall, so it is only consulted every 64 ticks —
    but on tick 1 rather than tick 64, so a zero-second budget trips on
-   the first state rather than 63 states in. *)
+   the first state rather than 63 states in.  The first trip of any view
+   wins the cell; every view reports it from then on. *)
 let tick t =
-  match t.tripped with
+  match Atomic.get t.trip with
   | Some _ as r -> r
   | None ->
       t.ticks <- t.ticks + 1;
       let trip r =
-        t.tripped <- Some r;
-        t.tripped
+        ignore (Atomic.compare_and_set t.trip None (Some r));
+        Atomic.get t.trip
       in
-      if !(t.interrupted_flag) then trip Interrupted
-      else if !(t.heap_hit) then trip Heap
+      if Atomic.get t.interrupted_flag then trip Interrupted
+      else if Atomic.get t.heap_hit then trip Heap
       else if
         match t.quota with Some q -> t.ticks > q | None -> false
       then trip Quota

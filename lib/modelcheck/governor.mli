@@ -32,21 +32,39 @@ val create :
   ?wall_seconds:float ->
   ?heap_words:int ->
   ?quota:int ->
-  ?interrupted_flag:bool ref ->
+  ?interrupted_flag:bool Atomic.t ->
   unit ->
   t
 (** Omitted budgets are unlimited.  [interrupted_flag] lets many
     per-cell governors share one flag, so a single SIGINT stops a whole
     sweep; when omitted, a private flag is allocated (settable via
-    {!interrupt}). *)
+    {!interrupt}).  The flag is atomic because a signal handler or
+    another domain sets it while engines in other domains poll it. *)
+
+val view : t -> t
+(** [view g] is a governor for one more domain to tick: it shares [g]'s
+    interrupt flag, heap flag, start time and budgets, and [g]'s trip
+    cell, but counts its own ticks.  The first trip of [g] or of any of
+    its views is reported by every one of them from their next tick on,
+    and by {!tripped} on each, so a pooled sweep stops within one poll
+    per worker and its caller reads the reason from [g].  A view's
+    quota counts only its own ticks, which is why quota-governed sweeps
+    never split ({!Wiring_sweep.run}).  A view installs no alarm;
+    {!dispose} [g], not its views. *)
+
+val has_quota : t -> bool
+(** Whether a tick quota is set — the one budget whose outcome depends
+    on the order of the ticks. *)
 
 val tick : t -> reason option
 (** Called once per unit of work (a popped state, a DFS step, a packed
-    Tarjan step or an induction configuration).  [Some r] once any
-    budget is exceeded — sticky thereafter. *)
+    Tarjan step or an induction configuration), from the one domain that
+    owns this governor or view.  [Some r] once any budget is exceeded —
+    sticky thereafter. *)
 
 val tripped : t -> reason option
-(** The sticky verdict without consuming a tick. *)
+(** The sticky verdict without consuming a tick: the first reason the
+    governor or any of its {!view}s tripped on. *)
 
 val interrupt : t -> unit
 (** Set the interrupt flag (shared, if the governor was created with

@@ -1,17 +1,4 @@
-(** A persistent pool of worker domains for campaign batches.
-
-    Spawning a domain costs hundreds of microseconds — comparable to
-    running an entire fuzz case — so campaigns that spawn per invocation
-    pay more for the fork/join than the work is worth and a 2-domain
-    campaign can come out {e slower} than 1-domain.  This pool spawns
-    each worker domain once, on first demand, and keeps it parked on a
-    condition variable between jobs; {!parallel} then costs two mutex
-    hand-offs per worker instead of a spawn and a join.
-
-    The pool is process-global and safe to use from any domain, though
-    the intended shape is the harness's: one orchestrating domain
-    fanning a campaign out with {!parallel}.  Workers are joined through
-    [at_exit]. *)
+(* The persistent worker pool; see the interface. *)
 
 let mutex = Mutex.create ()
 let work_available = Condition.create ()
@@ -21,9 +8,9 @@ let shutting_down = ref false
 let spawned = ref 0
 let handles : unit Domain.t list ref = ref []
 
-(** Hard cap on pool workers, comfortably below the runtime's 128-domain
-    recommendation ceiling (the caller's own domain and any unrelated
-    domains need room too). *)
+(* Hard cap on pool workers, comfortably below the runtime's 128-domain
+   recommendation ceiling (the caller's own domain and any unrelated
+   domains need room too). *)
 let max_workers = 64
 
 let rec worker_loop () =
@@ -71,12 +58,6 @@ let size () =
   Mutex.unlock mutex;
   n
 
-(** [parallel ~domains f] runs [f 0 .. f (domains - 1)] concurrently —
-    [f 0] in the calling domain, the rest as pool jobs — and returns
-    once every instance has finished.  The first exception any instance
-    raised (caller's instance wins ties) is re-raised after the barrier,
-    so no instance is abandoned mid-flight.  [domains <= 1] degenerates
-    to a plain call of [f 0]. *)
 let parallel ~domains f =
   let nd = max 1 domains in
   if nd = 1 then f 0

@@ -304,11 +304,11 @@ let test_governor_wall_zero () =
   Gov.dispose g
 
 let test_governor_interrupt_shared () =
-  let flag = ref false in
+  let flag = Atomic.make false in
   let g1 = Gov.create ~interrupted_flag:flag () in
   let g2 = Gov.create ~interrupted_flag:flag () in
   Alcotest.(check (option reason)) "g1 clean" None (Gov.tick g1);
-  flag := true;
+  Atomic.set flag true;
   Alcotest.(check (option reason))
     "g1 interrupted" (Some Gov.Interrupted) (Gov.tick g1);
   Alcotest.(check (option reason))
