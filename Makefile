@@ -1,10 +1,42 @@
-.PHONY: build test experiments mc-smoke mc-long stress fuzz-smoke fuzz-long fault-smoke faults-long portfolio-smoke portfolio-long feasibility resume-smoke coverage clean
+.PHONY: build test lint-hot experiments mc-smoke mc-long stress fuzz-smoke fuzz-long fault-smoke faults-long portfolio-smoke portfolio-long feasibility resume-smoke coverage clean
 
 build:
 	dune build @all
 
 test:
 	dune runtest
+
+# The per-step modules: simulator step, scheduler pick, fuzz schedules
+# and the packed/canonical model-checking paths.  The compiler has no
+# flambda, so a polymorphic compare in them ([=], [<], [min], [max],
+# [compare] at a type it cannot see to be int) is a call into the
+# runtime's compare_val, or to Stdlib.min/max, on every step.  lint-hot
+# scans their native objects and fails on every relocation to such a
+# function, naming the module, the symbol and the function that calls
+# it; compare ints with Int.min/Int.max/Int.compare or a typed [=].
+HOT_MODULES = Bits Iset Rng Scheduler System Snapshot_core Snapshot \
+  Consensus Naming Rt_mutex Weak_leader Schedule Rt_mutex_packed Canon
+HOT_SYMBOLS = ^(caml_(compare|equal|notequal|lessequal|lessthan|greaterequal|greaterthan)|camlStdlib[.](min|max|compare)_[0-9]+)([-+]0x[0-9a-f]+)?$$
+
+lint-hot:
+	dune build
+	@status=0; \
+	for m in $(HOT_MODULES); do \
+	  o=$$(find _build/default/lib -path '*/native/*' -name "*__$$m.o"); \
+	  if [ $$(printf '%s\n' "$$o" | grep -c .) -ne 1 ]; then \
+	    echo "lint-hot: expected one native object for $$m, found: $$o"; \
+	    status=1; continue; \
+	  fi; \
+	  hits=$$(objdump -dr "$$o" | awk -v m="$$m" -v re='$(HOT_SYMBOLS)' \
+	    '/^[0-9a-f]+ <.*>:$$/ { fn = $$2; gsub(/[<>:]/, "", fn) } \
+	     $$2 ~ /^R_/ && $$NF ~ re { s = $$NF; sub(/[-+]0x[0-9a-f]+$$/, "", s); \
+	       print "lint-hot: " m ": " s " in " fn }'); \
+	  if [ -n "$$hits" ]; then echo "$$hits"; status=1; fi; \
+	done; \
+	if [ $$status -eq 0 ]; then \
+	  echo "lint-hot: no polymorphic compare in $(words $(HOT_MODULES)) per-step modules"; \
+	fi; \
+	exit $$status
 
 # Full reproduction report (EXPERIMENTS.md's tables, the X6/X7/X12
 # scaling rows included).  The output file is regenerated, not committed

@@ -102,7 +102,7 @@ let resolve view =
       (max_int, min_int) l
   in
   let rival_ts =
-    List.fold_left (fun acc (v, t) -> if v = v1 then acc else max acc t) 0 l
+    List.fold_left (fun acc (v, t) -> if v = v1 then acc else Int.max acc t) 0 l
   in
   if t1 >= rival_ts + 2 then `Decide v1 else `Adopt (v1, t1 + 1)
 
@@ -163,10 +163,10 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
     let cap =
       let mx = ref 1 in
       Array.iter
-        (fun (v : value) -> mx := max !mx (Pset.cardinal v.Snap.Core.view))
+        (fun (v : value) -> mx := Int.max !mx (Pset.cardinal v.Snap.Core.view))
         registers;
       Array.iter
-        (fun l -> mx := max !mx (Pset.cardinal l.snap.Snap.Core.view))
+        (fun l -> mx := Int.max !mx (Pset.cardinal l.snap.Snap.Core.view))
         locals;
       !mx + 128
     in
@@ -274,10 +274,11 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
       let equal =
         vlen = len
         &&
-        let rec eq i =
-          i >= len || (varr.(rbase + i) = lv.(lbase + i) && eq (i + 1))
-        in
-        eq 0
+        let i = ref 0 in
+        while !i < len && varr.(rbase + !i) = lv.(lbase + !i) do
+          incr i
+        done;
+        !i >= len
       in
       let all = lall.(p) = 1 && equal in
       let mlen =
@@ -316,7 +317,7 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
       in
       if mlen > cap then raise Anonmem.Protocol.Fallback;
       if pos + 1 < m then begin
-        if all then lmin.(p) <- min lmin.(p) vlevel
+        if all then lmin.(p) <- Int.min lmin.(p) vlevel
         else begin
           Array.blit scratch 0 lv lbase mlen;
           lv_len.(p) <- mlen;
@@ -326,8 +327,8 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
         lpos.(p) <- pos + 1
       end
       else begin
-        let minl = if all then min lmin.(p) vlevel else 0 in
-        let level = if all then min (minl + 1) n else 0 in
+        let minl = if all then Int.min lmin.(p) vlevel else 0 in
+        let level = if all then Int.min (minl + 1) n else 0 in
         if level >= n then begin
           (* The invocation just completed; [all] held throughout, so the
              view is unchanged — resolve directly over the current row. *)

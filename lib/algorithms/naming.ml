@@ -239,13 +239,11 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
             larg.(p) <- name)
       locals;
     let fresh p =
-      let rec clear mask =
-        if mask <> 0 then begin
-          cnt.((p * cap) + Bits.ctz mask) <- 0;
-          clear (mask land (mask - 1))
-        end
-      in
-      clear ltouch.(p);
+      let mask = ref ltouch.(p) in
+      while !mask <> 0 do
+        cnt.((p * cap) + Bits.ctz !mask) <- 0;
+        mask := !mask land (!mask - 1)
+      done;
       ltouch.(p) <- 0;
       lmaxr.(p) <- 0;
       lmine.(p) <- 0;
@@ -305,22 +303,20 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
            = m
         && (kmask.(p) lor vmask) lsr (cap - 1) <> 0
       then raise Anonmem.Protocol.Fallback;
-      let rec merge bits =
-        if bits <> 0 then begin
-          let b = Bits.ctz bits in
-          let ki = (p * cap) + b in
-          let ow = vown.((r * cap) + b) in
-          if kmask.(p) land (1 lsl b) <> 0 then begin
-            if ow < kown.(ki) then kown.(ki) <- ow
-          end
-          else begin
-            kmask.(p) <- kmask.(p) lor (1 lsl b);
-            kown.(ki) <- ow
-          end;
-          merge (bits land (bits - 1))
+      let bits = ref vmask in
+      while !bits <> 0 do
+        let b = Bits.ctz !bits in
+        let ki = (p * cap) + b in
+        let ow = vown.((r * cap) + b) in
+        if kmask.(p) land (1 lsl b) <> 0 then begin
+          if ow < kown.(ki) then kown.(ki) <- ow
         end
-      in
-      merge vmask;
+        else begin
+          kmask.(p) <- kmask.(p) lor (1 lsl b);
+          kown.(ki) <- ow
+        end;
+        bits := !bits land (!bits - 1)
+      done;
       (if vownr < 0 then begin
          if lff.(p) < 0 then lff.(p) <- pos
        end
@@ -348,15 +344,13 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
           end
       | _ -> invalid_arg "Naming.flat: not writing"
     in
-    let copy_row src sbase dst dbase mask =
-      let rec go bits =
-        if bits <> 0 then begin
-          let b = Bits.ctz bits in
-          dst.(dbase + b) <- src.(sbase + b);
-          go (bits land (bits - 1))
-        end
-      in
-      go mask
+    let copy_row (src : int array) sbase (dst : int array) dbase mask =
+      let bits = ref mask in
+      while !bits <> 0 do
+        let b = Bits.ctz !bits in
+        dst.(dbase + b) <- src.(sbase + b);
+        bits := !bits land (!bits - 1)
+      done
     in
     let step p =
       match lstate.(p) with

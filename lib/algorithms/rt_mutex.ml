@@ -130,7 +130,7 @@ let indices_of_mask ~m mask =
 
 (** Bump identity [q]'s count, keeping the assoc sorted by identity so
     equal count summaries are structurally equal (state hashing). *)
-let rec bump q = function
+let rec bump (q : int) = function
   | [] -> [ (q, 1) ]
   | (id, k) :: rest when id = q -> (id, k + 1) :: rest
   | ((id, _) as e) :: rest when id < q -> e :: bump q rest
@@ -279,13 +279,11 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
             larg.(p) <- (match o with Cs_clean -> 0 | Cs_intruded -> 1))
       locals;
     let fresh p =
-      let rec clear mask =
-        if mask <> 0 then begin
-          cnt.((p * cap) + Bits.ctz mask) <- 0;
-          clear (mask land (mask - 1))
-        end
-      in
-      clear ltouch.(p);
+      let mask = ref ltouch.(p) in
+      while !mask <> 0 do
+        cnt.((p * cap) + Bits.ctz !mask) <- 0;
+        mask := !mask land (!mask - 1)
+      done;
       ltouch.(p) <- 0;
       lmaxr.(p) <- 0;
       lmine.(p) <- 0;

@@ -104,7 +104,7 @@ module Make (Vset : Sorted_set.S) = struct
           {
             pos = s.pos + 1;
             all_own;
-            min_level = (if all_own then min s.min_level v.level else 0);
+            min_level = (if all_own then Int.min s.min_level v.level else 0);
           }
         in
         if s.pos < cfg.m then { l with view; phase = Scanning s }
@@ -113,7 +113,7 @@ module Make (Vset : Sorted_set.S) = struct
              level read when every register held exactly the scan-start
              view (lines 20–24 of Figure 3), capped at [n], the
              termination level. *)
-          let level = if s.all_own then min (s.min_level + 1) cfg.n else 0 in
+          let level = if s.all_own then Int.min (s.min_level + 1) cfg.n else 0 in
           { l with view; level; phase = Writing }
 
   (** Whether the processor is between rounds (about to write).  Level-based

@@ -73,7 +73,7 @@ let decide c l (view : value list) =
   | None ->
       let mine =
         List.fold_left
-          (fun k v -> if v = Some l.id then k + 1 else k)
+          (fun k v -> match v with Some q when q = l.id -> k + 1 | _ -> k)
           0 view
       in
       let wins = if c.majority_entry then 2 * mine > c.m else mine = c.m in

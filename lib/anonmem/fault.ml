@@ -48,6 +48,14 @@ let crash_stops ?n plan =
     plan;
   a
 
+let crash_order crash_at =
+  Array.to_list crash_at
+  |> List.mapi (fun p c -> Option.map (fun c -> (c, p)) c)
+  |> List.filter_map Fun.id
+  |> List.sort (fun (c, p) (c', p') ->
+         match Int.compare c c' with 0 -> Int.compare p p' | d -> d)
+  |> Array.of_list
+
 let recoveries plan =
   List.filter_map
     (function Crash_recover { p; at } -> Some (at, p) | _ -> None)

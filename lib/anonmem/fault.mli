@@ -43,6 +43,10 @@ val crash_stops : ?n:int -> plan -> int option array
     sized [n] (default: one past the largest processor index in the plan).
     This is exactly the [crash_at] array consumed by {!Scheduler.crash}. *)
 
+val crash_order : int option array -> (int * int) array
+(** [(at, p)] for every [Some at] of a {!crash_stops} array, sorted by
+    time, then processor: the order in which the crashes fire. *)
+
 val recoveries : plan -> (int * int) list
 (** [(at, p)] pairs of every [Crash_recover], sorted by time. *)
 

@@ -65,30 +65,34 @@ let solo p =
   { name = Printf.sprintf "solo(%d)" p; pick; mask_pick = Some mask_pick }
 
 let script ?(cycle = false) pids =
-  let len = List.length pids in
-  let remaining = ref pids in
-  (* The list and mask pickers share [remaining]; [member] abstracts the
-     only difference (how enabledness is tested). *)
-  let rec go member scanned =
+  let pids = Array.of_list pids in
+  let len = Array.length pids in
+  let next = ref 0 in
+  (* The list and mask pickers share [next], the index of the next
+     scripted pid, and differ only in how enabledness is tested: a pid is
+     enabled if its bit is in [mask] or it is in [enabled], and each
+     picker leaves the other one empty.  No closure and no pointer write
+     per pick. *)
+  let rec go ~mask ~enabled scanned =
     if scanned > len then -1
-    else
-      match !remaining with
-      | [] ->
-          if cycle && pids <> [] then begin
-            remaining := pids;
-            go member scanned
-          end
-          else -1
-      | p :: rest ->
-          remaining := rest;
-          if member p then p else go member (scanned + 1)
+    else if !next >= len then
+      if cycle && len > 0 then begin
+        next := 0;
+        go ~mask ~enabled scanned
+      end
+      else -1
+    else begin
+      let p = pids.(!next) in
+      incr next;
+      if (p < Bits.max_width && mask land (1 lsl p) <> 0) || List.mem p enabled
+      then p
+      else go ~mask ~enabled (scanned + 1)
+    end
   in
   let pick ~time:_ ~enabled =
-    match go (fun p -> List.mem p enabled) 0 with -1 -> None | p -> Some p
+    match go ~mask:0 ~enabled 0 with -1 -> None | p -> Some p
   in
-  let mask_pick ~time:_ ~mask =
-    go (fun p -> p < Bits.max_width && mask land (1 lsl p) <> 0) 0
-  in
+  let mask_pick ~time:_ ~mask = go ~mask ~enabled:[] 0 in
   {
     name = (if cycle then "script(cyclic)" else "script");
     pick;
@@ -156,7 +160,7 @@ let crash ~crash_at t =
      the filter below would rebuild [enabled] unchanged on every pick. *)
   let first_crash =
     Array.fold_left
-      (fun acc c -> match c with Some c -> min acc c | None -> acc)
+      (fun acc c -> match c with Some c -> Int.min acc c | None -> acc)
       max_int crash_at
   in
   let pick ~time ~enabled =
@@ -171,11 +175,7 @@ let crash ~crash_at t =
       (fun mp ->
         (* The dead mask only ever grows, and time only moves forward:
            advance through the crash times sorted once, clearing bits. *)
-        let events =
-          Array.to_list crash_at
-          |> List.mapi (fun p c -> Option.map (fun c -> (c, p)) c)
-          |> List.filter_map Fun.id |> List.sort compare |> Array.of_list
-        in
+        let events = Fault.crash_order crash_at in
         let dead = ref 0 and idx = ref 0 in
         fun ~time ~mask ->
           if time < first_crash then mp ~time ~mask

@@ -174,7 +174,7 @@ module Make (P : Protocol.S) = struct
     let alive time p =
       match crash_at.(p) with Some c -> time < c | None -> true
     in
-    let pop_due arr p time =
+    let pop_due arr p (time : int) =
       match arr.(p) with
       | at :: rest when at <= time ->
           arr.(p) <- rest;
@@ -371,7 +371,7 @@ module Make (P : Protocol.S) = struct
     let omits = Fault.omit_arms ~n plan in
     let stales = Fault.stale_arms ~n plan in
     let stuck_at = Fault.stuck_times ~m plan in
-    let pop_due arr p time =
+    let pop_due arr p (time : int) =
       match arr.(p) with
       | at :: rest when at <= time ->
           arr.(p) <- rest;
@@ -380,11 +380,7 @@ module Make (P : Protocol.S) = struct
     in
     (* Alive processors as a shrinking mask, advanced through the crash
        times in order (mirrors [run_faulty]'s [alive]: dead at [t >= c]). *)
-    let crashes =
-      Array.to_list crash_at
-      |> List.mapi (fun p c -> Option.map (fun c -> (c, p)) c)
-      |> List.filter_map Fun.id |> List.sort compare |> Array.of_list
-    in
+    let crashes = Fault.crash_order crash_at in
     let alive = ref (Repro_util.Bits.full n) and next_crash = ref 0 in
     let emask = ref 0 in
     for p = n - 1 downto 0 do

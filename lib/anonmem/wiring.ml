@@ -59,6 +59,12 @@ let enumerate_classes ~n ~m =
            (List.init (n - 1) (fun j -> j + 1)))
     (enumerate ~n ~m ~fix_first:true)
 
+let classes_of_inputs inputs =
+  let n = Array.length inputs in
+  Array.init n (fun p ->
+      let rec first q = if inputs.(q) = inputs.(p) then q else first (q + 1) in
+      first 0)
+
 let automorphisms t ~classes =
   let n = processors t and m = registers t in
   if Array.length classes <> n then

@@ -66,6 +66,11 @@ val enumerate_classes : n:int -> m:int -> t list
     [enumerate ~fix_first:true] and any violation it finds is a concrete
     wiring of the full space. *)
 
+val classes_of_inputs : 'a array -> int array
+(** Interchangeability classes of an input assignment, the [classes] of
+    {!automorphisms}: same class iff (structurally) equal input.  Class
+    ids are first-occurrence indices. *)
+
 val automorphisms :
   t -> classes:int array -> (Permutation.t * Permutation.t) list
 (** The symmetry group of a wired system whose processors are partitioned

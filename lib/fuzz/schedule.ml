@@ -47,7 +47,7 @@ let pp ppf = function
         (List.map succ cycle)
 
 let weighted_scheduler rng weights =
-  let weight p = if p < Array.length weights then max 1 weights.(p) else 1 in
+  let weight p = if p < Array.length weights then Int.max 1 weights.(p) else 1 in
   let pick ~time:_ ~enabled =
     match enabled with
     | [] -> None
@@ -119,7 +119,7 @@ let random rng ~n ~horizon =
         (List.concat
            (List.init n (fun p ->
                 if Rng.bool rng then
-                  [ Anonmem.Fault.Crash_stop { p; at = Rng.int rng (max 1 horizon) } ]
+                  [ Anonmem.Fault.Crash_stop { p; at = Rng.int rng (Int.max 1 horizon) } ]
                 else [])))
   | _ ->
       let pids len = List.init len (fun _ -> Rng.int rng n) in

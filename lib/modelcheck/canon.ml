@@ -55,14 +55,6 @@ type t = {
           [i < body] of the element's image is [key.[g.(i)]] *)
 }
 
-(** Interchangeability classes of an input assignment: same class iff
-    (structurally) equal input.  Class ids are first-occurrence indices. *)
-let classes_of_inputs inputs =
-  let n = Array.length inputs in
-  Array.init n (fun p ->
-      let rec first q = if inputs.(q) = inputs.(p) then q else first (q + 1) in
-      first 0)
-
 let of_permutation p = Array.init (Permutation.size p) (Permutation.apply p)
 
 let make ~local_width:lw ~value_width:vw ~wiring ~classes =

@@ -327,7 +327,7 @@ module Make (P : CHECKABLE) = struct
       ~local_width:(P.local_width cfg)
       ~value_width:(P.value_width cfg)
       ~wiring
-      ~classes:(Canon.classes_of_inputs inputs)
+      ~classes:(Anonmem.Wiring.classes_of_inputs inputs)
 
   (** The group the [~reduction] flags below explore by: [canon_of]'s
       group when [reduction] is set, unless it holds only the identity —

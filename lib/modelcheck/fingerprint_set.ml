@@ -40,8 +40,6 @@ let[@inline] lt (x : int64) (y : int64) =
   let hx = hi_of x and hy = hi_of y in
   hx < hy || (hx = hy && lo_of x < lo_of y)
 
-let[@inline] imin (a : int) b = if a < b then a else b
-
 (* Scratch arrays live outside the OCaml heap: the per-batch ones are
    held across batches, and as heap blocks they would raise the live size
    the major GC paces against. *)
@@ -70,50 +68,52 @@ let fingerprint key =
   hash_into a 0 (Bytes.unsafe_of_string key) 0 (String.length key);
   a.{0}
 
-(* Merge sort of the fingerprints [a.{0 .. n-1}] in ascending order,
-   using [b] (at least [n] long) as the other buffer; returns whichever
-   of the two holds the result.  Blocks of 16 are insertion-sorted in
-   place, then merged bottom-up, ping-ponging between the buffers. *)
+(* Byte [sh / 8] of a fingerprint, counted from the least significant. *)
+let[@inline] byte (x : int64) sh =
+  Int64.to_int (Int64.shift_right_logical x sh) land 0xFF
+
+(* The byte counts of [sort_fps], one array per domain: allocated per
+   call, its 16 KiB would go to the major heap every batch. *)
+let sort_counts = Domain.DLS.new_key (fun () -> Array.make (8 * 256) 0)
+
+(* LSD radix sort of the fingerprints [a.{0 .. n-1}] in ascending
+   unsigned order, using [b] (at least [n] long) as the other buffer;
+   returns whichever of the two holds the result.  One pass over the
+   keys counts all eight bytes; then each byte, least significant first,
+   moves the keys once and stably from one buffer to the other, except a
+   byte every key shares, which would leave them in place. *)
 let sort_fps (a : fps) (b : fps) n =
-  let block = 16 in
-  let b0 = ref 0 in
-  while !b0 < n do
-    let stop = imin n (!b0 + block) in
-    for i = !b0 + 1 to stop - 1 do
-      let x = a.{i} in
-      let j = ref (i - 1) in
-      while !j >= !b0 && lt x a.{!j} do
-        a.{!j + 1} <- a.{!j};
-        decr j
-      done;
-      a.{!j + 1} <- x
-    done;
-    b0 := stop
+  let count = Domain.DLS.get sort_counts in
+  Array.fill count 0 (Array.length count) 0;
+  for i = 0 to n - 1 do
+    let x = a.{i} in
+    for d = 0 to 7 do
+      let c = (d lsl 8) lor byte x (8 * d) in
+      count.(c) <- count.(c) + 1
+    done
   done;
   let src = ref a and dst = ref b in
-  let width = ref block in
-  while !width < n do
-    let s = !src and d = !dst in
-    let start = ref 0 in
-    while !start < n do
-      let mid = imin n (!start + !width) in
-      let stop = imin n (mid + !width) in
-      let i = ref !start and j = ref mid in
-      for k = !start to stop - 1 do
-        if !j >= stop || (!i < mid && not (lt s.{!j} s.{!i})) then begin
-          d.{k} <- s.{!i};
-          incr i
-        end
-        else begin
-          d.{k} <- s.{!j};
-          incr j
-        end
+  for d = 0 to 7 do
+    let base = d lsl 8 and sh = 8 * d in
+    if n > 0 && count.(base lor byte !src.{0} sh) < n then begin
+      (* count -> offset of the bucket's first key *)
+      let off = ref 0 in
+      for c = base to base + 255 do
+        let k = count.(c) in
+        count.(c) <- !off;
+        off := !off + k
       done;
-      start := stop
-    done;
-    src := d;
-    dst := s;
-    width := 2 * !width
+      let s = !src and t = !dst in
+      for i = 0 to n - 1 do
+        let x = s.{i} in
+        let c = base lor byte x sh in
+        let o = count.(c) in
+        t.{o} <- x;
+        count.(c) <- o + 1
+      done;
+      src := t;
+      dst := s
+    end
   done;
   !src
 

@@ -65,6 +65,16 @@ val fingerprint : string -> int64
     reserves as its empty marker).  Exposed for tests that plant
     collisions or check the spill format. *)
 
+val sort_fps :
+  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  int ->
+  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** [sort_fps a b n] sorts the fingerprints [a.{0 .. n-1}] in ascending
+    unsigned order, the order of spill runs and of the candidates merged
+    against them, using [b] (at least [n] long) as scratch; it returns
+    whichever of [a] and [b] holds the sorted keys.  Exposed for tests. *)
+
 val add_page : t -> Bytes.t -> width:int -> count:int -> int
 (** [add_page t page ~width ~count] decides the [count] keys of [width]
     bytes at offsets [0, width, 2 * width, ...] of [page] as {!add_batch}

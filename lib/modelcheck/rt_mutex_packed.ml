@@ -132,7 +132,10 @@ let build_ptab cfg ~inputs p =
     (fun i ph ->
       let l = { Rt_mutex.id; phase = ph } in
       t.cs.(i) <- Rt_mutex.in_cs l;
-      t.bad.(i) <- Rt_mutex.output cfg l = Some Rt_mutex.Cs_intruded;
+      t.bad.(i) <-
+        (match Rt_mutex.output cfg l with
+        | Some Rt_mutex.Cs_intruded -> true
+        | Some Rt_mutex.Cs_clean | None -> false);
       match Rt_mutex.next cfg l with
       | None -> t.kind.(i) <- 2
       | Some (Anonmem.Protocol.Read r) ->
@@ -485,7 +488,7 @@ let check_wiring ?ws:reuse ?governor ?ckpt ?(ckpt_extra = []) ?(resume = false)
               if r < 0 then push_state s' pid
               else if Vec.get onstack r = 1 then begin
                 let u = Vec.get fr_u fi in
-                Vec.set low u (min (Vec.get low u) r);
+                Vec.set low u (Int.min (Vec.get low u) r);
                 Vec.set emask u (Vec.get emask u lor (1 lsl pid))
               end
             end
@@ -504,7 +507,7 @@ let check_wiring ?ws:reuse ?governor ?ckpt ?(ckpt_extra = []) ?(resume = false)
                  the discovering tree edge and the accumulated internal
                  mask belong to the common SCC. *)
               let parent = Vec.get fr_u (Vec.(fr_u.len) - 1) in
-              Vec.set low parent (min (Vec.get low parent) (Vec.get low u));
+              Vec.set low parent (Int.min (Vec.get low parent) (Vec.get low u));
               Vec.set emask parent
                 (Vec.get emask parent lor Vec.get emask u lor (1 lsl epid))
             end

@@ -32,21 +32,21 @@ type t =
 
 (* ---- sorted-list primitives for the Wide fallback --------------------- *)
 
-let rec l_mem x = function
+let rec l_mem (x : elt) = function
   | [] -> false
   | y :: rest -> if x = y then true else if x < y then false else l_mem x rest
 
-let rec l_add x = function
+let rec l_add (x : elt) = function
   | [] -> [ x ]
   | y :: rest as s ->
       if x = y then s else if x < y then x :: s else y :: l_add x rest
 
-let rec l_remove x = function
+let rec l_remove (x : elt) = function
   | [] -> []
   | y :: rest as s ->
       if x = y then rest else if x < y then s else y :: l_remove x rest
 
-let rec l_union a b =
+let rec l_union (a : elt list) (b : elt list) =
   match (a, b) with
   | [], s | s, [] -> s
   | x :: xs, y :: ys ->
@@ -54,7 +54,7 @@ let rec l_union a b =
       else if x < y then x :: l_union xs b
       else y :: l_union a ys
 
-let rec l_inter a b =
+let rec l_inter (a : elt list) (b : elt list) =
   match (a, b) with
   | [], _ | _, [] -> []
   | x :: xs, y :: ys ->
@@ -62,7 +62,7 @@ let rec l_inter a b =
       else if x < y then l_inter xs b
       else l_inter a ys
 
-let rec l_diff a b =
+let rec l_diff (a : elt list) (b : elt list) =
   match (a, b) with
   | [], _ -> []
   | s, [] -> s
@@ -71,14 +71,14 @@ let rec l_diff a b =
       else if x < y then x :: l_diff xs b
       else l_diff a ys
 
-let rec l_subset a b =
+let rec l_subset (a : elt list) (b : elt list) =
   match (a, b) with
   | [], _ -> true
   | _ :: _, [] -> false
   | x :: xs, y :: ys ->
       if x = y then l_subset xs ys else if x < y then false else l_subset a ys
 
-let rec l_compare a b =
+let rec l_compare (a : elt list) (b : elt list) =
   match (a, b) with
   | [], [] -> 0
   | [], _ :: _ -> -1
@@ -164,8 +164,15 @@ let subset a b =
   | Wide _, Bits _ -> false
   | Wide x, Wide y -> l_subset x y
 
-(* Canonical representation: structural equality is set equality. *)
-let equal a b = a = b
+(* Canonical representation: equal sets have the same constructor and
+   the same payload, so set equality is compared case by case, with
+   monomorphic int compares instead of the runtime's polymorphic [=]. *)
+let equal a b =
+  match (a, b) with
+  | Bits x, Bits y -> x = y
+  | Wide x, Wide y -> List.equal Int.equal x y
+  | Bits _, Wide _ | Wide _, Bits _ -> false
+
 let strict_subset a b = subset a b && not (equal a b)
 let comparable a b = subset a b || subset b a
 

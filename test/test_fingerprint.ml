@@ -662,6 +662,33 @@ let test_fingerprint_function () =
   done;
   Alcotest.(check bool) "no zero fingerprints" true !nonzero
 
+let test_sort_fps_matches_list_sort () =
+  (* The radix sort must order as unsigned 64-bit words (the order the
+     runs are merged in), keep duplicates, and survive inputs where some
+     or all of its byte passes are skipped. *)
+  let rng = Random.State.make [| 23 |] in
+  let random _ = Random.State.bits64 rng in
+  let pool = [| 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x100L; 0xff00L |] in
+  let dup _ = pool.(Random.State.int rng (Array.length pool)) in
+  let same _ = 0x0123456789abcdefL in
+  let low _ = Int64.of_int (Random.State.int rng 256) in
+  List.iter
+    (fun (name, gen) ->
+      List.iter
+        (fun n ->
+          let keys = List.init n gen in
+          let a = Bigarray.(Array1.create int64 c_layout (n + 3)) in
+          let b = Bigarray.(Array1.create int64 c_layout (n + 5)) in
+          List.iteri (fun i x -> a.{i} <- x) keys;
+          let r = Fp.sort_fps a b n in
+          Alcotest.(check (list int64))
+            (Printf.sprintf "%s, %d keys" name n)
+            (List.sort Int64.unsigned_compare keys)
+            (List.init n (fun i -> r.{i})))
+        [ 0; 1; 2; 17; 256; 4099 ])
+    [ ("random", random); ("duplicate-heavy", dup); ("all-equal", same);
+      ("one varying byte", low) ]
+
 let test_oversized_budget_refused () =
   (* The tier is one string: a budget past the largest one must be a
      named error from [create], not a bare [Bytes.create] failure. *)
@@ -737,5 +764,7 @@ let () =
             test_fingerprint_function;
           Alcotest.test_case "oversized budget refused" `Quick
             test_oversized_budget_refused;
+          Alcotest.test_case "sort_fps equals List.sort" `Quick
+            test_sort_fps_matches_list_sort;
         ] );
     ]

@@ -774,7 +774,7 @@ let canon_setup (wsel, isel) =
       ~local_width:(Modelcheck.Codecs.Snapshot.local_width cfg)
       ~value_width:(Modelcheck.Codecs.Snapshot.value_width cfg)
       ~wiring
-      ~classes:(Canon.classes_of_inputs inputs)
+      ~classes:(Anonmem.Wiring.classes_of_inputs inputs)
   in
   (cfg, wiring, inputs, canon)
 
@@ -835,7 +835,7 @@ let prop_canon_preserves_projections =
       let n = 3 in
       let lw = Modelcheck.Codecs.Snapshot.local_width cfg in
       let vw = Modelcheck.Codecs.Snapshot.value_width cfg in
-      let classes = Canon.classes_of_inputs inputs in
+      let classes = Anonmem.Wiring.classes_of_inputs inputs in
       let locals_of key cls =
         List.init n Fun.id
         |> List.filter (fun p -> classes.(p) = cls)
@@ -874,7 +874,7 @@ let canon_all_setups =
                      ~local_width:(Modelcheck.Codecs.Snapshot.local_width cfg)
                      ~value_width:(Modelcheck.Codecs.Snapshot.value_width cfg)
                      ~wiring
-                     ~classes:(Canon.classes_of_inputs inputs)
+                     ~classes:(Anonmem.Wiring.classes_of_inputs inputs)
                  in
                  (cfg, wiring, inputs, canon))
                choices)
@@ -1000,7 +1000,7 @@ let test_canon_group_sizes () =
       ~local_width:(Modelcheck.Codecs.Snapshot.local_width cfg)
       ~value_width:(Modelcheck.Codecs.Snapshot.value_width cfg)
       ~wiring
-      ~classes:(Canon.classes_of_inputs inputs)
+      ~classes:(Anonmem.Wiring.classes_of_inputs inputs)
   in
   let idw = Anonmem.Wiring.identity ~n:3 ~m:3 in
   Alcotest.(check int) "identity wiring, one class: |G| = 6" 6

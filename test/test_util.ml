@@ -90,6 +90,33 @@ let prop_cardinal_monotone =
       u >= max (Iset.cardinal a) (Iset.cardinal b)
       && u <= Iset.cardinal a + Iset.cardinal b)
 
+(* --- Bits ---------------------------------------------------------------- *)
+
+(* The table-driven popcount/ctz/nth_set agree with the SWAR path on
+   [mask]: every [k]-th set bit, and the lowest one. *)
+let bits_agree mask =
+  let n = Bits.popcount mask in
+  n = Bits.Swar.popcount mask
+  && (mask = 0 || Bits.ctz mask = Bits.Swar.ctz mask)
+  && List.for_all
+       (fun k -> Bits.nth_set mask k = Bits.Swar.nth_set mask k)
+       (List.init n Fun.id)
+
+let test_bits_tables_exhaustive () =
+  (* Every mask of 12 bits: all 256 table rows, and the masks just past
+     them that take the SWAR path. *)
+  for mask = 0 to (1 lsl 12) - 1 do
+    if not (bits_agree mask) then Alcotest.failf "mask %#x" mask
+  done
+
+let prop_bits_tables_wide =
+  QCheck.Test.make ~name:"table path = SWAR path up to max_width bits"
+    ~count:2000
+    QCheck.(
+      make ~print:(Printf.sprintf "%#x")
+        Gen.(map2 (fun w x -> x land Bits.full w) (int_range 0 Bits.max_width) int))
+    bits_agree
+
 (* --- Rng ---------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -392,6 +419,12 @@ let () =
             prop_mem_add;
             prop_cardinal_monotone;
           ] );
+      ( "bits",
+        [
+          Alcotest.test_case "tables = SWAR below 2^12" `Quick
+            test_bits_tables_exhaustive;
+          QCheck_alcotest.to_alcotest prop_bits_tables_wide;
+        ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
