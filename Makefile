@@ -7,7 +7,8 @@ test:
 	dune runtest
 
 # The per-step modules: simulator step, scheduler pick, fuzz schedules
-# and the packed/canonical model-checking paths.  The compiler has no
+# and the model-checking paths (the generic DFS/BFS with its visited
+# table and codecs, the packed and canonical engines).  The compiler has no
 # flambda, so a polymorphic compare in them ([=], [<], [min], [max],
 # [compare] at a type it cannot see to be int) is a call into the
 # runtime's compare_val, or to Stdlib.min/max, on every step.  lint-hot
@@ -15,7 +16,8 @@ test:
 # function, naming the module, the symbol and the function that calls
 # it; compare ints with Int.min/Int.max/Int.compare or a typed [=].
 HOT_MODULES = Bits Iset Rng Scheduler System Snapshot_core Snapshot \
-  Consensus Naming Rt_mutex Weak_leader Schedule Rt_mutex_packed Canon
+  Consensus Naming Rt_mutex Weak_leader Schedule Rt_mutex_packed Canon \
+  Explorer State_table Codecs
 HOT_SYMBOLS = ^(caml_(compare|equal|notequal|lessequal|lessthan|greaterequal|greaterthan)|camlStdlib[.](min|max|compare)_[0-9]+)([-+]0x[0-9a-f]+)?$$
 
 lint-hot:

@@ -35,7 +35,7 @@ end
 
 module Snap = Long_lived_snapshot.Make (Pset) (Pref_pp)
 
-type cfg = Snap.cfg = { n : int; m : int }
+type cfg = Snap.cfg = { n : int; m : int; write_order : Snapshot_core.write_order }
 
 let cfg = Snap.cfg
 let standard ~n = Snap.standard ~n
@@ -150,6 +150,7 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
     in_window l.pref && in_window l.ts
     && (match l.decided with None -> true | Some d -> d >= 0)
     && view_ok l.snap.Snap.Core.view
+    && Snap.Core.is_cyclic l.snap
   in
   if n > Bits.max_width || m > Bits.max_width
      || not (Array.for_all in_window inputs)
@@ -207,7 +208,7 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
     let lv_len = Array.make n 0 in
     let lv = Array.make (n * cap) 0 in
     let llevel = Array.map (fun l -> l.snap.Snap.Core.level) locals in
-    let lnext = Array.map (fun l -> l.snap.Snap.Core.next_write) locals in
+    let lnext = Array.map (fun l -> Snap.Core.cursor l.snap) locals in
     let lpos = Array.make n (-1) in
     let lall = Array.make n 0 in
     let lmin = Array.make n 0 in
@@ -435,7 +436,7 @@ let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
           {
             Snap.Core.view = dec_view lv (p * cap) lv_len.(p);
             level = llevel.(p);
-            next_write = lnext.(p);
+            written = Bits.full lnext.(p);
             phase;
           }
         in

@@ -39,7 +39,7 @@ end
 (** The embedded long-lived snapshot over [(value, timestamp)] views. *)
 module Snap : module type of Long_lived_snapshot.Make (Pset) (Pref_pp)
 
-type cfg = Snap.cfg = { n : int; m : int }
+type cfg = Snap.cfg = { n : int; m : int; write_order : Snapshot_core.write_order }
 
 val cfg : n:int -> m:int -> cfg
 val standard : n:int -> cfg

@@ -25,7 +25,7 @@ end) =
 struct
   module Core = Snapshot_core.Make (Vset)
 
-  type cfg = Core.cfg = { n : int; m : int }
+  type cfg = Core.cfg = { n : int; m : int; write_order : Snapshot_core.write_order }
 
   let cfg = Core.cfg
   let standard ~n = Core.cfg ~n ~m:n
@@ -39,7 +39,9 @@ struct
   let processors (c : cfg) = c.n
   let registers (c : cfg) = c.m
   let register_init = Core.register_init
-  let init = Core.init
+  let init c input =
+    Core.cyclic_only "Long_lived_snapshot.init" c;
+    Core.init c input
 
   let ready c (l : local) = Core.reached_level c l
   (** The current invocation has terminated; its output is {!output_view}.

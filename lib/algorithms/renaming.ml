@@ -19,7 +19,7 @@
 
 open Repro_util
 
-type cfg = Snapshot.cfg = { n : int; m : int }
+type cfg = Snapshot.cfg = { n : int; m : int; write_order : Snapshot_core.write_order }
 
 let cfg = Snapshot.cfg
 let standard ~n = Snapshot.standard ~n

@@ -15,7 +15,7 @@
 
 open Repro_util
 
-type cfg = Snapshot.cfg = { n : int; m : int }
+type cfg = Snapshot.cfg = { n : int; m : int; write_order : Snapshot_core.write_order }
 
 val cfg : n:int -> m:int -> cfg
 val standard : n:int -> cfg

@@ -14,7 +14,8 @@
 open Repro_util
 module Core = Snapshot_core.Make (Iset)
 
-type cfg = Core.cfg = { n : int; m : int }
+type write_order = Snapshot_core.write_order = Cyclic | Any
+type cfg = Core.cfg = { n : int; m : int; write_order : write_order }
 
 let cfg = Core.cfg
 
@@ -30,7 +31,9 @@ let name = "snapshot(fig3)"
 let processors (c : cfg) = c.n
 let registers (c : cfg) = c.m
 let register_init = Core.register_init
-let init = Core.init
+let init c input =
+  Core.cyclic_only "Snapshot.init" c;
+  Core.init c input
 
 let terminated c (l : local) = Core.reached_level c l
 let halted = terminated
@@ -55,6 +58,7 @@ let flat_core (c : cfg) ~(phys : int array) ~(registers : value array)
   let in_window i = 0 <= i && i < Bits.max_width in
   if n > Bits.max_width || m > Bits.max_width
      || not (Array.for_all in_window core_inputs)
+     || not (List.for_all (fun p -> Core.is_cyclic (get p)) (List.init n Fun.id))
   then None
   else
     match
@@ -72,7 +76,7 @@ let flat_core (c : cfg) ~(phys : int array) ~(registers : value array)
         for p = 0 to n - 1 do
           let l = get p in
           llevel.(p) <- l.Core.level;
-          lnext.(p) <- l.Core.next_write;
+          lnext.(p) <- Core.cursor l;
           match l.Core.phase with
           | Core.Writing -> lpos.(p) <- -1
           | Core.Scanning { pos; all_own; min_level } ->
@@ -162,7 +166,7 @@ let flat_core (c : cfg) ~(phys : int array) ~(registers : value array)
               {
                 Core.view = Iset.of_bits lview.(p);
                 level = llevel.(p);
-                next_write = lnext.(p);
+                written = Bits.full lnext.(p);
                 phase =
                   (if lpos.(p) < 0 then Core.Writing
                    else

@@ -23,7 +23,9 @@ open Repro_util
     long-lived variant; exposed for the model checker's codecs. *)
 module Core : module type of Snapshot_core.Make (Iset)
 
-type cfg = Core.cfg = { n : int; m : int }
+type write_order = Snapshot_core.write_order = Cyclic | Any
+
+type cfg = Core.cfg = { n : int; m : int; write_order : write_order }
 
 val cfg : n:int -> m:int -> cfg
 (** General configuration; the Section-2.1 demo uses [m = n - 1]. *)
@@ -47,6 +49,10 @@ val processors : cfg -> int
 val registers : cfg -> int
 val register_init : cfg -> value
 val init : cfg -> input -> local
+(** Raises [Invalid_argument] under the [Any] write order: the step
+    machine takes the lowest unwritten register, which is the cyclic
+    order; only the model checker branches on Figure 3's choice. *)
+
 val terminated : cfg -> local -> bool
 val halted : cfg -> local -> bool
 val next : cfg -> local -> value Anonmem.Protocol.operation option

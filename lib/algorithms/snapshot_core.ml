@@ -9,9 +9,10 @@
 
     One round of the engine is:
     {ul
-    {- {e write phase}: write the record [(view, level)] to the next
-       register of a private cyclic order (each register is written once
-       before any is written twice — the fairness required by the paper);}
+    {- {e write phase}: write the record [(view, level)] to a register
+       not written since the processor last wrote all of them (the
+       fairness required by the paper: each register is written once
+       before any is written twice);}
     {- {e scan phase}: read all [M] registers one by one; if every register
        contained exactly the current view, the level becomes the minimum
        level read plus one, otherwise it resets to 0; finally all values
@@ -25,11 +26,18 @@
 
 open Repro_util
 
+(** Which unwritten register a write phase picks.  [Cyclic], the
+    implementation's private cyclic order, takes the lowest; under [Any],
+    Figure 3's PlusCal [with], each one is a model-checker move
+    ({!Modelcheck.Codecs.Snapshot}).  The step machines take the lowest,
+    so the simulator refuses [Any]. *)
+type write_order = Cyclic | Any
+
 module Make (Vset : Sorted_set.S) = struct
   module Vset = Vset
   (** Re-exported so clients can name the view type as [Core.Vset.t]. *)
 
-  type cfg = { n : int; m : int }
+  type cfg = { n : int; m : int; write_order : write_order }
   (** [n] processors (the termination level of Figure 3), [m] registers.
       The paper uses [m = n]; the Section 2.1 lower-bound demonstration
       instantiates [m = n - 1]. *)
@@ -37,7 +45,15 @@ module Make (Vset : Sorted_set.S) = struct
   let cfg ~n ~m =
     if n < 1 then invalid_arg "Snapshot_core.cfg: need at least 1 processor";
     if m < 1 then invalid_arg "Snapshot_core.cfg: need at least 1 register";
-    { n; m }
+    if m > Bits.max_width then
+      invalid_arg "Snapshot_core.cfg: registers exceed the bitmask window";
+    { n; m; write_order = Cyclic }
+
+  (** The step machines' [init] refuse an [Any] configuration. *)
+  let cyclic_only who cfg =
+    if cfg.write_order = Any then
+      invalid_arg
+        (who ^ ": the nondeterministic write order runs on the model checker only")
 
   type value = { view : Vset.t; level : int }
 
@@ -59,36 +75,63 @@ module Make (Vset : Sorted_set.S) = struct
   type local = {
     view : Vset.t;
     level : int;
-    next_write : int;  (** next private register index in the cyclic order *)
+    written : int;
+        (** the private registers written since the processor last wrote
+            all of them, as a bitmask: empty at the start of every round.
+            The cyclic order's cursor [k] is the mask [2^k - 1]. *)
     phase : phase;
   }
 
   let register_init _cfg = { view = Vset.empty; level = 0 }
 
   let init _cfg input =
-    { view = Vset.singleton input; level = 0; next_write = 0; phase = Writing }
+    { view = Vset.singleton input; level = 0; written = 0; phase = Writing }
 
-  (** The pending operation of a processor that has not terminated.  The
-      engine itself never terminates; clients decide when to stop asking. *)
+  (** The flat machines keep the cyclic cursor [k], the written-set
+      [2^k - 1]; [is_cyclic] holds on such a set. *)
+  let cursor l = Bits.popcount l.written
+
+  let is_cyclic l = l.written = Bits.full (cursor l)
+
+  (* The lowest unwritten register. *)
+  let next_register l = Bits.ctz (lnot l.written land (l.written + 1))
+
+  (** The pending operation of a processor that has not terminated, a
+      write to the lowest unwritten register in a write phase.  The
+      engine itself never terminates; clients decide when to stop
+      asking. *)
   let next _cfg l =
     match l.phase with
     | Writing ->
-        Anonmem.Protocol.Write (l.next_write, { view = l.view; level = l.level })
+        Anonmem.Protocol.Write (next_register l, { view = l.view; level = l.level })
     | Scanning { pos; _ } -> Anonmem.Protocol.Read pos
 
-  let apply_write cfg l =
+  (** How many registers the pending operation may pick. *)
+  let choices cfg l =
+    match (l.phase, cfg.write_order) with
+    | Writing, Any -> cfg.m - Bits.popcount l.written
+    | Writing, Cyclic | Scanning _, _ -> 1
+
+  (** The [c]-th unwritten register: choice 0 is {!next}'s. *)
+  let write_choice cfg l c = Bits.nth_set (Bits.full cfg.m land lnot l.written) c
+
+  (** The state after the pending write went to private register [reg]. *)
+  let apply_write_to cfg l ~reg =
     match l.phase with
     | Scanning _ -> invalid_arg "Snapshot_core.apply_write: not writing"
     | Writing ->
+        let written = l.written lor (1 lsl reg) in
         {
           l with
-          next_write = (l.next_write + 1) mod cfg.m;
+          written = (if written = Bits.full cfg.m then 0 else written);
           phase =
             Scanning
               (* Levels in registers never exceed [n], so [n] is the
                  identity for the running minimum. *)
               { pos = 0; all_own = true; min_level = cfg.n };
         }
+
+  let apply_write cfg l = apply_write_to cfg l ~reg:(next_register l)
 
   let apply_read cfg l ~reg (v : value) =
     match l.phase with
@@ -133,7 +176,7 @@ module Make (Vset : Sorted_set.S) = struct
 
   let pp_local pp_elt ppf l =
     let pp_phase ppf = function
-      | Writing -> Fmt.pf ppf "write#%d" l.next_write
+      | Writing -> Fmt.pf ppf "write#%d" (next_register l)
       | Scanning { pos; all_own; _ } ->
           Fmt.pf ppf "scan@%d%s" pos (if all_own then "=" else "!")
     in

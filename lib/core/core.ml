@@ -812,69 +812,139 @@ let snapshot_memory_set regs =
     (fun acc (v : Algorithms.Snapshot.value) -> Iset.union acc v.view)
     Iset.empty regs
 
-(** Exhaustive non-atomicity witness search for the paper's 3-processor
-    configuration using the bit-packed checker, under the implementation's
-    cyclic write order unless [write_order] says otherwise: for each
-    (inputs, target) candidate, decide by pruned reachability over every
-    wiring whether some execution makes a processor return [target]
-    although the memory never contains it.  Returns each candidate with
-    its outcome, lazily and in order, up to and including the first that
-    is not [Refuted].  Candidates start with group assignments, where two
-    same-input processors can raise each other's levels while the third
-    keeps covering. *)
-let find_nonatomic_packed ?write_order ?log2_capacity () =
-  let candidates =
+(** What the exhaustive search settled for one (inputs, target)
+    candidate of the Section-8 claim. *)
+type nonatomic =
+  | Nonatomic of {
+      wiring : Wiring.t;
+      message : string;  (** which processor returns the target *)
+      trace : (int * Snapshot_mc.state) list;
+          (** the exact BFS's minimal witness on [wiring]; move [c * 3 + p]
+              is processor [p]'s write choice [c] *)
+    }
+  | Refuted of { states : int }  (** no witness on any wiring; states summed *)
+  | Exhausted of {
+      reason : Modelcheck.Governor.reason;
+      wiring : Wiring.t;  (** in flight when the budget tripped *)
+      states : int;  (** summed over the wirings before it *)
+    }
+  | Unsafe of string  (** the sweep's report: Figure 3 itself is broken *)
+
+(** The candidates of {!find_nonatomic}, as (inputs, target): group
+    assignments first, where two same-input processors can raise each
+    other's levels while the third keeps covering. *)
+let nonatomic_candidates =
+  List.map
+    (fun (inputs, target) -> (inputs, Iset.of_list target))
     [
       ([| 1; 1; 2 |], [ 1 ]);
       ([| 1; 2; 2 |], [ 2 ]);
       ([| 1; 1; 2 |], [ 1; 2 ]);
       ([| 1; 2; 3 |], [ 1; 2 ]);
     ]
+
+(** Decide by pruned reachability over [wirings] whether some execution
+    of Figure 3 under [write_order] makes a processor return [target]
+    although the memory never holds it.  The search is the one-worker
+    DFS sweep {!Snapshot_mc.check_all_wirings}: a state whose memory
+    holds exactly [target], or where no view lies within [target] (views
+    only grow), is not expanded; a witness — a processor has returned
+    [target], and the memory does not hold it — is an invariant failure,
+    checked after {!snapshot_invariant}.  Along a witness execution the
+    memory never held the returned set, and freezing the execution there
+    keeps it that way, so a hit proves the claim outright.  The exact BFS
+    on the witness's wiring gives a minimal trace. *)
+let search_nonatomic ?governor ~write_order ~wirings (inputs, target) =
+  let cfg = { (Algorithms.Snapshot.standard ~n:3) with write_order } in
+  let memory (st : Snapshot_mc.state) =
+    snapshot_memory_set st.Snapshot_mc.registers
   in
+  let within l = Iset.subset (Algorithms.Snapshot.view_of_local l) target in
+  let stop_expansion (st : Snapshot_mc.state) =
+    Iset.equal (memory st) target
+    || not (Array.exists within st.Snapshot_mc.locals)
+  in
+  let safe = snapshot_invariant cfg inputs in
+  (* The processor returning [target] at a witness state. *)
+  let culprit (st : Snapshot_mc.state) =
+    if Iset.equal (memory st) target then None
+    else
+      List.find_opt
+        (fun p ->
+          Option.equal Iset.equal (Algorithms.Snapshot.output cfg st.locals.(p))
+            (Some target))
+        [ 0; 1; 2 ]
+  in
+  let witnessed = ref false in
+  let invariant st =
+    match (safe st, culprit st) with
+    | (Error _ as e), _ | (Ok () as e), None -> e
+    | Ok (), Some p ->
+        witnessed := true;
+        Error
+          (Fmt.str "processor %d returns %s, which the memory does not hold"
+             (p + 1) (Iset.to_string target))
+  in
+  let passed = ref 0 and states = ref 0 in
+  let on_wiring _ (s : Modelcheck.Explorer.summary) =
+    passed := s.wirings_checked;
+    states := s.total_states
+  in
+  match
+    Snapshot_mc.check_all_wirings ~invariant ~stop_expansion ~on_wiring
+      ~wirings ?governor ~cfg ~inputs ()
+  with
+  | Ok s -> Refuted { states = s.Modelcheck.Explorer.total_states }
+  | Error message -> (
+      let wiring = List.nth wirings !passed in
+      match Option.bind governor Modelcheck.Governor.tripped with
+      | Some reason -> Exhausted { reason; wiring; states = !states }
+      | None when not !witnessed -> Unsafe message
+      | None -> (
+          match
+            Snapshot_mc.explore ~invariant ~stop_expansion ~cfg ~wiring ~inputs
+              ()
+          with
+          | Invariant_failed (_, ({ trace = _ :: _; _ } as v))
+            when Result.is_ok (safe (snd (List.hd (List.rev v.trace)))) ->
+              Nonatomic { wiring; message = v.message; trace = v.trace }
+          | _ -> Unsafe message))
+
+(** {!search_nonatomic} on each of {!nonatomic_candidates} over every
+    wiring (processor 0 pinned), lazily and in order, up to and including
+    the first candidate that is not [Refuted]. *)
+let find_nonatomic ?governor ~write_order () =
   let wirings = Anonmem.Wiring.enumerate ~n:3 ~m:3 ~fix_first:true in
   let rec go candidates () =
     match candidates with
     | [] -> Seq.Nil
-    | (inputs, target) :: rest ->
-        let target_mask = Iset.to_bits (Iset.map (fun i -> i - 1) (Iset.of_list target)) in
-        let outcome =
-          Modelcheck.Snapshot3.find_nonatomic ?write_order ?log2_capacity ~inputs
-            ~target_mask ~wirings ()
-        in
+    | ((inputs, target) as candidate) :: rest ->
+        let outcome = search_nonatomic ?governor ~write_order ~wirings candidate in
         Seq.Cons
-          ( (inputs, Iset.of_list target, outcome),
-            match outcome with Modelcheck.Snapshot3.Refuted _ -> go rest | _ -> Seq.empty )
+          ( (inputs, target, outcome),
+            match outcome with Refuted _ -> go rest | _ -> Seq.empty )
   in
-  go candidates
+  go nonatomic_candidates
 
-(** One report line for a candidate outcome of {!find_nonatomic_packed}. *)
+(** One report line for a candidate outcome of {!find_nonatomic}. *)
 let nonatomic_line (inputs, target, outcome) =
   let candidate =
     Printf.sprintf "inputs (%d,%d,%d), target %s" inputs.(0) inputs.(1)
       inputs.(2) (Iset.to_string target)
   in
   let wiring = Fmt.str "%a" Anonmem.Wiring.pp in
-  match (outcome : Modelcheck.Snapshot3.nonatomic) with
+  match outcome with
   | Nonatomic w ->
-      Printf.sprintf
-        "%s: witness - processor %d returns %s although the memory never \
-         contains it (wiring %s, execution of %d steps)"
-        candidate (w.culprit + 1) (Iset.to_string target) (wiring w.wiring)
-        (List.length w.path)
+      Printf.sprintf "%s: witness - %s (wiring %s, execution of %d steps)"
+        candidate w.message (wiring w.wiring) (List.length w.trace)
   | Refuted { states } ->
       Printf.sprintf "%s: refuted exhaustively over every wiring (%d states)"
         candidate states
-  | Undecided { wiring = w; states } ->
-      Printf.sprintf
-        "%s: undecided - the visited table filled at %d states on wiring %s"
-        candidate states (wiring w)
-  | Unsafe { wiring = w; result = Cycle { processors; _ } } ->
-      Printf.sprintf "%s: WAIT-FREEDOM VIOLATED on wiring %s (processors %s)"
-        candidate (wiring w)
-        (String.concat "," (List.map (fun p -> string_of_int (p + 1)) processors))
-  | Unsafe { wiring = w; _ } ->
-      Printf.sprintf "%s: SAFETY VIOLATED - the snapshot invariant fails on wiring %s"
-        candidate (wiring w)
+  | Exhausted { reason; wiring = w; states } ->
+      Fmt.str "%s: exhausted (%a) on wiring %s, after %d states on the \
+               wirings before it"
+        candidate Modelcheck.Governor.pp_reason reason (wiring w) states
+  | Unsafe message -> Printf.sprintf "%s: VIOLATED - %s" candidate message
 
 (** Search for the Section-8 non-atomicity witness: an execution in which
     some processor's snapshot never equalled the set of inputs present in

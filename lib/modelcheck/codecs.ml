@@ -14,10 +14,37 @@ let put b off x =
 
 let get b off = Char.code (Bytes.get b off)
 
+(** The moves of a protocol that is a plain step machine, one per live
+    processor (the operation [next] returns), and the key layout its
+    codec has had since checkpoints began. *)
+module Step_machine (P : Anonmem.Protocol.S) = struct
+  let choices _ _ = 1
+  let max_choices _ = 1
+  let write_choice _ _ _ = invalid_arg (P.name ^ ": a step machine has one move")
+  let apply_write_to cfg l ~reg:_ = P.apply_write cfg l
+  let key_format = ""
+end
+
+(* The layout of the snapshot engine's locals since the cyclic cursor
+   became a written-set: cursor [k] is now the byte [2^k - 1]. *)
+let written_set_format = "written-set"
+
 (** The Figure-3 snapshot algorithm. *)
 module Snapshot = struct
   include Algorithms.Snapshot
   module C = Algorithms.Snapshot.Core
+
+  (* The engines branch on Figure 3's write choice, so an [Any]
+     configuration is theirs to explore. *)
+  let init = C.init
+  let choices = C.choices
+
+  let max_choices (c : cfg) =
+    match c.write_order with Cyclic -> 1 | Any -> c.m
+
+  let write_choice = C.write_choice
+  let apply_write_to = C.apply_write_to
+  let key_format = written_set_format
 
   let value_width _ = 2
 
@@ -33,7 +60,7 @@ module Snapshot = struct
   let encode_local _ (l : local) b off =
     put b off (Iset.to_bits l.C.view);
     put b (off + 1) l.C.level;
-    put b (off + 2) l.C.next_write;
+    put b (off + 2) l.C.written;
     match l.C.phase with
     | C.Writing ->
         put b (off + 3) 0;
@@ -57,7 +84,7 @@ module Snapshot = struct
     {
       C.view = Iset.of_bits (get b off);
       level = get b (off + 1);
-      next_write = get b (off + 2);
+      written = get b (off + 2);
       phase;
     }
 end
@@ -66,6 +93,7 @@ end
     structure). *)
 module Write_scan = struct
   include Algorithms.Write_scan
+  include Step_machine (Algorithms.Write_scan)
   module W = Algorithms.Write_scan
 
   let value_width _ = 1
@@ -97,6 +125,7 @@ end
     violations mechanically. *)
 module Double_collect = struct
   include Algorithms.Double_collect
+  include Step_machine (Algorithms.Double_collect)
   module D = Algorithms.Double_collect
 
   let value_width _ = 1
@@ -139,6 +168,9 @@ end
     quotients the state space by a ghost variable. *)
 module Consensus = struct
   include Algorithms.Consensus
+  include Step_machine (Algorithms.Consensus)
+
+  let key_format = written_set_format
   module C = Algorithms.Consensus
   module SC = Algorithms.Consensus.Snap.Core
 
@@ -191,7 +223,7 @@ module Consensus = struct
     let s = l.C.snap in
     put3 b (off + 3) (pset_bits s.SC.view);
     put b (off + 6) s.SC.level;
-    put b (off + 7) s.SC.next_write;
+    put b (off + 7) s.SC.written;
     (match s.SC.phase with
     | SC.Writing ->
         put b (off + 8) 0;
@@ -224,7 +256,7 @@ module Consensus = struct
         {
           SC.view = pset_of_bits (get3 b (off + 3));
           level = get b (off + 6);
-          next_write = get b (off + 7);
+          written = get b (off + 7);
           phase;
         };
     }
@@ -234,6 +266,9 @@ end
     group identifier. *)
 module Renaming = struct
   include Algorithms.Renaming
+  include Step_machine (Algorithms.Renaming)
+
+  let key_format = written_set_format
   module R = Algorithms.Renaming
 
   let value_width = Snapshot.value_width
@@ -255,6 +290,7 @@ end
     feasibility grid. *)
 module Rt_mutex = struct
   include Algorithms.Rt_mutex
+  include Step_machine (Algorithms.Rt_mutex)
   module M = Algorithms.Rt_mutex
 
   let check_m cfg =
@@ -369,6 +405,7 @@ end
 (** The wait-free weak leader election. *)
 module Weak_leader = struct
   include Algorithms.Weak_leader
+  include Step_machine (Algorithms.Weak_leader)
   module W = Algorithms.Weak_leader
 
   let value_width _ = 1
@@ -430,6 +467,7 @@ end
     checkers explore). *)
 module Naming = struct
   include Algorithms.Naming
+  include Step_machine (Algorithms.Naming)
   module N = Algorithms.Naming
   module L = Algorithms.Named_memory
 

@@ -4,8 +4,8 @@
 
     For a fixed configuration, wiring and input assignment, the checker
     enumerates by breadth-first search every state reachable under every
-    interleaving of processor steps (the scheduler's nondeterminism is the
-    only nondeterminism: protocols are deterministic step machines).  It
+    move (a processor step, or under Figure 3's nondeterministic write
+    order a (processor, register choice) pair; see {!CHECKABLE}).  It
     checks a state invariant as states are discovered, reconstructs
     counterexample traces from BFS parents, and decides wait-freedom as a
     graph property:
@@ -64,14 +64,36 @@ module type CHECKABLE = sig
   val local_width : cfg -> int
   val encode_local : cfg -> local -> Bytes.t -> int -> unit
   val decode_local : cfg -> Bytes.t -> int -> local
+
+  (** A move is a (processor, choice) pair.  Choice 0 is {!next}'s
+      operation; Figure 3 under the [Any] write order (the PlusCal
+      [with]) may write any unwritten register, one choice each.  Every
+      other protocol has one choice ({!Codecs.Step_machine}). *)
+
+  val choices : cfg -> local -> int
+  (** How many choices a live processor in this local state has. *)
+
+  val max_choices : cfg -> int
+
+  val write_choice : cfg -> local -> int -> int
+  (** The private register a pending write picks under choice [c > 0]. *)
+
+  val apply_write_to : cfg -> local -> reg:int -> local
+  (** The state after the pending write went to private register [reg]. *)
+
+  val key_format : string
+  (** Names the key layout in checkpoint contexts, so an image of an
+      older layout is refused; [""] for a layout as old as checkpoints. *)
 end
 
-(* BFS successor edges are packed as (dst lsl 4) lor pid in five-byte
+(* BFS successor edges are packed as (dst lsl 4) lor move in five-byte
    arena words grouped by source ({!Make.space}); parent links pack
-   (parent lsl 4) lor pid the same way.  Dense state ids stay well below
-   2^31 and processor counts below 16 in any feasible exploration.  A
-   crash-stop of processor p is the pid n + p ({!Make.explore}'s
-   [max_crashes]), which fits the 4 bits while n <= 8. *)
+   (parent lsl 4) lor move the same way.  Dense state ids stay well below
+   2^31 in any feasible exploration.  Move c * n + p is processor p's
+   choice c, so moves are pids under one choice per state, and the
+   n * max_choices moves must fit the 4 bits (Figure 3's 9 at n = 3 do).
+   A crash-stop of processor p is the pid n + p ({!Make.explore}'s
+   [max_crashes]), which fits while n <= 8 under one choice per state. *)
 let max_processors = 16
 
 exception
@@ -94,6 +116,13 @@ let () =
 
 let guard_processors ~engine ?(limit = max_processors - 1) n =
   if n > limit then raise (Unsupported_processors { engine; processors = n; limit })
+
+(* The engines that number steps by processor: the crash search (its
+   pid n + p would collide with a choice), the parallel engines, replay
+   and the lasso search. *)
+let refuse_choices ~engine max_choices =
+  if max_choices > 1 then
+    invalid_arg (engine ^ ": the configuration has write choices")
 
 type summary = {
   wirings_checked : int;
@@ -250,18 +279,42 @@ module Make (P : CHECKABLE) = struct
 
   let decode_state cfg key = decode_at cfg (Bytes.unsafe_of_string key) 0
 
+  (** Move [c * n + p] is processor [p]'s choice [c]. *)
+  let move_count cfg = P.processors cfg * P.max_choices cfg
+
+  let guard ~engine cfg =
+    guard_processors ~engine (P.processors cfg);
+    if move_count cfg > max_processors then
+      invalid_arg (engine ^ ": moves exceed the packed 4-bit move field")
+
+  (** The operation of move [mv] at [st], [None] when [mv] is no move
+      there; [P.next] itself under one choice per state. *)
+  let action_of cfg st mv =
+    let n = Array.length st.locals in
+    if mv < n then P.next cfg st.locals.(mv)
+    else
+      let l = st.locals.(mv mod n) and c = mv / n in
+      if c >= P.choices cfg l then None
+      else
+        match P.next cfg l with
+        | Some (Anonmem.Protocol.Write (_, v)) ->
+            Some (Anonmem.Protocol.Write (P.write_choice cfg l c, v))
+        | Some (Anonmem.Protocol.Read _) | None -> None
+
+  (** The moves of [st], in move order. *)
   let enabled cfg st =
     List.filter
-      (fun p -> P.next cfg st.locals.(p) <> None)
-      (List.init (Array.length st.locals) Fun.id)
+      (fun mv -> action_of cfg st mv <> None)
+      (List.init (move_count cfg) Fun.id)
 
-  (** Successor of [st] when processor [p] takes [action], the step
-      [P.next cfg st.locals.(p)] returned — for a loop that has already
-      asked whether [p] is enabled.  Only [p]'s local and, on a write, the
-      one written register are new; every other component is shared with
+  (** Successor of [st] under move [mv], whose operation [action_of]
+      returned [action].  Only the mover's local and, on a write, the one
+      written register are new; every other component is shared with
       [st], and a read step shares [st]'s registers array itself
       ({!successor_into} relies on this). *)
-  let successor_by cfg wiring st p action =
+  let successor_by cfg wiring st mv action =
+    let n = Array.length st.locals in
+    let p = if mv < n then mv else mv mod n in
     match action with
     | Anonmem.Protocol.Read i ->
         let r = Anonmem.Wiring.phys wiring ~p i in
@@ -272,15 +325,17 @@ module Make (P : CHECKABLE) = struct
         let r = Anonmem.Wiring.phys wiring ~p i in
         let locals = Array.copy st.locals in
         let registers = Array.copy st.registers in
-        locals.(p) <- P.apply_write cfg st.locals.(p);
+        locals.(p) <-
+          (if mv < n then P.apply_write cfg st.locals.(p)
+           else P.apply_write_to cfg st.locals.(p) ~reg:i);
         registers.(r) <- v;
         { locals; registers }
 
-  (** Successor of [st] when processor [p] takes its pending step. *)
-  let successor cfg wiring st p =
-    match P.next cfg st.locals.(p) with
-    | None -> invalid_arg "Explorer.successor: processor halted"
-    | Some action -> successor_by cfg wiring st p action
+  (** Successor of [st] under move [mv]. *)
+  let successor cfg wiring st mv =
+    match action_of cfg st mv with
+    | None -> invalid_arg "Explorer.successor: not a move of this state"
+    | Some action -> successor_by cfg wiring st mv action
 
   (** [successor_by], with the successor's key left in [buf], for the
       parent key [encode_state cfg st] found at byte [off] of [src]: the
@@ -290,10 +345,11 @@ module Make (P : CHECKABLE) = struct
       read, one on a write).  A physically equal component encodes to the
       bytes already in place, so [buf] ends up holding
       [encode_state cfg st'] exactly.  [buf] must be one key long. *)
-  let successor_into cfg wiring st src off p action buf =
-    let st' = successor_by cfg wiring st p action in
+  let successor_into cfg wiring st src off mv action buf =
+    let st' = successor_by cfg wiring st mv action in
     Bytes.blit src off buf 0 (Bytes.length buf);
-    let lw = P.local_width cfg in
+    let lw = P.local_width cfg and n = Array.length st.locals in
+    let p = if mv < n then mv else mv mod n in
     P.encode_local cfg st'.locals.(p) buf (p * lw);
     if st'.registers != st.registers then begin
       let base = Array.length st.locals * lw and vw = P.value_width cfg in
@@ -306,13 +362,13 @@ module Make (P : CHECKABLE) = struct
 
   (** [successor] paired with its key, for [key = encode_state cfg st]:
       {!successor_into} on a fresh buffer. *)
-  let successor_key cfg wiring st key p =
-    match P.next cfg st.locals.(p) with
-    | None -> invalid_arg "Explorer.successor_key: processor halted"
+  let successor_key cfg wiring st key mv =
+    match action_of cfg st mv with
+    | None -> invalid_arg "Explorer.successor_key: not a move of this state"
     | Some action ->
         let buf = Bytes.create (String.length key) in
         let st' =
-          successor_into cfg wiring st (Bytes.unsafe_of_string key) 0 p action
+          successor_into cfg wiring st (Bytes.unsafe_of_string key) 0 mv action
             buf
         in
         (st', Bytes.unsafe_to_string buf)
@@ -341,33 +397,38 @@ module Make (P : CHECKABLE) = struct
       let c = canon_of ~cfg ~wiring ~inputs in
       if Canon.is_trivial c then None else Some c
 
+  (* What checkpoint contexts append for the codec's key layout. *)
+  let format_suffix = if P.key_format = "" then "" else "|" ^ P.key_format
+
   (** Width of the encoded-state keys for [cfg]. *)
   let key_width cfg =
     (P.processors cfg * P.local_width cfg)
     + (P.registers cfg * P.value_width cfg)
 
   (** Replay a chain of {e canonical} keys into a concrete execution: from
-      [init_state], at each key pick an enabled processor whose successor
+      [init_state], at each key pick a move whose successor
       canonicalizes to that key.  Any such choice is a valid concrete step
       (two choices hitting the same orbit are symmetric), so traces of
       reduced explorations stay replayable counterexamples.  Keys are
       plain state images: the crash search runs unreduced, so its traces
       come straight from parent links. *)
   let concretize ~cfg ~wiring ~canon ~inputs keys =
-    let n = P.processors cfg in
+    let moves = move_count cfg in
     let rec go st acc = function
       | [] -> List.rev acc
       | key :: rest ->
-          let rec pick p =
-            if p >= n then
+          let rec pick mv =
+            if mv >= moves then
               invalid_arg
                 "Explorer.concretize: canonical key chain has no concrete \
                  refinement (asymmetric invariant?)"
-            else if P.next cfg st.locals.(p) = None then pick (p + 1)
             else
-              let st' = successor cfg wiring st p in
-              let key' = Canon.canonicalize canon (encode_state cfg st') in
-              if String.equal key' key then (p, st') else pick (p + 1)
+              match action_of cfg st mv with
+              | None -> pick (mv + 1)
+              | Some action ->
+                  let st' = successor_by cfg wiring st mv action in
+                  let key' = Canon.canonicalize canon (encode_state cfg st') in
+                  if String.equal key' key then (mv, st') else pick (mv + 1)
           in
           let p, st' = pick 0 in
           go st' ((p, st') :: acc) rest
@@ -387,26 +448,23 @@ module Make (P : CHECKABLE) = struct
             the initial state.  A crash search's keys end in the crash
             mask, and its pids [n + p] are crash-stops ({!explore}). *)
     parent : State_table.Packed_vec.t;
-        (** id -> ((parent_id lsl 4) lor pid) + 1; 0 at the root *)
+        (** id -> ((parent_id lsl 4) lor move) + 1; 0 at the root *)
     succ : State_table.Packed_vec.t;
-        (** (dst lsl 4) lor pid, grouped by source in id order — BFS pops
-            ids in ascending order, so edge emission is already a CSR
-            adjacency image; [deg] delimits the per-source runs *)
+        (** (dst lsl 4) lor move, grouped by source in id order — BFS
+            pops ids in ascending order, so edge emission is already a
+            CSR adjacency image; [deg] delimits the per-source runs.
+            Empty in a crash search, which stores no edges. *)
     deg : State_table.Packed_vec.t;  (** id -> out-degree (expanded ids) *)
+    transitions : int;
+    crash_branches : int;  (** how many of the transitions are crash-stops *)
     terminal : int list;  (** ids of states where all processors halted *)
   }
 
   let state_count space = State_table.length space.table
-  let transition_count space = State_table.Packed_vec.length space.succ
+  let transition_count space = space.transitions
 
   (** How many of the transitions are crash-stops (pid [n + p]). *)
-  let crash_transitions space =
-    let n = P.processors space.cfg in
-    let count = ref 0 in
-    for i = 0 to transition_count space - 1 do
-      if State_table.Packed_vec.get space.succ i land 15 >= n then incr count
-    done;
-    !count
+  let crash_transitions space = space.crash_branches
 
   let state_of space id =
     decode_state space.cfg (State_table.key_of_id space.table id)
@@ -415,9 +473,10 @@ module Make (P : CHECKABLE) = struct
     state_id : int;
     message : string;
     trace : (int * state) list;
-        (** steps [(pid, post-state)] from the initial state to the
+        (** steps [(move, post-state)] from the initial state to the
             violating state; concretized when the space is reduced.  A
-            pid [n + p] is processor [p]'s crash-stop. *)
+            move [n + p] of a crash search is processor [p]'s
+            crash-stop. *)
   }
 
   type result =
@@ -439,8 +498,8 @@ module Make (P : CHECKABLE) = struct
           let packed = parent_packed space id in
           if packed < 0 then acc
           else
-            let parent = packed asr 4 and pid = packed land 15 in
-            up parent ((pid, state_of space id) :: acc)
+            let parent = packed asr 4 and mv = packed land 15 in
+            up parent ((mv, state_of space id) :: acc)
         in
         up id []
     | Some canon ->
@@ -470,8 +529,9 @@ module Make (P : CHECKABLE) = struct
       in the crashed set as one mask byte, which {!successor_into} copies
       with the rest of the parent key (the remaining budget follows from
       its popcount).  A crash move is the pid [n + p].  The crash search
-      runs unreduced: [~reduction:true] with [max_crashes > 0] raises
-      [Invalid_argument].
+      runs unreduced, on configurations with one choice per state
+      ([Invalid_argument] otherwise), and stores no edges: it counts its
+      transitions and crash branches as it goes.
 
       [ckpt_extra] sections ride in every checkpoint written (a sweep
       driver stores its position there, {!Wiring_sweep}). *)
@@ -483,9 +543,13 @@ module Make (P : CHECKABLE) = struct
     let crashes = max_crashes > 0 in
     if crashes && reduction then
       invalid_arg "Explorer.explore: the crash search runs unreduced";
-    guard_processors ~engine:"Explorer.explore"
-      ?limit:(if crashes then Some 8 else None)
-      n;
+    if crashes then begin
+      guard_processors ~engine:"Explorer.explore" ~limit:8 n;
+      refuse_choices ~engine:"Explorer.explore (crash search)"
+        (P.max_choices cfg)
+    end
+    else guard ~engine:"Explorer.explore" cfg;
+    let moves = move_count cfg in
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
@@ -502,30 +566,42 @@ module Make (P : CHECKABLE) = struct
       canonical (if crashes then key ^ "\000" else key)
     in
     let context =
-      Fmt.str "bfs|%d|%a|%b|%S%s" kw Anonmem.Wiring.pp wiring reduction key0
+      Fmt.str "bfs|%d|%a|%b|%S%s%s" kw Anonmem.Wiring.pp wiring reduction key0
         (if crashes then Printf.sprintf "|crashes %d" max_crashes else "")
+        format_suffix
     in
     let resumed =
       Checkpoint.resumable ~who:"Explorer.explore" ~context ~resume ckpt
     in
+    let vec_create stride = State_table.Packed_vec.create ~stride () in
     let table, parent, succ, deg, terminal =
       match resumed with
       | Some sections ->
+          let vec tag =
+            State_table.Packed_vec.deserialize (Checkpoint.find tag sections)
+          in
           ( State_table.deserialize (Checkpoint.find "table" sections),
-            State_table.Packed_vec.deserialize
-              (Checkpoint.find "parent" sections),
-            State_table.Packed_vec.deserialize (Checkpoint.find "succ" sections),
-            State_table.Packed_vec.deserialize (Checkpoint.find "deg" sections),
+            vec "parent",
+            (if crashes then vec_create 5 else vec "succ"),
+            vec "deg",
             ref
               (Array.to_list
                  (Checkpoint.ints_of_bytes (Checkpoint.find "terminal" sections)))
           )
       | None ->
           ( State_table.create ~log2_slots:16 ~key_width:kw (),
-            State_table.Packed_vec.create ~stride:5 (),
-            State_table.Packed_vec.create ~stride:5 (),
-            State_table.Packed_vec.create ~stride:1 (),
+            vec_create 5,
+            vec_create 5,
+            vec_create 1,
             ref [] )
+    in
+    (* The crash search stores no edges: it counts its transitions and
+       crash branches, and its degree rows are 0. *)
+    let counts =
+      match resumed with
+      | Some sections when crashes ->
+          Checkpoint.find_ints ~who:"Explorer.explore" ~count:2 "counts" sections
+      | _ -> [| 0; 0 |]
     in
     let save_ckpt path =
       Checkpoint.save ~path
@@ -533,7 +609,8 @@ module Make (P : CHECKABLE) = struct
            ("context", Bytes.of_string context);
            ("table", State_table.serialize table);
            ("parent", State_table.Packed_vec.serialize parent);
-           ("succ", State_table.Packed_vec.serialize succ);
+           (if crashes then ("counts", Checkpoint.bytes_of_ints counts)
+            else ("succ", State_table.Packed_vec.serialize succ));
            ("deg", State_table.Packed_vec.serialize deg);
            ("terminal", Checkpoint.bytes_of_ints (Array.of_list !terminal));
          ]
@@ -571,11 +648,11 @@ module Make (P : CHECKABLE) = struct
       ignore (State_table.intern table key0);
       admit 0 init key0 ~from:(-1)
     end;
-    (* The move of [pid] from [id] to the successor key in [buf], whose
-       concrete state is [st'].  The unreduced key is probed straight from
-       [buf]; a string is built only under reduction. *)
-    let move id pid st' =
-      let from = (id lsl 4) lor pid in
+    (* Move [mv] from [id] to the successor key in [buf], whose concrete
+       state is [st'].  The unreduced key is probed straight from [buf];
+       a string is built only under reduction. *)
+    let move id mv st' =
+      let from = (id lsl 4) lor mv in
       let before = State_table.length table in
       let id' =
         match canon with
@@ -589,7 +666,8 @@ module Make (P : CHECKABLE) = struct
             if id' = before then admit id' st' key' ~from;
             id'
       in
-      ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor pid))
+      if crashes then counts.(0) <- counts.(0) + 1
+      else ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor mv))
     in
     let exhausted = ref None in
     while
@@ -609,15 +687,16 @@ module Make (P : CHECKABLE) = struct
       let edges_before = State_table.Packed_vec.length succ in
       if expand then begin
         let live = ref 0 in
-        for p = 0 to n - 1 do
+        for mv = 0 to moves - 1 do
+          let p = if mv < n then mv else mv mod n in
           if crashed land (1 lsl p) = 0 then
-            match P.next cfg st.locals.(p) with
+            match action_of cfg st mv with
             | None -> ()
             | Some action ->
                 live := !live lor (1 lsl p);
-                move id p
+                move id mv
                   (successor_into cfg wiring st (Bytes.unsafe_of_string key) 0
-                     p action buf)
+                     mv action buf)
         done;
         (* Then the crash moves: the parent state under a wider mask.  A
            halted processor's crash changes nothing observable, so only
@@ -627,6 +706,7 @@ module Make (P : CHECKABLE) = struct
             if !live land (1 lsl p) <> 0 then begin
               Bytes.blit_string key 0 buf 0 kw;
               Bytes.set buf (kw - 1) (Char.chr (crashed lor (1 lsl p)));
+              counts.(1) <- counts.(1) + 1;
               move id (n + p) st
             end
           done;
@@ -657,6 +737,9 @@ module Make (P : CHECKABLE) = struct
           parent;
           succ;
           deg;
+          transitions =
+            (if crashes then counts.(0) else State_table.Packed_vec.length succ);
+          crash_branches = counts.(1);
           terminal = List.rev !terminal;
         }
       in
@@ -682,8 +765,8 @@ module Make (P : CHECKABLE) = struct
     off
 
   (* The one SCC pass: CSR offsets, component ids, and each component's
-     internal-edge pid mask — bit [p] set iff some [p]-edge joins two of
-     its states, 0 for a component with no internal edge. *)
+     internal-edge move mask — bit [mv] set iff some [mv]-edge joins two
+     of its states, 0 for a component with no internal edge. *)
   let sccs space =
     let off = csr_offsets space in
     let comp, ncomp =
@@ -710,9 +793,11 @@ module Make (P : CHECKABLE) = struct
   let divergent_processors space =
     let _, _, internal = sccs space in
     let mask = Array.fold_left ( lor ) 0 internal in
-    List.filter
-      (fun p -> mask land (1 lsl p) <> 0)
-      (List.init max_processors Fun.id)
+    let n = P.processors space.cfg in
+    List.init max_processors Fun.id
+    |> List.filter (fun mv -> mask land (1 lsl mv) <> 0)
+    |> List.map (fun mv -> mv mod n)
+    |> List.sort_uniq Int.compare
 
   (** {1 Fair-cycle detection}
 
@@ -740,10 +825,11 @@ module Make (P : CHECKABLE) = struct
       the cycle visits an internal edge of each live processor in turn,
       by shortest paths inside the component, and returns.  A quotient
       cycle does not replay, so a reduced space raises
-      [Invalid_argument]. *)
+      [Invalid_argument], as does one with write choices. *)
   let fair_lasso space =
     if space.reduction <> None then
       invalid_arg "Explorer.fair_lasso: reduced space";
+    refuse_choices ~engine:"Explorer.fair_lasso" (P.max_choices space.cfg);
     let off, comp, internal = sccs space in
     let live_at u =
       let locals = (state_of space u).locals in
@@ -887,8 +973,8 @@ module Make (P : CHECKABLE) = struct
     id : int;
     key : string;  (** canonical key *)
     st : state;
-    entered_by : int;  (** pid of the step into this frame; -1 at the root *)
-    mutable next_p : int;  (** next processor index to try *)
+    entered_by : int;  (** move into this frame; -1 at the root *)
+    mutable next_move : int;  (** next move to try *)
     mutable any_enabled : bool;
   }
 
@@ -900,7 +986,7 @@ module Make (P : CHECKABLE) = struct
   let check_exhaustive ?(fail_on_cycle = true) ?invariant ?stop_expansion
       ?(reduction = false) ?(log2_slots = 12) ?governor ?ckpt ?(resume = false)
       ?(ckpt_extra = []) ~cfg ~wiring ~inputs () =
-    guard_processors ~engine:"Explorer.check_exhaustive" (P.processors cfg);
+    guard ~engine:"Explorer.check_exhaustive" cfg;
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
@@ -908,8 +994,8 @@ module Make (P : CHECKABLE) = struct
     let init = init_state ~cfg ~inputs in
     let key0 = canonical (encode_state cfg init) in
     let context =
-      Fmt.str "dfs|%d|%a|%b|%b|%S" (key_width cfg) Anonmem.Wiring.pp wiring
-        reduction fail_on_cycle key0
+      Fmt.str "dfs|%d|%a|%b|%b|%S%s" (key_width cfg) Anonmem.Wiring.pp wiring
+        reduction fail_on_cycle key0 format_suffix
     in
     let who = "Explorer.check_exhaustive" in
     let resumed = Checkpoint.resumable ~who ~context ~resume ckpt in
@@ -924,7 +1010,7 @@ module Make (P : CHECKABLE) = struct
             State_table.Packed_vec.create ~stride:1 () )
     in
     (* 1 = gray (on the DFS path), 2 = black (done) *)
-    let n = P.processors cfg in
+    let n = P.processors cfg and moves = move_count cfg in
     let transitions = ref 0 and terminals = ref 0 and max_depth = ref 0 in
     let stats () =
       {
@@ -956,7 +1042,7 @@ module Make (P : CHECKABLE) = struct
               key;
               st = decode_state cfg key;
               entered_by = frames.((4 * i) + 1);
-              next_p = frames.((4 * i) + 2);
+              next_move = frames.((4 * i) + 2);
               any_enabled = frames.((4 * i) + 3) = 1;
             }
             :: !stack
@@ -971,7 +1057,7 @@ module Make (P : CHECKABLE) = struct
       let frames =
         List.rev !stack
         |> List.concat_map (fun f ->
-               [ f.id; f.entered_by; f.next_p; (if f.any_enabled then 1 else 0) ])
+               [ f.id; f.entered_by; f.next_move; (if f.any_enabled then 1 else 0) ])
         |> Array.of_list
       in
       Checkpoint.save ~path
@@ -1005,26 +1091,27 @@ module Make (P : CHECKABLE) = struct
       | None -> ());
       let st = if canon = None then st else decode_state cfg key in
       stack :=
-        { id; key; st; entered_by; next_p = 0; any_enabled = false } :: !stack;
+        { id; key; st; entered_by; next_move = 0; any_enabled = false } :: !stack;
       incr depth;
       if !depth > !max_depth then max_depth := !depth
     in
-    (* An edge by [p] from the top frame to the already-seen [id']: a
-       back edge when [id'] is still on the path (gray), i.e. a cycle
-       through [id'].  Collect the pids of the path segment from [id'] to
-       here, plus [p]. *)
-    let revisit p id' =
+    (* An edge by move [mv] from the top frame to the already-seen [id']:
+       a back edge when [id'] is still on the path (gray), i.e. a cycle
+       through [id'].  Collect the processors of the moves on the path
+       segment from [id'] to here, plus [mv]'s. *)
+    let revisit mv id' =
       if fail_on_cycle && State_table.Packed_vec.get colors id' = 1 then begin
         let rec collect acc = function
           | g :: rest ->
-              if g.id = id' then acc else collect (g.entered_by :: acc) rest
+              if g.id = id' then acc
+              else collect ((g.entered_by mod n) :: acc) rest
           | [] -> acc
         in
-        let pids = p :: collect [] !stack in
+        let pids = (mv mod n) :: collect [] !stack in
         outcome :=
           Some
             (Dfs_cycle
-               { processors = List.sort_uniq compare pids; stats = stats () })
+               { processors = List.sort_uniq Int.compare pids; stats = stats () })
       end
     in
     let buf = Bytes.create (key_width cfg) in
@@ -1037,30 +1124,30 @@ module Make (P : CHECKABLE) = struct
       match !stack with
       | [] -> ()
       | f :: rest ->
-          (if f.next_p = 0 then
+          (if f.next_move = 0 then
              match stop_expansion with
              | Some cut when cut f.st ->
                  (* cut-off leaf: skip successors; not a terminal state *)
-                 f.next_p <- n;
+                 f.next_move <- moves;
                  f.any_enabled <- true
              | _ -> ());
-          if f.next_p >= n then begin
+          if f.next_move >= moves then begin
             if not f.any_enabled then incr terminals;
             State_table.Packed_vec.set colors f.id 2;
             stack := rest;
             decr depth
           end
           else begin
-            let p = f.next_p in
-            f.next_p <- p + 1;
-            match P.next cfg f.st.locals.(p) with
+            let mv = f.next_move in
+            f.next_move <- mv + 1;
+            match action_of cfg f.st mv with
             | None -> ()
             | Some action ->
               f.any_enabled <- true;
               incr transitions;
               let st' =
                 successor_into cfg wiring f.st (Bytes.unsafe_of_string f.key) 0
-                  p action buf
+                  mv action buf
               in
               (* One probe: [intern] either finds the key or mints the next
                  id.  Unreduced, the probe reads [buf] in place and a key
@@ -1070,13 +1157,13 @@ module Make (P : CHECKABLE) = struct
               | None ->
                   let id' = State_table.intern_bytes table buf in
                   if id' = before then
-                    push_state id' (Bytes.to_string buf) ~entered_by:p st'
-                  else revisit p id'
+                    push_state id' (Bytes.to_string buf) ~entered_by:mv st'
+                  else revisit mv id'
               | Some c ->
                   let key' = Canon.canonicalize c (Bytes.to_string buf) in
                   let id' = State_table.intern table key' in
-                  if id' = before then push_state id' key' ~entered_by:p st'
-                  else revisit p id'
+                  if id' = before then push_state id' key' ~entered_by:mv st'
+                  else revisit mv id'
           end
       end
     done;
@@ -1088,13 +1175,14 @@ module Make (P : CHECKABLE) = struct
       by default every wiring with processor 0's permutation pinned to the
       identity (register anonymity makes the restriction lossless) — for
       one input assignment, using the lean DFS pass.  [on_wiring] observes
-      the summary after each wiring that passes.  [~reduction:true]
+      the summary after each wiring that passes; [stop_expansion] cuts
+      each search as in {!check_exhaustive}.  [~reduction:true]
       additionally quotients each per-wiring space by its anonymity
       symmetries.  With [ckpt], the {!sweep_section} rides in each
       per-wiring DFS checkpoint, so one file resumes both.  Each visited
       table starts at 2{^20} slots, the scale of the n = 3 snapshot
       spaces. *)
-  let check_all_wirings ?invariant ?on_wiring ?wirings
+  let check_all_wirings ?invariant ?stop_expansion ?on_wiring ?wirings
       ?(reduction = false) ?governor ?ckpt ?(resume = false) ~cfg ~inputs () =
     Wiring_sweep.run ?governor ?wirings ~section:sweep_section ?ckpt ~resume
       ?on_wiring ~n:(P.processors cfg) ~m:(P.registers cfg) ~init:empty_summary
@@ -1102,15 +1190,15 @@ module Make (P : CHECKABLE) = struct
         {
           wirings_checked = summary.wirings_checked + 1;
           total_states = summary.total_states + s.dfs_states;
-          max_space_states = max summary.max_space_states s.dfs_states;
+          max_space_states = Int.max summary.max_space_states s.dfs_states;
           total_transitions = summary.total_transitions + s.dfs_transitions;
           terminal_states = summary.terminal_states + s.dfs_terminals;
           all_wait_free = summary.all_wait_free;
         })
       (fun ~governor ~resume ~ckpt_extra wiring ->
         match
-          check_exhaustive ?invariant ~reduction ~log2_slots:20 ?governor ?ckpt
-            ~resume ~ckpt_extra ~cfg ~wiring ~inputs ()
+          check_exhaustive ?invariant ?stop_expansion ~reduction ~log2_slots:20
+            ?governor ?ckpt ~resume ~ckpt_extra ~cfg ~wiring ~inputs ()
         with
         | Dfs_exhausted { reason; stats } ->
             Error (exhausted_error reason stats.dfs_states)
@@ -1181,7 +1269,8 @@ module Make (P : CHECKABLE) = struct
       ?ckpt ?(resume = false) ?(ckpt_extra = [])
       ?(ram_budget_bytes = 64 * 1024 * 1024) ?(batch_states = 1 lsl 20)
       ?spill_dir ~cfg ~wiring ~inputs () =
-    guard_processors ~engine:"Explorer.explore_fp" (P.processors cfg);
+    guard ~engine:"Explorer.explore_fp" cfg;
+    let moves = move_count cfg in
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let kw = key_width cfg in
     let key0 =
@@ -1189,8 +1278,8 @@ module Make (P : CHECKABLE) = struct
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in
     let context =
-      Fmt.str "fpbfs|%d|%a|%b|%d|%S" kw Anonmem.Wiring.pp wiring reduction
-        ram_budget_bytes key0
+      Fmt.str "fpbfs|%d|%a|%b|%d|%S%s" kw Anonmem.Wiring.pp wiring reduction
+        ram_budget_bytes key0 format_suffix
     in
     (* Spill runs must live next to the checkpoint when there is one: a
        resumed run re-opens them by manifest. *)
@@ -1209,7 +1298,7 @@ module Make (P : CHECKABLE) = struct
     let room page ~used ~want =
       if Bytes.length page >= want * kw then page
       else begin
-        let b = Bytes.create (max (want * kw) (2 * Bytes.length page)) in
+        let b = Bytes.create (Int.max (want * kw) (2 * Bytes.length page)) in
         Bytes.blit page 0 b 0 (used * kw);
         b
       end
@@ -1323,13 +1412,13 @@ module Make (P : CHECKABLE) = struct
           in
           if expand then begin
             let any_enabled = ref false in
-            for p = 0 to Array.length st.locals - 1 do
-              match P.next cfg st.locals.(p) with
+            for mv = 0 to moves - 1 do
+              match action_of cfg st mv with
               | None -> ()
               | Some action -> (
                   any_enabled := true;
                   incr transitions;
-                  ignore (successor_into cfg wiring st !cur off p action buf);
+                  ignore (successor_into cfg wiring st !cur off mv action buf);
                   cand := room !cand ~used:!ncand ~want:(!ncand + 1);
                   let at = !ncand * kw in
                   incr ncand;
@@ -1421,7 +1510,8 @@ module Make (P : CHECKABLE) = struct
         {
           fp_wirings = summary.fp_wirings + 1;
           fp_total_states = summary.fp_total_states + st.fp_states;
-          fp_max_space_states = max summary.fp_max_space_states st.fp_states;
+          fp_max_space_states =
+            Int.max summary.fp_max_space_states st.fp_states;
           fp_total_transitions =
             summary.fp_total_transitions + st.fp_transitions;
           fp_terminal_states = summary.fp_terminal_states + st.fp_terminals;

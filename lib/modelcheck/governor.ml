@@ -22,9 +22,10 @@ let reason_of_string = function
 
 let pp_reason ppf r = Fmt.string ppf (reason_to_string r)
 
-(* Everything but [ticks] is shared by a governor and its {!view}s, which
-   tick in other domains: the flags and the trip cell are atomic, the
-   rest immutable.  [ticks] belongs to the one domain that ticks it. *)
+(* Everything but [ticks] and [stop] is shared by a governor and its
+   {!view}s, which tick in other domains: the flags and the trip cell are
+   atomic, the rest immutable.  [ticks] belongs to the one domain that
+   ticks it; [stop] to one view. *)
 type t = {
   wall_seconds : float option;
   quota : int option;
@@ -33,6 +34,7 @@ type t = {
   heap_hit : bool Atomic.t; (* set from the Gc alarm, read on tick *)
   alarm : Gc.alarm option;
   trip : reason option Atomic.t; (* the first reason any view tripped on *)
+  stop : unit -> bool;
   mutable ticks : int;
 }
 
@@ -60,10 +62,12 @@ let create ?wall_seconds ?heap_words ?quota ?interrupted_flag () =
     heap_hit;
     alarm;
     trip = Atomic.make None;
+    stop = Fun.const false;
     ticks = 0;
   }
 
-let view t = { t with alarm = None; ticks = 0 }
+let view t = { t with alarm = None; ticks = 0; stop = Fun.const false }
+let stoppable t stop = { (view t) with stop }
 let has_quota t = t.quota <> None
 let elapsed_s t = Unix.gettimeofday () -. t.started
 let interrupt t = Atomic.set t.interrupted_flag true
@@ -75,10 +79,12 @@ let dispose t = match t.alarm with Some a -> Gc.delete_alarm a | None -> ()
 (* The wall clock is a syscall, so it is only consulted every 64 ticks —
    but on tick 1 rather than tick 64, so a zero-second budget trips on
    the first state rather than 63 states in.  The first trip of any view
-   wins the cell; every view reports it from then on. *)
+   wins the cell; every view reports it from then on.  A stopped view
+   reports [Interrupted] to itself alone. *)
 let tick t =
   match Atomic.get t.trip with
   | Some _ as r -> r
+  | None when t.stop () -> Some Interrupted
   | None ->
       t.ticks <- t.ticks + 1;
       let trip r =

@@ -52,6 +52,13 @@ val view : t -> t
     never split ({!Wiring_sweep.run}).  A view installs no alarm;
     {!dispose} [g], not its views. *)
 
+val stoppable : t -> (unit -> bool) -> t
+(** [stoppable g stop] is a {!view} of [g] whose {!tick} also reports
+    [Interrupted] while [stop ()] holds — to itself alone: the trip
+    cell, {!tripped} and the other views are untouched.  A pooled
+    {!Wiring_sweep} stops a worker this way while its wiring lies past
+    the first failure. *)
+
 val has_quota : t -> bool
 (** Whether a tick quota is set — the one budget whose outcome depends
     on the order of the ticks. *)

@@ -1227,7 +1227,9 @@ type concrete_result =
 (* Every syntactic concrete local of the [m]-register instance whose view
    is drawn from the participant mask.  The codec's canonical
    representation invariant (min_level pinned to 0 once all_own failed)
-   is respected so keys round-trip through the explorer's encoding. *)
+   is respected so keys round-trip through the explorer's encoding; the
+   written-sets are the cyclic order's, one prefix [2^k - 1] per cursor
+   [k]. *)
 let syn_concrete_locals cfg ctx =
   let m = cfg.Snap.m in
   let phases =
@@ -1245,10 +1247,9 @@ let syn_concrete_locals cfg ctx =
       List.concat_map
         (fun level ->
           List.concat_map
-            (fun next_write ->
-              List.map
-                (fun phase -> { SC.view; level; next_write; phase })
-                phases)
+            (fun k ->
+              let written = Bits.full k in
+              List.map (fun phase -> { SC.view; level; written; phase }) phases)
             (List.init m Fun.id))
         (List.init (ctx.n + 1) Fun.id))
     (submasks ctx.parts)

@@ -153,6 +153,7 @@ module Make (P : Explorer.CHECKABLE) = struct
   let explore ?(max_states = 50_000_000) ?invariant ?stop_expansion
       ?(reduction = false) ~domains ~cfg ~wiring ~inputs () =
     Explorer.guard_processors ~engine:"Par_explorer.explore" (P.processors cfg);
+    Explorer.refuse_choices ~engine:"Par_explorer.explore" (P.max_choices cfg);
     if domains < 1 then invalid_arg "Par_explorer.explore: domains < 1";
     let nd = domains in
     let canon = E.symmetry ~reduction ~cfg ~wiring ~inputs in

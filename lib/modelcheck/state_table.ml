@@ -82,11 +82,11 @@ let slots_for cap = Bytes.make ((5 * cap) + 3) '\000'
 
 let create ?(log2_slots = 12) ~key_width () =
   if key_width < 0 then invalid_arg "State_table.create: negative key_width";
-  let log2 = max 3 log2_slots in
+  let log2 = Int.max 3 log2_slots in
   let cap = 1 lsl log2 in
   {
     key_width;
-    arena = Bytes.create (max 64 (64 * key_width));
+    arena = Bytes.create (Int.max 64 (64 * key_width));
     count = 0;
     slots = slots_for cap;
     mask = cap - 1;
@@ -171,7 +171,7 @@ let rebuild_slots t cap =
 let ensure_arena t =
   let need = (t.count + 1) * t.key_width in
   if need > Bytes.length t.arena then begin
-    let cap = max need (Bytes.length t.arena + (Bytes.length t.arena / 2)) in
+    let cap = Int.max need (Bytes.length t.arena + (Bytes.length t.arena / 2)) in
     let arena = Bytes.create cap in
     Bytes.blit t.arena 0 arena 0 (t.count * t.key_width);
     t.arena <- arena
@@ -266,7 +266,7 @@ let deserialize b =
   let log2 = ref 3 in
   while 4 * count >= 3 * (1 lsl !log2) do incr log2 done;
   let t = create ~log2_slots:!log2 ~key_width () in
-  t.arena <- Bytes.create (max 64 (max used (64 * key_width)));
+  t.arena <- Bytes.create (Int.max 64 (Int.max used (64 * key_width)));
   Bytes.blit b 32 t.arena 0 used;
   t.count <- count;
   rebuild_slots t (1 lsl !log2);
@@ -286,7 +286,7 @@ module Packed_vec = struct
     {
       stride;
       limit = 1 lsl (8 * stride);
-      buf = Bytes.create (max 1 capacity * stride);
+      buf = Bytes.create (Int.max 1 capacity * stride);
       len = 0;
     }
 
@@ -329,7 +329,7 @@ module Packed_vec = struct
     check_range t x "push";
     let need = (t.len + 1) * t.stride in
     if need > Bytes.length t.buf then begin
-      let cap = max need (Bytes.length t.buf + (Bytes.length t.buf / 2)) in
+      let cap = Int.max need (Bytes.length t.buf + (Bytes.length t.buf / 2)) in
       let buf = Bytes.create cap in
       Bytes.blit t.buf 0 buf 0 (t.len * t.stride);
       t.buf <- buf
@@ -371,7 +371,7 @@ module Packed_vec = struct
         (Bytes.length b) (32 + used) stride len;
     if Checkpoint.checksum b 32 used <> crc then
       corrupt "Packed_vec buffer checksum mismatch";
-    let t = create ~capacity:(max 1 len) ~stride () in
+    let t = create ~capacity:(Int.max 1 len) ~stride () in
     Bytes.blit b 32 t.buf 0 used;
     t.len <- len;
     t

@@ -69,9 +69,11 @@ type ('r, 'e) outcome = Checked of ('r, 'e) result | Raised of exn
 
 (* [workers] domains claim wiring indices in order from one counter and
    record each outcome in its slot.  Once index [i] has failed, no index
-   above [i] is claimed, so every index below the lowest failure holds
-   an outcome at the barrier, and the fold in order ends where the
-   sequential one would. *)
+   above [i] is claimed, and a worker checking an index above [i] stops
+   at its next governor tick (a wiring past the first failure is never
+   folded), so every index below the lowest failure holds an outcome at
+   the barrier, and the fold in order ends where the sequential one
+   would. *)
 let pooled ~workers ?governor ?on_wiring ~init ~add wiring_arr make_check =
   let nw = Array.length wiring_arr in
   (* Each slot is written once, by its claimer, and read after the
@@ -79,16 +81,23 @@ let pooled ~workers ?governor ?on_wiring ~init ~add wiring_arr make_check =
   let outcomes = Array.make nw None in
   let next = Atomic.make 0 in
   let first_failure = Atomic.make max_int in
+  (* The index each worker checks, -1 once it is done: the fold's
+     witness thunks run on the workers' views after the barrier. *)
+  let current = Array.init workers (fun _ -> Atomic.make (-1)) in
+  let base = match governor with Some g -> g | None -> Governor.create () in
   let rec lower i =
     let cur = Atomic.get first_failure in
     if i < cur && not (Atomic.compare_and_set first_failure cur i) then
       lower i
   in
-  let views = Array.init workers (fun _ -> Option.map Governor.view governor) in
   let worker w =
-    let check = make_check ~governor:views.(w) in
+    let past_failure () =
+      Atomic.get current.(w) > Atomic.get first_failure
+    in
+    let check = make_check ~governor:(Some (Governor.stoppable base past_failure)) in
     let rec claim () =
       let i = Atomic.fetch_and_add next 1 in
+      Atomic.set current.(w) i;
       if i < nw && i < Atomic.get first_failure then begin
         let outcome =
           match check ~resume:false ~ckpt_extra:[] wiring_arr.(i) with
@@ -100,7 +109,8 @@ let pooled ~workers ?governor ?on_wiring ~init ~add wiring_arr make_check =
         claim ()
       end
     in
-    claim ()
+    claim ();
+    Atomic.set current.(w) (-1)
   in
   Repro_util.Domain_pool.parallel ~domains:workers worker;
   let rec fold i acc =

@@ -12,7 +12,9 @@
     up to [d] workers ({!Repro_util.Domain_pool}, the caller's domain
     being one of them).  Workers claim wiring indices in order from one
     atomic counter; once a wiring has failed, no wiring after it is
-    claimed, and the results are folded in list order after the barrier.
+    claimed, a worker checking one stops at its next governor tick
+    ({!Governor.stoppable}), and the results are folded in list order
+    after the barrier.
     Since a check never sees the accumulator, the result — accumulator,
     error, and which wiring it names — is the sequential sweep's at every
     worker count.  An exception raised by the first failing wiring in
@@ -77,9 +79,11 @@ val run :
 
     [make_check] is called once per worker, in the worker's domain,
     with the worker's governor: [governor] itself in a one-worker sweep,
-    a {!Governor.view} of it in a pooled one — so a trip in any worker
-    stops the others at their next tick and is reported by
-    {!Governor.tripped} on [governor].  Per-worker scratch (an engine
+    a {!Governor.stoppable} view of it in a pooled one (of a budget-free
+    governor when [governor] is absent, so that a worker past the first
+    failure can stop) — so a trip in any worker stops the others at
+    their next tick and is reported by {!Governor.tripped} on
+    [governor].  Per-worker scratch (an engine
     workspace) belongs in the closure it returns.
 
     [domains] (default 1) caps the workers; the sweep also never runs

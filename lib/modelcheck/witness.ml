@@ -141,11 +141,16 @@ end
 module Replay (P : Explorer.CHECKABLE) = struct
   module E = Explorer.Make (P)
 
+  let start ~cfg ~inputs =
+    Explorer.refuse_choices ~engine:"Witness.Replay" (P.max_choices cfg);
+    E.init_state ~cfg ~inputs
+
   (** Replay a pid path from the initial state, returning the state after
       each step.  Raises [Invalid_argument] if some pid is halted when its
-      turn comes — i.e. succeeds only on genuine executions. *)
+      turn comes — i.e. succeeds only on genuine executions — and on a
+      configuration with write choices, whose steps are not pids. *)
   let run ~cfg ~wiring ~inputs path =
-    let st = ref (E.init_state ~cfg ~inputs) in
+    let st = ref (start ~cfg ~inputs) in
     List.map
       (fun p ->
         st := E.successor cfg wiring !st p;
@@ -156,6 +161,5 @@ module Replay (P : Explorer.CHECKABLE) = struct
   let final ~cfg ~wiring ~inputs path =
     List.fold_left
       (fun st p -> E.successor cfg wiring st p)
-      (E.init_state ~cfg ~inputs)
-      path
+      (start ~cfg ~inputs) path
 end

@@ -322,6 +322,44 @@ let test_governor_interrupt_shared () =
     "private interrupt" (Some Gov.Interrupted) (Gov.tick g3);
   Gov.dispose g3
 
+(* A stoppable view reports its stop to itself alone; a pooled sweep
+   stops a worker whose wiring lies past the first failure.  Wiring 0
+   fails only once wiring 1's check is running, and wiring 1 ticks until
+   its governor stops it, which only that failure can do. *)
+let test_governor_stoppable () =
+  let g = Gov.create () in
+  let stop = Atomic.make false in
+  let v = Gov.stoppable g (fun () -> Atomic.get stop) in
+  Alcotest.(check (option reason)) "running" None (Gov.tick v);
+  Atomic.set stop true;
+  Alcotest.(check (option reason)) "stopped" (Some Gov.Interrupted) (Gov.tick v);
+  Alcotest.(check (option reason)) "the base ticks on" None (Gov.tick g);
+  Alcotest.(check (option reason)) "nothing tripped" None (Gov.tripped g);
+  let wirings = Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true in
+  let w0 = List.hd wirings in
+  let running = Atomic.make false and stopped = Atomic.make false in
+  let result =
+    Modelcheck.Wiring_sweep.run ~domains:2 ~governor:g ~wirings ~n:2 ~m:2
+      ~init:0 ~add:( + ) (fun ~governor ~resume:_ ~ckpt_extra:_ w ->
+        if w == w0 then begin
+          while not (Atomic.get running) do Domain.cpu_relax () done;
+          Error "wiring 0 fails"
+        end
+        else begin
+          Atomic.set running true;
+          let gov = Option.get governor in
+          while Gov.tick gov = None do Domain.cpu_relax () done;
+          Atomic.set stopped true;
+          Error "wiring 1 stopped"
+        end)
+  in
+  Alcotest.(check (result int (pair int string)))
+    "the first failure in order" (Error (0, "wiring 0 fails")) result;
+  Alcotest.(check bool) "the worker past it stopped" true (Atomic.get stopped);
+  Alcotest.(check (option reason)) "the caller's governor untripped" None
+    (Gov.tripped g);
+  Gov.dispose g
+
 let test_reason_strings () =
   List.iter
     (fun r ->
@@ -889,6 +927,11 @@ let test_fault_checkpoint_refused () =
     Modelcheck.State_table.Packed_vec.length
       (Modelcheck.State_table.Packed_vec.deserialize (Ckpt.find tag sections))
   in
+  (* the current crash image counts its transitions instead of storing
+     edges *)
+  let transitions =
+    (Ckpt.find_ints ~who:"test" ~count:2 "counts" sections).(0)
+  in
   let key0 =
     Snap_mc.encode_state cfg (Snap_mc.init_state ~cfg ~inputs) ^ "\000"
   in
@@ -901,7 +944,7 @@ let test_fault_checkpoint_refused () =
       ("table", Ckpt.find "table" sections);
       ("parent", Ckpt.find "parent" sections);
       ( "counters",
-        Ckpt.bytes_of_ints [| length "deg"; length "succ"; 0 |] );
+        Ckpt.bytes_of_ints [| length "deg"; transitions; 0 |] );
     ];
   let image = read_file path in
   (match
@@ -1395,6 +1438,39 @@ let test_sweep_index_refused () =
         [ -1; wirings ])
     cases
 
+(* A checkpoint written before the snapshot engine's cyclic cursor
+   became a written-set holds other keys for the same states (cursor 2
+   was the byte 2, the set {0,1} is the byte 3), although its initial
+   key is the same (cursor 0 is the empty set).  Its context lacks the
+   layout's name, so a resume refuses it as unusable — exit 5 at the
+   CLI — instead of exploring a mixture of the two layouts. *)
+let test_cursor_layout_refused () =
+  let path = fresh_path ".ckpt" in
+  let ckpt = { Ckpt.path; every_states = 100 } in
+  (match
+     Core.verify_snapshot_model ~n:2
+       ~governor:(Gov.create ~quota:300 ())
+       ~ckpt ()
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "the quota did not trip");
+  let sections = Ckpt.load ~path in
+  let context = Bytes.to_string (Ckpt.find "context" sections) in
+  let suffix = "|written-set" in
+  Alcotest.(check bool) "the context names the layout" true
+    (String.ends_with ~suffix context);
+  let parent =
+    String.sub context 0 (String.length context - String.length suffix)
+  in
+  Ckpt.save ~path
+    (("context", Bytes.of_string parent) :: List.remove_assoc "context" sections);
+  (match Core.verify_snapshot_model ~n:2 ~ckpt ~resume:true () with
+  | exception Ckpt.Corrupt_checkpoint msg ->
+      Alcotest.(check bool) "refused as a context mismatch" true
+        (contains ~sub:"context mismatch" msg)
+  | _ -> Alcotest.fail "a cursor-layout image was resumed");
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Map-level crash-resume differential                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1485,6 +1561,8 @@ let () =
             test_ckpt_streamed_ints;
           Alcotest.test_case "torn streamed write" `Quick
             test_ckpt_streamed_torn_write;
+          Alcotest.test_case "cursor-layout snapshot image refused" `Quick
+            test_cursor_layout_refused;
         ] );
       ( "governor",
         [
@@ -1494,6 +1572,8 @@ let () =
           Alcotest.test_case "shared interrupt flag" `Quick
             test_governor_interrupt_shared;
           Alcotest.test_case "reason strings" `Quick test_reason_strings;
+          Alcotest.test_case "stoppable view; pooled stop past a failure"
+            `Quick test_governor_stoppable;
         ] );
       ( "state-table-serialization",
         [

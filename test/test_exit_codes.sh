@@ -2,8 +2,8 @@
 # Pin the anonsim exit-code contract end to end, across check-snapshot,
 # check-nonatomic, feasibility and inductive:
 #   0 = clean pass, 2 = violation / refuted invariant,
-#   3 = resource budget exhausted (check-nonatomic --exhaustive: a full
-#       visited table leaves a candidate undecided), 4 = interrupted,
+#   3 = resource budget exhausted, 4 = interrupted (check-nonatomic
+#       --exhaustive runs under an interrupt-only governor: SIGINT gives 4),
 #   5 = checkpoint or journal unusable (restart without --resume),
 #   124 = command-line usage error.
 # Usage: test_exit_codes.sh /path/to/anonsim.exe

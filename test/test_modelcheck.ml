@@ -4,6 +4,7 @@
 
 open Repro_util
 module Snap = Algorithms.Snapshot
+module SC = Algorithms.Snapshot.Core
 module SnapC = Modelcheck.Codecs.Snapshot
 module WsC = Modelcheck.Codecs.Write_scan
 module DcC = Modelcheck.Codecs.Double_collect
@@ -241,115 +242,161 @@ let test_snapshot3_rejects_bad_inputs () =
     (Invalid_argument "Snapshot3: inputs must be in 1..3") (fun () ->
       ignore (Modelcheck.Snapshot3.initial_state [| 1; 2; 9 |]))
 
-(* --- the two write orders --------------------------------------------------- *)
+(* --- moves: Figure 3's write choice on the generic engines -------------- *)
+
+let any_cfg = { (Snap.standard ~n:3) with Snap.write_order = Any }
 
 let test_snapshot3_nd_choices () =
-  let open Modelcheck.Snapshot3 in
-  let s = initial_state [| 1; 2; 3 |] in
-  (* initially every processor is writing with an empty round mask: 3
-     choices each under Any, the lowest register only under Cyclic *)
-  List.iter
-    (fun p ->
-      Alcotest.(check int) "3 write choices" 3 (choices Any s p);
-      Alcotest.(check int) "1 cyclic choice" 1 (choices Cyclic s p))
-    [ 0; 1; 2 ];
-  Alcotest.(check int) "first unwritten" 0 (write_target 0b000 0);
-  Alcotest.(check int) "skip written" 1 (write_target 0b001 0);
-  Alcotest.(check int) "second choice" 2 (write_target 0b001 1);
-  Alcotest.(check int) "only r1 free" 1 (write_target 0b101 0)
+  (* Initially every processor is writing with an empty written-set: 3
+     choices each under Any, the lowest register only under Cyclic;
+     choice c is the c-th unwritten register. *)
+  let l = SnapC.init any_cfg 1 in
+  Alcotest.(check int) "3 write choices" 3 (SnapC.choices any_cfg l);
+  Alcotest.(check int) "1 cyclic choice" 1
+    (SnapC.choices (Snap.standard ~n:3) l);
+  Alcotest.(check int) "9 moves at n = 3" 9 (MC.move_count any_cfg);
+  let at written c = SnapC.write_choice any_cfg { l with SC.written } c in
+  Alcotest.(check int) "first unwritten" 0 (at 0b000 0);
+  Alcotest.(check int) "skip written" 1 (at 0b001 0);
+  Alcotest.(check int) "second choice" 2 (at 0b001 1);
+  Alcotest.(check int) "only r1 free" 1 (at 0b101 0);
+  let l' = SnapC.apply_write_to any_cfg { l with SC.written = 0b101 } ~reg:1 in
+  Alcotest.(check int) "a full round empties the set" 0 l'.SC.written;
+  Alcotest.check_raises "the simulator refuses Any"
+    (Invalid_argument
+       "Snapshot.init: the nondeterministic write order runs on the model \
+        checker only") (fun () -> ignore (Snap.init any_cfg 1))
 
 let pin_wiring = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 2; 0 ] ]
 
-(* Some processor's round written-set is none of the cyclic cursor's. *)
-let off_cursor s =
-  let open Modelcheck.Snapshot3 in
-  List.exists
-    (fun p ->
-      let w = l_written (get_local s p) in
-      w <> 0b000 && w <> 0b001 && w <> 0b011)
-    [ 0; 1; 2 ]
-
 let test_snapshot3_cyclic_count_pin () =
-  (* The counts of the cyclic-cursor layout this checker had before it
-     took a written-set: the cursor positions 0, 1, 2 are the sets 000,
-     001, 011, so the cyclic search must visit the same states in the
-     same order.  The planted witness checks that it never leaves those
-     three sets (a terminated processor's set is pinned to 000). *)
-  let open Modelcheck.Snapshot3 in
-  match
-    check ~write_order:Cyclic ~log2_capacity:23 ~witness:off_cursor
-      ~wiring:pin_wiring ~inputs:[| 1; 1; 1 |] ()
-  with
+  (* The packed checker's counts on the pin wiring (a terminated
+     processor's written-set pinned to 000), and the generic engine's on
+     the same wiring, which keeps that set: every reachable written-set
+     is a cyclic prefix. *)
+  (match
+     Modelcheck.Snapshot3.check ~log2_capacity:23 ~wiring:pin_wiring
+       ~inputs:[| 1; 1; 1 |] ()
+   with
   | Verified s ->
       Alcotest.(check int) "states" 1_606_198 s.states;
       Alcotest.(check int) "transitions" 4_753_080 s.transitions;
       Alcotest.(check int) "terminals" 1 s.terminals;
       Alcotest.(check int) "depth" 144 s.max_depth
-  | _ -> Alcotest.fail "cyclic pin wiring not verified"
+  | _ -> Alcotest.fail "cyclic pin wiring not verified");
+  let cfg = Snap.standard ~n:3 in
+  let invariant (st : MC.state) =
+    if Array.for_all SC.is_cyclic st.MC.locals then Ok ()
+    else Error "off-cursor written-set"
+  in
+  match
+    MC.check_exhaustive ~invariant ~log2_slots:20 ~cfg ~wiring:pin_wiring
+      ~inputs:[| 1; 1; 1 |] ()
+  with
+  | MC.Dfs_ok s ->
+      Alcotest.(check int) "generic states" 1_721_671 s.MC.dfs_states;
+      Alcotest.(check int) "generic transitions" 4_979_918 s.MC.dfs_transitions;
+      Alcotest.(check int) "generic terminals" 27 s.MC.dfs_terminals
+  | _ -> Alcotest.fail "generic cyclic pin wiring not verified"
+
+let rotation = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ]
 
 let test_snapshot3_cyclic_path_replays () =
-  (* A planted target (some processor returns {1,2}): the reported path
-     must be a real execution of the reference semantics, landing on a
-     state that packs to the reported one. *)
+  (* A planted target (some processor returns {1,2}): the generic BFS's
+     minimal trace takes choice 0 throughout, and stepping the packed
+     checker along it stays on the packed image of every traced state. *)
   let open Modelcheck.Snapshot3 in
-  let wiring = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ] in
-  let inputs = [| 1; 2; 3 |] in
-  let witness s = List.exists (fun p -> output_view s p = 0b011) [ 0; 1; 2 ] in
-  match check ~log2_capacity:20 ~witness ~wiring ~inputs () with
-  | Witness { state; path; _ } ->
-      Alcotest.(check bool) "cyclic paths take choice 0" true
-        (List.for_all (fun (_, c) -> c = 0) path);
-      let cfg = Snap.standard ~n:3 in
-      let st =
-        List.fold_left
-          (fun st (p, _) -> MC.successor cfg wiring st p)
-          (MC.init_state ~cfg ~inputs) path
-      in
-      Alcotest.(check int) "replayed state packs to the reported one" state
-        (pack cfg st.MC.locals st.MC.registers);
-      Alcotest.(check bool) "reported state is a witness" true (witness state)
+  let cfg = Snap.standard ~n:3 and inputs = [| 1; 2; 3 |] in
+  let target = Iset.of_list [ 1; 2 ] in
+  let invariant (st : MC.state) =
+    if Array.exists (fun l -> Snap.output cfg l = Some target) st.MC.locals
+    then Error "returns {1,2}"
+    else Ok ()
+  in
+  match MC.explore ~invariant ~cfg ~wiring:rotation ~inputs () with
+  | MC.Invariant_failed (_, v) ->
+      let sigmas = sigmas_of rotation in
+      ignore
+        (List.fold_left
+           (fun s (mv, (st : MC.state)) ->
+             Alcotest.(check bool) "cyclic moves are pids" true (mv < 3);
+             let s = step s mv sigmas.(mv) in
+             Alcotest.(check int) "packed step = packed traced state"
+                (pack cfg st.MC.locals st.MC.registers) s;
+             s)
+           (initial_state inputs) v.MC.trace)
   | _ -> Alcotest.fail "planted cyclic witness not found"
 
 let test_snapshot3_any_path_replays () =
   (* A target only the nondeterministic order reaches: a written-set the
-     cyclic cursor never holds.  The path must replay through [step] to
-     the reported state. *)
-  let open Modelcheck.Snapshot3 in
-  let wiring = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ] in
+     cyclic order never holds.  The DFS finds it; the exact BFS's
+     minimal trace takes some choice > 0 and replays through
+     [successor]. *)
   let inputs = [| 1; 2; 3 |] in
-  match
-    check ~write_order:Any ~log2_capacity:20 ~witness:off_cursor ~wiring ~inputs ()
-  with
-  | Witness { state; path; _ } ->
+  let invariant (st : MC.state) =
+    if Array.for_all SC.is_cyclic st.MC.locals then Ok ()
+    else Error "off-cursor written-set"
+  in
+  (match
+     MC.check_exhaustive ~invariant ~cfg:any_cfg ~wiring:rotation ~inputs ()
+   with
+  | MC.Dfs_invariant_failed _ -> ()
+  | _ -> Alcotest.fail "the DFS missed the off-cursor target");
+  match MC.explore ~invariant ~cfg:any_cfg ~wiring:rotation ~inputs () with
+  | MC.Invariant_failed (_, v) ->
       Alcotest.(check bool) "some write picks past the lowest register" true
-        (List.exists (fun (_, c) -> c > 0) path);
-      let sigmas = sigmas_of wiring in
+        (List.exists (fun (mv, _) -> mv >= 3) v.MC.trace);
       let final =
         List.fold_left
-          (fun s (p, c) ->
-            Alcotest.(check bool) "choice in range" true (c < choices Any s p);
-            step s p c sigmas.(p))
-          (initial_state inputs) path
+          (fun st (mv, (post : MC.state)) ->
+            let st = MC.successor any_cfg rotation st mv in
+            Alcotest.(check string) "replayed state is the traced one"
+              (MC.encode_state any_cfg post) (MC.encode_state any_cfg st);
+            st)
+          (MC.init_state ~cfg:any_cfg ~inputs)
+          v.MC.trace
       in
-      Alcotest.(check int) "replayed state is the reported one" state final
+      Alcotest.(check bool) "the replay ends off-cursor" true
+        (Result.is_error (invariant final));
+      (* a first write past the lowest register is already off the
+         cursor: the minimal witness is that one move *)
+      Alcotest.(check (list int)) "minimal witness" [ 3 ] (List.map fst v.MC.trace)
   | _ -> Alcotest.fail "planted nondeterministic witness not found"
 
 let test_snapshot3_nd_search_smoke () =
   (* With a single group, every view is {1}: the first write puts {1} in
-     memory and the whole subtree is pruned, so the search refutes the
+     memory and the whole subtree is cut, so the search refutes the
      target immediately on every wiring. *)
   match
-    Modelcheck.Snapshot3.find_nonatomic ~write_order:Any ~log2_capacity:16
-      ~inputs:[| 1; 1; 1 |] ~target_mask:0b001
-      ~wirings:
-        [
-          Anonmem.Wiring.identity ~n:3 ~m:3;
-          Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ];
-        ]
-      ()
+    Core.search_nonatomic ~write_order:Any
+      ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3; rotation ]
+      ([| 1; 1; 1 |], Iset.of_list [ 1 ])
   with
-  | Modelcheck.Snapshot3.Refuted _ -> ()
+  | Core.Refuted _ -> ()
   | _ -> Alcotest.fail "single group not refuted"
+
+let test_choices_refused () =
+  (* The engines that number steps by processor refuse a configuration
+     with write choices. *)
+  let inputs = [| 1; 2; 3 |] and wiring = rotation in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s ran under write choices" what
+  in
+  refused "crash search" (fun () ->
+      ignore (MC.explore ~max_crashes:1 ~cfg:any_cfg ~wiring ~inputs ()));
+  refused "parallel BFS" (fun () ->
+      ignore
+        (Core.Snapshot_par_mc.explore ~domains:2 ~cfg:any_cfg ~wiring ~inputs ()));
+  refused "work-stealing BFS" (fun () ->
+      ignore
+        (Core.Snapshot_ws_mc.explore ~domains:2 ~cfg:any_cfg ~wiring ~inputs ()));
+  let module R = Modelcheck.Witness.Replay (SnapC) in
+  refused "replay" (fun () -> ignore (R.run ~cfg:any_cfg ~wiring ~inputs [ 0 ]));
+  refused "simulator" (fun () ->
+      let module Sys = Anonmem.System.Make (Snap) in
+      ignore (Sys.init ~cfg:any_cfg ~wiring ~inputs))
 
 (* --- consensus codec -------------------------------------------------------- *)
 
@@ -404,8 +451,6 @@ let qcheck_count =
 
 let gen_iset = QCheck.Gen.(map Iset.of_bits (int_bound 255))
 
-module SC = Algorithms.Snapshot.Core
-
 let gen_snap_phase =
   QCheck.Gen.(
     oneof
@@ -420,8 +465,8 @@ let gen_snap_phase =
 let gen_snap_local =
   QCheck.Gen.(
     map3
-      (fun view level (next_write, phase) ->
-        { SC.view; level; next_write; phase })
+      (fun view level (written, phase) ->
+        { SC.view; level; written; phase })
       gen_iset (int_bound 7)
       (pair (int_bound 7) gen_snap_phase))
 
@@ -503,8 +548,8 @@ let gen_pset = QCheck.Gen.(map Cc.pset_of_bits (int_bound ((1 lsl 24) - 1)))
 let gen_consensus_snap_local =
   QCheck.Gen.(
     map3
-      (fun view level (next_write, phase) ->
-        { Cons.Snap.Core.view; level; next_write; phase })
+      (fun view level (written, phase) ->
+        { Cons.Snap.Core.view; level; written; phase })
       gen_pset (int_bound 7)
       (pair (int_bound 7)
          (oneof
@@ -587,7 +632,7 @@ let test_codecs_out_of_range_structured () =
   let scfg = Snap.standard ~n:3 in
   check_out_of_range "snapshot level=300" (SnapC.local_width scfg) (fun b off ->
       SnapC.encode_local scfg
-        { SC.view = Iset.empty; level = 300; next_write = 0; phase = SC.Writing }
+        { SC.view = Iset.empty; level = 300; written = 0; phase = SC.Writing }
         b off);
   let wcfg = Algorithms.Write_scan.cfg ~n:3 ~m:3 in
   check_out_of_range "write-scan next_write=256" (WsC.local_width wcfg)
@@ -628,7 +673,7 @@ let test_codecs_out_of_range_structured () =
         {
           Ren.group = 300;
           core =
-            { SC.view = Iset.empty; level = 0; next_write = 0; phase = SC.Writing };
+            { SC.view = Iset.empty; level = 0; written = 0; phase = SC.Writing };
         }
         b off)
 
@@ -827,7 +872,7 @@ let test_snapshot_invariant_planted () =
     {
       SC.view = Iset.of_list view;
       level = 3;
-      next_write = 0;
+      written = 0;
       phase = SC.Writing;
     }
   in
@@ -977,6 +1022,8 @@ let () =
             test_snapshot3_any_path_replays;
           Alcotest.test_case "ND: single-group refuted" `Quick
             test_snapshot3_nd_search_smoke;
+          Alcotest.test_case "ND: step-numbered engines refuse choices" `Quick
+            test_choices_refused;
         ] );
       ( "consensus-codec",
         [

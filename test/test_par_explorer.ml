@@ -513,31 +513,26 @@ let test_fault_explorer_reduced_witness () =
   | _ -> Alcotest.fail "planted bug missed"
 
 let test_snapshot3_nd_planted_search () =
-  (* The packed 3-processor checker under the nondeterministic write
+  (* The C2 search on the generic DFS under the nondeterministic write
      order: single-group inputs refute the non-atomicity target on every
-     wiring (fast).  Under MC_LONG, additionally reproduce a slice of the
-     EXPERIMENTS C2 refutation: the cyclic-write refinement admits no
-     (1,1,2)/{1} witness — [Refuted] here is the documented result, not a
-     miss (the full 36-wiring sweep lives in `experiments --full`). *)
-  let refuted = function Modelcheck.Snapshot3.Refuted _ -> true | _ -> false in
-  let r =
-    Modelcheck.Snapshot3.find_nonatomic ~write_order:Any ~log2_capacity:16
-      ~inputs:[| 1; 1; 1 |] ~target_mask:0b001
-      ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3 ]
-      ()
-  in
-  Alcotest.(check bool) "single group: refuted" true (refuted r);
-  if long_mode then begin
-    let some_wirings =
-      match wirings3 with a :: b :: _ -> [ a; b ] | _ -> assert false
-    in
-    let r =
-      Modelcheck.Snapshot3.find_nonatomic ~inputs:[| 1; 1; 2 |]
-        ~target_mask:0b001 ~wirings:some_wirings ()
-    in
-    Alcotest.(check bool) "cyclic refinement: C2 refutation slice" true
-      (refuted r)
-  end
+     wiring (fast).  Under MC_LONG, additionally reproduce the EXPERIMENTS
+     C2 row of the cyclic order: no (1,1,2)/{1} witness on any of the 36
+     wirings — [Refuted] here is the documented result, not a miss. *)
+  let refuted = function Core.Refuted _ -> true | _ -> false in
+  Alcotest.(check bool) "single group: refuted" true
+    (refuted
+       (Core.search_nonatomic ~write_order:Any
+          ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3 ]
+          ([| 1; 1; 1 |], Core.Iset.of_list [ 1 ])));
+  if long_mode then
+    match
+      Core.search_nonatomic ~write_order:Cyclic ~wirings:wirings3
+        ([| 1; 1; 2 |], Core.Iset.of_list [ 1 ])
+    with
+    | Core.Refuted { states } ->
+        Alcotest.(check int) "cyclic (1,1,2)/{1}: generic total" 30_475_603
+          states
+    | _ -> Alcotest.fail "cyclic (1,1,2)/{1} not refuted"
 
 (* ------------------------------------------------------------------ *)
 (* The work-stealing deque and pool termination.                      *)
