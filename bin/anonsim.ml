@@ -691,9 +691,9 @@ let feasibility_cmd =
       & opt (some int) None
       & info [ "max-heap-mb" ] ~docv:"MB"
           ~doc:
-            "Per-cell live-heap budget in megabytes (checked at major \
-             collections); over-budget cells degrade to $(i,unknown) like \
-             $(b,--max-seconds).")
+            "Per-cell heap budget in megabytes (checked on the first \
+             and every 4,096th engine step); over-budget cells degrade \
+             to $(i,unknown) like $(b,--max-seconds).")
   in
   let ckpt_dir_arg =
     Arg.(

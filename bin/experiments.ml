@@ -151,15 +151,9 @@ let claim_c1 () =
       Printf.printf "n=2 (one group, inputs 1,1): VERIFIED; %d states\n"
         s.Modelcheck.Explorer.total_states
   | Error e -> Printf.printf "n=2 groups FAILED: %s\n" e);
-  (* n=3 uses the bit-packed cyclic checker (Modelcheck.Snapshot3): a
-     single wiring's space is ~10^8 states, more than the generic DFS
-     holds on a small host.  First cross-validate its packed semantics
-     against the reference implementation. *)
-  let compared = Modelcheck.Snapshot3.selfcheck ~runs:50 () in
-  Printf.printf
-    "n=3 packed checker cross-validated against the reference semantics on \
-     %d random steps\n"
-    compared;
+  (* n=3 on the generic exact DFS with the strong snapshot invariant: the
+     rotation wiring's space is about 10^8 states, a visited table of
+     about 3.5 GiB (EXPERIMENTS C1). *)
   let wirings = Anonmem.Wiring.enumerate ~n:3 ~m:3 ~fix_first:true in
   let wirings =
     if full then wirings
@@ -170,27 +164,33 @@ let claim_c1 () =
   in
   Printf.printf "n=3: checking %d wiring(s)%s\n%!" (List.length wirings)
     (if full then " (full sweep)" else " (pass --full for all 36)");
-  (* one visited table for the whole sweep, cleared between wirings *)
-  let t0 = ref (Unix.gettimeofday ()) in
-  Modelcheck.Snapshot3.check_each ~inputs:[| 1; 2; 3 |] wirings
-  |> Seq.iter (fun (wiring, result) ->
-         let wiring = Fmt.str "%a" Anonmem.Wiring.pp wiring in
-         (match result with
-         | Modelcheck.Snapshot3.Verified s ->
-             Printf.printf
-               "  wiring %s: VERIFIED (safety + wait-freedom); %d states, %d \
-                transitions, %d terminal states, DFS depth %d (%.0fs)\n%!"
-               wiring s.Modelcheck.Snapshot3.states
-               s.Modelcheck.Snapshot3.transitions s.Modelcheck.Snapshot3.terminals
-               s.Modelcheck.Snapshot3.max_depth
-               (Unix.gettimeofday () -. !t0)
-         | Modelcheck.Snapshot3.Cycle _ ->
-             Printf.printf "  wiring %s: WAIT-FREEDOM VIOLATED\n" wiring
-         | Modelcheck.Snapshot3.Invariant_violation _ ->
-             Printf.printf "  wiring %s: SAFETY VIOLATED\n" wiring
-         | Modelcheck.Snapshot3.Table_full k ->
-             Printf.printf "  wiring %s: table full at %d states\n" wiring k);
-         t0 := Unix.gettimeofday ())
+  let cfg = Algorithms.Snapshot.standard ~n:3 and inputs = [| 1; 2; 3 |] in
+  let invariant = Core.snapshot_invariant cfg inputs in
+  List.iter
+    (fun wiring ->
+      let t0 = Unix.gettimeofday () in
+      let result =
+        Core.Snapshot_mc.check_exhaustive ~invariant ~log2_slots:20 ~cfg ~wiring
+          ~inputs ()
+      in
+      let wiring = Fmt.str "%a" Anonmem.Wiring.pp wiring in
+      (match result with
+      | Core.Snapshot_mc.Dfs_ok s ->
+          Printf.printf
+            "  wiring %s: VERIFIED (safety + wait-freedom); %d states, %d \
+             transitions, %d terminal states, DFS depth %d (%.0fs)\n%!"
+            wiring s.dfs_states s.dfs_transitions s.dfs_terminals
+            s.dfs_max_depth
+            (Unix.gettimeofday () -. t0)
+      | Core.Snapshot_mc.Dfs_cycle _ ->
+          Printf.printf "  wiring %s: WAIT-FREEDOM VIOLATED\n" wiring
+      | Core.Snapshot_mc.Dfs_invariant_failed _ ->
+          Printf.printf "  wiring %s: SAFETY VIOLATED\n" wiring
+      | Core.Snapshot_mc.Dfs_exhausted _ ->
+          Printf.printf "  wiring %s: exhausted\n" wiring);
+      (* free this wiring's table before the next one grows its own *)
+      Gc.full_major ())
+    wirings
 
 (* F5-MC: bounded model checking of consensus safety (our extension) *)
 
@@ -214,11 +214,10 @@ let consensus_mc () =
 
 (* C2: non-atomicity witness *)
 
-(* The heap budget of the nondeterministic-order C2 rows: 4 GiB of live
-   heap holds every wiring of (1,1,2)/{1} (at most 3.1 GiB VmHWM), and
-   (1,2,3)/{1,2} trips it at about 6.2 GiB VmHWM, inside a host with
-   8 GiB of RAM: the trip comes after the visited table's growth that
-   crossed it (EXPERIMENTS C2). *)
+(* The heap budget of the nondeterministic-order C2 rows: 4 GiB of heap
+   holds every wiring of (1,1,2)/{1} (at most 3.1 GiB VmHWM), and
+   (1,2,3)/{1,2} trips it on its first wiring at a VmHWM of 4.02 GiB,
+   inside a host with 8 GiB of RAM (EXPERIMENTS C2). *)
 let nondeterministic_heap_words = 4 * 1024 * 1024 * 1024 / (Sys.word_size / 8)
 
 let claim_c2 () =
@@ -255,7 +254,6 @@ let claim_c2 () =
         Seq.iter
           (fun o -> Printf.printf "  %s\n%!" (Core.nonatomic_line o))
           (Core.find_nonatomic ~governor ~write_order ());
-        Modelcheck.Governor.dispose governor;
         Printf.printf "  (%.0fs)\n%!" (Unix.gettimeofday () -. t0))
       [
         ("cyclic", Algorithms.Snapshot.Cyclic, None);

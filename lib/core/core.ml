@@ -713,7 +713,7 @@ let verify_leader ?(n = 2) ?(m = 3) ?cfg ?domains ?wiring_classes ?governor () =
     by exhaustive model checking.
 
     Durable-run knobs: [wall_seconds] / [heap_words] / [quota] bound the
-    cell with a fresh {!Modelcheck.Governor} (disposed afterwards);
+    cell with a fresh {!Modelcheck.Governor};
     [interrupted_flag] is shared across cells so one SIGINT stops the
     whole sweep; [ckpt_dir] enables engine checkpointing (the packed
     mutex path) to [ckpt_dir/task-n-m.ckpt], with resume always on — a
@@ -772,10 +772,8 @@ let feasibility_check ?reduction:(_ : bool option) ?(wiring_classes = false)
     | "naming" -> verify_naming ~n ~m ~wiring_classes ?governor ()
     | "leader" -> verify_leader ~n ~m ~wiring_classes ?governor ()
     | t ->
-        Option.iter Modelcheck.Governor.dispose governor;
         invalid_arg (Fmt.str "feasibility_check: unknown task %S" t)
   in
-  Option.iter Modelcheck.Governor.dispose governor;
   (* Cells are independent: collect this one's spaces before the next
      cell grows its own, so a cell's peak never stacks on its
      predecessor's garbage, however a pooled sweep interleaved it (about

@@ -31,8 +31,7 @@ type t = {
   quota : int option;
   started : float;
   interrupted_flag : bool Atomic.t;
-  heap_hit : bool Atomic.t; (* set from the Gc alarm, read on tick *)
-  alarm : Gc.alarm option;
+  heap_words : int option;
   trip : reason option Atomic.t; (* the first reason any view tripped on *)
   stop : unit -> bool;
   mutable ticks : int;
@@ -42,31 +41,18 @@ let create ?wall_seconds ?heap_words ?quota ?interrupted_flag () =
   let interrupted_flag =
     match interrupted_flag with Some f -> f | None -> Atomic.make false
   in
-  let heap_hit = Atomic.make false in
-  let alarm =
-    match heap_words with
-    | None -> None
-    | Some budget ->
-        (* The alarm runs at the end of each major collection — the
-           moment the live-word figure is fresh and meaningful. *)
-        Some
-          (Gc.create_alarm (fun () ->
-               if (Gc.quick_stat ()).heap_words > budget then
-                 Atomic.set heap_hit true))
-  in
   {
     wall_seconds;
     quota;
     started = Unix.gettimeofday ();
     interrupted_flag;
-    heap_hit;
-    alarm;
+    heap_words;
     trip = Atomic.make None;
     stop = Fun.const false;
     ticks = 0;
   }
 
-let view t = { t with alarm = None; ticks = 0; stop = Fun.const false }
+let view t = { t with ticks = 0; stop = Fun.const false }
 let stoppable t stop = { (view t) with stop }
 let has_quota t = t.quota <> None
 let elapsed_s t = Unix.gettimeofday () -. t.started
@@ -74,11 +60,19 @@ let interrupt t = Atomic.set t.interrupted_flag true
 let interrupted t = Atomic.get t.interrupted_flag
 let tripped t = Atomic.get t.trip
 
-let dispose t = match t.alarm with Some a -> Gc.delete_alarm a | None -> ()
+(* The heap size as of the last collection or promotion, against the
+   budget.  Polled rather than read from a [Gc] alarm: a major cycle of
+   a multi-GiB heap ends only after gigabytes more are allocated, while
+   a poll bounds the overshoot by what 4,096 ticks allocate. *)
+let heap_over t =
+  match t.heap_words with
+  | Some budget -> (Gc.quick_stat ()).heap_words > budget
+  | None -> false
 
 (* The wall clock is a syscall, so it is only consulted every 64 ticks —
    but on tick 1 rather than tick 64, so a zero-second budget trips on
-   the first state rather than 63 states in.  The first trip of any view
+   the first state rather than 63 states in.  The heap is polled every
+   4,096 ticks, from tick 1 too.  The first trip of any view
    wins the cell; every view reports it from then on.  A stopped view
    reports [Interrupted] to itself alone. *)
 let tick t =
@@ -92,7 +86,7 @@ let tick t =
         Atomic.get t.trip
       in
       if Atomic.get t.interrupted_flag then trip Interrupted
-      else if Atomic.get t.heap_hit then trip Heap
+      else if t.ticks land 4095 = 1 && heap_over t then trip Heap
       else if
         match t.quota with Some q -> t.ticks > q | None -> false
       then trip Quota

@@ -1,8 +1,7 @@
 (** Per-run resource budgets for the verification engines.
 
-    A governor bundles up to four budgets — wall-clock seconds, live
-    heap words (checked from a [Gc] alarm at major-collection
-    boundaries), a tick quota, and a shared interrupt flag (set from a
+    A governor bundles up to four budgets — wall-clock seconds, heap
+    words, a tick quota, and a shared interrupt flag (set from a
     SIGINT/SIGTERM handler, or {!interrupt}) — behind a single [tick]
     call that engines make once per unit of work, through
     {!Checkpoint.tick}: a popped state, a DFS step, a packed Tarjan step
@@ -17,8 +16,10 @@
     counts ticks) — the only deterministic budget, which the tests and
     the benchmark use; the
     wall-clock budget is polled every 64 ticks (but on the first tick,
-    so a zero budget trips immediately); the heap budget is as fresh as
-    the last major collection. *)
+    so a zero budget trips immediately); the heap size
+    ([Gc.quick_stat]'s [heap_words]) is polled on the first tick and
+    every 4,096 ticks after, so a run overshoots its heap budget by
+    about what 4,096 units of work allocate. *)
 
 type reason = Wall_clock | Heap | Quota | Interrupted
 
@@ -43,14 +44,13 @@ val create :
 
 val view : t -> t
 (** [view g] is a governor for one more domain to tick: it shares [g]'s
-    interrupt flag, heap flag, start time and budgets, and [g]'s trip
+    interrupt flag, start time and budgets, and [g]'s trip
     cell, but counts its own ticks.  The first trip of [g] or of any of
     its views is reported by every one of them from their next tick on,
     and by {!tripped} on each, so a pooled sweep stops within one poll
     per worker and its caller reads the reason from [g].  A view's
     quota counts only its own ticks, which is why quota-governed sweeps
-    never split ({!Wiring_sweep.run}).  A view installs no alarm;
-    {!dispose} [g], not its views. *)
+    never split ({!Wiring_sweep.run}). *)
 
 val stoppable : t -> (unit -> bool) -> t
 (** [stoppable g stop] is a {!view} of [g] whose {!tick} also reports
@@ -81,8 +81,3 @@ val interrupted : t -> bool
 
 val elapsed_s : t -> float
 (** Seconds since [create]. *)
-
-val dispose : t -> unit
-(** Delete the heap-watermark [Gc] alarm, if one was installed.  Safe to
-    call more than once is {e not} guaranteed — call exactly once, when
-    the run finishes. *)

@@ -6,8 +6,8 @@
     ~50-byte key and hashes it.  A clean feasibility cell must sweep
     {e every} wiring class — 2 467 classes of ~7·10⁶ states each at
     (n = 3, m = 5) — which puts the map's flagship cell weeks out of
-    reach at that rate.  This module is the {!Snapshot3} move replayed
-    for the mutex: after the collect compression (see
+    reach at that rate.  This module specializes the mutex to a packed
+    word: after the collect compression (see
     {!Algorithms.Rt_mutex.phase}) a whole system state fits one OCaml
     int, and every protocol transition becomes two array reads.
 

@@ -11,17 +11,21 @@
     two pointer slots; at the paper's 3-processor scale (~2M states per
     wiring) that is ~77 bytes per 21-byte key.
 
-    {!t} stores the keys themselves back to back in a single growable
-    [Bytes] arena (key [id] lives at offset [id * key_width]) and resolves
-    membership through an open-addressing slot array of 5-byte records,
-    interleaved in one [Bytes]: a little-endian u32 holding id + 1
-    (0 = empty), then one tag byte.  The tag is bits 55..62 of the key's
-    {!hash}, disjoint from the low bits that pick the bucket, so a probe
-    almost never touches the arena for keys that do not match, and it
-    reads the id and the tag of a slot with one 8-byte load.
-    Slot counts are powers of two, doubled at 3/4 load; growth re-derives
-    hashes from the arena, so nothing but the keys is ever stored twice.
-    Net cost: [key_width] arena bytes plus ~7-10 slot bytes per state.
+    {!t} stores the keys themselves back to back in pages of about
+    1 MiB (key [id] lives in page [id lsr k], [2^k] keys to a page; the
+    first page starts small and grows, so a small table stays small) and
+    resolves membership through an open-addressing slot index of 5-byte
+    records, in pages of 2{^16} records: a little-endian u32 holding
+    id + 1 (0 = empty), then one tag byte.  The tag is bits 55..62 of the
+    key's {!hash}, disjoint from the low bits that pick the bucket, so a
+    probe almost never touches the arena for keys that do not match, and
+    it reads the id and the tag of a slot with one 8-byte load.
+    Slot counts are powers of two, doubled at 3/4 load; a doubling
+    clears the index's old pages, adds the new half and re-derives every
+    record from the arena.  Growth therefore never copies: no arena page
+    moves once full, and the old index is never held beside the new one,
+    so the peak is the table itself.  Net cost: [key_width] arena bytes
+    plus ~7-10 slot bytes per state.
 
     The hash reads the key 8 bytes at a time ([Bytes.get_int64_le]),
     folds each word in with a multiply and an xorshift, and finishes with
@@ -42,7 +46,8 @@ val create : ?log2_slots:int -> key_width:int -> unit -> t
 (** [create ~key_width ()] is an empty table for keys of exactly
     [key_width] bytes.  [log2_slots] (default 12) sizes the initial slot
     array; it only matters as a pre-sizing hint, the table grows as
-    needed.  Raises [Invalid_argument] if [key_width < 0]. *)
+    needed.  Raises [Invalid_argument] unless [0 <= key_width <= 2^20]
+    (a key fits in one arena page). *)
 
 val key_width : t -> int
 val length : t -> int
@@ -84,8 +89,9 @@ val iter : (int -> string -> unit) -> t -> unit
     (= insertion) order. *)
 
 val words : t -> int
-(** Approximate retained size of the table in machine words (arena + slot
-    records + record), for the benchmark's memory column. *)
+(** Approximate retained size of the table in machine words (every
+    allocated arena and slot page, the page arrays and the record), for
+    the benchmark's memory column. *)
 
 val hash : string -> int
 (** The table's own key hash (word-wise multiply-xorshift with a final
@@ -94,19 +100,23 @@ val hash : string -> int
     tests can seed same-bucket collisions. *)
 
 val serialize : t -> Bytes.t
-(** Checkpoint image of the table: a checksummed header plus a blit of
-    the used arena prefix.  The slot records are a pure function of the
+(** Checkpoint image of the table: a checksummed header plus the
+    interned keys back to back (the image does not depend on the page
+    size).  The slot records are a pure function of the
     interned keys, so they are rebuilt on load rather than stored. *)
 
 val deserialize : Bytes.t -> t
 (** Inverse of {!serialize} — membership, dense ids, {!key_of_id} and
     iteration order are all restored exactly.  Raises
-    [Checkpoint.Corrupt_checkpoint] on truncation, bad framing or a
-    checksum mismatch. *)
+    [Checkpoint.Corrupt_checkpoint] on truncation, bad framing, a
+    checksum mismatch or an implausible header (a key width outside
+    [0 .. 2^20], or more than one key of width 0), before it allocates
+    anything. *)
 
 (** Growable vectors of fixed-stride little-endian unsigned integers,
-    packed in one [Bytes] buffer — 1 to 7 bytes per element instead of a
-    boxed-array word.  The explorers use stride 5 for packed parent links
+    packed in the same 1 MiB pages as the table's arena — 1 to 7 bytes
+    per element instead of a boxed-array word, and growth never copies
+    past the first page.  The explorers use stride 5 for packed parent links
     and edge words (ids up to 2^35) and stride 1 for DFS colors and
     per-state out-degrees. *)
 module Packed_vec : sig

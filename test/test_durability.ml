@@ -294,14 +294,25 @@ let test_governor_quota () =
   done;
   Alcotest.(check (option reason)) "tick 6 trips" (Some Gov.Quota) (Gov.tick g);
   Alcotest.(check (option reason)) "sticky" (Some Gov.Quota) (Gov.tick g);
-  Alcotest.(check (option reason)) "tripped" (Some Gov.Quota) (Gov.tripped g);
-  Gov.dispose g
+  Alcotest.(check (option reason)) "tripped" (Some Gov.Quota) (Gov.tripped g)
 
 let test_governor_wall_zero () =
   let g = Gov.create ~wall_seconds:0.0 () in
   Alcotest.(check (option reason))
-    "zero wall budget trips on first tick" (Some Gov.Wall_clock) (Gov.tick g);
-  Gov.dispose g
+    "zero wall budget trips on first tick" (Some Gov.Wall_clock) (Gov.tick g)
+
+(* The heap is polled on tick 1 and every 4,096 ticks after; a
+   [Gc] alarm at the end of a major cycle would come gigabytes late on
+   a multi-GiB heap. *)
+let test_governor_heap_polled () =
+  let g = Gov.create ~heap_words:1 () in
+  Alcotest.(check (option reason))
+    "an exceeded heap budget trips on the first tick" (Some Gov.Heap)
+    (Gov.tick g);
+  let g = Gov.create ~heap_words:max_int () in
+  for _ = 1 to 10_000 do
+    if Gov.tick g <> None then Alcotest.fail "an unreachable budget tripped"
+  done
 
 let test_governor_interrupt_shared () =
   let flag = Atomic.make false in
@@ -314,13 +325,10 @@ let test_governor_interrupt_shared () =
   Alcotest.(check (option reason))
     "g2 shares the flag" (Some Gov.Interrupted) (Gov.tick g2);
   Alcotest.(check bool) "interrupted observable" true (Gov.interrupted g1);
-  Gov.dispose g1;
-  Gov.dispose g2;
   let g3 = Gov.create () in
   Gov.interrupt g3;
   Alcotest.(check (option reason))
-    "private interrupt" (Some Gov.Interrupted) (Gov.tick g3);
-  Gov.dispose g3
+    "private interrupt" (Some Gov.Interrupted) (Gov.tick g3)
 
 (* A stoppable view reports its stop to itself alone; a pooled sweep
    stops a worker whose wiring lies past the first failure.  Wiring 0
@@ -357,8 +365,7 @@ let test_governor_stoppable () =
     "the first failure in order" (Error (0, "wiring 0 fails")) result;
   Alcotest.(check bool) "the worker past it stopped" true (Atomic.get stopped);
   Alcotest.(check (option reason)) "the caller's governor untripped" None
-    (Gov.tripped g);
-  Gov.dispose g
+    (Gov.tripped g)
 
 let test_reason_strings () =
   List.iter
@@ -602,10 +609,9 @@ let drive ~quota step =
   let rec go rounds =
     if rounds > 10_000 then Alcotest.fail "resume loop did not converge"
     else
-      let g = Gov.create ~quota () in
-      let r = step g in
-      Gov.dispose g;
-      match r with Ok v -> (v, rounds) | Error () -> go (rounds + 1)
+      match step (Gov.create ~quota ()) with
+      | Ok v -> (v, rounds)
+      | Error () -> go (rounds + 1)
   in
   go 0
 
@@ -801,7 +807,6 @@ let test_fp_corrupt_run_refused () =
    with
   | Snap_mc.Fp_exhausted _ -> ()
   | _ -> Alcotest.fail "quota 400 must interrupt the 2827-state space");
-  Gov.dispose g;
   let run0 = Filename.concat runs_dir "run-0.fpr" in
   Alcotest.(check bool) "a spill run exists on disk" true (Sys.file_exists run0);
   let img = read_file run0 in
@@ -921,7 +926,6 @@ let test_fault_checkpoint_refused () =
    with
   | Snap_mc.Exhausted _ -> ()
   | _ -> Alcotest.fail "the quota must stop the crash search");
-  Gov.dispose g;
   let sections = Ckpt.load ~path in
   let length tag =
     Modelcheck.State_table.Packed_vec.length
@@ -1031,11 +1035,7 @@ let test_packed_ws_reuse () =
     let inputs = Array.init n (fun i -> i + 1) in
     let go ws =
       let governor = Option.map (fun quota -> Gov.create ~quota ()) quota in
-      let v =
-        Packed.check_wiring ?ws ?governor ~cfg ~wiring ~inputs ()
-      in
-      Option.iter Gov.dispose governor;
-      v
+      Packed.check_wiring ?ws ?governor ~cfg ~wiring ~inputs ()
     in
     let fresh = go None in
     for round = 1 to 2 do
@@ -1192,7 +1192,6 @@ let test_trip_save row () =
   let ckpt = { Ckpt.path; every_states = 0 } in
   let g = Gov.create ~quota:row.quota () in
   let tripped = row.run ~governor:g ~ckpt ~resume:false () in
-  Gov.dispose g;
   Alcotest.(check (option string))
     (row.engine ^ ": the quota trips the run") None tripped;
   Alcotest.(check bool)
@@ -1259,7 +1258,6 @@ let test_abstract_resume_init_once () =
       | I.Gave_up { processed; _ } ->
           Alcotest.(check int) "tripped where asked" quota processed
       | _ -> Alcotest.failf "quota %d must trip the run" quota);
-      Gov.dispose g;
       Alcotest.(check (pair int bool))
         (Printf.sprintf "resumed after a trip at %d" quota)
         reference
@@ -1284,7 +1282,6 @@ let test_verify_mutex_sweep_resume () =
         Core.verify_mutex ~n:2 ~m:3 ~governor:g ~ckpt ~resume:true
           ()
       in
-      Gov.dispose g;
       match v with
       | Core.Verified { wirings; states } -> ((wirings, states), rounds)
       | Core.Exhausted { checkpoint; _ } ->
@@ -1314,7 +1311,6 @@ let test_verify_mutex_sectionless_refused () =
    with
   | Packed.Exhausted _ -> ()
   | _ -> Alcotest.fail "the quota must interrupt the first wiring");
-  Gov.dispose g;
   let image = read_file path in
   (match Core.verify_mutex ~n:2 ~m:3 ~ckpt ~resume:true () with
   | exception Ckpt.Corrupt_checkpoint _ -> ()
@@ -1569,6 +1565,8 @@ let () =
           Alcotest.test_case "quota is exact and sticky" `Quick
             test_governor_quota;
           Alcotest.test_case "zero wall budget" `Quick test_governor_wall_zero;
+          Alcotest.test_case "heap budget polled on ticks" `Quick
+            test_governor_heap_polled;
           Alcotest.test_case "shared interrupt flag" `Quick
             test_governor_interrupt_shared;
           Alcotest.test_case "reason strings" `Quick test_reason_strings;

@@ -215,38 +215,11 @@ let test_double_collect_explored () =
       | MCD.Exhausted _ -> Alcotest.fail "unexpected exhaustion")
     (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
 
-(* --- the packed 3-processor checker ---------------------------------------- *)
-
-let test_snapshot3_selfcheck () =
-  let compared = Modelcheck.Snapshot3.selfcheck ~runs:30 ~max_steps:1_000 () in
-  Alcotest.(check bool) "many steps compared" true (compared > 2_000)
-
-let test_snapshot3_bit_layout () =
-  let open Modelcheck.Snapshot3 in
-  let l = mk_local ~view:5 ~level:3 ~written:6 ~phase:6 ~mn:3 in
-  Alcotest.(check int) "view" 5 (l_view l);
-  Alcotest.(check int) "level" 3 (l_level l);
-  Alcotest.(check int) "written" 6 (l_written l);
-  Alcotest.(check int) "phase" 6 (l_phase l);
-  Alcotest.(check int) "min" 3 (l_min l);
-  let s = set_local (set_reg 0 2 (mk_reg ~view:7 ~level:1)) 1 l in
-  Alcotest.(check int) "local roundtrip through state" l (get_local s 1);
-  Alcotest.(check int) "reg view" 7 (r_view (get_reg s 2));
-  Alcotest.(check int) "reg level" 1 (r_level (get_reg s 2));
-  Alcotest.(check int) "other locals untouched" 0 (get_local s 0);
-  Alcotest.(check bool) "a full state fits in 54 bits" true
-    (set_local (set_reg 0 2 rmask) 2 lmask < 1 lsl 54)
-
-let test_snapshot3_rejects_bad_inputs () =
-  Alcotest.check_raises "input out of range"
-    (Invalid_argument "Snapshot3: inputs must be in 1..3") (fun () ->
-      ignore (Modelcheck.Snapshot3.initial_state [| 1; 2; 9 |]))
-
 (* --- moves: Figure 3's write choice on the generic engines -------------- *)
 
 let any_cfg = { (Snap.standard ~n:3) with Snap.write_order = Any }
 
-let test_snapshot3_nd_choices () =
+let test_fig3_nd_choices () =
   (* Initially every processor is writing with an empty written-set: 3
      choices each under Any, the lowest register only under Cyclic;
      choice c is the c-th unwritten register. *)
@@ -269,21 +242,12 @@ let test_snapshot3_nd_choices () =
 
 let pin_wiring = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 2; 0 ] ]
 
-let test_snapshot3_cyclic_count_pin () =
-  (* The packed checker's counts on the pin wiring (a terminated
-     processor's written-set pinned to 000), and the generic engine's on
-     the same wiring, which keeps that set: every reachable written-set
-     is a cyclic prefix. *)
-  (match
-     Modelcheck.Snapshot3.check ~log2_capacity:23 ~wiring:pin_wiring
-       ~inputs:[| 1; 1; 1 |] ()
-   with
-  | Verified s ->
-      Alcotest.(check int) "states" 1_606_198 s.states;
-      Alcotest.(check int) "transitions" 4_753_080 s.transitions;
-      Alcotest.(check int) "terminals" 1 s.terminals;
-      Alcotest.(check int) "depth" 144 s.max_depth
-  | _ -> Alcotest.fail "cyclic pin wiring not verified");
+let test_fig3_cyclic_count_pin () =
+  (* The generic engine's counts on the pin wiring: every reachable
+     written-set is a cyclic prefix.  (A terminated processor keeps its
+     dead written-set, which is why the retired packed checker, which
+     pinned it to 000, read 1,606,198 states and 4,753,080 transitions
+     here.) *)
   let cfg = Snap.standard ~n:3 in
   let invariant (st : MC.state) =
     if Array.for_all SC.is_cyclic st.MC.locals then Ok ()
@@ -301,11 +265,10 @@ let test_snapshot3_cyclic_count_pin () =
 
 let rotation = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ]
 
-let test_snapshot3_cyclic_path_replays () =
+let test_fig3_cyclic_path_replays () =
   (* A planted target (some processor returns {1,2}): the generic BFS's
-     minimal trace takes choice 0 throughout, and stepping the packed
-     checker along it stays on the packed image of every traced state. *)
-  let open Modelcheck.Snapshot3 in
+     minimal trace takes choice 0 throughout, so its moves are pids, and
+     replaying them through [successor] lands on every traced state. *)
   let cfg = Snap.standard ~n:3 and inputs = [| 1; 2; 3 |] in
   let target = Iset.of_list [ 1; 2 ] in
   let invariant (st : MC.state) =
@@ -315,19 +278,21 @@ let test_snapshot3_cyclic_path_replays () =
   in
   match MC.explore ~invariant ~cfg ~wiring:rotation ~inputs () with
   | MC.Invariant_failed (_, v) ->
-      let sigmas = sigmas_of rotation in
-      ignore
-        (List.fold_left
-           (fun s (mv, (st : MC.state)) ->
-             Alcotest.(check bool) "cyclic moves are pids" true (mv < 3);
-             let s = step s mv sigmas.(mv) in
-             Alcotest.(check int) "packed step = packed traced state"
-                (pack cfg st.MC.locals st.MC.registers) s;
-             s)
-           (initial_state inputs) v.MC.trace)
+      let final =
+        List.fold_left
+          (fun st (mv, (post : MC.state)) ->
+            Alcotest.(check bool) "cyclic moves are pids" true (mv < 3);
+            let st = MC.successor cfg rotation st mv in
+            Alcotest.(check string) "replayed state is the traced one"
+              (MC.encode_state cfg post) (MC.encode_state cfg st);
+            st)
+          (MC.init_state ~cfg ~inputs) v.MC.trace
+      in
+      Alcotest.(check bool) "the replay returns {1,2}" true
+        (Result.is_error (invariant final))
   | _ -> Alcotest.fail "planted cyclic witness not found"
 
-let test_snapshot3_any_path_replays () =
+let test_fig3_any_path_replays () =
   (* A target only the nondeterministic order reaches: a written-set the
      cyclic order never holds.  The DFS finds it; the exact BFS's
      minimal trace takes some choice > 0 and replays through
@@ -363,7 +328,7 @@ let test_snapshot3_any_path_replays () =
       Alcotest.(check (list int)) "minimal witness" [ 3 ] (List.map fst v.MC.trace)
   | _ -> Alcotest.fail "planted nondeterministic witness not found"
 
-let test_snapshot3_nd_search_smoke () =
+let test_fig3_nd_search_smoke () =
   (* With a single group, every view is {1}: the first write puts {1} in
      memory and the whole subtree is cut, so the search refutes the
      target immediately on every wiring. *)
@@ -1005,23 +970,21 @@ let () =
         ] );
       ( "double-collect",
         [ Alcotest.test_case "explorable" `Quick test_double_collect_explored ] );
+      (* Named after the retired packed n = 3 checker, whose cases these
+         were; they now test Figure 3's moves ([Codecs.Snapshot]) on the
+         generic engines.  The name keeps the suite's test ids stable. *)
       ( "snapshot3",
         [
-          Alcotest.test_case "selfcheck vs reference" `Quick
-            test_snapshot3_selfcheck;
-          Alcotest.test_case "bit layout" `Quick test_snapshot3_bit_layout;
-          Alcotest.test_case "input validation" `Quick
-            test_snapshot3_rejects_bad_inputs;
           Alcotest.test_case "ND: choices and targets" `Quick
-            test_snapshot3_nd_choices;
+            test_fig3_nd_choices;
           Alcotest.test_case "cyclic: count pin" `Quick
-            test_snapshot3_cyclic_count_pin;
+            test_fig3_cyclic_count_pin;
           Alcotest.test_case "cyclic: witness path replays" `Quick
-            test_snapshot3_cyclic_path_replays;
+            test_fig3_cyclic_path_replays;
           Alcotest.test_case "ND: witness path replays" `Quick
-            test_snapshot3_any_path_replays;
+            test_fig3_any_path_replays;
           Alcotest.test_case "ND: single-group refuted" `Quick
-            test_snapshot3_nd_search_smoke;
+            test_fig3_nd_search_smoke;
           Alcotest.test_case "ND: step-numbered engines refuse choices" `Quick
             test_choices_refused;
         ] );

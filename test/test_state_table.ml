@@ -263,6 +263,177 @@ let test_words_grows () =
   Alcotest.(check bool) "words reflects arena growth" true (St.words t > w0)
 
 (* ------------------------------------------------------------------ *)
+(* Pages                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* 64-byte keys fill a 1 MiB arena page with 2^14 keys; the slot index
+   pages hold 2^16 records. *)
+let arena_page = 1 lsl 14
+let slot_page = 1 lsl 16
+let wide_key i = Printf.sprintf "%064d" i
+
+(* 2^18 keys cross 15 arena pages and three slot-index doublings past
+   one full page (2^16 -> 2^17 -> 2^18 -> 2^19 slots).  After each
+   doubling every key interned so far must still be found. *)
+let test_page_boundary_ids () =
+  let t = St.create ~key_width:64 () in
+  let n = 1 lsl 18 in
+  let doublings = ref 0 in
+  for i = 0 to n - 1 do
+    let cap = St.capacity t in
+    Alcotest.(check int) "fresh id" i (St.intern t (wide_key i));
+    if St.capacity t > cap && cap >= slot_page then begin
+      incr doublings;
+      for j = 0 to i do
+        if St.find t (wide_key j) <> Some j then
+          Alcotest.failf "key %d lost by the doubling to %d slots" j
+            (St.capacity t)
+      done
+    end
+  done;
+  Alcotest.(check int) "three doublings past one slot page" 3 !doublings;
+  let around page k = [ (k * page) - 1; k * page; (k * page) + 1 ] in
+  List.iter
+    (fun id ->
+      if id < n then begin
+        Alcotest.(check string) "key_of_id" (wide_key id) (St.key_of_id t id);
+        Alcotest.(check (option int)) "find" (Some id) (St.find t (wide_key id));
+        Alcotest.(check int) "re-intern" id (St.intern t (wide_key id))
+      end)
+    (List.concat_map (around arena_page) (List.init 15 succ)
+    @ List.concat_map (around slot_page) [ 1; 2; 3 ]);
+  Alcotest.(check int) "no key added by the look-ups" n (St.length t)
+
+(* Keys whose home slot is the last record of a slot page: their probe
+   runs over the page boundary (and, for the table's last slot, wraps to
+   slot 0). *)
+let test_probe_across_slot_pages () =
+  let log2 = 17 in
+  let cap = 1 lsl log2 in
+  List.iter
+    (fun bucket ->
+      let keys = colliding_keys ~cap ~bucket 4 in
+      let t = St.create ~log2_slots:log2 ~key_width:8 () in
+      List.iteri (fun i k -> Alcotest.(check int) "dense id" i (St.intern t k)) keys;
+      Alcotest.(check int) "no growth" cap (St.capacity t);
+      List.iteri
+        (fun i k -> Alcotest.(check (option int)) "found" (Some i) (St.find t k))
+        keys;
+      let absent = List.nth (colliding_keys ~cap ~bucket 5) 4 in
+      Alcotest.(check (option int)) "absent collider misses" None
+        (St.find t absent))
+    [ slot_page - 1; cap - 1 ]
+
+(* The image format, written out by hand: magic, width, count, the
+   checksum of the keys, then the keys back to back. *)
+let expected_image ~width ~magic elements =
+  let used = String.length elements in
+  let b = Bytes.create (32 + used) in
+  Bytes.blit_string magic 0 b 0 8;
+  Bytes.set_int64_le b 8 (Int64.of_int width);
+  Bytes.set_int64_le b 16 (Int64.of_int (used / Int.max 1 width));
+  Bytes.blit_string elements 0 b 32 used;
+  Bytes.set_int64_le b 24
+    (Int64.of_int (Modelcheck.Checkpoint.checksum b 32 used));
+  b
+
+let test_table_images_at_page_edges () =
+  List.iter
+    (fun n ->
+      let t = St.create ~key_width:64 () in
+      for i = 0 to n - 1 do
+        ignore (St.intern t (wide_key i))
+      done;
+      let img = St.serialize t in
+      let keys = String.concat "" (List.init n wide_key) in
+      Alcotest.(check bool)
+        (Printf.sprintf "image of %d keys is the format" n)
+        true
+        (Bytes.equal img (expected_image ~width:64 ~magic:"STBL0001" keys));
+      let t' = St.deserialize img in
+      Alcotest.(check bool)
+        (Printf.sprintf "image of %d keys survives a load" n)
+        true
+        (Bytes.equal img (St.serialize t'));
+      if n > 0 then begin
+        Alcotest.(check (option int)) "last key found" (Some (n - 1))
+          (St.find t' (wide_key (n - 1)));
+        Alcotest.(check int) "next id" n (St.intern t' (wide_key n))
+      end)
+    [ 0; 1; arena_page - 1; arena_page; arena_page + 1 ]
+
+(* [words] counts the allocated pages: the key that opens a new arena
+   page adds that page, and a doubling past one slot page adds only the
+   new half of the index (its old pages are reused). *)
+let test_words_counts_pages () =
+  let word_bytes = Sys.word_size / 8 in
+  let t = St.create ~key_width:64 () in
+  let step i =
+    let w = St.words t in
+    ignore (St.intern t (wide_key i));
+    St.words t - w
+  in
+  for i = 0 to arena_page - 1 do
+    ignore (step i)
+  done;
+  let d = step arena_page in
+  let page = (1 lsl 20) / word_bytes in
+  if d < page || d > page + 8 then
+    Alcotest.failf "opening arena page 1 added %d words, one page is %d" d page;
+  let next = ref (arena_page + 1) in
+  while St.capacity t < 1 lsl 17 do
+    ignore (step !next);
+    incr next
+  done;
+  let record_page = (5 * slot_page) / word_bytes in
+  let doubled = ref None in
+  while !doubled = None do
+    let cap = St.capacity t in
+    let d = step !next in
+    incr next;
+    if St.capacity t > cap then doubled := Some d
+  done;
+  let d = Option.get !doubled in
+  if d < 2 * record_page || d > (2 * record_page) + 16 then
+    Alcotest.failf
+      "doubling 2^17 -> 2^18 slots added %d words; the new half is %d" d
+      (2 * record_page)
+
+(* Headers with a valid checksum that would make the loader allocate
+   without bound (or wrap its size to a short image) are refused before
+   anything is allocated. *)
+let header ~magic a b =
+  let img = Bytes.create 32 in
+  Bytes.blit_string magic 0 img 0 8;
+  Bytes.set_int64_le img 8 (Int64.of_int a);
+  Bytes.set_int64_le img 16 (Int64.of_int b);
+  Bytes.set_int64_le img 24
+    (Int64.of_int (Modelcheck.Checkpoint.checksum img 32 0));
+  img
+
+let expect_corrupt what f =
+  match f () with
+  | exception Modelcheck.Checkpoint.Corrupt_checkpoint _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: accepted" what
+
+let test_implausible_headers () =
+  List.iter
+    (fun (what, width, count) ->
+      expect_corrupt what (fun () ->
+          St.deserialize (header ~magic:"STBL0001" width count)))
+    [
+      ("key_width 2^40, count 0", 1 lsl 40, 0);
+      ("key_width 0, count 2^31", 0, 1 lsl 31);
+      ("key_width 2^32, count 2^31", 1 lsl 32, 1 lsl 31);
+    ];
+  Alcotest.(check int) "one empty key is plausible" 1
+    (St.length (St.deserialize (header ~magic:"STBL0001" 0 1)));
+  (* 4 * 2^61 wraps to 0 on a 63-bit int *)
+  expect_corrupt "stride 4, len 2^61" (fun () ->
+      Pv.deserialize (header ~magic:"PVEC0001" 4 (1 lsl 61)))
+
+(* ------------------------------------------------------------------ *)
 (* Probe quality on real key streams                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -440,6 +611,43 @@ let test_packed_vec_five_byte_words () =
   Alcotest.(check int) "max 5-byte word" top (Pv.get v 1);
   Alcotest.(check int) "packed edge word" ((123456789 lsl 4) lor 15) (Pv.get v 2)
 
+let test_packed_vec_page_edges () =
+  (* 1 MiB pages: 2^20 one-byte or 2^17 five-byte elements. *)
+  List.iter
+    (fun (stride, page) ->
+      let value i = (i * 0x9E3779B1) land ((1 lsl (8 * stride)) - 1) in
+      List.iter
+        (fun n ->
+          let v = Pv.create ~stride () in
+          for i = 0 to n - 1 do
+            ignore (Pv.push v (value i))
+          done;
+          List.iter
+            (fun i ->
+              if i >= 0 && i < n then
+                Alcotest.(check int) "get at a page edge" (value i) (Pv.get v i))
+            [ page - 1; page; page + 1 ];
+          let img = Pv.serialize v in
+          let raw = Bytes.create (n * stride) in
+          for i = 0 to n - 1 do
+            for k = 0 to stride - 1 do
+              Bytes.set raw ((i * stride) + k)
+                (Char.chr ((value i lsr (8 * k)) land 0xff))
+            done
+          done;
+          let name what = Printf.sprintf "stride %d, %d elements: %s" stride n what in
+          Alcotest.(check bool) (name "image is the format") true
+            (Bytes.equal img
+               (expected_image ~width:stride ~magic:"PVEC0001"
+                  (Bytes.to_string raw)));
+          let v' = Pv.deserialize img in
+          Alcotest.(check bool) (name "image survives a load") true
+            (Bytes.equal img (Pv.serialize v'));
+          ignore (Pv.push v' 1);
+          Alcotest.(check int) (name "push after a load") 1 (Pv.get v' n))
+        [ 0; 1; page - 1; page; page + 1 ])
+    [ (1, 1 lsl 20); (5, 1 lsl 17) ]
+
 let () =
   Alcotest.run "state_table"
     [
@@ -467,6 +675,19 @@ let () =
           Alcotest.test_case "structured width/id errors" `Quick
             test_structured_errors;
           Alcotest.test_case "words tracks growth" `Quick test_words_grows;
+          Alcotest.test_case "implausible image headers refused" `Quick
+            test_implausible_headers;
+        ] );
+      ( "pages",
+        [
+          Alcotest.test_case "ids at arena and slot page edges" `Quick
+            test_page_boundary_ids;
+          Alcotest.test_case "probes across slot pages" `Quick
+            test_probe_across_slot_pages;
+          Alcotest.test_case "images at page edges" `Quick
+            test_table_images_at_page_edges;
+          Alcotest.test_case "words counts the allocated pages" `Quick
+            test_words_counts_pages;
         ] );
       ( "probe-quality",
         [
@@ -479,5 +700,7 @@ let () =
           Alcotest.test_case "range errors" `Quick test_packed_vec_range_errors;
           Alcotest.test_case "five-byte explorer words" `Quick
             test_packed_vec_five_byte_words;
+          Alcotest.test_case "images at page edges" `Quick
+            test_packed_vec_page_edges;
         ] );
     ]

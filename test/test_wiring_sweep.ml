@@ -46,7 +46,6 @@ let fresh_pool_sizes =
   let quota_sweep =
     Core.verify_mutex ~domains:3 ~n:2 ~m:5 ~governor:quota ()
   in
-  Gov.dispose quota;
   let after_quota = Pool.size () in
   let path = Filename.temp_file "wiring_sweep" ".ckpt" in
   Sys.remove path;
@@ -119,8 +118,7 @@ let test_quick_map_parity () =
             same_verdict (name ^ ", idle governor") reference
               (verify ~governor:g ~domains:d cell);
             Alcotest.(check bool) (name ^ ": governor untripped") true
-              (Gov.tripped g = None);
-            Gov.dispose g
+              (Gov.tripped g = None)
           end)
         pooled_counts)
     compared_cells;
@@ -282,8 +280,7 @@ let test_interrupt_from_another_domain () =
       Alcotest.(check bool)
         (Printf.sprintf "%d workers: caller's governor tripped" d)
         true
-        (Gov.tripped g = Some Gov.Interrupted);
-      Gov.dispose g)
+        (Gov.tripped g = Some Gov.Interrupted))
     (1 :: pooled_counts)
 
 (* A real verifier under a zero wall budget: every worker's view trips
@@ -298,8 +295,7 @@ let test_wall_trip_reaches_caller () =
       Alcotest.(check bool)
         (Printf.sprintf "%d workers: caller's governor tripped" d)
         true
-        (Gov.tripped g = Some Gov.Wall_clock);
-      Gov.dispose g)
+        (Gov.tripped g = Some Gov.Wall_clock))
     (1 :: pooled_counts)
 
 (* The benchmark's quota cell: mutex (3,5) over wiring classes stops on
@@ -316,8 +312,7 @@ let test_quota_pinned_count () =
           Alcotest.(check int)
             (Printf.sprintf "%d workers: states under the quota" d)
             250_030 states_visited
-      | v -> Alcotest.failf "%d workers: %a" d Core.pp_verdict v);
-      Gov.dispose g)
+      | v -> Alcotest.failf "%d workers: %a" d Core.pp_verdict v))
     (1 :: pooled_counts)
 
 let () =
