@@ -108,16 +108,45 @@ let with_target key f =
 
 (* campaign (default command) *)
 
+(* OCaml 5.1's [Max_domains]: the runtime refuses to spawn more. *)
+let max_domains = 128
+
+(* Size checks made before any case runs, so a bad size is a usage error
+   rather than an exception out of the generator or a protocol's [cfg]. *)
+let size_error ~domains ~min_n ~max_n ~m =
+  let width = Repro_util.Bits.max_width in
+  let m = Option.value m ~default:1 in
+  List.find_map
+    (fun (bad, msg) -> if bad then Some msg else None)
+    [
+      (min_n < 1, Printf.sprintf "--min-n must be at least 1 (got %d)" min_n);
+      ( max_n < min_n,
+        Printf.sprintf "--max-n (%d) must be at least --min-n (%d)" max_n min_n
+      );
+      ( max_n > width,
+        Printf.sprintf
+          "--max-n must be at most %d, the processor mask width (got %d)"
+          width max_n );
+      (m < 1, Printf.sprintf "-m must be at least 1 (got %d)" m);
+      ( domains < 1 || domains > max_domains,
+        Printf.sprintf "--domains must be between 1 and %d (got %d)"
+          max_domains domains );
+    ]
+
 let run_campaign key seed iterations time_budget domains min_n max_n m
     max_steps fault_profile expect_bug =
-  match Fuzzing.Fault_gen.of_string fault_profile with
-  | None ->
+  match
+    ( size_error ~domains ~min_n ~max_n ~m,
+      Fuzzing.Fault_gen.of_string fault_profile )
+  with
+  | Some msg, _ -> `Error (false, msg)
+  | None, None ->
       `Error
         ( false,
           Printf.sprintf "unknown fault profile %S (try one of %s)"
             fault_profile
             (String.concat ", " Fuzzing.Fault_gen.names) )
-  | Some fault_profile ->
+  | None, Some fault_profile ->
   with_target key (fun (module T : Fuzzing.Target.S) ->
       let module H = Fuzzing.Harness.Make (T) in
       let report =

@@ -64,95 +64,10 @@ let apply_read cfg l ~reg v =
 
 let output _ _ = None
 
-(* Flat twin: views as bitset words, phase encoded in the scan position
-   ([-1] = Writing).  Total — in-window views stay in-window under
-   union. *)
-let flat (c : cfg) ~(phys : int array) ~(inputs : int array)
-    ~(registers : value array) ~(locals : local array) :
-    value Anonmem.Protocol.flat option =
-  let n = c.n and m = c.m in
-  let in_window i = 0 <= i && i < Bits.max_width in
-  if n > Bits.max_width || m > Bits.max_width
-     || not (Array.for_all in_window inputs)
-  then None
-  else
-    match
-      ( Array.map Iset.to_bits registers,
-        Array.map (fun l -> Iset.to_bits l.view) locals )
-    with
-    | exception Invalid_argument _ -> None
-    | rview, lview ->
-        let lnext = Array.map (fun l -> l.next_write) locals in
-        let lpos =
-          Array.map
-            (fun l ->
-              match l.phase with Writing -> -1 | Scanning { pos } -> pos)
-            locals
-        in
-        let pview = Array.copy rview in
-        let dirty = ref 0 in
-        let peek p =
-          let pos = lpos.(p) in
-          if pos < 0 then (phys.((p * m) + lnext.(p)) lsl 1) lor 1
-          else phys.((p * m) + pos) lsl 1
-        in
-        let do_read p vview =
-          lview.(p) <- lview.(p) lor vview;
-          let pos = lpos.(p) + 1 in
-          lpos.(p) <- (if pos < m then pos else -1)
-        in
-        let advance_write p =
-          lnext.(p) <- (lnext.(p) + 1) mod m;
-          lpos.(p) <- 0
-        in
-        let step p =
-          let pos = lpos.(p) in
-          if pos < 0 then begin
-            let r = phys.((p * m) + lnext.(p)) in
-            pview.(r) <- rview.(r);
-            rview.(r) <- lview.(p);
-            dirty := !dirty lor (1 lsl r);
-            advance_write p
-          end
-          else do_read p rview.(phys.((p * m) + pos))
-        in
-        let step_stale p = do_read p pview.(phys.((p * m) + lpos.(p))) in
-        let reset p =
-          lview.(p) <- 1 lsl inputs.(p);
-          lnext.(p) <- 0;
-          lpos.(p) <- -1
-        in
-        let value r =
-          if !dirty land (1 lsl r) <> 0 then Iset.of_bits rview.(r)
-          else registers.(r)
-        in
-        let sync () =
-          List.iter
-            (fun r -> registers.(r) <- Iset.of_bits rview.(r))
-            (Bits.to_list !dirty);
-          for p = 0 to n - 1 do
-            locals.(p) <-
-              {
-                view = Iset.of_bits lview.(p);
-                next_write = lnext.(p);
-                phase =
-                  (if lpos.(p) < 0 then Writing
-                   else Scanning { pos = lpos.(p) });
-              }
-          done
-        in
-        Some
-          {
-            Anonmem.Protocol.total = true;
-            peek;
-            step;
-            step_omit = advance_write;
-            step_stale;
-            reset;
-            halted = (fun _ -> false);
-            value;
-            sync;
-          }
+(* No flat machine: every run of this protocol is observed or stepped by
+   hand, so the boxed paths run it. *)
+let flat _ ~phys:_ ~inputs:_ ~registers:_ ~locals:_ = None
+
 let view_of_local l = l.view
 let at_round_boundary l = l.phase = Writing
 let pp_value _ = Iset.pp_set

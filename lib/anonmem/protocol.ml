@@ -25,7 +25,8 @@ exception Fallback
     the next transition does not fit its packed representation (e.g. a
     consensus view outgrowing its preallocated capacity).  The driver
     synchronizes the boxed state, replays the refused step through the
-    boxed transition functions, and finishes the run on the boxed path —
+    boxed transition functions on the processor already picked, and
+    finishes the run on the boxed interpreter from the next time step —
     so the executed schedule is identical either way. *)
 
 (** The step-into-preallocated-buffers execution interface — the

@@ -1,36 +1,39 @@
 (** Schedulers: the asynchronous adversary deciding which processor takes
     the next step.
 
-    A scheduler is a (possibly stateful) choice function receiving the
-    current time and the list of enabled (non-terminated) processors.
-    Returning [None] ends the run.  All randomness comes from {!Repro_util.Rng},
-    so every schedule is reproducible from a seed. *)
+    A scheduler is one (possibly stateful) decision procedure over the
+    current time and the set of enabled (non-terminated, non-crashed)
+    processors, given as a bitmask: bit [p] is processor [p], so at most
+    {!Repro_util.Bits.max_width} (62) processors.  All randomness comes
+    from {!Repro_util.Rng}, so every schedule is reproducible from a
+    seed. *)
 
 open Repro_util
 
-type t
+type t = {
+  name : string;
+  pick : time:int -> mask:int -> int;
+      (** The processor to step next, or [-1] for "no pick", which ends
+          the run.  [mask] is non-zero; the runner checks that the
+          result is one of its bits.  No list and no option is
+          allocated per step. *)
+}
 
 val name : t -> string
 
 val pick : t -> time:int -> enabled:int list -> int option
-(** The processor to step next.  Must be a member of [enabled] (checked by
-    the runner).  [enabled] is non-empty and sorted. *)
-
-val mask_pick : t -> (time:int -> mask:int -> int) option
-(** The int-machine twin of {!pick} for the flat execution core: the
-    enabled set is a bitmask (bit [p] = processor [p], non-zero), and the
-    result is the chosen processor or [-1] for "no pick" — no list, no
-    option allocated per step.  Both closures share the scheduler's
-    mutable state and draw from its rng identically, so a run may switch
-    between them mid-flight without changing the schedule.  [None] for
-    custom {!fn} schedulers (the flat drivers then decline). *)
+(** {!field-pick} over a list of processors: converts [enabled] to a
+    mask, and returns [None] on an empty list or on "no pick".  Raises
+    [Invalid_argument] on a processor outside the mask window. *)
 
 val round_robin : unit -> t
 (** Fair cyclic order over enabled processors.  Guarantees every live
     processor takes infinitely many steps. *)
 
 val random : Rng.t -> t
-(** Uniform among enabled processors — fair with probability 1. *)
+(** Uniform among enabled processors — fair with probability 1.  One
+    draw per pick: the k-th enabled processor in increasing order, as
+    {!Repro_util.Rng.pick} takes it from the sorted list. *)
 
 val solo : int -> t
 (** Only processor [p] ever runs (obstruction-free executions). *)
@@ -58,7 +61,8 @@ val crash : crash_at:int option array -> t -> t
 (** [crash ~crash_at s] is the crash-prone adversary: processor [p] with
     [crash_at.(p) = Some c] is never scheduled at or after time [c]
     (it crashes).  When every enabled processor has crashed the run ends.
-    Processors beyond the array's length never crash. *)
+    Processors beyond the array's length never crash.  Times must not
+    decrease from one pick to the next. *)
 
 val crash_faults : plan:Fault.plan -> t -> t
 (** {!crash} driven by the [Crash_stop] events of a fault plan — the
@@ -66,14 +70,6 @@ val crash_faults : plan:Fault.plan -> t -> t
     memory-level injector of [System.run ~faults].  Non-crash events in
     the plan are ignored here. *)
 
-val fn : name:string -> (time:int -> enabled:int list -> int option) -> t
-(** Custom (possibly protocol-aware) scheduler; used by the covering
-    adversary of {!Analysis.Lower_bound}.  Has no {!mask_pick}. *)
-
-val fn_mask :
-  name:string ->
-  pick:(time:int -> enabled:int list -> int option) ->
-  mask_pick:(time:int -> mask:int -> int) ->
-  t
-(** Custom scheduler providing both views.  The two closures must encode
-    the same decision procedure over shared state (see {!mask_pick}). *)
+val fn : name:string -> (time:int -> mask:int -> int) -> t
+(** A custom (possibly protocol-aware) scheduler, with {!field-pick}'s
+    contract. *)

@@ -24,12 +24,6 @@ module Wiring = Anonmem.Wiring
 module Scheduler = Anonmem.Scheduler
 module Protocol = Anonmem.Protocol
 
-type scheduler_kind = [ `Random | `Round_robin ]
-
-let scheduler_of_kind rng = function
-  | `Random -> Scheduler.random rng
-  | `Round_robin -> Scheduler.round_robin ()
-
 (** {1 Snapshot} *)
 
 module Snapshot_sys = Anonmem.System.Make (Algorithms.Snapshot)
@@ -46,14 +40,13 @@ type 'o solved = {
     snapshot of each processor, validated against the snapshot task (both
     the group-solvability definition and the stronger all-outputs
     containment the algorithm guarantees). *)
-let solve_snapshot ?(seed = 0) ?(scheduler = `Random) ?(max_steps = 2_000_000)
-    ~inputs () =
+let solve_snapshot ?(seed = 0) ?(max_steps = 2_000_000) ~inputs () =
   let n = Array.length inputs in
   let rng = Rng.create ~seed in
   let cfg = Algorithms.Snapshot.standard ~n in
   let wiring = Wiring.random rng ~n ~m:n in
   let state = Snapshot_sys.init ~cfg ~wiring ~inputs in
-  let sched = scheduler_of_kind (Rng.split rng) scheduler in
+  let sched = Scheduler.random (Rng.split rng) in
   let stop, steps = Snapshot_sys.run ~max_steps ~sched state in
   match stop with
   | Snapshot_sys.All_halted -> (
@@ -82,14 +75,13 @@ let solve_snapshot ?(seed = 0) ?(scheduler = `Random) ?(max_steps = 2_000_000)
 
 module Renaming_sys = Anonmem.System.Make (Algorithms.Renaming)
 
-let solve_renaming ?(seed = 0) ?(scheduler = `Random) ?(max_steps = 2_000_000)
-    ~inputs () =
+let solve_renaming ?(seed = 0) ?(max_steps = 2_000_000) ~inputs () =
   let n = Array.length inputs in
   let rng = Rng.create ~seed in
   let cfg = Algorithms.Renaming.standard ~n in
   let wiring = Wiring.random rng ~n ~m:n in
   let state = Renaming_sys.init ~cfg ~wiring ~inputs in
-  let sched = scheduler_of_kind (Rng.split rng) scheduler in
+  let sched = Scheduler.random (Rng.split rng) in
   let stop, steps = Renaming_sys.run ~max_steps ~sched state in
   match stop with
   | Renaming_sys.All_halted -> (

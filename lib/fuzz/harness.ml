@@ -73,14 +73,14 @@ module Make (T : Target.S) = struct
     steps : int;
     outputs : T.P.output option array;
     step_counts : int array;  (** steps taken by each processor *)
-    trace : Tr.t;  (** empty when the run took the untraced fast path *)
+    trace : Tr.t;  (** empty when the run was not recorded *)
   }
 
-  (* [record = false] runs without observers: with no fault plan that is
-     {!Sys.run}'s zero-observer fast path — no event records, no trace
-     conses, no ghost bookkeeping.  Step counts come from [Sys.run]'s own
-     counter either way (it sees dropped writes, which emit no event), so
-     verdicts agree between the two modes; only [trace] differs. *)
+  (* [record = false] runs without observers, which lets {!Sys.run} take
+     the target's flat machine — no event records, no trace conses, no
+     ghost bookkeeping.  Step counts come from [Sys.run]'s own counter
+     either way (it sees dropped writes, which emit no event), so verdicts
+     agree between the two modes; only [trace] differs. *)
   let exec ~record ~cfg ~wiring ~inputs ~sched ~faults ~max_steps () =
     let state = Sys.init ~cfg ~wiring ~inputs in
     let trace = Tr.create () in

@@ -48,26 +48,12 @@ let pp ppf = function
 
 let weighted_scheduler rng weights =
   let weight p = if p < Array.length weights then Int.max 1 weights.(p) else 1 in
-  let pick ~time:_ ~enabled =
-    match enabled with
-    | [] -> None
-    | _ ->
-        let total = List.fold_left (fun acc p -> acc + weight p) 0 enabled in
-        let draw = Rng.int rng total in
-        let rec walk acc = function
-          | [] -> List.hd enabled (* unreachable: draw < total *)
-          | p :: rest ->
-              let acc = acc + weight p in
-              if draw < acc then p else walk acc rest
-        in
-        Some (walk 0 enabled)
-  in
-  (* The int twin: same single draw against the summed weights of the
-     enabled set, then the same ascending cumulative walk — draw-for-draw
-     the decision [pick] makes on the sorted enabled list.  The cumulative
-     weights over the set bits are cached packed and rebuilt only when the
-     mask changes, which happens at most once per halting/crash — so the
-     per-step work is one draw and a short array scan. *)
+  (* One draw against the summed weights of the enabled set, then an
+     ascending cumulative walk: the first processor whose cumulative
+     weight exceeds the draw.  The cumulative weights over the set bits
+     are cached packed and rebuilt only when the mask changes, which
+     happens at most once per halting/crash — so the per-step work is
+     one draw and a short array scan. *)
   let cached_mask = ref (-1) in
   let pids = ref [||] and cum = ref [||] in
   let rebuild mask =
@@ -85,17 +71,15 @@ let weighted_scheduler rng weights =
     pids := ps;
     cum := cw
   in
-  let mask_pick ~time:_ ~mask =
+  let pick ~time:_ ~mask =
     if mask <> !cached_mask then rebuild mask;
     let cw = !cum in
     let draw = Rng.int rng cw.(Array.length cw - 1) in
-    (* First index whose cumulative weight exceeds the draw — exactly the
-       first [p] with [draw < acc] in [pick]'s walk. *)
     let i = ref 0 in
     while cw.(!i) <= draw do incr i done;
     !pids.(!i)
   in
-  Anonmem.Scheduler.fn_mask ~name:"weighted" ~pick ~mask_pick
+  Anonmem.Scheduler.fn ~name:"weighted" pick
 
 (** Instantiate the shape as a concrete scheduler.  All randomness comes
     from [rng], so equal seeds yield equal schedules. *)

@@ -47,9 +47,8 @@ module Search (P : Anonmem.Protocol.S) = struct
   (** Search for an execution in which some processor outputs a set of
       inputs [I] such that at no point in time the set of inputs present in
       memory (the union of all register views) equalled [I] — the
-      non-atomicity witness of Section 8.  Tries seeds [0 .. attempts-1]
-      (offset by [seed_base]). *)
-  let find_nonatomic ?(seed_base = 0) ?(attempts = 1_000) ?(max_steps = 20_000)
+      non-atomicity witness of Section 8.  Tries seeds [0 .. attempts-1]. *)
+  let find_nonatomic ?(attempts = 1_000) ?(max_steps = 20_000)
       ~cfg ~inputs ~memory_set ~output_set () =
     let run_one seed =
       let rng = Rng.create ~seed in
@@ -63,23 +62,13 @@ module Search (P : Anonmem.Protocol.S) = struct
         let s = memory_set state.Sys.registers in
         if not (List.exists (Iset.equal s) !seen) then seen := s :: !seen
       in
-      let rec drive steps =
-        if steps >= max_steps then None
-        else
-          match Sys.enabled state with
-          | [] -> Some steps
-          | en -> (
-              match Anonmem.Scheduler.pick sched ~time:steps ~enabled:en with
-              | None -> None
-              | Some p ->
-                  (match Sys.step_in_place state p with
-                  | Sys.Write_ev _ -> record ()
-                  | Sys.Read_ev _ -> ());
-                  drive (steps + 1))
+      let on_event ~time:_ = function
+        | Sys.Write_ev _ -> record ()
+        | Sys.Read_ev _ -> ()
       in
-      match drive 0 with
-      | None -> None
-      | Some steps ->
+      match Sys.run ~max_steps ~sched ~on_event state with
+      | (Sys.Scheduler_done | Sys.Max_steps), _ -> None
+      | Sys.All_halted, steps ->
           let outs = Sys.outputs state in
           let memory_sets_seen = List.rev !seen in
           let culprit = ref None in
@@ -102,19 +91,19 @@ module Search (P : Anonmem.Protocol.S) = struct
             !culprit
     in
     let rec go seed =
-      if seed >= seed_base + attempts then None
+      if seed >= attempts then None
       else match run_one seed with Some w -> Some w | None -> go (seed + 1)
     in
-    go seed_base
+    go 0
 
   (** Search random executions for one whose final outcome fails [check];
       returns the failing run and the error message.  Used to hunt for task
       violations of baseline protocols. *)
-  let find_outcome_violation ?(seed_base = 0) ?(attempts = 1_000)
+  let find_outcome_violation ?(attempts = 1_000)
       ?(max_steps = 20_000) ~cfg ~inputs ~group_of_input ~to_task_output ~check
       () =
     let rec go seed =
-      if seed >= seed_base + attempts then None
+      if seed >= attempts then None
       else
         match random_run ~cfg ~inputs ~max_steps seed with
         | None -> go (seed + 1)
@@ -130,7 +119,7 @@ module Search (P : Anonmem.Protocol.S) = struct
             | Ok () -> go (seed + 1)
             | Error message -> Some (run, message))
     in
-    go seed_base
+    go 0
 end
 
 (** Replay validation of counterexample traces: a trace is only a proof if

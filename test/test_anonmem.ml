@@ -225,15 +225,6 @@ let test_system_read_from_writer () =
       Alcotest.(check (option int)) "reads from p1" (Some 1) writer
   | Sys.Write_ev _ -> Alcotest.fail "expected a read"
 
-let test_system_pure_step_no_mutation () =
-  let _, st = mk_state () in
-  let before = Array.map Iset.elements st.Sys.registers in
-  let st', _ = Sys.step st 0 in
-  let after = Array.map Iset.elements st.Sys.registers in
-  Alcotest.(check bool) "original untouched" true (before = after);
-  Alcotest.(check bool) "copy progressed" true
-    (Array.map Iset.elements st'.Sys.registers <> before)
-
 let test_system_run_max_steps () =
   let _, st = mk_state () in
   let stop, steps =
@@ -363,8 +354,6 @@ let () =
           Alcotest.test_case "write routes through wiring" `Quick
             test_system_write_routes_through_wiring;
           Alcotest.test_case "read records writer" `Quick test_system_read_from_writer;
-          Alcotest.test_case "pure step leaves original" `Quick
-            test_system_pure_step_no_mutation;
           Alcotest.test_case "run bounded" `Quick test_system_run_max_steps;
           Alcotest.test_case "event callback" `Quick test_system_event_callback;
           Alcotest.test_case "init validation" `Quick test_system_bad_inputs;

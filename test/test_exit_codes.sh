@@ -6,10 +6,12 @@
 #       --exhaustive runs under an interrupt-only governor: SIGINT gives 4),
 #   5 = checkpoint or journal unusable (restart without --resume),
 #   124 = command-line usage error.
-# Usage: test_exit_codes.sh /path/to/anonsim.exe
+# It also pins fuzz.exe's usage errors for campaign sizes (exit 124).
+# Usage: test_exit_codes.sh /path/to/anonsim.exe /path/to/fuzz.exe
 set -u
 
 ANONSIM="$1"
+FUZZ="$2"
 fails=0
 
 expect() {
@@ -51,6 +53,27 @@ expect 124 feasibility --quick --max-states 10
 # the packed exhaustive witness search exists for 3 processors only
 expect 124 check-nonatomic -n 2 --exhaustive
 expect 124 check-nonatomic -n 4 --exhaustive
+
+# fuzz.exe rejects campaign sizes before any case runs: processors in
+# 1..62 (the scheduler's bitmask width) with min-n <= max-n, at least one
+# register, and 1..128 domains (OCaml 5.1's Max_domains).  Only the
+# rejection of a large domain count is exercised: no campaign starts.
+expect_fuzz() {
+  "$FUZZ" "$@" >/dev/null 2>&1
+  got=$?
+  if [ "$got" -eq 124 ]; then
+    echo "ok  124 <- fuzz $*"
+  else
+    echo "FAIL: fuzz $* exited $got, want 124"
+    fails=$((fails + 1))
+  fi
+}
+expect_fuzz --min-n 5 --max-n 2 --iterations 1
+expect_fuzz --min-n 0 --iterations 1
+expect_fuzz --min-n 70 --max-n 70 --iterations 1
+expect_fuzz -m 0 --iterations 1
+expect_fuzz --domains 0 --iterations 1
+expect_fuzz --domains 129 --iterations 1
 
 # exhausted budget (exit 3): a tiny wall-clock allowance on a big run
 expect 3 inductive -n 3 --max-seconds 0.01

@@ -233,8 +233,7 @@ let test_stuck_register_semantics () =
        notes)
 
 let test_empty_plan_is_transparent () =
-  (* [~faults:[]] takes the interpreting path but must replay identically
-     to the fault-free fast path. *)
+  (* An empty plan must replay identically to a run without [~faults]. *)
   let script = List.concat (List.init 20 (fun _ -> [ 0; 1 ])) in
   let stop1, steps1, events1, notes1, st1 = run_with_plan ~plan:[] ~script ~n:2 in
   let cfg = Algorithms.Snapshot.cfg ~n:2 ~m:2 in

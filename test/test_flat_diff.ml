@@ -6,19 +6,19 @@
    plan, step budget — is executed three ways:
 
    - [flat]: the default path, flat register file when eligible;
-   - [boxed]: [Sys.run ~flat:false], the boxed fast interpreter;
-   - [traced]: a no-op [on_event] observer, which forces the fully
-     traced boxed interpreter.
+   - [boxed]: [Sys.run ~flat:false], the boxed interpreter;
+   - [traced]: the boxed interpreter under a no-op [on_event] observer.
 
    All three must agree bit-for-bit on the stop reason, total steps,
    per-processor step counts, outputs, and the final register and local
-   states ([last_writer] excluded: the fast paths do not track it).
+   states ([last_writer] excluded: the flat machines do not track it).
    This is deliberately stronger than the harness-level differential in
    [test_fuzz]: it compares the synced-back state itself, so a flat
    machine whose [sync] reconstructs a semantically-equal but
-   structurally different value fails here, and it covers [write_scan]
-   (not a fuzz target) plus the non-default configurations
-   ([cfg_eager], [cfg_forgetful], [cfg_majority]). *)
+   structurally different value fails here, and it covers the
+   non-default configurations ([cfg_eager], [cfg_forgetful],
+   [cfg_majority]).  A last case drives the consensus machine past its
+   row capacity, so the [Protocol.Fallback] continuation runs. *)
 
 open Repro_util
 
@@ -41,6 +41,27 @@ module Diff (P : Anonmem.Protocol.S with type input = int) = struct
     | Boxed -> "boxed"
     | Traced -> "traced"
 
+  let run_arm ~arm ~max_steps ?faults ~sched state =
+    let step_counts = Array.make (Array.length state.Sys.locals) 0 in
+    let stop, steps =
+      match arm with
+      | Flat -> Sys.run ~max_steps ?faults ~step_counts ~sched state
+      | Boxed ->
+          Sys.run ~max_steps ?faults ~step_counts ~flat:false ~sched state
+      | Traced ->
+          Sys.run ~max_steps ?faults ~step_counts ~sched
+            ~on_event:(fun ~time:_ _ -> ())
+            state
+    in
+    {
+      stop;
+      steps;
+      step_counts;
+      outputs = Sys.outputs state;
+      registers = state.Sys.registers;
+      locals = state.Sys.locals;
+    }
+
   (* Everything that determines the execution is re-derived from
      [case_seed], so each arm sees an identical fresh case. *)
   let exec ~arm ~cfg ~case_seed ~n ~m ~profile ~max_steps =
@@ -61,26 +82,7 @@ module Diff (P : Anonmem.Protocol.S with type input = int) = struct
         (Rng.create ~seed:(case_seed lxor 0x5EED))
         shape
     in
-    let state = Sys.init ~cfg ~wiring ~inputs in
-    let step_counts = Array.make n 0 in
-    let stop, steps =
-      match arm with
-      | Flat -> Sys.run ~max_steps ?faults ~step_counts ~sched state
-      | Boxed ->
-          Sys.run ~max_steps ?faults ~step_counts ~flat:false ~sched state
-      | Traced ->
-          Sys.run ~max_steps ?faults ~step_counts ~sched
-            ~on_event:(fun ~time:_ _ -> ())
-            state
-    in
-    {
-      stop;
-      steps;
-      step_counts;
-      outputs = Sys.outputs state;
-      registers = state.Sys.registers;
-      locals = state.Sys.locals;
-    }
+    run_arm ~arm ~max_steps ?faults ~sched (Sys.init ~cfg ~wiring ~inputs)
 
   let check_agree ~what ~ctx a b =
     let fail field = Alcotest.failf "%s: %s disagree on %s" ctx what field in
@@ -141,10 +143,6 @@ let entries =
       matrix_entry ~name:"snapshot"
         (module Algorithms.Snapshot)
         ~cfg_of:Algorithms.Snapshot.cfg ~m_of:m_same );
-    ( "write_scan",
-      matrix_entry ~name:"write_scan"
-        (module Algorithms.Write_scan)
-        ~cfg_of:Algorithms.Write_scan.cfg ~m_of:m_same );
     ( "double_collect",
       matrix_entry ~name:"double_collect"
         (module Algorithms.Double_collect)
@@ -213,6 +211,52 @@ let prop_rt_mutex_random =
         Fuzzing.Fault_gen.[ No_faults; Stuck; Stale; Mixed ];
       true)
 
+(* The consensus machine's rows hold the largest view of the state it
+   starts from plus 128 pairs, and a merge that would outgrow a row is
+   refused with [Protocol.Fallback]; the boxed interpreter then replays
+   the refused step and finishes the run.  No fair, weighted or periodic
+   adversary tried grows a view by 128 minted pairs (random runs stop at
+   n + 2), so the case preloads two registers with disjoint 200-pair
+   views: a scan that reads both merges them into a 400-pair view.  The
+   adversary is random, so a continuation that re-picked instead of
+   replaying the refused step would desync its draws.  The three arms
+   must still agree bit for bit. *)
+let test_consensus_fallback () =
+  let module C = Algorithms.Consensus in
+  let module D = Diff (C) in
+  let n = 2 and m = 3 and rows = 200 in
+  let cfg = C.cfg ~n ~m in
+  let preload v ts0 =
+    {
+      C.Snap.Core.view = C.Pset.of_list (List.init rows (fun t -> (v, ts0 + t)));
+      level = 0;
+    }
+  in
+  let longest (o : D.outcome) =
+    Array.fold_left
+      (fun acc (v : C.value) -> Int.max acc (C.Pset.cardinal v.C.Snap.Core.view))
+      0 o.D.registers
+  in
+  let run arm =
+    let state =
+      D.Sys.init ~cfg ~wiring:(Anonmem.Wiring.identity ~n ~m) ~inputs:[| 0; 1 |]
+    in
+    state.D.Sys.registers.(1) <- preload 0 0;
+    state.D.Sys.registers.(2) <- preload 1 rows;
+    D.run_arm ~arm ~max_steps:1_000
+      ~sched:(Anonmem.Scheduler.random (Rng.create ~seed:0))
+      state
+  in
+  let flat = run D.Flat in
+  let capacity = rows + 128 in
+  if longest flat <= capacity then
+    Alcotest.failf "no view outgrew the row capacity %d (longest %d)" capacity
+      (longest flat);
+  D.check_agree ~what:"flat vs boxed" ~ctx:"consensus fallback" flat
+    (run D.Boxed);
+  D.check_agree ~what:"flat vs traced" ~ctx:"consensus fallback" flat
+    (run D.Traced)
+
 let () =
   Alcotest.run "flat_diff"
     [
@@ -220,6 +264,9 @@ let () =
         List.map
           (fun (name, body) -> Alcotest.test_case name `Quick body)
           entries );
+      ( "resume",
+        [ Alcotest.test_case "consensus outgrows its rows" `Quick
+            test_consensus_fallback ] );
       ( "qcheck",
         [
           QCheck_alcotest.to_alcotest prop_snapshot_random;

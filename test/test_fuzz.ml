@@ -100,10 +100,10 @@ let test_parallel_campaign_planted_bug () =
     (match r1.Harness.found_after with Some (k, _) -> k + 1 | None -> -1)
     r1.Harness.iterations
 
-(* The zero-observer fast path executes the same transitions as the
-   observed path: identical stop reason, step totals, per-processor step
-   counts, outputs — and therefore identical verdicts.  Only the trace
-   differs (empty on the fast path). *)
+(* The observer-free run (on the flat machine) executes the same
+   transitions as the traced boxed run: identical stop reason, step
+   totals, per-processor step counts, outputs — and therefore identical
+   verdicts.  Only the trace differs (empty without observers). *)
 let test_fast_vs_traced_differential () =
   for seed = 0 to 39 do
     let case = Gen.case ~seed ~n_range:(2, 5) ~m_range:m_eq_n ~max_steps:500 () in

@@ -198,6 +198,90 @@ let test_mutex_survives_crash_profiles () =
             cex)
     [ Fuzzing.Fault_gen.Crash_stop_only; Fuzzing.Fault_gen.Crash_recover ]
 
+(* --- known counterexample: naming with clone identities ------------------ *)
+
+(* `fuzz.exe --protocol naming --seed 108 --iterations 12500` fails at case
+   5140: n=4, m=5, inputs 1,3,3,3 (p2..p4 are clones of identity 3), a
+   crashy adversary, shrunk to 137 steps in which p1 and p4 both acquire
+   name 2.  Replayed under an observer of who is flooding (the critical
+   section), it is the mutex breach among duplicate identities — the
+   class of the rt_mutex counterexample at n=3, m=5, inputs 1,3,3 — and
+   not a ledger or flood fault: a clone reads its twin's claims as its
+   own, so the three clones flood together (steps 85-95); p4 floods the
+   ledger with its name 2, the floods of p2 and p3 still carry the ledger
+   from before it and overwrite every copy, and p1 enters while p2's
+   flood is unfinished, sees only name 1 and takes 2 again.  The test
+   pins the current verdict and that overlap; both change if naming
+   learns to keep clones apart. *)
+let naming_seed108 =
+  let ints s = List.map int_of_string (String.split_on_char ',' s) in
+  {
+    Fuzzing.Harness.n = 4;
+    m = 5;
+    inputs = [| 1; 3; 3; 3 |];
+    wiring_perms =
+      List.map
+        (fun row -> List.map pred (ints row))
+        [ "1,4,2,3,5"; "2,5,4,3,1"; "1,3,2,4,5"; "1,4,3,5,2" ];
+    script =
+      List.map pred
+        (ints
+           ("3,2,4,2,4,4,1,3,4,3,2,3,1,1,1,1,2,2,4,2,3,4,4,1,4,4,3,3,1,2,2,4,3,4,"
+          ^ "1,1,3,3,4,2,3,4,4,2,2,1,4,1,3,2,2,4,4,1,3,2,1,3,3,2,1,1,4,1,4,2,1,1,"
+          ^ "4,1,4,2,4,1,2,4,4,4,4,3,4,3,1,4,4,4,3,4,2,4,1,2,1,4,3,4,3,1,3,3")
+        @ List.init 37 (fun _ -> 1));
+    faults = [];
+  }
+
+let test_naming_seed108_campaign () =
+  let r = H_naming.campaign ~seed:108 ~iterations:12_500 () in
+  match r.Fuzzing.Harness.counterexample with
+  | None -> Alcotest.fail "seed 108 no longer fails naming"
+  | Some cex ->
+      Alcotest.(check (option int))
+        "found at case 5140" (Some 5140)
+        (Option.map fst r.Fuzzing.Harness.found_after);
+      Alcotest.(check bool)
+        "shrinks to the pinned instance" true
+        (cex.Fuzzing.Harness.instance = naming_seed108)
+
+let test_naming_seed108_clone_breach () =
+  let inst = naming_seed108 in
+  (match H_naming.verdict_of_instance inst with
+  | Error f ->
+      Alcotest.(check string)
+        "property" "name-uniqueness"
+        (Tasks.Task_failure.property_name f.Tasks.Task_failure.property);
+      Alcotest.(check (list int)) "p1 and p4" [ 0; 3 ] f.Tasks.Task_failure.processors
+  | Ok () -> Alcotest.fail "the replay no longer fails");
+  let module N = Algorithms.Naming in
+  let module S = Anonmem.System.Make (N) in
+  let state =
+    S.init
+      ~cfg:(N.cfg ~n:inst.n ~m:inst.m)
+      ~wiring:(Anonmem.Wiring.of_lists inst.wiring_perms)
+      ~inputs:inst.inputs
+  in
+  (* Who is in the critical section after each step, as a mask. *)
+  let in_cs = ref [] in
+  let on_event ~time:_ _ =
+    let mask = ref 0 in
+    Array.iteri (fun p l -> if N.in_cs l then mask := !mask lor (1 lsl p)) state.S.locals;
+    in_cs := !mask :: !in_cs
+  in
+  ignore
+    (S.run ~max_steps:(List.length inst.script) ~on_event
+       ~sched:(Anonmem.Scheduler.script inst.script)
+       state);
+  let clones = 0b1110 in
+  let at_once k =
+    List.exists (fun mask -> Repro_util.Bits.popcount (mask land clones) >= k) !in_cs
+  in
+  Alcotest.(check bool) "the three clones flood at once" true (at_once 3);
+  Alcotest.(check bool)
+    "p1 floods while a clone's flood is unfinished" true
+    (List.exists (fun mask -> mask land 1 <> 0 && mask land clones <> 0) !in_cs)
+
 let () =
   Alcotest.run "portfolio-fuzz"
     [
@@ -228,5 +312,12 @@ let () =
             test_naming_survives_crash_recover;
           Alcotest.test_case "mutex survives crash/recover" `Quick
             test_mutex_survives_crash_profiles;
+        ] );
+      ( "counterexamples",
+        [
+          Alcotest.test_case "naming seed 108: found at case 5140" `Quick
+            test_naming_seed108_campaign;
+          Alcotest.test_case "naming seed 108: clone mutex breach" `Quick
+            test_naming_seed108_clone_breach;
         ] );
     ]

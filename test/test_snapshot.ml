@@ -96,10 +96,9 @@ let test_wait_free_under_hostile_priority () =
   let wiring = Anonmem.Wiring.random (Rng.create ~seed:5) ~n:3 ~m:3 in
   let rng = Rng.create ~seed:6 in
   let sched =
-    Scheduler.fn ~name:"skewed" (fun ~time:_ ~enabled ->
-        let favoured = List.filter (( = ) 0) enabled in
-        if favoured <> [] && Rng.int rng 10 < 9 then Some 0
-        else Some (Rng.pick rng enabled))
+    Scheduler.fn ~name:"skewed" (fun ~time:_ ~mask ->
+        if mask land 1 <> 0 && Rng.int rng 10 < 9 then 0
+        else Bits.nth_set mask (Rng.int rng (Bits.popcount mask)))
   in
   let _, st, stop, _ = run_to_completion ~wiring ~inputs ~sched () in
   Alcotest.(check bool) "all halted despite skew" true (stop = Sys.All_halted);
