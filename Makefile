@@ -109,7 +109,7 @@ fault-smoke:
 # --expect-bug.  Override SEED/FITERS to explore further.
 FITERS ?= 50000
 faults-long:
-	dune build bin/fuzz.exe bin/anonsim.exe
+	dune build bin/fuzz.exe
 	for prof in crash recover omission stale; do \
 	  for proto in snapshot renaming consensus; do \
 	    dune exec --no-build bin/fuzz.exe -- --protocol $$proto \
@@ -119,7 +119,6 @@ faults-long:
 	done
 	dune exec --no-build bin/fuzz.exe -- --protocol snapshot \
 	  --iterations $(FITERS) --seed $(SEED) --fault-profile stuck --expect-bug
-	dune exec --no-build bin/anonsim.exe -- check-snapshot -n 2 --crashes 2
 
 # The quick portfolio pass that runtest already includes: the n=2
 # differential matrix, planted-bug replay, the quick (n=2) feasibility
@@ -165,10 +164,9 @@ feasibility:
 # *.ckpt under --ckpt-dir, and the unbudgeted --resume must finish that
 # cell from the checkpoint with a byte-identical map.  The third leg
 # does the same for the snapshot sweep checkpoints of check-snapshot,
-# exact, --fingerprint and with the --crashes 1 pass after the sweep: a
-# zero wall budget must exit 3 leaving the checkpoint, and --resume must
-# print the uninterrupted output byte for byte and remove the
-# checkpoint.  CI runs this on
+# exact and --fingerprint: a zero wall budget must exit 3 leaving the
+# checkpoint, and --resume must print the uninterrupted output byte for
+# byte and remove the checkpoint.  CI runs this on
 # every push; it is the end-to-end check behind the durability suite.
 resume-smoke:
 	dune build bin/anonsim.exe
@@ -195,7 +193,7 @@ resume-smoke:
 	  -o _resume_smoke/ckpt-resumed.json
 	cmp _resume_smoke/ckpt-reference.json _resume_smoke/ckpt-resumed.json
 	@echo "resume-smoke: map resumed from engine checkpoints byte-identical"
-	for mode in "" --fingerprint "--crashes 1"; do \
+	for mode in "" --fingerprint; do \
 	  ./_build/default/bin/anonsim.exe check-snapshot -n 2 $$mode \
 	    > _resume_smoke/snapshot-reference.txt || exit 1; \
 	  ./_build/default/bin/anonsim.exe check-snapshot -n 2 $$mode \

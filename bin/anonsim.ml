@@ -186,17 +186,6 @@ let lower_bound_cmd =
 (* check-snapshot: the TLC claim *)
 
 let check_snapshot_cmd =
-  let crashes_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "crashes" ] ~docv:"K"
-          ~doc:
-            "Additionally verify containment safety under at most K injected \
-             crash-stops.  The crash search is time-abstract — it branches \
-             on crashing any live processor at any reachable state — so it \
-             covers every timed crash plan with at most K crashes.  Safety \
-             only: crashed processors trivially never terminate.")
-  in
   let fingerprint_arg =
     Arg.(
       value & flag
@@ -226,8 +215,7 @@ let check_snapshot_cmd =
           ~doc:
             "Checkpoint exploration state to $(docv) periodically \
              (atomically), so an interrupted or budget-exhausted run can \
-             continue with $(b,--resume); the $(b,--crashes) pass \
-             checkpoints to the same file.")
+             continue with $(b,--resume).")
   in
   let resume_arg =
     Arg.(
@@ -246,13 +234,12 @@ let check_snapshot_cmd =
             "Wall-clock budget; on expiry the run writes a final \
              checkpoint (with $(b,--checkpoint)) and exits with code 3.")
   in
-  let run n crashes fingerprint fp_ram_mb checkpoint resume max_seconds =
+  let run n fingerprint fp_ram_mb checkpoint resume max_seconds =
     refusing_unusable @@ fun () ->
     let max_fp_ram_mb =
       Modelcheck.Fingerprint_set.max_ram_budget_bytes / (1024 * 1024)
     in
-    if crashes < 0 then `Error (true, "--crashes must be at least 0")
-    else if fp_ram_mb < 1 then `Error (true, "--fp-ram-mb must be at least 1")
+    if fp_ram_mb < 1 then `Error (true, "--fp-ram-mb must be at least 1")
     else if fp_ram_mb > max_fp_ram_mb then
       `Error
         (true, Printf.sprintf "--fp-ram-mb must be at most %d" max_fp_ram_mb)
@@ -269,14 +256,12 @@ let check_snapshot_cmd =
     in
     (* The resume command must reproduce every flag baked into the
        checkpoint's context fingerprint — a mismatched engine is refused
-       on load — and every flag that changes what the finished run
-       checks: the crash pass that follows the sweep. *)
+       on load. *)
     let resume_hint f =
       Printf.printf
-        "resume with: anonsim check-snapshot -n %d%s%s --checkpoint %s \
+        "resume with: anonsim check-snapshot -n %d%s --checkpoint %s \
          --resume\n"
         n
-        (if crashes > 0 then Printf.sprintf " --crashes %d" crashes else "")
         (if fingerprint then
            Printf.sprintf " --fingerprint --fp-ram-mb %d" fp_ram_mb
          else "")
@@ -296,93 +281,52 @@ let check_snapshot_cmd =
           prerr_endline e;
           Stdlib.exit exit_violation
     in
-    (* The crash pass checkpoints to the same file, with the fault-free
-       sweep's printed report in one more section: a resume that finds
-       that section reprints the report and continues the crash pass
-       without sweeping again. *)
-    let report_section = "fault_free_report" in
-    let check_crashes report =
-      if crashes = 0 then `Ok ()
-      else
-        match
-          Core.verify_snapshot_model_crashes ~n ~max_crashes:crashes ~governor
-            ?ckpt ~resume
-            ~ckpt_extra:[ (report_section, Bytes.of_string report) ]
-            ()
-        with
-        | Error e -> finish_durably e
-        | Ok fs ->
-            retire_checkpoint checkpoint;
-            Printf.printf
-              "verified: containment safety holds for n=%d under at most %d \
-               injected crash-stop(s)\n"
-              n crashes;
-            Printf.printf
-              "wirings: %d, states: %d, transitions: %d (of which %d crash \
-               branches)\n"
-              fs.Core.Snapshot_mc.wirings_checked
-              fs.Core.Snapshot_mc.total_states
-              fs.Core.Snapshot_mc.total_transitions
-              fs.Core.Snapshot_mc.total_crash_branches;
-            `Ok ()
-    in
     let verified report =
       retire_checkpoint checkpoint;
       print_string report;
-      check_crashes report
+      `Ok ()
     in
-    let resumed_report =
-      match checkpoint with
-      | Some path when resume && crashes > 0 && Sys.file_exists path ->
-          List.assoc_opt report_section (Modelcheck.Checkpoint.load ~path)
-          |> Option.map Bytes.to_string
-      | _ -> None
-    in
-    match resumed_report with
-    | Some report ->
-        print_string report;
-        check_crashes report
-    | None when fingerprint -> (
-        match
-          Core.verify_snapshot_model_fp ~n
-            ~ram_budget_bytes:(fp_ram_mb * 1024 * 1024)
-            ~governor ?ckpt ~resume ()
-        with
-        | Error e -> finish_durably e
-        | Ok s ->
-            verified
-              (Printf.sprintf
-                 "verified (fingerprint engine): containment safety holds \
-                  for n=%d\n\
-                  wirings: %d, states: %d (largest space %d), transitions: \
-                  %d, terminal states: %d\n\
-                  omission bound: %.3g (birthday, states^2 / 2^64); spilled \
-                  runs: %d (%d bytes)\n\
-                  note: safety only — the fingerprint engine stores no \
-                  edges, so wait-freedom is not decided\n"
-                 n s.Modelcheck.Explorer.fp_wirings
-                 s.Modelcheck.Explorer.fp_total_states
-                 s.Modelcheck.Explorer.fp_max_space_states
-                 s.Modelcheck.Explorer.fp_total_transitions
-                 s.Modelcheck.Explorer.fp_terminal_states
-                 s.Modelcheck.Explorer.fp_omission_bound
-                 s.Modelcheck.Explorer.fp_spilled_runs
-                 s.Modelcheck.Explorer.fp_spill_bytes))
-    | None -> (
-        match Core.verify_snapshot_model ~n ~governor ?ckpt ~resume () with
-        | Error e -> finish_durably e
-        | Ok s ->
-            verified
-              (Printf.sprintf
-                 "verified: snapshot algorithm correct and wait-free for \
-                  n=%d\n\
-                  wirings: %d, states: %d (largest space %d), transitions: \
-                  %d, terminal states: %d\n"
-                 n s.Modelcheck.Explorer.wirings_checked
-                 s.Modelcheck.Explorer.total_states
-                 s.Modelcheck.Explorer.max_space_states
-                 s.Modelcheck.Explorer.total_transitions
-                 s.Modelcheck.Explorer.terminal_states))
+    if fingerprint then (
+      match
+        Core.verify_snapshot_model_fp ~n
+          ~ram_budget_bytes:(fp_ram_mb * 1024 * 1024)
+          ~governor ?ckpt ~resume ()
+      with
+      | Error e -> finish_durably e
+      | Ok s ->
+          verified
+            (Printf.sprintf
+               "verified (fingerprint engine): containment safety holds \
+                for n=%d\n\
+                wirings: %d, states: %d (largest space %d), transitions: \
+                %d, terminal states: %d\n\
+                omission bound: %.3g (birthday, states^2 / 2^64); spilled \
+                runs: %d (%d bytes)\n\
+                note: safety only — the fingerprint engine stores no \
+                edges, so wait-freedom is not decided\n"
+               n s.Modelcheck.Explorer.fp_wirings
+               s.Modelcheck.Explorer.fp_total_states
+               s.Modelcheck.Explorer.fp_max_space_states
+               s.Modelcheck.Explorer.fp_total_transitions
+               s.Modelcheck.Explorer.fp_terminal_states
+               s.Modelcheck.Explorer.fp_omission_bound
+               s.Modelcheck.Explorer.fp_spilled_runs
+               s.Modelcheck.Explorer.fp_spill_bytes))
+    else (
+      match Core.verify_snapshot_model ~n ~governor ?ckpt ~resume () with
+      | Error e -> finish_durably e
+      | Ok s ->
+          verified
+            (Printf.sprintf
+               "verified: snapshot algorithm correct and wait-free for \
+                n=%d\n\
+                wirings: %d, states: %d (largest space %d), transitions: \
+                %d, terminal states: %d\n"
+               n s.Modelcheck.Explorer.wirings_checked
+               s.Modelcheck.Explorer.total_states
+               s.Modelcheck.Explorer.max_space_states
+               s.Modelcheck.Explorer.total_transitions
+               s.Modelcheck.Explorer.terminal_states))
     end
   in
   Cmd.v
@@ -390,8 +334,8 @@ let check_snapshot_cmd =
        ~doc:
          "Exhaustively model-check the Figure-3 snapshot algorithm \
           (containment safety + wait-freedom) over all wirings — the \
-          paper's TLC claim.  With $(b,--crashes) K, additionally \
-          re-verify safety under at most K injected crash-stop faults.  \
+          paper's TLC claim.  The verdict covers crash-stops too: a \
+          crash-stopped processor is one that is never scheduled again.  \
           $(b,--fingerprint) switches to the RAM-bounded \
           hash-compaction engine (safety only, quantified omission bound).  \
           $(b,--checkpoint), \
@@ -401,7 +345,7 @@ let check_snapshot_cmd =
           where it stopped.")
     Term.(
       ret
-        (const run $ n_arg ~default:2 $ crashes_arg $ fingerprint_arg
+        (const run $ n_arg ~default:2 $ fingerprint_arg
        $ fp_ram_mb_arg $ checkpoint_arg $ resume_arg $ max_seconds_arg))
 
 (* check-nonatomic: the Section-8 claim *)

@@ -534,25 +534,7 @@ let x5 () =
                     (Anonmem.Fault.to_string inst.Fuzzing.Harness.faults)
                     fault_induced cex.Fuzzing.Harness.shrink_runs)
             profiles)
-    [ "snapshot"; "renaming"; "consensus" ];
-  (* The time-abstract crash search subsumes every timed crash-stop plan at
-     the same sizes: a safety certificate here covers the whole first row. *)
-  List.iter
-    (fun max_crashes ->
-      if max_crashes = 1 || full then
-        match Core.verify_snapshot_model_crashes ~n:2 ~max_crashes () with
-        | Ok s ->
-            Printf.printf
-              "  model check: snapshot containment safety VERIFIED for n=2 \
-               under <=%d crash-stop(s) (%d wirings, %d states, %d crash \
-               branches)\n"
-              max_crashes s.Core.Snapshot_mc.wirings_checked
-              s.Core.Snapshot_mc.total_states
-              s.Core.Snapshot_mc.total_crash_branches
-        | Error e ->
-            Printf.printf "  model check under <=%d crash(es) FAILED: %s\n"
-              max_crashes e)
-    [ 1; 2 ]
+    [ "snapshot"; "renaming"; "consensus" ]
 
 (* X6/X7/X12: scaling rows.  Figure 3 on the identity wiring with a
    single input class, whose automorphism group is the whole symmetric

@@ -113,7 +113,7 @@ let max_domains = 128
 
 (* Size checks made before any case runs, so a bad size is a usage error
    rather than an exception out of the generator or a protocol's [cfg]. *)
-let size_error ~domains ~min_n ~max_n ~m =
+let size_error ~key ~max_registers ~domains ~min_n ~max_n ~m =
   let width = Repro_util.Bits.max_width in
   let m = Option.value m ~default:1 in
   List.find_map
@@ -128,6 +128,9 @@ let size_error ~domains ~min_n ~max_n ~m =
           "--max-n must be at most %d, the processor mask width (got %d)"
           width max_n );
       (m < 1, Printf.sprintf "-m must be at least 1 (got %d)" m);
+      ( m > max_registers,
+        Printf.sprintf "-m must be at most %d for %s (got %d)" max_registers
+          key m );
       ( domains < 1 || domains > max_domains,
         Printf.sprintf "--domains must be between 1 and %d (got %d)"
           max_domains domains );
@@ -135,8 +138,13 @@ let size_error ~domains ~min_n ~max_n ~m =
 
 let run_campaign key seed iterations time_budget domains min_n max_n m
     max_steps fault_profile expect_bug =
+  let max_registers =
+    match Fuzzing.Targets.find key with
+    | Some (module T : Fuzzing.Target.S) -> T.max_registers
+    | None -> max_int
+  in
   match
-    ( size_error ~domains ~min_n ~max_n ~m,
+    ( size_error ~key ~max_registers ~domains ~min_n ~max_n ~m,
       Fuzzing.Fault_gen.of_string fault_profile )
   with
   | Some msg, _ -> `Error (false, msg)

@@ -1,14 +1,16 @@
 (** Serializable fault plans — the single representation of injected
     faults shared by the simulator ({!System.Make.run}), the crash-prone
-    scheduler ({!Scheduler.crash_faults}), the multicore runtime, the
-    fuzzer and the model checker.
+    scheduler ({!Scheduler.crash_faults}), the multicore runtime and the
+    fuzzer.
 
     A plan is a finite list of timed fault events.  Times are 0-based and
     layer-interpreted: the simulator reads [at] as the global step index,
-    the multicore runtime as the processor's own operation count (there is
-    no global clock across domains), and the model checker abstracts times
-    away entirely (it explores every placement of up to [k] crashes, a
-    superset of any timed plan).  Processor and register indices are
+    and the multicore runtime as the processor's own operation count
+    (there is no global clock across domains).  The model checker takes
+    no plans: a crash-stop changes no local and no register, it only
+    removes moves, so the fault-free exhaustive search already reaches
+    every state of every crash-stop plan.  The other fault kinds change
+    state and are the fuzzer's.  Processor and register indices are
     0-based in the API and 1-based in the concrete syntax, like everywhere
     else in the repository. *)
 

@@ -227,7 +227,9 @@ let snapshot_invariant cfg inputs =
     given inputs and {e every} wiring (processor 0 pinned to the identity —
     lossless by register anonymity), explore all interleavings, check the
     strong snapshot invariant and wait-freedom.  [n = 3] reproduces the
-    paper's TLC claim.  The sweep is the sequential DFS
+    paper's TLC claim.  A crash-stop only removes moves, so this
+    verdict also covers every crash-stop plan, with any number of
+    crashes.  The sweep is the sequential DFS
     ({!Modelcheck.Explorer.Make.check_all_wirings}), which honours
     [governor], [ckpt] and [resume]. *)
 let verify_snapshot_model ?(n = 3) ?(inputs = None) ?governor ?ckpt
@@ -255,34 +257,6 @@ let verify_snapshot_model_fp ?(n = 3) ?(inputs = None) ?ram_budget_bytes
   let cfg = Algorithms.Snapshot.standard ~n in
   Snapshot_mc.check_all_wirings_fp ?ram_budget_bytes ?spill_dir ?governor
     ?ckpt ~resume
-    ~invariant:(snapshot_invariant cfg inputs)
-    ~cfg ~inputs ()
-
-(** Exhaustively verify the strong snapshot invariant under at most
-    [max_crashes] injected crash-stops: for every wiring (processor 0
-    pinned to the identity) and every interleaving, the search also
-    branches on crashing any live processor at any point, which covers
-    every timed crash-stop plan with at most [max_crashes] crashes
-    ({!Modelcheck.Explorer.Make.check_all_wirings_crashes}).  The
-    default [n = 2] completes in well under a second; [n = 3] is feasible
-    but expensive (the crash branching multiplies the fault-free space).
-
-    Only safety is checked — crashed processors trivially never
-    terminate, so wait-freedom questions under crashes are the fuzzer's
-    territory (a crash-stopped processor is exactly one that is never
-    scheduled again).
-
-    [governor], [ckpt] and [resume] make the sweep durable as in
-    {!verify_snapshot_model}; [ckpt_extra] sections ride in every
-    checkpoint it writes. *)
-let verify_snapshot_model_crashes ?(n = 2) ?(inputs = None) ?(max_crashes = 1)
-    ?governor ?ckpt ?(resume = false) ?ckpt_extra () =
-  let inputs =
-    match inputs with Some i -> i | None -> Array.init n (fun i -> i + 1)
-  in
-  let cfg = Algorithms.Snapshot.standard ~n in
-  Snapshot_mc.check_all_wirings_crashes ~max_crashes ?governor ?ckpt ~resume
-    ?ckpt_extra
     ~invariant:(snapshot_invariant cfg inputs)
     ~cfg ~inputs ()
 

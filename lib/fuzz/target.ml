@@ -18,6 +18,10 @@ module type S = sig
 
   val cfg : n:int -> m:int -> P.cfg
 
+  val max_registers : int
+  (** The largest register count {!cfg} accepts, so a front end can
+      refuse a larger one as a usage error before any case runs. *)
+
   val m_range : n:int -> int * int
   (** Register counts worth fuzzing for [n] processors.  The paper's
       algorithms are specified for [m = n], so their range is [(n, n)];

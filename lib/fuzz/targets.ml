@@ -21,6 +21,11 @@
     churning forever) can exceed it. *)
 let wait_free_budget ~n ~m = Some (500 * (n + 1) * (m + 1))
 
+(** The register limit of the Figure-3 family (snapshot, renaming,
+    consensus): {!Algorithms.Snapshot_core} keeps a round's written
+    registers in one bitmask. *)
+let snapshot_max_registers = Repro_util.Bits.max_width
+
 module Snapshot_oracle = struct
   let check ~inputs ~participated ~outputs =
     let t = Tasks.Outcome.make ~participated ~inputs ~outputs () in
@@ -33,6 +38,7 @@ module Snapshot : Target.S = struct
   module P = Algorithms.Snapshot
 
   let cfg ~n ~m = Algorithms.Snapshot.cfg ~n ~m
+  let max_registers = snapshot_max_registers
   let m_range ~n = (n, n)
   let check = Snapshot_oracle.check
   let step_budget = wait_free_budget
@@ -42,6 +48,7 @@ module Double_collect : Target.S = struct
   module P = Algorithms.Double_collect
 
   let cfg ~n ~m = Algorithms.Double_collect.cfg ~n ~m
+  let max_registers = max_int
 
   (* The rule's defect needs covering pressure: fewer registers than
      processors (Figure 2 runs 5 processors on 3 registers). *)
@@ -54,6 +61,7 @@ module Renaming : Target.S = struct
   module P = Algorithms.Renaming
 
   let cfg ~n ~m = Algorithms.Renaming.cfg ~n ~m
+  let max_registers = snapshot_max_registers
   let m_range ~n = (n, n)
 
   let check ~inputs ~participated ~outputs =
@@ -70,6 +78,7 @@ module Consensus : Target.S = struct
   module P = Algorithms.Consensus
 
   let cfg ~n ~m = Algorithms.Consensus.cfg ~n ~m
+  let max_registers = snapshot_max_registers
   let m_range ~n = (n, n)
 
   let check ~inputs ~participated ~outputs =
@@ -100,6 +109,7 @@ module Rt_mutex : Target.S = struct
   module P = Algorithms.Rt_mutex
 
   let cfg ~n ~m = Algorithms.Rt_mutex.cfg ~n ~m
+  let max_registers = max_int
   let m_range ~n = (portfolio_m ~n, portfolio_m ~n)
 
   (* The audit tripwire: a critical-section holder that observed a
@@ -122,6 +132,7 @@ module Naming : Target.S = struct
   module P = Algorithms.Naming
 
   let cfg ~n ~m = Algorithms.Naming.cfg ~n ~m
+  let max_registers = max_int
   let m_range ~n = (portfolio_m ~n, portfolio_m ~n)
 
   let check ~inputs ~participated ~outputs =
@@ -136,6 +147,7 @@ module Weak_leader : Target.S = struct
   module P = Algorithms.Weak_leader
 
   let cfg ~n ~m = Algorithms.Weak_leader.cfg ~n ~m
+  let max_registers = max_int
 
   (* Cross-group uniqueness survives exactly when no rival group can
      cover the winner's full view: each processor holds at most one

@@ -32,8 +32,7 @@
     indices inside a local state (scan cursors, write cursors) need no
     relabelling because they are reinterpreted through the moved wiring
     permutation.  Bytes past the state image are copied verbatim; no
-    key of a reduced search has any, because {!Explorer}'s crash search,
-    whose keys end in a crash-mask byte, runs unreduced.  See DESIGN.md
+    engine's key has any.  See DESIGN.md
     §"Symmetry reduction" for the soundness argument and for why named
     processors would break it. *)
 

@@ -42,8 +42,14 @@
     be symmetric — invariant under permuting same-input processors
     together with the induced register relabelling — which holds for
     every property shipped here (containment, agreement, memory-content
-    sets, timestamp bounds).  The crash search ([~max_crashes]) runs
-    unreduced.
+    sets, timestamp bounds).
+
+    There is no crash-stop search.  A crash-stopped processor is one
+    the adversary never schedules again: a crash changes no local and
+    no register, it only removes moves, so every state a run with
+    crash-stops reaches is reachable without them.  The fault-free
+    verdict is therefore the crash-stop certificate, for any number of
+    crashes (DESIGN.md, "Fault injection & crash recovery").
 
     One question, one path: the DFS ({!Make.check_exhaustive}) and the
     fingerprint BFS decide, and a minimal-length counterexample comes
@@ -91,18 +97,14 @@ end
    (parent lsl 4) lor move the same way.  Dense state ids stay well below
    2^31 in any feasible exploration.  Move c * n + p is processor p's
    choice c, so moves are pids under one choice per state, and the
-   n * max_choices moves must fit the 4 bits (Figure 3's 9 at n = 3 do).
-   A crash-stop of processor p is the pid n + p ({!Make.explore}'s
-   [max_crashes]), which fits while n <= 8 under one choice per state. *)
+   n * max_choices moves must fit the 4 bits (Figure 3's 9 at n = 3 do). *)
 let max_processors = 16
 
 exception
   Unsupported_processors of { engine : string; processors : int; limit : int }
 (** Structured rejection of configurations whose processor count would
-    silently corrupt the packed edge/parent encodings (pids occupy 4 bits;
-    a crash search additionally packs the crash mask in one key byte and
-    crash pids as [n + p], so its limit is 8).  Raised eagerly by every
-    exploration entry point. *)
+    silently corrupt the packed edge/parent encodings (pids occupy 4
+    bits).  Raised eagerly by every exploration entry point. *)
 
 let () =
   Printexc.register_printer (function
@@ -110,16 +112,16 @@ let () =
         Some
           (Printf.sprintf
              "%s: %d processors exceed the supported maximum of %d (packed \
-              pid/crash-mask encoding)"
+              pid encoding)"
              engine processors limit)
     | _ -> None)
 
-let guard_processors ~engine ?(limit = max_processors - 1) n =
+let guard_processors ~engine n =
+  let limit = max_processors - 1 in
   if n > limit then raise (Unsupported_processors { engine; processors = n; limit })
 
-(* The engines that number steps by processor: the crash search (its
-   pid n + p would collide with a choice), the parallel engines, replay
-   and the lasso search. *)
+(* The engines that number steps by processor: the parallel engines,
+   replay and the lasso search. *)
 let refuse_choices ~engine max_choices =
   if max_choices > 1 then
     invalid_arg (engine ^ ": the configuration has write choices")
@@ -409,9 +411,7 @@ module Make (P : CHECKABLE) = struct
       [init_state], at each key pick a move whose successor
       canonicalizes to that key.  Any such choice is a valid concrete step
       (two choices hitting the same orbit are symmetric), so traces of
-      reduced explorations stay replayable counterexamples.  Keys are
-      plain state images: the crash search runs unreduced, so its traces
-      come straight from parent links. *)
+      reduced explorations stay replayable counterexamples. *)
   let concretize ~cfg ~wiring ~canon ~inputs keys =
     let moves = move_count cfg in
     let rec go st acc = function
@@ -445,26 +445,20 @@ module Make (P : CHECKABLE) = struct
             concretized on demand *)
     table : State_table.t;
         (** arena of encoded states; dense id = discovery order, id 0 is
-            the initial state.  A crash search's keys end in the crash
-            mask, and its pids [n + p] are crash-stops ({!explore}). *)
+            the initial state *)
     parent : State_table.Packed_vec.t;
         (** id -> ((parent_id lsl 4) lor move) + 1; 0 at the root *)
     succ : State_table.Packed_vec.t;
         (** (dst lsl 4) lor move, grouped by source in id order — BFS
             pops ids in ascending order, so edge emission is already a
-            CSR adjacency image; [deg] delimits the per-source runs.
-            Empty in a crash search, which stores no edges. *)
+            CSR adjacency image; [deg] delimits the per-source runs. *)
     deg : State_table.Packed_vec.t;  (** id -> out-degree (expanded ids) *)
     transitions : int;
-    crash_branches : int;  (** how many of the transitions are crash-stops *)
     terminal : int list;  (** ids of states where all processors halted *)
   }
 
   let state_count space = State_table.length space.table
   let transition_count space = space.transitions
-
-  (** How many of the transitions are crash-stops (pid [n + p]). *)
-  let crash_transitions space = space.crash_branches
 
   let state_of space id =
     decode_state space.cfg (State_table.key_of_id space.table id)
@@ -474,9 +468,7 @@ module Make (P : CHECKABLE) = struct
     message : string;
     trace : (int * state) list;
         (** steps [(move, post-state)] from the initial state to the
-            violating state; concretized when the space is reduced.  A
-            move [n + p] of a crash search is processor [p]'s
-            crash-stop. *)
+            violating state; concretized when the space is reduced *)
   }
 
   type result =
@@ -519,55 +511,24 @@ module Make (P : CHECKABLE) = struct
       [reduction] explores the symmetry quotient instead (visited keys are
       canonical orbit minima); invariant and [stop_expansion] must then be
       symmetric predicates.  The identity group quotients nothing, so
-      there [reduction] explores the space unreduced ({!symmetry}).
-
-      [max_crashes] (default 0) adds time-abstract crash-stops: at every
-      state, after its protocol steps, each live (enabled, not crashed)
-      processor [p] may crash-stop while fewer than [max_crashes] have,
-      which covers every timed crash plan with at most [max_crashes]
-      crashes.  A crashed processor takes no further step.  Keys then end
-      in the crashed set as one mask byte, which {!successor_into} copies
-      with the rest of the parent key (the remaining budget follows from
-      its popcount).  A crash move is the pid [n + p].  The crash search
-      runs unreduced, on configurations with one choice per state
-      ([Invalid_argument] otherwise), and stores no edges: it counts its
-      transitions and crash branches as it goes.
-
-      [ckpt_extra] sections ride in every checkpoint written (a sweep
-      driver stores its position there, {!Wiring_sweep}). *)
-  let explore ?invariant ?stop_expansion ?(reduction = false)
-      ?(max_crashes = 0) ?governor ?ckpt ?(resume = false) ?(ckpt_extra = [])
-      ~cfg ~wiring ~inputs () =
-    let n = P.processors cfg in
-    if max_crashes < 0 then invalid_arg "Explorer.explore: max_crashes";
-    let crashes = max_crashes > 0 in
-    if crashes && reduction then
-      invalid_arg "Explorer.explore: the crash search runs unreduced";
-    if crashes then begin
-      guard_processors ~engine:"Explorer.explore" ~limit:8 n;
-      refuse_choices ~engine:"Explorer.explore (crash search)"
-        (P.max_choices cfg)
-    end
-    else guard ~engine:"Explorer.explore" cfg;
+      there [reduction] explores the space unreduced ({!symmetry}). *)
+  let explore ?invariant ?stop_expansion ?(reduction = false) ?governor ?ckpt
+      ?(resume = false) ~cfg ~wiring ~inputs () =
+    guard ~engine:"Explorer.explore" cfg;
     let moves = move_count cfg in
     let canon = symmetry ~reduction ~cfg ~wiring ~inputs in
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in
-    let kw = key_width cfg + if crashes then 1 else 0 in
+    let kw = key_width cfg in
     (* Fingerprint of everything the checkpoint's meaning depends on: the
        canonical initial key pins cfg and inputs, the wiring string pins
-       the step relation, the trailing field the crash budget.  A
-       mismatched resume is a structured error, not a silently wrong
-       exploration. *)
+       the step relation.  A mismatched resume is a structured error, not
+       a silently wrong exploration. *)
     let init = init_state ~cfg ~inputs in
-    let key0 =
-      let key = encode_state cfg init in
-      canonical (if crashes then key ^ "\000" else key)
-    in
+    let key0 = canonical (encode_state cfg init) in
     let context =
-      Fmt.str "bfs|%d|%a|%b|%S%s%s" kw Anonmem.Wiring.pp wiring reduction key0
-        (if crashes then Printf.sprintf "|crashes %d" max_crashes else "")
+      Fmt.str "bfs|%d|%a|%b|%S%s" kw Anonmem.Wiring.pp wiring reduction key0
         format_suffix
     in
     let resumed =
@@ -582,7 +543,7 @@ module Make (P : CHECKABLE) = struct
           in
           ( State_table.deserialize (Checkpoint.find "table" sections),
             vec "parent",
-            (if crashes then vec_create 5 else vec "succ"),
+            vec "succ",
             vec "deg",
             ref
               (Array.to_list
@@ -595,44 +556,26 @@ module Make (P : CHECKABLE) = struct
             vec_create 1,
             ref [] )
     in
-    (* The crash search stores no edges: it counts its transitions and
-       crash branches, and its degree rows are 0. *)
-    let counts =
-      match resumed with
-      | Some sections when crashes ->
-          Checkpoint.find_ints ~who:"Explorer.explore" ~count:2 "counts" sections
-      | _ -> [| 0; 0 |]
-    in
     let save_ckpt path =
       Checkpoint.save ~path
-        ([
-           ("context", Bytes.of_string context);
-           ("table", State_table.serialize table);
-           ("parent", State_table.Packed_vec.serialize parent);
-           (if crashes then ("counts", Checkpoint.bytes_of_ints counts)
-            else ("succ", State_table.Packed_vec.serialize succ));
-           ("deg", State_table.Packed_vec.serialize deg);
-           ("terminal", Checkpoint.bytes_of_ints (Array.of_list !terminal));
-         ]
-        @ ckpt_extra)
+        [
+          ("context", Bytes.of_string context);
+          ("table", State_table.serialize table);
+          ("parent", State_table.Packed_vec.serialize parent);
+          ("succ", State_table.Packed_vec.serialize succ);
+          ("deg", State_table.Packed_vec.serialize deg);
+          ("terminal", Checkpoint.bytes_of_ints (Array.of_list !terminal));
+        ]
     in
     let durable = Checkpoint.run ?governor ckpt save_ckpt in
-    let queue = Queue.create () in
     let buf = Bytes.create kw in
-    (* BFS pops ids in ascending order, so the frontier is exactly the
-       ids discovered but not yet popped: [deg length, table length). *)
-    if resumed <> None then
-      for id = State_table.Packed_vec.length deg to State_table.length table - 1
-      do
-        Queue.add id queue
-      done;
     let violation = ref None in
     (* Bookkeeping for [id], just minted for the concrete state [st];
        under reduction the invariant sees the decoded canonical [key]
        instead, which is read only then. *)
     let admit id st key ~from =
       ignore (State_table.Packed_vec.push parent (from + 1));
-      (match invariant with
+      match invariant with
       | Some check -> (
           (* check the representative: symmetric invariants have the
              same verdict on every member of the orbit *)
@@ -641,8 +584,7 @@ module Make (P : CHECKABLE) = struct
           | Ok () -> ()
           | Error message ->
               if !violation = None then violation := Some (id, message))
-      | None -> ());
-      Queue.add id queue
+      | None -> ()
     in
     if resumed = None then begin
       ignore (State_table.intern table key0);
@@ -666,51 +608,39 @@ module Make (P : CHECKABLE) = struct
             if id' = before then admit id' st' key' ~from;
             id'
       in
-      if crashes then counts.(0) <- counts.(0) + 1
-      else ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor mv))
+      ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor mv))
     in
+    (* Ids are minted in discovery order and popped in ascending order,
+       so the frontier is exactly [next, table length), and [next] is the
+       number of degree rows written — also on resume. *)
+    let next = ref (State_table.Packed_vec.length deg) in
     let exhausted = ref None in
     while
-      (not (Queue.is_empty queue)) && !violation = None && !exhausted = None
+      !next < State_table.length table && !violation = None && !exhausted = None
     do
       (* Loop top is the consistent point: the previous pop's edges and
-         degree row are complete, the frontier is [deg length, count). *)
+         degree row are complete, the frontier is [next, count). *)
       exhausted := Checkpoint.tick durable;
       if !exhausted = None then begin
-      let id = Queue.pop queue in
+      let id = !next in
+      incr next;
       let key = State_table.key_of_id table id in
       let st = decode_state cfg key in
-      let crashed = if crashes then Char.code key.[kw - 1] else 0 in
       let expand =
         match stop_expansion with Some f -> not (f st) | None -> true
       in
       let edges_before = State_table.Packed_vec.length succ in
       if expand then begin
-        let live = ref 0 in
         for mv = 0 to moves - 1 do
-          let p = if mv < n then mv else mv mod n in
-          if crashed land (1 lsl p) = 0 then
-            match action_of cfg st mv with
-            | None -> ()
-            | Some action ->
-                live := !live lor (1 lsl p);
-                move id mv
-                  (successor_into cfg wiring st (Bytes.unsafe_of_string key) 0
-                     mv action buf)
+          match action_of cfg st mv with
+          | None -> ()
+          | Some action ->
+              move id mv
+                (successor_into cfg wiring st (Bytes.unsafe_of_string key) 0
+                   mv action buf)
         done;
-        (* Then the crash moves: the parent state under a wider mask.  A
-           halted processor's crash changes nothing observable, so only
-           live processors crash. *)
-        if Repro_util.Bits.popcount crashed < max_crashes then
-          for p = 0 to n - 1 do
-            if !live land (1 lsl p) <> 0 then begin
-              Bytes.blit_string key 0 buf 0 kw;
-              Bytes.set buf (kw - 1) (Char.chr (crashed lor (1 lsl p)));
-              counts.(1) <- counts.(1) + 1;
-              move id (n + p) st
-            end
-          done;
-        if !live = 0 then terminal := id :: !terminal
+        if State_table.Packed_vec.length succ = edges_before then
+          terminal := id :: !terminal
       end;
       (* Pops happen in id order, so this row is deg.(id); a violation
          leaves deg shorter than the table — the CSR builder pads the
@@ -737,9 +667,7 @@ module Make (P : CHECKABLE) = struct
           parent;
           succ;
           deg;
-          transitions =
-            (if crashes then counts.(0) else State_table.Packed_vec.length succ);
-          crash_branches = counts.(1);
+          transitions = State_table.Packed_vec.length succ;
           terminal = List.rev !terminal;
         }
       in
@@ -1528,108 +1456,5 @@ module Make (P : CHECKABLE) = struct
         | Fp_invariant_failed { message; _ } ->
             Error (invariant_error wiring message)
         | Fp_explored st -> Ok st)
-    |> Result.map_error snd
-
-  (** {1 Crash-stop sweep}
-
-      {!explore} with [max_crashes] swept over wirings.  The search is
-      time-abstract: instead of fixing fault times as the simulator's
-      {!Anonmem.Fault.plan} does, it branches on "processor [p] crashes
-      {e now}" at every reachable state, which covers every timed plan
-      with at most [max_crashes] crashes — a safety certificate here
-      subsumes every seeded crash-stop campaign of the fuzzer at the same
-      sizes.  Only the invariant is checked: crashed processors trivially
-      never terminate, so wait-freedom under crash-stop is the fuzzer's
-      oracle territory.  BFS keeps a reported witness minimal. *)
-
-  type crash_summary = {
-    wirings_checked : int;
-    total_states : int;  (** distinct (core state, crashed set) pairs *)
-    total_transitions : int;
-    total_crash_branches : int;  (** how many transitions were crashes *)
-  }
-
-  (* The crash sweep's position in a checkpoint ({!Wiring_sweep}). *)
-  let crash_sweep_section =
-    {
-      Wiring_sweep.name = "crash_sweep";
-      to_ints =
-        (fun s ->
-          [|
-            s.wirings_checked;
-            s.total_states;
-            s.total_transitions;
-            s.total_crash_branches;
-          |]);
-      of_ints =
-        (fun a ->
-          {
-            wirings_checked = a.(0);
-            total_states = a.(1);
-            total_transitions = a.(2);
-            total_crash_branches = a.(3);
-          });
-    }
-
-  (** Check [invariant] across a set of wirings (by default every wiring
-      with processor 0 pinned, as {!check_all_wirings}) for one input
-      assignment, under at most [max_crashes] (default 1) crash-stops
-      injected at arbitrary points.  A violation's error names the
-      crashed processors and the witness, each move [pK] or [crash:pK].
-      With [ckpt], each per-wiring search checkpoints with the sweep's
-      position (section ["crash_sweep"]) and the caller's [ckpt_extra]
-      sections beside it, so [~resume] re-enters the sweep where it
-      stopped. *)
-  let check_all_wirings_crashes ?(max_crashes = 1) ?invariant ?wirings
-      ?governor ?ckpt ?(resume = false) ?(ckpt_extra = []) ~cfg ~inputs () =
-    let n = P.processors cfg in
-    let pp_move ppf pid =
-      if pid < n then Fmt.pf ppf "p%d" (pid + 1)
-      else Fmt.pf ppf "crash:p%d" (pid - n + 1)
-    in
-    Wiring_sweep.run ?governor ?wirings ~section:crash_sweep_section ?ckpt
-      ~resume ~n ~m:(P.registers cfg)
-      ~init:
-        {
-          wirings_checked = 0;
-          total_states = 0;
-          total_transitions = 0;
-          total_crash_branches = 0;
-        }
-      ~add:(fun a b ->
-        {
-          wirings_checked = a.wirings_checked + b.wirings_checked;
-          total_states = a.total_states + b.total_states;
-          total_transitions = a.total_transitions + b.total_transitions;
-          total_crash_branches = a.total_crash_branches + b.total_crash_branches;
-        })
-      (fun ~governor ~resume ~ckpt_extra:position wiring ->
-        match
-          explore ~max_crashes ?invariant ?governor ?ckpt ~resume
-            ~ckpt_extra:(position @ ckpt_extra) ~cfg ~wiring ~inputs ()
-        with
-        | Exhausted { reason; states } -> Error (exhausted_error reason states)
-        | Invariant_failed (_, v) ->
-            let moves = List.map fst v.trace in
-            Error
-              (Fmt.str
-                 "invariant violated under wiring %a with crashes {%a}: %s \
-                  (witness: %a)"
-                 Anonmem.Wiring.pp wiring
-                 Fmt.(list ~sep:comma int)
-                 (List.filter
-                    (fun p -> List.mem (n + p) moves)
-                    (List.init n Fun.id))
-                 v.message
-                 Fmt.(list ~sep:(any " ") pp_move)
-                 moves)
-        | Explored space ->
-            Ok
-              {
-                wirings_checked = 1;
-                total_states = state_count space;
-                total_transitions = transition_count space;
-                total_crash_branches = crash_transitions space;
-              })
     |> Result.map_error snd
 end

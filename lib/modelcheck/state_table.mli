@@ -1,9 +1,9 @@
 (** Arena-backed visited-state tables for the explicit-state explorers.
 
-    Every engine in this library ({!Explorer}'s BFS and DFS passes, the
-    crash search included, each parallel-engine shard) needs the same data
-    structure: a set of fixed-width byte keys with a dense integer id per
-    key (id = insertion order), O(1) membership, and the ability to read a
+    Every engine in this library ({!Explorer}'s BFS and DFS passes, each
+    parallel-engine shard) needs the same data structure: a set of
+    fixed-width byte keys with a dense integer id per key (id = insertion
+    order), O(1) membership, and the ability to read a
     key back from its id (for decoding popped states and for concretizing
     counterexample traces).  The previous representation — a stdlib
     [(string, int) Hashtbl] plus a parallel [string Vec.t] — pays, per

@@ -878,42 +878,14 @@ let test_fp_sweep_resume_parity () =
   if Sys.file_exists path then Sys.remove path;
   rm_rf_runs (path ^ ".runs")
 
-let test_fault_resume_parity () =
-  let cfg = Algorithms.Snapshot.standard ~n:2 in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let inputs = [| 1; 2 |] in
-  let counts sp =
-    ( Snap_mc.state_count sp,
-      Snap_mc.transition_count sp,
-      Snap_mc.crash_transitions sp )
-  in
-  let reference =
-    match Snap_mc.explore ~max_crashes:1 ~cfg ~wiring ~inputs () with
-    | Snap_mc.Explored sp -> counts sp
-    | _ -> Alcotest.fail "reference fault run must complete"
-  in
-  let path = fresh_path ".ckpt" in
-  let ckpt = { Ckpt.path; every_states = 40 } in
-  let (result, rounds) =
-    drive ~quota:100 (fun g ->
-        match
-          Snap_mc.explore ~max_crashes:1 ~governor:g ~ckpt ~resume:true ~cfg
-            ~wiring ~inputs ()
-        with
-        | Snap_mc.Explored sp -> Ok (counts sp)
-        | Snap_mc.Exhausted _ -> Error ()
-        | _ -> Alcotest.fail "unexpected fault verdict")
-  in
-  Alcotest.(check bool) "fault run was actually interrupted" true (rounds > 0);
-  Alcotest.(check (triple int int int)) "fault resume parity" reference result;
-  if Sys.file_exists path then Sys.remove path
-
-(* The crash search once kept its own checkpoint format: a "fault|..."
-   context over a table of mask-byte keys, packed parent words and a
-   counter section.  Built here from a genuine crash checkpoint's table
-   and parents, such an image differs from a current one only in its
-   context and sections.  A resume must refuse it as corrupt, leave the
-   file as it was, and neither resume from it nor start over. *)
+(* The retired crash search left two checkpoint formats behind: an
+   older "fault|..." context over a counter section, and a
+   "bfs|...|crashes K" context whose keys end in a crash-mask byte and
+   whose "counts" section replaces the edges.  Built here around a
+   genuine fault-free checkpoint's table and parents, each differs from
+   a current image in its context and sections.  A resume must refuse
+   each as corrupt, leave the file as it was, and neither resume from it
+   nor start over. *)
 let test_fault_checkpoint_refused () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
@@ -921,42 +893,54 @@ let test_fault_checkpoint_refused () =
   let path = fresh_path ".ckpt" in
   let ckpt = { Ckpt.path; every_states = 0 } in
   let g = Gov.create ~quota:100 () in
-  (match
-     Snap_mc.explore ~max_crashes:1 ~governor:g ~ckpt ~cfg ~wiring ~inputs ()
-   with
+  (match Snap_mc.explore ~governor:g ~ckpt ~cfg ~wiring ~inputs () with
   | Snap_mc.Exhausted _ -> ()
-  | _ -> Alcotest.fail "the quota must stop the crash search");
+  | _ -> Alcotest.fail "the quota must stop the search");
   let sections = Ckpt.load ~path in
   let length tag =
     Modelcheck.State_table.Packed_vec.length
       (Modelcheck.State_table.Packed_vec.deserialize (Ckpt.find tag sections))
   in
-  (* the current crash image counts its transitions instead of storing
-     edges *)
-  let transitions =
-    (Ckpt.find_ints ~who:"test" ~count:2 "counts" sections).(0)
-  in
   let key0 =
     Snap_mc.encode_state cfg (Snap_mc.init_state ~cfg ~inputs) ^ "\000"
   in
-  Ckpt.save ~path
+  let images =
     [
-      ( "context",
-        Bytes.of_string
-          (Fmt.str "fault|%d|%d|%a|%b|%S" (String.length key0) 1
-             Anonmem.Wiring.pp wiring false key0) );
-      ("table", Ckpt.find "table" sections);
-      ("parent", Ckpt.find "parent" sections);
-      ( "counters",
-        Ckpt.bytes_of_ints [| length "deg"; transitions; 0 |] );
-    ];
-  let image = read_file path in
-  (match
-     Snap_mc.explore ~max_crashes:1 ~ckpt ~resume:true ~cfg ~wiring ~inputs ()
-   with
-  | exception Ckpt.Corrupt_checkpoint _ -> ()
-  | _ -> Alcotest.fail "a fault| checkpoint must be refused");
-  Alcotest.(check string) "refused image left as it was" image (read_file path);
+      ( "fault|",
+        [
+          ( "context",
+            Bytes.of_string
+              (Fmt.str "fault|%d|%d|%a|%b|%S" (String.length key0) 1
+                 Anonmem.Wiring.pp wiring false key0) );
+          ("table", Ckpt.find "table" sections);
+          ("parent", Ckpt.find "parent" sections);
+          ("counters", Ckpt.bytes_of_ints [| length "deg"; length "succ"; 0 |]);
+        ] );
+      ( "bfs| crash pass",
+        [
+          ( "context",
+            Bytes.of_string
+              (Fmt.str "bfs|%d|%a|%b|%S|crashes 1|written-set"
+                 (String.length key0) Anonmem.Wiring.pp wiring false key0) );
+          ("table", Ckpt.find "table" sections);
+          ("parent", Ckpt.find "parent" sections);
+          ("counts", Ckpt.bytes_of_ints [| length "succ"; 0 |]);
+          ("deg", Ckpt.find "deg" sections);
+          ("terminal", Ckpt.find "terminal" sections);
+        ] );
+    ]
+  in
+  List.iter
+    (fun (label, image_sections) ->
+      Ckpt.save ~path image_sections;
+      let image = read_file path in
+      (match Snap_mc.explore ~ckpt ~resume:true ~cfg ~wiring ~inputs () with
+      | exception Ckpt.Corrupt_checkpoint _ -> ()
+      | _ -> Alcotest.failf "a %s checkpoint must be refused" label);
+      Alcotest.(check string)
+        (label ^ ": refused image left as it was")
+        image (read_file path))
+    images;
   Sys.remove path
 
 module Packed = Modelcheck.Rt_mutex_packed
@@ -1353,52 +1337,6 @@ let test_dfs_sweep_resume_parity () =
     result.X.all_wait_free;
   if Sys.file_exists path then Sys.remove path
 
-let test_crash_sweep_resume_parity () =
-  (* The crash sweep's "crash_sweep" section: every quota trip inside
-     [verify_snapshot_model_crashes ~ckpt] must leave the checkpoint,
-     with the caller's extra section beside the position, and the
-     resumed sweep must end on the uninterrupted totals. *)
-  let reference =
-    match Core.verify_snapshot_model_crashes ~n:2 ~max_crashes:2 () with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
-  let path = fresh_path ".ckpt" in
-  let ckpt = { Ckpt.path; every_states = 500 } in
-  let ckpt_extra = [ ("report", Bytes.of_string "fault-free report") ] in
-  let last_index = ref 0 in
-  let result, rounds =
-    drive ~quota:2000 (fun g ->
-        match
-          Core.verify_snapshot_model_crashes ~n:2 ~max_crashes:2 ~governor:g
-            ~ckpt ~resume:true ~ckpt_extra ()
-        with
-        | Ok s -> Ok s
-        | Error e when is_exhausted e ->
-            Alcotest.(check bool) "the trip leaves the checkpoint" true
-              (Sys.file_exists path);
-            let sections = Ckpt.load ~path in
-            Alcotest.(check string) "extra section rides along"
-              "fault-free report"
-              (Bytes.to_string (Ckpt.find "report" sections));
-            last_index :=
-              (Ckpt.ints_of_bytes (Ckpt.find "crash_sweep" sections)).(0);
-            Error ()
-        | Error e -> Alcotest.fail e)
-  in
-  let module X = Core.Snapshot_mc in
-  Alcotest.(check bool) "crash sweep was actually interrupted" true
-    (rounds > 0);
-  Alcotest.(check int) "last trip inside the second wiring" 1 !last_index;
-  Alcotest.(check int) "wirings" reference.X.wirings_checked
-    result.X.wirings_checked;
-  Alcotest.(check int) "states" reference.X.total_states result.X.total_states;
-  Alcotest.(check int) "transitions" reference.X.total_transitions
-    result.X.total_transitions;
-  Alcotest.(check int) "crash branches" reference.X.total_crash_branches
-    result.X.total_crash_branches;
-  if Sys.file_exists path then Sys.remove path
-
 let test_sweep_index_refused () =
   (* Each of the three sweep-section layouts, written with an index just
      outside the wiring list on either side, must be refused. *)
@@ -1603,7 +1541,6 @@ let () =
             test_fp_corrupt_run_refused;
           Alcotest.test_case "fingerprint sweep" `Quick
             test_fp_sweep_resume_parity;
-          Alcotest.test_case "fault explorer" `Quick test_fault_resume_parity;
           Alcotest.test_case "fault| checkpoint refused" `Quick
             test_fault_checkpoint_refused;
           Alcotest.test_case "packed clean cell" `Quick
@@ -1624,8 +1561,6 @@ let () =
           Alcotest.test_case "verify_mutex sweep needs its section" `Quick
             test_verify_mutex_sectionless_refused;
           Alcotest.test_case "DFS sweep" `Quick test_dfs_sweep_resume_parity;
-          Alcotest.test_case "crash sweep" `Quick
-            test_crash_sweep_resume_parity;
           Alcotest.test_case "sweep index outside the wiring list" `Quick
             test_sweep_index_refused;
         ] );

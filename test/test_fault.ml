@@ -1,8 +1,8 @@
 (* Tests of the fault-injection substrate: plan serialization and
    shrinking helpers, seeded generation, the simulator's per-fault-kind
    semantics, the fault-aware fuzzing pipeline (find -> shrink -> replay
-   of a genuine fault-induced violation), and the bounded-crash model
-   check. *)
+   of a genuine fault-induced violation), and crash-stop runs checked
+   against the model checker's fault-free space. *)
 
 open Repro_util
 module F = Anonmem.Fault
@@ -267,6 +267,7 @@ module Tight_snapshot : Fuzzing.Target.S = struct
   module P = Algorithms.Snapshot
 
   let cfg ~n ~m = Algorithms.Snapshot.cfg ~n ~m
+  let max_registers = Fuzzing.Targets.snapshot_max_registers
   let m_range ~n = (n, n)
   let check = Fuzzing.Targets.Snapshot_oracle.check
   let step_budget ~n ~m = Some (60 * (n + 1) * (m + 1))
@@ -397,129 +398,162 @@ let test_fault_plan_in_replay_command () =
   Alcotest.(check bool) "plan serialized into replay" true
     (contains ~sub:"--fault-plan 'stuck:r2@0'" cmd)
 
-(* ---- bounded-crash model check --------------------------------------- *)
+(* ---- crash-stop runs stay in the fault-free space -------------------- *)
 
-(* Exhaustive n=2 safety under <= [max_crashes] injected crash-stops,
-   over all wirings and all (time-abstract) crash points — this subsumes
-   every timed crash-stop plan the fuzzer can draw.  The space sizes are
-   pinned exactly: a change to the crash moves shows as a count change. *)
-let test_snapshot_crash_space ~max_crashes ~states ~transitions
-    ~crash_branches () =
-  match Core.verify_snapshot_model_crashes ~n:2 ~max_crashes () with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-      let module FE = Core.Snapshot_mc in
-      Alcotest.(check int) "both wirings" 2 s.FE.wirings_checked;
-      Alcotest.(check int) "states" states s.FE.total_states;
-      Alcotest.(check int) "transitions" transitions s.FE.total_transitions;
-      Alcotest.(check int) "crash branches" crash_branches
-        s.FE.total_crash_branches
+(* A crash-stop changes no local and no register: it only removes the
+   crashed processor's moves.  Every state a crash-stop run reaches is
+   therefore reachable without crashes, and the fault-free exhaustive
+   verdict is the crash-stop certificate (DESIGN.md, "Fault injection &
+   crash recovery").  These
+   cases tie the simulator's crash semantics to the model checker's
+   fault-free space, so a crash that changed state would fail them. *)
 
-let test_snapshot_safe_under_crash_same_group () =
-  match
-    Core.verify_snapshot_model_crashes ~n:2 ~inputs:(Some [| 1; 1 |])
-      ~max_crashes:1 ()
-  with
-  | Error e -> Alcotest.fail e
-  | Ok _ -> ()
+module MC = Core.Snapshot_mc
 
-let test_crash_search_catches_planted_bug () =
-  (* Sanity that the crash search can fail at all: an invariant that
-     forbids any processor from halting must be violated.  Crash moves
-     keep the core state, so the minimal witness needs none of them: it
-     is p1 running solo to its output, twelve steps, nobody crashed, and
-     the sweep's error names both. *)
+(* [runs] seeded n=2 runs of the simulator on [wiring], each under a
+   random crash-stop-only plan of at most [max_crashes] crashes (any
+   processor, at any time in [0, 30)) and a random scheduler.  [visit]
+   sees the plan and the key of every state the run reaches, the
+   initial one included.  Returns how many crashes stopped a live
+   processor, so a caller can check the plans did something. *)
+let crash_runs ?(runs = 300) ~max_crashes ~inputs wiring visit =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
-  let inputs = [| 1; 2 |] in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let module E = Core.Snapshot_mc in
-  let invariant (st : E.state) =
-    if
-      Array.exists
-        (fun l -> Algorithms.Snapshot.output cfg l <> None)
-        st.E.locals
-    then Error "planted: someone terminated"
-    else Ok ()
-  in
-  match
-    E.check_all_wirings_crashes ~wirings:[ wiring ] ~invariant ~cfg ~inputs ()
-  with
-  | Error e ->
-      Alcotest.(check string) "sweep error"
-        (Fmt.str
-           "invariant violated under wiring %a with crashes {}: planted: \
-            someone terminated (witness: %s)"
-           Anonmem.Wiring.pp wiring
-           (String.concat " " (List.init 12 (fun _ -> "p1"))))
-        e
-  | Ok _ -> Alcotest.fail "planted invariant must fail the sweep"
+  let fired = ref 0 in
+  for seed = 0 to runs - 1 do
+    let rng = Rng.create ~seed in
+    let plan =
+      List.init
+        (Rng.int rng (max_crashes + 1))
+        (fun _ -> F.Crash_stop { p = Rng.int rng 2; at = Rng.int rng 30 })
+    in
+    let s = Sys.init ~cfg ~wiring ~inputs in
+    let key () =
+      MC.encode_state cfg
+        { MC.locals = s.Sys.locals; registers = s.Sys.registers }
+    in
+    visit plan (key ());
+    ignore
+      (Sys.run ~faults:plan ~sched:(Anonmem.Scheduler.random rng)
+         ~on_event:(fun ~time:_ _ -> visit plan (key ()))
+         ~on_fault:(fun ~time:_ -> function
+           | Sys.Crash_note { recovering = false; _ } -> incr fired
+           | _ -> ())
+         s)
+  done;
+  !fired
 
-(* Traces to crashed states: every state of the space whose key carries
-   a crash bit has a trace, read off the parent links, whose crash steps
-   are the pids [n + p] and whose replay (steps through the explorer's
-   successor, crashes as mask bits) reaches exactly that key. *)
+(* The fault-free space of one wiring, with the snapshot invariant
+   checked on every state of it. *)
+let fault_free_space ~inputs wiring =
+  let cfg = Algorithms.Snapshot.standard ~n:2 in
+  match
+    MC.explore ~invariant:(Core.snapshot_invariant cfg inputs) ~cfg ~wiring
+      ~inputs ()
+  with
+  | MC.Explored space -> space
+  | MC.Invariant_failed (_, v) -> Alcotest.fail v.MC.message
+  | MC.Exhausted _ -> Alcotest.fail "no governor, yet exhausted"
+
+(* On every n=2 wiring, every state of every crash-stop run is in the
+   verified fault-free space: n=2 is safe under [max_crashes]
+   crash-stops. *)
+let test_crash_runs_in_fault_free_space ~inputs ~max_crashes () =
+  List.iter
+    (fun wiring ->
+      let space = fault_free_space ~inputs wiring in
+      let fired =
+        crash_runs ~max_crashes ~inputs wiring (fun plan key ->
+            if not (Modelcheck.State_table.mem space.MC.table key) then
+              Alcotest.failf
+                "wiring %a, plan [%s]: a state outside the fault-free space"
+                Anonmem.Wiring.pp wiring (F.to_string plan))
+      in
+      Alcotest.(check bool) "some crash stopped a live processor" true
+        (fired > 0))
+    (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
+
+(* The witness of a state reached under crashes is a crash-free trace:
+   for every such state, the fault-free space's parent links give a
+   trace of processor steps that replays from the initial state to its
+   key. *)
 let test_crash_traces_replay () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let inputs = [| 1; 1 |] in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let module E = Core.Snapshot_mc in
-  match E.explore ~max_crashes:2 ~cfg ~wiring ~inputs () with
-  | E.Explored space ->
-      let kw = E.key_width cfg + 1 in
-      let crashed_ids = ref 0 in
-      for id = 0 to E.state_count space - 1 do
-        let key = Modelcheck.State_table.key_of_id space.E.table id in
-        if key.[kw - 1] <> '\000' then begin
-          incr crashed_ids;
-          let st, mask =
-            List.fold_left
-              (fun (st, mask) (pid, post) ->
-                let st, mask =
-                  if pid < 2 then (E.successor cfg wiring st pid, mask)
-                  else (st, mask lor (1 lsl (pid - 2)))
-                in
-                Alcotest.(check string) "post-state"
-                  (E.encode_state cfg post) (E.encode_state cfg st);
-                (st, mask))
-              (E.init_state ~cfg ~inputs, 0)
-              (E.trace_to space id)
-          in
-          Alcotest.(check string) "replay reaches the key" key
-            (E.encode_state cfg st ^ String.make 1 (Char.chr mask))
-        end
-      done;
-      Alcotest.(check bool) "crashed states traced" true (!crashed_ids > 0)
-  | _ -> Alcotest.fail "crash space must explore"
+  let space = fault_free_space ~inputs wiring in
+  let replayed = Hashtbl.create 64 in
+  ignore
+    (crash_runs ~runs:100 ~max_crashes:2 ~inputs wiring (fun plan key ->
+         if plan <> [] && not (Hashtbl.mem replayed key) then begin
+           Hashtbl.add replayed key ();
+           match Modelcheck.State_table.find space.MC.table key with
+           | None -> Alcotest.fail "a crashed state outside the space"
+           | Some id ->
+               let st =
+                 List.fold_left
+                   (fun st (mv, post) ->
+                     Alcotest.(check bool) "a processor step" true (mv < 2);
+                     let st = MC.successor cfg wiring st mv in
+                     Alcotest.(check string) "post-state"
+                       (MC.encode_state cfg post) (MC.encode_state cfg st);
+                     st)
+                   (MC.init_state ~cfg ~inputs) (MC.trace_to space id)
+               in
+               Alcotest.(check string) "replay reaches the key" key
+                 (MC.encode_state cfg st)
+         end));
+  Alcotest.(check bool) "crashed states traced" true
+    (Hashtbl.length replayed > 0)
 
-(* The crash search runs unreduced: a crash budget together with
-   symmetry reduction is refused by name, before any exploration. *)
-let test_reduced_crash_search_refused () =
-  let cfg = Algorithms.Snapshot.standard ~n:2 in
-  Alcotest.check_raises "reduction with max_crashes"
-    (Invalid_argument "Explorer.explore: the crash search runs unreduced")
-    (fun () ->
-      ignore
-        (Core.Snapshot_mc.explore ~max_crashes:1 ~reduction:true ~cfg
-           ~wiring:(Anonmem.Wiring.identity ~n:2 ~m:2)
-           ~inputs:[| 1; 1 |] ()))
-
-(* The crash search stops early only on its governor, like every other
-   engine: under a quota it returns [Exhausted] with a partial count, and
-   with no governor it explores the whole (pinned) space. *)
-let test_crash_search_state_bound () =
+(* A planted invariant that a crash-stop run breaks is caught by the
+   fault-free search, and its minimal witness has no crash: p2 crashing
+   at time 0 leaves p1 to run solo to its output, and the BFS reports
+   that solo run, twelve p1 steps. *)
+let test_planted_bug_crash_witness () =
   let cfg = Algorithms.Snapshot.standard ~n:2 in
   let inputs = [| 1; 2 |] in
   let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let module E = Core.Snapshot_mc in
-  (match E.explore ~max_crashes:1 ~cfg ~wiring ~inputs () with
-  | E.Explored space ->
-      Alcotest.(check int) "pinned space" 8105 (E.state_count space)
-  | _ -> Alcotest.fail "the crash search must finish without a governor");
+  let invariant (st : MC.state) =
+    if
+      Array.exists
+        (fun l -> Algorithms.Snapshot.output cfg l <> None)
+        st.MC.locals
+    then Error "planted: someone terminated"
+    else Ok ()
+  in
+  let s = Sys.init ~cfg ~wiring ~inputs in
+  ignore
+    (Sys.run
+       ~faults:[ F.Crash_stop { p = 1; at = 0 } ]
+       ~sched:(Anonmem.Scheduler.round_robin ())
+       s);
+  Alcotest.(check bool) "the crash run breaks the planted invariant" true
+    (Result.is_error
+       (invariant { MC.locals = s.Sys.locals; registers = s.Sys.registers }));
+  match MC.explore ~invariant ~cfg ~wiring ~inputs () with
+  | MC.Invariant_failed (_, v) ->
+      Alcotest.(check string) "message" "planted: someone terminated"
+        v.MC.message;
+      Alcotest.(check (list int)) "witness: p1 solo" (List.init 12 (fun _ -> 0))
+        (List.map fst v.MC.trace)
+  | _ -> Alcotest.fail "planted invariant must fail the search"
+
+(* The fault-free search stops early only on its governor: under a
+   quota it returns [Exhausted] with a partial count, and with no
+   governor it explores the whole (pinned) space. *)
+let test_state_bound () =
+  let cfg = Algorithms.Snapshot.standard ~n:2 in
+  let inputs = [| 1; 2 |] in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  (match MC.explore ~cfg ~wiring ~inputs () with
+  | MC.Explored space ->
+      Alcotest.(check int) "pinned space" 2827 (MC.state_count space)
+  | _ -> Alcotest.fail "the search must finish without a governor");
   let governor = Modelcheck.Governor.create ~quota:50 () in
-  match E.explore ~governor ~max_crashes:1 ~cfg ~wiring ~inputs () with
-  | E.Exhausted { reason = Modelcheck.Governor.Quota; states } ->
+  match MC.explore ~governor ~cfg ~wiring ~inputs () with
+  | MC.Exhausted { reason = Modelcheck.Governor.Quota; states } ->
       Alcotest.(check bool) "partial count" true (states >= 50)
-  | _ -> Alcotest.fail "a quota must stop the crash search"
+  | _ -> Alcotest.fail "a quota must stop the search"
 
 let () =
   Alcotest.run "fault"
@@ -563,19 +597,18 @@ let () =
       ( "modelcheck",
         [
           Alcotest.test_case "n=2 safe under <=1 crash" `Quick
-            (test_snapshot_crash_space ~max_crashes:1 ~states:14_941
-               ~transitions:28_518 ~crash_branches:9_728);
+            (test_crash_runs_in_fault_free_space ~inputs:[| 1; 2 |]
+               ~max_crashes:1);
           Alcotest.test_case "n=2 safe under <=2 crashes" `Quick
-            (test_snapshot_crash_space ~max_crashes:2 ~states:19_472
-               ~transitions:37_580 ~crash_branches:18_790);
+            (test_crash_runs_in_fault_free_space ~inputs:[| 1; 2 |]
+               ~max_crashes:2);
           Alcotest.test_case "n=2 same group safe under crash" `Quick
-            test_snapshot_safe_under_crash_same_group;
+            (test_crash_runs_in_fault_free_space ~inputs:[| 1; 1 |]
+               ~max_crashes:2);
           Alcotest.test_case "planted invariant caught with crash witness"
-            `Quick test_crash_search_catches_planted_bug;
-          Alcotest.test_case "state bound" `Quick test_crash_search_state_bound;
+            `Quick test_planted_bug_crash_witness;
+          Alcotest.test_case "state bound" `Quick test_state_bound;
           Alcotest.test_case "traces to crashed states replay" `Quick
             test_crash_traces_replay;
-          Alcotest.test_case "reduced crash search refused" `Quick
-            test_reduced_crash_search_refused;
         ] );
     ]

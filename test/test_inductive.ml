@@ -336,35 +336,49 @@ let test_reachable_inv_fingerprint () =
     (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
 
 let test_reachable_inv_faults () =
-  (* Crash branches keep a processor's last core state, so they reach no
-     state outside the fault-free reachable set: the proved invariant
-     holds under crashes too, and the sweep matches the one checked
-     against the snapshot specification. *)
-  let module FS = Core.Snapshot_mc in
+  (* A crash-stop keeps every local and register and only removes
+     moves, so crash-stop runs reach no state outside the fault-free
+     reachable set: the proved invariant holds on every state of seeded
+     crash-stop runs of the simulator, on every n=2 wiring. *)
   let cfg = Snap.standard ~n:2 in
   let inputs = [| 1; 2 |] in
-  let base =
-    match Core.verify_snapshot_model_crashes ~n:2 () with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "fault sweep failed: %s" e
-  in
-  let checked =
-    match
-      FS.check_all_wirings_crashes ~max_crashes:1
-        ~invariant:(clauses_inv I.proved cfg inputs) ~cfg ~inputs ()
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "proved invariant fired under crashes: %s" e
-  in
-  Alcotest.(check bool) "crash branches explored" true
-    (checked.FS.total_crash_branches > 0);
-  Alcotest.(check int) "wirings" base.FS.wirings_checked
-    checked.FS.wirings_checked;
-  Alcotest.(check int) "states" base.FS.total_states checked.FS.total_states;
-  Alcotest.(check int) "transitions" base.FS.total_transitions
-    checked.FS.total_transitions;
-  Alcotest.(check int) "crash branches" base.FS.total_crash_branches
-    checked.FS.total_crash_branches
+  let crashed = ref 0 in
+  List.iter
+    (fun wiring ->
+      for seed = 0 to 199 do
+        let rng = Repro_util.Rng.create ~seed in
+        let plan =
+          List.init
+            (1 + Repro_util.Rng.int rng 2)
+            (fun _ ->
+              Anonmem.Fault.Crash_stop
+                {
+                  p = Repro_util.Rng.int rng 2;
+                  at = Repro_util.Rng.int rng 30;
+                })
+        in
+        let st = Sys2.init ~cfg ~wiring ~inputs in
+        let check () =
+          match
+            I.state_violation ~cfg ~inputs I.proved ~locals:st.Sys2.locals
+              ~registers:st.Sys2.registers
+          with
+          | None -> ()
+          | Some c ->
+              Alcotest.failf "proved clause %s fired under crashes [%s]"
+                (I.clause_name c)
+                (Anonmem.Fault.to_string plan)
+        in
+        ignore
+          (Sys2.run ~faults:plan ~sched:(Anonmem.Scheduler.random rng)
+             ~on_event:(fun ~time:_ _ -> check ())
+             ~on_fault:(fun ~time:_ -> function
+               | Sys2.Crash_note { recovering = false; _ } -> incr crashed
+               | _ -> ())
+             st)
+      done)
+    (Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true);
+  Alcotest.(check bool) "crashes stopped live processors" true (!crashed > 0)
 
 let test_too_strong_replays () =
   (* The too-strong conjunction as the BFS invariant: the run fails, and

@@ -349,8 +349,6 @@ let test_choices_refused () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s ran under write choices" what
   in
-  refused "crash search" (fun () ->
-      ignore (MC.explore ~max_crashes:1 ~cfg:any_cfg ~wiring ~inputs ()));
   refused "parallel BFS" (fun () ->
       ignore
         (Core.Snapshot_par_mc.explore ~domains:2 ~cfg:any_cfg ~wiring ~inputs ()));

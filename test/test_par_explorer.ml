@@ -472,46 +472,6 @@ let test_planted_trace_ids_from_arena_table () =
         v.E.trace
   | _ -> Alcotest.fail "planted n=3 violation missed"
 
-let test_fault_explorer_reduced_witness () =
-  (* Under a single-group assignment the crash search catches the planted
-     bug and its witness replays — crash steps (pids [n + p]) included —
-     to a violating state.  The crash search runs unreduced: asking for
-     reduction as well is refused by name. *)
-  let cfg = Snap.standard ~n:2 in
-  let inputs = [| 1; 1 |] in
-  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
-  let module E = SnapDiff.E in
-  let invariant = no_output_invariant cfg in
-  Alcotest.check_raises "reduced crash search refused"
-    (Invalid_argument "Explorer.explore: the crash search runs unreduced")
-    (fun () ->
-      ignore
-        (E.explore ~max_crashes:1 ~reduction:true ~invariant ~cfg ~wiring
-           ~inputs ()));
-  match E.explore ~max_crashes:1 ~invariant ~cfg ~wiring ~inputs () with
-  | E.Invariant_failed (_, v) -> (
-      let st, _ =
-        List.fold_left
-          (fun (st, mask) (pid, post) ->
-            let st, mask =
-              if pid < 2 then begin
-                Alcotest.(check bool) "stepping pid is live" true
-                  (mask land (1 lsl pid) = 0);
-                (E.successor cfg wiring st pid, mask)
-              end
-              else (st, mask lor (1 lsl (pid - 2)))
-            in
-            Alcotest.(check string) "trace state is the replayed one"
-              (E.encode_state cfg post) (E.encode_state cfg st);
-            (st, mask))
-          (E.init_state ~cfg ~inputs, 0)
-          v.E.trace
-      in
-      match invariant st with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "replayed fault witness does not violate")
-  | _ -> Alcotest.fail "planted bug missed"
-
 let test_fig3_nd_planted_search () =
   (* The C2 search on the generic DFS under the nondeterministic write
      order: single-group inputs refute the non-atomicity target on every
@@ -1010,9 +970,8 @@ let test_canon_group_sizes () =
 (* ------------------------------------------------------------------ *)
 
 let test_processor_limits_structured () =
-  (* >= 16 processors would corrupt the 4-bit pid packing; > 8 would
-     overflow the fault explorer's crash-mask byte.  Both must be
-     structured errors, not silent corruption. *)
+  (* >= 16 processors would corrupt the 4-bit pid packing: a structured
+     error, not silent corruption. *)
   let module WsE = WsDiff.E in
   let module WsPar = WsDiff.Par in
   let cfg16 = Algorithms.Write_scan.cfg ~n:16 ~m:2 in
@@ -1033,11 +992,6 @@ let test_processor_limits_structured () =
       WsE.check_exhaustive ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
   expect_unsupported "par explore" (fun () ->
       WsPar.explore ~domains:2 ~cfg:cfg16 ~wiring:wiring16 ~inputs:inputs16 ());
-  let cfg9 = Algorithms.Write_scan.cfg ~n:9 ~m:2 in
-  expect_unsupported "crash explore (crash-mask byte)" (fun () ->
-      WsE.explore ~max_crashes:1 ~cfg:cfg9
-        ~wiring:(Anonmem.Wiring.identity ~n:9 ~m:2)
-        ~inputs:(Array.make 9 1) ());
   (* The registered printer renders the payload, not <exn>. *)
   let printed =
     Printexc.to_string
@@ -1078,8 +1032,6 @@ let () =
             test_planted_double_collect_counterexample;
           Alcotest.test_case "trace ids from the arena table replay" `Quick
             test_planted_trace_ids_from_arena_table;
-          Alcotest.test_case "fault explorer reduced witness" `Quick
-            test_fault_explorer_reduced_witness;
           (* Figure 3's moves on the generic DFS; the name predates the
              retired packed checker's removal and keeps the test id. *)
           Alcotest.test_case "snapshot3 ND search" `Quick

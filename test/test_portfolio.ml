@@ -4,8 +4,8 @@
    domains — must agree on every (task, n, m) cell they all cover; clean
    cells verify, violating cells produce witnesses that replay through
    Witness.Replay; the planted-bug variants are caught with replayable
-   counterexamples; and the crash-stop sweeps keep exclusion and
-   distinctness.
+   counterexamples; and crash-stop runs stay inside the fault-free
+   spaces where exclusion and distinctness hold.
 
    Small n=2 cells (and cheap n=3 violations) run inside @portfolio-smoke
    / `dune runtest`; set PORTFOLIO_LONG=1 for the heavier n=3 cells. *)
@@ -272,39 +272,96 @@ let test_planted_majority_leader_caught () =
       Alcotest.failf "majority leader: expected safety violation, got %s"
         (verdict_kind v)
 
-(* --- crash-stop sweeps --------------------------------------------------- *)
+(* --- crash-stop runs ------------------------------------------------------ *)
 
-(* The sweep sizes are pinned exactly: a change to the crash moves shows
-   as a count change, not only as a verdict change. *)
+(* A crash-stop only removes moves, so every state a crash-stop run
+   reaches is in the fault-free space, and a clean fault-free space is
+   the crash-stop certificate.  Seeded simulator runs under random
+   crash-stop plans (one or two crashes, any processor, any time in
+   [0, 30)), on every (2,3) wiring, must stay inside the fault-free
+   space, whose invariant held on every state.  The survivors of a
+   crashed lock holder spin, so each run stops after 200 steps. *)
+module Crash_runs (P : Anonmem.Protocol.S with type input = int) = struct
+  module S = Anonmem.System.Make (P)
+
+  let run ~cfg ~wiring ~inputs inside =
+    let n = P.processors cfg in
+    let fired = ref 0 in
+    for seed = 0 to 99 do
+      let rng = Repro_util.Rng.create ~seed in
+      let plan =
+        List.init
+          (1 + Repro_util.Rng.int rng 2)
+          (fun _ ->
+            Anonmem.Fault.Crash_stop
+              {
+                p = Repro_util.Rng.int rng n;
+                at = Repro_util.Rng.int rng 30;
+              })
+      in
+      let s = S.init ~cfg ~wiring ~inputs in
+      let check () =
+        if not (inside s.S.locals s.S.registers) then
+          Alcotest.failf "wiring %a, plan [%s]: a state outside the fault-free \
+                          space"
+            Anonmem.Wiring.pp wiring
+            (Anonmem.Fault.to_string plan)
+      in
+      check ();
+      ignore
+        (S.run ~max_steps:200 ~faults:plan
+           ~sched:(Anonmem.Scheduler.random rng)
+           ~on_event:(fun ~time:_ _ -> check ())
+           ~on_fault:(fun ~time:_ -> function
+             | S.Crash_note { recovering = false; _ } -> incr fired
+             | _ -> ())
+           s)
+    done;
+    !fired
+end
+
+let wirings23 = Anonmem.Wiring.enumerate ~n:2 ~m:3 ~fix_first:true
+
 let test_mutex_exclusion_survives_crashes () =
   let module FE = Core.Rt_mutex_mc in
-  let cfg = Rm.cfg ~n:2 ~m:3 in
-  match
-    FE.check_all_wirings_crashes ~max_crashes:1
-      ~invariant:(Core.mutex_invariant cfg) ~cfg ~inputs:[| 1; 2 |] ()
-  with
-  | Ok s ->
-      Alcotest.(check int) "mutex(2,3) crash sweep: all wirings" 6
-        s.FE.wirings_checked;
-      Alcotest.(check int) "states" 18_892 s.FE.total_states;
-      Alcotest.(check int) "transitions" 36_088 s.FE.total_transitions;
-      Alcotest.(check int) "crash branches" 12_310 s.FE.total_crash_branches
-  | Error e -> Alcotest.failf "mutex(2,3) under crashes: %s" e
+  let module R = Crash_runs (Rm) in
+  let cfg = Rm.cfg ~n:2 ~m:3 and inputs = [| 1; 2 |] in
+  List.iter
+    (fun wiring ->
+      match
+        FE.explore ~invariant:(Core.mutex_invariant cfg) ~cfg ~wiring ~inputs ()
+      with
+      | FE.Explored space ->
+          let fired =
+            R.run ~cfg ~wiring ~inputs (fun locals registers ->
+                Modelcheck.State_table.mem space.FE.table
+                  (FE.encode_state cfg { FE.locals; registers }))
+          in
+          Alcotest.(check bool) "crashes stopped live processors" true
+            (fired > 0)
+      | _ -> Alcotest.fail "mutex(2,3): the fault-free space must verify")
+    wirings23
 
 let test_naming_distinctness_survives_crashes () =
   let module FE = Core.Naming_mc in
-  let cfg = Nm.cfg ~n:2 ~m:3 in
-  match
-    FE.check_all_wirings_crashes ~max_crashes:1
-      ~invariant:(Core.naming_invariant cfg) ~cfg ~inputs:[| 1; 2 |] ()
-  with
-  | Ok s ->
-      Alcotest.(check int) "naming(2,3) crash sweep: all wirings" 6
-        s.FE.wirings_checked;
-      Alcotest.(check int) "states" 15_500 s.FE.total_states;
-      Alcotest.(check int) "transitions" 28_340 s.FE.total_transitions;
-      Alcotest.(check int) "crash branches" 9_882 s.FE.total_crash_branches
-  | Error e -> Alcotest.failf "naming(2,3) under crashes: %s" e
+  let module R = Crash_runs (Nm) in
+  let cfg = Nm.cfg ~n:2 ~m:3 and inputs = [| 1; 2 |] in
+  List.iter
+    (fun wiring ->
+      match
+        FE.explore ~invariant:(Core.naming_invariant cfg) ~cfg ~wiring ~inputs
+          ()
+      with
+      | FE.Explored space ->
+          let fired =
+            R.run ~cfg ~wiring ~inputs (fun locals registers ->
+                Modelcheck.State_table.mem space.FE.table
+                  (FE.encode_state cfg { FE.locals; registers }))
+          in
+          Alcotest.(check bool) "crashes stopped live processors" true
+            (fired > 0)
+      | _ -> Alcotest.fail "naming(2,3): the fault-free space must verify")
+    wirings23
 
 (* --- n=3 cells ----------------------------------------------------------- *)
 

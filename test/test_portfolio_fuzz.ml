@@ -72,6 +72,7 @@ module Eager_mutex_target : Fuzzing.Target.S = struct
   module P = Algorithms.Rt_mutex
 
   let cfg ~n ~m = Algorithms.Rt_mutex.cfg_eager ~n ~m
+  let max_registers = Fuzzing.Targets.Rt_mutex.max_registers
   let m_range = Fuzzing.Targets.Rt_mutex.m_range
 
   let check ~inputs ~participated ~outputs =
@@ -87,6 +88,7 @@ module Majority_leader_target : Fuzzing.Target.S = struct
   module P = Algorithms.Weak_leader
 
   let cfg ~n ~m = Algorithms.Weak_leader.cfg_majority ~n ~m
+  let max_registers = Fuzzing.Targets.Weak_leader.max_registers
   let m_range = Fuzzing.Targets.Weak_leader.m_range
 
   let check ~inputs ~participated ~outputs =
