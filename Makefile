@@ -17,7 +17,7 @@ test:
 # it; compare ints with Int.min/Int.max/Int.compare or a typed [=].
 HOT_MODULES = Bits Iset Rng Scheduler System Snapshot_core Snapshot \
   Consensus Naming Rt_mutex Weak_leader Schedule Rt_mutex_packed Canon \
-  Explorer State_table Codecs
+  Explorer State_table Codecs Key_layout
 HOT_SYMBOLS = ^(caml_(compare|equal|notequal|lessequal|lessthan|greaterequal|greaterthan)|camlStdlib[.](min|max|compare)_[0-9]+)([-+]0x[0-9a-f]+)?$$
 
 lint-hot:

@@ -153,7 +153,7 @@ let claim_c1 () =
   | Error e -> Printf.printf "n=2 groups FAILED: %s\n" e);
   (* n=3 on the generic exact DFS with the strong snapshot invariant: the
      rotation wiring's space is about 10^8 states, a visited table of
-     about 3.5 GiB (EXPERIMENTS C1). *)
+     about 2.3 GiB (EXPERIMENTS C1). *)
   let wirings = Anonmem.Wiring.enumerate ~n:3 ~m:3 ~fix_first:true in
   let wirings =
     if full then wirings

@@ -23,7 +23,10 @@
     map, the scan compares each candidate image against the best one so
     far byte by byte through the two maps (most comparisons stop inside
     the first local slice), and only the winner is materialised — the key
-    itself when the identity wins.
+    itself when the identity wins.  The exact engines store packed keys
+    ({!Key_layout}): {!pack_least} packs the winner straight through its
+    gather map, and {!image} builds it wide only for a state not seen
+    before.
 
     Canonicalization operates directly on the byte-string state encodings
     of {!Explorer.CHECKABLE} protocols: permuting processors permutes the
@@ -31,8 +34,8 @@
     slices, and local states carry over {e verbatim} — private register
     indices inside a local state (scan cursors, write cursors) need no
     relabelling because they are reinterpreted through the moved wiring
-    permutation.  Bytes past the state image are copied verbatim; no
-    engine's key has any.  See DESIGN.md
+    permutation.  A key is exactly the state image: anything longer or
+    shorter is refused.  See DESIGN.md
     §"Symmetry reduction" for the soundness argument and for why named
     processors would break it. *)
 
@@ -100,12 +103,14 @@ let is_trivial t = Array.length t.gathers = 1
 let group t = t.group
 let group_order t = Array.length t.gathers
 
-(** Apply one automorphism to an encoded key.  Bytes past the
-    [n*lw + m*vw] state image are copied verbatim.  This is the reference
-    semantics the tests hold {!canonicalize} to. *)
+let check_key t who len =
+  if len <> t.body then invalid_arg (who ^ ": key is not the state image")
+
+(** Apply one automorphism to an encoded key of exactly the
+    [n*lw + m*vw] state image.  This is the reference semantics the tests
+    hold {!canonicalize} to. *)
 let apply t s key =
-  if String.length key < t.body then
-    invalid_arg "Canon.apply: key shorter than the state image";
+  check_key t "Canon.apply" (String.length key);
   let out = Bytes.of_string key in
   for p = 0 to t.n - 1 do
     Bytes.blit_string key (p * t.lw) out (s.pi.(p) * t.lw) t.lw
@@ -121,21 +126,20 @@ let apply t s key =
   Bytes.unsafe_to_string out
 
 (* Sign of image [g] against image [h] of [key] from byte [i] on, read in
-   place through the two gather maps.  Callers have checked
-   [String.length key >= body]; every map entry is below [body]. *)
+   place through the two gather maps.  Callers have checked that [key] is
+   [body] bytes; every map entry is below [body]. *)
 let rec compare_images key g h body i =
   if i = body then 0
   else
     let c =
-      Char.code (String.unsafe_get key (Array.unsafe_get g i))
-      - Char.code (String.unsafe_get key (Array.unsafe_get h i))
+      Char.code (Bytes.unsafe_get key (Array.unsafe_get g i))
+      - Char.code (Bytes.unsafe_get key (Array.unsafe_get h i))
     in
     if c <> 0 then c else compare_images key g h body (i + 1)
 
 (* Index in [group] of the least image of [key]: the [String.compare]
    minimum over the group, the earlier element on ties (so the identity,
-   index 0, whenever the key is its own minimum).  Bytes past [body] are
-   the same in every image. *)
+   index 0, whenever the key is its own minimum). *)
 let least t key =
   let best = ref 0 in
   for k = 1 to Array.length t.gathers - 1 do
@@ -144,24 +148,36 @@ let least t key =
   done;
   !best
 
-(* Build image [k] of [key]: the body through its gather map, trailing
-   bytes verbatim. *)
-let build t key k =
+(** [image t key k] is image [k] (an index into {!group}) of the wide
+    [key], built through its gather map. *)
+let image t key k =
+  check_key t "Canon.image" (Bytes.length key);
   let g = t.gathers.(k) in
-  let len = String.length key in
-  let out = Bytes.create len in
+  let out = Bytes.create t.body in
   for i = 0 to t.body - 1 do
-    Bytes.unsafe_set out i (String.unsafe_get key (Array.unsafe_get g i))
+    Bytes.unsafe_set out i (Bytes.unsafe_get key (Array.unsafe_get g i))
   done;
-  Bytes.blit_string key t.body out t.body (len - t.body);
   Bytes.unsafe_to_string out
 
 (** Orbit minimum of [key] under the group — the canonical representative.
     Idempotent, and constant on orbits (two keys canonicalize equally iff
     some group element maps one to the other).  Returns [key] itself when
     it is its own minimum, and otherwise allocates exactly the result.
-    @raise Invalid_argument on a key shorter than the state image. *)
+    @raise Invalid_argument on a key that is not the state image. *)
 let canonicalize t key =
-  if String.length key < t.body then
-    invalid_arg "Canon.canonicalize: key shorter than the state image";
-  match least t key with 0 -> key | k -> build t key k
+  check_key t "Canon.canonicalize" (String.length key);
+  let b = Bytes.unsafe_of_string key in
+  match least t b with 0 -> key | k -> image t b k
+
+(** [pack_least t layout key dst]: [dst] holds the wide [key] packed
+    under [layout]; rewrite it as the packed orbit minimum,
+    [Key_layout.pack layout (canonicalize t key)], and return the
+    winner's index for {!image}.  The identity wins most often and then
+    [dst] is left as it is; otherwise the winner is packed straight
+    through its gather map, never built.  Allocates nothing.
+    @raise Key_layout.Field_overflow as [Key_layout.pack] does. *)
+let pack_least t layout key dst =
+  check_key t "Canon.pack_least" (Bytes.length key);
+  let k = least t key in
+  if k <> 0 then Key_layout.pack_gather layout key t.gathers.(k) dst;
+  k

@@ -307,10 +307,21 @@ let tick r =
   save_if r ~final:(tripped <> None);
   tripped
 
+(* The engine tag a context starts with ("dfs", "bfs", "fpbfs", ...). *)
+let engine_of context =
+  match String.index_opt context '|' with
+  | Some i -> String.sub context 0 i
+  | None -> context
+
 let resumable ~who ~context ~resume = function
   | Some { path; _ } when resume && Sys.file_exists path ->
       let sections = load ~path in
-      if not (String.equal (Bytes.to_string (find "context" sections)) context)
-      then corrupt "%s: checkpoint context mismatch" who;
+      let found = Bytes.to_string (find "context" sections) in
+      if not (String.equal found context) then
+        corrupt "%s: checkpoint context mismatch (the image is a %s checkpoint%s)" who
+          (engine_of found)
+          (if String.equal (engine_of found) (engine_of context) then
+             " of another configuration or key layout"
+           else "");
       Some sections
   | _ -> None

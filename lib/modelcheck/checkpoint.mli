@@ -187,6 +187,10 @@ val set_torn_write : int option -> unit
     writes only the first [k] bytes of the tmp file, skips the rename,
     raises {!Simulated_crash}, and disarms itself.  [None] disarms. *)
 
+val engine_of : string -> string
+(** The engine tag a checkpoint context starts with (["dfs"], ["bfs"],
+    ["fpbfs"], ...): its text before the first ['|']. *)
+
 val resumable :
   who:string ->
   context:string ->
@@ -197,5 +201,7 @@ val resumable :
     resumes from: [Some] of the loaded checkpoint when [resume] holds and
     the policy's file exists, [None] otherwise (a missing file runs
     fresh).  Raises {!Corrupt_checkpoint} ["<who>: checkpoint context
-    mismatch"] when the file's ["context"] section is not [context], and
-    as {!load} does on an unusable file. *)
+    mismatch (the image is a <engine> checkpoint ...)"], naming the
+    engine tag the file's context starts with, when the file's
+    ["context"] section is not [context], and as {!load} does on an
+    unusable file. *)

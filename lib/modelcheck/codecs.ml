@@ -4,9 +4,18 @@
     The codecs pack views as bitmasks, so they support input values in
     [0..7] — ample for exhaustive exploration, which is only feasible for a
     handful of processors anyway.  All fields of the protocols' local
-    states are small non-negative integers; each occupies one byte. *)
+    states are small non-negative integers; each occupies one byte of the
+    wide key, and each codec declares, per byte, how many low bits a run
+    can set ([local_bits], [value_bits]), from [cfg] and the run's inputs:
+    the engines store keys packed to those widths ({!Key_layout}). *)
 
 open Repro_util
+
+let bits = Key_layout.bits_for
+let max_input inputs = Array.fold_left Int.max 0 inputs
+
+(* A view is a bitmask of input values. *)
+let view_bits inputs = if Array.length inputs = 0 then 0 else max_input inputs + 1
 
 let put b off x =
   if x < 0 || x > 255 then invalid_arg "Codecs: field out of byte range";
@@ -47,6 +56,14 @@ module Snapshot = struct
   let key_format = written_set_format
 
   let value_width _ = 2
+
+  (* view, level in [0 .. n] *)
+  let value_bits (c : cfg) inputs = [| view_bits inputs; bits c.n |]
+
+  (* view, level, written-set, phase ([1 + 2 pos + all_own], pos < m),
+     min_level in [0 .. n] *)
+  let local_bits (c : cfg) inputs =
+    [| view_bits inputs; bits c.n; c.m; bits (2 * c.m); bits c.n |]
 
   let encode_value _ (v : value) b off =
     put b off (Iset.to_bits v.view);
@@ -100,6 +117,10 @@ module Write_scan = struct
   let encode_value _ v b off = put b off (Iset.to_bits v)
   let decode_value _ b off = Iset.of_bits (get b off)
   let local_width _ = 3
+  let value_bits _ inputs = [| view_bits inputs |]
+
+  (* view, write cursor below m, phase [1 + pos] *)
+  let local_bits (c : cfg) inputs = [| view_bits inputs; bits (c.m - 1); bits c.m |]
 
   let encode_local _ (l : local) b off =
     put b off (Iset.to_bits l.W.view);
@@ -132,6 +153,12 @@ module Double_collect = struct
   let encode_value _ v b off = put b off (Iset.to_bits v)
   let decode_value _ b off = Iset.of_bits (get b off)
   let local_width _ = 4
+  let value_bits _ inputs = [| view_bits inputs |]
+
+  (* view, write cursor below m, streak (a processor halts at 2), phase
+     [1 + 2 pos + all_own] *)
+  let local_bits (c : cfg) inputs =
+    [| view_bits inputs; bits (c.m - 1); bits 2; bits (2 * c.m) |]
 
   let encode_local _ (l : local) b off =
     put b off (Iset.to_bits l.D.view);
@@ -206,6 +233,23 @@ module Consensus = struct
 
   let value_width _ = 4
 
+  (* The 24-bit pair set over its three bytes, when values run up to
+     the largest input: pair indices stay below [vmax * (max_ts + 1)]. *)
+  let view_bytes inputs =
+    let total = Int.min max_value (max_input inputs) * (max_ts + 1) in
+    Array.init 3 (fun i -> Int.max 0 (Int.min 8 (total - (8 * i))))
+
+  let value_bits (c : cfg) inputs = Array.append (view_bytes inputs) [| bits c.n |]
+
+  (* pref, ts, decided + 1, then the snapshot local as in [Snapshot] *)
+  let local_bits (c : cfg) inputs =
+    Array.concat
+      [
+        [| bits max_value; bits max_ts; bits (max_value + 1) |];
+        view_bytes inputs;
+        [| bits c.n; c.m; bits (2 * c.m); bits c.n |];
+      ]
+
   let encode_value _ (v : value) b off =
     put3 b off (pset_bits v.SC.view);
     put b (off + 3) v.SC.level
@@ -275,6 +319,11 @@ module Renaming = struct
   let encode_value = Snapshot.encode_value
   let decode_value = Snapshot.decode_value
   let local_width cfg = 1 + Snapshot.local_width cfg
+  let value_bits = Snapshot.value_bits
+
+  (* the group is the input *)
+  let local_bits cfg inputs =
+    Array.append [| bits (max_input inputs) |] (Snapshot.local_bits cfg inputs)
 
   let encode_local cfg (l : local) b off =
     put b off l.R.group;
@@ -312,6 +361,24 @@ module Rt_mutex = struct
 
   let encode_value _ (v : value) b off = put b off (value_byte v)
   let decode_value _ b off : value = byte_value (get b off)
+
+  (* Identities are the inputs. *)
+  let value_bits _ inputs = [| bits ((2 * max_input inputs) + 2) |]
+
+  (* The phase's aux byte: a register index or [2 pos + dirty] (pos at
+     most m), or a release mask. *)
+  let aux_bits m = bits (Int.max ((2 * m) + 1) ((1 lsl m) - 1))
+
+  (* The collect summary: mine mask, first_free + 1, then m rival
+     (id + 1, count) pairs. *)
+  let summary_bits m inputs =
+    Array.append [| m; bits m |]
+      (Array.init (2 * m) (fun i ->
+           if i land 1 = 0 then bits (max_input inputs + 1) else bits m))
+
+  let local_bits cfg inputs =
+    let m = M.registers cfg in
+    Array.append [| bits (max_input inputs); bits 6; aux_bits m |] (summary_bits m inputs)
 
   (* id, phase tag, aux, collect summary: mine mask, first_free + 1,
      then (id + 1, count) pairs for the rival counts (ascending ids, the
@@ -417,6 +484,15 @@ module Weak_leader = struct
     match get b off with 0 -> None | k -> Some (k - 1)
 
   let local_width cfg = 3 + W.registers cfg
+  let value_bits _ inputs = [| bits (max_input inputs + 1) |]
+
+  (* id, phase tag, aux (a register index or the outcome), then the
+     collected values *)
+  let local_bits cfg inputs =
+    let m = W.registers cfg in
+    Array.append
+      [| bits (max_input inputs); bits 2; bits m |]
+      (Array.make m (bits (max_input inputs + 1)))
 
   let encode_local cfg (l : local) b off =
     let m = W.registers cfg in
@@ -499,6 +575,25 @@ module Naming = struct
     go n []
 
   let value_width cfg = 1 + N.processors cfg
+
+  (* An owner + 1 per ledger name; identities are the inputs. *)
+  let ledger_bits cfg inputs = Array.make (N.processors cfg) (bits (max_input inputs + 1))
+
+  let value_bits cfg inputs =
+    Array.append [| bits (max_input inputs + 1) |] (ledger_bits cfg inputs)
+
+  (* id, know ledger, phase tag, aux (a register index, a release mask,
+     [16 pos + name] while flooding, or the name), then the collect
+     summary of [Rt_mutex] *)
+  let local_bits cfg inputs =
+    let m = N.registers cfg in
+    Array.concat
+      [
+        [| bits (max_input inputs) |];
+        ledger_bits cfg inputs;
+        [| bits 4; bits (Int.max ((1 lsl m) - 1) ((16 * m) + 15)) |];
+        Rt_mutex.summary_bits m inputs;
+      ]
 
   let encode_value cfg (v : value) b off =
     put b off (match v.N.owner with None -> 0 | Some id -> id + 1);

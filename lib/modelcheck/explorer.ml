@@ -19,9 +19,11 @@
 
     The state spaces reach tens of millions of states for 3 processors, so
     states are stored only as compact byte strings: checkable protocols
-    supply fixed-width codecs ({!CHECKABLE}, instances in {!Codecs}), the
-    visited set is an arena-backed open-addressing table ({!State_table})
-    holding the key bytes inline with dense insertion-order ids, successor
+    supply fixed-width codecs ({!CHECKABLE}, instances in {!Codecs}) that
+    declare each byte's bit width, the exact engines pack keys to those
+    widths ({!Key_layout}), the visited set is an arena-backed
+    open-addressing table ({!State_table}) holding the packed keys inline
+    with dense insertion-order ids, successor
     edges are five-byte packed words grouped by source (a CSR image built
     on the fly, since BFS pops states in id order), and the SCC pass reads
     that image in place.  To cover
@@ -70,6 +72,15 @@ module type CHECKABLE = sig
   val local_width : cfg -> int
   val encode_local : cfg -> local -> Bytes.t -> int -> unit
   val decode_local : cfg -> Bytes.t -> int -> local
+
+  val value_bits : cfg -> input array -> int array
+  (** For each byte of a value slice, how many low bits a run on these
+      inputs can set; [value_width cfg] entries.  The exact engines store
+      keys packed to these widths ({!Key_layout}), and a value wider than
+      its declaration raises {!Key_layout.Field_overflow}. *)
+
+  val local_bits : cfg -> input array -> int array
+  (** [value_bits] for a local slice; [local_width cfg] entries. *)
 
   (** A move is a (processor, choice) pair.  Choice 0 is {!next}'s
       operation; Figure 3 under the [Any] write order (the PlusCal
@@ -249,6 +260,24 @@ let fp_sweep_section =
         });
   }
 
+(* The visited table of a resumed image, whose keys must be [layout]'s
+   packed keys: a key with a bit set past its last field is corrupt, and
+   never decodes to a state. *)
+let packed_table ~who layout sections =
+  let table = State_table.deserialize (Checkpoint.find "table" sections) in
+  let corrupt fmt =
+    Printf.ksprintf (fun s -> raise (Checkpoint.Corrupt_checkpoint s)) fmt
+  in
+  if State_table.key_width table <> Key_layout.width layout then
+    corrupt "%s: table keys are %d bytes, the layout packs %d" who
+      (State_table.key_width table) (Key_layout.width layout);
+  State_table.iter
+    (fun id key ->
+      if not (Key_layout.padding_clear layout key) then
+        corrupt "%s: key %d has bits set past its layout" who id)
+    table;
+  table
+
 module Make (P : CHECKABLE) = struct
   type state = { locals : P.local array; registers : P.value array }
 
@@ -333,6 +362,31 @@ module Make (P : CHECKABLE) = struct
         registers.(r) <- v;
         { locals; registers }
 
+  (** {!successor_into} on packed keys ({!layout}): [src] is the parent's
+      packed key and [buf] receives the successor's.  Only the mover's
+      local and, on a write, the written register are encoded — into
+      their own slots of the wide scratch [wide], one key long — and
+      their fields patched into [buf]; every other bit is the
+      parent's. *)
+  let successor_packed cfg layout wiring st src mv action wide buf =
+    let st' = successor_by cfg wiring st mv action in
+    Bytes.blit_string src 0 buf 0 (Bytes.length buf);
+    let lw = P.local_width cfg and n = Array.length st.locals in
+    let p = if mv < n then mv else mv mod n in
+    P.encode_local cfg st'.locals.(p) wide (p * lw);
+    Key_layout.patch layout wide ~pos:(p * lw) ~len:lw buf;
+    if st'.registers != st.registers then begin
+      let base = n * lw and vw = P.value_width cfg in
+      for r = 0 to Array.length st'.registers - 1 do
+        let v = st'.registers.(r) in
+        if v != st.registers.(r) then begin
+          P.encode_value cfg v wide (base + (r * vw));
+          Key_layout.patch layout wide ~pos:(base + (r * vw)) ~len:vw buf
+        end
+      done
+    end;
+    st'
+
   (** Successor of [st] under move [mv]. *)
   let successor cfg wiring st mv =
     match action_of cfg st mv with
@@ -407,6 +461,24 @@ module Make (P : CHECKABLE) = struct
     (P.processors cfg * P.local_width cfg)
     + (P.registers cfg * P.value_width cfg)
 
+  (** The packed layout of the keys of a run of [cfg] on [inputs]: the
+      codec's declared widths, local slices then register slices.  The
+      exact engines store these keys; {!encode_state} stays the wide
+      key. *)
+  let layout cfg inputs =
+    let lb = P.local_bits cfg inputs and vb = P.value_bits cfg inputs in
+    if Array.length lb <> P.local_width cfg || Array.length vb <> P.value_width cfg
+    then invalid_arg "Explorer.layout: declared widths do not cover the slices";
+    Key_layout.make
+      (Array.concat
+         (List.init (P.processors cfg) (fun _ -> lb)
+         @ List.init (P.registers cfg) (fun _ -> vb)))
+
+  (* The key_format tag of a packed engine's checkpoint context: the
+     layout's widths, so an image of wide keys or of another layout is
+     refused. *)
+  let packed_suffix layout = format_suffix ^ "|packed:" ^ Key_layout.describe layout
+
   (** Replay a chain of {e canonical} keys into a concrete execution: from
       [init_state], at each key pick a move whose successor
       canonicalizes to that key.  Any such choice is a valid concrete step
@@ -443,8 +515,9 @@ module Make (P : CHECKABLE) = struct
         (** present iff the space is a quotient by a nontrivial group
             ({!symmetry}): keys are orbit minima and traces are
             concretized on demand *)
+    layout : Key_layout.t;  (** how [table]'s keys are packed *)
     table : State_table.t;
-        (** arena of encoded states; dense id = discovery order, id 0 is
+        (** arena of packed keys; dense id = discovery order, id 0 is
             the initial state *)
     parent : State_table.Packed_vec.t;
         (** id -> ((parent_id lsl 4) lor move) + 1; 0 at the root *)
@@ -460,8 +533,20 @@ module Make (P : CHECKABLE) = struct
   let state_count space = State_table.length space.table
   let transition_count space = space.transitions
 
-  let state_of space id =
-    decode_state space.cfg (State_table.key_of_id space.table id)
+  (* The wide key of [id]: canonical under reduction. *)
+  let key_of space id =
+    Key_layout.unpack space.layout (State_table.key_of_id space.table id)
+
+  let state_of space id = decode_state space.cfg (key_of space id)
+
+  (** The id of the wide key [key] (canonical under reduction), if the
+      space holds it. *)
+  let find space key =
+    match Key_layout.pack space.layout key with
+    | packed -> State_table.find space.table packed
+    | exception Key_layout.Field_overflow _ -> None
+
+  let mem space key = find space key <> None
 
   type violation = {
     state_id : int;
@@ -498,7 +583,7 @@ module Make (P : CHECKABLE) = struct
         let rec up id acc =
           let packed = parent_packed space id in
           if packed < 0 then acc
-          else up (packed asr 4) (State_table.key_of_id space.table id :: acc)
+          else up (packed asr 4) (key_of space id :: acc)
         in
         concretize ~cfg:space.cfg ~wiring:space.wiring ~canon
           ~inputs:space.inputs (up id [])
@@ -520,20 +605,19 @@ module Make (P : CHECKABLE) = struct
     let canonical key =
       match canon with Some c -> Canon.canonicalize c key | None -> key
     in
-    let kw = key_width cfg in
+    let kw = key_width cfg and layout = layout cfg inputs in
     (* Fingerprint of everything the checkpoint's meaning depends on: the
        canonical initial key pins cfg and inputs, the wiring string pins
-       the step relation.  A mismatched resume is a structured error, not
-       a silently wrong exploration. *)
+       the step relation, the suffix the key layout.  A mismatched resume
+       is a structured error, not a silently wrong exploration. *)
     let init = init_state ~cfg ~inputs in
     let key0 = canonical (encode_state cfg init) in
     let context =
       Fmt.str "bfs|%d|%a|%b|%S%s" kw Anonmem.Wiring.pp wiring reduction key0
-        format_suffix
+        (packed_suffix layout)
     in
-    let resumed =
-      Checkpoint.resumable ~who:"Explorer.explore" ~context ~resume ckpt
-    in
+    let who = "Explorer.explore" in
+    let resumed = Checkpoint.resumable ~who ~context ~resume ckpt in
     let vec_create stride = State_table.Packed_vec.create ~stride () in
     let table, parent, succ, deg, terminal =
       match resumed with
@@ -541,7 +625,7 @@ module Make (P : CHECKABLE) = struct
           let vec tag =
             State_table.Packed_vec.deserialize (Checkpoint.find tag sections)
           in
-          ( State_table.deserialize (Checkpoint.find "table" sections),
+          ( packed_table ~who layout sections,
             vec "parent",
             vec "succ",
             vec "deg",
@@ -550,7 +634,7 @@ module Make (P : CHECKABLE) = struct
                  (Checkpoint.ints_of_bytes (Checkpoint.find "terminal" sections)))
           )
       | None ->
-          ( State_table.create ~log2_slots:16 ~key_width:kw (),
+          ( State_table.create ~log2_slots:16 ~key_width:(Key_layout.width layout) (),
             vec_create 5,
             vec_create 5,
             vec_create 1,
@@ -568,18 +652,21 @@ module Make (P : CHECKABLE) = struct
         ]
     in
     let durable = Checkpoint.run ?governor ckpt save_ckpt in
-    let buf = Bytes.create kw in
+    let wide = Bytes.create kw and buf = Bytes.create (Key_layout.width layout) in
     let violation = ref None in
     (* Bookkeeping for [id], just minted for the concrete state [st];
-       under reduction the invariant sees the decoded canonical [key]
-       instead, which is read only then. *)
-    let admit id st key ~from =
+       under reduction the invariant sees the canonical state, decoded
+       from the packed key in [buf] only then. *)
+    let admit id st ~from =
       ignore (State_table.Packed_vec.push parent (from + 1));
       match invariant with
       | Some check -> (
           (* check the representative: symmetric invariants have the
              same verdict on every member of the orbit *)
-          let st = if canon = None then st else decode_state cfg key in
+          let st =
+            if canon = None then st
+            else decode_state cfg (Key_layout.unpack layout (Bytes.to_string buf))
+          in
           match check st with
           | Ok () -> ()
           | Error message ->
@@ -587,27 +674,16 @@ module Make (P : CHECKABLE) = struct
       | None -> ()
     in
     if resumed = None then begin
-      ignore (State_table.intern table key0);
-      admit 0 init key0 ~from:(-1)
+      ignore (State_table.intern table (Key_layout.pack layout key0));
+      admit 0 init ~from:(-1)
     end;
-    (* Move [mv] from [id] to the successor key in [buf], whose concrete
-       state is [st'].  The unreduced key is probed straight from [buf];
-       a string is built only under reduction. *)
+    (* Move [mv] from [id] to the packed successor key in [buf], whose
+       concrete state is [st'], probed straight from [buf]. *)
     let move id mv st' =
       let from = (id lsl 4) lor mv in
       let before = State_table.length table in
-      let id' =
-        match canon with
-        | None ->
-            let id' = State_table.intern_bytes table buf in
-            if id' = before then admit id' st' "" ~from;
-            id'
-        | Some c ->
-            let key' = Canon.canonicalize c (Bytes.to_string buf) in
-            let id' = State_table.intern table key' in
-            if id' = before then admit id' st' key' ~from;
-            id'
-      in
+      let id' = State_table.intern_bytes table buf in
+      if id' = before then admit id' st' ~from;
       ignore (State_table.Packed_vec.push succ ((id' lsl 4) lor mv))
     in
     (* Ids are minted in discovery order and popped in ascending order,
@@ -624,7 +700,8 @@ module Make (P : CHECKABLE) = struct
       if !exhausted = None then begin
       let id = !next in
       incr next;
-      let key = State_table.key_of_id table id in
+      let packed = State_table.key_of_id table id in
+      let key = Key_layout.unpack layout packed in
       let st = decode_state cfg key in
       let expand =
         match stop_expansion with Some f -> not (f st) | None -> true
@@ -635,9 +712,19 @@ module Make (P : CHECKABLE) = struct
           match action_of cfg st mv with
           | None -> ()
           | Some action ->
-              move id mv
-                (successor_into cfg wiring st (Bytes.unsafe_of_string key) 0
-                   mv action buf)
+              (* The step patches the parent's packed key; under
+                 reduction it patches the wide key alongside, whose
+                 least image is then packed. *)
+              let st' =
+                match canon with
+                | None -> successor_packed cfg layout wiring st packed mv action wide buf
+                | Some c ->
+                    Bytes.blit_string key 0 wide 0 kw;
+                    let st' = successor_packed cfg layout wiring st packed mv action wide buf in
+                    ignore (Canon.pack_least c layout wide buf);
+                    st'
+              in
+              move id mv st'
         done;
         if State_table.Packed_vec.length succ = edges_before then
           terminal := id :: !terminal
@@ -663,6 +750,7 @@ module Make (P : CHECKABLE) = struct
           wiring;
           inputs;
           reduction = canon;
+          layout;
           table;
           parent;
           succ;
@@ -899,7 +987,8 @@ module Make (P : CHECKABLE) = struct
   (* One entry of the DFS path (see [check_exhaustive]). *)
   type dfs_frame = {
     id : int;
-    key : string;  (** canonical key *)
+    key : string;  (** packed key *)
+    wide : string;  (** wide canonical key under reduction, [""] unreduced *)
     st : state;
     entered_by : int;  (** move into this frame; -1 at the root *)
     mutable next_move : int;  (** next move to try *)
@@ -921,20 +1010,21 @@ module Make (P : CHECKABLE) = struct
     in
     let init = init_state ~cfg ~inputs in
     let key0 = canonical (encode_state cfg init) in
+    let layout = layout cfg inputs in
     let context =
       Fmt.str "dfs|%d|%a|%b|%b|%S%s" (key_width cfg) Anonmem.Wiring.pp wiring
-        reduction fail_on_cycle key0 format_suffix
+        reduction fail_on_cycle key0 (packed_suffix layout)
     in
     let who = "Explorer.check_exhaustive" in
     let resumed = Checkpoint.resumable ~who ~context ~resume ckpt in
     let table, colors =
       match resumed with
       | Some sections ->
-          ( State_table.deserialize (Checkpoint.find "table" sections),
+          ( packed_table ~who layout sections,
             State_table.Packed_vec.deserialize
               (Checkpoint.find "colors" sections) )
       | None ->
-          ( State_table.create ~log2_slots ~key_width:(key_width cfg) (),
+          ( State_table.create ~log2_slots ~key_width:(Key_layout.width layout) (),
             State_table.Packed_vec.create ~stride:1 () )
     in
     (* 1 = gray (on the DFS path), 2 = black (done) *)
@@ -964,11 +1054,13 @@ module Make (P : CHECKABLE) = struct
         for i = 0 to (Array.length frames / 4) - 1 do
           let id = frames.(4 * i) in
           let key = State_table.key_of_id table id in
+          let wide = Key_layout.unpack layout key in
           stack :=
             {
               id;
               key;
-              st = decode_state cfg key;
+              wide = (if canon = None then "" else wide);
+              st = decode_state cfg wide;
               entered_by = frames.((4 * i) + 1);
               next_move = frames.((4 * i) + 2);
               any_enabled = frames.((4 * i) + 3) = 1;
@@ -1003,8 +1095,9 @@ module Make (P : CHECKABLE) = struct
     let durable = Checkpoint.run ?governor ckpt save_ckpt in
     (* Only called for ids [intern] just minted, so the colors index pushed
        alongside equals [id].  [st] is the concrete state the invariant
-       sees; [key] its canonical key. *)
-    let push_state id key ~entered_by st =
+       sees; [key] its packed key and [wide] its wide canonical key
+       (read only under reduction). *)
+    let push_state id key wide ~entered_by st =
       ignore (State_table.Packed_vec.push colors 1);
       (match invariant with
       | Some check -> (
@@ -1017,9 +1110,10 @@ module Make (P : CHECKABLE) = struct
                     (Dfs_invariant_failed
                        { message; state = st; stats = stats () }))
       | None -> ());
-      let st = if canon = None then st else decode_state cfg key in
+      let st = if canon = None then st else decode_state cfg wide in
       stack :=
-        { id; key; st; entered_by; next_move = 0; any_enabled = false } :: !stack;
+        { id; key; wide; st; entered_by; next_move = 0; any_enabled = false }
+        :: !stack;
       incr depth;
       if !depth > !max_depth then max_depth := !depth
     in
@@ -1042,9 +1136,14 @@ module Make (P : CHECKABLE) = struct
                { processors = List.sort_uniq Int.compare pids; stats = stats () })
       end
     in
-    let buf = Bytes.create (key_width cfg) in
-    if resumed = None then
-      push_state (State_table.intern table key0) key0 ~entered_by:(-1) init;
+    let kw = key_width cfg in
+    let wide = Bytes.create kw and buf = Bytes.create (Key_layout.width layout) in
+    if resumed = None then begin
+      let packed0 = Key_layout.pack layout key0 in
+      push_state (State_table.intern table packed0) packed0
+        (if canon = None then "" else key0)
+        ~entered_by:(-1) init
+    end;
     let exhausted = ref None in
     while !stack <> [] && !outcome = None && !exhausted = None do
       exhausted := Checkpoint.tick durable;
@@ -1073,24 +1172,32 @@ module Make (P : CHECKABLE) = struct
             | Some action ->
               f.any_enabled <- true;
               incr transitions;
-              let st' =
-                successor_into cfg wiring f.st (Bytes.unsafe_of_string f.key) 0
-                  mv action buf
-              in
-              (* One probe: [intern] either finds the key or mints the next
-                 id.  Unreduced, the probe reads [buf] in place and a key
-                 string is built only for a fresh state. *)
+              (* One probe: [intern] either finds the packed key in [buf]
+                 or mints the next id, reading [buf] in place; a key
+                 string is built only for a fresh state.  The step
+                 patches the frame's packed key; under reduction it
+                 patches the wide key alongside, whose least image is
+                 then packed, and built wide only when it is new. *)
               let before = State_table.length table in
               match canon with
               | None ->
+                  let st' =
+                    successor_packed cfg layout wiring f.st f.key mv action wide buf
+                  in
                   let id' = State_table.intern_bytes table buf in
                   if id' = before then
-                    push_state id' (Bytes.to_string buf) ~entered_by:mv st'
+                    push_state id' (Bytes.to_string buf) "" ~entered_by:mv st'
                   else revisit mv id'
               | Some c ->
-                  let key' = Canon.canonicalize c (Bytes.to_string buf) in
-                  let id' = State_table.intern table key' in
-                  if id' = before then push_state id' key' ~entered_by:mv st'
+                  Bytes.blit_string f.wide 0 wide 0 kw;
+                  let st' =
+                    successor_packed cfg layout wiring f.st f.key mv action wide buf
+                  in
+                  let k = Canon.pack_least c layout wide buf in
+                  let id' = State_table.intern_bytes table buf in
+                  if id' = before then
+                    push_state id' (Bytes.to_string buf) (Canon.image c wide k)
+                      ~entered_by:mv st'
                   else revisit mv id'
           end
       end

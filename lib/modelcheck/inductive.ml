@@ -1328,7 +1328,10 @@ let check_concrete ?(max_ctis = 100) ?governor ~n clauses =
                clauses)
       |> Array.of_list
     in
-    let table = State_table.create ~key_width:(E.key_width cfg) () in
+    (* Packed as the reachable spaces' tables are, so the completeness
+       cross-check compares their keys as they are stored. *)
+    let layout = E.layout cfg inputs in
+    let table = State_table.create ~key_width:(Key_layout.width layout) () in
     (* Init obligation. *)
     let init_st = E.init_state ~cfg ~inputs in
     (match
@@ -1365,7 +1368,7 @@ let check_concrete ?(max_ctis = 100) ?governor ~n clauses =
             { E.locals = Array.copy locals; registers = Array.copy regs }
           in
           let key = E.encode_state cfg st in
-          ignore (State_table.intern table key);
+          ignore (State_table.intern table (Key_layout.pack layout key));
           List.iter
             (fun wiring ->
               List.iter
@@ -1419,14 +1422,15 @@ let check_concrete ?(max_ctis = 100) ?governor ~n clauses =
       (fun wiring ->
         let sp = space_for inputs wiring in
         State_table.iter
-          (fun id skey ->
+          (fun id packed ->
+            let skey = Key_layout.unpack layout packed in
             let st = E.decode_state cfg skey in
             match
               state_violation ~cfg ~inputs clauses ~locals:st.E.locals
                 ~registers:st.E.registers
             with
             | None ->
-                if State_table.find table skey = None then
+                if State_table.find table packed = None then
                   failwith
                     "Inductive.check_concrete: enumeration missed a reachable \
                      Inv state"
@@ -1475,7 +1479,7 @@ let check_concrete ?(max_ctis = 100) ?governor ~n clauses =
               if cti.c_pid < 0 then cti
               else
                 let sp = space_for cti.c_inputs cti.c_wiring in
-                match State_table.find sp.E.table cti.c_pre with
+                match E.find sp cti.c_pre with
                 | None -> cti
                 | Some id ->
                     {
@@ -1544,7 +1548,7 @@ let shrink_ccti ~n clauses cti =
     let c_reachable, c_trace =
       match E.explore ~cfg ~wiring:cti.c_wiring ~inputs () with
       | E.Explored sp -> (
-          match State_table.find sp.E.table c_pre with
+          match E.find sp c_pre with
           | Some id -> (true, List.map fst (E.trace_to sp id))
           | None -> (false, []))
       | _ -> (false, [])

@@ -9,7 +9,7 @@
     [(string, int) Hashtbl] plus a parallel [string Vec.t] — pays, per
     state, a boxed string (header + padding), a hash-bucket cons cell and
     two pointer slots; at the paper's 3-processor scale (~2M states per
-    wiring) that is ~77 bytes per 21-byte key.
+    wiring) that was ~77 bytes for a 21-byte wide key.
 
     {!t} stores the keys themselves back to back in pages of about
     1 MiB (key [id] lives in page [id lsr k], [2^k] keys to a page; the
@@ -25,7 +25,11 @@
     record from the arena.  Growth therefore never copies: no arena page
     moves once full, and the old index is never held beside the new one,
     so the peak is the table itself.  Net cost: [key_width] arena bytes
-    plus ~7-10 slot bytes per state.
+    plus ~7-10 slot bytes per state.  The exact engines store keys
+    packed to their codec's declared field widths ({!Key_layout}): a
+    Figure-3 state at n = 3 is 6 bytes with equal inputs and 8 with
+    distinct ones, not 21, so a state costs about 15-20 bytes where a
+    wide key cost about 30-37.
 
     The hash reads the key 8 bytes at a time ([Bytes.get_int64_le]),
     folds each word in with a multiply and an xorshift, and finishes with

@@ -16,16 +16,30 @@ let corrupt fmt =
   Printf.ksprintf (fun s -> raise (Checkpoint.Corrupt_checkpoint s)) fmt
 
 (* The sweep position stored in a checkpoint: (wiring index, accumulator
-   over the wirings before it). *)
+   over the wirings before it).  An image without the section is no
+   image of this sweep — another engine wrote it, or this engine outside
+   a sweep — and is refused as a context mismatch naming its engine. *)
 let read_position s ~path ~init ~wirings =
-  let a =
-    Checkpoint.find_ints ~who:"Wiring_sweep"
-      ~count:(1 + Array.length (s.to_ints init))
-      s.name (Checkpoint.load ~path)
-  in
-  if a.(0) < 0 || a.(0) >= wirings then
-    corrupt "%s index outside the wiring list" s.name;
-  (a.(0), s.of_ints (Array.sub a 1 (Array.length a - 1)))
+  let sections = Checkpoint.load ~path in
+  if not (List.mem_assoc s.name sections) then
+    corrupt
+      "Wiring_sweep: checkpoint context mismatch (the image is a %s checkpoint \
+       without a %S section)"
+      (Checkpoint.engine_of
+         (match List.assoc_opt "context" sections with
+         | Some c -> Bytes.to_string c
+         | None -> "unnamed"))
+      s.name
+  else begin
+    let a =
+      Checkpoint.find_ints ~who:"Wiring_sweep"
+        ~count:(1 + Array.length (s.to_ints init))
+        s.name sections
+    in
+    if a.(0) < 0 || a.(0) >= wirings then
+      corrupt "%s index outside the wiring list" s.name;
+    (a.(0), s.of_ints (Array.sub a 1 (Array.length a - 1)))
+  end
 
 (* One worker: the fold in order, with the accumulator at hand for each
    wiring's checkpoint section and for a resume. *)

@@ -1377,7 +1377,8 @@ let test_sweep_index_refused () =
    was the byte 2, the set {0,1} is the byte 3), although its initial
    key is the same (cursor 0 is the empty set).  Its context lacks the
    layout's name, so a resume refuses it as unusable — exit 5 at the
-   CLI — instead of exploring a mixture of the two layouts. *)
+   CLI — instead of exploring a mixture of the two layouts.  The name
+   sits before the packed layout's tag, which ends the context. *)
 let test_cursor_layout_refused () =
   let path = fresh_path ".ckpt" in
   let ckpt = { Ckpt.path; every_states = 100 } in
@@ -1390,11 +1391,15 @@ let test_cursor_layout_refused () =
   | Ok _ -> Alcotest.fail "the quota did not trip");
   let sections = Ckpt.load ~path in
   let context = Bytes.to_string (Ckpt.find "context" sections) in
-  let suffix = "|written-set" in
+  let name = "|written-set|packed:" in
   Alcotest.(check bool) "the context names the layout" true
-    (String.ends_with ~suffix context);
+    (contains ~sub:name context);
   let parent =
-    String.sub context 0 (String.length context - String.length suffix)
+    let rec at i = if String.sub context i (String.length name) = name then i else at (i + 1) in
+    let i = at 0 in
+    String.sub context 0 i ^ "|packed:"
+    ^ String.sub context (i + String.length name)
+        (String.length context - i - String.length name)
   in
   Ckpt.save ~path
     (("context", Bytes.of_string parent) :: List.remove_assoc "context" sections);
@@ -1403,6 +1408,39 @@ let test_cursor_layout_refused () =
       Alcotest.(check bool) "refused as a context mismatch" true
         (contains ~sub:"context mismatch" msg)
   | _ -> Alcotest.fail "a cursor-layout image was resumed");
+  Sys.remove path
+
+(* A packed image whose checksums hold but one of whose keys has a bit
+   set past the layout's last field (n = 2, inputs 1,2: 34 bits in 5
+   bytes, so 6 padding bits) is refused on resume as corrupt, before
+   that key could decode to a state. *)
+let test_padding_bits_refused () =
+  let path = fresh_path ".ckpt" in
+  let ckpt = { Ckpt.path; every_states = 100 } in
+  (match
+     Core.verify_snapshot_model ~n:2 ~governor:(Gov.create ~quota:300 ()) ~ckpt ()
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "the quota did not trip");
+  let sections = Ckpt.load ~path in
+  let table = St.deserialize (Ckpt.find "table" sections) in
+  Alcotest.(check int) "five-byte keys" 5 (St.key_width table);
+  let flipped = St.create ~key_width:5 () in
+  St.iter
+    (fun id key ->
+      let key =
+        if id <> 7 then key
+        else String.mapi (fun i c -> if i = 4 then Char.chr (Char.code c lor 0x80) else c) key
+      in
+      ignore (St.intern flipped key))
+    table;
+  Ckpt.save ~path
+    (("table", St.serialize flipped) :: List.remove_assoc "table" sections);
+  (match Core.verify_snapshot_model ~n:2 ~ckpt ~resume:true () with
+  | exception Ckpt.Corrupt_checkpoint msg ->
+      Alcotest.(check bool) "names the key" true
+        (contains ~sub:"key 7 has bits set past its layout" msg)
+  | _ -> Alcotest.fail "a key past its layout was resumed");
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
@@ -1497,6 +1535,7 @@ let () =
             test_ckpt_streamed_torn_write;
           Alcotest.test_case "cursor-layout snapshot image refused" `Quick
             test_cursor_layout_refused;
+          Alcotest.test_case "padding bits refused" `Quick test_padding_bits_refused;
         ] );
       ( "governor",
         [

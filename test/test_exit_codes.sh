@@ -157,6 +157,40 @@ else
   fails=$((fails + 1))
 fi
 
+# unusable checkpoint (exit 5): an image another engine wrote is refused
+# on its context, naming that engine, and so is a DFS image of wide keys
+# (wide_key_dfs_n2.ckpt: check-snapshot -n 2 --max-seconds 0 before keys
+# were packed), whose context lacks the packed key_format tag
+refused() {
+  label="$1"
+  want="$2"
+  shift 2
+  err=$("$ANONSIM" "$@" 2>&1 >/dev/null)
+  got=$?
+  case "$err" in
+    *"context mismatch"*"$want"*) named=yes ;;
+    *) named=no ;;
+  esac
+  if [ "$got" -eq 5 ] && [ "$named" = yes ]; then
+    echo "ok  5 <- anonsim $label"
+  else
+    echo "FAIL: $label exited $got, want 5 naming '$want' (stderr: $err)"
+    fails=$((fails + 1))
+  fi
+}
+ckpt=$(mktemp)
+rm -f "$ckpt"
+"$ANONSIM" check-snapshot -n 2 --fingerprint --checkpoint "$ckpt" \
+  --max-seconds 0 >/dev/null 2>&1
+refused "check-snapshot -n 2 --checkpoint <fingerprint image> --resume" \
+  "fpbfs" check-snapshot -n 2 --checkpoint "$ckpt" --resume
+rm -rf "$ckpt" "$ckpt.runs"
+ckpt=$(mktemp)
+cp "$(dirname "$0")/wide_key_dfs_n2.ckpt" "$ckpt"
+refused "check-snapshot -n 2 --checkpoint <wide-key DFS image> --resume" \
+  "dfs" check-snapshot -n 2 --checkpoint "$ckpt" --resume
+rm -f "$ckpt"
+
 # unusable checkpoint (exit 5): an 8-byte ANONCKP2 magic plus a section
 # count is refused by format version, with both versions named
 ckpt=$(mktemp)

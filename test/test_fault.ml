@@ -463,7 +463,7 @@ let test_crash_runs_in_fault_free_space ~inputs ~max_crashes () =
       let space = fault_free_space ~inputs wiring in
       let fired =
         crash_runs ~max_crashes ~inputs wiring (fun plan key ->
-            if not (Modelcheck.State_table.mem space.MC.table key) then
+            if not (MC.mem space key) then
               Alcotest.failf
                 "wiring %a, plan [%s]: a state outside the fault-free space"
                 Anonmem.Wiring.pp wiring (F.to_string plan))
@@ -486,7 +486,7 @@ let test_crash_traces_replay () =
     (crash_runs ~runs:100 ~max_crashes:2 ~inputs wiring (fun plan key ->
          if plan <> [] && not (Hashtbl.mem replayed key) then begin
            Hashtbl.add replayed key ();
-           match Modelcheck.State_table.find space.MC.table key with
+           match MC.find space key with
            | None -> Alcotest.fail "a crashed state outside the space"
            | Some id ->
                let st =

@@ -756,6 +756,201 @@ let test_successor_key_all_codecs () =
   Kp_naming.check "naming" ~cfg:(Algorithms.Naming.cfg ~n:2 ~m:3) ~wiring:w3
     ~inputs
 
+(* --- packed keys ------------------------------------------------------------ *)
+
+module KL = Modelcheck.Key_layout
+
+(* Random layouts and wide keys: pack/unpack round-trips, [patch] rewrites
+   exactly its range, padding stays clear, and a value past its width is
+   refused by name. *)
+let test_key_layout_fields () =
+  let rs = Random.State.make [| 37 |] in
+  for _ = 1 to 2_000 do
+    let n = Random.State.int rs 40 in
+    let bits = Array.init n (fun _ -> Random.State.int rs 9) in
+    let t = KL.make bits in
+    let draw () =
+      String.init n (fun i -> Char.chr (Random.State.int rs (1 lsl bits.(i))))
+    in
+    let wide = draw () in
+    let packed = KL.pack t wide in
+    Alcotest.(check int) "width" ((Array.fold_left ( + ) 0 bits + 7) / 8)
+      (String.length packed);
+    Alcotest.(check string) "unpack (pack k) = k" wide (KL.unpack t packed);
+    Alcotest.(check bool) "padding clear" true (KL.padding_clear t packed);
+    if n > 0 then begin
+      let pos = Random.State.int rs n in
+      let len = Random.State.int rs (n - pos + 1) in
+      let other = Bytes.of_string (draw ()) in
+      let dst = Bytes.of_string packed in
+      KL.patch t other ~pos ~len dst;
+      let want =
+        String.init n (fun i ->
+            if i >= pos && i < pos + len then Bytes.get other i else wide.[i])
+      in
+      Alcotest.(check string) "patch rewrites its range only" want
+        (KL.unpack t (Bytes.to_string dst));
+      let i = Random.State.int rs n in
+      if bits.(i) < 8 then begin
+        let bad = Bytes.of_string wide in
+        Bytes.set bad i (Char.chr (1 lsl bits.(i)));
+        match KL.pack t (Bytes.to_string bad) with
+        | exception KL.Field_overflow { field; bits = b; _ } ->
+            Alcotest.(check (pair int int)) "overflow names its field" (i, bits.(i))
+              (field, b)
+        | _ -> Alcotest.fail "a value past its width was packed"
+      end
+    end
+  done
+
+(* The codec [P] with every field declared a full byte: its packed key
+   is its wide key, the layout the engines stored before packing. *)
+module Wide (P : Modelcheck.Explorer.CHECKABLE) = struct
+  include P
+
+  let local_bits cfg _ = Array.make (P.local_width cfg) 8
+  let value_bits cfg _ = Array.make (P.value_width cfg) 8
+end
+
+(* Every reachable state of a codec's n = 2 spaces, packed and wide: the
+   BFS mints the same ids for the same wide keys with the same edge and
+   terminal counts, every key round-trips through its layout, the packed
+   step ([successor_packed]) patches the parent's key into exactly the
+   successor's packed key, and the DFS returns the same verdict and
+   counts. *)
+module Layout_battery (P : Modelcheck.Explorer.CHECKABLE) = struct
+  module E = Modelcheck.Explorer.Make (P)
+  module W = Modelcheck.Explorer.Make (Wide (P))
+
+  let dfs_view stats processors =
+    ( processors,
+      [ stats.E.dfs_states; stats.dfs_transitions; stats.dfs_terminals; stats.dfs_max_depth ] )
+
+  let wdfs_view (stats : W.dfs_stats) processors =
+    ( processors,
+      [ stats.W.dfs_states; stats.dfs_transitions; stats.dfs_terminals; stats.dfs_max_depth ] )
+
+  let check ?stop_expansion name ~cfg ~wirings ~inputs =
+    let layout = E.layout cfg inputs in
+    let wide = Bytes.create (E.key_width cfg) and buf = Bytes.create (KL.width layout) in
+    let wstop =
+      Option.map
+        (fun f (st : W.state) -> f { E.locals = st.W.locals; registers = st.W.registers })
+        stop_expansion
+    in
+    List.iter
+      (fun wiring ->
+        let name = Fmt.str "%s %a" name Anonmem.Wiring.pp wiring in
+        (match
+           ( E.explore ?stop_expansion ~cfg ~wiring ~inputs (),
+             W.explore ?stop_expansion:wstop ~cfg ~wiring ~inputs () )
+         with
+        | E.Explored sp, W.Explored wp ->
+            Alcotest.(check (list int)) (name ^ ": states, transitions, terminals")
+              [ W.state_count wp; W.transition_count wp; List.length wp.W.terminal ]
+              [ E.state_count sp; E.transition_count sp; List.length sp.E.terminal ];
+            for id = 0 to E.state_count sp - 1 do
+              let key = E.key_of sp id and packed = Modelcheck.State_table.key_of_id sp.E.table id in
+              if not (String.equal (KL.pack layout key) packed) then
+                Alcotest.failf "%s: id %d does not round-trip" name id;
+              if W.find wp key <> Some id then
+                Alcotest.failf "%s: id %d is another state in the wide space" name id;
+              let st = E.state_of sp id in
+              if not (String.equal (E.encode_state cfg st) key) then
+                Alcotest.failf "%s: id %d does not decode to its key" name id;
+              List.iter
+                (fun mv ->
+                  let action = Option.get (E.action_of cfg st mv) in
+                  Bytes.fill buf 0 (Bytes.length buf) '\255';
+                  let st' = E.successor_packed cfg layout wiring st packed mv action wide buf in
+                  if not (String.equal (Bytes.to_string buf) (KL.pack layout (E.encode_state cfg st')))
+                  then Alcotest.failf "%s: id %d move %d: patched key differs" name id mv)
+                (if match stop_expansion with Some f -> f st | None -> false then []
+                 else E.enabled cfg st)
+            done
+        | _ -> Alcotest.failf "%s: a BFS did not explore" name);
+        let packed =
+          match E.check_exhaustive ?stop_expansion ~cfg ~wiring ~inputs () with
+          | E.Dfs_ok s -> dfs_view s []
+          | E.Dfs_cycle { processors; stats } -> dfs_view stats processors
+          | _ -> Alcotest.failf "%s: packed DFS stopped" name
+        in
+        let wide =
+          match W.check_exhaustive ?stop_expansion:wstop ~cfg ~wiring ~inputs () with
+          | W.Dfs_ok s -> wdfs_view s []
+          | W.Dfs_cycle { processors; stats } -> wdfs_view stats processors
+          | _ -> Alcotest.failf "%s: wide DFS stopped" name
+        in
+        Alcotest.(check (pair (list int) (list int))) (name ^ ": DFS verdict and counts") wide
+          packed)
+      wirings
+end
+
+module Lb_snap = Layout_battery (SnapC)
+module Lb_ws = Layout_battery (WsC)
+module Lb_dc = Layout_battery (DcC)
+module Lb_cons = Layout_battery (Modelcheck.Codecs.Consensus)
+module Lb_ren = Layout_battery (Modelcheck.Codecs.Renaming)
+module Lb_mutex = Layout_battery (Modelcheck.Codecs.Rt_mutex)
+module Lb_leader = Layout_battery (Modelcheck.Codecs.Weak_leader)
+module Lb_naming = Layout_battery (Modelcheck.Codecs.Naming)
+
+let test_layout_battery () =
+  let w22 = Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true in
+  let w23 = Anonmem.Wiring.enumerate ~n:2 ~m:3 ~fix_first:true in
+  List.iter
+    (fun inputs ->
+      Lb_snap.check "snapshot" ~cfg:(Snap.standard ~n:2) ~wirings:w22 ~inputs;
+      Lb_snap.check "snapshot any-order"
+        ~cfg:{ (Snap.standard ~n:2) with write_order = Any }
+        ~wirings:w22 ~inputs;
+      Lb_ws.check "write-scan" ~cfg:(Algorithms.Write_scan.cfg ~n:2 ~m:2) ~wirings:w22 ~inputs;
+      Lb_dc.check "double-collect" ~cfg:(Algorithms.Double_collect.standard ~n:2) ~wirings:w22
+        ~inputs;
+      (* consensus values are 1..3 *)
+      if Array.for_all (fun v -> v >= 1) inputs then
+      Lb_cons.check "consensus"
+        ~stop_expansion:(fun st ->
+          Array.exists
+            (fun (l : Algorithms.Consensus.local) -> l.Algorithms.Consensus.ts >= 2)
+            st.Lb_cons.E.locals)
+        ~cfg:(Algorithms.Consensus.standard ~n:2) ~wirings:w22 ~inputs;
+      Lb_ren.check "renaming" ~cfg:(Algorithms.Renaming.standard ~n:2) ~wirings:w22 ~inputs;
+      Lb_mutex.check "rt-mutex" ~cfg:(Algorithms.Rt_mutex.cfg ~n:2 ~m:3) ~wirings:w23 ~inputs;
+      Lb_leader.check "weak-leader" ~cfg:(Algorithms.Weak_leader.cfg ~n:2 ~m:3) ~wirings:w23
+        ~inputs;
+      Lb_naming.check "naming" ~cfg:(Algorithms.Naming.cfg ~n:2 ~m:3) ~wirings:w23 ~inputs)
+    [ [| 1; 2 |]; [| 1; 1 |]; [| 0; 3 |] ]
+
+(* The snapshot codec with its level field declared one bit narrower
+   than the n = 2 run needs: the engines stop with the structured error
+   at the first level-2 state instead of merging states into a smaller
+   count. *)
+module Narrow_level = struct
+  include SnapC
+
+  let local_bits cfg inputs =
+    let b = SnapC.local_bits cfg inputs in
+    b.(1) <- b.(1) - 1;
+    b
+end
+
+module MCN = Modelcheck.Explorer.Make (Narrow_level)
+
+let test_narrowed_width_refused () =
+  let cfg = Snap.standard ~n:2 and inputs = [| 1; 2 |] in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let refused what f =
+    match f () with
+    | exception KL.Field_overflow { value = 2; bits = 1; _ } -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    | () -> Alcotest.failf "%s: a narrowed layout returned a count" what
+  in
+  refused "DFS" (fun () -> ignore (MCN.check_exhaustive ~cfg ~wiring ~inputs ()));
+  refused "reduced DFS" (fun () ->
+      ignore (MCN.check_exhaustive ~reduction:true ~cfg ~wiring ~inputs:[| 1; 1 |] ()));
+  refused "BFS" (fun () -> ignore (MCN.explore ~cfg ~wiring ~inputs ()))
+
 (* --- the snapshot invariant ------------------------------------------------ *)
 
 (* The list-based definition [Core.snapshot_invariant] had before it
@@ -968,6 +1163,12 @@ let () =
         ] );
       ( "double-collect",
         [ Alcotest.test_case "explorable" `Quick test_double_collect_explored ] );
+      ( "key-layout",
+        [
+          Alcotest.test_case "fields round-trip and patch" `Quick test_key_layout_fields;
+          Alcotest.test_case "packed = wide, all codecs" `Quick test_layout_battery;
+          Alcotest.test_case "narrowed width refused" `Quick test_narrowed_width_refused;
+        ] );
       (* Named after the retired packed n = 3 checker, whose cases these
          were; they now test Figure 3's moves ([Codecs.Snapshot]) on the
          generic engines.  The name keeps the suite's test ids stable. *)

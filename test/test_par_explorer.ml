@@ -338,6 +338,47 @@ let test_snapshot_n3_unbounded_reduction_long () =
       (full >= 2 * reduced)
   end
 
+(* The snapshot codec with every field a full byte: packed keys equal
+   to the wide keys, the layout the engines stored before packing. *)
+module Wide_snap = struct
+  include Modelcheck.Codecs.Snapshot
+
+  let local_bits cfg _ = Array.make (local_width cfg) 8
+  let value_bits cfg _ = Array.make (value_width cfg) 8
+end
+
+let test_snapshot_n3_packed_long () =
+  (* The benchmark's mc-exact space (a trivial-group wiring, inputs
+     1,1,1): the packed DFS keeps its pinned counts, and the wide-key
+     DFS agrees on every count, the maximum depth included. *)
+  if not long_mode then ()
+  else begin
+    let cfg = Snap.standard ~n:3 in
+    let inputs = [| 1; 1; 1 |] in
+    let wiring = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 2; 0 ] ] in
+    let module E = SnapDiff.E in
+    let module W = Modelcheck.Explorer.Make (Wide_snap) in
+    let invariant = Core.snapshot_invariant cfg inputs in
+    let packed =
+      match E.check_exhaustive ~invariant ~cfg ~wiring ~inputs () with
+      | E.Dfs_ok s -> [ s.E.dfs_states; s.dfs_transitions; s.dfs_terminals; s.dfs_max_depth ]
+      | _ -> Alcotest.fail "the packed DFS must verify"
+    in
+    Alcotest.(check (list int)) "pinned counts" [ 1_721_671; 4_979_918; 27 ]
+      (List.filteri (fun i _ -> i < 3) packed);
+    let wide =
+      match
+        W.check_exhaustive
+          ~invariant:(fun (st : W.state) ->
+            invariant { E.locals = st.W.locals; registers = st.W.registers })
+          ~cfg ~wiring ~inputs ()
+      with
+      | W.Dfs_ok s -> [ s.W.dfs_states; s.dfs_transitions; s.dfs_terminals; s.dfs_max_depth ]
+      | _ -> Alcotest.fail "the wide DFS must verify"
+    in
+    Alcotest.(check (list int)) "packed = wide" wide packed
+  end
+
 let test_write_scan_divergence_parity () =
   (* Cyclic transition graphs: the non-terminating write-scan loop.  Both
      processors diverge under every engine, reduced or not. *)
@@ -468,7 +509,7 @@ let test_planted_trace_ids_from_arena_table () =
       List.iter
         (fun (_, st) ->
           Alcotest.(check bool) "trace state interned in the arena table" true
-            (St.mem space.E.table (E.encode_state cfg st)))
+            (E.mem space (E.encode_state cfg st)))
         v.E.trace
   | _ -> Alcotest.fail "planted n=3 violation missed"
 
@@ -939,10 +980,39 @@ let test_canon_short_key () =
       let _, _, _, canon = canon_setup (0, isel) in
       Alcotest.check_raises
         (Printf.sprintf "|G| = %d" (Canon.group_order canon))
-        (Invalid_argument
-           "Canon.canonicalize: key shorter than the state image")
+        (Invalid_argument "Canon.canonicalize: key is not the state image")
         (fun () ->
           ignore (Canon.canonicalize canon (String.make (body - 1) 'a'))))
+    [ 0; 2 ]
+
+(* A key one byte past the body is refused too, by every entry point
+   that reads a key: no engine's key carries bytes past the state
+   image, so none is copied along. *)
+let test_canon_long_key () =
+  let cfg = Snap.standard ~n:3 in
+  let body =
+    3
+    * (Modelcheck.Codecs.Snapshot.local_width cfg
+      + Modelcheck.Codecs.Snapshot.value_width cfg)
+  in
+  let long = String.make (body + 1) '\000' in
+  List.iter
+    (fun isel ->
+      let _, _, inputs, canon = canon_setup (0, isel) in
+      let refused who f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s, |G| = %d" who (Canon.group_order canon))
+          (Invalid_argument (who ^ ": key is not the state image"))
+          (fun () -> ignore (f ()))
+      in
+      let layout = SnapE.layout cfg inputs in
+      let dst = Bytes.create (Modelcheck.Key_layout.width layout) in
+      refused "Canon.canonicalize" (fun () -> Canon.canonicalize canon long);
+      refused "Canon.apply" (fun () ->
+          Canon.apply canon (List.hd (Canon.group canon)) long);
+      refused "Canon.image" (fun () -> Canon.image canon (Bytes.of_string long) 0);
+      refused "Canon.pack_least" (fun () ->
+          Canon.pack_least canon layout (Bytes.of_string long) dst))
     [ 0; 2 ]
 
 let test_canon_group_sizes () =
@@ -1015,6 +1085,8 @@ let () =
             test_snapshot_n3_full_matrix_long;
           Alcotest.test_case "snapshot n=3, unbounded 2x reduction (MC_LONG)"
             `Slow test_snapshot_n3_unbounded_reduction_long;
+          Alcotest.test_case "snapshot n=3, packed = wide on 1.7M (MC_LONG)" `Slow
+            test_snapshot_n3_packed_long;
           Alcotest.test_case "write-scan divergence parity" `Quick
             test_write_scan_divergence_parity;
           Alcotest.test_case "double-collect" `Quick test_double_collect_matrix;
@@ -1060,6 +1132,7 @@ let () =
           Alcotest.test_case "allocates only the winner" `Quick
             test_canon_allocation;
           Alcotest.test_case "short key refused" `Quick test_canon_short_key;
+          Alcotest.test_case "long key refused" `Quick test_canon_long_key;
         ] );
       ( "limits",
         [

@@ -334,8 +334,7 @@ let test_mutex_exclusion_survives_crashes () =
       | FE.Explored space ->
           let fired =
             R.run ~cfg ~wiring ~inputs (fun locals registers ->
-                Modelcheck.State_table.mem space.FE.table
-                  (FE.encode_state cfg { FE.locals; registers }))
+                FE.mem space (FE.encode_state cfg { FE.locals; registers }))
           in
           Alcotest.(check bool) "crashes stopped live processors" true
             (fired > 0)
@@ -355,8 +354,7 @@ let test_naming_distinctness_survives_crashes () =
       | FE.Explored space ->
           let fired =
             R.run ~cfg ~wiring ~inputs (fun locals registers ->
-                Modelcheck.State_table.mem space.FE.table
-                  (FE.encode_state cfg { FE.locals; registers }))
+                FE.mem space (FE.encode_state cfg { FE.locals; registers }))
           in
           Alcotest.(check bool) "crashes stopped live processors" true
             (fired > 0)

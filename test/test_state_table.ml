@@ -481,59 +481,140 @@ let snapshot_keys ~n ~wirings ~limit =
     wirings;
   Array.of_list (List.rev !order)
 
-(* Mean distance from home slot over the first [3/4 cap] keys of
-   [keys], linear probing in a [cap]-slot table — the table's state just
-   before it grows. *)
-let mean_displacement hash keys cap =
+(* Mean distance from home slot over the first [3/4 cap] keys taken in
+   [order], whose hashes are [hashes], linear probing in a [cap]-slot
+   table — the table's state just before it grows.  Infinite past 64
+   probes a key, where no good hash goes. *)
+let mean_displacement hashes order cap =
   let used = Array.make cap false in
   let count = 3 * cap / 4 in
   let total = ref 0 in
-  for j = 0 to count - 1 do
-    let i = ref (hash keys.(j) land (cap - 1)) in
-    while used.(!i) do
-      i := (!i + 1) land (cap - 1);
-      incr total
-    done;
-    used.(!i) <- true
-  done;
-  float_of_int !total /. float_of_int count
+  match
+    for j = 0 to count - 1 do
+      let i = ref (hashes.(order.(j)) land (cap - 1)) in
+      while used.(!i) do
+        i := (!i + 1) land (cap - 1);
+        incr total
+      done;
+      used.(!i) <- true;
+      if !total > 64 * count then raise Exit
+    done
+  with
+  | () -> float_of_int !total /. float_of_int count
+  | exception Exit -> infinity
 
 (* An ideal hash for reference: the first 8 bytes of the MD5 of a salt
    and the key. *)
 let salted_md5 salt key =
   Int64.to_int (String.get_int64_le (Digest.string (salt ^ key)) 0) land max_int
 
-(* The word hash must place the stream no worse than FNV-1a does.  On a
-   few thousand keys the displacement of any good hash is mostly
-   sampling noise (a random function lands anywhere in about +-15%), so
-   a hash that matches the median of 11 salted ideal hashes also passes:
-   it cannot be blamed for an FNV-1a draw that happened to be lucky.  A
-   structurally weak hash sits far above both bars. *)
-let check_probe_quality name keys =
-  (* The largest table whose 3/4 growth point the stream reaches. *)
+(* A deliberately weak hash: the key's first (at most 8) bytes as a
+   little-endian int, unmixed, so the home slot is the first fields. *)
+let first_word key =
+  let v = ref 0 in
+  for i = Int.min 8 (String.length key) - 1 downto 0 do
+    v := (!v lsl 8) lor Char.code key.[i]
+  done;
+  !v land max_int
+
+(* A salted draw of a stream of [len] keys: the order of a seeded
+   shuffle, whose first keys are a random subset of about half the
+   stream.  (Linear probing's total displacement does not depend on the
+   insertion order, so only another subset is another sample.) *)
+let draw len salt =
+  let rs = Random.State.make [| 0x5eed; salt |] in
+  let a = Array.init len Fun.id in
+  for i = len - 1 downto 1 do
+    let j = Random.State.int rs (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+(* A key stream under measurement: [draws] salted draws, each filling
+   the largest table whose 3/4 growth point half the stream reaches. *)
+type stream = { keys : string array; cap : int; orders : int array list }
+
+let draws = 8
+
+let stream keys =
   let cap = ref 8 in
-  while 3 * (2 * !cap) / 4 <= Array.length keys do cap := 2 * !cap done;
-  let displacement hash = mean_displacement hash keys !cap in
-  let word = displacement St.hash and fnv = displacement fnv1a in
+  while 3 * (2 * !cap) / 4 <= Array.length keys / 2 do cap := 2 * !cap done;
+  { keys; cap = !cap; orders = List.init draws (draw (Array.length keys)) }
+
+(* The mean displacement of [hash] over the stream's draws. *)
+let displacement s hash =
+  let h = Array.map hash s.keys in
+  List.fold_left (fun acc o -> acc +. mean_displacement h o s.cap) 0. s.orders
+  /. float_of_int draws
+
+(* The bar a hash must meet: FNV-1a's displacement, or the spread of 11
+   salted ideal hashes, their median plus three standard deviations.
+   One draw of a few thousand keys is mostly sampling noise (a random
+   function lands anywhere in about +-15%), and an ideal hash is above
+   the ideal median half the time, so a bar at the median fails a good
+   hash on a layout change that does not touch it.  A structurally weak
+   hash sits far above both bars. *)
+let bar s =
   let ideal =
-    List.init 11 (fun i -> displacement (salted_md5 (string_of_int i)))
+    List.init 11 (fun i -> displacement s (salted_md5 (string_of_int i)))
     |> List.sort Float.compare
   in
-  let ideal_median = List.nth ideal 5 in
-  if word > Float.max fnv ideal_median then
-    Alcotest.failf
-      "%s: mean displacement %.4f at %d slots; FNV-1a %.4f, ideal median %.4f"
-      name word !cap fnv ideal_median
+  let mean = List.fold_left ( +. ) 0. ideal /. 11. in
+  let sd =
+    sqrt (List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. ideal /. 10.)
+  in
+  let median = List.nth ideal 5 in
+  (Float.max (displacement s fnv1a) (median +. (3. *. sd)), displacement s fnv1a, median)
 
+(* The engines store packed keys ({!Modelcheck.Key_layout}), so these are
+   the streams the table sees. *)
+let packed_snapshot_keys ~n ~wirings ~limit =
+  let cfg = Snap.standard ~n in
+  let layout = Mc.layout cfg (Array.init n (fun i -> i + 1)) in
+  Array.map (Modelcheck.Key_layout.pack layout) (snapshot_keys ~n ~wirings ~limit)
+
+let streams =
+  lazy
+    (List.map
+       (fun (name, keys) ->
+         let s = stream keys in
+         (name, s, lazy (bar s)))
+       [
+         ( "n=2 snapshot, all wirings",
+           packed_snapshot_keys ~n:2
+             ~wirings:(Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
+             ~limit:max_int );
+         ( "first 200k n=3 snapshot keys",
+           packed_snapshot_keys ~n:3 ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3 ]
+             ~limit:200_000 );
+       ])
+
+(* The word hash must place each stream within the bar. *)
 let test_probe_quality () =
-  check_probe_quality "n=2 snapshot, all wirings"
-    (snapshot_keys ~n:2
-       ~wirings:(Anonmem.Wiring.enumerate ~n:2 ~m:2 ~fix_first:true)
-       ~limit:max_int);
-  check_probe_quality "first 200k n=3 snapshot keys"
-    (snapshot_keys ~n:3
-       ~wirings:[ Anonmem.Wiring.identity ~n:3 ~m:3 ]
-       ~limit:200_000)
+  List.iter
+    (fun (name, s, bar) ->
+      let limit, fnv, median = Lazy.force bar in
+      let word = displacement s St.hash in
+      if word > limit then
+        Alcotest.failf
+          "%s: mean displacement %.4f at %d slots over %d draws; bar %.4f (FNV-1a \
+           %.4f, ideal median %.4f)"
+          name word s.cap draws limit fnv median)
+    (Lazy.force streams)
+
+(* The pin still measures the hash: the key's first word, unmixed, fails
+   it on both streams. *)
+let test_probe_quality_weak_hash () =
+  List.iter
+    (fun (name, s, bar) ->
+      let limit, _, _ = Lazy.force bar in
+      let weak = displacement s first_word in
+      if weak <= limit then
+        Alcotest.failf "%s: the unmixed first word passed (%.4f, bar %.4f)" name weak
+          limit)
+    (Lazy.force streams)
 
 (* ------------------------------------------------------------------ *)
 (* Packed_vec vs int-array model                                       *)
@@ -693,6 +774,7 @@ let () =
         [
           Alcotest.test_case "word hash displaces no more than FNV-1a" `Quick
             test_probe_quality;
+          Alcotest.test_case "a weak hash fails the pin" `Quick test_probe_quality_weak_hash;
         ] );
       ( "packed-vec",
         [
