@@ -52,6 +52,7 @@ type t = {
   vw : int;  (** register slice width, bytes *)
   body : int;  (** [n*lw + m*vw]: the bytes the group permutes *)
   group : sym list;  (** the full group, identity first *)
+  elements : sym array;  (** [group], indexable *)
   gathers : int array array;
       (** one byte-gather map per element of [group], in its order: byte
           [i < body] of the element's image is [key.[g.(i)]] *)
@@ -96,12 +97,16 @@ let make ~local_width:lw ~value_width:vw ~wiring ~classes =
     vw;
     body;
     group;
+    elements = Array.of_list group;
     gathers = Array.of_list (List.map gather group);
   }
 
 let is_trivial t = Array.length t.gathers = 1
 let group t = t.group
 let group_order t = Array.length t.gathers
+
+(** Element [k] of {!group}, the index {!pack_least} returns. *)
+let element t k = t.elements.(k)
 
 let check_key t who len =
   if len <> t.body then invalid_arg (who ^ ": key is not the state image")

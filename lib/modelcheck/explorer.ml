@@ -278,6 +278,14 @@ let packed_table ~who layout sections =
     table;
   table
 
+(* Patch wide bytes [pos, pos + len) of [wide] into the packed key [buf]
+   when keys are packed ([layout] given); [wide] is the key itself
+   otherwise. *)
+let patch_slice layout wide ~pos ~len buf =
+  match layout with
+  | Some l -> Key_layout.patch l wide ~pos ~len buf
+  | None -> ()
+
 module Make (P : CHECKABLE) = struct
   type state = { locals : P.local array; registers : P.value array }
 
@@ -362,30 +370,54 @@ module Make (P : CHECKABLE) = struct
         registers.(r) <- v;
         { locals; registers }
 
-  (** {!successor_into} on packed keys ({!layout}): [src] is the parent's
-      packed key and [buf] receives the successor's.  Only the mover's
-      local and, on a write, the written register are encoded — into
-      their own slots of the wide scratch [wide], one key long — and
-      their fields patched into [buf]; every other bit is the
-      parent's. *)
-  let successor_packed cfg layout wiring st src mv action wide buf =
+  (* The walk both keyed successors share: [successor_by], with the
+     components the step changed — local [p], and any register not
+     physically equal to the parent's (none on a read, one on a write) —
+     encoded into their own slots of [wide] and, given a [layout], their
+     fields patched into the packed key [buf].  Every other component is
+     the parent's: a physically equal one encodes to the bytes already
+     in place. *)
+  let successor_changed cfg layout wiring st mv action wide buf =
     let st' = successor_by cfg wiring st mv action in
-    Bytes.blit_string src 0 buf 0 (Bytes.length buf);
     let lw = P.local_width cfg and n = Array.length st.locals in
     let p = if mv < n then mv else mv mod n in
     P.encode_local cfg st'.locals.(p) wide (p * lw);
-    Key_layout.patch layout wide ~pos:(p * lw) ~len:lw buf;
+    patch_slice layout wide ~pos:(p * lw) ~len:lw buf;
     if st'.registers != st.registers then begin
       let base = n * lw and vw = P.value_width cfg in
       for r = 0 to Array.length st'.registers - 1 do
         let v = st'.registers.(r) in
         if v != st.registers.(r) then begin
           P.encode_value cfg v wide (base + (r * vw));
-          Key_layout.patch layout wide ~pos:(base + (r * vw)) ~len:vw buf
+          patch_slice layout wide ~pos:(base + (r * vw)) ~len:vw buf
         end
       done
     end;
     st'
+
+  (** {!successor_into} on packed keys ({!layout}): [src] is the parent's
+      packed key and [buf] receives the successor's.  Only the mover's
+      local and, on a write, the written register are encoded — into
+      their own slots of the wide scratch [wide], one key long — and
+      their fields patched into [buf]; every other bit is the parent's.
+      [wide] holds the successor's wide key after the step when it held
+      the parent's before. *)
+  let successor_packed cfg layout wiring st src mv action wide buf =
+    Bytes.blit_string src 0 buf 0 (Bytes.length buf);
+    successor_changed cfg (Some layout) wiring st mv action wide buf
+
+  (** The state whose key is image [k] (an index into [Canon.group c])
+      of [encode_state cfg st]: processor [p]'s local moves to slot
+      [pi.(p)] and register [r]'s value to [rho.(r)], which is what
+      decoding that image gives, without decoding. *)
+  let apply_element c k st =
+    if k = 0 then st
+    else
+      let { Canon.pi; rho } = Canon.element c k in
+      let locals = Array.copy st.locals and registers = Array.copy st.registers in
+      Array.iteri (fun p l -> locals.(pi.(p)) <- l) st.locals;
+      Array.iteri (fun r v -> registers.(rho.(r)) <- v) st.registers;
+      { locals; registers }
 
   (** Successor of [st] under move [mv]. *)
   let successor cfg wiring st mv =
@@ -402,19 +434,8 @@ module Make (P : CHECKABLE) = struct
       bytes already in place, so [buf] ends up holding
       [encode_state cfg st'] exactly.  [buf] must be one key long. *)
   let successor_into cfg wiring st src off mv action buf =
-    let st' = successor_by cfg wiring st mv action in
     Bytes.blit src off buf 0 (Bytes.length buf);
-    let lw = P.local_width cfg and n = Array.length st.locals in
-    let p = if mv < n then mv else mv mod n in
-    P.encode_local cfg st'.locals.(p) buf (p * lw);
-    if st'.registers != st.registers then begin
-      let base = Array.length st.locals * lw and vw = P.value_width cfg in
-      for r = 0 to Array.length st'.registers - 1 do
-        let v = st'.registers.(r) in
-        if v != st.registers.(r) then P.encode_value cfg v buf (base + (r * vw))
-      done
-    end;
-    st'
+    successor_changed cfg None wiring st mv action buf buf
 
   (** [successor] paired with its key, for [key = encode_state cfg st]:
       {!successor_into} on a fresh buffer. *)
@@ -656,7 +677,7 @@ module Make (P : CHECKABLE) = struct
     let violation = ref None in
     (* Bookkeeping for [id], just minted for the concrete state [st];
        under reduction the invariant sees the canonical state, decoded
-       from the packed key in [buf] only then. *)
+       from [id]'s stored key only then. *)
     let admit id st ~from =
       ignore (State_table.Packed_vec.push parent (from + 1));
       match invariant with
@@ -665,7 +686,9 @@ module Make (P : CHECKABLE) = struct
              same verdict on every member of the orbit *)
           let st =
             if canon = None then st
-            else decode_state cfg (Key_layout.unpack layout (Bytes.to_string buf))
+            else
+              decode_state cfg
+                (Key_layout.unpack layout (State_table.key_of_id table id))
           in
           match check st with
           | Ok () -> ()
@@ -1039,12 +1062,13 @@ module Make (P : CHECKABLE) = struct
       }
     in
     let outcome = ref None in
-    (* The DFS path, deepest frame first.  Each frame carries its state
-       decoded once, at push: the concrete successor itself when unreduced
-       (its key is its exact encoding), the decoded canonical key under
-       reduction.  The path is as deep as the longest simple path explored
-       (313 frames on Figure 3 at n=3), so the states it holds are
-       negligible next to the visited table. *)
+    (* The DFS path, deepest frame first.  Each frame carries the state
+       its key encodes: the concrete successor itself when unreduced, and
+       under reduction the successor moved by the group element that
+       canonicalized it ([apply_element]), never decoded.  The path is as
+       deep as the longest simple path explored (313 frames on Figure 3
+       at n=3), so the states it holds are negligible next to the visited
+       table. *)
     let stack = ref [] and depth = ref 0 in
     (match resumed with
     | Some sections ->
@@ -1095,9 +1119,10 @@ module Make (P : CHECKABLE) = struct
     let durable = Checkpoint.run ?governor ckpt save_ckpt in
     (* Only called for ids [intern] just minted, so the colors index pushed
        alongside equals [id].  [st] is the concrete state the invariant
-       sees; [key] its packed key and [wide] its wide canonical key
-       (read only under reduction). *)
-    let push_state id key wide ~entered_by st =
+       sees and [rep] the state [key] encodes ([st] itself unreduced);
+       [key] is the packed key and [wide] the wide canonical key (read
+       only under reduction). *)
+    let push_state id key wide ~entered_by st rep =
       ignore (State_table.Packed_vec.push colors 1);
       (match invariant with
       | Some check -> (
@@ -1110,9 +1135,8 @@ module Make (P : CHECKABLE) = struct
                     (Dfs_invariant_failed
                        { message; state = st; stats = stats () }))
       | None -> ());
-      let st = if canon = None then st else decode_state cfg wide in
       stack :=
-        { id; key; wide; st; entered_by; next_move = 0; any_enabled = false }
+        { id; key; wide; st = rep; entered_by; next_move = 0; any_enabled = false }
         :: !stack;
       incr depth;
       if !depth > !max_depth then max_depth := !depth
@@ -1143,6 +1167,7 @@ module Make (P : CHECKABLE) = struct
       push_state (State_table.intern table packed0) packed0
         (if canon = None then "" else key0)
         ~entered_by:(-1) init
+        (if canon = None then init else decode_state cfg key0)
     end;
     let exhausted = ref None in
     while !stack <> [] && !outcome = None && !exhausted = None do
@@ -1186,7 +1211,7 @@ module Make (P : CHECKABLE) = struct
                   in
                   let id' = State_table.intern_bytes table buf in
                   if id' = before then
-                    push_state id' (Bytes.to_string buf) "" ~entered_by:mv st'
+                    push_state id' (Bytes.to_string buf) "" ~entered_by:mv st' st'
                   else revisit mv id'
               | Some c ->
                   Bytes.blit_string f.wide 0 wide 0 kw;
@@ -1197,7 +1222,7 @@ module Make (P : CHECKABLE) = struct
                   let id' = State_table.intern_bytes table buf in
                   if id' = before then
                     push_state id' (Bytes.to_string buf) (Canon.image c wide k)
-                      ~entered_by:mv st'
+                      ~entered_by:mv st' (apply_element c k st')
                   else revisit mv id'
           end
       end

@@ -6,6 +6,7 @@
 type t = {
   bits : int array;  (** width of each wide byte's field *)
   at : int array;  (** bit offset of each field *)
+  ident : int array;  (** the identity gather map, [ident.(i) = i] *)
   total : int;  (** sum of [bits] *)
   width : int;  (** [ceil (total / 8)] *)
 }
@@ -32,7 +33,13 @@ let make bits =
       at.(i) <- !total;
       total := !total + b)
     bits;
-  { bits = Array.copy bits; at; total = !total; width = (!total + 7) / 8 }
+  {
+    bits = Array.copy bits;
+    at;
+    ident = Array.init (Array.length bits) Fun.id;
+    total = !total;
+    width = (!total + 7) / 8;
+  }
 
 let bits_for k =
   let rec go b = if k lsr b = 0 then b else go (b + 1) in
@@ -47,18 +54,6 @@ let[@inline] set_byte b i x = Bytes.unsafe_set b i (Char.unsafe_chr x)
 
 let overflow t i v = raise (Field_overflow { field = i; value = v; bits = t.bits.(i) })
 
-let[@inline] get_field src pos b =
-  let i = pos lsr 3 and s = pos land 7 in
-  let v = byte src i lsr s in
-  let v = if s + b <= 8 then v else v lor (byte src (i + 1) lsl (8 - s)) in
-  v land ((1 lsl b) - 1)
-
-(* The writers stream fields [pos, pos + len) into [dst] from bit
-   [at.(pos)] on, LSB first: [acc] holds the [nacc < 8] bits not yet
-   written, so a field costs a check, a shift and an or, and each byte is
-   stored once.  The bits of the first and last byte outside the range
-   are kept. *)
-
 let check_dst t dst =
   if Bytes.length dst < t.width then invalid_arg "Key_layout: packed buffer too short"
 
@@ -66,55 +61,62 @@ let check_dst t dst =
 let[@inline] start_acc dst first =
   if first land 7 = 0 then 0 else byte dst (first lsr 3) land ((1 lsl (first land 7)) - 1)
 
-(* The last, partial byte [j] of a stream: its [nacc] low bits from [acc],
-   the rest kept. *)
-let[@inline] finish dst j acc nacc =
-  if nacc > 0 then set_byte dst j (acc lor (byte dst j land lnot ((1 lsl nacc) - 1)))
+(* The one writer: [stream t src g ~pos ~len dst] streams fields
+   [pos, pos + len) into [dst] from bit [at.(pos)] on, LSB first, field
+   [i] read from byte [g.(i)] of [src] ({!patch} passes the identity
+   map; callers have checked every index).  [acc] holds the [nacc < 8]
+   bits not yet written, so a field costs a shift and an or, and each
+   byte is stored once; a tail-recursive loop keeps that state in
+   registers.  The bits of the first and last byte outside the range are
+   kept.  Overflow is or-ed into [bad] and raised after the loop, whose
+   writes it voids. *)
+let rec stream_from src g bits dst i stop j acc nacc bad =
+  if i = stop then begin
+    if nacc > 0 then
+      set_byte dst j (acc lor (byte dst j land lnot ((1 lsl nacc) - 1)));
+    bad
+  end
+  else
+    let v = byte src (Array.unsafe_get g i) and b = Array.unsafe_get bits i in
+    let acc = acc lor (v lsl nacc) and nacc = nacc + b and bad = bad lor (v lsr b) in
+    if nacc >= 8 then
+      begin
+        set_byte dst j (acc land 0xff);
+        stream_from src g bits dst (i + 1) stop (j + 1) (acc lsr 8) (nacc - 8) bad
+      end
+    else stream_from src g bits dst (i + 1) stop j acc nacc bad
+
+let stream t src g ~pos ~len dst =
+  if len > 0 then begin
+    let first = t.at.(pos) in
+    let bad =
+      stream_from src g t.bits dst pos (pos + len) (first lsr 3)
+        (start_acc dst first) (first land 7) 0
+    in
+    if bad <> 0 then
+      for i = pos to pos + len - 1 do
+        let v = byte src g.(i) in
+        if v lsr t.bits.(i) <> 0 then overflow t i v
+      done
+  end
 
 let patch t wide ~pos ~len dst =
   check_dst t dst;
   if pos < 0 || len < 0 || pos + len > Array.length t.bits
      || pos + len > Bytes.length wide
   then invalid_arg "Key_layout.patch: range outside the key";
-  if len > 0 then begin
-    let first = t.at.(pos) in
-    let j = ref (first lsr 3) and nacc = ref (first land 7) in
-    let acc = ref (start_acc dst first) in
-    for i = pos to pos + len - 1 do
-      let v = byte wide i and b = Array.unsafe_get t.bits i in
-      if v lsr b <> 0 then overflow t i v;
-      acc := !acc lor (v lsl !nacc);
-      nacc := !nacc + b;
-      if !nacc >= 8 then begin
-        set_byte dst !j (!acc land 0xff);
-        incr j;
-        acc := !acc lsr 8;
-        nacc := !nacc - 8
-      end
-    done;
-    finish dst !j !acc !nacc
-  end
+  stream t wide t.ident ~pos ~len dst
 
 let pack_gather t src g dst =
   let n = Array.length t.bits in
   check_dst t dst;
   if Array.length g < n then invalid_arg "Key_layout.pack_gather: short map";
-  if t.width > 0 then set_byte dst (t.width - 1) 0;
-  let j = ref 0 and acc = ref 0 and nacc = ref 0 in
   for i = 0 to n - 1 do
-    let v = Char.code (Bytes.get src (Array.unsafe_get g i)) in
-    let b = Array.unsafe_get t.bits i in
-    if v lsr b <> 0 then overflow t i v;
-    acc := !acc lor (v lsl !nacc);
-    nacc := !nacc + b;
-    if !nacc >= 8 then begin
-      set_byte dst !j (!acc land 0xff);
-      incr j;
-      acc := !acc lsr 8;
-      nacc := !nacc - 8
-    end
+    if g.(i) < 0 || g.(i) >= Bytes.length src then
+      invalid_arg "Key_layout.pack_gather: map outside the key"
   done;
-  finish dst !j !acc !nacc
+  if t.width > 0 then set_byte dst (t.width - 1) 0;
+  stream t src g ~pos:0 ~len:n dst
 
 let pack t wide =
   if String.length wide <> wide_width t then
@@ -123,16 +125,33 @@ let pack t wide =
   patch t (Bytes.unsafe_of_string wide) ~pos:0 ~len:(wide_width t) dst;
   Bytes.unsafe_to_string dst
 
+(* Fields [i, n) of [src] (a packed key of [width] bytes) into [wide]:
+   [acc] holds the [nacc] bits read ahead, refilled four bytes at a time
+   while four remain.  A tail-recursive loop, so the reader state stays
+   in registers. *)
+let rec unpack_from src width bits wide i n j acc nacc =
+  if i < n then begin
+    let b = Array.unsafe_get bits i in
+    if nacc >= b then begin
+      set_byte wide i (acc land ((1 lsl b) - 1));
+      unpack_from src width bits wide (i + 1) n j (acc lsr b) (nacc - b)
+    end
+    else if j + 4 <= width then
+      unpack_from src width bits wide i n (j + 4)
+        (acc lor ((Int32.to_int (Bytes.get_int32_le src j) land 0xffff_ffff) lsl nacc))
+        (nacc + 32)
+    else
+      unpack_from src width bits wide i n (j + 1)
+        (acc lor (Char.code (Bytes.get src j) lsl nacc))
+        (nacc + 8)
+  end
+
 let unpack t key =
   if String.length key <> t.width then
     invalid_arg "Key_layout.unpack: key is not one packed key long";
-  let src = Bytes.unsafe_of_string key in
   let n = Array.length t.bits in
   let wide = Bytes.create n in
-  for i = 0 to n - 1 do
-    let b = t.bits.(i) in
-    set_byte wide i (if b = 0 then 0 else get_field src t.at.(i) b)
-  done;
+  unpack_from (Bytes.unsafe_of_string key) t.width t.bits wide 0 n 0 0 0;
   Bytes.unsafe_to_string wide
 
 let padding_clear t key =

@@ -88,6 +88,31 @@ let test_explore_finds_invariant_violation () =
       Alcotest.(check int) "violation at initial state" 0 (List.length v.MC.trace)
   | _ -> Alcotest.fail "expected invariant failure"
 
+(* Under reduction the BFS checks the invariant on the canonical state,
+   decoded from the id's packed key; the root's key is interned before any
+   successor is built, so its check must read that key and no scratch
+   buffer.  An invariant that fails only at the root must report id 0,
+   and one that holds only there must report some other id. *)
+let test_reduced_root_invariant () =
+  let cfg = Snap.standard ~n:2 and inputs = [| 1; 1 |] in
+  let wiring = Anonmem.Wiring.identity ~n:2 ~m:2 in
+  let root = MC.encode_state cfg (MC.init_state ~cfg ~inputs) in
+  let at_root st = MC.encode_state cfg st = root in
+  let run ~fails_at_root =
+    MC.explore ~reduction:true ~cfg ~wiring ~inputs
+      ~invariant:(fun st ->
+        if at_root st = fails_at_root then Error "planted" else Ok ())
+      ()
+  in
+  (match run ~fails_at_root:true with
+  | MC.Invariant_failed (_, v) ->
+      Alcotest.(check int) "root violation is id 0" 0 v.MC.state_id
+  | _ -> Alcotest.fail "a violation at the root was missed");
+  match run ~fails_at_root:false with
+  | MC.Invariant_failed (_, v) ->
+      Alcotest.(check bool) "violation past the root" true (v.MC.state_id > 0)
+  | _ -> Alcotest.fail "a violation past the root was missed"
+
 (* The governor is the one way to stop an exploration early: a quota of
    10 ticks stops the BFS after 10 popped states, with a partial count. *)
 let test_explore_state_limit () =
@@ -816,7 +841,9 @@ end
    BFS mints the same ids for the same wide keys with the same edge and
    terminal counts, every key round-trips through its layout, the packed
    step ([successor_packed]) patches the parent's key into exactly the
-   successor's packed key, and the DFS returns the same verdict and
+   successor's packed key, every symmetry moves a state to the state its
+   key image encodes ([apply_element], which the reduced DFS uses in
+   place of decoding), and the DFS returns the same verdict and
    counts. *)
 module Layout_battery (P : Modelcheck.Explorer.CHECKABLE) = struct
   module E = Modelcheck.Explorer.Make (P)
@@ -841,6 +868,7 @@ module Layout_battery (P : Modelcheck.Explorer.CHECKABLE) = struct
     List.iter
       (fun wiring ->
         let name = Fmt.str "%s %a" name Anonmem.Wiring.pp wiring in
+        let canon = E.canon_of ~cfg ~wiring ~inputs in
         (match
            ( E.explore ?stop_expansion ~cfg ~wiring ~inputs (),
              W.explore ?stop_expansion:wstop ~cfg ~wiring ~inputs () )
@@ -858,6 +886,14 @@ module Layout_battery (P : Modelcheck.Explorer.CHECKABLE) = struct
               let st = E.state_of sp id in
               if not (String.equal (E.encode_state cfg st) key) then
                 Alcotest.failf "%s: id %d does not decode to its key" name id;
+              for k = 0 to Modelcheck.Canon.group_order canon - 1 do
+                if
+                  not
+                    (String.equal
+                       (E.encode_state cfg (E.apply_element canon k st))
+                       (Modelcheck.Canon.image canon (Bytes.of_string key) k))
+                then Alcotest.failf "%s: id %d: symmetry %d is not its key image" name id k
+              done;
               List.iter
                 (fun mv ->
                   let action = Option.get (E.action_of cfg st mv) in
@@ -921,6 +957,32 @@ let test_layout_battery () =
         ~inputs;
       Lb_naming.check "naming" ~cfg:(Algorithms.Naming.cfg ~n:2 ~m:3) ~wirings:w23 ~inputs)
     [ [| 1; 2 |]; [| 1; 1 |]; [| 0; 3 |] ]
+
+(* At n = 2 every symmetry is its own inverse, so the battery cannot tell
+   [apply_element] from its inverse; the rotation wiring's group under
+   equal inputs at n = 3 has 3-cycles in both processors and registers.
+   Checked on the level-1-bounded prefix of the space. *)
+let test_apply_element_n3 () =
+  let cfg = Snap.standard ~n:3 and inputs = [| 1; 1; 1 |] in
+  let wiring = Anonmem.Wiring.of_lists [ [ 0; 1; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ] ] in
+  let canon = MC.canon_of ~cfg ~wiring ~inputs in
+  Alcotest.(check int) "group order" 3 (Modelcheck.Canon.group_order canon);
+  let stop (st : MC.state) = Array.exists (fun l -> Snap.level_of_local l >= 1) st.MC.locals in
+  match MC.explore ~stop_expansion:stop ~cfg ~wiring ~inputs () with
+  | MC.Explored sp ->
+      for id = 0 to MC.state_count sp - 1 do
+        let st = MC.state_of sp id in
+        let key = Bytes.of_string (MC.encode_state cfg st) in
+        for k = 0 to 2 do
+          if
+            not
+              (String.equal
+                 (MC.encode_state cfg (MC.apply_element canon k st))
+                 (Modelcheck.Canon.image canon key k))
+          then Alcotest.failf "id %d: symmetry %d is not its key image" id k
+        done
+      done
+  | _ -> Alcotest.fail "the bounded BFS did not explore"
 
 (* The snapshot codec with its level field declared one bit narrower
    than the n = 2 run needs: the engines stop with the structured error
@@ -1133,6 +1195,8 @@ let () =
           Alcotest.test_case "invariant violation" `Quick
             test_explore_finds_invariant_violation;
           Alcotest.test_case "state limit" `Quick test_explore_state_limit;
+          Alcotest.test_case "reduced root invariant" `Quick
+            test_reduced_root_invariant;
           Alcotest.test_case "successor_key = successor + encode, all codecs"
             `Quick test_successor_key_all_codecs;
           Alcotest.test_case "snapshot invariant = list-based oracle" `Quick
@@ -1168,6 +1232,8 @@ let () =
           Alcotest.test_case "fields round-trip and patch" `Quick test_key_layout_fields;
           Alcotest.test_case "packed = wide, all codecs" `Quick test_layout_battery;
           Alcotest.test_case "narrowed width refused" `Quick test_narrowed_width_refused;
+          Alcotest.test_case "symmetry moves a state to its key image" `Quick
+            test_apply_element_n3;
         ] );
       (* Named after the retired packed n = 3 checker, whose cases these
          were; they now test Figure 3's moves ([Codecs.Snapshot]) on the
